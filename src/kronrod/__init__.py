@@ -40,8 +40,7 @@ from kronrod.reeb import (
     find_special_vertex,
 )
 from kronrod.auts import value_preserving_auts, induced_graph_aut, generated_group, structural_group
-from kronrod.records import ConstructionRecord, GridTranslation, RectCycle, expected_symmetries
-from kronrod.implant import implant
+from kronrod.records import ConstructionRecord, GridTranslation, RectCycle
 from kronrod.verify import verify_realization
 from kronrod.construct import (
     realize_disk,
@@ -83,8 +82,6 @@ __all__ = [
     "ConstructionRecord",
     "GridTranslation",
     "RectCycle",
-    "expected_symmetries",
-    "implant",
     "verify_realization",
     "value_preserving_auts",
     "induced_graph_aut",

@@ -7,23 +7,26 @@ with iterative refinement; parallel edges with equal intervals contribute a
 factorial multiplier per class.
 
 Construction symmetries (grid translations and rectangle cycles) are pushed
-to graph automorphisms through the cell map: the image of every element's
-triangle set must be exactly one element's triangle set, which both
-validates the symmetry and produces the permutations.
+to graph automorphisms through the critical points: every vertex is a
+critical level component (or a boundary curve), so a vertex goes to the
+vertex carrying the images of its critical points, and an edge goes to the
+edge with the mapped endpoints and the same interval.  Triangles and the
+cell map are read only to split a class of parallel equal-interval edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
+from kronrod.fields import ScalarField
 from kronrod.permgroups import PermGroup, enumerate_elements
-from kronrod.records import ConstructionRecord, GridTranslation, Rect, RectCycle, SymmetrySpec
-from kronrod.reeb import ReebGraph
+from kronrod.records import ConstructionRecord, GridTranslation, RectCycle, SymmetrySpec
+from kronrod.reeb import ReebGraph, Triangulation
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, normalize
 
 DEFAULT_AUT_CAP = 10_000
@@ -75,10 +78,6 @@ def validate_graph_aut(g: ReebGraph, aut: GraphAut) -> None:
             raise NotAnAutomorphism(f"edge {e.id} interval changes")
         if {aut.vperm[e.u], aut.vperm[e.v]} != {f_.u, f_.v}:
             raise NotAnAutomorphism(f"edge {e.id} incidence changes")
-
-
-def identity_aut(g: ReebGraph) -> GraphAut:
-    return GraphAut(tuple(range(g.n_vertices)), tuple(range(g.n_edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,187 +251,110 @@ def _generators_from_vertex_auts(g, vertex_auts, eclasses) -> list[GraphAut]:
 # ---------------------------------------------------------------------------
 
 
-def _cell_permutation(g: ReebGraph, sym: SymmetrySpec) -> np.ndarray:
-    """Triangle-level map of a symmetry.  Cells not moved map to themselves."""
-    tri = g.tri
-    if tri is None:
-        raise NotAnAutomorphism("graph carries no triangulation")
-    f = tri.field
+def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a symmetry sends each grid point, as three (height, width) arrays:
+    the image x, the image y, and the piece that moves the point rigidly (the
+    rectangle's index in a cycle, 0 for a translation, -1 where fixed)."""
     w, h = f.width, f.height
-    ncx, ncy = tri.ncx, tri.ncy
-    perm = np.arange(tri.ntri, dtype=np.int64)
+    ys, xs = np.mgrid[0:h, 0:w]
     if isinstance(sym, GridTranslation):
         if f.kind != "torus":
             raise NotAnAutomorphism("grid translation on a non-torus field")
-        cells = np.arange(ncx * ncy)
-        cy, cx = np.divmod(cells, ncx)
-        tx = (cx + sym.dx) % ncx
-        ty = (cy + sym.dy) % ncy
-        target = ty * ncx + tx
-        perm[2 * cells] = 2 * target
-        perm[2 * cells + 1] = 2 * target + 1
-        return perm
-    if isinstance(sym, RectCycle):
-        rects = sym.rects
-        for r, r_next in zip(rects, rects[1:] + rects[:1]):
-            if (r.w, r.h) != (r_next.w, r_next.h):
-                raise NotAnAutomorphism("rect cycle with mismatched rectangles")
-            # cells whose four corners lie inside the rectangle
-            for j in range(r.h - 1):
-                for i in range(r.w - 1):
-                    cx = (r.x0 + i) % w if f.wraps_x else r.x0 + i
-                    cy = (r.y0 + j) % h if f.wraps_y else r.y0 + j
-                    tx = (r_next.x0 + i) % w if f.wraps_x else r_next.x0 + i
-                    ty = (r_next.y0 + j) % h if f.wraps_y else r_next.y0 + j
-                    if not (0 <= cx < ncx and 0 <= cy < ncy):
-                        raise NotAnAutomorphism("rect cycle leaves the grid")
-                    if not (0 <= tx < ncx and 0 <= ty < ncy):
-                        raise NotAnAutomorphism("rect cycle leaves the grid")
-                    src = cy * ncx + cx
-                    dst = ty * ncx + tx
-                    perm[2 * src] = 2 * dst
-                    perm[2 * src + 1] = 2 * dst + 1
-        return perm
-    raise NotAnAutomorphism(f"unknown symmetry {sym!r}")
+        return (xs + sym.dx) % w, (ys + sym.dy) % h, np.zeros((h, w), dtype=np.int64)
+    if not isinstance(sym, RectCycle):
+        raise NotAnAutomorphism(f"unknown symmetry {sym!r}")
+    tx, ty = xs.copy(), ys.copy()
+    piece = np.full((h, w), -1, dtype=np.int64)
+    rects = sym.rects
+    for k, (r, r_next) in enumerate(zip(rects, rects[1:] + rects[:1])):
+        if (r.w, r.h) != (r_next.w, r_next.h) or min(r.w, r.h) < 1:
+            raise NotAnAutomorphism("rect cycle with mismatched or empty rectangles")
+        sx, dx = r.x0 + np.arange(r.w), r_next.x0 + np.arange(r.w)
+        sy, dy = r.y0 + np.arange(r.h), r_next.y0 + np.arange(r.h)
+        if f.wraps_x:
+            sx, dx = sx % w, dx % w
+        if f.wraps_y:
+            sy, dy = sy % h, dy % h
+        if not all(0 <= a.min() and a.max() < n for a, n in ((sx, w), (dx, w), (sy, h), (dy, h))):
+            raise NotAnAutomorphism("rect cycle leaves the grid")
+        block = np.ix_(sy, sx)
+        tx[block] = dx[None, :]
+        ty[block] = dy[:, None]
+        piece[block] = k
+    if np.unique(ty * w + tx).size != w * h:
+        raise NotAnAutomorphism("point map of the symmetry is not a bijection")
+    return tx, ty, piece
+
+
+def _cell_permutation(
+    tri: Triangulation, tx: np.ndarray, ty: np.ndarray, piece: np.ndarray
+) -> np.ndarray:
+    """Triangle-level map of a point map: a cell whose four corners lie in one
+    piece moves with them; every other cell stays put."""
+    w, h = tri.field.width, tri.field.height
+    cells = np.arange(tri.ncx * tri.ncy)
+    cy, cx = np.divmod(cells, tri.ncx)
+    x1, y1 = (cx + 1) % w, (cy + 1) % h
+    p = piece[cy, cx]
+    moves = (p >= 0) & (piece[cy, x1] == p) & (piece[y1, x1] == p) & (piece[y1, cx] == p)
+    target = np.where(moves, ty[cy, cx] * tri.ncx + tx[cy, cx], cells)
+    perm = np.empty(tri.ntri, dtype=np.int64)
+    perm[0::2] = 2 * target
+    perm[1::2] = 2 * target + 1
+    return perm
 
 
 def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
-    """Push a cell-level symmetry through the cell map to a GraphAut.
+    """Push a grid symmetry to a GraphAut through the critical points.
 
-    The cell map partitions triangles among graph elements; the symmetry is
-    an automorphism exactly when the image of every element's partition
-    class is a single element's class.
+    A vertex goes to the vertex carrying the images of its critical points,
+    which must be critical points of the same kind and value on one vertex.
+    A boundary vertex carries none and goes to the boundary vertex of its
+    value.  An edge goes to the edge with the mapped endpoints and the same
+    interval; within a class of parallel edges with equal intervals, an edge
+    goes where the symmetry sends the triangles it owns in the cell map.
     """
-    perm = _cell_permutation(g, sym)
-    if sorted(perm.tolist()) != list(range(len(perm))):
-        raise NotAnAutomorphism("cell map of the symmetry is not a bijection")
-    cm = np.asarray(g.cell_map)
-    target = cm[perm]  # element owning the image of each triangle
+    tri = g.tri
+    if tri is None:
+        raise NotAnAutomorphism("graph carries no triangulation")
+    tx, ty, piece = _point_map(tri.field, sym)
+    carrier = {(c.x, c.y): (c, v.id) for v in g.vertices for c in v.crits}
+    boundary = {v.value: v.id for v in g.vertices if v.boundary and not v.crits}
 
-    vperm: list[Optional[int]] = [None] * g.n_vertices
-    eperm: list[Optional[int]] = [None] * g.n_edges
-    for vid in range(g.n_vertices):
-        owned = target[cm == vid]
-        if owned.size == 0:
-            continue  # element owns no cells; resolved by incidence below
-        codes = np.unique(owned)
-        if len(codes) != 1:
-            raise NotAnAutomorphism(f"vertex {vid} cells map to {len(codes)} elements")
-        code = int(codes[0])
-        if code < 0:
-            raise NotAnAutomorphism(f"vertex {vid} maps to an edge")
-        vperm[vid] = code
-    for eid in range(g.n_edges):
-        owned = target[cm == -eid - 1]
-        if owned.size == 0:
+    vperm = []
+    for v in g.vertices:
+        if v.boundary and not v.crits:
+            vperm.append(boundary[v.value])
             continue
-        codes = np.unique(owned)
-        if len(codes) != 1:
-            raise NotAnAutomorphism(f"edge {eid} cells map to {len(codes)} elements")
-        code = int(codes[0])
-        if code >= 0:
-            raise NotAnAutomorphism(f"edge {eid} maps to a vertex")
-        eperm[eid] = -code - 1
+        images = set()
+        for c in v.crits:
+            hit = carrier.get((int(tx[c.y, c.x]), int(ty[c.y, c.x])))
+            if hit is None or (hit[0].kind, hit[0].value) != (c.kind, c.value):
+                raise NotAnAutomorphism(
+                    f"critical point ({c.x}, {c.y}) maps to no critical point of its kind and value"
+                )
+            images.add(hit[1])
+        if len(images) != 1:
+            raise NotAnAutomorphism(f"vertex {v.id} critical points map to {len(images)} vertices")
+        vperm.append(images.pop())
 
-    _propagate_push(g, vperm, eperm)
+    eclasses = _edge_classes(g)
+    eperm = list(_canonical_eperm(g, vperm, eclasses))
+    parallel = [ids for ids in eclasses.values() if len(ids) > 1]
+    if parallel:
+        cm = np.asarray(g.cell_map)
+        image_owner = cm[_cell_permutation(tri, tx, ty, piece)]
+        for ids in parallel:
+            target = {eperm[e] for e in ids}
+            for e in ids:
+                codes = np.unique(image_owner[cm == -e - 1])
+                if len(codes) != 1 or -int(codes[0]) - 1 not in target:
+                    raise NotAnAutomorphism(f"edge {e} cells do not map onto one parallel edge")
+                eperm[e] = -int(codes[0]) - 1
+
     aut = GraphAut(tuple(vperm), tuple(eperm))
     validate_graph_aut(g, aut)
     return aut
-
-
-def _propagate_push(g: ReebGraph, vperm: list, eperm: list) -> None:
-    """Resolve elements whose partition class is empty (sharp peaks can be
-    starved of cells by lower-level components) using incidence and values.
-
-    An unmapped vertex on a mapped edge is the image edge's endpoint with the
-    matching value; an unmapped edge with a mapped endpoint goes to an unused
-    image edge with the same interval at the image endpoint, parallel classes
-    being matched in id order (parallel equal-interval edges are genuinely
-    interchangeable).
-    """
-    used_edges = {e for e in eperm if e is not None}
-
-    def edge_key(u: int, v: int, lo: float, hi: float) -> tuple:
-        return (min(u, v), max(u, v), lo, hi)
-
-    literal: dict[tuple, list[int]] = {}
-    for e in g.edges:
-        literal.setdefault(edge_key(e.u, e.v, e.lo, e.hi), []).append(e.id)
-
-    progress = True
-    while progress:
-        progress = False
-        # edges whose endpoints are both mapped: the image class is pinned by
-        # the mapped endpoints; edges within one class are parallel with equal
-        # intervals and genuinely interchangeable, matched in id order
-        pending: dict[tuple, list[int]] = {}
-        for e in g.edges:
-            if eperm[e.id] is None and vperm[e.u] is not None and vperm[e.v] is not None:
-                pending.setdefault(
-                    edge_key(vperm[e.u], vperm[e.v], e.lo, e.hi), []
-                ).append(e.id)
-        for key, sibs in pending.items():
-            cands = [i for i in literal.get(key, []) if i not in used_edges]
-            if len(cands) != len(sibs):
-                raise NotAnAutomorphism("pushed edge classes do not correspond")
-            for sid, cid in zip(sorted(sibs), sorted(cands)):
-                eperm[sid] = cid
-                used_edges.add(cid)
-                progress = True
-        # unmapped vertex on a mapped edge: the image endpoint is pinned by
-        # its value (the two endpoints of an edge always differ in value)
-        for v in g.vertices:
-            if vperm[v.id] is not None:
-                continue
-            for ei in g.incident_edges(v.id):
-                if eperm[ei] is None:
-                    continue
-                img = g.edges[eperm[ei]]
-                for w in (img.u, img.v):
-                    if g.vertices[w].value == v.value:
-                        vperm[v.id] = w
-                        progress = True
-                        break
-                if vperm[v.id] is not None:
-                    break
-        if progress:
-            continue
-        # last resort: an unmapped edge with one mapped endpoint and an
-        # unmapped far end; pick among unused candidates at the image
-        # endpoint (sibling groups matched in id order)
-        for e in g.edges:
-            if eperm[e.id] is not None:
-                continue
-            for end, other in ((e.u, e.v), (e.v, e.u)):
-                if vperm[end] is None or vperm[other] is not None:
-                    continue
-                sibs = sorted(
-                    s.id
-                    for s in (g.edges[i] for i in g.incident_edges(end))
-                    if s.id is not None
-                    and eperm[s.id] is None
-                    and (s.lo, s.hi) == (e.lo, e.hi)
-                    and vperm[s.u if s.u != end else s.v] is None
-                )
-                cands = [
-                    f_.id
-                    for f_ in (g.edges[i] for i in g.incident_edges(vperm[end]))
-                    if (f_.lo, f_.hi) == (e.lo, e.hi) and f_.id not in used_edges
-                ]
-                if sibs and len(cands) == len(sibs):
-                    for sid, cid in zip(sibs, sorted(cands)):
-                        eperm[sid] = cid
-                        used_edges.add(cid)
-                    progress = True
-                    break
-            if progress:
-                break
-    if any(p is None for p in vperm) or any(p is None for p in eperm):
-        raise NotAnAutomorphism("could not resolve every element of the pushed map")
-
-
-def induced_auts_of_record(g: ReebGraph, rec: ConstructionRecord) -> list[GraphAut]:
-    return [induced_graph_aut(g, sym) for sym in rec.symmetries]
 
 
 # ---------------------------------------------------------------------------

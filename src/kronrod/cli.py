@@ -21,7 +21,7 @@ from pathlib import Path
 
 from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
 from kronrod.corpus import corpus_summary
-from kronrod.errors import KronrodError, NotRealizable, ParseError, ShapeViolation
+from kronrod.errors import GridCapExceeded, KronrodError, NotRealizable, ParseError, ShapeViolation
 from kronrod.fields import (
     euler_check,
     export_pgm,
@@ -81,7 +81,7 @@ def cmd_realize(args) -> int:
             f, rec = realize_torus_tree(base, n, m)
         else:
             f, rec = realize_disk(base)
-    except (ParseError, NotRealizable) as exc:
+    except (ParseError, NotRealizable, GridCapExceeded) as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_INPUT
 
@@ -145,7 +145,7 @@ def cmd_analyze(args) -> int:
     if "dot" in emits:
         (out / "reeb.dot").write_text(export_dot(g))
     if "json" in emits:
-        (out / "reeb.json").write_bytes(export_json(g, include_cells=False))
+        (out / "reeb.json").write_bytes(export_json(g))
     if "pgm" in emits:
         (out / "field.pgm").write_bytes(export_pgm(f))
     _emit(doc)

@@ -56,12 +56,15 @@ DEFAULT_GRID_CAP = 2_000_000
 
 def _grid_cap() -> int:
     env = os.environ.get("KR_GRID_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_GRID_CAP
+    if not env:
+        return DEFAULT_GRID_CAP
+    try:
+        cap = int(env)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise GridCapExceeded(f"KR_GRID_CAP must be a positive integer, got {env!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,18 +37,6 @@ class DegenerateVertex(FieldError):
         self.vertex = (x, y)
 
 
-class CapNotDisk(FieldError):
-    """Implant target region is not a topological disk."""
-
-
-class CapContainsOtherCritical(FieldError):
-    """Implant target region contains a critical point besides its center."""
-
-
-class WindowOutOfRange(FieldError):
-    """Implant value window does not fit between the cap level and the peak."""
-
-
 class ReebError(KronrodError):
     """Reeb graph construction or query failure."""
 

@@ -292,8 +292,9 @@ def fix_ties(values: np.ndarray, kind: str, max_rounds: int = 8) -> np.ndarray:
 
     Adds eps * rank(vertex index) with eps = 1e-9 of the value range, capped
     below half the smallest nonzero neighbor gap, so designed level structure
-    away from the tie is untouched.  Used for sampled fields (trig sums,
-    implant collars); the synthesized constructions are tie-free by design.
+    away from the tie is untouched.  Used for fields sampled from smooth
+    functions (the seeded trigonometric sums); the synthesized constructions
+    are tie-free by design.
     """
     vals = np.array(values, dtype=np.float64)
     h, w = vals.shape

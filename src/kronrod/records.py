@@ -98,7 +98,7 @@ class ConstructionRecord:
 
     case: str
     term: GroupTerm  # the normalized term the construction realizes
-    base: GroupTerm  # the implanted sub-term (Triv when nothing is implanted)
+    base: GroupTerm  # the sub-term painted into each band / square (Triv when none)
     n: int
     m: int
     width: int
@@ -155,11 +155,6 @@ class ConstructionRecord:
         if rec.case not in ("disk", "circuit", "tree", "simple"):
             raise IncompleteRecord(f"unknown construction case {rec.case!r}")
         return rec
-
-
-def expected_symmetries(rec: ConstructionRecord) -> list[SymmetrySpec]:
-    """Generators of the construction's promised symmetry group."""
-    return list(rec.symmetries)
 
 
 def check_record_against_field(rec: ConstructionRecord, f: ScalarField) -> None:

@@ -9,12 +9,15 @@ triangles meeting c are joined when their shared grid edge also meets c.
 Regular components at cut levels have one neighbor above and one below and
 are smoothed into single edges.
 
-Every triangle is assigned to exactly one graph element (`cell_map`): the
-vertex whose level is nearest the triangle's median corner value among the
-critical components it meets, or else the unique edge its regular
-memberships belong to.  The assignment depends only on values and component
-structure, so exact field symmetries push to well-defined maps of graph
-elements.
+Two triangle sets are kept, for different jobs.  `ReebVertex.cells` are
+the triangles that meet a vertex's level component: a closed neighbourhood
+of the component, whose genus identifies the special vertex of a tree.  The
+`cell_map` is an ownership partition: every triangle belongs to exactly one
+graph element, the vertex whose level is nearest the triangle's median
+corner value among the critical components it meets, or else the unique
+edge its regular memberships belong to.  Ownership depends only on values
+and component structure, so an exact field symmetry permutes it; symmetry
+pushes read it to tell apart parallel edges with equal intervals.
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ class ReebVertex:
     id: int
     value: float
     crits: list[CriticalPoint]
-    cells: frozenset[int]
+    cells: frozenset[int]  # triangles meeting the level component
     boundary: bool = False
 
 
@@ -223,7 +226,6 @@ class ReebEdge:
     v: int
     lo: float
     hi: float
-    cells: frozenset[int]
 
 
 @dataclass
@@ -236,7 +238,7 @@ class ShapeReport:
 
 
 class ReebGraph:
-    """Kronrod-Reeb graph with per-element triangle sets and a total cell map."""
+    """Kronrod-Reeb graph with its triangulation and triangle ownership map."""
 
     def __init__(
         self,
@@ -510,7 +512,6 @@ def build_reeb(f: ScalarField) -> ReebGraph:
                 v=vmap[e["v"]],
                 lo=e["lo"],
                 hi=e["hi"],
-                cells=frozenset(e["cells"]),
             )
         )
 
@@ -539,18 +540,15 @@ def build_reeb(f: ScalarField) -> ReebGraph:
                 cell_map[t] = vmap[ni]
                 assigned[t] = True
     # remaining triangles: the unique merged edge their memberships belong to
-    edge_cells: dict[int, int] = {}
-    for eid, e in enumerate(edges):
-        for t in e.cells:
-            edge_cells[t] = eid
-    for t in range(tri.ntri):
-        if assigned[t]:
-            continue
-        eid = edge_cells.get(t)
-        if eid is None:
-            raise ReebError(f"triangle {t} not covered by any graph element")
-        cell_map[t] = -eid - 1
-        assigned[t] = True
+    by_vertex = assigned.copy()
+    for ei, eid in emap.items():
+        ts = np.fromiter(pedges[ei]["cells"], dtype=np.int64)
+        ts = ts[~by_vertex[ts]]
+        cell_map[ts] = -eid - 1
+        assigned[ts] = True
+    if not assigned.all():
+        t = int(np.argmin(assigned))
+        raise ReebError(f"triangle {t} not covered by any graph element")
 
     graph = ReebGraph(vertices, edges, cell_map, tri)
     _check_connected(graph)
@@ -689,41 +687,27 @@ def _region_euler(tri: Triangulation, tris: Iterable[int]) -> tuple[int, int]:
     return chi, curves
 
 
-def complement_components(g: ReebGraph, vid: int) -> list[list[int]]:
-    """Connected triangle regions of the complement of vertex `vid`'s cells."""
-    tri = g.tri
-    blocked = np.asarray(g.cell_map == vid)
-    uf = _UnionFind(np.nonzero(~blocked)[0])
-    keep = ~blocked[tri.adj_a] & ~blocked[tri.adj_b]
-    for a, b in zip(tri.adj_a[keep].tolist(), tri.adj_b[keep].tolist()):
-        uf.union(a, b)
-    comps: dict[int, list[int]] = {}
-    for t in np.nonzero(~blocked)[0].tolist():
-        comps.setdefault(uf.find(t), []).append(t)
-    return list(comps.values())
-
-
 def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
-    """The unique tree vertex whose complement consists of open disks."""
+    """The unique tree vertex whose complement consists of open disks.
+
+    The complement of a level component is a union of open disks exactly when
+    the component's closed neighbourhood carries the torus's genus, so the
+    special vertex is the one whose `cells` region has g = (2 - chi - b)/2 = 1.
+    """
     if f.kind != TORUS:
         raise ReebError("special vertices are defined for torus fields")
     report = classify_shape(g)
     if report.shape != "tree":
         raise NotATree("special vertex search requires a tree-shaped graph")
-    tri = g.tri
     found: list[int] = []
     for v in g.vertices:
         # a component whose only critical points are extrema is an isolated
         # point, and the complement of a point in the torus is never a disk
         if not any(c.kind is CritKind.SADDLE for c in v.crits):
             continue
-        ok = True
-        for region in complement_components(g, v.id):
-            chi, curves = _region_euler(tri, region)
-            if chi != 1 or curves != 1:
-                ok = False
-                break
-        if ok:
+        chi, curves = _region_euler(g.tri, v.cells)
+        genus = (2 - chi - curves) / 2
+        if genus == 1:
             found.append(v.id)
     if not found:
         raise NoSpecialVertex("no vertex has an all-disk complement")
@@ -873,7 +857,7 @@ def export_dot(g: ReebGraph) -> str:
     return "\n".join(lines)
 
 
-def export_json(g: ReebGraph, include_cells: bool = True) -> bytes:
+def export_json(g: ReebGraph) -> bytes:
     doc = {
         "vertices": [
             {
@@ -884,21 +868,10 @@ def export_json(g: ReebGraph, include_cells: bool = True) -> bytes:
                     {"x": c.x, "y": c.y, "kind": c.kind.value, "value": c.value}
                     for c in v.crits
                 ],
-                **({"cells": sorted(v.cells)} if include_cells else {}),
             }
             for v in g.vertices
         ],
-        "edges": [
-            {
-                "id": e.id,
-                "u": e.u,
-                "v": e.v,
-                "lo": e.lo,
-                "hi": e.hi,
-                **({"cells": sorted(e.cells)} if include_cells else {}),
-            }
-            for e in g.edges
-        ],
+        "edges": [{"id": e.id, "u": e.u, "v": e.v, "lo": e.lo, "hi": e.hi} for e in g.edges],
     }
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 
@@ -915,20 +888,10 @@ def import_json(data: bytes) -> ReebGraph:
                 CriticalPoint(c["x"], c["y"], CritKind(c["kind"]), c["value"])
                 for c in v["crits"]
             ],
-            cells=frozenset(v.get("cells", [])),
+            cells=frozenset(),
             boundary=v["boundary"],
         )
         for v in doc["vertices"]
     ]
-    edges = [
-        ReebEdge(
-            id=e["id"],
-            u=e["u"],
-            v=e["v"],
-            lo=e["lo"],
-            hi=e["hi"],
-            cells=frozenset(e.get("cells", [])),
-        )
-        for e in doc["edges"]
-    ]
+    edges = [ReebEdge(e["id"], e["u"], e["v"], e["lo"], e["hi"]) for e in doc["edges"]]
     return ReebGraph(vertices, edges)

@@ -29,9 +29,11 @@ from kronrod.corpus import (
 from kronrod.errors import AutOverflow
 from kronrod.fields import euler_check, is_simple
 from kronrod.permgroups import enumerate_elements, is_isomorphic, perm_rep
-from kronrod.reeb import build_reeb, classify_shape, complement_components, find_special_vertex
+from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
 from kronrod.reeb import _region_euler
 from kronrod.terms import Triv, Wr, Wr2, format_term, normalize, order
+
+from test_reeb import complement_components
 
 ISO_CAP = 5000
 AUT_CAP = 10_000

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from kronrod.auts import (
@@ -33,7 +34,7 @@ def star_graph(branches: int, same_values: bool = True):
         vertices.append(
             ReebVertex(id=i + 1, value=val, crits=[leaf], cells=frozenset())
         )
-        edges.append(ReebEdge(id=i, u=0, v=i + 1, lo=0.0, hi=val, cells=frozenset()))
+        edges.append(ReebEdge(id=i, u=0, v=i + 1, lo=0.0, hi=val))
     return ReebGraph(vertices, edges)
 
 
@@ -49,7 +50,7 @@ def path_graph(values):
     ]
     edges = [
         ReebEdge(id=i, u=i, v=i + 1, lo=min(values[i], values[i + 1]),
-                 hi=max(values[i], values[i + 1]), cells=frozenset())
+                 hi=max(values[i], values[i + 1]))
         for i in range(len(values) - 1)
     ]
     return ReebGraph(vertices, edges)
@@ -119,6 +120,35 @@ class TestInducedAuts:
         bad = RectCycle(tuple(Rect(r.x0 + 1, r.y0, r.w, r.h) for r in cyc.rects[:1]) + cyc.rects[1:])
         with pytest.raises(NotAnAutomorphism):
             induced_graph_aut(g, bad)
+
+    def test_one_cell_translation_rejected(self):
+        f, _ = realize_torus_circuit(Triv(), 2)
+        g = build_reeb(f)
+        with pytest.raises(NotAnAutomorphism):
+            induced_graph_aut(g, GridTranslation(1, 0))
+
+    def test_translation_on_disk_rejected(self):
+        f, _ = realize_disk(Wr(Triv(), 2))
+        g = build_reeb(f)
+        with pytest.raises(NotAnAutomorphism):
+            induced_graph_aut(g, GridTranslation(f.width, 0))
+
+    def test_parallel_class_split_by_cells(self):
+        f, rec = realize_torus_circuit(Wr(Triv(), 2), 1)
+        g = build_reeb(f)
+        cyc = next(s for s in rec.symmetries if isinstance(s, RectCycle))
+        aut = induced_graph_aut(g, cyc)
+        assert not aut.is_identity()  # the two cap maxima and their edges swap
+        classes: dict[tuple, list[int]] = {}
+        for e in g.edges:
+            classes.setdefault((e.u, e.v, e.lo, e.hi), []).append(e.id)
+        [(a, b)] = [ids for ids in classes.values() if len(ids) > 1]
+        assert (aut.eperm[a], aut.eperm[b]) == (a, b)
+        # only the cell map tells the two circuit edges apart: once b's
+        # triangles are handed to a, the push cannot place b
+        g.cell_map = np.where(g.cell_map == -b - 1, -a - 1, g.cell_map)
+        with pytest.raises(NotAnAutomorphism):
+            induced_graph_aut(g, cyc)
 
     def test_validation(self):
         g = star_graph(2, same_values=False)

@@ -43,6 +43,26 @@ class TestRealize:
         assert code == 2
 
 
+class TestGridCap:
+    def test_cap_exceeded_is_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KR_GRID_CAP", "512")
+        code, doc = run(
+            capsys, "realize", "--term", "wr2(wr(1,2),2,2)", "--case", "tree", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "exceeds cap" in doc["error"]
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-5", "1.5"])
+    def test_malformed_cap_is_input_error(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv("KR_GRID_CAP", cap)
+        code, doc = run(
+            capsys, "realize", "--term", "wr(1,2)", "--case", "circuit", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "KR_GRID_CAP" in doc["error"]
+        assert not (tmp_path / "field.json").exists()
+
+
 class TestAnalyze:
     @pytest.fixture()
     def realized(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from kronrod.records import (
     GridTranslation,
     RectCycle,
     check_record_against_field,
-    expected_symmetries,
 )
 from kronrod.terms import Triv, Wr, normalize, order, parse_term
 
@@ -23,18 +22,18 @@ from test_terms import terms_strategy
 class TestExpectedSymmetries:
     def test_single_band_is_full_wrap(self):
         f, rec = realize_torus_circuit(Triv(), 1)
-        syms = expected_symmetries(rec)
+        syms = rec.symmetries
         assert syms == [GridTranslation(f.width, 0)]
 
     def test_tree_lattice_steps(self):
         f, rec = realize_torus_tree(Triv(), 2, 1, subdivision=4)
-        syms = expected_symmetries(rec)
+        syms = rec.symmetries
         assert GridTranslation(8, 0) in syms
         assert GridTranslation(0, 8) in syms
 
     def test_disk_wreath_cycle(self):
         _, rec = realize_disk(Wr(Triv(), 3))
-        cycles = [s for s in expected_symmetries(rec) if isinstance(s, RectCycle)]
+        cycles = [s for s in rec.symmetries if isinstance(s, RectCycle)]
         assert len(cycles) == 1
         assert len(cycles[0].rects) == 3
 

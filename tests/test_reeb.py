@@ -7,7 +7,6 @@ from kronrod.fields import classify_vertices, morse_counts
 from kronrod.reeb import (
     build_reeb,
     classify_shape,
-    complement_components,
     decompose_cylinders,
     export_dot,
     export_json,
@@ -18,6 +17,37 @@ from kronrod.reeb import (
 from kronrod.terms import Triv, Wr
 
 from test_fields import bump_disk
+
+
+def complement_components(g, vid):
+    """Flood fill of the triangles the cell map does not give to vertex `vid`.
+
+    An oracle for `find_special_vertex`, which reads the genus of the vertex's
+    neighbourhood instead and shares no code with this.
+    """
+    tri = g.tri
+    free = np.asarray(g.cell_map) != vid
+    nbrs: list[list[int]] = [[] for _ in range(tri.ntri)]
+    for a, b in zip(tri.adj_a.tolist(), tri.adj_b.tolist()):
+        if free[a] and free[b]:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    seen = ~free
+    comps = []
+    for start in np.nonzero(free)[0].tolist():
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, comp = [start], []
+        while stack:
+            t = stack.pop()
+            comp.append(t)
+            for u in nbrs[t]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        comps.append(comp)
+    return comps
 
 
 class TestBuildReeb:
@@ -199,5 +229,5 @@ class TestExports:
         g = build_reeb(bump_disk())
         import json
 
-        doc = json.loads(export_json(g, include_cells=False))
+        doc = json.loads(export_json(g))
         assert "cells" not in doc["vertices"][0]
