@@ -36,7 +36,6 @@ from kronrod.reeb import (
     ReebGraph,
     build_reeb,
     classify_shape,
-    decompose_cylinders,
     find_special_vertex,
 )
 from kronrod.auts import value_preserving_auts, induced_graph_aut, generated_group, structural_group
@@ -77,7 +76,6 @@ __all__ = [
     "ReebGraph",
     "build_reeb",
     "classify_shape",
-    "decompose_cylinders",
     "find_special_vertex",
     "ConstructionRecord",
     "GridTranslation",

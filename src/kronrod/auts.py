@@ -10,8 +10,8 @@ Construction symmetries (grid translations and rectangle cycles) are pushed
 to graph automorphisms through the critical points: every vertex is a
 critical level component (or a boundary curve), so a vertex goes to the
 vertex carrying the images of its critical points, and an edge goes to the
-edge with the mapped endpoints and the same interval.  Triangles and the
-cell map are read only to split a class of parallel equal-interval edges.
+edge with the mapped endpoints and the same interval.  Edge triangles are
+read only to split a class of parallel equal-interval edges.
 """
 
 from __future__ import annotations
@@ -312,7 +312,8 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     A boundary vertex carries none and goes to the boundary vertex of its
     value.  An edge goes to the edge with the mapped endpoints and the same
     interval; within a class of parallel edges with equal intervals, an edge
-    goes where the symmetry sends the triangles it owns in the cell map.
+    goes to the one edge of the image class whose cells contain the images
+    of its own.
     """
     tri = g.tri
     if tri is None:
@@ -342,15 +343,15 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     eperm = list(_canonical_eperm(g, vperm, eclasses))
     parallel = [ids for ids in eclasses.values() if len(ids) > 1]
     if parallel:
-        cm = np.asarray(g.cell_map)
-        image_owner = cm[_cell_permutation(tri, tx, ty, piece)]
+        perm = _cell_permutation(tri, tx, ty, piece)
         for ids in parallel:
             target = {eperm[e] for e in ids}
             for e in ids:
-                codes = np.unique(image_owner[cm == -e - 1])
-                if len(codes) != 1 or -int(codes[0]) - 1 not in target:
+                image = perm[g.edges[e].cells]
+                hits = [d for d in target if np.isin(image, g.edges[d].cells).all()]
+                if len(hits) != 1:
                     raise NotAnAutomorphism(f"edge {e} cells do not map onto one parallel edge")
-                eperm[e] = -int(codes[0]) - 1
+                eperm[e] = hits[0]
 
     aut = GraphAut(tuple(vperm), tuple(eperm))
     validate_graph_aut(g, aut)

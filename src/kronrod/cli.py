@@ -21,7 +21,7 @@ from pathlib import Path
 
 from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
 from kronrod.corpus import corpus_summary
-from kronrod.errors import GridCapExceeded, KronrodError, NotRealizable, ParseError, ShapeViolation
+from kronrod.errors import GridCapExceeded, KronrodError, NotRealizable, ParseError
 from kronrod.fields import (
     euler_check,
     export_pgm,
@@ -133,9 +133,6 @@ def cmd_analyze(args) -> int:
             "simple": is_simple(f, g),
             "graph": {"vertices": g.n_vertices, "edges": g.n_edges},
         }
-    except ShapeViolation as exc:
-        _emit({"ok": False, "error": str(exc)})
-        return EXIT_VERIFY
     except KronrodError as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_VERIFY
@@ -166,7 +163,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    summary = corpus_summary(args.seed, cap=args.cap)
+    try:
+        summary = corpus_summary(args.seed, cap=args.cap)
+    except GridCapExceeded as exc:
+        _emit({"ok": False, "error": str(exc)})
+        return EXIT_INPUT
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -45,10 +45,6 @@ class NotATree(ReebError):
     pass
 
 
-class NotACircuit(ReebError):
-    pass
-
-
 class ShapeViolation(ReebError):
     """Torus Reeb graph with first Betti number above one."""
 

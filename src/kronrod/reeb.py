@@ -9,15 +9,13 @@ triangles meeting c are joined when their shared grid edge also meets c.
 Regular components at cut levels have one neighbor above and one below and
 are smoothed into single edges.
 
-Two triangle sets are kept, for different jobs.  `ReebVertex.cells` are
-the triangles that meet a vertex's level component: a closed neighbourhood
-of the component, whose genus identifies the special vertex of a tree.  The
-`cell_map` is an ownership partition: every triangle belongs to exactly one
-graph element, the vertex whose level is nearest the triangle's median
-corner value among the critical components it meets, or else the unique
-edge its regular memberships belong to.  Ownership depends only on values
-and component structure, so an exact field symmetry permutes it; symmetry
-pushes read it to tell apart parallel edges with equal intervals.
+Each graph element keeps the triangles of the component union-find found
+for it.  `ReebVertex.cells` are the triangles that meet a vertex's level
+component: a closed neighbourhood of the component, whose genus identifies
+the special vertex of a tree.  `ReebEdge.cells` are the triangles of the
+edge's lowest slab component, as a sorted array.  Both depend only on values
+and component structure, so an exact field symmetry permutes them; symmetry
+pushes read edge cells to tell apart parallel edges with equal intervals.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from kronrod.errors import (
     InvalidField,
     MultipleSpecialVertices,
     NoSpecialVertex,
-    NotACircuit,
     NotATree,
     ReebError,
     ShapeViolation,
@@ -80,7 +77,6 @@ class Triangulation:
         corners = np.empty((self.ntri, 3), dtype=np.float64)
         corners[0::2] = lower
         corners[1::2] = upper
-        self.corner_values = corners
         self.tri_min = corners.min(axis=1)
         self.tri_max = corners.max(axis=1)
 
@@ -226,6 +222,8 @@ class ReebEdge:
     v: int
     lo: float
     hi: float
+    # sorted triangles of the lowest slab component
+    cells: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), compare=False)
 
 
 @dataclass
@@ -238,18 +236,16 @@ class ShapeReport:
 
 
 class ReebGraph:
-    """Kronrod-Reeb graph with its triangulation and triangle ownership map."""
+    """Kronrod-Reeb graph with its triangulation."""
 
     def __init__(
         self,
         vertices: list[ReebVertex],
         edges: list[ReebEdge],
-        cell_map: Optional[np.ndarray] = None,
         tri: Optional[Triangulation] = None,
     ):
         self.vertices = vertices
         self.edges = edges
-        self.cell_map = cell_map  # int array over triangles: v -> id, edge -> -id-1
         self.tri = tri
         self._incidence: Optional[list[list[int]]] = None
 
@@ -274,12 +270,6 @@ class ReebGraph:
     def degree(self, vid: int) -> int:
         # counts edge-ends, so a loop would contribute two
         return sum(2 if e.u == e.v else 1 for e in (self.edges[i] for i in self.incident_edges(vid)))
-
-    def element_of_cell(self, t: int) -> tuple[str, int]:
-        code = int(self.cell_map[t])
-        if code >= 0:
-            return ("vertex", code)
-        return ("edge", -code - 1)
 
     def edges_spanning(self, value: float) -> list[int]:
         return [e.id for e in self.edges if e.lo < value < e.hi]
@@ -411,7 +401,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
                     "value": cut_values[li],
                     "crits": sorted(meta["crits"], key=lambda c: (c.y, c.x)),
                     "boundary": meta["boundary"],
-                    "cells": set(level_members[li][ci]),
+                    "cells": level_members[li][ci],
                 }
             )
 
@@ -433,7 +423,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
                     "v": node_id[(li_b, next(iter(hi_set)))],
                     "lo": a,
                     "hi": b,
-                    "cells": set(members[ci]),
+                    "cells": np.asarray(members[ci], dtype=np.int64),
                     "alive": True,
                 }
             )
@@ -469,7 +459,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
                 "v": other_v,
                 "lo": e1["lo"],
                 "hi": e2["hi"],
-                "cells": e1["cells"] | node["cells"] | e2["cells"],
+                "cells": e1["cells"],
                 "alive": True,
             }
             e1["alive"] = False
@@ -498,59 +488,15 @@ def build_reeb(f: ScalarField) -> ReebGraph:
                 boundary=node["boundary"],
             )
         )
-    emap: dict[int, int] = {}
     edges: list[ReebEdge] = []
-    for ei, e in enumerate(pedges):
-        if not e["alive"]:
-            continue
-        eid = len(edges)
-        emap[ei] = eid
-        edges.append(
-            ReebEdge(
-                id=eid,
-                u=vmap[e["u"]],
-                v=vmap[e["v"]],
-                lo=e["lo"],
-                hi=e["hi"],
-            )
-        )
+    for e in pedges:
+        if e["alive"]:
+            edges.append(ReebEdge(len(edges), vmap[e["u"]], vmap[e["v"]], e["lo"], e["hi"], e["cells"]))
 
     if not vertices:
         raise ReebError("empty Reeb graph")
 
-    # -- total cell map -----------------------------------------------------
-    # A triangle meeting several critical levels is owned by the vertex whose
-    # level is nearest the triangle's median corner value (ties toward the
-    # lower level); this keeps ownership local, and it depends only on values
-    # and component structure, so exact field symmetries stay equivariant.
-    tri_med = np.median(tri.corner_values, axis=1)
-    cell_map = np.empty(tri.ntri, dtype=np.int64)
-    cell_map.fill(np.iinfo(np.int64).min)
-    best_key: dict[int, tuple[float, float]] = {}
-    assigned = np.zeros(tri.ntri, dtype=bool)
-    for li, c in enumerate(cut_values):
-        comp_of = level_comp_of[li]
-        for t, ci in comp_of.items():
-            ni = node_id[(li, ci)]
-            if not node_alive[ni]:
-                continue
-            key = (abs(c - tri_med[t]), c)
-            if not assigned[t] or key < best_key[t]:
-                best_key[t] = key
-                cell_map[t] = vmap[ni]
-                assigned[t] = True
-    # remaining triangles: the unique merged edge their memberships belong to
-    by_vertex = assigned.copy()
-    for ei, eid in emap.items():
-        ts = np.fromiter(pedges[ei]["cells"], dtype=np.int64)
-        ts = ts[~by_vertex[ts]]
-        cell_map[ts] = -eid - 1
-        assigned[ts] = True
-    if not assigned.all():
-        t = int(np.argmin(assigned))
-        raise ReebError(f"triangle {t} not covered by any graph element")
-
-    graph = ReebGraph(vertices, edges, cell_map, tri)
+    graph = ReebGraph(vertices, edges, tri)
     _check_connected(graph)
     return graph
 
@@ -694,6 +640,8 @@ def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
     the component's closed neighbourhood carries the torus's genus, so the
     special vertex is the one whose `cells` region has g = (2 - chi - b)/2 = 1.
     """
+    if g.tri is None:
+        raise ReebError("graph carries no triangulation")
     if f.kind != TORUS:
         raise ReebError("special vertices are defined for torus fields")
     report = classify_shape(g)
@@ -717,7 +665,7 @@ def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
 
 
 # ---------------------------------------------------------------------------
-# circuit-case cylinder decomposition
+# level-set components
 # ---------------------------------------------------------------------------
 
 
@@ -729,114 +677,6 @@ def level_set_components(f: ScalarField, value: float, tri: Optional[Triangulati
     pairs = (tri.edge_min <= value) & (tri.edge_max >= value)
     _, members = _components(tri, sel, pairs)
     return members
-
-
-def decompose_cylinders(g: ReebGraph, f: ScalarField, edge_id: int) -> list[list[int]]:
-    """Cut the torus along alternate circuit-level curves at a regular value
-    inside the chosen circuit edge, returning the cylinders in cyclic order.
-
-    At a regular value every circuit edge carries one non-separating curve
-    and consecutive curves alternate between the two saddle families, so the
-    cyclic family of curves parallel to the chosen edge's curve is every
-    second one; cutting along that family yields the cylinders, each bounded
-    by two consecutive cut curves.
-    """
-    report = classify_shape(g)
-    if report.shape != "circuit":
-        raise NotACircuit("cylinder decomposition requires a circuit")
-    if edge_id not in report.cycle_edges:
-        raise NotACircuit(f"edge {edge_id} is not on the circuit")
-    e = g.edges[edge_id]
-    c = (e.lo + e.hi) / 2.0
-    vertex_values = {v.value for v in g.vertices}
-    if c in vertex_values:  # midpoint collided with a cut level; nudge
-        c = e.lo + (e.hi - e.lo) * 0.4375
-    tri = g.tri
-
-    circles = []
-    for members in level_set_components(f, c, tri):
-        eid = None
-        for t in members:
-            kind, idx = g.element_of_cell(t)
-            if kind == "edge" and g.edges[idx].lo < c < g.edges[idx].hi:
-                eid = idx
-                break
-        if eid is not None and eid in report.cycle_edges:
-            circles.append({"tris": set(members), "edge": eid})
-    if not circles:
-        raise NotACircuit(f"no circuit-crossing level component at {c}")
-
-    # region decomposition: remove every circle carrier and flood the rest
-    circ_index: dict[int, int] = {}
-    for ci, circ in enumerate(circles):
-        for t in circ["tris"]:
-            circ_index[t] = ci
-    free = np.ones(tri.ntri, dtype=bool)
-    free[list(circ_index)] = False
-    uf = _UnionFind(np.nonzero(free)[0])
-    both_free = free[tri.adj_a] & free[tri.adj_b]
-    for a, b in zip(tri.adj_a[both_free].tolist(), tri.adj_b[both_free].tolist()):
-        uf.union(a, b)
-    region_of: dict[int, int] = {}
-    regions: list[list[int]] = []
-    for t in np.nonzero(free)[0].tolist():
-        r = uf.find(t)
-        if r not in region_of:
-            region_of[r] = len(regions)
-            regions.append([])
-        regions[region_of[r]].append(t)
-
-    # circle <-> region adjacency through shared grid edges
-    circ_regions: list[set[int]] = [set() for _ in circles]
-    for a, b in zip(tri.adj_a.tolist(), tri.adj_b.tolist()):
-        for t_in, t_out in ((a, b), (b, a)):
-            if t_in in circ_index and t_out not in circ_index:
-                circ_regions[circ_index[t_in]].add(region_of[uf.find(t_out)])
-
-    start = next(ci for ci, circ in enumerate(circles) if circ["edge"] == edge_id)
-    if len(circles) == 1:
-        if len(regions) != 1:
-            raise NotACircuit("single cut curve left more than one region")
-        return [sorted(regions[0])]
-
-    region_circles: list[set[int]] = [set() for _ in regions]
-    for ci, rs in enumerate(circ_regions):
-        for r in rs:
-            region_circles[r].add(ci)
-    if any(len(rs) != 2 for rs in circ_regions) or any(len(cs) != 2 for cs in region_circles):
-        raise NotACircuit("level curves do not cut the torus into a cycle of annuli")
-    if len(circles) % 2 != 0:
-        raise NotACircuit(f"odd number of circuit curves ({len(circles)})")
-
-    # walk the cyclic alternation circle - region - circle - ...
-    order_c = [start]
-    order_r: list[int] = []
-    cur = start
-    prev_r = -1
-    while True:
-        rs = sorted(circ_regions[cur])
-        nxt_r = rs[0] if rs[0] != prev_r else rs[1]
-        order_r.append(nxt_r)
-        cs = sorted(region_circles[nxt_r])
-        nxt_c = cs[0] if cs[0] != cur else cs[1]
-        if nxt_c == start:
-            break
-        order_c.append(nxt_c)
-        prev_r = nxt_r
-        cur = nxt_c
-    if len(order_c) != len(circles) or len(order_r) != len(regions):
-        raise NotACircuit("circle/region walk did not close into a single cycle")
-
-    # keep every second curve starting from the chosen one; a cylinder is the
-    # material between consecutive kept curves, swallowing the skipped curve
-    cylinders: list[list[int]] = []
-    for k in range(len(circles) // 2):
-        ri = order_r[2 * k]
-        ci_mid = order_c[2 * k + 1]
-        ri2 = order_r[2 * k + 1]
-        cyl = sorted(set(regions[ri]) | circles[ci_mid]["tris"] | set(regions[ri2]))
-        cylinders.append(cyl)
-    return cylinders
 
 
 # ---------------------------------------------------------------------------
@@ -878,8 +718,6 @@ def export_json(g: ReebGraph) -> bytes:
 
 def import_json(data: bytes) -> ReebGraph:
     doc = json.loads(data.decode("utf-8"))
-    from kronrod.fields import CritKind  # local to avoid cycle at module load
-
     vertices = [
         ReebVertex(
             id=v["id"],

@@ -117,7 +117,7 @@ def verify_realization(
         got_order = grp.order
         report.add(
             "generated_order",
-            got_order == want_order or (got_order is None and want_order > cap),
+            got_order == want_order,
             f"generated order {got_order}, term order {want_order}",
         )
         if want_order <= cap:

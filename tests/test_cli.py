@@ -61,6 +61,9 @@ class TestGridCap:
         assert code == 2
         assert "KR_GRID_CAP" in doc["error"]
         assert not (tmp_path / "field.json").exists()
+        code, doc = run(capsys, "corpus", "--seed", "0")
+        assert code == 2
+        assert "KR_GRID_CAP" in doc["error"]
 
 
 class TestAnalyze:

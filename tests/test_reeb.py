@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from kronrod.construct import realize_torus_circuit, realize_torus_tree
-from kronrod.errors import NotACircuit, NotATree
+from kronrod.errors import NotATree, ReebError
 from kronrod.fields import classify_vertices, morse_counts
 from kronrod.reeb import (
     build_reeb,
     classify_shape,
-    decompose_cylinders,
     export_dot,
     export_json,
     find_special_vertex,
@@ -20,13 +19,14 @@ from test_fields import bump_disk
 
 
 def complement_components(g, vid):
-    """Flood fill of the triangles the cell map does not give to vertex `vid`.
+    """Flood fill of the triangles outside vertex `vid`'s level component cells.
 
     An oracle for `find_special_vertex`, which reads the genus of the vertex's
     neighbourhood instead and shares no code with this.
     """
     tri = g.tri
-    free = np.asarray(g.cell_map) != vid
+    free = np.ones(tri.ntri, dtype=bool)
+    free[list(g.vertices[vid].cells)] = False
     nbrs: list[list[int]] = [[] for _ in range(tri.ntri)]
     for a, b in zip(tri.adj_a.tolist(), tri.adj_b.tolist()):
         if free[a] and free[b]:
@@ -92,19 +92,23 @@ class TestBuildReeb:
             rep = classify_shape(g)
             assert g.n_vertices - g.n_edges == 1 - rep.betti1
 
-    def test_cell_map_total_and_consistent(self):
-        f, _ = realize_torus_circuit(Wr(Triv(), 2), 2)
-        g = build_reeb(f)
-        tri = g.tri
-        for t in range(0, tri.ntri, 7):
-            kind, idx = g.element_of_cell(t)
-            lo, hi = tri.tri_min[t], tri.tri_max[t]
-            if kind == "edge":
-                e = g.edges[idx]
-                assert e.lo <= lo and hi <= e.hi
-            else:
-                v = g.vertices[idx]
-                assert lo <= v.value <= hi
+    def test_edge_cells_in_slab_and_disjoint_per_class(self):
+        for n in (1, 2):
+            f, _ = realize_torus_circuit(Wr(Triv(), 2), n)
+            g = build_reeb(f)
+            tri = g.tri
+            classes: dict[tuple, list[int]] = {}
+            for e in g.edges:
+                assert len(e.cells) > 0
+                assert (tri.tri_max[e.cells] > e.lo).all()
+                assert (tri.tri_min[e.cells] < e.hi).all()
+                classes.setdefault((e.u, e.v, e.lo, e.hi), []).append(e.id)
+            parallel = [ids for ids in classes.values() if len(ids) > 1]
+            if n == 1:
+                assert parallel  # the two circuit edges
+            for ids in parallel:
+                cells = np.concatenate([g.edges[e].cells for e in ids])
+                assert len(np.unique(cells)) == len(cells)
 
 
 class TestShape:
@@ -137,63 +141,17 @@ class TestSpecialVertex:
             comps = complement_components(g, sv)
             assert len(comps) == 4 * n * n * m
 
+    def test_no_triangulation_rejected(self):
+        f, _ = realize_torus_tree(Triv(), 1, 1)
+        g = import_json(export_json(build_reeb(f)))
+        with pytest.raises(ReebError, match="no triangulation"):
+            find_special_vertex(g, f)
+
     def test_circuit_graph_rejected(self):
         f, _ = realize_torus_circuit(Triv(), 2)
         g = build_reeb(f)
         with pytest.raises(NotATree):
             find_special_vertex(g, f)
-
-
-class TestCylinders:
-    def test_three_bands(self):
-        f, _ = realize_torus_circuit(Triv(), 3)
-        g = build_reeb(f)
-        rep = classify_shape(g)
-        cyls = decompose_cylinders(g, f, rep.cycle_edges[0])
-        assert len(cyls) == 3
-        tri = g.tri
-        for cyl in cyls:
-            cylset = set(cyl)
-            kinds = []
-            for c in classify_vertices(f):
-                if any(t in cylset for t in tri.tris_at_vertex(c.x, c.y)):
-                    kinds.append(c.kind)
-            assert sorted(k.value for k in kinds) == [
-                "maximum",
-                "minimum",
-                "saddle",
-                "saddle",
-            ]
-
-    def test_single_band_whole_torus(self):
-        f, _ = realize_torus_circuit(Triv(), 1)
-        g = build_reeb(f)
-        rep = classify_shape(g)
-        cyls = decompose_cylinders(g, f, rep.cycle_edges[0])
-        assert len(cyls) == 1
-
-    def test_cut_curve_count_oracle(self):
-        # cutting keeps every second curve: the flood-fill count of
-        # circuit-crossing components at the cut value is twice the number
-        # of cylinders
-        f, _ = realize_torus_circuit(Triv(), 2)
-        g = build_reeb(f)
-        rep = classify_shape(g)
-        e = g.edges[rep.cycle_edges[0]]
-        c = (e.lo + e.hi) / 2
-        crossing = [
-            comp
-            for comp in level_set_components(f, c)
-            if any(g.element_of_cell(t)[0] == "edge" for t in comp)
-        ]
-        cyls = decompose_cylinders(g, f, rep.cycle_edges[0])
-        assert len(crossing) == 2 * len(cyls)
-
-    def test_requires_circuit(self):
-        f, _ = realize_torus_tree(Triv(), 1, 1)
-        g = build_reeb(f)
-        with pytest.raises(NotACircuit):
-            decompose_cylinders(g, f, 0)
 
 
 class TestLevelOracle:
