@@ -1,10 +1,11 @@
 """Value-preserving automorphisms of Reeb graphs.
 
 An automorphism is a pair of permutations (vertices, edges) preserving
-incidence, vertex values, and edge value intervals exactly.  The full group
-is enumerated by backtracking over vertices pre-partitioned by invariants
-with iterative refinement; parallel edges with equal intervals contribute a
-factorial multiplier per class.
+incidence, vertex values, and edge value intervals exactly.  The order of
+the full group is read off canonical forms (Aho, Hopcroft & Ullman): the
+graph is a tree or has one circuit, so the group is built from symmetric
+groups permuting equal subtrees and, on a circuit, the rotations and
+reflections of the cycle that preserve its hanging trees.
 
 Construction symmetries (grid translations and rectangle cycles) are pushed
 to graph automorphisms through the critical points: every vertex is a
@@ -16,8 +17,9 @@ read only to split a class of parallel equal-interval edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import factorial
+from collections import Counter
+from dataclasses import dataclass
+from math import factorial, prod
 from typing import Iterable
 
 import numpy as np
@@ -26,7 +28,7 @@ from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
 from kronrod.fields import ScalarField
 from kronrod.permgroups import PermGroup, enumerate_elements
 from kronrod.records import ConstructionRecord, GridTranslation, RectCycle, SymmetrySpec
-from kronrod.reeb import ReebGraph, Triangulation
+from kronrod.reeb import ReebGraph, Triangulation, classify_shape
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, normalize
 
 DEFAULT_AUT_CAP = 10_000
@@ -50,15 +52,6 @@ class GraphAut:
             tuple(other.vperm[i] for i in self.vperm),
             tuple(other.eperm[i] for i in self.eperm),
         )
-
-    def inverse(self) -> "GraphAut":
-        vinv = [0] * len(self.vperm)
-        einv = [0] * len(self.eperm)
-        for i, j in enumerate(self.vperm):
-            vinv[j] = i
-        for i, j in enumerate(self.eperm):
-            einv[j] = i
-        return GraphAut(tuple(vinv), tuple(einv))
 
 
 def validate_graph_aut(g: ReebGraph, aut: GraphAut) -> None:
@@ -87,63 +80,114 @@ def validate_graph_aut(g: ReebGraph, aut: GraphAut) -> None:
 
 @dataclass
 class AutGroup:
-    """Full f-hat-preserving automorphism group of a Reeb graph.
-
-    `vertex_auts` lists every valid vertex permutation; the edge freedom on
-    top of a fixed vertex permutation is a product of symmetric groups on
-    parallel-edge classes, accounted for by `order`.
-    """
+    """Full f-hat-preserving automorphism group of a Reeb graph, by its order;
+    its elements are the pairs of permutations `validate_graph_aut` accepts."""
 
     carrier: ReebGraph
-    vertex_auts: list[tuple[int, ...]]
     order: int
-    generators: list[GraphAut] = field(default_factory=list)
 
     def contains(self, aut: GraphAut) -> bool:
         try:
             validate_graph_aut(self.carrier, aut)
         except NotAnAutomorphism:
             return False
-        return aut.vperm in set(self.vertex_auts)
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "generators": [
-                {"vertices": list(a.vperm), "edges": list(a.eperm)} for a in self.generators
-            ],
-        }
+        return True
 
 
-def _vertex_invariants(g: ReebGraph) -> list[tuple]:
-    inv = []
-    for v in g.vertices:
-        incident = sorted(
-            (g.edges[ei].lo, g.edges[ei].hi) for ei in g.incident_edges(v.id)
-        )
-        inv.append((v.value, v.boundary, len(v.crits), tuple(incident)))
-    return inv
-
-
-def _refine_colors(g: ReebGraph, colors: list[int]) -> list[int]:
-    while True:
-        sig = []
-        for v in g.vertices:
-            nb = []
-            for ei in g.incident_edges(v.id):
+def _tree_centre(g: ReebGraph) -> int:
+    """A centre of a tree, found by peeling leaves layer by layer."""
+    deg = [len(g.incident_edges(v)) for v in range(g.n_vertices)]
+    layer = [v for v in range(g.n_vertices) if deg[v] <= 1]
+    left = g.n_vertices
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for ei in g.incident_edges(v):
                 e = g.edges[ei]
-                other = e.v if e.u == v.id else e.u
-                nb.append((e.lo, e.hi, colors[other]))
-            sig.append((colors[v.id], tuple(sorted(nb))))
-        fresh: dict[tuple, int] = {}
-        new_colors = []
-        for s in sig:
-            if s not in fresh:
-                fresh[s] = len(fresh)
-            new_colors.append(fresh[s])
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+                w = e.v if e.u == v else e.u
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    return layer[0]
+
+
+def _hanging_forms(g: ReebGraph, roots: list[int], skip: set[int]) -> tuple[list[int], list[int]]:
+    """AHU labels and automorphism counts of the trees hanging from `roots`
+    once the edges in `skip` are left out.
+
+    A vertex's form is (value, boundary, critical point count, sorted child
+    entries (lo, hi, child label)); equal forms get equal integer labels.
+    Its count is the product of its children's counts and k! for every k
+    equal child entries.  Vertices are labelled in reverse BFS order, so
+    children come before their parents.
+    """
+    children: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    seen = set(roots)
+    order = list(roots)
+    for v in order:
+        for ei in g.incident_edges(v):
+            e = g.edges[ei]
+            w = e.v if e.u == v else e.u
+            if ei not in skip and w not in seen:
+                seen.add(w)
+                order.append(w)
+                children[v].append((ei, w))
+    labels: dict[tuple, int] = {}
+    label = [0] * g.n_vertices
+    count = [1] * g.n_vertices
+    for v in reversed(order):
+        entries = sorted((g.edges[ei].lo, g.edges[ei].hi, label[w]) for ei, w in children[v])
+        count[v] = prod(count[w] for _, w in children[v])
+        for k in Counter(entries).values():
+            count[v] *= factorial(k)
+        vx = g.vertices[v]
+        form = (vx.value, vx.boundary, len(vx.crits), tuple(entries))
+        label[v] = labels.setdefault(form, len(labels))
+    return label, count
+
+
+def _full_order(g: ReebGraph) -> int:
+    """Order of the full value-preserving automorphism group, uncapped.
+
+    A tree is counted from a centre: two centres are adjacent, so their
+    values differ and every automorphism fixes both.  A circuit multiplies
+    the counts of the trees hanging from its vertices by the number of its
+    rotations and reflections that map the cyclic sequence v_0, c_0, v_1,
+    c_1, ... of vertex labels and edge intervals onto itself; for a circuit
+    of two parallel edges the one such map besides the identity swaps them.
+    """
+    shape = classify_shape(g)
+    if shape.shape == "tree":
+        root = _tree_centre(g)
+        return _hanging_forms(g, [root], set())[1][root]
+    vs, es = shape.cycle_vertices, shape.cycle_edges
+    label, count = _hanging_forms(g, vs, set(es))
+    seq = [x for v, e in zip(vs, es) for x in (label[v], (g.edges[e].lo, g.edges[e].hi))]
+    n = len(seq)
+    # vertex slots sit at even positions, so only even shifts and
+    # reflections about even positions keep them there
+    symmetries = sum(
+        all(seq[(s + sign * i) % n] == seq[i] for i in range(n))
+        for s in range(0, n, 2)
+        for sign in (1, -1)
+    )
+    return prod(count[v] for v in vs) * symmetries
+
+
+def value_preserving_auts(g: ReebGraph) -> AutGroup:
+    """The group of all automorphisms preserving values and incidence;
+    AutOverflow when its order exceeds DEFAULT_AUT_CAP."""
+    order = _full_order(g)
+    if order > DEFAULT_AUT_CAP:
+        raise AutOverflow(DEFAULT_AUT_CAP)
+    return AutGroup(carrier=g, order=order)
+
+
+# ---------------------------------------------------------------------------
+# induced automorphisms from construction symmetries
+# ---------------------------------------------------------------------------
 
 
 def _edge_classes(g: ReebGraph) -> dict[tuple, list[int]]:
@@ -153,68 +197,6 @@ def _edge_classes(g: ReebGraph) -> dict[tuple, list[int]]:
         key = (min(e.u, e.v), max(e.u, e.v), e.lo, e.hi)
         classes.setdefault(key, []).append(e.id)
     return classes
-
-
-def value_preserving_auts(g: ReebGraph, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
-    """The group of all automorphisms preserving values and incidence."""
-    nv = g.n_vertices
-    base = _vertex_invariants(g)
-    fresh: dict[tuple, int] = {}
-    colors = []
-    for b in base:
-        if b not in fresh:
-            fresh[b] = len(fresh)
-        colors.append(fresh[b])
-    colors = _refine_colors(g, colors)
-
-    eclasses = _edge_classes(g)
-    edge_multiplier = 1
-    for ids in eclasses.values():
-        edge_multiplier *= factorial(len(ids))
-
-    # adjacency multiset between vertex pairs must be preserved
-    adjacency: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
-    for (u, v, lo, hi), ids in eclasses.items():
-        adjacency.setdefault((u, v), []).append((lo, hi, len(ids)))
-    for k in adjacency:
-        adjacency[k].sort()
-
-    order_of_assignment = sorted(range(nv), key=lambda v: (colors[v], v))
-    vertex_auts: list[tuple[int, ...]] = []
-
-    def compatible(p: dict[int, int], a: int, b: int) -> bool:
-        if colors[a] != colors[b]:
-            return False
-        for c, d in p.items():
-            ka = (min(a, c), max(a, c))
-            kb = (min(b, d), max(b, d))
-            if adjacency.get(ka, []) != adjacency.get(kb, []):
-                return False
-        return True
-
-    def backtrack(i: int, p: dict[int, int], used: set[int]) -> None:
-        if len(vertex_auts) * edge_multiplier > cap:
-            raise AutOverflow(cap)
-        if i == nv:
-            vertex_auts.append(tuple(p[v] for v in range(nv)))
-            return
-        a = order_of_assignment[i]
-        for b in range(nv):
-            if b in used or not compatible(p, a, b):
-                continue
-            p[a] = b
-            used.add(b)
-            backtrack(i + 1, p, used)
-            used.remove(b)
-            del p[a]
-
-    backtrack(0, {}, set())
-    order = len(vertex_auts) * edge_multiplier
-    if order > cap:
-        raise AutOverflow(cap)
-
-    gens = _generators_from_vertex_auts(g, vertex_auts, eclasses)
-    return AutGroup(carrier=g, vertex_auts=vertex_auts, order=order, generators=gens)
 
 
 def _canonical_eperm(g: ReebGraph, vperm: tuple[int, ...], eclasses) -> tuple[int, ...]:
@@ -229,26 +211,6 @@ def _canonical_eperm(g: ReebGraph, vperm: tuple[int, ...], eclasses) -> tuple[in
         for a, b in zip(sorted(ids), sorted(target)):
             eperm[a] = b
     return tuple(eperm)
-
-
-def _generators_from_vertex_auts(g, vertex_auts, eclasses) -> list[GraphAut]:
-    gens = []
-    for vperm in vertex_auts:
-        aut = GraphAut(vperm, _canonical_eperm(g, vperm, eclasses))
-        if not aut.is_identity():
-            gens.append(aut)
-    idperm = tuple(range(g.n_vertices))
-    for ids in eclasses.values():
-        if len(ids) > 1:  # transposition of two parallel edges
-            eperm = list(range(g.n_edges))
-            eperm[ids[0]], eperm[ids[1]] = eperm[ids[1]], eperm[ids[0]]
-            gens.append(GraphAut(idperm, tuple(eperm)))
-    return gens
-
-
-# ---------------------------------------------------------------------------
-# induced automorphisms from construction symmetries
-# ---------------------------------------------------------------------------
 
 
 def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -97,13 +97,6 @@ class ScalarField:
     def wraps_y(self) -> bool:
         return self.kind == TORUS
 
-    def is_boundary_vertex(self, x: int, y: int) -> bool:
-        if self.kind == TORUS:
-            return False
-        if self.kind == CYLINDER:
-            return y == 0 or y == self.height - 1
-        return x == 0 or y == 0 or x == self.width - 1 or y == self.height - 1
-
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.values.shape, dtype=bool)
         if self.kind == CYLINDER:
@@ -264,11 +257,11 @@ def load_field(data: bytes) -> ScalarField:
         w = int(doc["width"])
         h = int(doc["height"])
         values = doc["values"]
+        if not isinstance(values, list) or len(values) != w * h:
+            raise InvalidField(f"values length {len(values) if isinstance(values, list) else '?'} != {w}x{h}")
+        arr = np.asarray(values, dtype=np.float64).reshape(h, w)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidField(f"field JSON missing data: {exc}") from exc
-    if not isinstance(values, list) or len(values) != w * h:
-        raise InvalidField(f"values length {len(values) if isinstance(values, list) else '?'} != {w}x{h}")
-    arr = np.asarray(values, dtype=np.float64).reshape(h, w)
+        raise InvalidField(f"malformed field data: {exc}") from exc
     return ScalarField(kind, arr)
 
 

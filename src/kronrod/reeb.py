@@ -267,10 +267,6 @@ class ReebGraph:
             self._incidence = inc
         return self._incidence[vid]
 
-    def degree(self, vid: int) -> int:
-        # counts edge-ends, so a loop would contribute two
-        return sum(2 if e.u == e.v else 1 for e in (self.edges[i] for i in self.incident_edges(vid)))
-
     def edges_spanning(self, value: float) -> list[int]:
         return [e.id for e in self.edges if e.lo < value < e.hi]
 
@@ -330,103 +326,68 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     crits = classify_vertices(f)
     tri = Triangulation(f)
 
-    crit_values = sorted({c.value for c in crits})
+    crits_at: dict[float, list[CriticalPoint]] = {}
+    for c in crits:
+        crits_at.setdefault(c.value, []).append(c)
     boundary = _boundary_curves(f)
-    cut_values = sorted({*crit_values, *(v for v, _ in boundary)})
+    cut_values = sorted({*crits_at, *(v for v, _ in boundary)})
     if not cut_values:
         raise InvalidField("field has no critical points and no boundary")
 
-    # -- components of each cut level ------------------------------------
-    level_comp_of: list[dict[int, int]] = []
-    level_members: list[list[list[int]]] = []
-    level_meta: list[list[dict]] = []
-    for c in cut_values:
-        sel = (tri.tri_min <= c) & (tri.tri_max >= c)
-        pairs = (tri.edge_min <= c) & (tri.edge_max >= c)
-        comp_of, members = _components(tri, sel, pairs)
-        level_comp_of.append(comp_of)
-        level_members.append(members)
-        level_meta.append([{"crits": [], "boundary": False} for _ in members])
-
-    for c in crits:
-        li = cut_values.index(c.value)
-        ts = tri.tris_at_vertex(c.x, c.y)
-        comp = level_comp_of[li][ts[0]]
-        # all triangles around a vertex at the cut value join one component
-        for t in ts[1:]:
-            if level_comp_of[li][t] != comp:
-                raise ReebError("critical vertex split across level components")
-        level_meta[li][comp]["crits"].append(c)
-
-    for value, ring in boundary:
-        li = cut_values.index(value)
-        t0 = tri.tris_at_vertex(*ring[0])[0]
-        comp = level_comp_of[li][t0]
-        level_meta[li][comp]["boundary"] = True
-
-    # -- slab components between consecutive cut values -------------------
-    intervals: list[tuple[float, float]] = []
-    slab_members: list[list[list[int]]] = []
-    slab_attach: list[list[tuple[set[int], set[int]]]] = []
-    for a, b in zip(cut_values[:-1], cut_values[1:]):
-        sel_mask = (tri.tri_max > a) & (tri.tri_min < b)
-        if not sel_mask.any():
-            intervals.append((a, b))
-            slab_members.append([])
-            slab_attach.append([])
-            continue
-        pairs = (tri.edge_max > a) & (tri.edge_min < b)
-        comp_of, members = _components(tri, sel_mask, pairs)
-        li_a = cut_values.index(a)
-        li_b = cut_values.index(b)
-        attach: list[tuple[set[int], set[int]]] = [(set(), set()) for _ in members]
-        for t, comp in comp_of.items():
-            if tri.tri_min[t] <= a:
-                attach[comp][0].add(level_comp_of[li_a][t])
-            if tri.tri_max[t] >= b:
-                attach[comp][1].add(level_comp_of[li_b][t])
-        intervals.append((a, b))
-        slab_members.append(members)
-        slab_attach.append(attach)
-
-    # -- assemble nodes and provisional edges ------------------------------
-    node_id: dict[tuple[int, int], int] = {}
+    # -- one pass up the cut levels: the components of each level become
+    # nodes, and the slab components below it become edges that attach to
+    # the level below through its triangle -> component map, then dropped
     nodes: list[dict] = []
-    for li, members in enumerate(level_members):
-        for ci in range(len(members)):
-            node_id[(li, ci)] = len(nodes)
-            meta = level_meta[li][ci]
-            nodes.append(
-                {
-                    "value": cut_values[li],
-                    "crits": sorted(meta["crits"], key=lambda c: (c.y, c.x)),
-                    "boundary": meta["boundary"],
-                    "cells": level_members[li][ci],
-                }
-            )
-
     pedges: list[dict] = []
-    for si, members in enumerate(slab_members):
-        a, b = intervals[si]
-        li_a = cut_values.index(a)
-        li_b = cut_values.index(b)
-        for ci in range(len(members)):
-            lo_set, hi_set = slab_attach[si][ci]
-            if len(lo_set) != 1 or len(hi_set) != 1:
-                raise ReebError(
-                    f"slab component over ({a}, {b}) attaches to "
-                    f"{len(lo_set)} lower / {len(hi_set)} upper level components"
-                )
-            pedges.append(
-                {
-                    "u": node_id[(li_a, next(iter(lo_set)))],
-                    "v": node_id[(li_b, next(iter(hi_set)))],
-                    "lo": a,
-                    "hi": b,
-                    "cells": np.asarray(members[ci], dtype=np.int64),
-                    "alive": True,
-                }
+    below: Optional[tuple[float, dict[int, int], int]] = None  # value, comp_of, first node
+    for b in cut_values:
+        comp_of, members = _components(
+            tri, (tri.tri_min <= b) & (tri.tri_max >= b), (tri.edge_min <= b) & (tri.edge_max >= b)
+        )
+        level = [{"value": b, "crits": [], "boundary": False, "cells": m} for m in members]
+        for c in crits_at.get(b, ()):
+            ts = tri.tris_at_vertex(c.x, c.y)
+            comp = comp_of[ts[0]]
+            # all triangles around a vertex at the cut value join one component
+            if any(comp_of[t] != comp for t in ts[1:]):
+                raise ReebError("critical vertex split across level components")
+            level[comp]["crits"].append(c)
+        for value, ring in boundary:
+            if value == b:
+                level[comp_of[tri.tris_at_vertex(*ring[0])[0]]]["boundary"] = True
+        for node in level:
+            node["crits"].sort(key=lambda c: (c.y, c.x))
+        first = len(nodes)
+        nodes.extend(level)
+
+        if below is not None:
+            a, comp_a, first_a = below
+            slab_of, slab_members = _components(
+                tri, (tri.tri_max > a) & (tri.tri_min < b), (tri.edge_max > a) & (tri.edge_min < b)
             )
+            attach: list[tuple[set[int], set[int]]] = [(set(), set()) for _ in slab_members]
+            for t, comp in slab_of.items():
+                if tri.tri_min[t] <= a:
+                    attach[comp][0].add(comp_a[t])
+                if tri.tri_max[t] >= b:
+                    attach[comp][1].add(comp_of[t])
+            for (lo_set, hi_set), cells in zip(attach, slab_members):
+                if len(lo_set) != 1 or len(hi_set) != 1:
+                    raise ReebError(
+                        f"slab component over ({a}, {b}) attaches to "
+                        f"{len(lo_set)} lower / {len(hi_set)} upper level components"
+                    )
+                pedges.append(
+                    {
+                        "u": first_a + lo_set.pop(),
+                        "v": first + hi_set.pop(),
+                        "lo": a,
+                        "hi": b,
+                        "cells": np.asarray(cells, dtype=np.int64),
+                        "alive": True,
+                    }
+                )
+        below = (b, comp_of, first)
 
     # -- smooth regular degree-2 pass-through nodes ------------------------
     incident: list[list[int]] = [[] for _ in nodes]

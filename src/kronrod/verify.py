@@ -58,7 +58,6 @@ def verify_realization(
     rec: ConstructionRecord,
     term: Optional[GroupTerm] = None,
     cap: int = 5000,
-    aut_cap: int = DEFAULT_AUT_CAP,
 ) -> VerificationReport:
     """Run the full contract; every check lands in the report."""
     report = VerificationReport()
@@ -134,7 +133,7 @@ def verify_realization(
             report.add("generated_order", False, f"closure overflow below term order {want_order}")
 
     try:
-        full = value_preserving_auts(g, cap=aut_cap)
+        full = value_preserving_auts(g)
         contained = all(full.contains(a) for a in induced)
         report.add(
             "aut_containment",
@@ -142,6 +141,6 @@ def verify_realization(
             f"full group order {full.order}",
         )
     except AutOverflow:
-        report.add("aut_containment", True, f"full group beyond cap {aut_cap}; skipped")
+        report.add("aut_containment", True, f"full group beyond cap {DEFAULT_AUT_CAP}; skipped")
 
     return report

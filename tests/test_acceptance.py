@@ -4,7 +4,8 @@ The realization corpus (circuit with one to four bands, tree lattices with
 indices up to two, simple cases with up to three bands, bases of order up
 to eight) is built once and shared; criteria assert exact combinatorial
 facts on it, with group isomorphism checked exactly up to order 5000 and
-full automorphism groups enumerated up to order 10^4.
+full automorphism group orders counted from canonical forms, checked against
+a backtracking enumeration up to order 10^4.
 """
 
 import json
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 from kronrod.auts import (
+    DEFAULT_AUT_CAP,
+    _full_order,
     generated_group,
     induced_graph_aut,
     structural_group,
@@ -33,10 +36,11 @@ from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
 from kronrod.reeb import _region_euler
 from kronrod.terms import Triv, Wr, Wr2, format_term, normalize, order
 
+from test_auts import backtrack_order
 from test_reeb import complement_components
 
 ISO_CAP = 5000
-AUT_CAP = 10_000
+AUT_CAP = DEFAULT_AUT_CAP
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -172,7 +176,7 @@ def test_criterion_5_containment(corpus):
     for member, f, rec, g in members:
         gens = [induced_graph_aut(g, s) for s in rec.symmetries]
         try:
-            full = value_preserving_auts(g, cap=AUT_CAP)
+            full = value_preserving_auts(g)
         except AutOverflow:
             continue  # members with full group beyond 10^4 are out of scope
         checked += 1
@@ -182,6 +186,44 @@ def test_criterion_5_containment(corpus):
         "criterion 5: induced symmetries embed in the full automorphism group",
         not bad and checked > 0,
         f"{checked} members with full group <= {AUT_CAP}" + (f"; failures {bad}" if bad else ""),
+    )
+
+
+def test_full_order_matches_backtracking(corpus):
+    members, _ = corpus
+    bad = []
+    checked = 0
+    for member, f, rec, g in members:
+        if _full_order(g) > AUT_CAP:  # the enumeration only runs into its cap
+            with pytest.raises(AutOverflow):
+                value_preserving_auts(g)
+            continue
+        checked += 1
+        got, want = value_preserving_auts(g).order, backtrack_order(g, AUT_CAP)
+        if got != want:
+            bad.append(f"{member.label}: {got} != {want}")
+    _report(
+        "full group order from canonical forms equals the backtracking count",
+        not bad and checked == 22,
+        f"{checked} members with full group <= {AUT_CAP}" + (f"; failures {bad}" if bad else ""),
+    )
+
+
+def test_term_order_divides_full_order(corpus):
+    members, _ = corpus
+    bad = []
+    orders = {}
+    for member, f, rec, g in members:
+        orders[member.label] = full = _full_order(g)
+        want = order(normalize(rec.term))
+        if full % want:
+            bad.append(f"{member.label}: {want} does not divide {full}")
+    if orders["tree-1-2-1"] != 331_776:
+        bad.append(f"tree-1-2-1: full order {orders['tree-1-2-1']} != 331776")
+    _report(
+        "the term order divides the uncapped full group order (Lagrange)",
+        not bad,
+        "; ".join(bad) if bad else f"{len(members)} members, largest {max(orders.values())}",
     )
 
 

@@ -1,8 +1,12 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
 from kronrod.auts import (
     GraphAut,
+    _edge_classes,
+    _full_order,
     generated_group,
     induced_graph_aut,
     structural_group,
@@ -15,6 +19,7 @@ from kronrod.construct import (
     realize_torus_circuit,
     realize_torus_tree,
 )
+from kronrod.corpus import random_torus_field
 from kronrod.errors import AutOverflow, NotAnAutomorphism
 from kronrod.fields import CriticalPoint, CritKind
 from kronrod.permgroups import is_isomorphic, perm_rep
@@ -56,6 +61,74 @@ def path_graph(values):
     return ReebGraph(vertices, edges)
 
 
+def backtrack_order(g: ReebGraph, cap: int = 10_000) -> int:
+    """Differential oracle, the enumerator `value_preserving_auts` used to be:
+    count every vertex permutation that preserves refined colours and the
+    edge multiset between each vertex pair, times k! per class of k parallel
+    equal-interval edges.  Raises AutOverflow past `cap`."""
+    fresh: dict[tuple, int] = {}
+    colors = [
+        fresh.setdefault(
+            (v.value, v.boundary, len(v.crits),
+             tuple(sorted((g.edges[ei].lo, g.edges[ei].hi) for ei in g.incident_edges(v.id)))),
+            len(fresh),
+        )
+        for v in g.vertices
+    ]
+    while True:
+        sig = []
+        for v in g.vertices:
+            nb = []
+            for ei in g.incident_edges(v.id):
+                e = g.edges[ei]
+                other = e.v if e.u == v.id else e.u
+                nb.append((e.lo, e.hi, colors[other]))
+            sig.append((colors[v.id], tuple(sorted(nb))))
+        fresh = {}
+        refined = [fresh.setdefault(s, len(fresh)) for s in sig]
+        if refined == colors:
+            break
+        colors = refined
+    eclasses = _edge_classes(g)
+    multiplier = 1
+    adjacency: dict[tuple[int, int], list] = {}
+    for (u, v, lo, hi), ids in eclasses.items():
+        multiplier *= factorial(len(ids))
+        adjacency.setdefault((u, v), []).append((lo, hi, len(ids)))
+    for k in adjacency:
+        adjacency[k].sort()
+    nv = g.n_vertices
+    assign = sorted(range(nv), key=lambda v: (colors[v], v))
+    found = 0
+
+    def backtrack(i: int, p: dict[int, int], used: set[int]) -> None:
+        nonlocal found
+        if found * multiplier > cap:
+            raise AutOverflow(cap)
+        if i == nv:
+            found += 1
+            return
+        a = assign[i]
+        for b in range(nv):
+            if b in used or colors[a] != colors[b]:
+                continue
+            if any(
+                adjacency.get((min(a, c), max(a, c)), []) != adjacency.get((min(b, d), max(b, d)), [])
+                for c, d in p.items()
+            ):
+                continue
+            p[a] = b
+            used.add(b)
+            backtrack(i + 1, p, used)
+            used.remove(b)
+            del p[a]
+
+    backtrack(0, {}, set())
+    if found * multiplier > cap:
+        raise AutOverflow(cap)
+    return found * multiplier
+
+
 class TestValuePreservingAuts:
     def test_path_distinct_values_trivial(self):
         g = path_graph([0.0, 1.0, 2.0, 3.0])
@@ -77,14 +150,40 @@ class TestValuePreservingAuts:
 
     def test_overflow(self):
         g = star_graph(8, same_values=True)  # 8! = 40320
+        assert _full_order(g) == 40320
         with pytest.raises(AutOverflow):
-            value_preserving_auts(g, cap=10_000)
+            value_preserving_auts(g)
 
     def test_parallel_edges_counted(self):
         f, _ = realize_torus_circuit(Triv(), 1)
         g = build_reeb(f)
         # two parallel circuit edges with equal intervals are swappable
         assert value_preserving_auts(g).order % 2 == 0
+
+    @pytest.mark.parametrize(
+        "graph",
+        [star_graph(3), star_graph(5), star_graph(4, same_values=False),
+         path_graph([0.0, 1.0, 2.0, 3.0]), path_graph([0.0, 1.0, 0.0]),
+         path_graph([1.0, 0.0, 2.0, 0.0, 1.0])],
+        ids=["star3", "star5", "star4-distinct", "path4", "path-vee", "path-mirror"],
+    )
+    def test_hand_built_match_backtracking(self, graph):
+        assert value_preserving_auts(graph).order == backtrack_order(graph)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_random_fields_match_backtracking(self, seed):
+        g = build_reeb(random_torus_field(seed))
+        assert value_preserving_auts(g).order == backtrack_order(g)
+
+    def test_long_path_without_recursion(self):
+        g = path_graph([float(i) for i in range(2000)])
+        assert value_preserving_auts(g).order == 1
+
+    def test_contains_is_validation(self):
+        g = star_graph(3)
+        group = value_preserving_auts(g)
+        assert group.contains(GraphAut((0, 2, 1, 3), (1, 0, 2)))
+        assert not group.contains(GraphAut((1, 0, 2, 3), (0, 1, 2)))
 
 
 class TestInducedAuts:
@@ -205,14 +304,3 @@ class TestStructuralGroup:
     def test_simple(self):
         _, rec = realize_simple(Wr(Triv(), 2), 2)
         assert format_term(structural_group(rec)) == "wr(wr(1,2),2)"
-
-
-class TestAutGroupExport:
-    def test_json_shape(self):
-        g = star_graph(3, same_values=True)
-        group = value_preserving_auts(g)
-        doc = group.to_json()
-        assert doc["order"] == 6
-        assert all(
-            sorted(gen["vertices"]) == list(range(4)) for gen in doc["generators"]
-        )

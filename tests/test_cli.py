@@ -105,6 +105,21 @@ class TestAnalyze:
         code, doc = run(capsys, "analyze", "--field", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "torus", "width": 8, "height": 8, "values": ["a"] * 64},
+            {"kind": "torus", "width": -8, "height": -8, "values": [0.0] * 64},
+        ],
+        ids=["non-numeric-values", "negative-size"],
+    )
+    def test_malformed_values_are_input_errors(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run(capsys, "analyze", "--field", str(bad))
+        assert code == 2
+        assert not out["ok"]
+
 
 class TestVerify:
     @pytest.fixture()
