@@ -27,9 +27,7 @@ GALLERY = [
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--cap", type=int, default=5000)
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     for case, base_text, n, m in GALLERY:
         base = parse_term(base_text)
@@ -42,9 +40,9 @@ def main() -> int:
         g = build_reeb(f)
         shape = classify_shape(g)
         gens = [induced_graph_aut(g, s) for s in rec.symmetries]
-        grp = generated_group(g, gens, cap=args.cap)
+        grp = generated_group(g, gens)
         term = normalize(rec.term)
-        iso = is_isomorphic(grp, perm_rep(term), args.cap)
+        iso = is_isomorphic(grp, perm_rep(term))
         mc = morse_counts(f)
         print(
             f"{case:8s} {format_term(term):28s} grid {f.width}x{f.height}"

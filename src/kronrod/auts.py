@@ -26,7 +26,7 @@ import numpy as np
 
 from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
 from kronrod.fields import ScalarField
-from kronrod.permgroups import PermGroup, enumerate_elements
+from kronrod.permgroups import DEFAULT_GROUP_CAP, PermGroup, enumerate_elements
 from kronrod.records import ConstructionRecord, GridTranslation, RectCycle, SymmetrySpec
 from kronrod.reeb import ReebGraph, Triangulation, classify_shape
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, normalize
@@ -325,7 +325,7 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
 # ---------------------------------------------------------------------------
 
 
-def generated_group(g: ReebGraph, gens: Iterable[GraphAut], cap: int = 5000) -> PermGroup:
+def generated_group(g: ReebGraph, gens: Iterable[GraphAut]) -> PermGroup:
     """Permutation group on vertex + edge ids generated by graph automorphisms."""
     nv = g.n_vertices
     degree = nv + g.n_edges
@@ -333,8 +333,8 @@ def generated_group(g: ReebGraph, gens: Iterable[GraphAut], cap: int = 5000) -> 
     for a in gens:
         perms.append(tuple(list(a.vperm) + [nv + e for e in a.eperm]))
     group = PermGroup(degree=degree, generators=perms)
-    if enumerate_elements(group, cap) is None:
-        raise AutOverflow(cap)
+    if enumerate_elements(group) is None:
+        raise AutOverflow(DEFAULT_GROUP_CAP)
     return group
 
 

@@ -157,14 +157,14 @@ def cmd_verify(args) -> int:
     except (OSError, KronrodError) as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_INPUT
-    report = verify_realization(f, rec, term=term, cap=args.cap)
+    report = verify_realization(f, rec, term=term)
     _emit(report.to_json())
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
 def cmd_corpus(args) -> int:
     try:
-        summary = corpus_summary(args.seed, cap=args.cap)
+        summary = corpus_summary(args.seed)
     except GridCapExceeded as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_INPUT
@@ -206,12 +206,10 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("--field", required=True)
     pv.add_argument("--record", required=True)
     pv.add_argument("--term", default=None)
-    pv.add_argument("--cap", type=int, default=5000)
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("corpus", help="generate and verify the test corpus")
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--cap", type=int, default=5000)
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_corpus)
     return p

@@ -11,14 +11,17 @@ independent flood-fill level-set oracle.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from kronrod.construct import realize_simple, realize_torus_circuit, realize_torus_tree
 from kronrod.errors import DegenerateVertex, InvalidField
 from kronrod.fields import ScalarField, classify_vertices, fix_ties
 from kronrod.records import ConstructionRecord
-from kronrod.reeb import build_reeb, level_set_components
+from kronrod.reeb import Triangulation, build_reeb
 from kronrod.terms import parse_term
 from kronrod.verify import VerificationReport, verify_realization
 
@@ -65,11 +68,11 @@ def realize_member(member: CorpusMember) -> tuple[ScalarField, ConstructionRecor
     raise ValueError(f"unknown corpus case {member.case}")
 
 
-def run_realization_corpus(cap: int = 5000) -> list[tuple[CorpusMember, VerificationReport]]:
+def run_realization_corpus() -> list[tuple[CorpusMember, VerificationReport]]:
     out = []
     for member in corpus_grid():
         f, rec = realize_member(member)
-        out.append((member, verify_realization(f, rec, cap=cap)))
+        out.append((member, verify_realization(f, rec)))
     return out
 
 
@@ -105,6 +108,41 @@ def random_torus_field(seed: int, size: int = 16) -> ScalarField:
         except (DegenerateVertex, InvalidField):
             attempt += 7919  # deterministic retry chain
             continue
+
+
+def level_set_components(
+    f: ScalarField, value: float, tri: Optional[Triangulation] = None
+) -> list[list[int]]:
+    """Connected components of a level set as sorted triangle lists (flood fill).
+
+    A triangle meets the level when its value span contains it, and two such
+    triangles are joined when their shared grid edge meets it too.  The
+    components come in the order of their smallest triangles.
+    """
+    if tri is None:
+        tri = Triangulation(f)
+    meets = (tri.tri_min <= value) & (tri.tri_max >= value)
+    joins = (tri.edge_min <= value) & (tri.edge_max >= value)
+    nbrs: dict[int, list[int]] = {t: [] for t in np.nonzero(meets)[0].tolist()}
+    for a, b in zip(tri.adj_a[joins].tolist(), tri.adj_b[joins].tolist()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    seen: set[int] = set()
+    comps = []
+    for start in nbrs:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, comp = deque([start]), []
+        while queue:
+            t = queue.popleft()
+            comp.append(t)
+            for u in nbrs[t]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        comps.append(sorted(comp))
+    return comps
 
 
 def reeb_level_oracle(f: ScalarField, seed: int, samples: int = 20) -> list[tuple[float, int, int]]:
@@ -143,10 +181,10 @@ def run_oracle_corpus(seed: int, fields: int = 10, samples: int = 20) -> list[di
     return out
 
 
-def corpus_summary(seed: int, cap: int = 5000) -> dict:
+def corpus_summary(seed: int) -> dict:
     """Deterministic summary document for the whole corpus."""
     realizations = []
-    for member, report in run_realization_corpus(cap=cap):
+    for member, report in run_realization_corpus():
         realizations.append(
             {
                 "label": member.label,

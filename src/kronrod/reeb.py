@@ -3,19 +3,20 @@
 The graph of a field has one vertex per connected component of a cut-level
 set that carries a critical point (or a boundary curve), and one edge per
 family of regular level components between consecutive cut values.  Both
-kinds of component are found by union-find sweeps over the triangles of the
+kinds of component are labelled on arrays indexed by the triangles of the
 grid: a triangle meets level c when its value span contains c, and two
 triangles meeting c are joined when their shared grid edge also meets c.
-Regular components at cut levels have one neighbor above and one below and
-are smoothed into single edges.
+`_label` gives every triangle the smallest triangle of its component by
+hooking roots and compressing paths.  Regular components at cut levels have
+one neighbor above and one below and are smoothed into single edges.
 
-Each graph element keeps the triangles of the component union-find found
-for it.  `ReebVertex.cells` are the triangles that meet a vertex's level
-component: a closed neighbourhood of the component, whose genus identifies
-the special vertex of a tree.  `ReebEdge.cells` are the triangles of the
-edge's lowest slab component, as a sorted array.  Both depend only on values
-and component structure, so an exact field symmetry permutes them; symmetry
-pushes read edge cells to tell apart parallel edges with equal intervals.
+Each graph element keeps the sorted triangles of its component.
+`ReebVertex.cells` are the triangles that meet a vertex's level component: a
+closed neighbourhood of the component, whose genus identifies the special
+vertex of a tree.  `ReebEdge.cells` are the triangles of the edge's lowest
+slab component.  Both depend only on values and component structure, so an
+exact field symmetry permutes them; symmetry pushes read edge cells to tell
+apart parallel edges with equal intervals.
 """
 
 from __future__ import annotations
@@ -140,65 +141,28 @@ class Triangulation:
             np.concatenate(emax),
         )
 
-    def corners_of(self, t: int) -> list[tuple[int, int]]:
-        cell, which = divmod(t, 2)
-        cy, cx = divmod(cell, self.ncx)
-        w, h = self.field.width, self.field.height
-        x1 = (cx + 1) % w
-        y1 = (cy + 1) % h
-        if which == 0:
-            return [(cx, cy), (x1, cy), (x1, y1)]
-        return [(cx, cy), (x1, y1), (cx, y1)]
 
-    def tris_at_vertex(self, x: int, y: int) -> list[int]:
-        """All triangles having (x, y) as a corner."""
-        f = self.field
-        w, h = f.width, f.height
-        out = []
-        for cdx, cdy, which in (
-            (0, 0, 0),
-            (0, 0, 1),
-            (-1, 0, 0),
-            (0, -1, 1),
-            (-1, -1, 0),
-            (-1, -1, 1),
-            (-1, 0, 1),
-            (0, -1, 0),
-        ):
-            cx, cy = x + cdx, y + cdy
-            if f.wraps_x:
-                cx %= w
-            elif not (0 <= cx < self.ncx):
-                continue
-            if f.wraps_y:
-                cy %= h
-            elif not (0 <= cy < self.ncy):
-                continue
-            t = 2 * (cy * self.ncx + cx) + which
-            if (x % w, y % h) in [(a % w, b % h) for a, b in self.corners_of(t)]:
-                out.append(t)
-        return sorted(set(out))
+def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each of nodes 0..n-1, the smallest node of its component under edges a-b.
 
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, items: np.ndarray):
-        self.parent = {int(i): int(i) for i in items}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    Root hooking and path compression (Shiloach & Vishkin 1982): each round
+    hooks the larger root of every edge onto the smaller one, then compresses
+    paths until every node points at a root.  A round that changes nothing
+    ends the loop, and every other round lowers at least one root.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            return root
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +175,8 @@ class ReebVertex:
     id: int
     value: float
     crits: list[CriticalPoint]
-    cells: frozenset[int]  # triangles meeting the level component
+    # sorted triangles meeting the level component
+    cells: np.ndarray = field(compare=False)
     boundary: bool = False
 
 
@@ -278,47 +243,50 @@ class ReebGraph:
 
 def _components(
     tri: Triangulation, sel_mask: np.ndarray, pair_mask: np.ndarray
-) -> tuple[dict[int, int], list[list[int]]]:
-    """Union-find pass.  Returns (triangle -> component index, members)."""
-    sel = np.nonzero(sel_mask)[0]
-    uf = _UnionFind(sel)
-    a = tri.adj_a[pair_mask]
-    b = tri.adj_b[pair_mask]
-    for x, y in zip(a.tolist(), b.tolist()):
-        uf.union(x, y)
-    comp_of: dict[int, int] = {}
-    members: list[list[int]] = []
-    roots: dict[int, int] = {}
-    for t in sel.tolist():
-        r = uf.find(t)
-        idx = roots.get(r)
-        if idx is None:
-            idx = len(members)
-            roots[r] = idx
-            members.append([])
-        comp_of[t] = idx
-        members[idx].append(t)
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Components of the selected triangles joined by the selected pairs.
+
+    Returns the component of every triangle (-1 where not selected) and each
+    component's sorted triangles.  Components are numbered by their smallest
+    triangle.
+    """
+    tris = np.nonzero(sel_mask)[0]
+    # label the selected triangles by their rank; ranks keep the order of ids
+    rank = np.empty(tri.ntri, dtype=np.int64)
+    rank[tris] = np.arange(len(tris))
+    root = _label(len(tris), rank[tri.adj_a[pair_mask]], rank[tri.adj_b[pair_mask]])
+    _, comp = np.unique(root, return_inverse=True)
+    comp_of = np.full(tri.ntri, -1, dtype=np.int64)
+    comp_of[tris] = comp
+    ends = np.cumsum(np.bincount(comp))
+    grouped = tris[np.argsort(comp, kind="stable")]
+    members = [m.copy() for m in np.split(grouped, ends[:-1])] if len(tris) else []
     return comp_of, members
 
 
-def _boundary_curves(f: ScalarField) -> list[tuple[float, list[tuple[int, int]]]]:
-    """Boundary curves as (constant value, vertex list)."""
+def _boundary_curves(tri: Triangulation) -> list[tuple[float, int]]:
+    """Boundary curves as (constant value, one triangle touching the curve)."""
+    f = tri.field
     if f.kind == TORUS:
         return []
-    if f.kind == DISK:
-        w, h = f.width, f.height
-        ring = (
-            [(x, 0) for x in range(w)]
-            + [(x, h - 1) for x in range(w)]
-            + [(0, y) for y in range(1, h - 1)]
-            + [(w - 1, y) for y in range(1, h - 1)]
-        )
-        return [(float(f.values[0, 0]), ring)]
-    w, h = f.width, f.height
-    return [
-        (float(f.values[0, 0]), [(x, 0) for x in range(w)]),
-        (float(f.values[h - 1, 0]), [(x, h - 1) for x in range(w)]),
-    ]
+    # triangle 0 touches the bottom row, which is on the disk's frame too
+    curves = [(float(f.values[0, 0]), 0)]
+    if f.kind != DISK:
+        # the upper triangle of cell (0, h-2) touches the cylinder's top row
+        curves.append((float(f.values[-1, 0]), 2 * (f.height - 2) * tri.ncx + 1))
+    return curves
+
+
+def _attach(
+    slab_of: np.ndarray, level_of: np.ndarray, touches: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each slab component, how many level components its touching
+    triangles lie in, and those level components in slab order (one per slab
+    component when every count is 1)."""
+    t = np.nonzero((slab_of >= 0) & touches)[0]
+    n = int(level_of.max()) + 1
+    slab, level = np.divmod(np.unique(slab_of[t] * n + level_of[t]), n)
+    return np.bincount(slab, minlength=int(slab_of.max()) + 1), level
 
 
 def build_reeb(f: ScalarField) -> ReebGraph:
@@ -329,32 +297,30 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     crits_at: dict[float, list[CriticalPoint]] = {}
     for c in crits:
         crits_at.setdefault(c.value, []).append(c)
-    boundary = _boundary_curves(f)
+    boundary = _boundary_curves(tri)
     cut_values = sorted({*crits_at, *(v for v, _ in boundary)})
     if not cut_values:
         raise InvalidField("field has no critical points and no boundary")
 
     # -- one pass up the cut levels: the components of each level become
     # nodes, and the slab components below it become edges that attach to
-    # the level below through its triangle -> component map, then dropped
+    # the level below through its triangle -> component array, then dropped
     nodes: list[dict] = []
     pedges: list[dict] = []
-    below: Optional[tuple[float, dict[int, int], int]] = None  # value, comp_of, first node
+    below: Optional[tuple[float, np.ndarray, int]] = None  # value, comp_of, first node
     for b in cut_values:
         comp_of, members = _components(
             tri, (tri.tri_min <= b) & (tri.tri_max >= b), (tri.edge_min <= b) & (tri.edge_max >= b)
         )
         level = [{"value": b, "crits": [], "boundary": False, "cells": m} for m in members]
         for c in crits_at.get(b, ()):
-            ts = tri.tris_at_vertex(c.x, c.y)
-            comp = comp_of[ts[0]]
-            # all triangles around a vertex at the cut value join one component
-            if any(comp_of[t] != comp for t in ts[1:]):
-                raise ReebError("critical vertex split across level components")
-            level[comp]["crits"].append(c)
-        for value, ring in boundary:
+            # every grid edge at a critical vertex ends at the cut value, so it
+            # joins the triangles on both of its sides: they all lie in the
+            # component of the lower triangle of the vertex's own cell
+            level[comp_of[2 * (c.y * tri.ncx + c.x)]]["crits"].append(c)
+        for value, t in boundary:
             if value == b:
-                level[comp_of[tri.tris_at_vertex(*ring[0])[0]]]["boundary"] = True
+                level[comp_of[t]]["boundary"] = True
         for node in level:
             node["crits"].sort(key=lambda c: (c.y, c.x))
         first = len(nodes)
@@ -365,94 +331,49 @@ def build_reeb(f: ScalarField) -> ReebGraph:
             slab_of, slab_members = _components(
                 tri, (tri.tri_max > a) & (tri.tri_min < b), (tri.edge_max > a) & (tri.edge_min < b)
             )
-            attach: list[tuple[set[int], set[int]]] = [(set(), set()) for _ in slab_members]
-            for t, comp in slab_of.items():
-                if tri.tri_min[t] <= a:
-                    attach[comp][0].add(comp_a[t])
-                if tri.tri_max[t] >= b:
-                    attach[comp][1].add(comp_of[t])
-            for (lo_set, hi_set), cells in zip(attach, slab_members):
-                if len(lo_set) != 1 or len(hi_set) != 1:
-                    raise ReebError(
-                        f"slab component over ({a}, {b}) attaches to "
-                        f"{len(lo_set)} lower / {len(hi_set)} upper level components"
-                    )
-                pedges.append(
-                    {
-                        "u": first_a + lo_set.pop(),
-                        "v": first + hi_set.pop(),
-                        "lo": a,
-                        "hi": b,
-                        "cells": np.asarray(cells, dtype=np.int64),
-                        "alive": True,
-                    }
+            n_lo, lo = _attach(slab_of, comp_a, tri.tri_min <= a)
+            n_hi, hi = _attach(slab_of, comp_of, tri.tri_max >= b)
+            bad = np.nonzero((n_lo != 1) | (n_hi != 1))[0]
+            if len(bad):
+                raise ReebError(
+                    f"slab component over ({a}, {b}) attaches to "
+                    f"{n_lo[bad[0]]} lower / {n_hi[bad[0]]} upper level components"
                 )
+            for u, v, cells in zip(lo.tolist(), hi.tolist(), slab_members):
+                pedges.append({"u": first_a + u, "v": first + v, "lo": a, "hi": b, "cells": cells})
         below = (b, comp_of, first)
 
-    # -- smooth regular degree-2 pass-through nodes ------------------------
+    # -- smooth regular degree-2 pass-through nodes.  Nodes are numbered by
+    # cut value, so the edge below a node is final when the node is reached
+    # and one pass merges every regular node.
     incident: list[list[int]] = [[] for _ in nodes]
     for ei, e in enumerate(pedges):
         incident[e["u"]].append(ei)
         incident[e["v"]].append(ei)
 
-    node_alive = [True] * len(nodes)
-    changed = True
-    while changed:
-        changed = False
-        for ni, node in enumerate(nodes):
-            if not node_alive[ni] or node["crits"] or node["boundary"]:
-                continue
-            live = [ei for ei in incident[ni] if pedges[ei]["alive"]]
-            if len(live) != 2:
-                raise ReebError(
-                    f"regular level component with degree {len(live)} (expected 2)"
-                )
-            e1, e2 = (pedges[live[0]], pedges[live[1]])
-            # orient: e1 below the node, e2 above
-            if e1["hi"] != node["value"]:
-                e1, e2 = e2, e1
-            if e1["hi"] != node["value"] or e2["lo"] != node["value"]:
-                raise ReebError("regular component with both edges on one side")
-            other_u = e1["u"]
-            other_v = e2["v"]
-            merged = {
-                "u": other_u,
-                "v": other_v,
-                "lo": e1["lo"],
-                "hi": e2["hi"],
-                "cells": e1["cells"],
-                "alive": True,
-            }
-            e1["alive"] = False
-            e2["alive"] = False
-            node_alive[ni] = False
-            ei_new = len(pedges)
-            pedges.append(merged)
-            incident[other_u].append(ei_new)
-            incident[other_v].append(ei_new)
-            changed = True
-
-    # renumber
-    vmap: dict[int, int] = {}
-    vertices: list[ReebVertex] = []
+    kept: dict[int, int] = {}  # node -> vertex id
+    merged: set[int] = set()  # edges replaced by their merge
     for ni, node in enumerate(nodes):
-        if not node_alive[ni]:
+        if node["crits"] or node["boundary"]:
+            kept[ni] = len(kept)
             continue
-        vid = len(vertices)
-        vmap[ni] = vid
-        vertices.append(
-            ReebVertex(
-                id=vid,
-                value=node["value"],
-                crits=node["crits"],
-                cells=frozenset(node["cells"]),
-                boundary=node["boundary"],
-            )
-        )
-    edges: list[ReebEdge] = []
-    for e in pedges:
-        if e["alive"]:
-            edges.append(ReebEdge(len(edges), vmap[e["u"]], vmap[e["v"]], e["lo"], e["hi"], e["cells"]))
+        live = [ei for ei in incident[ni] if ei not in merged]
+        if len(live) != 2:
+            raise ReebError(f"regular level component with degree {len(live)} (expected 2)")
+        e1, e2 = (pedges[live[0]], pedges[live[1]])
+        # orient: e1 below the node, e2 above
+        if e1["hi"] != node["value"]:
+            e1, e2 = e2, e1
+        if e1["hi"] != node["value"] or e2["lo"] != node["value"]:
+            raise ReebError("regular component with both edges on one side")
+        incident[e1["u"]].append(len(pedges))
+        incident[e2["v"]].append(len(pedges))
+        pedges.append(dict(e1, v=e2["v"], hi=e2["hi"]))
+        merged.update(live)
+
+    vertices = [ReebVertex(id=vid, **nodes[ni]) for ni, vid in kept.items()]
+    live = [e for ei, e in enumerate(pedges) if ei not in merged]
+    edges = [ReebEdge(i, **dict(e, u=kept[e["u"]], v=kept[e["v"]])) for i, e in enumerate(live)]
 
     if not vertices:
         raise ReebError("empty Reeb graph")
@@ -553,45 +474,20 @@ def classify_shape(g: ReebGraph) -> ShapeReport:
 
 def _region_euler(tri: Triangulation, tris: Iterable[int]) -> tuple[int, int]:
     """(Euler characteristic of the closed region, boundary curve count)."""
-    tris = list(tris)
-    f = tri.field
-    w, h = f.width, f.height
-    verts: set[tuple[int, int]] = set()
-    edge_count: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    for t in tris:
-        cs = [(x % w, y % h) for x, y in tri.corners_of(t)]
-        verts.update(cs)
-        for i in range(3):
-            a, b = cs[i], cs[(i + 1) % 3]
-            key = (a, b) if a <= b else (b, a)
-            edge_count[key] = edge_count.get(key, 0) + 1
-    V = len(verts)
-    E = len(edge_count)
-    F = len(tris)
-    chi = V - E + F
-    # boundary edges bound exactly one region triangle
-    bedges = [k for k, n in edge_count.items() if n == 1]
-    if not bedges:
-        return chi, 0
-    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, b in bedges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen: set[tuple[int, int]] = set()
-    curves = 0
-    for start in adj:
-        if start in seen:
-            continue
-        curves += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for nb in adj[v]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    return chi, curves
+    t = np.fromiter(tris, dtype=np.int64)
+    w, h = tri.field.width, tri.field.height
+    cy, cx = np.divmod(t // 2, tri.ncx)
+    x1, y1 = (cx + 1) % w, (cy + 1) % h
+    # corner vertex ids y*w + x, in the order of the Triangulation docstring
+    third = np.where(t % 2 == 1, y1 * w + cx, cy * w + x1)
+    corners = np.stack([cy * w + cx, third, y1 * w + x1], axis=1)
+    sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+    keys, uses = np.unique(sides[:, 0] * (w * h) + sides[:, 1], return_counts=True)
+    chi = len(np.unique(corners)) - len(keys) + len(t)
+    # boundary sides bound exactly one region triangle; curves are their components
+    ends, nodes = np.unique(np.divmod(keys[uses == 1], w * h), return_inverse=True)
+    root = _label(len(ends), *nodes.reshape(2, -1))
+    return int(chi), int((root == np.arange(len(ends))).sum())
 
 
 def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
@@ -623,21 +519,6 @@ def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
     if len(found) > 1:
         raise MultipleSpecialVertices(f"vertices {found} all have all-disk complements")
     return found[0]
-
-
-# ---------------------------------------------------------------------------
-# level-set components
-# ---------------------------------------------------------------------------
-
-
-def level_set_components(f: ScalarField, value: float, tri: Optional[Triangulation] = None):
-    """Connected components of a level set as triangle lists (flood fill)."""
-    if tri is None:
-        tri = Triangulation(f)
-    sel = (tri.tri_min <= value) & (tri.tri_max >= value)
-    pairs = (tri.edge_min <= value) & (tri.edge_max >= value)
-    _, members = _components(tri, sel, pairs)
-    return members
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +568,7 @@ def import_json(data: bytes) -> ReebGraph:
                 CriticalPoint(c["x"], c["y"], CritKind(c["kind"]), c["value"])
                 for c in v["crits"]
             ],
-            cells=frozenset(),
+            cells=np.empty(0, dtype=np.int64),
             boundary=v["boundary"],
         )
         for v in doc["vertices"]

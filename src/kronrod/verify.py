@@ -22,7 +22,7 @@ from kronrod.auts import (
 )
 from kronrod.errors import AutOverflow, KronrodError
 from kronrod.fields import ScalarField, euler_check, is_simple, morse_counts
-from kronrod.permgroups import is_isomorphic, perm_rep
+from kronrod.permgroups import DEFAULT_GROUP_CAP, is_isomorphic, perm_rep
 from kronrod.records import ConstructionRecord, check_record_against_field
 from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
 from kronrod.terms import GroupTerm, format_term, normalize, order
@@ -57,7 +57,6 @@ def verify_realization(
     f: ScalarField,
     rec: ConstructionRecord,
     term: Optional[GroupTerm] = None,
-    cap: int = 5000,
 ) -> VerificationReport:
     """Run the full contract; every check lands in the report."""
     report = VerificationReport()
@@ -111,24 +110,25 @@ def verify_realization(
     )
 
     want_order = order(want)
+    beyond = want_order > DEFAULT_GROUP_CAP
+    skipped = f"order {want_order} beyond cap {DEFAULT_GROUP_CAP}; skipped"
     try:
-        grp = generated_group(g, induced, cap=max(cap, 2))
+        grp = generated_group(g, induced)
         got_order = grp.order
         report.add(
             "generated_order",
             got_order == want_order,
             f"generated order {got_order}, term order {want_order}",
         )
-        if want_order <= cap:
-            rep = perm_rep(want)
-            iso = is_isomorphic(grp, rep, cap)
-            report.add("group_isomorphism", iso is True, f"orders {got_order}/{want_order}")
+        if beyond:
+            report.add("group_isomorphism", True, skipped)
         else:
-            report.add("group_isomorphism", True, f"order {want_order} beyond cap {cap}; skipped")
+            iso = is_isomorphic(grp, perm_rep(want))
+            report.add("group_isomorphism", iso is True, f"orders {got_order}/{want_order}")
     except AutOverflow:
-        if want_order > cap:
-            report.add("generated_order", True, f"closure beyond cap {cap} as expected")
-            report.add("group_isomorphism", True, f"order {want_order} beyond cap {cap}; skipped")
+        if beyond:
+            report.add("generated_order", True, f"closure beyond cap {DEFAULT_GROUP_CAP} as expected")
+            report.add("group_isomorphism", True, skipped)
         else:
             report.add("generated_order", False, f"closure overflow below term order {want_order}")
 

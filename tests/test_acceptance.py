@@ -102,7 +102,7 @@ def test_criterion_3_group_round_trip(corpus):
             continue
         gens = [induced_graph_aut(g, s) for s in rec.symmetries]
         try:
-            grp = generated_group(g, gens, cap=ISO_CAP)
+            grp = generated_group(g, gens)
         except AutOverflow:
             if want_order <= ISO_CAP:
                 bad.append(f"{member.label}: closure overflow")

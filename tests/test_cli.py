@@ -199,6 +199,21 @@ class TestVerify:
         failing = {c["name"] for c in doc["checks"] if not c["ok"]}
         assert failing & {"record_exactness", "induced_automorphisms"}
 
+    def test_missing_symmetry_fails_order_and_cap_is_gone(self, tmp_path, capsys):
+        run(capsys, "realize", "--term", "wr(wr(1,2),3)", "--case", "circuit", "--out", str(tmp_path))
+        rec = ConstructionRecord.from_json((tmp_path / "record.json").read_bytes())
+        rec.symmetries = [s for s in rec.symmetries if not isinstance(s, RectCycle)]
+        (tmp_path / "record.json").write_bytes(rec.to_json())
+        argv = ["verify", "--field", str(tmp_path / "field.json"), "--record", str(tmp_path / "record.json")]
+        code, doc = run(capsys, *argv)
+        assert code == 1
+        failing = {c["name"] for c in doc["checks"] if not c["ok"]}
+        assert "generated_order" in failing
+        # a small group cap once let this record pass as "closure beyond cap"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cap", "1"])
+        assert exc.value.code == 2
+
 
 class TestDeterminism:
     def test_realize_byte_identical(self, tmp_path, capsys):

@@ -134,12 +134,12 @@ class TestSimple:
             realize_simple(Wr(Triv(), 3), 2)
 
 
-def _roundtrip_ok(f, rec, cap=5000):
+def _roundtrip_ok(f, rec):
     g = build_reeb(f)
     gens = [induced_graph_aut(g, s) for s in rec.symmetries]
-    grp = generated_group(g, gens, cap=cap)
+    grp = generated_group(g, gens)
     rep = perm_rep(normalize(rec.term))
-    if is_isomorphic(grp, rep, cap) is not True:
+    if is_isomorphic(grp, rep) is not True:
         return False
     return structural_group(rec) == normalize(rec.term)
 

@@ -1,35 +1,40 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from kronrod.construct import realize_torus_circuit, realize_torus_tree
+from kronrod.construct import realize_disk, realize_torus_circuit, realize_torus_tree
+from kronrod.corpus import corpus_grid, level_set_components, random_torus_field, realize_member
 from kronrod.errors import NotATree, ReebError
 from kronrod.fields import classify_vertices, morse_counts
 from kronrod.reeb import (
+    Triangulation,
+    _components,
+    _label,
     build_reeb,
     classify_shape,
     export_dot,
     export_json,
     find_special_vertex,
     import_json,
-    level_set_components,
 )
-from kronrod.terms import Triv, Wr
+from kronrod.terms import Triv, Wr, parse_term
 
+from test_cylinder import tube_field
 from test_fields import bump_disk
 
 
-def complement_components(g, vid):
-    """Flood fill of the triangles outside vertex `vid`'s level component cells.
+def flood_fill(tri, free, joins=None):
+    """Components of the `free` triangles, joined across the adjacencies in
+    `joins` (all of them by default), in the order of their smallest triangles.
 
-    An oracle for `find_special_vertex`, which reads the genus of the vertex's
-    neighbourhood instead and shares no code with this.
+    A plain stack flood fill that shares no code with the library's labeller.
     """
-    tri = g.tri
-    free = np.ones(tri.ntri, dtype=bool)
-    free[list(g.vertices[vid].cells)] = False
+    if joins is None:
+        joins = np.ones(len(tri.adj_a), dtype=bool)
     nbrs: list[list[int]] = [[] for _ in range(tri.ntri)]
-    for a, b in zip(tri.adj_a.tolist(), tri.adj_b.tolist()):
-        if free[a] and free[b]:
+    for a, b, j in zip(tri.adj_a.tolist(), tri.adj_b.tolist(), joins.tolist()):
+        if j and free[a] and free[b]:
             nbrs[a].append(b)
             nbrs[b].append(a)
     seen = ~free
@@ -48,6 +53,30 @@ def complement_components(g, vid):
                     stack.append(u)
         comps.append(comp)
     return comps
+
+
+def complement_components(g, vid):
+    """Flood fill of the triangles outside vertex `vid`'s level component cells.
+
+    An oracle for `find_special_vertex`, which reads the genus of the vertex's
+    neighbourhood instead and shares no code with this.
+    """
+    free = np.ones(g.tri.ntri, dtype=bool)
+    free[g.vertices[vid].cells] = False
+    return flood_fill(g.tri, free)
+
+
+def graph_digest(g):
+    """SHA-256 over ids, values, boundary flags, crits, intervals and cells."""
+    h = hashlib.sha256()
+    for v in g.vertices:
+        crits = [(c.x, c.y, c.kind.value, float(c.value)) for c in v.crits]
+        cells = [int(t) for t in sorted(v.cells)]
+        h.update(repr((v.id, float(v.value), bool(v.boundary), crits, cells)).encode())
+    for e in g.edges:
+        cells = [int(t) for t in e.cells]
+        h.update(repr((e.id, e.u, e.v, float(e.lo), float(e.hi), cells)).encode())
+    return h.hexdigest()
 
 
 class TestBuildReeb:
@@ -109,6 +138,72 @@ class TestBuildReeb:
             for ids in parallel:
                 cells = np.concatenate([g.edges[e].cells for e in ids])
                 assert len(np.unique(cells)) == len(cells)
+
+
+class TestLabel:
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    def test_long_path_is_one_component(self, order):
+        n = 200_000
+        nodes = {
+            "increasing": np.arange(n),
+            "decreasing": np.arange(n)[::-1],
+            "shuffled": np.random.default_rng(0).permutation(n),
+        }[order]
+        root = _label(n, nodes[:-1], nodes[1:])
+        assert len(root) == n and not root.any()
+
+    def test_no_nodes(self):
+        none = np.empty(0, dtype=np.int64)
+        assert len(_label(0, none, none)) == 0
+
+    def test_components_match_flood_fill(self):
+        fields = [random_torus_field(s) for s in (0, 1, 2)]
+        fields += [realize_disk(parse_term("wr(1,3)"))[0], tube_field()]
+        for f in fields:
+            tri = Triangulation(f)
+            cuts = sorted({v.value for v in build_reeb(f).vertices})
+            for c in cuts:
+                sel = (tri.tri_min <= c) & (tri.tri_max >= c)
+                comp_of, members = _components(tri, sel, (tri.edge_min <= c) & (tri.edge_max >= c))
+                assert [m.tolist() for m in members] == level_set_components(f, c, tri)
+                assert (comp_of[~sel] == -1).all()
+                for i, m in enumerate(members):
+                    assert (comp_of[m] == i).all()
+            for a, b in zip(cuts, cuts[1:]):
+                sel = (tri.tri_max > a) & (tri.tri_min < b)
+                joins = (tri.edge_max > a) & (tri.edge_min < b)
+                _, members = _components(tri, sel, joins)
+                assert [m.tolist() for m in members] == [sorted(m) for m in flood_fill(tri, sel, joins)]
+
+
+class TestPinnedGraphs:
+    """Graph digests taken before the component labeller was rewritten on
+    triangle arrays; any change to ids, values, crits, intervals or cells
+    shows here."""
+
+    DIGESTS = {
+        "tree-wr(1,2)-1-2": "ed7fbb2297878fd94404e7d859bfaf2c436e2aedb00168e5826cb5c9ec09a4a7",
+        "circuit-wr(1,2)-2": "d6ecb60bdb9cddb1af2c684f464f682dfbe87a8eef8a5c1b637c59fc146716de",
+        "simple-wr(wr(1,2),2)-2": "1659ba9aa0cfb97a11f54135944cc543be78cfabfe11c933514e24a84cd62fea",
+        "disk-wr(1,3)": "0843a028f766a9c168c9301e8b6a3f75b2a3468006c97e0cfabd1d9db5b2ac0c",
+        "tube": "9fb3cfc8d0c6c50edef6f342b49ef62585c1216cd91064d132026d3744f830cc",
+        "random-3-24": "6ab8722727317017d20a4aa02097bcc8a58bf1d38784cdef9ae4a4c91ede6ade",
+    }
+
+    @staticmethod
+    def field(name):
+        members = {m.label: m for m in corpus_grid()}
+        if name in members:
+            return realize_member(members[name])[0]
+        return {
+            "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
+            "tube": tube_field,
+            "random-3-24": lambda: random_torus_field(3, 24),
+        }[name]()
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_graph_digest(self, name):
+        assert graph_digest(build_reeb(self.field(name))) == self.DIGESTS[name]
 
 
 class TestShape:
