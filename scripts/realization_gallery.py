@@ -4,12 +4,13 @@
 For each term and construction case: synthesize the field, build the
 Kronrod-Reeb graph, push the recorded symmetries, and print the critical
 counts, graph size, and the order of the realized symmetry group next to
-the order formula of the term.
+the order formula of the term, and whether pairing the recorded symmetries
+with the term's generators is an isomorphism.
 """
 
 import argparse
 
-from kronrod.auts import generated_group, induced_graph_aut
+from kronrod.auts import generated_group, induced_graph_aut, record_term
 from kronrod.construct import realize_simple, realize_torus_circuit, realize_torus_tree
 from kronrod.fields import morse_counts
 from kronrod.permgroups import is_isomorphic, perm_rep
@@ -42,13 +43,13 @@ def main() -> int:
         gens = [induced_graph_aut(g, s) for s in rec.symmetries]
         grp = generated_group(g, gens)
         term = normalize(rec.term)
-        iso = is_isomorphic(grp, perm_rep(term))
+        iso = is_isomorphic(grp, perm_rep(record_term(rec)))
         mc = morse_counts(f)
         print(
             f"{case:8s} {format_term(term):28s} grid {f.width}x{f.height}"
             f"  crits {mc.as_tuple()}  graph V={g.n_vertices} E={g.n_edges}"
             f" ({shape.shape})  group order {grp.order}"
-            f" (formula {order(term)}, isomorphic: {iso})"
+            f" (formula {order(term)}, isomorphic: {bool(iso)})"
         )
     return 0
 

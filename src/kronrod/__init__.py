@@ -19,7 +19,7 @@ from kronrod.terms import (
     order,
     class_of,
 )
-from kronrod.permgroups import PermGroup, perm_rep, enumerate_elements, is_isomorphic
+from kronrod.permgroups import PermGroup, perm_rep, group_order, is_isomorphic
 from kronrod.fields import (
     ScalarField,
     CriticalPoint,
@@ -38,7 +38,13 @@ from kronrod.reeb import (
     classify_shape,
     find_special_vertex,
 )
-from kronrod.auts import value_preserving_auts, induced_graph_aut, generated_group, structural_group
+from kronrod.auts import (
+    value_preserving_auts,
+    induced_graph_aut,
+    generated_group,
+    record_term,
+    structural_group,
+)
 from kronrod.records import ConstructionRecord, GridTranslation, RectCycle
 from kronrod.verify import verify_realization
 from kronrod.construct import (
@@ -61,7 +67,7 @@ __all__ = [
     "class_of",
     "PermGroup",
     "perm_rep",
-    "enumerate_elements",
+    "group_order",
     "is_isomorphic",
     "ScalarField",
     "CriticalPoint",
@@ -84,6 +90,7 @@ __all__ = [
     "value_preserving_auts",
     "induced_graph_aut",
     "generated_group",
+    "record_term",
     "structural_group",
     "realize_disk",
     "realize_torus_circuit",

@@ -26,7 +26,7 @@ import numpy as np
 
 from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
 from kronrod.fields import ScalarField
-from kronrod.permgroups import DEFAULT_GROUP_CAP, PermGroup, enumerate_elements
+from kronrod.permgroups import PermGroup, group_order
 from kronrod.records import ConstructionRecord, GridTranslation, RectCycle, SymmetrySpec
 from kronrod.reeb import ReebGraph, Triangulation, classify_shape
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, normalize
@@ -326,20 +326,24 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
 
 
 def generated_group(g: ReebGraph, gens: Iterable[GraphAut]) -> PermGroup:
-    """Permutation group on vertex + edge ids generated by graph automorphisms."""
+    """Permutation group on vertex + edge ids generated by graph automorphisms,
+    with its order computed."""
     nv = g.n_vertices
-    degree = nv + g.n_edges
-    perms = []
-    for a in gens:
-        perms.append(tuple(list(a.vperm) + [nv + e for e in a.eperm]))
-    group = PermGroup(degree=degree, generators=perms)
-    if enumerate_elements(group) is None:
-        raise AutOverflow(DEFAULT_GROUP_CAP)
+    perms = [tuple(list(a.vperm) + [nv + e for e in a.eperm]) for a in gens]
+    group = PermGroup(degree=nv + g.n_edges, generators=perms)
+    group_order(group)
     return group
 
 
 def structural_group(rec: ConstructionRecord) -> GroupTerm:
-    """Group term of a construction record via the wreath recursion.
+    """Normalized group term of a construction record (see `record_term`)."""
+    return normalize(record_term(rec))
+
+
+def record_term(rec: ConstructionRecord) -> GroupTerm:
+    """Group term of a construction record via the wreath recursion, built
+    from its slot terms and not normalized, so that the generators of its
+    `perm_rep` come in the order of `rec.symmetries` once identities drop.
 
     Circuit and simple cases wreathe the per-cylinder group with the cyclic
     band rotation; the tree case wreathes the product of the orbit
@@ -353,7 +357,7 @@ def structural_group(rec: ConstructionRecord) -> GroupTerm:
         if len(cylinder_terms) > 1:
             raise IncompleteRecord("circuit slots carry different terms")
         base = cylinder_terms.pop() if cylinder_terms else Triv()
-        return normalize(Wr(base, rec.n))
+        return Wr(base, rec.n)
     if rec.case == "tree":
         if rec.n < 1 or rec.m < 1:
             raise IncompleteRecord("tree record needs n, m >= 1")
@@ -361,7 +365,7 @@ def structural_group(rec: ConstructionRecord) -> GroupTerm:
         for s in rec.slots:
             orbit_terms[s.orbit] = s.term
         reps = [orbit_terms.get(r, Triv()) for r in range(4)]
-        return normalize(Wr2(normalize(Prod(*reps)), rec.n, rec.m))
+        return Wr2(Prod(*reps), rec.n, rec.m)
     if rec.case == "disk":
         layout = rec.disk_layout
         if layout == "triv" or layout is None and not rec.slots:
@@ -369,13 +373,13 @@ def structural_group(rec: ConstructionRecord) -> GroupTerm:
         if layout == "prod":
             if not rec.slots:
                 raise IncompleteRecord("prod disk record without slots")
-            return normalize(Prod(*[s.term for s in rec.slots]))
+            return Prod(*[s.term for s in rec.slots])
         if layout == "wrc":
             if not rec.slots:
                 raise IncompleteRecord("wreath disk record without slots")
             terms = {s.term for s in rec.slots}
             if len(terms) != 1:
                 raise IncompleteRecord("wreath disk slots carry different terms")
-            return normalize(Wr(terms.pop(), len(rec.slots)))
+            return Wr(terms.pop(), len(rec.slots))
         raise IncompleteRecord(f"unknown disk layout {layout!r}")
     raise IncompleteRecord(f"unknown case {rec.case!r}")

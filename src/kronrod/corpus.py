@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from kronrod.construct import realize_simple, realize_torus_circuit, realize_tor
 from kronrod.errors import DegenerateVertex, InvalidField
 from kronrod.fields import ScalarField, classify_vertices, fix_ties
 from kronrod.records import ConstructionRecord
-from kronrod.reeb import Triangulation, build_reeb
+from kronrod.reeb import build_reeb
 from kronrod.terms import parse_term
 from kronrod.verify import VerificationReport, verify_realization
 
@@ -110,23 +109,55 @@ def random_torus_field(seed: int, size: int = 16) -> ScalarField:
             continue
 
 
-def level_set_components(
-    f: ScalarField, value: float, tri: Optional[Triangulation] = None
-) -> list[list[int]]:
+def triangle_corners(f: ScalarField) -> list[tuple[int, int, int]]:
+    """Grid corners (y*width + x) of every triangle, by triangle id.
+
+    Triangles are numbered as in `reeb.Triangulation`: 2*(cy*ncx + cx) is
+    the lower triangle of cell (cx, cy), with corners (x,y), (x+1,y),
+    (x+1,y+1), and the next id is the upper one, with corners (x,y),
+    (x+1,y+1), (x,y+1).  Worked out here, so the oracle shares no adjacency
+    code with `build_reeb`.
+    """
+    w, h = f.width, f.height
+    ncx = w if f.wraps_x else w - 1
+    ncy = h if f.wraps_y else h - 1
+
+    def corner(x: int, y: int) -> int:
+        return (y % h) * w + x % w
+
+    out = []
+    for t in range(2 * ncx * ncy):
+        cy, cx = divmod(t // 2, ncx)
+        third = corner(cx, cy + 1) if t % 2 else corner(cx + 1, cy)
+        out.append((corner(cx, cy), corner(cx + 1, cy + 1), third))
+    return out
+
+
+def level_set_components(f: ScalarField, value: float) -> list[list[int]]:
     """Connected components of a level set as sorted triangle lists (flood fill).
 
-    A triangle meets the level when its value span contains it, and two such
-    triangles are joined when their shared grid edge meets it too.  The
-    components come in the order of their smallest triangles.
+    A triangle meets the level when its corner values span it, and two such
+    triangles are joined when they share two grid corners whose values span
+    it too.  The components come in the order of their smallest triangles.
     """
-    if tri is None:
-        tri = Triangulation(f)
-    meets = (tri.tri_min <= value) & (tri.tri_max >= value)
-    joins = (tri.edge_min <= value) & (tri.edge_max >= value)
-    nbrs: dict[int, list[int]] = {t: [] for t in np.nonzero(meets)[0].tolist()}
-    for a, b in zip(tri.adj_a[joins].tolist(), tri.adj_b[joins].tolist()):
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    flat = f.values.ravel().tolist()
+
+    def spans(*pts: int) -> bool:
+        return min(flat[p] for p in pts) <= value <= max(flat[p] for p in pts)
+
+    nbrs: dict[int, list[int]] = {}
+    sharing: dict[tuple[int, int], list[int]] = {}
+    for t, pts in enumerate(triangle_corners(f)):
+        if not spans(*pts):
+            continue
+        nbrs[t] = []
+        for i in range(3):
+            p, q = sorted((pts[i], pts[i - 1]))
+            if spans(p, q):
+                for u in sharing.setdefault((p, q), []):
+                    nbrs[u].append(t)
+                    nbrs[t].append(u)
+                sharing[(p, q)].append(t)
     seen: set[int] = set()
     comps = []
     for start in nbrs:
@@ -149,7 +180,6 @@ def reeb_level_oracle(f: ScalarField, seed: int, samples: int = 20) -> list[tupl
     """Compare, at random regular values, the number of graph edges spanning
     the value with the flood-fill count of level-set components."""
     g = build_reeb(f)
-    tri = g.tri
     crit_values = sorted({c.value for c in classify_vertices(f)})
     lo, hi = crit_values[0], crit_values[-1]
     rng = np.random.default_rng(seed)
@@ -160,7 +190,7 @@ def reeb_level_oracle(f: ScalarField, seed: int, samples: int = 20) -> list[tupl
         if any(t == c for c in crit_values):
             continue
         edges = len(g.edges_spanning(t))
-        flood = len(level_set_components(f, t, tri))
+        flood = len(level_set_components(f, t))
         rows.append((t, edges, flood))
         found += 1
     return rows

@@ -62,7 +62,7 @@ class NotAnAutomorphism(KronrodError):
 
 
 class AutOverflow(KronrodError):
-    """Automorphism group or closure larger than the requested cap."""
+    """Full automorphism group larger than the requested cap."""
 
     def __init__(self, cap: int):
         super().__init__(f"group size exceeds cap {cap}")

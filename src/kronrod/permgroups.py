@@ -2,21 +2,24 @@
 
 Permutations are tuples p of length `degree` with p[i] = image of point i.
 `compose(p, q)` applies p first, then q.  Groups are given by generators;
-orders come from plain breadth-first closure, which is all the desk-scale
-verification here needs.
+their orders come from a deterministic Schreier-Sims stabilizer chain
+(Sims 1970; Holt, Eick & O'Brien 2005, sec. 4.4), which lists no elements.
+
+Isomorphism is certified for a given pairing of generators: g_i -> h_i
+extends to an isomorphism exactly when |<g>| = |<h>| = |<(g_i, h_i)>|, the
+last group acting on the disjoint union of the two point sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 from kronrod.errors import DegreeCapExceeded
-from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, order
+from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2
 
 DEGREE_CAP = 1 << 14
-DEFAULT_GROUP_CAP = 5000
 
 Perm = tuple[int, ...]
 
@@ -27,7 +30,7 @@ def identity(degree: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple(q[i] for i in p)
+    return tuple([q[i] for i in p])
 
 
 def inverse(p: Perm) -> Perm:
@@ -37,21 +40,8 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def perm_order(p: Perm) -> int:
-    """Order of a permutation: lcm of its cycle lengths."""
-    seen = [False] * len(p)
-    result = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        result = result * length // gcd(result, length)
-    return result
+def _is_identity(p: Perm) -> bool:
+    return all(i == j for i, j in enumerate(p))
 
 
 @dataclass
@@ -61,7 +51,6 @@ class PermGroup:
     degree: int
     generators: list[Perm]
     order: Optional[int] = None
-    _elements: Optional[frozenset[Perm]] = field(default=None, repr=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -69,46 +58,101 @@ class PermGroup:
                 raise ValueError(f"generator {g} is not a permutation of degree {self.degree}")
 
 
-def enumerate_elements(g: PermGroup, cap: int = DEFAULT_GROUP_CAP) -> Optional[int]:
-    """Exact order of the generated group if it is <= cap, else None.
+# ---------------------------------------------------------------------------
+# group orders by Schreier-Sims
+# ---------------------------------------------------------------------------
 
-    On success fills g.order and caches the element set.
+
+def _transversal(point: int, gens: list[Perm]) -> dict[int, tuple[Perm, Perm]]:
+    """Orbit of `point` under <gens>: each orbit point x maps to a coset
+    representative u with u[point] = x, and its inverse."""
+    ident = identity(len(gens[0]))
+    reps = {point: (ident, ident)}
+    queue = [point]
+    for x in queue:
+        u = reps[x][0]
+        for s in gens:
+            y = s[x]
+            if y not in reps:
+                v = compose(u, s)
+                reps[y] = (v, inverse(v))
+                queue.append(y)
+    return reps
+
+
+def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
+    """Lengths of the basic orbits of a stabilizer chain of <gens>.
+
+    Level i holds a base point, the strong generators that fix the earlier
+    base points, and the transversal of its orbit.  Working from the last
+    level up, every Schreier generator u_x s u_{x^s}^-1 of a level is sifted
+    through the levels below it; a nontrivial residue becomes a strong
+    generator of the levels it fixes (a new level if it fixes every base
+    point), and the scan resumes at the last level it joined.  When
+    every Schreier generator sifts to the identity the chain is complete and
+    the group order is the product of the orbit lengths.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    ident = identity(g.degree)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for gen in g.generators:
-                prod = compose(e, gen)
-                if prod not in elems:
-                    elems.add(prod)
-                    if len(elems) > cap:
-                        return None
-                    nxt.append(prod)
-        frontier = nxt
-    g.order = len(elems)
-    g._elements = frozenset(elems)
+    gens = [p for p in gens if not _is_identity(p)]
+    base: list[int] = []
+    strong: list[list[Perm]] = []
+    trans: list[dict[int, tuple[Perm, Perm]]] = []
+
+    def fixes_base(p: Perm, levels: int) -> bool:
+        return all(p[b] == b for b in base[:levels])
+
+    def add_level(p: Perm) -> None:
+        base.append(next(k for k, x in enumerate(p) if k != x))
+        strong.append([])
+        trans.append({})
+
+    def sift(h: Perm, start: int) -> tuple[Perm, int]:
+        for level in range(start, len(base)):
+            rep = trans[level].get(h[base[level]])
+            if rep is None:
+                return h, level
+            h = compose(h, rep[1])
+        return h, len(base)
+
+    for p in gens:
+        if fixes_base(p, len(base)):
+            add_level(p)
+    for level in range(len(base)):
+        strong[level] = [p for p in gens if fixes_base(p, level)]
+        trans[level] = _transversal(base[level], strong[level])
+
+    i = len(base) - 1
+    while i >= 0:
+        failure = None
+        for x, (u, _) in trans[i].items():
+            for s in strong[i]:
+                us = compose(u, s)
+                target, target_inv = trans[i][s[x]]
+                if us == target:
+                    continue
+                residue, j = sift(compose(us, target_inv), i + 1)
+                if j < len(base) or not _is_identity(residue):
+                    failure = residue, j
+                    break
+            if failure:
+                break
+        if failure is None:
+            i -= 1
+            continue
+        residue, j = failure
+        if j == len(base):
+            add_level(residue)
+        for level in range(i + 1, j + 1):
+            strong[level].append(residue)
+            trans[level] = _transversal(base[level], strong[level])
+        i = j
+    return [len(t) for t in trans]
+
+
+def group_order(g: PermGroup) -> int:
+    """Order of `g`, computed once and kept in `g.order`."""
+    if g.order is None:
+        g.order = prod(_basic_orbit_lengths(g.generators))
     return g.order
-
-
-def elements(g: PermGroup, cap: int = DEFAULT_GROUP_CAP) -> Optional[frozenset[Perm]]:
-    if g._elements is None:
-        if enumerate_elements(g, cap) is None:
-            return None
-    return g._elements
-
-
-def is_abelian(elems: frozenset[Perm]) -> bool:
-    lst = list(elems)
-    for i, a in enumerate(lst):
-        for b in lst[i + 1 :]:
-            if compose(a, b) != compose(b, a):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +165,25 @@ def perm_rep(t: GroupTerm, degree_cap: int = DEGREE_CAP) -> PermGroup:
 
     Triv acts on one point; Prod acts on the disjoint union of its factors'
     point sets; Wr / Wr2 act on blocks of copies of the base representation,
-    with the cyclic group(s) translating blocks.
+    with the cyclic group(s) translating blocks.  Generators come in the
+    order the constructions list their symmetries: at every Wr / Wr2 the
+    block translations first, then the base generators acting on block 0.
     """
     degree, gens = _rep(t, degree_cap)
     return PermGroup(degree=degree, generators=gens)
+
+
+def _embed(gen: Perm, offset: int, degree: int) -> Perm:
+    """`gen` acting on the points from `offset` on, fixing the rest."""
+    p = list(range(degree))
+    for i, j in enumerate(gen):
+        p[offset + i] = offset + j
+    return tuple(p)
+
+
+def _check_degree(degree: int, cap: int) -> None:
+    if degree > cap:
+        raise DegreeCapExceeded(f"degree {degree} exceeds cap {cap}")
 
 
 def _rep(t: GroupTerm, cap: int) -> tuple[int, list[Perm]]:
@@ -135,178 +194,65 @@ def _rep(t: GroupTerm, cap: int) -> tuple[int, list[Perm]]:
         parts = []
         for f in t.factors:
             d, gens = _rep(f, cap)
-            parts.append((degree, d, gens))
+            parts.append((degree, gens))
             degree += d
-            if degree > cap:
-                raise DegreeCapExceeded(f"degree {degree} exceeds cap {cap}")
-        out: list[Perm] = []
-        for offset, d, gens in parts:
-            for gen in gens:
-                p = list(range(degree))
-                for i, j in enumerate(gen):
-                    p[offset + i] = offset + j
-                out.append(tuple(p))
-        return degree, out
+            _check_degree(degree, cap)
+        return degree, [_embed(gen, offset, degree) for offset, gens in parts for gen in gens]
     if isinstance(t, Wr):
         d, gens = _rep(t.base, cap)
         degree = t.n * d
-        if degree > cap:
-            raise DegreeCapExceeded(f"degree {degree} exceeds cap {cap}")
+        _check_degree(degree, cap)
         out = []
-        for gen in gens:  # base generators act on block 0
-            p = list(range(degree))
-            for i, j in enumerate(gen):
-                p[i] = j
-            out.append(tuple(p))
         if t.n > 1:  # cyclic shift of blocks
-            p = [0] * degree
-            for b in range(t.n):
-                for i in range(d):
-                    p[b * d + i] = ((b + 1) % t.n) * d + i
-            out.append(tuple(p))
-        return degree, out
+            out.append(tuple((k + d) % degree for k in range(degree)))
+        return degree, out + [_embed(gen, 0, degree) for gen in gens]
     if isinstance(t, Wr2):
         d, gens = _rep(t.base, cap)
         rows, cols = t.n, t.m * t.n
         degree = rows * cols * d
-        if degree > cap:
-            raise DegreeCapExceeded(f"degree {degree} exceeds cap {cap}")
-
-        def block(i: int, j: int) -> int:
-            return (i * cols + j) * d
-
+        _check_degree(degree, cap)
+        row = cols * d  # points in one row of blocks
         out = []
-        for gen in gens:  # base generators act on block (0, 0)
-            p = list(range(degree))
-            for i, j in enumerate(gen):
-                p[i] = j
-            out.append(tuple(p))
-        for di, dj in ((1, 0), (0, 1)):  # the two block translations
-            if (di and rows == 1) or (dj and cols == 1):
-                continue
-            p = [0] * degree
-            for i in range(rows):
-                for j in range(cols):
-                    src = block(i, j)
-                    dst = block((i + di) % rows, (j + dj) % cols)
-                    for k in range(d):
-                        p[src + k] = dst + k
-            out.append(tuple(p))
-        return degree, out
+        if rows > 1:  # (1, 0): the next row of blocks
+            out.append(tuple((k + row) % degree for k in range(degree)))
+        if cols > 1:  # (0, 1): the next block within a row
+            out.append(tuple(k - k % row + (k % row + d) % row for k in range(degree)))
+        return degree, out + [_embed(gen, 0, degree) for gen in gens]
     raise TypeError(f"not a GroupTerm: {t!r}")
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing by invariants plus generator-mapping backtracking
+# isomorphism of a generator pairing
 # ---------------------------------------------------------------------------
 
 
-def element_order_multiset(elems: frozenset[Perm]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for e in elems:
-        o = perm_order(e)
-        hist[o] = hist.get(o, 0) + 1
-    return hist
+@dataclass(frozen=True)
+class Pairing:
+    """The three orders behind the pairing g_i -> h_i; truthy when it
+    extends to an isomorphism.
+
+    The diagonal group <(g_i, h_i)> projects onto both groups.  The pairing
+    extends to a homomorphism exactly when the projection onto <g> is
+    injective, |diagonal| = |<g>|; that homomorphism is then onto <h>, and
+    injective exactly when also |<g>| = |<h>|.
+    """
+
+    g: int
+    h: int
+    diagonal: int
+
+    def __bool__(self) -> bool:
+        return self.g == self.h == self.diagonal
 
 
-def _generating_subset(gens: list[Perm], elems: frozenset[Perm], degree: int) -> list[Perm]:
-    """Drop generators that are redundant given the earlier ones."""
-    chosen: list[Perm] = []
-    span = {identity(degree)}
-    for g in gens:
-        if g in span:
-            continue
-        chosen.append(g)
-        # closure of `chosen`
-        frontier = list(span)
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for h in chosen:
-                    p = compose(e, h)
-                    if p not in span:
-                        span.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        if len(span) == len(elems):
-            break
-    return chosen
-
-
-def _hom_extends(
-    gens: list[Perm],
-    images: list[Perm],
-    g_elems: frozenset[Perm],
-    g_degree: int,
-    h_degree: int,
-) -> bool:
-    """Does gen_i -> images_i extend to an injective homomorphism on <gens>?"""
-    phi = {identity(g_degree): identity(h_degree)}
-    used = {identity(h_degree)}
-    frontier = [identity(g_degree)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = phi[x]
-            for gen, img in zip(gens, images):
-                y = compose(x, gen)
-                fy = compose(fx, img)
-                known = phi.get(y)
-                if known is None:
-                    if fy in used:
-                        return False  # not injective
-                    phi[y] = fy
-                    used.add(fy)
-                    nxt.append(y)
-                elif known != fy:
-                    return False  # not a homomorphism
-        frontier = nxt
-    return True
-
-
-def is_isomorphic(g: PermGroup, h: PermGroup, cap: int = DEFAULT_GROUP_CAP) -> Optional[bool]:
-    """Abstract-group isomorphism test.  Returns None when either group
-    cannot be enumerated within `cap`."""
-    eg = elements(g, cap)
-    eh = elements(h, cap)
-    if eg is None or eh is None:
-        return None
-    if len(eg) != len(eh):
-        return False
-    if is_abelian(eg) != is_abelian(eh):
-        return False
-    hist_g = element_order_multiset(eg)
-    hist_h = element_order_multiset(eh)
-    if hist_g != hist_h:
-        return False
-
-    gens = _generating_subset(g.generators, eg, g.degree)
-    if not gens:
-        return True  # both trivial
-
-    by_order: dict[int, list[Perm]] = {}
-    for e in eh:
-        by_order.setdefault(perm_order(e), []).append(e)
-    # Try the target's own generators first; the natural correspondence is
-    # usually found immediately for groups built by the same recipe.
-    preferred = set(h.generators)
-    for o in by_order:
-        by_order[o].sort(key=lambda e: (e not in preferred, e))
-
-    gen_orders = [perm_order(x) for x in gens]
-
-    def backtrack(idx: int, images: list[Perm]) -> bool:
-        if idx == len(gens):
-            return True
-        for cand in by_order.get(gen_orders[idx], []):
-            images.append(cand)
-            if _hom_extends(gens[: idx + 1], images, eg, g.degree, h.degree):
-                if backtrack(idx + 1, images):
-                    return True
-            images.pop()
-        return False
-
-    if not backtrack(0, []):
-        return False
-    # A homomorphic injective image of G inside H with |G| = |H| is onto.
-    return True
+def is_isomorphic(g: PermGroup, h: PermGroup) -> Pairing:
+    """Does the i-th non-identity generator of `g` -> the i-th of `h` extend
+    to an isomorphism?  A shorter list is padded with identities, so a
+    missing generator maps to (or from) the identity."""
+    gs = [p for p in g.generators if not _is_identity(p)]
+    hs = [q for q in h.generators if not _is_identity(q)]
+    k = max(len(gs), len(hs))
+    gs += [identity(g.degree)] * (k - len(gs))
+    hs += [identity(h.degree)] * (k - len(hs))
+    diagonal = [p + tuple([g.degree + j for j in q]) for p, q in zip(gs, hs)]
+    return Pairing(group_order(g), group_order(h), prod(_basic_orbit_lengths(diagonal)))

@@ -3,9 +3,9 @@
 The realization corpus (circuit with one to four bands, tree lattices with
 indices up to two, simple cases with up to three bands, bases of order up
 to eight) is built once and shared; criteria assert exact combinatorial
-facts on it, with group isomorphism checked exactly up to order 5000 and
-full automorphism group orders counted from canonical forms, checked against
-a backtracking enumeration up to order 10^4.
+facts on it, with group isomorphism certified by Schreier-Sims orders at
+every order and full automorphism group orders counted from canonical
+forms, checked against a backtracking enumeration up to order 10^4.
 """
 
 import json
@@ -19,6 +19,7 @@ from kronrod.auts import (
     _full_order,
     generated_group,
     induced_graph_aut,
+    record_term,
     structural_group,
     value_preserving_auts,
 )
@@ -31,7 +32,7 @@ from kronrod.corpus import (
 )
 from kronrod.errors import AutOverflow
 from kronrod.fields import euler_check, is_simple
-from kronrod.permgroups import enumerate_elements, is_isomorphic, perm_rep
+from kronrod.permgroups import group_order, is_isomorphic, perm_rep
 from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
 from kronrod.reeb import _region_euler
 from kronrod.terms import Triv, Wr, Wr2, format_term, normalize, order
@@ -39,7 +40,6 @@ from kronrod.terms import Triv, Wr, Wr2, format_term, normalize, order
 from test_auts import backtrack_order
 from test_reeb import complement_components
 
-ISO_CAP = 5000
 AUT_CAP = DEFAULT_AUT_CAP
 
 
@@ -101,22 +101,14 @@ def test_criterion_3_group_round_trip(corpus):
             bad.append(f"{member.label}: structural {format_term(st)}")
             continue
         gens = [induced_graph_aut(g, s) for s in rec.symmetries]
-        try:
-            grp = generated_group(g, gens)
-        except AutOverflow:
-            if want_order <= ISO_CAP:
-                bad.append(f"{member.label}: closure overflow")
-            continue
+        grp = generated_group(g, gens)
         if grp.order != want_order:
             bad.append(f"{member.label}: order {grp.order} != {want_order}")
             continue
-        if want_order <= ISO_CAP:
-            if is_isomorphic(grp, perm_rep(want), ISO_CAP) is not True:
-                bad.append(f"{member.label}: not isomorphic")
-                continue
-            if is_isomorphic(grp, perm_rep(st), ISO_CAP) is not True:
-                bad.append(f"{member.label}: not isomorphic to structural term")
-                continue
+        iso = is_isomorphic(grp, perm_rep(record_term(rec)))
+        if not iso:
+            bad.append(f"{member.label}: pairing not an isomorphism {iso}")
+            continue
         seen_orders[member.label] = want_order
     # the three pinned instances
     pinned = {
@@ -156,16 +148,16 @@ def test_criterion_4_order_formulas():
     while checked < 50:
         t = random_term(int(rng.integers(1, 4)))
         n = order(t)
-        if n > 2000:
+        if n > 10**6:
             continue
-        got = enumerate_elements(perm_rep(t), 2000)
+        got = group_order(perm_rep(t))
         if got != n:
             bad.append(f"{format_term(t)}: {got} != {n}")
         checked += 1
     _report(
-        "criterion 4: enumerated order equals the order formula on 50 random terms",
+        "criterion 4: Schreier-Sims order equals the order formula on 50 random terms",
         not bad,
-        "; ".join(bad) if bad else "50 terms of order <= 2000",
+        "; ".join(bad) if bad else "50 terms of order <= 10^6",
     )
 
 

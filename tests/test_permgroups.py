@@ -1,19 +1,32 @@
+import random
+
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from kronrod.errors import DegreeCapExceeded
+from kronrod.errors import DegreeCapExceeded, OrderOverflow
 from kronrod.permgroups import (
+    PermGroup,
     compose,
-    enumerate_elements,
+    group_order,
+    identity,
     inverse,
     is_isomorphic,
-    perm_order,
     perm_rep,
 )
-from kronrod.terms import Prod, Triv, Wr, Wr2, order
+from kronrod.terms import Prod, Triv, Wr, Wr2, normalize, order
 
 from test_terms import terms_strategy
+
+
+def power(p, k):
+    out = identity(len(p))
+    for _ in range(k):
+        out = compose(out, p)
+    return out
+
+
+def cyclic_order(p):
+    return group_order(PermGroup(len(p), [p]))
 
 
 class TestPermBasics:
@@ -27,7 +40,7 @@ class TestPermBasics:
         assert compose(p, inverse(p)) == (0, 1, 2)
 
     def test_perm_order(self):
-        assert perm_order((1, 2, 0, 4, 3)) == 6
+        assert cyclic_order((1, 2, 0, 4, 3)) == 6
 
 
 class TestPermRep:
@@ -39,71 +52,122 @@ class TestPermRep:
         g = perm_rep(Wr(Triv(), 4))
         assert g.degree == 4
         assert len(g.generators) == 1
-        assert perm_order(g.generators[0]) == 4
+        assert cyclic_order(g.generators[0]) == 4
 
     def test_wr2_blocks(self):
         g = perm_rep(Wr2(Triv(), 2, 1))
         assert g.degree == 4
         assert len(g.generators) == 2
-        assert all(perm_order(p) == 2 for p in g.generators)
+        assert all(cyclic_order(p) == 2 for p in g.generators)
         a, b = g.generators
         assert compose(a, b) == compose(b, a)
-        assert enumerate_elements(g, 100) == 4
+        assert group_order(g) == 4
+
+    def test_block_shifts_come_first(self):
+        # the constructions list the block shift before the base symmetries
+        shift, base = perm_rep(Wr(Wr(Triv(), 2), 3)).generators
+        assert shift == (2, 3, 4, 5, 0, 1)
+        assert base == (1, 0, 2, 3, 4, 5)
+        rows, cols, base = perm_rep(Wr2(Wr(Triv(), 2), 2, 1)).generators
+        assert rows == (4, 5, 6, 7, 0, 1, 2, 3)
+        assert cols == (2, 3, 0, 1, 6, 7, 4, 5)
+        assert base == (1, 0, 2, 3, 4, 5, 6, 7)
 
     def test_degree_cap(self):
         with pytest.raises(DegreeCapExceeded):
             perm_rep(Wr(Triv(), 10), degree_cap=5)
 
 
-class TestEnumerate:
+class TestOrder:
     def test_small(self):
-        assert enumerate_elements(perm_rep(Wr(Triv(), 3)), 100) == 3
+        assert group_order(perm_rep(Wr(Triv(), 3))) == 3
 
     def test_wreath_closure(self):
         g = perm_rep(Wr(Wr(Triv(), 2), 3))
-        assert enumerate_elements(g, 100) == 24 == order(Wr(Wr(Triv(), 2), 3))
+        assert group_order(g) == 24 == order(Wr(Wr(Triv(), 2), 3))
 
-    def test_overflow(self):
-        g = perm_rep(Wr(Wr(Triv(), 2), 5))  # order 160
-        assert enumerate_elements(g, 100) is None
+    def test_large_orders_need_no_cap(self):
+        for t in (Wr(Wr(Triv(), 2), 12), Wr(Wr(Wr(Triv(), 2), 2), 4), Wr2(Wr(Triv(), 2), 3, 1)):
+            assert group_order(perm_rep(t)) == order(t)  # 49,152, 16,384 and 4,608
+
+    def test_identity_generators(self):
+        assert group_order(PermGroup(3, [])) == 1
+        assert group_order(PermGroup(3, [(0, 1, 2), (1, 0, 2)])) == 2
 
     @given(terms_strategy(max_leaves=4))
     @settings(max_examples=40, deadline=None)
     def test_matches_order_formula(self, t):
-        n = order(t, bound=1 << 200)
-        if n > 2000:
+        try:
+            n = order(t, bound=10**6)
+        except OrderOverflow:
             return
-        g = perm_rep(t)
-        assert enumerate_elements(g, 2000) == n
+        assert group_order(perm_rep(t)) == n
+
+    def test_matches_sympy(self):
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        rng = random.Random(7)
+        for _ in range(200):
+            degree = rng.randint(1, 10)
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                p = list(range(degree))
+                if rng.random() < 0.5:
+                    rng.shuffle(p)
+                else:  # transpositions give many small, intransitive groups
+                    i, j = rng.randrange(degree), rng.randrange(degree)
+                    p[i], p[j] = p[j], p[i]
+                gens.append(tuple(p))
+            want = PermutationGroup([Permutation(list(p)) for p in gens] or [Permutation(degree - 1)])
+            assert group_order(PermGroup(degree, gens)) == want.order(), gens
 
 
 class TestIsomorphism:
     def test_same_term(self):
-        a = perm_rep(Wr(Triv(), 6))
-        b = perm_rep(Wr(Triv(), 6))
-        assert is_isomorphic(a, b, 100) is True
+        iso = is_isomorphic(perm_rep(Wr(Triv(), 6)), perm_rep(Wr(Triv(), 6)))
+        assert iso and (iso.g, iso.h, iso.diagonal) == (6, 6, 6)
 
     def test_klein_vs_cyclic(self):
-        assert is_isomorphic(perm_rep(Wr2(Triv(), 2, 1)), perm_rep(Wr(Triv(), 4)), 100) is False
+        iso = is_isomorphic(perm_rep(Wr2(Triv(), 2, 1)), perm_rep(Wr(Triv(), 4)))
+        assert not iso and (iso.g, iso.h, iso.diagonal) == (4, 4, 8)
 
     def test_chinese_remainder(self):
+        # Z2 x Z3 is Z6, certified by a -> c^3, b -> c^2; Z6's single
+        # generator is paired with a alone, and b with the identity
         a = perm_rep(Prod(Wr(Triv(), 2), Wr(Triv(), 3)))
-        b = perm_rep(Wr(Triv(), 6))
-        assert is_isomorphic(a, b, 100) is True
+        (c,) = perm_rep(Wr(Triv(), 6)).generators
+        assert is_isomorphic(a, PermGroup(6, [power(c, 3), power(c, 2)]))
+        iso = is_isomorphic(a, PermGroup(6, [c]))
+        assert not iso and (iso.g, iso.h, iso.diagonal) == (6, 6, 18)
 
     def test_nonabelian_vs_abelian(self):
         d4 = perm_rep(Wr(Wr(Triv(), 2), 2))  # dihedral of order 8
-        z8 = perm_rep(Wr(Triv(), 8))
-        assert is_isomorphic(d4, z8, 100) is False
+        (c,) = perm_rep(Wr(Triv(), 8)).generators
+        assert group_order(d4) == 8
+        for i in range(8):
+            for j in range(8):
+                assert not is_isomorphic(d4, PermGroup(8, [power(c, i), power(c, j)]))
 
-    def test_undecided_on_overflow(self):
-        big = perm_rep(Wr(Wr(Triv(), 2), 5))
-        assert is_isomorphic(big, big, 100) is None
+    def test_large_groups_are_decided(self):
+        big = perm_rep(Wr(Wr(Triv(), 2), 12))
+        iso = is_isomorphic(big, perm_rep(Wr(Wr(Triv(), 2), 12)))
+        assert iso and iso.diagonal == 49_152
+
+    def test_swapped_generators(self):
+        g = perm_rep(Wr(Wr(Triv(), 2), 3))
+        swapped = PermGroup(g.degree, g.generators[::-1])
+        iso = is_isomorphic(g, swapped)
+        assert not iso and iso.g == iso.h == 24 < iso.diagonal
+
+    def test_identity_generators_drop_out(self):
+        (c,) = perm_rep(Wr(Triv(), 4)).generators
+        assert is_isomorphic(PermGroup(4, [identity(4), c]), PermGroup(4, [c]))
+
+    def test_missing_generator_pairs_with_identity(self):
+        g = perm_rep(Wr(Wr(Triv(), 2), 3))
+        iso = is_isomorphic(PermGroup(g.degree, g.generators[:1]), g)
+        assert not iso and (iso.g, iso.h) == (3, 24)
 
     def test_normalized_term_same_group(self):
         t = Prod(Wr(Wr(Triv(), 2), 1), Triv())
-        from kronrod.terms import normalize
-
-        a = perm_rep(t)
-        b = perm_rep(normalize(t))
-        assert is_isomorphic(a, b, 500) is True
+        assert is_isomorphic(perm_rep(t), perm_rep(normalize(t)))

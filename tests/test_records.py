@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
-from kronrod.errors import GridCapExceeded, IncompleteRecord, InvalidField
+from kronrod.errors import GridCapExceeded, IncompleteRecord, InvalidField, OrderOverflow
 from kronrod.fields import ScalarField, classify_vertices, euler_check, morse_counts
-from kronrod.permgroups import is_isomorphic, perm_rep
+from kronrod.permgroups import group_order, is_isomorphic, perm_rep
 from kronrod.records import (
     ConstructionRecord,
     GridTranslation,
     RectCycle,
     check_record_against_field,
 )
-from kronrod.terms import Triv, Wr, normalize, order, parse_term
+from kronrod.terms import Prod, Triv, Wr, Wr2, _sort_key, normalize, order, parse_term
 
 from test_terms import terms_strategy
 
@@ -98,13 +98,49 @@ class TestEulerFailureModes:
         assert not euler_check(plane)
 
 
+def _flat_factors(t):
+    """The unnormalized factors `normalize` flattens a product into."""
+    while isinstance(t, Wr) and t.n == 1 and isinstance(normalize(t.base), Prod):
+        t = t.base
+    if isinstance(t, Prod):
+        return [a for f in t.factors for a in _flat_factors(f)]
+    return [] if isinstance(normalize(t), Triv) else [t]
+
+
+def presorted(t):
+    """`t` with every product flattened and its factors sorted as `normalize`
+    sorts them, but nothing else collapsed, so that the generators of its
+    `perm_rep` come in the order of those of `normalize(t)`."""
+    if isinstance(t, Wr):
+        return Wr(presorted(t.base), t.n)
+    if isinstance(t, Wr2):
+        return Wr2(presorted(t.base), t.n, t.m)
+    if isinstance(t, Prod):
+        factors = sorted(map(presorted, _flat_factors(t)), key=lambda f: _sort_key(normalize(f)))
+        return Prod(*factors) if factors else Triv()
+    return t
+
+
 class TestNormalizeIsomorphism:
     @given(terms_strategy(max_leaves=4))
     @settings(max_examples=25, deadline=None)
     def test_perm_reps_isomorphic(self, t):
-        if order(t, bound=1 << 200) > 500:
+        """`normalize` only drops trivial parts and reorders product factors:
+        paired in that order, its group is the term's."""
+        try:
+            order(t, bound=10**5)
+        except OrderOverflow:
             return
-        assert is_isomorphic(perm_rep(t), perm_rep(normalize(t)), 500) is True
+        assert normalize(presorted(t)) == normalize(t)
+        assert group_order(perm_rep(t)) == order(t)
+        iso = is_isomorphic(perm_rep(presorted(t)), perm_rep(normalize(t)))
+        assert iso and iso.g == order(t)
+
+    def test_sorted_factors_pair_positionally(self):
+        t = Prod(Wr(Triv(), 3), Prod(Triv(), Wr(Triv(), 2)))
+        assert normalize(t) == Prod(Wr(Triv(), 2), Wr(Triv(), 3))
+        assert presorted(t) == Prod(Wr(Triv(), 2), Wr(Triv(), 3))
+        assert not is_isomorphic(perm_rep(t), perm_rep(normalize(t)))
 
 
 class TestMixedCaseDispatch:

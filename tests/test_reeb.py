@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from kronrod.construct import realize_disk, realize_torus_circuit, realize_torus_tree
-from kronrod.corpus import corpus_grid, level_set_components, random_torus_field, realize_member
+from kronrod.corpus import (
+    corpus_grid,
+    level_set_components,
+    random_torus_field,
+    realize_member,
+    triangle_corners,
+)
 from kronrod.errors import NotATree, ReebError
 from kronrod.fields import classify_vertices, morse_counts
 from kronrod.reeb import (
@@ -165,7 +171,7 @@ class TestLabel:
             for c in cuts:
                 sel = (tri.tri_min <= c) & (tri.tri_max >= c)
                 comp_of, members = _components(tri, sel, (tri.edge_min <= c) & (tri.edge_max >= c))
-                assert [m.tolist() for m in members] == level_set_components(f, c, tri)
+                assert [m.tolist() for m in members] == level_set_components(f, c)
                 assert (comp_of[~sel] == -1).all()
                 for i, m in enumerate(members):
                     assert (comp_of[m] == i).all()
@@ -259,7 +265,32 @@ class TestLevelOracle:
             t = float(rng.uniform(crit_values[0], crit_values[-1]))
             if t in crit_values:
                 continue
-            assert len(g.edges_spanning(t)) == len(level_set_components(f, t, g.tri))
+            assert len(g.edges_spanning(t)) == len(level_set_components(f, t))
+
+    @pytest.mark.parametrize("name", ["random-4", "disk-wr(1,3)", "tube"])
+    def test_adjacency_is_shared_corners(self, name):
+        """Every adjacency of the triangulation joins the two triangles that
+        share a grid edge, with that edge's value span, and every interior
+        grid edge has one; the oracle's corners come from its own code."""
+        f = {
+            "random-4": lambda: random_torus_field(4),
+            "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
+            "tube": tube_field,
+        }[name]()
+        flat = f.values.ravel().tolist()
+        sharing: dict[tuple[int, int], list[int]] = {}
+        for t, pts in enumerate(triangle_corners(f)):
+            for i in range(3):
+                sharing.setdefault(tuple(sorted((pts[i], pts[i - 1]))), []).append(t)
+        want = sorted(
+            (ts[0], ts[1], min(flat[p], flat[q]), max(flat[p], flat[q]))
+            for (p, q), ts in sharing.items()
+            if len(ts) == 2
+        )
+        tri = Triangulation(f)
+        lo, hi = np.minimum(tri.adj_a, tri.adj_b), np.maximum(tri.adj_a, tri.adj_b)
+        got = sorted(zip(lo.tolist(), hi.tolist(), tri.edge_min.tolist(), tri.edge_max.tolist()))
+        assert got == want
 
 
 class TestExports:
