@@ -2,28 +2,26 @@
 
 The graph of a field has one vertex per connected component of a cut-level
 set that carries a critical point (or a boundary curve), and one edge per
-family of regular level components between consecutive cut values.  Both
-kinds of component are labelled on arrays indexed by the triangles of the
-grid: a triangle meets level c when its value span contains c, and two
-triangles meeting c are joined when their shared grid edge also meets c.
-`_label` gives every triangle the smallest triangle of its component by
-hooking roots and compressing paths.  Regular components at cut levels have
-one neighbor above and one below and are smoothed into single edges.
+family of regular level components between consecutive cut values.  Only
+the slabs between consecutive cut values are labelled, on arrays of
+(triangle, slab) nodes; `_label` roots every component at its smallest node
+by hooking roots and compressing paths.  The components of a cut level are
+classes of slab ends (see `_sweep`).  Regular ones have one edge above and
+one below and are smoothed away.
 
-Each graph element keeps the sorted triangles of its component.
-`ReebVertex.cells` are the triangles that meet a vertex's level component: a
-closed neighbourhood of the component, whose genus identifies the special
-vertex of a tree.  `ReebEdge.cells` are the triangles of the edge's lowest
-slab component.  Both depend only on values and component structure, so an
-exact field symmetry permutes them; symmetry pushes read edge cells to tell
-apart parallel edges with equal intervals.
+Each graph element keeps sorted triangles.  `ReebVertex.cells` are the
+triangles that meet a vertex's level component, a closed neighbourhood whose
+genus identifies the special vertex of a tree.  `ReebEdge.cells` are the
+triangles of the edge's lowest slab component.  Both depend only on values
+and components, so an exact field symmetry permutes them; symmetry pushes
+read edge cells to tell apart parallel edges with equal intervals.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from kronrod.errors import (
     ShapeViolation,
 )
 from kronrod.fields import (
-    DISK,
+    CYLINDER,
     TORUS,
     CriticalPoint,
     CritKind,
@@ -65,81 +63,29 @@ class Triangulation:
         self.ncy = h if f.wraps_y else h - 1
         self.ntri = 2 * self.ncx * self.ncy
 
-        cy, cx = np.divmod(np.arange(self.ncx * self.ncy), self.ncx)
-        x1 = (cx + 1) % w
-        y1 = (cy + 1) % h
-        vals = f.values
-        v00 = vals[cy, cx]
-        v10 = vals[cy, x1]
-        v11 = vals[y1, x1]
-        v01 = vals[y1, cx]
-        lower = np.stack([v00, v10, v11], axis=1)
-        upper = np.stack([v00, v11, v01], axis=1)
-        corners = np.empty((self.ntri, 3), dtype=np.float64)
-        corners[0::2] = lower
-        corners[1::2] = upper
-        self.tri_min = corners.min(axis=1)
-        self.tri_max = corners.max(axis=1)
+        cy, cx = np.divmod(np.arange(self.ncx * self.ncy, dtype=np.int32), self.ncx)
+        v00, v01 = cy * w + cx, (cy + 1) % h * w + cx
+        v10, v11 = v00 - cx + (cx + 1) % w, v01 - cx + (cx + 1) % w
+        # grid vertices y*w + x at the corners of every triangle
+        self.corners = np.empty((self.ntri, 3), dtype=np.int32)
+        self.corners[0::2] = np.stack([v00, v10, v11], axis=1)
+        self.corners[1::2] = np.stack([v00, v11, v01], axis=1)
+        vals = f.values.ravel()
+        corner_values = vals[np.ascontiguousarray(self.corners.T)]
+        self.tri_min, self.tri_max = corner_values.min(axis=0), corner_values.max(axis=0)
 
-        self._cx = cx
-        self._cy = cy
-        self.adj_a, self.adj_b, self.edge_min, self.edge_max = self._adjacency()
-
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        f = self.field
-        w, h = f.width, f.height
-        vals = f.values
-        ncx, ncy = self.ncx, self.ncy
-        cells = np.arange(ncx * ncy)
-        cx, cy = self._cx, self._cy
-        lower = 2 * cells
-        upper = lower + 1
-
-        pairs_a = []
-        pairs_b = []
-        emin = []
-        emax = []
-
-        # diagonal (x,y)-(x+1,y+1): lower(c) with upper(c)
-        a = vals[cy, cx]
-        b = vals[(cy + 1) % h, (cx + 1) % w]
-        pairs_a.append(lower)
-        pairs_b.append(upper)
-        emin.append(np.minimum(a, b))
-        emax.append(np.maximum(a, b))
-
-        # bottom edge (x,y)-(x+1,y): lower(cx,cy) with upper(cx,cy-1)
-        if f.wraps_y:
-            mask = np.ones(len(cells), dtype=bool)
-        else:
-            mask = cy > 0
-        nb = 2 * (((cy - 1) % ncy) * ncx + cx) + 1
-        a = vals[cy, cx]
-        b = vals[cy, (cx + 1) % w]
-        pairs_a.append(lower[mask])
-        pairs_b.append(nb[mask])
-        emin.append(np.minimum(a, b)[mask])
-        emax.append(np.maximum(a, b)[mask])
-
-        # left edge (x,y)-(x,y+1): upper(cx,cy) with lower(cx-1,cy)
-        if f.wraps_x:
-            mask = np.ones(len(cells), dtype=bool)
-        else:
-            mask = cx > 0
-        nb = 2 * (cy * ncx + (cx - 1) % ncx)
-        a = vals[cy, cx]
-        b = vals[(cy + 1) % h, cx]
-        pairs_a.append(upper[mask])
-        pairs_b.append(nb[mask])
-        emin.append(np.minimum(a, b)[mask])
-        emax.append(np.maximum(a, b)[mask])
-
-        return (
-            np.concatenate(pairs_a),
-            np.concatenate(pairs_b),
-            np.concatenate(emin),
-            np.concatenate(emax),
-        )
+        # triangles sharing a grid edge, with the edge's value span: each cell's
+        # diagonal, its bottom edge (with the upper triangle of the cell below)
+        # and its left edge (with the lower triangle of the cell to the left)
+        lower = 2 * np.arange(self.ncx * self.ncy, dtype=np.int32)
+        below = 2 * ((cy - 1) % self.ncy * self.ncx + cx) + 1
+        left = 2 * (cy * self.ncx + (cx - 1) % self.ncx)
+        bot, lft = (cy > 0) | f.wraps_y, (cx > 0) | f.wraps_x
+        self.adj_a = np.concatenate([lower, lower[bot], lower[lft] + 1])
+        self.adj_b = np.concatenate([lower + 1, below[bot], left[lft]])
+        p = vals[np.concatenate([v00, v00[bot], v00[lft]])]
+        q = vals[np.concatenate([v11, v10[bot], v01[lft]])]
+        self.edge_min, self.edge_max = np.minimum(p, q), np.maximum(p, q)
 
 
 def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,9 +96,8 @@ def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     paths until every node points at a root.  A round that changes nothing
     ends the loop, and every other round lowers at least one root.
     """
-    root = np.arange(n)
+    root, ra, rb = np.arange(n, dtype=a.dtype), a, b
     while True:
-        ra, rb = root[a], root[b]
         split = ra != rb
         if not split.any():
             return root
@@ -163,6 +108,7 @@ def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if (up == root).all():
                 break
             root = up
+        ra, rb = root[a], root[b]
 
 
 # ---------------------------------------------------------------------------
@@ -241,52 +187,152 @@ class ReebGraph:
 # ---------------------------------------------------------------------------
 
 
-def _components(
-    tri: Triangulation, sel_mask: np.ndarray, pair_mask: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Components of the selected triangles joined by the selected pairs.
+class _Batch(NamedTuple):
+    """What one batch of `_sweep` settles.  Components and classes are
+    numbered on from the last batch's, in the order `_sweep` gives them."""
 
-    Returns the component of every triangle (-1 where not selected) and each
-    component's sorted triangles.  Components are numbered by their smallest
-    triangle.
+    node_t: np.ndarray  # triangle of each (triangle, slab) node, triangle-major
+    comp: np.ndarray  # component of each node
+    comp_slab: np.ndarray  # slab of each new component
+    bottom: np.ndarray  # class of each new component's bottom end
+    tops: tuple[np.ndarray, np.ndarray]  # (component, class) of the top ends settled here
+    levels: np.ndarray  # level of each new class
+    inc: np.ndarray  # rows (triangle, class) for each triangle meeting a settled level
+    vertices: np.ndarray  # rows (grid vertex, class) for each vertex at a settled level
+
+
+def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
+    """Label slab components in batches, and group their ends into level classes.
+
+    Slab k (0 < k < K) holds the triangles whose value span meets the open
+    interval (cuts[k-1], cuts[k]), joined across grid edges whose span meets
+    it too.  One `_label` call per batch of slabs k0..k1, over about `ntri`
+    nodes in triangle-major order, roots each component at its smallest
+    triangle.  The batch then settles levels k0-1..k1-1 (the last batch the
+    top level too): a level's components are classes of slab ends, joined by
+    the triangles crossing the level, the grid vertices at it and the flat
+    triangles at it.  No critical value lies inside an open slab, so an end is
+    the limit of connected level curves: it lies in one level component, and
+    no slab component can attach to two.  Components and classes are numbered
+    by (slab or level, smallest triangle).  Only the last slab's triangle ->
+    component array carries over to the next batch.
     """
-    tris = np.nonzero(sel_mask)[0]
-    # label the selected triangles by their rank; ranks keep the order of ids
-    rank = np.empty(tri.ntri, dtype=np.int64)
-    rank[tris] = np.arange(len(tris))
-    root = _label(len(tris), rank[tri.adj_a[pair_mask]], rank[tri.adj_b[pair_mask]])
-    _, comp = np.unique(root, return_inverse=True)
-    comp_of = np.full(tri.ntri, -1, dtype=np.int64)
-    comp_of[tris] = comp
-    ends = np.cumsum(np.bincount(comp))
-    grouped = tris[np.argsort(comp, kind="stable")]
-    members = [m.copy() for m in np.split(grouped, ends[:-1])] if len(tris) else []
-    return comp_of, members
+    K, ntri, i32 = len(cuts), tri.ntri, np.int32
+    s_lo = np.searchsorted(cuts, tri.tri_min, "right").astype(i32)  # triangle in slabs s_lo..s_hi
+    s_hi = np.searchsorted(cuts, tri.tri_max, "left").astype(i32)
+    e_lo = np.searchsorted(cuts, tri.edge_min, "right").astype(i32)  # grid edge in e_lo..e_hi
+    e_hi = np.searchsorted(cuts, tri.edge_max, "left").astype(i32)
+    vals = tri.field.values.ravel()
+    j = np.minimum(np.searchsorted(cuts, vals), K - 1)
+    vlevel = np.where(cuts[j] == vals, j, -1)
+    verts = np.flatnonzero(vlevel >= 0)
+    verts = verts[np.argsort(vlevel[verts], kind="stable")]  # grid vertices at cut values
+    vindex = np.zeros(len(vals), dtype=i32)
+    vindex[verts] = np.arange(len(verts))
+    # (triangle, level, vertex index) for every triangle around a vertex at a
+    # cut value, and (triangle, level, -1) for every triangle whose top corner
+    # value is a cut value, by level
+    star_t, corner = np.nonzero(vlevel[tri.corners] >= 0)
+    star_p, top_t = tri.corners[star_t, corner], np.flatnonzero(cuts[s_hi] == tri.tri_max)
+    att_t = np.concatenate([star_t, top_t])
+    att_j = np.concatenate([vlevel[star_p], s_hi[top_t]])
+    att_v = np.concatenate([vindex[star_p], np.full(len(top_t), -1, dtype=i32)])
+    o = np.argsort(att_j, kind="stable")
+    att_t, att_j, att_v = att_t[o], att_j[o], att_v[o]
+
+    # batches of about ntri (triangle, slab) incidences; slab k holds size[k]
+    size = np.cumsum(np.bincount(s_lo, minlength=K + 1) - np.bincount(s_hi + 1, minlength=K + 1))
+    per = max(size[1:K].sum(), 1) / max(round(size[1:K].sum() / ntri), 1)
+    ends = (np.flatnonzero(np.diff(np.cumsum(size[1:K]) // per, prepend=0)[:-1]) + 1).tolist()
+    bounds = list(zip([1, *(k + 1 for k in ends)], [*ends, K - 1]))
+
+    below = np.full(ntri, -1, dtype=i32)  # component of each triangle in the slab under the batch
+    carried = first = n_cls = 0  # components carried..first-1 lie in that slab
+
+    def settle(k0: int, k1: int) -> _Batch:
+        nonlocal below, carried, first, n_cls
+        # node start[t] + k - a[t] is (t, k); a grid edge joins the nodes of
+        # its two triangles in every slab it lies in
+        a = np.maximum(s_lo, k0)
+        cnt = np.maximum(np.minimum(s_hi, k1) - a + 1, 0)
+        start = np.cumsum(cnt, dtype=i32) - cnt
+        n = int(start[-1] + cnt[-1])
+        node_t = np.repeat(np.arange(ntri, dtype=i32), cnt)
+        node_k = np.repeat(a - start, cnt) + np.arange(n, dtype=i32)
+        ea = np.maximum(e_lo, k0)
+        ecnt = np.maximum(np.minimum(e_hi, k1) - ea + 1, 0)
+        shift = ea - np.cumsum(ecnt, dtype=i32) + ecnt
+        run = np.arange(int(ecnt.sum()), dtype=i32)
+        joins = [np.repeat(start[s] - a[s] + shift, ecnt) + run for s in (tri.adj_a, tri.adj_b)]
+        del ea, ecnt, shift, run
+        root = _label(n, *joins)
+        r = np.flatnonzero(root == np.arange(n, dtype=i32))
+        r = r[np.argsort(node_k[r], kind="stable")]
+        last = first + len(r)
+        comp = np.empty(n, dtype=i32)
+        comp[r] = np.arange(first, last, dtype=i32)
+        comp = np.append(comp[root], -1)  # the -1 stands in for nodes outside the batch
+
+        # class graph: ends 2c (bottom) and 2c+1 (top) of component carried+c,
+        # then the grid vertices at the settled levels
+        done = k1 + (k1 == K - 1)  # levels k0-1..done-1 settle here
+        slab = np.concatenate([np.full(first - carried, k0 - 1, dtype=i32), node_k[r]])  # per comp
+        v0, v1 = np.searchsorted(vlevel[verts], [k0 - 1, done]).tolist()
+        ne = 2 * (last - carried)
+        vnode = ne - v0  # vertex index i is class graph node vnode + i
+        # the end through which triangle t meets level j: the top of slab j,
+        # the bottom of slab j+1, or for a flat triangle its first corner
+        p0, p1 = np.searchsorted(att_j, [k0 - 1, done])
+        t, j, v = att_t[p0:p1], att_j[p0:p1], att_v[p0:p1]
+        lower, upper = tri.tri_min[t] < cuts[j], tri.tri_max[t] > cuts[j]
+        k = np.where(lower, j, j + 1)
+        g = np.where(k >= k0, comp[np.where(k >= k0, start[t] + k - a[t], n)], below[t])
+        end = np.where(lower | upper, 2 * (g - carried) + lower, vnode + vindex[tri.corners[t, 0]])
+        # a node crosses the level under its slab unless it is its triangle's
+        # lowest, and meets it if it crosses or its triangle's minimum is there
+        lowest = start[(cnt > 0) & (a == s_lo)]
+        meets = np.ones(n, dtype=bool)
+        meets[lowest] = False
+        cross = np.flatnonzero(meets)
+        meets[lowest] = cuts[s_lo[node_t[lowest]] - 1] == tri.tri_min[node_t[lowest]]
+        under = np.where(node_k[cross] > k0, comp[cross - 1], below[node_t[cross]])
+        cls = _label(
+            vnode + v1,
+            np.concatenate([2 * (under - carried) + 1, vnode + v[v >= 0]]),
+            np.concatenate([2 * (comp[cross] - carried), end[v >= 0]]),
+        )
+        inc_t = np.concatenate([node_t[meets], t[v < 0]])
+        inc_e = np.concatenate([2 * (comp[:-1][meets] - carried), end[v < 0]])
+        least = np.full(len(cls), ntri)
+        np.minimum.at(least, cls[inc_e], inc_t)
+        level = np.concatenate([np.stack([slab - 1, slab], axis=1).ravel(), vlevel[verts[v0:v1]]])
+        settled = np.ones(len(cls), dtype=bool)
+        settled[0:ne:2] = slab >= k0  # bottom ends not settled before
+        settled[1:ne:2] = top = slab < done  # top ends not left to the next batch
+        roots = np.flatnonzero(settled & (cls == np.arange(len(cls))))
+        roots = roots[np.lexsort((least[roots], level[roots]))]
+        cid = np.full(len(cls), -1)
+        cid[roots] = np.arange(n_cls, n_cls + len(roots))
+        cid = cid[cls]
+        batch = _Batch(
+            node_t, comp[:-1], node_k[r], cid[2 * (first - carried) : ne : 2],
+            (np.arange(carried, last)[top], cid[1:ne:2][top]), level[roots],
+            np.stack([inc_t, cid[inc_e]]), np.stack([verts[v0:v1], cid[ne:]]),
+        )  # fmt: skip
+        below = np.full(ntri, -1, dtype=i32)
+        below[node_t[node_k == k1]] = comp[:-1][node_k == k1]
+        carried, first, n_cls = last - int((slab == k1).sum()), last, n_cls + len(roots)
+        return batch
+
+    yield from (settle(k0, k1) for k0, k1 in bounds)
 
 
-def _boundary_curves(tri: Triangulation) -> list[tuple[float, int]]:
-    """Boundary curves as (constant value, one triangle touching the curve)."""
-    f = tri.field
-    if f.kind == TORUS:
-        return []
-    # triangle 0 touches the bottom row, which is on the disk's frame too
-    curves = [(float(f.values[0, 0]), 0)]
-    if f.kind != DISK:
-        # the upper triangle of cell (0, h-2) touches the cylinder's top row
-        curves.append((float(f.values[-1, 0]), 2 * (f.height - 2) * tri.ncx + 1))
-    return curves
-
-
-def _attach(
-    slab_of: np.ndarray, level_of: np.ndarray, touches: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each slab component, how many level components its touching
-    triangles lie in, and those level components in slab order (one per slab
-    component when every count is 1)."""
-    t = np.nonzero((slab_of >= 0) & touches)[0]
-    n = int(level_of.max()) + 1
-    slab, level = np.divmod(np.unique(slab_of[t] * n + level_of[t]), n)
-    return np.bincount(slab, minlength=int(slab_of.max()) + 1), level
+def _grouped(key: np.ndarray, t: np.ndarray, sel: np.ndarray, n: int) -> dict[int, np.ndarray]:
+    """The sorted values of `t[sel]` (all below `n`) under each key."""
+    o = np.flatnonzero(sel)[np.argsort(key[sel].astype(np.int64) * n + t[sel])]
+    key, t = key[o], t[o]
+    ends = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(t)]
+    return {int(key[i]): t[i:j] for i, j in zip(ends, ends[1:]) if j > i}
 
 
 def build_reeb(f: ScalarField) -> ReebGraph:
@@ -294,54 +340,40 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     crits = classify_vertices(f)
     tri = Triangulation(f)
 
-    crits_at: dict[float, list[CriticalPoint]] = {}
+    crits_at: dict[int, list[CriticalPoint]] = {}  # grid vertex -> its critical points
     for c in crits:
-        crits_at.setdefault(c.value, []).append(c)
-    boundary = _boundary_curves(tri)
-    cut_values = sorted({*crits_at, *(v for v, _ in boundary)})
+        crits_at.setdefault(c.y * f.width + c.x, []).append(c)
+    # boundary curves as (constant value, a grid vertex on the curve): the
+    # bottom row, on the disk's frame too, and the cylinder's top row
+    boundary = [] if f.kind == TORUS else [(float(f.values[0, 0]), 0)]
+    if f.kind == CYLINDER:
+        boundary.append((float(f.values[-1, 0]), (f.height - 1) * f.width))
+    cut_values = sorted({*(c.value for c in crits), *(v for v, _ in boundary)})
     if not cut_values:
         raise InvalidField("field has no critical points and no boundary")
+    on_boundary = {p for _, p in boundary}
 
-    # -- one pass up the cut levels: the components of each level become
-    # nodes, and the slab components below it become edges that attach to
-    # the level below through its triangle -> component array, then dropped
+    # -- one sweep up the slabs: level classes become nodes and slab components
+    # edges, in the sweep's order.  Only nodes with critical points or a boundary
+    # curve survive the smoothing, and only edges that start at one keep cells.
     nodes: list[dict] = []
     pedges: list[dict] = []
-    below: Optional[tuple[float, np.ndarray, int]] = None  # value, comp_of, first node
-    for b in cut_values:
-        comp_of, members = _components(
-            tri, (tri.tri_min <= b) & (tri.tri_max >= b), (tri.edge_min <= b) & (tri.edge_max >= b)
-        )
-        level = [{"value": b, "crits": [], "boundary": False, "cells": m} for m in members]
-        for c in crits_at.get(b, ()):
-            # every grid edge at a critical vertex ends at the cut value, so it
-            # joins the triangles on both of its sides: they all lie in the
-            # component of the lower triangle of the vertex's own cell
-            level[comp_of[2 * (c.y * tri.ncx + c.x)]]["crits"].append(c)
-        for value, t in boundary:
-            if value == b:
-                level[comp_of[t]]["boundary"] = True
-        for node in level:
-            node["crits"].sort(key=lambda c: (c.y, c.x))
+    for b in _sweep(tri, np.array(cut_values)):
         first = len(nodes)
-        nodes.extend(level)
-
-        if below is not None:
-            a, comp_a, first_a = below
-            slab_of, slab_members = _components(
-                tri, (tri.tri_max > a) & (tri.tri_min < b), (tri.edge_max > a) & (tri.edge_min < b)
-            )
-            n_lo, lo = _attach(slab_of, comp_a, tri.tri_min <= a)
-            n_hi, hi = _attach(slab_of, comp_of, tri.tri_max >= b)
-            bad = np.nonzero((n_lo != 1) | (n_hi != 1))[0]
-            if len(bad):
-                raise ReebError(
-                    f"slab component over ({a}, {b}) attaches to "
-                    f"{n_lo[bad[0]]} lower / {n_hi[bad[0]]} upper level components"
-                )
-            for u, v, cells in zip(lo.tolist(), hi.tolist(), slab_members):
-                pedges.append({"u": first_a + u, "v": first + v, "lo": a, "hi": b, "cells": cells})
-        below = (b, comp_of, first)
+        nodes += [dict(value=cut_values[j], crits=[], boundary=False) for j in b.levels.tolist()]
+        # vertices come in (level, y, x) order, so each node's crits do too
+        for p, c in b.vertices.T.tolist():
+            nodes[c]["crits"] += crits_at.get(p, [])
+            nodes[c]["boundary"] |= p in on_boundary
+        marked = np.array([bool(node["crits"] or node["boundary"]) for node in nodes[first:]])
+        for c, tris in _grouped(b.inc[1], b.inc[0], marked[b.inc[1] - first], tri.ntri).items():
+            nodes[c]["cells"] = tris
+        starts = marked[b.bottom - first][b.comp - len(pedges)]
+        cells = _grouped(b.comp, b.node_t, starts, tri.ntri)
+        for g, (u, k) in enumerate(zip(b.bottom.tolist(), b.comp_slab.tolist()), len(pedges)):
+            pedges.append(dict(u=u, lo=cut_values[k - 1], hi=cut_values[k], cells=cells.get(g)))
+        for g, v in zip(*(x.tolist() for x in b.tops)):
+            pedges[g]["v"] = v
 
     # -- smooth regular degree-2 pass-through nodes.  Nodes are numbered by
     # cut value, so the edge below a node is final when the node is reached
@@ -474,18 +506,13 @@ def classify_shape(g: ReebGraph) -> ShapeReport:
 
 def _region_euler(tri: Triangulation, tris: Iterable[int]) -> tuple[int, int]:
     """(Euler characteristic of the closed region, boundary curve count)."""
-    t = np.fromiter(tris, dtype=np.int64)
-    w, h = tri.field.width, tri.field.height
-    cy, cx = np.divmod(t // 2, tri.ncx)
-    x1, y1 = (cx + 1) % w, (cy + 1) % h
-    # corner vertex ids y*w + x, in the order of the Triangulation docstring
-    third = np.where(t % 2 == 1, y1 * w + cx, cy * w + x1)
-    corners = np.stack([cy * w + cx, third, y1 * w + x1], axis=1)
+    corners = tri.corners[np.fromiter(tris, dtype=np.int64)].astype(np.int64)
+    nv = tri.field.width * tri.field.height
     sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
-    keys, uses = np.unique(sides[:, 0] * (w * h) + sides[:, 1], return_counts=True)
-    chi = len(np.unique(corners)) - len(keys) + len(t)
+    keys, uses = np.unique(sides[:, 0] * nv + sides[:, 1], return_counts=True)
+    chi = len(np.unique(corners)) - len(keys) + len(corners)
     # boundary sides bound exactly one region triangle; curves are their components
-    ends, nodes = np.unique(np.divmod(keys[uses == 1], w * h), return_inverse=True)
+    ends, nodes = np.unique(np.divmod(keys[uses == 1], nv), return_inverse=True)
     root = _label(len(ends), *nodes.reshape(2, -1))
     return int(chi), int((root == np.arange(len(ends))).sum())
 

@@ -104,28 +104,30 @@ def verify_realization(
         return report
 
     # The record's own term pairs its symmetries with the generators of
-    # `perm_rep` in order; normalizing it would sort product factors.
-    rt = record_term(rec)
-    st = normalize(rt)
-    report.add(
-        "structural_term",
-        st == want,
-        f"record gives {format_term(st)}, requested {format_term(want)}",
-    )
+    # `perm_rep` in order; normalizing it would sort product factors.  A term
+    # that cannot be built fails the checks that need it, with the reason.
+    try:
+        rt = record_term(rec)
+        detail = f"record gives {format_term(normalize(rt))}, requested {format_term(want)}"
+        report.add("structural_term", normalize(rt) == want, detail)
+    except KronrodError as exc:
+        rt = None
+        report.add("structural_term", False, str(exc))
 
-    want_order = order(want)
     grp = generated_group(g, induced)
-    report.add(
-        "generated_order",
-        grp.order == want_order,
-        f"generated order {grp.order}, term order {want_order}",
-    )
-    iso = is_isomorphic(grp, perm_rep(rt))
-    report.add(
-        "group_isomorphism",
-        bool(iso),
-        f"pairing orders: generated {iso.g}, term {iso.h}, diagonal {iso.diagonal}",
-    )
+    try:
+        detail = f"generated order {grp.order}, term order {order(want)}"
+        report.add("generated_order", grp.order == order(want), detail)
+    except KronrodError as exc:
+        report.add("generated_order", False, f"generated order {grp.order}; {exc}")
+    try:
+        if rt is None:
+            raise KronrodError("the record gives no term")
+        iso = is_isomorphic(grp, perm_rep(rt))
+        detail = f"pairing orders: generated {iso.g}, term {iso.h}, diagonal {iso.diagonal}"
+        report.add("group_isomorphism", bool(iso), detail)
+    except KronrodError as exc:
+        report.add("group_isomorphism", False, f"could not pair the generators: {exc}")
 
     try:
         full = value_preserving_auts(g)

@@ -4,6 +4,7 @@ import pytest
 
 from kronrod.cli import main
 from kronrod.records import ConstructionRecord, Rect, RectCycle
+from kronrod.terms import parse_term
 
 
 def run(capsys, *argv):
@@ -213,6 +214,24 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--cap", "1"])
         assert exc.value.code == 2
+
+
+    def test_mixed_slot_terms_fail_checks_not_the_run(self, tmp_path, capsys):
+        run(capsys, "realize", "--term", "wr(wr(1,2),2)", "--case", "circuit", "--out", str(tmp_path))
+        rec = ConstructionRecord.from_json((tmp_path / "record.json").read_bytes())
+        rec.slots[0].term = parse_term("wr(1,3)")
+        (tmp_path / "record.json").write_bytes(rec.to_json())
+        argv = ["verify", "--field", str(tmp_path / "field.json"), "--record", str(tmp_path / "record.json")]
+        code, doc = run(capsys, *argv)
+        assert code == 1
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert not checks["structural_term"]["ok"]
+        assert checks["structural_term"]["detail"] == "circuit slots carry different terms"
+        assert not checks["group_isomorphism"]["ok"]
+        assert checks["group_isomorphism"]["detail"].startswith("could not pair")
+        failing = {name for name, c in checks.items() if not c["ok"]}
+        assert failing == {"structural_term", "group_isomorphism"}
+        assert "aut_containment" in checks
 
 
 class TestDeterminism:

@@ -1,8 +1,13 @@
 import hashlib
+import importlib.util
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kronrod
 from kronrod.construct import realize_disk, realize_torus_circuit, realize_torus_tree
 from kronrod.corpus import (
     corpus_grid,
@@ -15,8 +20,8 @@ from kronrod.errors import NotATree, ReebError
 from kronrod.fields import classify_vertices, morse_counts
 from kronrod.reeb import (
     Triangulation,
-    _components,
     _label,
+    _sweep,
     build_reeb,
     classify_shape,
     export_dot,
@@ -26,6 +31,7 @@ from kronrod.reeb import (
 )
 from kronrod.terms import Triv, Wr, parse_term
 
+from reeb_oracle import build_reeb_per_level
 from test_cylinder import tube_field
 from test_fields import bump_disk
 
@@ -163,23 +169,72 @@ class TestLabel:
         assert len(_label(0, none, none)) == 0
 
     def test_components_match_flood_fill(self):
+        """Every slab's components, and every cut level's classes of slab ends
+        with their cells, against flood fills that share no code with the
+        sweep."""
         fields = [random_torus_field(s) for s in (0, 1, 2)]
         fields += [realize_disk(parse_term("wr(1,3)"))[0], tube_field()]
         for f in fields:
             tri = Triangulation(f)
             cuts = sorted({v.value for v in build_reeb(f).vertices})
-            for c in cuts:
-                sel = (tri.tri_min <= c) & (tri.tri_max >= c)
-                comp_of, members = _components(tri, sel, (tri.edge_min <= c) & (tri.edge_max >= c))
-                assert [m.tolist() for m in members] == level_set_components(f, c)
-                assert (comp_of[~sel] == -1).all()
-                for i, m in enumerate(members):
-                    assert (comp_of[m] == i).all()
-            for a, b in zip(cuts, cuts[1:]):
-                sel = (tri.tri_max > a) & (tri.tri_min < b)
-                joins = (tri.edge_max > a) & (tri.edge_min < b)
-                _, members = _components(tri, sel, joins)
-                assert [m.tolist() for m in members] == [sorted(m) for m in flood_fill(tri, sel, joins)]
+            slabs: dict[int, list[list[int]]] = {}
+            levels: dict[int, list[list[int]]] = {}
+            comps: list[list[int]] = []
+            classes: list[list[int]] = []
+            for b in _sweep(tri, np.array(cuts)):
+                first_comp, first_class = len(comps), len(classes)
+                comps += [[] for _ in b.comp_slab]
+                for t, c in zip(b.node_t.tolist(), b.comp.tolist()):
+                    comps[c].append(t)
+                for k, m in zip(b.comp_slab.tolist(), comps[first_comp:]):
+                    slabs.setdefault(k, []).append(m)
+                classes += [[] for _ in b.levels]
+                for t, c in b.inc.T.tolist():
+                    classes[c].append(t)
+                for j, m in zip(b.levels.tolist(), classes[first_class:]):
+                    levels.setdefault(j, []).append(sorted(m))
+            assert sorted(levels) == list(range(len(cuts)))
+            for j, c in enumerate(cuts):
+                assert levels[j] == level_set_components(f, c)
+            assert sorted(slabs) == list(range(1, len(cuts)))
+            for k in range(1, len(cuts)):
+                sel = (tri.tri_max > cuts[k - 1]) & (tri.tri_min < cuts[k])
+                joins = (tri.edge_max > cuts[k - 1]) & (tri.edge_min < cuts[k])
+                assert slabs[k] == [sorted(m) for m in flood_fill(tri, sel, joins)]
+
+
+def bench_field(side):
+    """A `fields-analyze` benchmark field of the given side, unplaced."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lib = types.SimpleNamespace(fields=kronrod.fields, errors=kronrod.errors)
+    values = workloads.make_field(lib, *next(s for s in workloads.FIELD_SPECS if s[0] == side))
+    return kronrod.fields.ScalarField("torus", values)
+
+
+ORACLE_FIELDS = {
+    **{m.label: (lambda m=m: realize_member(m)[0]) for m in corpus_grid()},
+    **{
+        f"random-{s}-{n}": (lambda s=s, n=n: random_torus_field(s, n))
+        for s in range(12)
+        for n in (16, 24)
+    },
+    "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
+    "disk-prod(wr(1,2),wr(1,3))": lambda: realize_disk(parse_term("prod(wr(1,2),wr(1,3))"))[0],
+    "tube": tube_field,
+    "bench-32": lambda: bench_field(32),
+    "bench-64": lambda: bench_field(64),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_matches_per_level_builder(name):
+    """The sweep gives the graph of the per-level builder it replaced, with
+    the same ids, values, crits, intervals and cells."""
+    f = ORACLE_FIELDS[name]()
+    assert graph_digest(build_reeb(f)) == graph_digest(build_reeb_per_level(f))
 
 
 class TestPinnedGraphs:

@@ -1,0 +1,42 @@
+"""Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_run_corpus(tmp_path):
+    proc = run_script("run_corpus.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    members = [line for line in lines if not line.startswith(("oracle", "summary"))]
+    assert len(members) >= 20
+    assert all(line.startswith("ok ") for line in members)
+    fields = re.fullmatch(r"oracle fields: (\d+)/(\d+) ok", lines[-2])
+    assert fields and fields[1] == fields[2]
+    assert (tmp_path / "summary.json").exists()
+
+
+def test_realization_gallery():
+    proc = run_script("realization_gallery.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        m = re.search(r"group order (\d+) \(formula (\d+), isomorphic: (\w+)\)$", line)
+        assert m and m[1] == m[2] and m[3] == "True", line
