@@ -243,7 +243,10 @@ def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple[np.ndarray, np.ndarra
         tx[block] = dx[None, :]
         ty[block] = dy[:, None]
         piece[block] = k
-    if np.unique(ty * w + tx).size != w * h:
+    # every image lies in the grid, so the map is a bijection when all are hit
+    hit = np.zeros(w * h, dtype=bool)
+    hit[ty * w + tx] = True
+    if not hit.all():
         raise NotAnAutomorphism("point map of the symmetry is not a bijection")
     return tx, ty, piece
 

@@ -107,6 +107,11 @@ def cmd_realize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    emits = set((args.emit or "").split(",")) - {""}
+    unknown = sorted(emits - {"dot", "json", "pgm"})
+    if unknown:
+        _emit({"ok": False, "error": f"unknown --emit names: {','.join(unknown)}"})
+        return EXIT_INPUT
     try:
         f = load_field(Path(args.field).read_bytes())
     except (OSError, KronrodError) as exc:
@@ -137,8 +142,9 @@ def cmd_analyze(args) -> int:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_VERIFY
 
-    emits = set((args.emit or "").split(",")) - {""}
     out = Path(args.out) if args.out else Path(args.field).parent
+    if emits:
+        out.mkdir(parents=True, exist_ok=True)
     if "dot" in emits:
         (out / "reeb.dot").write_text(export_dot(g))
     if "json" in emits:
@@ -163,6 +169,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.seed < 0:
+        _emit({"ok": False, "error": f"seed must be non-negative, got {args.seed}"})
+        return EXIT_INPUT
     try:
         summary = corpus_summary(args.seed)
     except GridCapExceeded as exc:

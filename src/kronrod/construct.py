@@ -261,10 +261,8 @@ def _band_profile(P: int, capped: bool) -> np.ndarray:
                 break
             q += 2
         nums = _select_even(_odd_range(-q, ktop), needed)
-    D = np.empty(P, dtype=np.float64)
-    for x in range(P):
-        D[x] = nums[min(x, P - x)] / q
-    return D
+    x = np.arange(P)
+    return np.asarray(nums, dtype=np.float64)[np.minimum(x, P - x)] / q
 
 
 def _meridian_profile(H: int) -> np.ndarray:
@@ -370,7 +368,7 @@ def realize_simple(base: GroupTerm, n: int) -> tuple[ScalarField, ConstructionRe
 # amplitude per lattice-square parity; the checkerboard makes every lattice
 # point a saddle of the 0-level and splits squares into four translation
 # orbits: (0,0) +1, (1,1) +2, (1,0) -1, (0,1) -2
-_AMPLITUDE = {(0, 0): 1.0, (1, 1): 2.0, (1, 0): -1.0, (0, 1): -2.0}
+_AMPLITUDE = np.array([[1.0, -2.0], [-1.0, 2.0]])  # [x parity, y parity]
 _LINE_EPS = 1.0 / 128.0
 
 
@@ -379,13 +377,6 @@ def _bump_knots(ring_r2: Optional[float]) -> list[tuple[float, float]]:
         return [(0.0, 1.0), (0.105, 0.6), (0.76, 1.0 / 32.0)]
     knot = min(0.98 * ring_r2, 0.74)
     return [(0.0, 1.0), (knot, 0.6), (0.76, 1.0 / 32.0)]
-
-
-def _bump(r2: float, knots: list[tuple[float, float]]) -> float:
-    for (r0, v0), (r1, v1) in zip(knots, knots[1:]):
-        if r2 <= r1:
-            return v0 + (v1 - v0) * (r2 - r0) / (r1 - r0)
-    return knots[-1][1]
 
 
 def realize_torus_tree(
@@ -412,43 +403,29 @@ def realize_torus_tree(
     if W * H > _grid_cap():
         raise GridCapExceeded(f"torus grid {W}x{H} exceeds cap")
 
-    # content rectangle inside a unit square (local coordinates)
+    # one 2s-by-2s block of four unit squares, tiled over the torus
+    ys, xs = np.mgrid[0 : 2 * s, 0 : 2 * s]
+    (k, tx), (l, ty) = np.divmod(xs, s), np.divmod(ys, s)
+    r2 = (tx / s - 0.5) ** 2 + 2.0 * (ty / s - 0.5) ** 2
+    # content rectangle inside a unit square (local coordinates); the bump
+    # knot stays inside the ring of vertices around it
     rx0 = (s - cw) // 2
     ry0 = (s - CONTENT_ROWS) // 2
     ring_r2 = None
     if layout is not None:
-        pts = []
-        for i in range(-1, cw + 1):
-            for j in (-1, CONTENT_ROWS):
-                pts.append((rx0 + i, ry0 + j))
-        for j in range(-1, CONTENT_ROWS + 1):
-            for i in (-1, cw):
-                pts.append((rx0 + i, ry0 + j))
-        ring_r2 = min(
-            ((x / s) - 0.5) ** 2 + 2.0 * ((y / s) - 0.5) ** 2 for x, y in pts
-        )
+        ring = r2[ry0 - 1 : ry0 + CONTENT_ROWS + 1, rx0 - 1 : rx0 + cw + 1]
+        ring_r2 = float(min(ring[[0, -1]].min(), ring[:, [0, -1]].min()))
     knots = _bump_knots(ring_r2)
-
-    vals = np.zeros((H, W), dtype=np.float64)
-    for y in range(H):
-        for x in range(W):
-            on_vx = x % s == 0
-            on_vy = y % s == 0
-            k, l = x // s, y // s
-            if on_vx and on_vy:
-                vals[y, x] = 0.0
-                continue
-            if on_vy or on_vx:
-                # lattice-line vertex between two saddles; sign follows the
-                # square above (horizontal lines) or to the right (vertical)
-                amp = _AMPLITUDE[(k % 2, l % 2)]
-                sig = 1.0 if amp > 0 else -1.0
-                tpos = x % s if on_vy else y % s
-                vals[y, x] = sig * _LINE_EPS * (2 * tpos - s + 0.5) / s
-                continue
-            u, v = (x % s) / s, (y % s) / s
-            r2 = (u - 0.5) ** 2 + 2.0 * (v - 0.5) ** 2
-            vals[y, x] = _AMPLITUDE[(k % 2, l % 2)] * _bump(r2, knots)
+    bump = np.full(r2.shape, knots[-1][1])
+    for (r0, v0), (r1, v1) in reversed(list(zip(knots, knots[1:]))):
+        bump = np.where(r2 <= r1, v0 + (v1 - v0) * (r2 - r0) / (r1 - r0), bump)
+    amp = _AMPLITUDE[k, l]
+    # lattice-line vertex between two saddles; sign follows the square above
+    # (horizontal lines) or to the right (vertical)
+    line = np.sign(amp) * _LINE_EPS * (2 * np.where(ty == 0, tx, ty) - s + 0.5) / s
+    on_x, on_y = tx == 0, ty == 0
+    block = np.where(on_x & on_y, 0.0, np.where(on_x | on_y, line, amp * bump))
+    vals = np.tile(block, (m * n, n))
 
     slots: list[Slot] = []
     if layout is not None:

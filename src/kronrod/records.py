@@ -44,13 +44,6 @@ class Rect:
     w: int
     h: int
 
-    def vertices(self, width: int, height: int) -> list[tuple[int, int]]:
-        return [
-            ((self.x0 + i) % width, (self.y0 + j) % height)
-            for j in range(self.h)
-            for i in range(self.w)
-        ]
-
     def to_json(self) -> list[int]:
         return [self.x0, self.y0, self.w, self.h]
 

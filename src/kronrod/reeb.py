@@ -20,6 +20,7 @@ read edge cells to tell apart parallel edges with equal intervals.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -53,7 +54,8 @@ class Triangulation:
 
     Triangle 2*(cy*ncx + cx) is the lower triangle of cell (cx, cy) with
     corners (x,y), (x+1,y), (x+1,y+1); triangle 2*(...)+1 is the upper one
-    with corners (x,y), (x+1,y+1), (x,y+1).
+    with corners (x,y), (x+1,y+1), (x,y+1).  Graphs keep it for the corners;
+    `spans` works out value spans and adjacency when a build needs them.
     """
 
     def __init__(self, f: ScalarField):
@@ -70,22 +72,35 @@ class Triangulation:
         self.corners = np.empty((self.ntri, 3), dtype=np.int32)
         self.corners[0::2] = np.stack([v00, v10, v11], axis=1)
         self.corners[1::2] = np.stack([v00, v11, v01], axis=1)
-        vals = f.values.ravel()
-        corner_values = vals[np.ascontiguousarray(self.corners.T)]
-        self.tri_min, self.tri_max = corner_values.min(axis=0), corner_values.max(axis=0)
 
-        # triangles sharing a grid edge, with the edge's value span: each cell's
-        # diagonal, its bottom edge (with the upper triangle of the cell below)
-        # and its left edge (with the lower triangle of the cell to the left)
-        lower = 2 * np.arange(self.ncx * self.ncy, dtype=np.int32)
-        below = 2 * ((cy - 1) % self.ncy * self.ncx + cx) + 1
-        left = 2 * (cy * self.ncx + (cx - 1) % self.ncx)
-        bot, lft = (cy > 0) | f.wraps_y, (cx > 0) | f.wraps_x
-        self.adj_a = np.concatenate([lower, lower[bot], lower[lft] + 1])
-        self.adj_b = np.concatenate([lower + 1, below[bot], left[lft]])
-        p = vals[np.concatenate([v00, v00[bot], v00[lft]])]
-        q = vals[np.concatenate([v11, v10[bot], v01[lft]])]
-        self.edge_min, self.edge_max = np.minimum(p, q), np.maximum(p, q)
+
+# value spans of the triangles, and the two triangles on each shared grid edge
+# with the edge's value span
+Spans = namedtuple("Spans", "tri_min tri_max adj_a adj_b edge_min edge_max")
+
+
+def spans(tri: Triangulation) -> Spans:
+    """The spans of a triangulation, worked out from its corners on each call.
+
+    The shared grid edges are each cell's diagonal, its bottom edge (with the
+    upper triangle of the cell below) and its left edge (with the lower
+    triangle of the cell to the left).
+    """
+    f, ncx, ncy = tri.field, tri.ncx, tri.ncy
+    vals = f.values.ravel()
+    corner_values = vals[np.ascontiguousarray(tri.corners.T)]
+    cy, cx = np.divmod(np.arange(ncx * ncy, dtype=np.int32), ncx)
+    v00, v10, v11, _, _, v01 = np.ascontiguousarray(tri.corners.reshape(-1, 6).T)
+    lower = 2 * np.arange(ncx * ncy, dtype=np.int32)
+    below = 2 * ((cy - 1) % ncy * ncx + cx) + 1
+    left = 2 * (cy * ncx + (cx - 1) % ncx)
+    bot, lft = (cy > 0) | f.wraps_y, (cx > 0) | f.wraps_x
+    p = vals[np.concatenate([v00, v00[bot], v00[lft]])]
+    q = vals[np.concatenate([v11, v10[bot], v01[lft]])]
+    adj_a = np.concatenate([lower, lower[bot], lower[lft] + 1])
+    adj_b = np.concatenate([lower + 1, below[bot], left[lft]])
+    tri_min, tri_max = corner_values.min(axis=0), corner_values.max(axis=0)
+    return Spans(tri_min, tri_max, adj_a, adj_b, np.minimum(p, q), np.maximum(p, q))
 
 
 def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,11 +232,11 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
     by (slab or level, smallest triangle).  Only the last slab's triangle ->
     component array carries over to the next batch.
     """
-    K, ntri, i32 = len(cuts), tri.ntri, np.int32
-    s_lo = np.searchsorted(cuts, tri.tri_min, "right").astype(i32)  # triangle in slabs s_lo..s_hi
-    s_hi = np.searchsorted(cuts, tri.tri_max, "left").astype(i32)
-    e_lo = np.searchsorted(cuts, tri.edge_min, "right").astype(i32)  # grid edge in e_lo..e_hi
-    e_hi = np.searchsorted(cuts, tri.edge_max, "left").astype(i32)
+    K, ntri, i32, sp = len(cuts), tri.ntri, np.int32, spans(tri)
+    s_lo = np.searchsorted(cuts, sp.tri_min, "right").astype(i32)  # triangle in slabs s_lo..s_hi
+    s_hi = np.searchsorted(cuts, sp.tri_max, "left").astype(i32)
+    e_lo = np.searchsorted(cuts, sp.edge_min, "right").astype(i32)  # grid edge in e_lo..e_hi
+    e_hi = np.searchsorted(cuts, sp.edge_max, "left").astype(i32)
     vals = tri.field.values.ravel()
     j = np.minimum(np.searchsorted(cuts, vals), K - 1)
     vlevel = np.where(cuts[j] == vals, j, -1)
@@ -233,7 +248,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
     # cut value, and (triangle, level, -1) for every triangle whose top corner
     # value is a cut value, by level
     star_t, corner = np.nonzero(vlevel[tri.corners] >= 0)
-    star_p, top_t = tri.corners[star_t, corner], np.flatnonzero(cuts[s_hi] == tri.tri_max)
+    star_p, top_t = tri.corners[star_t, corner], np.flatnonzero(cuts[s_hi] == sp.tri_max)
     att_t = np.concatenate([star_t, top_t])
     att_j = np.concatenate([vlevel[star_p], s_hi[top_t]])
     att_v = np.concatenate([vindex[star_p], np.full(len(top_t), -1, dtype=i32)])
@@ -263,7 +278,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
         ecnt = np.maximum(np.minimum(e_hi, k1) - ea + 1, 0)
         shift = ea - np.cumsum(ecnt, dtype=i32) + ecnt
         run = np.arange(int(ecnt.sum()), dtype=i32)
-        joins = [np.repeat(start[s] - a[s] + shift, ecnt) + run for s in (tri.adj_a, tri.adj_b)]
+        joins = [np.repeat(start[s] - a[s] + shift, ecnt) + run for s in (sp.adj_a, sp.adj_b)]
         del ea, ecnt, shift, run
         root = _label(n, *joins)
         r = np.flatnonzero(root == np.arange(n, dtype=i32))
@@ -284,7 +299,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
         # the bottom of slab j+1, or for a flat triangle its first corner
         p0, p1 = np.searchsorted(att_j, [k0 - 1, done])
         t, j, v = att_t[p0:p1], att_j[p0:p1], att_v[p0:p1]
-        lower, upper = tri.tri_min[t] < cuts[j], tri.tri_max[t] > cuts[j]
+        lower, upper = sp.tri_min[t] < cuts[j], sp.tri_max[t] > cuts[j]
         k = np.where(lower, j, j + 1)
         g = np.where(k >= k0, comp[np.where(k >= k0, start[t] + k - a[t], n)], below[t])
         end = np.where(lower | upper, 2 * (g - carried) + lower, vnode + vindex[tri.corners[t, 0]])
@@ -294,7 +309,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
         meets = np.ones(n, dtype=bool)
         meets[lowest] = False
         cross = np.flatnonzero(meets)
-        meets[lowest] = cuts[s_lo[node_t[lowest]] - 1] == tri.tri_min[node_t[lowest]]
+        meets[lowest] = cuts[s_lo[node_t[lowest]] - 1] == sp.tri_min[node_t[lowest]]
         under = np.where(node_k[cross] > k0, comp[cross - 1], below[node_t[cross]])
         cls = _label(
             vnode + v1,

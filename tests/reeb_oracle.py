@@ -17,11 +17,20 @@ import numpy as np
 
 from kronrod.errors import InvalidField, ReebError
 from kronrod.fields import DISK, TORUS, CriticalPoint, ScalarField, classify_vertices
-from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation, _check_connected, _label
+from kronrod.reeb import (
+    ReebEdge,
+    ReebGraph,
+    ReebVertex,
+    Spans,
+    Triangulation,
+    _check_connected,
+    _label,
+    spans,
+)
 
 
 def _components(
-    tri: Triangulation, sel_mask: np.ndarray, pair_mask: np.ndarray
+    sp: Spans, sel_mask: np.ndarray, pair_mask: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Components of the selected triangles joined by the selected pairs.
 
@@ -29,13 +38,13 @@ def _components(
     component's sorted triangles.  Components are numbered by their smallest
     triangle.
     """
-    tris = np.nonzero(sel_mask)[0]
+    tris, ntri = np.nonzero(sel_mask)[0], len(sel_mask)
     # label the selected triangles by their rank; ranks keep the order of ids
-    rank = np.empty(tri.ntri, dtype=np.int64)
+    rank = np.empty(ntri, dtype=np.int64)
     rank[tris] = np.arange(len(tris))
-    root = _label(len(tris), rank[tri.adj_a[pair_mask]], rank[tri.adj_b[pair_mask]])
+    root = _label(len(tris), rank[sp.adj_a[pair_mask]], rank[sp.adj_b[pair_mask]])
     _, comp = np.unique(root, return_inverse=True)
-    comp_of = np.full(tri.ntri, -1, dtype=np.int64)
+    comp_of = np.full(ntri, -1, dtype=np.int64)
     comp_of[tris] = comp
     ends = np.cumsum(np.bincount(comp))
     grouped = tris[np.argsort(comp, kind="stable")]
@@ -72,6 +81,7 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
     """The Kronrod-Reeb graph of a PL-Morse field, one level at a time."""
     crits = classify_vertices(f)
     tri = Triangulation(f)
+    sp = spans(tri)
 
     crits_at: dict[float, list[CriticalPoint]] = {}
     for c in crits:
@@ -89,7 +99,7 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
     below: Optional[tuple[float, np.ndarray, int]] = None  # value, comp_of, first node
     for b in cut_values:
         comp_of, members = _components(
-            tri, (tri.tri_min <= b) & (tri.tri_max >= b), (tri.edge_min <= b) & (tri.edge_max >= b)
+            sp, (sp.tri_min <= b) & (sp.tri_max >= b), (sp.edge_min <= b) & (sp.edge_max >= b)
         )
         level = [{"value": b, "crits": [], "boundary": False, "cells": m} for m in members]
         for c in crits_at.get(b, ()):
@@ -108,10 +118,10 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
         if below is not None:
             a, comp_a, first_a = below
             slab_of, slab_members = _components(
-                tri, (tri.tri_max > a) & (tri.tri_min < b), (tri.edge_max > a) & (tri.edge_min < b)
+                sp, (sp.tri_max > a) & (sp.tri_min < b), (sp.edge_max > a) & (sp.edge_min < b)
             )
-            n_lo, lo = _attach(slab_of, comp_a, tri.tri_min <= a)
-            n_hi, hi = _attach(slab_of, comp_of, tri.tri_max >= b)
+            n_lo, lo = _attach(slab_of, comp_a, sp.tri_min <= a)
+            n_hi, hi = _attach(slab_of, comp_of, sp.tri_max >= b)
             bad = np.nonzero((n_lo != 1) | (n_hi != 1))[0]
             if len(bad):
                 raise ReebError(

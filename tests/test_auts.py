@@ -7,6 +7,7 @@ from kronrod.auts import (
     GraphAut,
     _edge_classes,
     _full_order,
+    _point_map,
     generated_group,
     induced_graph_aut,
     structural_group,
@@ -251,6 +252,24 @@ class TestInducedAuts:
             with pytest.raises(NotAnAutomorphism):
                 induced_graph_aut(g, cyc)
             g.edges[x].cells = own[x]
+
+    def test_overlapping_cycle_not_a_bijection(self):
+        f, _ = realize_torus_tree(Triv(), 1, 1)
+        sym = RectCycle((Rect(0, 0, 2, 2), Rect(1, 0, 2, 2)))
+        with pytest.raises(NotAnAutomorphism, match="not a bijection"):
+            _point_map(f, sym)
+
+    def test_cycle_leaving_disk_grid(self):
+        f, _ = realize_disk(Wr(Triv(), 2))
+        sym = RectCycle((Rect(0, 0, 2, 2), Rect(f.width - 1, 0, 2, 2)))
+        with pytest.raises(NotAnAutomorphism, match="leaves the grid"):
+            _point_map(f, sym)
+
+    def test_cycle_with_mismatched_rects(self):
+        f, _ = realize_torus_tree(Triv(), 1, 1)
+        sym = RectCycle((Rect(0, 0, 2, 2), Rect(4, 0, 3, 2)))
+        with pytest.raises(NotAnAutomorphism, match="mismatched"):
+            _point_map(f, sym)
 
     def test_validation(self):
         g = star_graph(2, same_values=False)

@@ -100,6 +100,20 @@ class TestAnalyze:
         assert (realized / "reeb.json").exists()
         assert (realized / "field.pgm").exists()
 
+    def test_emit_creates_out_dir(self, realized, capsys):
+        out = realized / "new" / "dir"
+        args = ("analyze", "--field", str(realized / "field.json"), "--emit", "dot")
+        code, _ = run(capsys, *args, "--out", str(out))
+        assert code == 0
+        assert (out / "reeb.dot").exists()
+
+    def test_unknown_emit_is_input_error(self, realized, capsys):
+        args = ("analyze", "--field", str(realized / "field.json"), "--emit", "dot,png")
+        code, doc = run(capsys, *args, "--out", str(realized / "out"))
+        assert code == 2
+        assert not doc["ok"] and "png" in doc["error"]
+        assert not (realized / "out").exists()
+
     def test_truncated_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "torus", "width": 8')
@@ -247,6 +261,11 @@ class TestDeterminism:
 
 
 class TestCorpusCommand:
+    def test_negative_seed_is_input_error(self, capsys):
+        code, doc = run(capsys, "corpus", "--seed", "-1")
+        assert code == 2
+        assert not doc["ok"] and "seed" in doc["error"]
+
     def test_corpus_runs_clean(self, tmp_path, capsys):
         code, doc = run(capsys, "corpus", "--seed", "0", "--out", str(tmp_path))
         assert code == 0

@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from kronrod.auts import generated_group, induced_graph_aut, record_term, structural_group
 from kronrod.construct import (
+    _AMPLITUDE,
+    _LINE_EPS,
+    _bump_knots,
     build_layout,
     realize_disk,
     realize_simple,
@@ -89,6 +94,32 @@ class TestCircuit:
             realize_torus_circuit(Wr2(Triv(), 2, 1), 2)
 
 
+def pointwise_tree_values(s: int, n: int, m: int, ring_r2) -> np.ndarray:
+    """The tree lattice field before content painting, one grid point at a
+    time, as `realize_torus_tree` once computed it: a reference for its array
+    arithmetic, which must agree bit for bit."""
+    knots = _bump_knots(ring_r2)
+    vals = np.zeros((2 * m * n * s, 2 * n * s))
+    for y in range(vals.shape[0]):
+        for x in range(vals.shape[1]):
+            on_vx, on_vy = x % s == 0, y % s == 0
+            amp = _AMPLITUDE[((x // s) % 2, (y // s) % 2)]
+            if on_vx and on_vy:
+                continue
+            if on_vy or on_vx:
+                tpos = x % s if on_vy else y % s
+                vals[y, x] = (1.0 if amp > 0 else -1.0) * _LINE_EPS * (2 * tpos - s + 0.5) / s
+                continue
+            r2 = ((x % s) / s - 0.5) ** 2 + 2.0 * ((y % s) / s - 0.5) ** 2
+            bump = knots[-1][1]
+            for (r0, v0), (r1, v1) in zip(knots, knots[1:]):
+                if r2 <= r1:
+                    bump = v0 + (v1 - v0) * (r2 - r0) / (r1 - r0)
+                    break
+            vals[y, x] = amp * bump
+    return vals
+
+
 class TestTree:
     def test_counts(self):
         assert morse_counts(realize_torus_tree(Triv(), 1, 1)[0]).as_tuple() == (2, 4, 2)
@@ -114,6 +145,71 @@ class TestTree:
     def test_saddles_share_value_not_generic(self):
         f, _ = realize_torus_tree(Triv(), 2, 1)
         assert not is_generic(f)
+
+    @pytest.mark.parametrize(
+        "base,n,m,subdivision",
+        [
+            ("1", 1, 1, 4),
+            ("1", 2, 1, 7),
+            ("1", 1, 2, 12),
+            ("wr(1,2)", 1, 1, 4),
+            ("wr(1,3)", 2, 1, 40),
+        ],
+    )
+    def test_matches_pointwise_reference(self, base, n, m, subdivision):
+        f, rec = realize_torus_tree(parse_term(base), n, m, subdivision=subdivision)
+        s = rec.symmetries[0].dx // 2
+        ring_r2 = None
+        if rec.slots:
+            r = rec.slots[0].rect
+            xs, ys = range(r.x0 - 1, r.x0 + r.w + 1), range(r.y0 - 1, r.y0 + r.h + 1)
+            ring = [(x, y) for x in xs for y in ys if x in (xs[0], xs[-1]) or y in (ys[0], ys[-1])]
+            ring_r2 = min(((x / s) - 0.5) ** 2 + 2.0 * ((y / s) - 0.5) ** 2 for x, y in ring)
+        want = pointwise_tree_values(s, n, m, ring_r2)
+        for slot in rec.slots:
+            r = slot.rect
+            box = np.s_[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w]
+            want[box] = f.values[box]
+        assert want.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "base,n,m,subdivision,digest",
+        [
+        ("1", 1, 1, 4, "24b914d2058348310959c9211d9d01546b23e307c9bbc79728926adc2de2a036"),
+        ("wr(1,2)", 1, 1, 4, "159b7a8b273426e58114808239e08aefe955264d64bfc8e90b280074f339d621"),
+        ("1", 1, 2, 4, "e9b84b63b0588b362f2bf1826c087db227b9e014853759d14627b0df1c4630a6"),
+        ("wr(1,2)", 1, 2, 4, "35ccaf81679d54c05a37c1e3359c7411d259b9d9ad0c65936fd3d8be1dfbe357"),
+        ("1", 2, 1, 4, "2541c046b6c02c51b3cd21ee8671864459d564308d6b43a4d617d0cba7e6ea26"),
+        ("wr(1,2)", 2, 1, 4, "8c178491766342226cbeb88bacf53cb594609e7eaccae788ee33d63337002821"),
+        ("1", 2, 2, 4, "5fcfdab47e48c55cad78140681ae4f2ef8c579edcbe31aef22a8ac942be77f51"),
+        ("wr(1,2)", 2, 2, 4, "a4b75e766a307258f6877749216e0a6a0756acee2b9495febdd4ca40e0b9b1c6"),
+        (
+            "prod(wr(1,2),wr(1,2))",
+            1,
+            1,
+            4,
+            "7f3f4b2b0218f0ef7794c1258562281ab2d41f05149547d7ffd157acd800a61f",
+        ),
+        ("1", 3, 1, 4, "ec3c540281cc271e1b1f3229d5010a100391d0dbed82ef0622d718aeb0d3243e"),
+        ("wr(1,3)", 1, 1, 4, "4bb0670bdc3beb68be581ce6cf81bc63695f1173f452320af800931ac7fc315f"),
+        (
+            "prod(wr(1,2),wr(1,3))",
+            1,
+            2,
+            4,
+            "4b6bac76497524a94b24906c7ffbb90dbb63c87bd80a5fff3f4ab55b79670983",
+        ),
+        ("1", 1, 1, 6, "c795d552acbe5bab8e655bfa1088fce3cf7f6e672da6e1fd03c7703d2501893e"),
+        ("1", 1, 1, 9, "1c35bf55124c78f269505d499d748705dc1aaa7ee4d8d706f905dfbd9c74a833"),
+        ],
+    )
+    def test_pinned_digests(self, base, n, m, subdivision, digest):
+        """Field values and record, bit for bit: the nine corpus tree members,
+        three more bases and index pairs, and two finer subdivisions."""
+        f, rec = realize_torus_tree(parse_term(base), n, m, subdivision=subdivision)
+        h = hashlib.sha256(f.values.tobytes())
+        h.update(rec.to_json())
+        assert h.hexdigest() == digest
 
 
 class TestSimple:

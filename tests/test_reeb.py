@@ -21,6 +21,7 @@ from kronrod.fields import classify_vertices, morse_counts
 from kronrod.reeb import (
     Triangulation,
     _label,
+    spans,
     _sweep,
     build_reeb,
     classify_shape,
@@ -42,10 +43,11 @@ def flood_fill(tri, free, joins=None):
 
     A plain stack flood fill that shares no code with the library's labeller.
     """
+    sp = spans(tri)
     if joins is None:
-        joins = np.ones(len(tri.adj_a), dtype=bool)
+        joins = np.ones(len(sp.adj_a), dtype=bool)
     nbrs: list[list[int]] = [[] for _ in range(tri.ntri)]
-    for a, b, j in zip(tri.adj_a.tolist(), tri.adj_b.tolist(), joins.tolist()):
+    for a, b, j in zip(sp.adj_a.tolist(), sp.adj_b.tolist(), joins.tolist()):
         if j and free[a] and free[b]:
             nbrs[a].append(b)
             nbrs[b].append(a)
@@ -137,12 +139,12 @@ class TestBuildReeb:
         for n in (1, 2):
             f, _ = realize_torus_circuit(Wr(Triv(), 2), n)
             g = build_reeb(f)
-            tri = g.tri
+            sp = spans(g.tri)
             classes: dict[tuple, list[int]] = {}
             for e in g.edges:
                 assert len(e.cells) > 0
-                assert (tri.tri_max[e.cells] > e.lo).all()
-                assert (tri.tri_min[e.cells] < e.hi).all()
+                assert (sp.tri_max[e.cells] > e.lo).all()
+                assert (sp.tri_min[e.cells] < e.hi).all()
                 classes.setdefault((e.u, e.v, e.lo, e.hi), []).append(e.id)
             parallel = [ids for ids in classes.values() if len(ids) > 1]
             if n == 1:
@@ -176,6 +178,7 @@ class TestLabel:
         fields += [realize_disk(parse_term("wr(1,3)"))[0], tube_field()]
         for f in fields:
             tri = Triangulation(f)
+            sp = spans(tri)
             cuts = sorted({v.value for v in build_reeb(f).vertices})
             slabs: dict[int, list[list[int]]] = {}
             levels: dict[int, list[list[int]]] = {}
@@ -198,8 +201,8 @@ class TestLabel:
                 assert levels[j] == level_set_components(f, c)
             assert sorted(slabs) == list(range(1, len(cuts)))
             for k in range(1, len(cuts)):
-                sel = (tri.tri_max > cuts[k - 1]) & (tri.tri_min < cuts[k])
-                joins = (tri.edge_max > cuts[k - 1]) & (tri.edge_min < cuts[k])
+                sel = (sp.tri_max > cuts[k - 1]) & (sp.tri_min < cuts[k])
+                joins = (sp.edge_max > cuts[k - 1]) & (sp.edge_min < cuts[k])
                 assert slabs[k] == [sorted(m) for m in flood_fill(tri, sel, joins)]
 
 
@@ -342,9 +345,9 @@ class TestLevelOracle:
             for (p, q), ts in sharing.items()
             if len(ts) == 2
         )
-        tri = Triangulation(f)
-        lo, hi = np.minimum(tri.adj_a, tri.adj_b), np.maximum(tri.adj_a, tri.adj_b)
-        got = sorted(zip(lo.tolist(), hi.tolist(), tri.edge_min.tolist(), tri.edge_max.tolist()))
+        sp = spans(Triangulation(f))
+        lo, hi = np.minimum(sp.adj_a, sp.adj_b), np.maximum(sp.adj_a, sp.adj_b)
+        got = sorted(zip(lo.tolist(), hi.tolist(), sp.edge_min.tolist(), sp.edge_max.tolist()))
         assert got == want
 
 
