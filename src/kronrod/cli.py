@@ -46,6 +46,19 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _save(out: Path, files: dict[str, bytes]) -> bool:
+    """Create directory `out` if needed and write `files` into it; on an
+    OSError, report it and return False."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            (out / name).write_bytes(data)
+    except OSError as exc:
+        _emit({"ok": False, "error": str(exc)})
+        return False
+    return True
+
+
 def _split_case_term(term: GroupTerm, case: str, n: int | None, m: int | None):
     """Resolve the construction base and indices from a term and flags."""
     if case == "circuit" or case == "simple":
@@ -85,23 +98,20 @@ def cmd_realize(args) -> int:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_INPUT
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    field_path = out / "field.json"
-    record_path = out / "record.json"
-    field_path.write_bytes(save_field(f))
-    record_path.write_bytes(rec.to_json())
     manifest = {
         "term": args.term,
         "normalized": format_term(normalize(term)),
         "case": args.case,
         "n": rec.n,
         "m": rec.m,
-        "field": field_path.name,
-        "record": record_path.name,
+        "field": "field.json",
+        "record": "record.json",
         "grid": [f.width, f.height],
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    files = {"field.json": save_field(f), "record.json": rec.to_json()}
+    files["manifest.json"] = json.dumps(manifest, sort_keys=True, indent=2).encode()
+    if not _save(Path(args.out), files):
+        return EXIT_INPUT
     _emit({"ok": True, **manifest})
     return EXIT_OK
 
@@ -142,15 +152,15 @@ def cmd_analyze(args) -> int:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_VERIFY
 
-    out = Path(args.out) if args.out else Path(args.field).parent
-    if emits:
-        out.mkdir(parents=True, exist_ok=True)
+    files = {}
     if "dot" in emits:
-        (out / "reeb.dot").write_text(export_dot(g))
+        files["reeb.dot"] = export_dot(g).encode()
     if "json" in emits:
-        (out / "reeb.json").write_bytes(export_json(g))
+        files["reeb.json"] = export_json(g)
     if "pgm" in emits:
-        (out / "field.pgm").write_bytes(export_pgm(f))
+        files["field.pgm"] = export_pgm(f)
+    if files and not _save(Path(args.out) if args.out else Path(args.field).parent, files):
+        return EXIT_INPUT
     _emit(doc)
     return EXIT_OK if euler else EXIT_VERIFY
 
@@ -172,15 +182,16 @@ def cmd_corpus(args) -> int:
     if args.seed < 0:
         _emit({"ok": False, "error": f"seed must be non-negative, got {args.seed}"})
         return EXIT_INPUT
+    if args.out and not _save(Path(args.out), {}):  # an unusable --out fails before the run
+        return EXIT_INPUT
     try:
         summary = corpus_summary(args.seed)
     except GridCapExceeded as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_INPUT
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
+    summary_json = json.dumps(summary, sort_keys=True, indent=2).encode()
+    if args.out and not _save(Path(args.out), {"summary.json": summary_json}):
+        return EXIT_INPUT
     _emit(
         {
             "ok": summary["ok"],

@@ -5,9 +5,10 @@ set that carries a critical point (or a boundary curve), and one edge per
 family of regular level components between consecutive cut values.  Only
 the slabs between consecutive cut values are labelled, on arrays of
 (triangle, slab) nodes; `_label` roots every component at its smallest node
-by hooking roots and compressing paths.  The components of a cut level are
+by hooking roots and jumping pointers.  The components of a cut level are
 classes of slab ends (see `_sweep`).  Regular ones have one edge above and
-one below and are smoothed away.
+one below and are smoothed away on arrays: one more `_label` call joins the
+slab components through them into chains, and each chain becomes one edge.
 
 Each graph element keeps sorted triangles.  `ReebVertex.cells` are the
 triangles that meet a vertex's level component, a closed neighbourhood whose
@@ -20,7 +21,6 @@ read edge cells to tell apart parallel edges with equal intervals.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -55,7 +55,7 @@ class Triangulation:
     Triangle 2*(cy*ncx + cx) is the lower triangle of cell (cx, cy) with
     corners (x,y), (x+1,y), (x+1,y+1); triangle 2*(...)+1 is the upper one
     with corners (x,y), (x+1,y+1), (x,y+1).  Graphs keep it for the corners;
-    `spans` works out value spans and adjacency when a build needs them.
+    `_sides` works out the adjacency when a build needs it.
     """
 
     def __init__(self, f: ScalarField):
@@ -74,55 +74,56 @@ class Triangulation:
         self.corners[1::2] = np.stack([v00, v11, v01], axis=1)
 
 
-# value spans of the triangles, and the two triangles on each shared grid edge
-# with the edge's value span
-Spans = namedtuple("Spans", "tri_min tri_max adj_a adj_b edge_min edge_max")
+def _sides(tri: Triangulation) -> tuple[np.ndarray, ...]:
+    """The shared grid edges of a triangulation, worked out from its corners:
+    arrays of the two triangles on each edge and of its two grid vertices.
 
-
-def spans(tri: Triangulation) -> Spans:
-    """The spans of a triangulation, worked out from its corners on each call.
-
-    The shared grid edges are each cell's diagonal, its bottom edge (with the
-    upper triangle of the cell below) and its left edge (with the lower
-    triangle of the cell to the left).
+    They are each cell's diagonal, its bottom edge (with the upper triangle of
+    the cell below) and its left edge (with the lower triangle of the cell to
+    the left).
     """
     f, ncx, ncy = tri.field, tri.ncx, tri.ncy
-    vals = f.values.ravel()
-    corner_values = vals[np.ascontiguousarray(tri.corners.T)]
-    cy, cx = np.divmod(np.arange(ncx * ncy, dtype=np.int32), ncx)
-    v00, v10, v11, _, _, v01 = np.ascontiguousarray(tri.corners.reshape(-1, 6).T)
-    lower = 2 * np.arange(ncx * ncy, dtype=np.int32)
-    below = 2 * ((cy - 1) % ncy * ncx + cx) + 1
-    left = 2 * (cy * ncx + (cx - 1) % ncx)
-    bot, lft = (cy > 0) | f.wraps_y, (cx > 0) | f.wraps_x
-    p = vals[np.concatenate([v00, v00[bot], v00[lft]])]
-    q = vals[np.concatenate([v11, v10[bot], v01[lft]])]
-    adj_a = np.concatenate([lower, lower[bot], lower[lft] + 1])
-    adj_b = np.concatenate([lower + 1, below[bot], left[lft]])
-    tri_min, tri_max = corner_values.min(axis=0), corner_values.max(axis=0)
-    return Spans(tri_min, tri_max, adj_a, adj_b, np.minimum(p, q), np.maximum(p, q))
+    x0, y0 = int(not f.wraps_x), int(not f.wraps_y)  # first column and row with such edges
+    lower = 2 * np.arange(ncx * ncy, dtype=np.int32).reshape(ncy, ncx)
+    below, left = np.roll(lower, 1, axis=0) + 1, np.roll(lower, 1, axis=1)
+    v00, v10, v11, _, _, v01 = tri.corners.reshape(ncy, ncx, 6).transpose(2, 0, 1)
+    sides = ((lower, lower, lower + 1), (lower + 1, below, left), (v00, v00, v00), (v11, v10, v01))
+    return tuple(
+        np.concatenate([diag.ravel(), bot[y0:].ravel(), lft[:, x0:].ravel()])
+        for diag, bot, lft in sides
+    )
 
 
 def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """For each of nodes 0..n-1, the smallest node of its component under edges a-b.
 
-    Root hooking and path compression (Shiloach & Vishkin 1982): each round
-    hooks the larger root of every edge onto the smaller one, then compresses
-    paths until every node points at a root.  A round that changes nothing
-    ends the loop, and every other round lowers at least one root.
+    Root hooking and pointer jumping (Shiloach & Vishkin 1982).  Each round
+    drops the edges whose ends share a root and hooks the larger root of each
+    other edge onto the smaller, so it lowers a root.  Only pointers that can
+    still move are then jumped to a root: in the first round those that moved
+    in one pass over all nodes, later the hooked roots, after which one gather
+    `root[root]` settles every node.  The result has the dtype of `a`.
     """
-    root, ra, rb = np.arange(n, dtype=a.dtype), a, b
+    root, ra, rb, first = np.arange(n, dtype=a.dtype), a, b, True
     while True:
-        split = ra != rb
-        if not split.any():
+        live = ra != rb
+        if not live.all():
+            a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        if not len(a):
             return root
-        ra, rb = ra[split], rb[split]
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
+        hook = np.maximum(ra, rb)
+        np.minimum.at(root, hook, np.minimum(ra, rb))
+        if first:
             up = root[root]
-            if (up == root).all():
-                break
-            root = up
+            hook, root = np.flatnonzero(up != root), up
+        while len(hook):
+            rh = root[hook]
+            up = root[rh]
+            root[hook] = up
+            hook = hook[up != rh]
+        if not first:
+            root = root[root]
+        first = False
         ra, rb = root[a], root[b]
 
 
@@ -221,34 +222,45 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
 
     Slab k (0 < k < K) holds the triangles whose value span meets the open
     interval (cuts[k-1], cuts[k]), joined across grid edges whose span meets
-    it too.  One `_label` call per batch of slabs k0..k1, over about `ntri`
-    nodes in triangle-major order, roots each component at its smallest
-    triangle.  The batch then settles levels k0-1..k1-1 (the last batch the
-    top level too): a level's components are classes of slab ends, joined by
-    the triangles crossing the level, the grid vertices at it and the flat
-    triangles at it.  No critical value lies inside an open slab, so an end is
-    the limit of connected level curves: it lies in one level component, and
-    no slab component can attach to two.  Components and classes are numbered
-    by (slab or level, smallest triangle).  Only the last slab's triangle ->
-    component array carries over to the next batch.
+    it too.  Which slabs a triangle or grid edge lies in is read off integer
+    ranks of its corner values.  One `_label` call per batch of slabs k0..k1,
+    over about `ntri` nodes, roots each component at its smallest triangle: a
+    batch takes only the triangles and grid edges with a slab in k0..k1, in
+    ascending order, so its nodes are triangle-major.  The batch then settles
+    levels k0-1..k1-1 (the last batch the top level too): a level's components
+    are classes of slab ends, joined by the triangles crossing the level, the
+    grid vertices at it and the flat triangles at it.  No critical value lies
+    inside an open slab, so an end is the limit of connected level curves: it
+    lies in one level component, and no slab component can attach to two.
+    Components and classes are numbered by (slab or level, smallest triangle).
+    Only the components of the last slab carry over to the next batch.
     """
-    K, ntri, i32, sp = len(cuts), tri.ntri, np.int32, spans(tri)
-    s_lo = np.searchsorted(cuts, sp.tri_min, "right").astype(i32)  # triangle in slabs s_lo..s_hi
-    s_hi = np.searchsorted(cuts, sp.tri_max, "left").astype(i32)
-    e_lo = np.searchsorted(cuts, sp.edge_min, "right").astype(i32)  # grid edge in e_lo..e_hi
-    e_hi = np.searchsorted(cuts, sp.edge_max, "left").astype(i32)
+    K, ntri, i32 = len(cuts), tri.ntri, np.int32
     vals = tri.field.values.ravel()
-    j = np.minimum(np.searchsorted(cuts, vals), K - 1)
-    vlevel = np.where(cuts[j] == vals, j, -1)
-    verts = np.flatnonzero(vlevel >= 0)
+    # 2j+1 at cut value j and 2j between cut values j-1 and j, so ranks order
+    # like values; a span of ranks rlo..rhi lies in slabs (rlo+1)//2..rhi//2
+    rank = (np.searchsorted(cuts, vals) + np.searchsorted(cuts, vals, "right")).astype(i32)
+    corners = np.ascontiguousarray(tri.corners.T)
+    c0, c1, c2 = c = rank[corners]
+    t_lo = np.minimum(np.minimum(c0, c1), c2)
+    t_hi = np.maximum(np.maximum(c0, c1), c2)
+    s_lo, s_hi = (t_lo + 1) >> 1, t_hi >> 1  # triangle in slabs s_lo..s_hi
+    adj_a, adj_b, p, q = _sides(tri)
+    p, q = rank[p], rank[q]
+    e_lo, e_hi = (np.minimum(p, q) + 1) >> 1, np.maximum(p, q) >> 1  # grid edge in e_lo..e_hi
+    del c0, c1, c2, p, q
+    vlevel = np.where(rank & 1, rank >> 1, -1)
+    verts = np.flatnonzero(rank & 1)
     verts = verts[np.argsort(vlevel[verts], kind="stable")]  # grid vertices at cut values
+    vlev = vlevel[verts]
     vindex = np.zeros(len(vals), dtype=i32)
     vindex[verts] = np.arange(len(verts))
     # (triangle, level, vertex index) for every triangle around a vertex at a
     # cut value, and (triangle, level, -1) for every triangle whose top corner
     # value is a cut value, by level
-    star_t, corner = np.nonzero(vlevel[tri.corners] >= 0)
-    star_p, top_t = tri.corners[star_t, corner], np.flatnonzero(cuts[s_hi] == sp.tri_max)
+    star = np.flatnonzero(c & 1)
+    star_t, star_p, top_t = star % ntri, corners.ravel()[star], np.flatnonzero(t_hi & 1)
+    del c, corners
     att_t = np.concatenate([star_t, top_t])
     att_j = np.concatenate([vlevel[star_p], s_hi[top_t]])
     att_v = np.concatenate([vindex[star_p], np.full(len(top_t), -1, dtype=i32)])
@@ -262,23 +274,27 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
     bounds = list(zip([1, *(k + 1 for k in ends)], [*ends, K - 1]))
 
     below = np.full(ntri, -1, dtype=i32)  # component of each triangle in the slab under the batch
+    base = np.zeros(ntri, dtype=i32)  # node base[t] + k is (t, k) for the batch's triangles
     carried = first = n_cls = 0  # components carried..first-1 lie in that slab
 
     def settle(k0: int, k1: int) -> _Batch:
-        nonlocal below, carried, first, n_cls
-        # node start[t] + k - a[t] is (t, k); a grid edge joins the nodes of
-        # its two triangles in every slab it lies in
-        a = np.maximum(s_lo, k0)
-        cnt = np.maximum(np.minimum(s_hi, k1) - a + 1, 0)
+        nonlocal carried, first, n_cls
+        # the triangles and grid edges in slabs k0..k1, in ascending order; a
+        # grid edge joins the nodes of its two triangles in every slab it lies in
+        tris = np.flatnonzero(np.maximum(s_lo, k0) <= np.minimum(s_hi, k1)).astype(i32)
+        a = np.maximum(s_lo[tris], k0)
+        cnt = np.minimum(s_hi[tris], k1) - a + 1
         start = np.cumsum(cnt, dtype=i32) - cnt
-        n = int(start[-1] + cnt[-1])
-        node_t = np.repeat(np.arange(ntri, dtype=i32), cnt)
+        n = int(cnt.sum())
+        base[tris] = start - a
+        node_t = np.repeat(tris, cnt)
         node_k = np.repeat(a - start, cnt) + np.arange(n, dtype=i32)
-        ea = np.maximum(e_lo, k0)
-        ecnt = np.maximum(np.minimum(e_hi, k1) - ea + 1, 0)
+        sides = np.flatnonzero(np.maximum(e_lo, k0) <= np.minimum(e_hi, k1))
+        ea = np.maximum(e_lo[sides], k0)
+        ecnt = np.minimum(e_hi[sides], k1) - ea + 1
         shift = ea - np.cumsum(ecnt, dtype=i32) + ecnt
         run = np.arange(int(ecnt.sum()), dtype=i32)
-        joins = [np.repeat(start[s] - a[s] + shift, ecnt) + run for s in (sp.adj_a, sp.adj_b)]
+        joins = [np.repeat(base[s[sides]] + shift, ecnt) + run for s in (adj_a, adj_b)]
         del ea, ecnt, shift, run
         root = _label(n, *joins)
         r = np.flatnonzero(root == np.arange(n, dtype=i32))
@@ -292,29 +308,38 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
         # then the grid vertices at the settled levels
         done = k1 + (k1 == K - 1)  # levels k0-1..done-1 settle here
         slab = np.concatenate([np.full(first - carried, k0 - 1, dtype=i32), node_k[r]])  # per comp
-        v0, v1 = np.searchsorted(vlevel[verts], [k0 - 1, done]).tolist()
+        v0, v1 = np.searchsorted(vlev, [k0 - 1, done]).tolist()
         ne = 2 * (last - carried)
         vnode = ne - v0  # vertex index i is class graph node vnode + i
         # the end through which triangle t meets level j: the top of slab j,
         # the bottom of slab j+1, or for a flat triangle its first corner
         p0, p1 = np.searchsorted(att_j, [k0 - 1, done])
         t, j, v = att_t[p0:p1], att_j[p0:p1], att_v[p0:p1]
-        lower, upper = sp.tri_min[t] < cuts[j], sp.tri_max[t] > cuts[j]
+        lower, upper = t_lo[t] < 2 * j + 1, t_hi[t] > 2 * j + 1
         k = np.where(lower, j, j + 1)
-        g = np.where(k >= k0, comp[np.where(k >= k0, start[t] + k - a[t], n)], below[t])
+        inside = (k >= k0) & (lower | upper)
+        g = np.where(inside, comp[np.where(inside, base[t] + k, n)], below[t])
         end = np.where(lower | upper, 2 * (g - carried) + lower, vnode + vindex[tri.corners[t, 0]])
         # a node crosses the level under its slab unless it is its triangle's
         # lowest, and meets it if it crosses or its triangle's minimum is there
-        lowest = start[(cnt > 0) & (a == s_lo)]
+        lowest = start[a == s_lo[tris]]
         meets = np.ones(n, dtype=bool)
         meets[lowest] = False
         cross = np.flatnonzero(meets)
-        meets[lowest] = cuts[s_lo[node_t[lowest]] - 1] == sp.tri_min[node_t[lowest]]
-        under = np.where(node_k[cross] > k0, comp[cross - 1], below[node_t[cross]])
+        meets[lowest] = t_lo[node_t[lowest]] & 1
+        # a crossing node joins the bottom end of its component to the top end
+        # of the one under it.  One per component does: the level curves that
+        # cross triangles and pass from one to the next through grid edges
+        # meet the same two components, and where such a curve ends at a grid
+        # vertex, that vertex is joined to the top end under it.
+        rep = np.full(last - first, -1)
+        rep[comp[cross] - first] = cross  # any crossing node of each component
+        rep = rep[rep >= 0]
+        under = np.where(node_k[rep] > k0, comp[rep - 1], below[node_t[rep]])
         cls = _label(
             vnode + v1,
             np.concatenate([2 * (under - carried) + 1, vnode + v[v >= 0]]),
-            np.concatenate([2 * (comp[cross] - carried), end[v >= 0]]),
+            np.concatenate([2 * (comp[rep] - carried), end[v >= 0]]),
         )
         inc_t = np.concatenate([node_t[meets], t[v < 0]])
         inc_e = np.concatenate([2 * (comp[:-1][meets] - carried), end[v < 0]])
@@ -334,8 +359,8 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
             (np.arange(carried, last)[top], cid[1:ne:2][top]), level[roots],
             np.stack([inc_t, cid[inc_e]]), np.stack([verts[v0:v1], cid[ne:]]),
         )  # fmt: skip
-        below = np.full(ntri, -1, dtype=i32)
-        below[node_t[node_k == k1]] = comp[:-1][node_k == k1]
+        in_k1 = node_k == k1
+        below[node_t[in_k1]] = comp[:-1][in_k1]
         carried, first, n_cls = last - int((slab == k1).sum()), last, n_cls + len(roots)
         return batch
 
@@ -344,7 +369,9 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
 
 def _grouped(key: np.ndarray, t: np.ndarray, sel: np.ndarray, n: int) -> dict[int, np.ndarray]:
     """The sorted values of `t[sel]` (all below `n`) under each key."""
-    o = np.flatnonzero(sel)[np.argsort(key[sel].astype(np.int64) * n + t[sel])]
+    o = np.flatnonzero(sel)
+    key, t = key[o], t[o]
+    o = np.argsort(key.astype(np.int64) * n + t)
     key, t = key[o], t[o]
     ends = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(t)]
     return {int(key[i]): t[i:j] for i, j in zip(ends, ends[1:]) if j > i}
@@ -369,58 +396,66 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     on_boundary = {p for _, p in boundary}
 
     # -- one sweep up the slabs: level classes become nodes and slab components
-    # edges, in the sweep's order.  Only nodes with critical points or a boundary
-    # curve survive the smoothing, and only edges that start at one keep cells.
-    nodes: list[dict] = []
-    pedges: list[dict] = []
+    # pre-edges, in the sweep's order.  Only classes with critical points or a
+    # boundary curve are marked and survive the smoothing, and only pre-edges
+    # that start at one keep cells.
+    mark_v = np.zeros(f.values.size, dtype=bool)
+    mark_v[[*crits_at, *on_boundary]] = True
+    parts = []
+    vcells: dict[int, np.ndarray] = {}
+    ecells: dict[int, np.ndarray] = {}
+    n_cls = n_pre = 0
     for b in _sweep(tri, np.array(cut_values)):
-        first = len(nodes)
-        nodes += [dict(value=cut_values[j], crits=[], boundary=False) for j in b.levels.tolist()]
-        # vertices come in (level, y, x) order, so each node's crits do too
-        for p, c in b.vertices.T.tolist():
-            nodes[c]["crits"] += crits_at.get(p, [])
-            nodes[c]["boundary"] |= p in on_boundary
-        marked = np.array([bool(node["crits"] or node["boundary"]) for node in nodes[first:]])
-        for c, tris in _grouped(b.inc[1], b.inc[0], marked[b.inc[1] - first], tri.ntri).items():
-            nodes[c]["cells"] = tris
-        starts = marked[b.bottom - first][b.comp - len(pedges)]
-        cells = _grouped(b.comp, b.node_t, starts, tri.ntri)
-        for g, (u, k) in enumerate(zip(b.bottom.tolist(), b.comp_slab.tolist()), len(pedges)):
-            pedges.append(dict(u=u, lo=cut_values[k - 1], hi=cut_values[k], cells=cells.get(g)))
-        for g, v in zip(*(x.tolist() for x in b.tops)):
-            pedges[g]["v"] = v
+        at, cls = b.vertices[:, mark_v[b.vertices[0]]]  # marked grid vertices and their classes
+        m = np.zeros(len(b.levels), dtype=bool)
+        m[cls - n_cls] = True
+        vcells.update(_grouped(b.inc[1], b.inc[0], m[b.inc[1] - n_cls], tri.ntri))
+        ecells.update(_grouped(b.comp, b.node_t, m[b.bottom - n_cls][b.comp - n_pre], tri.ntri))
+        parts.append((b.levels, m, b.bottom, b.comp_slab, *b.tops, at, cls))
+        n_cls, n_pre = n_cls + len(m), n_pre + len(b.bottom)
+    level, marked, u, slab, top_g, top_c, at, cls = (np.concatenate(x) for x in zip(*parts))
+    v = np.empty(n_pre, dtype=np.int64)
+    v[top_g] = top_c
 
-    # -- smooth regular degree-2 pass-through nodes.  Nodes are numbered by
-    # cut value, so the edge below a node is final when the node is reached
-    # and one pass merges every regular node.
-    incident: list[list[int]] = [[] for _ in nodes]
-    for ei, e in enumerate(pedges):
-        incident[e["u"]].append(ei)
-        incident[e["v"]].append(ei)
+    # -- smooth the regular classes away: each has one pre-edge below and one
+    # above, and pre-edges joined through them make a chain
+    n_up, n_down = np.bincount(u, minlength=n_cls), np.bincount(v, minlength=n_cls)
+    bad = np.flatnonzero(~marked & ((n_up != 1) | (n_down != 1)))
+    if len(bad):
+        degree = int(n_up[bad[0]] + n_down[bad[0]])
+        if degree != 2:
+            raise ReebError(f"regular level component with degree {degree} (expected 2)")
+        raise ReebError("regular component with both edges on one side")
+    up_of, down_of = np.empty(n_cls, dtype=np.int64), np.empty(n_cls, dtype=np.int64)
+    up_of[u], down_of[v] = np.arange(n_pre), np.arange(n_pre)
+    regular = np.flatnonzero(~marked)
+    # each pre-edge's chain, named by its lowest pre-edge since they are ordered by slab
+    chain = _label(n_pre, down_of[regular], up_of[regular])
+    # edges: pre-edges between marked classes in sweep order, then one per
+    # chain in the order of its topmost regular class, from its lowest to its
+    # highest pre-edge
+    highest = np.flatnonzero(~marked[u] & marked[v])
+    highest = highest[np.argsort(u[highest])]
+    direct = np.flatnonzero(marked[u] & marked[v])
+    lo_pre, hi_pre = np.concatenate([direct, chain[highest]]), np.concatenate([direct, highest])
 
-    kept: dict[int, int] = {}  # node -> vertex id
-    merged: set[int] = set()  # edges replaced by their merge
-    for ni, node in enumerate(nodes):
-        if node["crits"] or node["boundary"]:
-            kept[ni] = len(kept)
-            continue
-        live = [ei for ei in incident[ni] if ei not in merged]
-        if len(live) != 2:
-            raise ReebError(f"regular level component with degree {len(live)} (expected 2)")
-        e1, e2 = (pedges[live[0]], pedges[live[1]])
-        # orient: e1 below the node, e2 above
-        if e1["hi"] != node["value"]:
-            e1, e2 = e2, e1
-        if e1["hi"] != node["value"] or e2["lo"] != node["value"]:
-            raise ReebError("regular component with both edges on one side")
-        incident[e1["u"]].append(len(pedges))
-        incident[e2["v"]].append(len(pedges))
-        pedges.append(dict(e1, v=e2["v"], hi=e2["hi"]))
-        merged.update(live)
-
-    vertices = [ReebVertex(id=vid, **nodes[ni]) for ni, vid in kept.items()]
-    live = [e for ei, e in enumerate(pedges) if ei not in merged]
-    edges = [ReebEdge(i, **dict(e, u=kept[e["u"]], v=kept[e["v"]])) for i, e in enumerate(live)]
+    crits_of: dict[int, list[CriticalPoint]] = {}
+    on_curve: set[int] = set()
+    # marked grid vertices come in (level, y, x) order, so each class's crits do too
+    for p, c in zip(at.tolist(), cls.tolist()):
+        crits_of.setdefault(c, []).extend(crits_at.get(p, []))
+        if p in on_boundary:
+            on_curve.add(c)
+    kept = np.flatnonzero(marked)
+    vid = (np.cumsum(marked) - 1).tolist()
+    vertices = [
+        ReebVertex(i, cut_values[j], crits_of.get(c, []), vcells[c], c in on_curve)
+        for i, (c, j) in enumerate(zip(kept.tolist(), level[kept].tolist()))
+    ]
+    edges = [
+        ReebEdge(i, vid[u[g]], vid[v[h]], cut_values[slab[g] - 1], cut_values[slab[h]], ecells[g])
+        for i, (g, h) in enumerate(zip(lo_pre.tolist(), hi_pre.tolist()))
+    ]
 
     if not vertices:
         raise ReebError("empty Reeb graph")

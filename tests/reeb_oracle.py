@@ -6,12 +6,14 @@ cut levels separately, each over the whole grid, and attaches every slab
 component to the level components its triangles touch.  It raises when a
 slab component touches other than one level component on either side.
 Node order, edge order, cells and the smoothing are those `build_reeb`
-promises, so the two graphs must have equal digests.
+promises, so the two graphs must have equal digests.  Components come from a
+plain union-find, which shares no code with the library's labeller.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import namedtuple
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -21,12 +23,49 @@ from kronrod.reeb import (
     ReebEdge,
     ReebGraph,
     ReebVertex,
-    Spans,
     Triangulation,
     _check_connected,
-    _label,
-    spans,
+    _sides,
 )
+
+# value spans of the triangles, and the two triangles on each shared grid edge
+# with the edge's value span
+Spans = namedtuple("Spans", "tri_min tri_max adj_a adj_b edge_min edge_max")
+
+
+def spans(tri: Triangulation) -> Spans:
+    """The value spans of the triangles and shared grid edges of `tri`."""
+    vals = tri.field.values.ravel()
+    corner_values = vals[tri.corners]
+    adj_a, adj_b, p, q = _sides(tri)
+    return Spans(
+        corner_values.min(axis=1),
+        corner_values.max(axis=1),
+        adj_a,
+        adj_b,
+        np.minimum(vals[p], vals[q]),
+        np.maximum(vals[p], vals[q]),
+    )
+
+
+def union_find_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The smallest node of the component of each of nodes 0..n-1 under `pairs`.
+
+    A plain union-find with path halving that always links the larger root
+    under the smaller one, so every root is its component's smallest node.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
 
 
 def _components(
@@ -42,7 +81,8 @@ def _components(
     # label the selected triangles by their rank; ranks keep the order of ids
     rank = np.empty(ntri, dtype=np.int64)
     rank[tris] = np.arange(len(tris))
-    root = _label(len(tris), rank[sp.adj_a[pair_mask]], rank[sp.adj_b[pair_mask]])
+    pairs = zip(rank[sp.adj_a[pair_mask]].tolist(), rank[sp.adj_b[pair_mask]].tolist())
+    root = union_find_roots(len(tris), pairs)
     _, comp = np.unique(root, return_inverse=True)
     comp_of = np.full(ntri, -1, dtype=np.int64)
     comp_of[tris] = comp

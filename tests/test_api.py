@@ -3,7 +3,11 @@ library functions the benchmark's per-layer spans rebind, and the result
 fields its output capture reads."""
 
 import importlib
+import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import kronrod
@@ -13,6 +17,23 @@ from kronrod.reeb import build_reeb
 from kronrod.terms import Triv
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    """`import kronrod` stays light: importing `scipy.sparse.csgraph` alone
+    takes a fresh interpreter with kronrod from about 30 to 61 MB resident."""
+    probe = (
+        "import json, sys; before = set(sys.modules); import kronrod; "
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    src = str(Path(kronrod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    third_party = loaded - set(sys.stdlib_module_names) - {"kronrod", "numpy"}
+    assert not third_party
+    assert not loaded & {"scipy", "networkx", "sympy", "numba"}
 
 
 def test_all_exports_resolve():

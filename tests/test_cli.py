@@ -43,6 +43,13 @@ class TestRealize:
         )
         assert code == 2
 
+    def test_out_naming_a_file_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        out = str(tmp_path / "taken")
+        code, doc = run(capsys, "realize", "--term", "1", "--case", "circuit", "--out", out)
+        assert code == 2
+        assert not doc["ok"] and "taken" in doc["error"]
+
 
 class TestGridCap:
     def test_cap_exceeded_is_input_error(self, tmp_path, capsys, monkeypatch):
@@ -113,6 +120,13 @@ class TestAnalyze:
         assert code == 2
         assert not doc["ok"] and "png" in doc["error"]
         assert not (realized / "out").exists()
+
+    def test_out_naming_a_file_is_input_error(self, realized, capsys):
+        (realized / "taken").write_text("")
+        args = ("analyze", "--field", str(realized / "field.json"), "--emit", "dot")
+        code, doc = run(capsys, *args, "--out", str(realized / "taken"))
+        assert code == 2
+        assert not doc["ok"] and "taken" in doc["error"]
 
     def test_truncated_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -265,6 +279,16 @@ class TestCorpusCommand:
         code, doc = run(capsys, "corpus", "--seed", "-1")
         assert code == 2
         assert not doc["ok"] and "seed" in doc["error"]
+
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def unreachable(seed):
+            raise AssertionError("corpus ran despite an unusable --out")
+
+        monkeypatch.setattr("kronrod.cli.corpus_summary", unreachable)
+        (tmp_path / "taken").write_text("")
+        code, doc = run(capsys, "corpus", "--seed", "0", "--out", str(tmp_path / "taken"))
+        assert code == 2
+        assert not doc["ok"] and "taken" in doc["error"]
 
     def test_corpus_runs_clean(self, tmp_path, capsys):
         code, doc = run(capsys, "corpus", "--seed", "0", "--out", str(tmp_path))

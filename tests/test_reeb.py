@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kronrod
 from kronrod.construct import realize_disk, realize_torus_circuit, realize_torus_tree
@@ -21,7 +23,6 @@ from kronrod.fields import classify_vertices, morse_counts
 from kronrod.reeb import (
     Triangulation,
     _label,
-    spans,
     _sweep,
     build_reeb,
     classify_shape,
@@ -32,7 +33,7 @@ from kronrod.reeb import (
 )
 from kronrod.terms import Triv, Wr, parse_term
 
-from reeb_oracle import build_reeb_per_level
+from reeb_oracle import build_reeb_per_level, spans, union_find_roots
 from test_cylinder import tube_field
 from test_fields import bump_disk
 
@@ -154,7 +155,79 @@ class TestBuildReeb:
                 assert len(np.unique(cells)) == len(cells)
 
 
+@st.composite
+def label_inputs(draw):
+    """(n, a, b) for `_label`: random edge lists with duplicates and
+    self-loops, or shuffled paths and combs, which need several hook rounds;
+    n = 0 and 1 and isolated nodes included, in int32 or int64."""
+    n = draw(st.integers(0, 60))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    shape = draw(st.sampled_from(["random", "path", "comb"]))
+    node = st.integers(0, max(n - 1, 0))
+    if n == 0:
+        edges = []
+    elif shape == "random":
+        edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    else:
+        # leave some nodes isolated, and take the rest in a random order
+        order = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        if shape == "path":
+            edges = list(zip(order, order[1:]))
+        else:
+            spine, teeth = order[: (len(order) + 1) // 2], order[(len(order) + 1) // 2 :]
+            edges = list(zip(spine, spine[1:])) + list(zip(spine, teeth))
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+        edges = draw(st.permutations(edges))
+        flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+    a = np.array([u for u, _ in edges], dtype=dtype)
+    b = np.array([v for _, v in edges], dtype=dtype)
+    return n, a, b
+
+
+class _CountingMinimum:
+    """`np.minimum` that counts its `at` calls, one per hook round of `_label`."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.minimum(*args, **kwargs)
+
+    def at(self, *args):
+        self.rounds += 1
+        return np.minimum.at(*args)
+
+
 class TestLabel:
+    @settings(max_examples=300, deadline=None)
+    @given(label_inputs())
+    def test_matches_union_find(self, inputs):
+        """Every node maps to the smallest node of its component, in the dtype
+        of the input."""
+        n, a, b = inputs
+        root = _label(n, a, b)
+        assert root.dtype == a.dtype
+        assert root.tolist() == union_find_roots(n, zip(a.tolist(), b.tolist()))
+
+    @pytest.mark.parametrize("shape", ["path", "comb"])
+    def test_shuffled_shapes_take_several_rounds(self, shape, monkeypatch):
+        """The shapes the property test draws do reach the later rounds, where
+        only hooked roots are jumped."""
+        n = 1000
+        order = np.random.default_rng(1).permutation(n)
+        if shape == "path":
+            a, b = order[:-1], order[1:]
+        else:
+            spine, teeth = order[: n // 2], order[n // 2 :]
+            a, b = np.concatenate([spine[:-1], spine]), np.concatenate([spine[1:], teeth])
+        counting = _CountingMinimum()
+        patched = types.SimpleNamespace(**{**vars(np), "minimum": counting})
+        monkeypatch.setattr(kronrod.reeb, "np", patched)
+        root = _label(n, a, b)
+        assert counting.rounds >= 3
+        assert root.tolist() == union_find_roots(n, zip(a.tolist(), b.tolist()))
+
     @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
     def test_long_path_is_one_component(self, order):
         n = 200_000
