@@ -11,8 +11,10 @@ Construction symmetries (grid translations and rectangle cycles) are pushed
 to graph automorphisms through the critical points: every vertex is a
 critical level component (or a boundary curve), so a vertex goes to the
 vertex carrying the images of its critical points, and an edge goes to the
-edge with the mapped endpoints and the same interval.  Edge triangles are
-read only to split a class of parallel equal-interval edges.
+edge with the mapped endpoints and the same interval.  Triangles are read
+only to split a class of parallel equal-interval edges: the class's lowest
+slab is labelled again, and each edge's witness triangle names its component
+there.
 """
 
 from __future__ import annotations
@@ -276,9 +278,11 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     which must be critical points of the same kind and value on one vertex.
     A boundary vertex carries none and goes to the boundary vertex of its
     value.  An edge goes to the edge with the mapped endpoints and the same
-    interval; within a class of parallel edges with equal intervals, an edge
-    goes to the one edge of the image class whose cells contain the images
-    of its own.
+    interval.  Within a class of parallel edges with equal intervals, each
+    edge's witness triangle names its component in the class's lowest slab,
+    and an edge goes to the one edge of the image class whose component holds
+    the images of every triangle of its own.  One image is not enough: a cell
+    that straddles the pieces of a rect cycle stays put.
     """
     tri = g.tri
     if tri is None:
@@ -306,14 +310,15 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
 
     eclasses = _edge_classes(g)
     eperm = list(_canonical_eperm(g, vperm, eclasses))
-    parallel = [ids for ids in eclasses.values() if len(ids) > 1]
+    parallel = [(lo, ids) for (_, _, lo, _), ids in eclasses.items() if len(ids) > 1]
     if parallel:
         perm = _cell_permutation(tri, tx, ty, piece)
-        for ids in parallel:
+        for lo, ids in parallel:
+            root = g.slab_roots(lo)
             target = {eperm[e] for e in ids}
             for e in ids:
-                image = perm[g.edges[e].cells]
-                hits = [d for d in target if np.isin(image, g.edges[d].cells).all()]
+                image = root[perm[root == root[g.edges[e].witness]]]
+                hits = [d for d in target if (image == root[g.edges[d].witness]).all()]
                 if len(hits) != 1:
                     raise NotAnAutomorphism(f"edge {e} cells do not map onto one parallel edge")
                 eperm[e] = hits[0]

@@ -181,14 +181,16 @@ def classify_vertices(f: ScalarField) -> list[CriticalPoint]:
     """Critical points of the field by the link sign-change rule."""
     if f._crits is not None:
         return f._crits
-    nbs = _neighbor_stack(f)
     vals = f.values
     interior = ~f.boundary_mask()
-    delta = nbs - vals[None, :, :]
-    sign = np.sign(delta)  # boundary neighbors are NaN -> sign NaN, masked out
-    changes = np.zeros(vals.shape, dtype=np.int32)
-    for k in range(6):
-        changes += (sign[k] != sign[(k + 1) % 6]) & interior
+    # sign of (neighbor - vertex) around the link; only interior vertices are
+    # classified, and their links lie in the domain, so no wrap-around is read
+    sign = np.empty((6,) + vals.shape, dtype=np.int8)
+    for k, (dx, dy) in enumerate(LINK_OFFSETS):
+        nb = np.roll(vals, (-dy, -dx), axis=(0, 1))
+        sign[k] = nb > vals
+        sign[k] -= nb < vals
+    changes = sum(sign[k] != sign[k - 1] for k in range(6))
     degen = interior & (changes >= 6)
     if degen.any():
         y, x = np.argwhere(degen)[0]
@@ -196,7 +198,7 @@ def classify_vertices(f: ScalarField) -> list[CriticalPoint]:
     crits: list[CriticalPoint] = []
     extremum = interior & (changes == 0)
     saddle = interior & (changes == 4)
-    all_below = np.all(np.where(np.isnan(delta), -1.0, delta) < 0, axis=0)
+    all_below = np.all(sign < 0, axis=0)
     for y, x in np.argwhere(extremum):
         kind = CritKind.MAXIMUM if all_below[y, x] else CritKind.MINIMUM
         crits.append(CriticalPoint(int(x), int(y), kind, float(vals[y, x])))

@@ -10,19 +10,19 @@ classes of slab ends (see `_sweep`).  Regular ones have one edge above and
 one below and are smoothed away on arrays: one more `_label` call joins the
 slab components through them into chains, and each chain becomes one edge.
 
-Each graph element keeps sorted triangles.  `ReebVertex.cells` are the
-triangles that meet a vertex's level component, a closed neighbourhood whose
-genus identifies the special vertex of a tree.  `ReebEdge.cells` are the
-triangles of the edge's lowest slab component.  Both depend only on values
-and components, so an exact field symmetry permutes them; symmetry pushes
-read edge cells to tell apart parallel edges with equal intervals.
+The graph carries topology and critical points only.  The special vertex of
+a tree is read off them: a level component with e extrema, s saddles and deg
+edge ends has genus (2 - e + s - deg)/2, so it works on imported graphs too.
+Each edge keeps one witness triangle, the smallest triangle of its lowest
+slab component; symmetry pushes label that slab again to tell apart parallel
+edges with equal intervals.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class Triangulation:
     Triangle 2*(cy*ncx + cx) is the lower triangle of cell (cx, cy) with
     corners (x,y), (x+1,y), (x+1,y+1); triangle 2*(...)+1 is the upper one
     with corners (x,y), (x+1,y+1), (x,y+1).  Graphs keep it for the corners;
-    `_sides` works out the adjacency when a build needs it.
+    `_sides` works out the adjacency when a build or a slab labelling needs it.
     """
 
     def __init__(self, f: ScalarField):
@@ -137,8 +137,6 @@ class ReebVertex:
     id: int
     value: float
     crits: list[CriticalPoint]
-    # sorted triangles meeting the level component
-    cells: np.ndarray = field(compare=False)
     boundary: bool = False
 
 
@@ -149,8 +147,8 @@ class ReebEdge:
     v: int
     lo: float
     hi: float
-    # sorted triangles of the lowest slab component
-    cells: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), compare=False)
+    # smallest triangle of the lowest slab component, -1 on imported graphs
+    witness: int = -1
 
 
 @dataclass
@@ -175,6 +173,7 @@ class ReebGraph:
         self.edges = edges
         self.tri = tri
         self._incidence: Optional[list[list[int]]] = None
+        self._slabs: dict[float, np.ndarray] = {}
 
     @property
     def n_vertices(self) -> int:
@@ -194,6 +193,20 @@ class ReebGraph:
             self._incidence = inc
         return self._incidence[vid]
 
+    def slab_roots(self, lo: float) -> np.ndarray:
+        """The smallest triangle of each triangle's component in the slab from
+        cut value `lo` to the next: the triangles and shared grid edges whose
+        value span meets that open interval.  A triangle outside the slab is
+        its own root.  Labelled once per slab and kept."""
+        if lo not in self._slabs:
+            hi = min(v.value for v in self.vertices if v.value > lo)
+            vals = self.tri.field.values.ravel()
+            a, b, p, q = _sides(self.tri)
+            p, q = vals[p], vals[q]
+            live = (np.maximum(p, q) > lo) & (np.minimum(p, q) < hi)
+            self._slabs[lo] = _label(self.tri.ntri, a[live], b[live])
+        return self._slabs[lo]
+
     def edges_spanning(self, value: float) -> list[int]:
         return [e.id for e in self.edges if e.lo < value < e.hi]
 
@@ -207,13 +220,11 @@ class _Batch(NamedTuple):
     """What one batch of `_sweep` settles.  Components and classes are
     numbered on from the last batch's, in the order `_sweep` gives them."""
 
-    node_t: np.ndarray  # triangle of each (triangle, slab) node, triangle-major
-    comp: np.ndarray  # component of each node
     comp_slab: np.ndarray  # slab of each new component
+    comp_t: np.ndarray  # smallest triangle of each new component
     bottom: np.ndarray  # class of each new component's bottom end
     tops: tuple[np.ndarray, np.ndarray]  # (component, class) of the top ends settled here
     levels: np.ndarray  # level of each new class
-    inc: np.ndarray  # rows (triangle, class) for each triangle meeting a settled level
     vertices: np.ndarray  # rows (grid vertex, class) for each vertex at a settled level
 
 
@@ -341,6 +352,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
             np.concatenate([2 * (under - carried) + 1, vnode + v[v >= 0]]),
             np.concatenate([2 * (comp[rep] - carried), end[v >= 0]]),
         )
+        # the smallest triangle meeting each class orders the classes of a level
         inc_t = np.concatenate([node_t[meets], t[v < 0]])
         inc_e = np.concatenate([2 * (comp[:-1][meets] - carried), end[v < 0]])
         least = np.full(len(cls), ntri)
@@ -355,9 +367,9 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
         cid[roots] = np.arange(n_cls, n_cls + len(roots))
         cid = cid[cls]
         batch = _Batch(
-            node_t, comp[:-1], node_k[r], cid[2 * (first - carried) : ne : 2],
+            node_k[r], node_t[r], cid[2 * (first - carried) : ne : 2],
             (np.arange(carried, last)[top], cid[1:ne:2][top]), level[roots],
-            np.stack([inc_t, cid[inc_e]]), np.stack([verts[v0:v1], cid[ne:]]),
+            np.stack([verts[v0:v1], cid[ne:]]),
         )  # fmt: skip
         in_k1 = node_k == k1
         below[node_t[in_k1]] = comp[:-1][in_k1]
@@ -365,16 +377,6 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
         return batch
 
     yield from (settle(k0, k1) for k0, k1 in bounds)
-
-
-def _grouped(key: np.ndarray, t: np.ndarray, sel: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """The sorted values of `t[sel]` (all below `n`) under each key."""
-    o = np.flatnonzero(sel)
-    key, t = key[o], t[o]
-    o = np.argsort(key.astype(np.int64) * n + t)
-    key, t = key[o], t[o]
-    ends = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(t)]
-    return {int(key[i]): t[i:j] for i, j in zip(ends, ends[1:]) if j > i}
 
 
 def build_reeb(f: ScalarField) -> ReebGraph:
@@ -397,23 +399,19 @@ def build_reeb(f: ScalarField) -> ReebGraph:
 
     # -- one sweep up the slabs: level classes become nodes and slab components
     # pre-edges, in the sweep's order.  Only classes with critical points or a
-    # boundary curve are marked and survive the smoothing, and only pre-edges
-    # that start at one keep cells.
+    # boundary curve are marked and survive the smoothing.
     mark_v = np.zeros(f.values.size, dtype=bool)
     mark_v[[*crits_at, *on_boundary]] = True
     parts = []
-    vcells: dict[int, np.ndarray] = {}
-    ecells: dict[int, np.ndarray] = {}
-    n_cls = n_pre = 0
+    n_cls = 0
     for b in _sweep(tri, np.array(cut_values)):
         at, cls = b.vertices[:, mark_v[b.vertices[0]]]  # marked grid vertices and their classes
         m = np.zeros(len(b.levels), dtype=bool)
         m[cls - n_cls] = True
-        vcells.update(_grouped(b.inc[1], b.inc[0], m[b.inc[1] - n_cls], tri.ntri))
-        ecells.update(_grouped(b.comp, b.node_t, m[b.bottom - n_cls][b.comp - n_pre], tri.ntri))
-        parts.append((b.levels, m, b.bottom, b.comp_slab, *b.tops, at, cls))
-        n_cls, n_pre = n_cls + len(m), n_pre + len(b.bottom)
-    level, marked, u, slab, top_g, top_c, at, cls = (np.concatenate(x) for x in zip(*parts))
+        parts.append((b.levels, m, b.bottom, b.comp_slab, b.comp_t, *b.tops, at, cls))
+        n_cls += len(m)
+    level, marked, u, slab, witness, top_g, top_c, at, cls = map(np.concatenate, zip(*parts))
+    n_pre = len(u)
     v = np.empty(n_pre, dtype=np.int64)
     v[top_g] = top_c
 
@@ -433,7 +431,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     chain = _label(n_pre, down_of[regular], up_of[regular])
     # edges: pre-edges between marked classes in sweep order, then one per
     # chain in the order of its topmost regular class, from its lowest to its
-    # highest pre-edge
+    # highest pre-edge, whose witness is that of its lowest
     highest = np.flatnonzero(~marked[u] & marked[v])
     highest = highest[np.argsort(u[highest])]
     direct = np.flatnonzero(marked[u] & marked[v])
@@ -449,12 +447,14 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     kept = np.flatnonzero(marked)
     vid = (np.cumsum(marked) - 1).tolist()
     vertices = [
-        ReebVertex(i, cut_values[j], crits_of.get(c, []), vcells[c], c in on_curve)
+        ReebVertex(i, cut_values[j], crits_of.get(c, []), c in on_curve)
         for i, (c, j) in enumerate(zip(kept.tolist(), level[kept].tolist()))
     ]
     edges = [
-        ReebEdge(i, vid[u[g]], vid[v[h]], cut_values[slab[g] - 1], cut_values[slab[h]], ecells[g])
-        for i, (g, h) in enumerate(zip(lo_pre.tolist(), hi_pre.tolist()))
+        ReebEdge(i, vid[u[g]], vid[v[h]], cut_values[slab[g] - 1], cut_values[slab[h]], w)
+        for i, (g, h, w) in enumerate(
+            zip(lo_pre.tolist(), hi_pre.tolist(), witness[lo_pre].tolist())
+        )
     ]
 
     if not vertices:
@@ -554,28 +554,15 @@ def classify_shape(g: ReebGraph) -> ShapeReport:
 # ---------------------------------------------------------------------------
 
 
-def _region_euler(tri: Triangulation, tris: Iterable[int]) -> tuple[int, int]:
-    """(Euler characteristic of the closed region, boundary curve count)."""
-    corners = tri.corners[np.fromiter(tris, dtype=np.int64)].astype(np.int64)
-    nv = tri.field.width * tri.field.height
-    sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
-    keys, uses = np.unique(sides[:, 0] * nv + sides[:, 1], return_counts=True)
-    chi = len(np.unique(corners)) - len(keys) + len(corners)
-    # boundary sides bound exactly one region triangle; curves are their components
-    ends, nodes = np.unique(np.divmod(keys[uses == 1], nv), return_inverse=True)
-    root = _label(len(ends), *nodes.reshape(2, -1))
-    return int(chi), int((root == np.arange(len(ends))).sum())
-
-
 def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
     """The unique tree vertex whose complement consists of open disks.
 
     The complement of a level component is a union of open disks exactly when
-    the component's closed neighbourhood carries the torus's genus, so the
-    special vertex is the one whose `cells` region has g = (2 - chi - b)/2 = 1.
+    the component's regular neighbourhood carries the torus's genus.  That
+    neighbourhood has Euler characteristic e - s for e extrema and s saddles
+    on the component, and one boundary circle per edge end, so its genus is
+    g = (2 - e + s - deg)/2, and the special vertex is the one with g = 1.
     """
-    if g.tri is None:
-        raise ReebError("graph carries no triangulation")
     if f.kind != TORUS:
         raise ReebError("special vertices are defined for torus fields")
     report = classify_shape(g)
@@ -583,13 +570,9 @@ def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
         raise NotATree("special vertex search requires a tree-shaped graph")
     found: list[int] = []
     for v in g.vertices:
-        # a component whose only critical points are extrema is an isolated
-        # point, and the complement of a point in the torus is never a disk
-        if not any(c.kind is CritKind.SADDLE for c in v.crits):
-            continue
-        chi, curves = _region_euler(g.tri, v.cells)
-        genus = (2 - chi - curves) / 2
-        if genus == 1:
+        saddles = sum(c.kind is CritKind.SADDLE for c in v.crits)
+        extrema = len(v.crits) - saddles
+        if (2 - extrema + saddles - len(g.incident_edges(v.id))) / 2 == 1:  # a tree has no loops
             found.append(v.id)
     if not found:
         raise NoSpecialVertex("no vertex has an all-disk complement")
@@ -645,7 +628,6 @@ def import_json(data: bytes) -> ReebGraph:
                 CriticalPoint(c["x"], c["y"], CritKind(c["kind"]), c["value"])
                 for c in v["crits"]
             ],
-            cells=np.empty(0, dtype=np.int64),
             boundary=v["boundary"],
         )
         for v in doc["vertices"]

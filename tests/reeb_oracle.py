@@ -5,9 +5,11 @@ It labels the components of every cut level and of every slab between two
 cut levels separately, each over the whole grid, and attaches every slab
 component to the level components its triangles touch.  It raises when a
 slab component touches other than one level component on either side.
-Node order, edge order, cells and the smoothing are those `build_reeb`
-promises, so the two graphs must have equal digests.  Components come from a
-plain union-find, which shares no code with the library's labeller.
+Node order, edge order, witness triangles and the smoothing are those
+`build_reeb` promises, so the two graphs must have equal digests.
+Components come from a plain union-find, which shares no code with the
+library's labeller.  `_region_euler` reads the topology of a set of
+triangles, for the special-vertex oracle in the tests.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
         comp_of, members = _components(
             sp, (sp.tri_min <= b) & (sp.tri_max >= b), (sp.edge_min <= b) & (sp.edge_max >= b)
         )
-        level = [{"value": b, "crits": [], "boundary": False, "cells": m} for m in members]
+        level = [{"value": b, "crits": [], "boundary": False} for _ in members]
         for c in crits_at.get(b, ()):
             # every grid edge at a critical vertex ends at the cut value, so it
             # joins the triangles on both of its sides: they all lie in the
@@ -169,7 +171,9 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
                     f"{n_lo[bad[0]]} lower / {n_hi[bad[0]]} upper level components"
                 )
             for u, v, cells in zip(lo.tolist(), hi.tolist(), slab_members):
-                pedges.append({"u": first_a + u, "v": first + v, "lo": a, "hi": b, "cells": cells})
+                pedges.append(
+                    {"u": first_a + u, "v": first + v, "lo": a, "hi": b, "witness": int(cells[0])}
+                )
         below = (b, comp_of, first)
 
     # -- smooth regular degree-2 pass-through nodes.  Nodes are numbered by
@@ -210,3 +214,17 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
     graph = ReebGraph(vertices, edges, tri)
     _check_connected(graph)
     return graph
+
+
+def _region_euler(tri: Triangulation, tris: Iterable[int]) -> tuple[int, int]:
+    """(Euler characteristic of the closed region of triangles `tris`, number
+    of its boundary curves)."""
+    corners = tri.corners[np.fromiter(tris, dtype=np.int64)].astype(np.int64)
+    nv = tri.field.width * tri.field.height
+    sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+    keys, uses = np.unique(sides[:, 0] * nv + sides[:, 1], return_counts=True)
+    chi = len(np.unique(corners)) - len(keys) + len(corners)
+    # boundary sides bound exactly one region triangle; curves are their components
+    ends, nodes = np.unique(np.divmod(keys[uses == 1], nv), return_inverse=True)
+    root = union_find_roots(len(ends), zip(*nodes.reshape(2, -1).tolist()))
+    return int(chi), len(set(root))

@@ -34,9 +34,9 @@ from kronrod.errors import AutOverflow
 from kronrod.fields import euler_check, is_simple
 from kronrod.permgroups import group_order, is_isomorphic, perm_rep
 from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
-from kronrod.reeb import _region_euler
 from kronrod.terms import Triv, Wr, Wr2, format_term, normalize, order
 
+from reeb_oracle import _region_euler
 from test_auts import backtrack_order
 from test_reeb import complement_components
 

@@ -1,6 +1,5 @@
 from math import factorial
 
-import numpy as np
 import pytest
 
 from kronrod.auts import (
@@ -32,14 +31,12 @@ from kronrod.terms import Prod, Triv, Wr, Wr2, format_term, normalize
 def star_graph(branches: int, same_values: bool = True):
     """Root at 0 with `branches` leaf edges; leaves share a value when asked."""
     crit = CriticalPoint(0, 0, CritKind.SADDLE, 0.0)
-    vertices = [ReebVertex(id=0, value=0.0, crits=[crit] * 2, cells=frozenset())]
+    vertices = [ReebVertex(id=0, value=0.0, crits=[crit] * 2)]
     edges = []
     for i in range(branches):
         val = 1.0 if same_values else 1.0 + i
         leaf = CriticalPoint(i + 1, 0, CritKind.MAXIMUM, val)
-        vertices.append(
-            ReebVertex(id=i + 1, value=val, crits=[leaf], cells=frozenset())
-        )
+        vertices.append(ReebVertex(id=i + 1, value=val, crits=[leaf]))
         edges.append(ReebEdge(id=i, u=0, v=i + 1, lo=0.0, hi=val))
     return ReebGraph(vertices, edges)
 
@@ -50,7 +47,6 @@ def path_graph(values):
             id=i,
             value=v,
             crits=[CriticalPoint(i, 0, CritKind.SADDLE, v)],
-            cells=frozenset(),
         )
         for i, v in enumerate(values)
     ]
@@ -244,14 +240,28 @@ class TestInducedAuts:
             classes.setdefault((e.u, e.v, e.lo, e.hi), []).append(e.id)
         [(a, b)] = [ids for ids in classes.values() if len(ids) > 1]
         assert (aut.eperm[a], aut.eperm[b]) == (a, b)
-        # only the edge cells tell the two circuit edges apart: once one
-        # edge's triangles are handed to the other, the push cannot place it
-        own = {e: g.edges[e].cells for e in (a, b)}
+        # only the witnesses tell the two circuit edges apart: once one edge's
+        # witness is handed to the other, both name one component, whose
+        # images then lie in the component of both
+        own = {e: g.edges[e].witness for e in (a, b)}
         for x, y in ((a, b), (b, a)):
-            g.edges[x].cells = np.union1d(own[x], own[y])
-            with pytest.raises(NotAnAutomorphism):
+            g.edges[x].witness = own[y]
+            with pytest.raises(NotAnAutomorphism, match="onto one parallel edge"):
                 induced_graph_aut(g, cyc)
-            g.edges[x].cells = own[x]
+            g.edges[x].witness = own[x]
+
+    def test_partial_swap_of_parallel_components_rejected(self):
+        """The push maps every triangle of a witness's component, not just the
+        witness: swapping a block of one circuit edge's lowest slab component
+        with a block of the other's, both away from the witnesses and the
+        critical points, leaves every witness in place but splits the images."""
+        f, _ = realize_torus_circuit(Triv(), 1)
+        g = build_reeb(f)
+        [(a, b)] = [ids for ids in _edge_classes(g).values() if len(ids) > 1]
+        assert [g.edges[e].witness for e in (a, b)] == [4, 22]  # cells (2, 0) and (11, 0)
+        swap = RectCycle((Rect(3, 4, 3, 3), Rect(12, 4, 3, 3)))
+        with pytest.raises(NotAnAutomorphism, match="onto one parallel edge"):
+            induced_graph_aut(g, swap)
 
     def test_overlapping_cycle_not_a_bijection(self):
         f, _ = realize_torus_tree(Triv(), 1, 1)

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from kronrod.corpus import (
     realize_member,
     triangle_corners,
 )
-from kronrod.errors import NotATree, ReebError
-from kronrod.fields import classify_vertices, morse_counts
+from kronrod.errors import NotATree
+from kronrod.fields import CritKind, classify_vertices, morse_counts
 from kronrod.reeb import (
     Triangulation,
     _label,
@@ -33,14 +34,15 @@ from kronrod.reeb import (
 )
 from kronrod.terms import Triv, Wr, parse_term
 
-from reeb_oracle import build_reeb_per_level, spans, union_find_roots
+from reeb_oracle import _region_euler, build_reeb_per_level, spans, union_find_roots
 from test_cylinder import tube_field
 from test_fields import bump_disk
 
 
-def flood_fill(tri, free, joins=None):
+def flood_fill(tri, free, joins=None, starts=None):
     """Components of the `free` triangles, joined across the adjacencies in
-    `joins` (all of them by default), in the order of their smallest triangles.
+    `joins` (all of them by default), in the order of their smallest triangles;
+    only the components of the triangles in `starts`, when given.
 
     A plain stack flood fill that shares no code with the library's labeller.
     """
@@ -54,7 +56,7 @@ def flood_fill(tri, free, joins=None):
             nbrs[b].append(a)
     seen = ~free
     comps = []
-    for start in np.nonzero(free)[0].tolist():
+    for start in (np.nonzero(free)[0] if starts is None else starts).tolist():
         if seen[start]:
             continue
         seen[start] = True
@@ -71,26 +73,34 @@ def flood_fill(tri, free, joins=None):
 
 
 def complement_components(g, vid):
-    """Flood fill of the triangles outside vertex `vid`'s level component cells.
+    """Flood fill of the triangles outside vertex `vid`'s level component.
 
-    An oracle for `find_special_vertex`, which reads the genus of the vertex's
-    neighbourhood instead and shares no code with this.
+    The level component is itself flood-filled from the triangles at the
+    vertex's first critical point, over the triangles and shared grid edges
+    whose value span holds the vertex's value.  An oracle for
+    `find_special_vertex`, which reads the genus off the graph instead and
+    shares no code with this.
     """
-    free = np.ones(g.tri.ntri, dtype=bool)
-    free[g.vertices[vid].cells] = False
-    return flood_fill(g.tri, free)
+    tri, v = g.tri, g.vertices[vid]
+    sp = spans(tri)
+    c = v.crits[0]
+    at_crit = np.flatnonzero((tri.corners == c.y * tri.field.width + c.x).any(axis=1))
+    meets = (sp.tri_min <= v.value) & (sp.tri_max >= v.value)
+    joins = (sp.edge_min <= v.value) & (sp.edge_max >= v.value)
+    [level] = flood_fill(tri, meets, joins, at_crit)
+    free = np.ones(tri.ntri, dtype=bool)
+    free[level] = False
+    return flood_fill(tri, free)
 
 
 def graph_digest(g):
-    """SHA-256 over ids, values, boundary flags, crits, intervals and cells."""
+    """SHA-256 over ids, values, boundary flags, crits, intervals and witnesses."""
     h = hashlib.sha256()
     for v in g.vertices:
         crits = [(c.x, c.y, c.kind.value, float(c.value)) for c in v.crits]
-        cells = [int(t) for t in sorted(v.cells)]
-        h.update(repr((v.id, float(v.value), bool(v.boundary), crits, cells)).encode())
+        h.update(repr((v.id, float(v.value), bool(v.boundary), crits)).encode())
     for e in g.edges:
-        cells = [int(t) for t in e.cells]
-        h.update(repr((e.id, e.u, e.v, float(e.lo), float(e.hi), cells)).encode())
+        h.update(repr((e.id, e.u, e.v, float(e.lo), float(e.hi), int(e.witness))).encode())
     return h.hexdigest()
 
 
@@ -136,23 +146,32 @@ class TestBuildReeb:
             rep = classify_shape(g)
             assert g.n_vertices - g.n_edges == 1 - rep.betti1
 
-    def test_edge_cells_in_slab_and_disjoint_per_class(self):
+    def test_edge_witness_in_lowest_slab_apart_per_class(self):
+        """Each witness is the smallest triangle of its component in its edge's
+        lowest slab, and the witnesses of a parallel class lie in different
+        components of that slab."""
         for n in (1, 2):
             f, _ = realize_torus_circuit(Wr(Triv(), 2), n)
             g = build_reeb(f)
             sp = spans(g.tri)
+            cuts = sorted({v.value for v in g.vertices})
             classes: dict[tuple, list[int]] = {}
+            roots = {}
             for e in g.edges:
-                assert len(e.cells) > 0
-                assert (sp.tri_max[e.cells] > e.lo).all()
-                assert (sp.tri_min[e.cells] < e.hi).all()
+                lo, hi = e.lo, cuts[cuts.index(e.lo) + 1]
+                assert sp.tri_max[e.witness] > lo and sp.tri_min[e.witness] < hi
+                if lo not in roots:
+                    joins = (sp.edge_max > lo) & (sp.edge_min < hi)
+                    pairs = zip(sp.adj_a[joins].tolist(), sp.adj_b[joins].tolist())
+                    roots[lo] = union_find_roots(g.tri.ntri, pairs)
+                assert roots[lo][e.witness] == e.witness
                 classes.setdefault((e.u, e.v, e.lo, e.hi), []).append(e.id)
             parallel = [ids for ids in classes.values() if len(ids) > 1]
             if n == 1:
                 assert parallel  # the two circuit edges
             for ids in parallel:
-                cells = np.concatenate([g.edges[e].cells for e in ids])
-                assert len(np.unique(cells)) == len(cells)
+                comps = [roots[g.edges[e].lo][g.edges[e].witness] for e in ids]
+                assert len(set(comps)) == len(comps)
 
 
 @st.composite
@@ -244,39 +263,49 @@ class TestLabel:
         assert len(_label(0, none, none)) == 0
 
     def test_components_match_flood_fill(self):
-        """Every slab's components, and every cut level's classes of slab ends
-        with their cells, against flood fills that share no code with the
-        sweep."""
+        """Every slab's components, named by their smallest triangles, and every
+        cut level's classes of slab ends, against flood fills that share no
+        code with the sweep.  A class holds the triangles that meet its level
+        in the slab components whose bottom or top end it is, and every
+        triangle around its grid vertices."""
         fields = [random_torus_field(s) for s in (0, 1, 2)]
         fields += [realize_disk(parse_term("wr(1,3)"))[0], tube_field()]
         for f in fields:
             tri = Triangulation(f)
             sp = spans(tri)
             cuts = sorted({v.value for v in build_reeb(f).vertices})
-            slabs: dict[int, list[list[int]]] = {}
-            levels: dict[int, list[list[int]]] = {}
-            comps: list[list[int]] = []
-            classes: list[list[int]] = []
+            comp_slab: list[int] = []
+            comp_t: list[int] = []
+            ends: list[tuple[int, int, int]] = []  # (class, component, level)
+            class_level: list[int] = []
+            vertex_class: dict[int, int] = {}
             for b in _sweep(tri, np.array(cuts)):
-                first_comp, first_class = len(comps), len(classes)
-                comps += [[] for _ in b.comp_slab]
-                for t, c in zip(b.node_t.tolist(), b.comp.tolist()):
-                    comps[c].append(t)
-                for k, m in zip(b.comp_slab.tolist(), comps[first_comp:]):
-                    slabs.setdefault(k, []).append(m)
-                classes += [[] for _ in b.levels]
-                for t, c in b.inc.T.tolist():
-                    classes[c].append(t)
-                for j, m in zip(b.levels.tolist(), classes[first_class:]):
-                    levels.setdefault(j, []).append(sorted(m))
-            assert sorted(levels) == list(range(len(cuts)))
-            for j, c in enumerate(cuts):
-                assert levels[j] == level_set_components(f, c)
-            assert sorted(slabs) == list(range(1, len(cuts)))
+                first = len(comp_slab)
+                comp_slab += b.comp_slab.tolist()
+                comp_t += b.comp_t.tolist()
+                bottoms = zip(b.bottom.tolist(), b.comp_slab.tolist())
+                ends += [(c, first + i, k - 1) for i, (c, k) in enumerate(bottoms)]
+                ends += [(c, g, comp_slab[g]) for g, c in zip(*b.tops)]
+                class_level += b.levels.tolist()
+                vertex_class.update(zip(*b.vertices.tolist()))
+            assert sorted(set(comp_slab)) == list(range(1, len(cuts)))
+            members: dict[tuple[int, int], list[int]] = {}  # by (slab, smallest triangle)
             for k in range(1, len(cuts)):
                 sel = (sp.tri_max > cuts[k - 1]) & (sp.tri_min < cuts[k])
                 joins = (sp.edge_max > cuts[k - 1]) & (sp.edge_min < cuts[k])
-                assert slabs[k] == [sorted(m) for m in flood_fill(tri, sel, joins)]
+                comps = flood_fill(tri, sel, joins)
+                assert [t for t, j in zip(comp_t, comp_slab) if j == k] == [m[0] for m in comps]
+                members.update(((k, m[0]), m) for m in comps)
+            classes: list[set[int]] = [set() for _ in class_level]
+            for c, g, j in ends:
+                m = members[comp_slab[g], comp_t[g]]
+                classes[c].update(t for t in m if sp.tri_min[t] <= cuts[j] <= sp.tri_max[t])
+            for p, c in vertex_class.items():
+                classes[c].update(np.flatnonzero((tri.corners == p).any(axis=1)).tolist())
+            assert class_level == sorted(class_level)
+            for j, c in enumerate(cuts):
+                level = [sorted(m) for m, k in zip(classes, class_level) if k == j]
+                assert level == level_set_components(f, c)
 
 
 def bench_field(side):
@@ -308,23 +337,24 @@ ORACLE_FIELDS = {
 @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
 def test_matches_per_level_builder(name):
     """The sweep gives the graph of the per-level builder it replaced, with
-    the same ids, values, crits, intervals and cells."""
+    the same ids, values, crits, intervals and witnesses."""
     f = ORACLE_FIELDS[name]()
     assert graph_digest(build_reeb(f)) == graph_digest(build_reeb_per_level(f))
 
 
 class TestPinnedGraphs:
-    """Graph digests taken before the component labeller was rewritten on
-    triangle arrays; any change to ids, values, crits, intervals or cells
-    shows here."""
+    """Graph digests over ids, values, boundary flags, crits, intervals and
+    edge witnesses, taken while the graph still carried triangle sets (the
+    witness was then the first of an edge's sorted cells); any change to
+    them shows here."""
 
     DIGESTS = {
-        "tree-wr(1,2)-1-2": "ed7fbb2297878fd94404e7d859bfaf2c436e2aedb00168e5826cb5c9ec09a4a7",
-        "circuit-wr(1,2)-2": "d6ecb60bdb9cddb1af2c684f464f682dfbe87a8eef8a5c1b637c59fc146716de",
-        "simple-wr(wr(1,2),2)-2": "1659ba9aa0cfb97a11f54135944cc543be78cfabfe11c933514e24a84cd62fea",
-        "disk-wr(1,3)": "0843a028f766a9c168c9301e8b6a3f75b2a3468006c97e0cfabd1d9db5b2ac0c",
-        "tube": "9fb3cfc8d0c6c50edef6f342b49ef62585c1216cd91064d132026d3744f830cc",
-        "random-3-24": "6ab8722727317017d20a4aa02097bcc8a58bf1d38784cdef9ae4a4c91ede6ade",
+        "tree-wr(1,2)-1-2": "8d26fa955a10f68c98a1d8721f3ffaebbd62a0b8dede0161fd7f6847c9822a8b",
+        "circuit-wr(1,2)-2": "ebef9f120e4c718f49ac9dc14d3c9b232f6a789d491fe4e5490be5e475d098c1",
+        "simple-wr(wr(1,2),2)-2": "05876bdbf352918a2317a37cf4caf84b7cdcd49d61dba9915fbf7bfcc6c5ebfb",
+        "disk-wr(1,3)": "244afdfc854fe0d7f0b55230526e22630382676b62c75af900348fe8d3fd5104",
+        "tube": "7f3e6f600b2324a7ae21d854f5cc19c22fa47d4e88c34001fd05bed02175503f",
+        "random-3-24": "c53e33375c7527c268d6072ef3d1799b9e177c56545df979a25238f0c1509134",
     }
 
     @staticmethod
@@ -358,6 +388,16 @@ class TestShape:
         assert len(rep.cycle_vertices) == 6  # the saddles
 
 
+# the 9 corpus trees and 5 more: (label, base, n, m)
+SPECIAL_TREES = [(m.label, m.base, m.n, m.m) for m in corpus_grid() if m.case == "tree"] + [
+    ("tree-1-3-1", "1", 3, 1),
+    ("tree-1-2-3", "1", 2, 3),
+    ("tree-wr(1,3)-1-1", "wr(1,3)", 1, 1),
+    ("tree-prod(wr(1,2),wr(1,3))-1-2", "prod(wr(1,2),wr(1,3))", 1, 2),
+    ("tree-wr(1,2)-3-1", "wr(1,2)", 3, 1),
+]
+
+
 class TestSpecialVertex:
     def test_lattice_special(self):
         f, _ = realize_torus_tree(Triv(), 1, 1)
@@ -366,18 +406,40 @@ class TestSpecialVertex:
         assert g.vertices[sv].value == 0.0
 
     def test_complement_count(self):
-        for n, m in ((1, 1), (2, 1), (2, 2)):
-            f, _ = realize_torus_tree(Triv(), n, m)
+        """The complement of the special vertex's level component is 4n^2 m
+        open disks, on every tree realization."""
+        for label, base, n, m in SPECIAL_TREES:
+            f, _ = realize_torus_tree(parse_term(base), n, m)
             g = build_reeb(f)
-            sv = find_special_vertex(g, f)
-            comps = complement_components(g, sv)
-            assert len(comps) == 4 * n * n * m
+            comps = complement_components(g, find_special_vertex(g, f))
+            assert len(comps) == 4 * n * n * m, label
+            assert all(_region_euler(g.tri, c) == (1, 1) for c in comps), label
 
-    def test_no_triangulation_rejected(self):
-        f, _ = realize_torus_tree(Triv(), 1, 1)
-        g = import_json(export_json(build_reeb(f)))
-        with pytest.raises(ReebError, match="no triangulation"):
-            find_special_vertex(g, f)
+    def test_imported_graph_same_answer(self):
+        """The genus is read off the graph alone, so a graph that went through
+        JSON, with no triangulation, gives the same special vertex."""
+        for member in corpus_grid():
+            if member.case != "tree":
+                continue
+            f, _ = realize_member(member)
+            g = build_reeb(f)
+            h = import_json(export_json(g))
+            assert h.tri is None
+            assert find_special_vertex(h, f) == find_special_vertex(g, f), member.label
+
+    def test_random_fields_have_no_genus_one_vertex(self):
+        """Random torus fields have circuit graphs: the search rejects them, and
+        no level component has genus (2 - e + s - deg)/2 = 1."""
+        for s in range(12):
+            f = random_torus_field(s, 24)
+            g = build_reeb(f)
+            with pytest.raises(NotATree):
+                find_special_vertex(g, f)
+            deg = Counter(x for e in g.edges for x in (e.u, e.v))
+            for v in g.vertices:
+                saddles = sum(c.kind is CritKind.SADDLE for c in v.crits)
+                extrema = len(v.crits) - saddles
+                assert 2 - extrema + saddles - deg[v.id] != 2
 
     def test_circuit_graph_rejected(self):
         f, _ = realize_torus_circuit(Triv(), 2)
