@@ -21,7 +21,7 @@ from pathlib import Path
 
 from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
 from kronrod.corpus import corpus_summary
-from kronrod.errors import GridCapExceeded, KronrodError, NotRealizable, ParseError
+from kronrod.errors import FieldError, GridCapExceeded, KronrodError, NotRealizable, ParseError
 from kronrod.fields import (
     euler_check,
     export_pgm,
@@ -148,6 +148,9 @@ def cmd_analyze(args) -> int:
             "simple": is_simple(f, g),
             "graph": {"vertices": g.n_vertices, "edges": g.n_edges},
         }
+    except FieldError as exc:  # the field loads but is not PL-Morse
+        _emit({"ok": False, "error": str(exc)})
+        return EXIT_INPUT
     except KronrodError as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_VERIFY

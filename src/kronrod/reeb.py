@@ -1,21 +1,26 @@
 """Kronrod-Reeb graphs of PL fields.
 
-The graph of a field has one vertex per connected component of a cut-level
-set that carries a critical point (or a boundary curve), and one edge per
-family of regular level components between consecutive cut values.  Only
-the slabs between consecutive cut values are labelled, on arrays of
+The graph of a field has one vertex per connected component of a critical
+level set that carries a critical point (or a boundary curve), and one edge
+per family of regular level components between consecutive vertex values.
+Level sets change topology only at saddles and boundary curves, so the sweep
+cuts the field only at saddle and boundary values and at its global extremes.
+Only the slabs between consecutive cut values are labelled, on arrays of
 (triangle, slab) nodes; `_label` roots every component at its smallest node
 by hooking roots and jumping pointers.  The components of a cut level are
-classes of slab ends (see `_sweep`).  Regular ones have one edge above and
-one below and are smoothed away on arrays: one more `_label` call joins the
-slab components through them into chains, and each chain becomes one edge.
+classes of slab ends (see `_sweep`).  Every other extremum lies inside a slab
+and caps a disk component there, whose end on the extremum's side is empty:
+that end becomes the extremum's vertex.  Regular classes have one edge above
+and one below and are smoothed away on arrays: one more `_label` call joins
+the slab components through them into chains, and each chain becomes one
+edge.
 
 The graph carries topology and critical points only.  The special vertex of
 a tree is read off them: a level component with e extrema, s saddles and deg
 edge ends has genus (2 - e + s - deg)/2, so it works on imported graphs too.
 Each edge keeps one witness triangle, the smallest triangle of its lowest
-slab component; symmetry pushes label that slab again to tell apart parallel
-edges with equal intervals.
+component in the slab between consecutive vertex values; symmetry pushes
+label that slab again to tell apart parallel edges with equal intervals.
 """
 
 from __future__ import annotations
@@ -72,6 +77,18 @@ class Triangulation:
         self.corners = np.empty((self.ntri, 3), dtype=np.int32)
         self.corners[0::2] = np.stack([v00, v10, v11], axis=1)
         self.corners[1::2] = np.stack([v00, v11, v01], axis=1)
+
+    def first_triangles(self, points: np.ndarray) -> np.ndarray:
+        """The smallest triangle around each of the interior grid vertices
+        `points`: the least of the lower triangles of the cells to the lower
+        left, to the left and at the vertex, and the upper one of the cell
+        below.  The other two triangles around a vertex come after these."""
+        w, h = self.field.width, self.field.height
+        y, x = np.divmod(points, w)
+        xl, yl = (x - 1) % w, (y - 1) % h
+        below, row = yl * self.ncx, y * self.ncx
+        first = [2 * (below + xl), 2 * (below + x) + 1, 2 * (row + xl), 2 * (row + x)]
+        return np.minimum.reduce(first)
 
 
 def _sides(tri: Triangulation) -> tuple[np.ndarray, ...]:
@@ -147,7 +164,8 @@ class ReebEdge:
     v: int
     lo: float
     hi: float
-    # smallest triangle of the lowest slab component, -1 on imported graphs
+    # smallest triangle of the edge's lowest component in the slab between
+    # consecutive vertex values, -1 on imported graphs
     witness: int = -1
 
 
@@ -195,9 +213,9 @@ class ReebGraph:
 
     def slab_roots(self, lo: float) -> np.ndarray:
         """The smallest triangle of each triangle's component in the slab from
-        cut value `lo` to the next: the triangles and shared grid edges whose
-        value span meets that open interval.  A triangle outside the slab is
-        its own root.  Labelled once per slab and kept."""
+        vertex value `lo` to the next: the triangles and shared grid edges
+        whose value span meets that open interval.  A triangle outside the
+        slab is its own root.  Labelled once per slab and kept."""
         if lo not in self._slabs:
             hi = min(v.value for v in self.vertices if v.value > lo)
             vals = self.tri.field.values.ravel()
@@ -222,13 +240,17 @@ class _Batch(NamedTuple):
 
     comp_slab: np.ndarray  # slab of each new component
     comp_t: np.ndarray  # smallest triangle of each new component
+    witness: np.ndarray  # its smallest triangle whose span meets (bottom, next critical value)
+    key: np.ndarray  # its smallest triangle meeting the last critical value below its top
     bottom: np.ndarray  # class of each new component's bottom end
     tops: tuple[np.ndarray, np.ndarray]  # (component, class) of the top ends settled here
     levels: np.ndarray  # level of each new class
+    least: np.ndarray  # smallest triangle meeting each new class, ntri for an empty one
     vertices: np.ndarray  # rows (grid vertex, class) for each vertex at a settled level
+    extrema: np.ndarray  # rows (grid vertex, bottom 2g or top 2g+1 it hangs on, least triangle)
 
 
-def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
+def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator[_Batch]:
     """Label slab components in batches, and group their ends into level classes.
 
     Slab k (0 < k < K) holds the triangles whose value span meets the open
@@ -240,11 +262,17 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
     ascending order, so its nodes are triangle-major.  The batch then settles
     levels k0-1..k1-1 (the last batch the top level too): a level's components
     are classes of slab ends, joined by the triangles crossing the level, the
-    grid vertices at it and the flat triangles at it.  No critical value lies
-    inside an open slab, so an end is the limit of connected level curves: it
-    lies in one level component, and no slab component can attach to two.
-    Components and classes are numbered by (slab or level, smallest triangle).
-    Only the components of the last slab carry over to the next batch.
+    grid vertices at it and the flat triangles at it.  No saddle lies inside
+    an open slab, so an end is the limit of connected level curves: it lies in
+    one level component, and no slab component can attach to two.  Components
+    and classes are numbered by (slab or level, smallest triangle).  Only the
+    components of the last slab carry over to the next batch.
+
+    `points` are the grid vertices of the extrema inside slabs.  Each lies in
+    the component of the triangles around it, whose bottom (at a minimum) or
+    top (at a maximum) is then the extremum's value.  The critical values are
+    the cuts and the values of `points`; a component's witness and key read
+    the one next above its bottom and the one last below its top.
     """
     K, ntri, i32 = len(cuts), tri.ntri, np.int32
     vals = tri.field.values.ravel()
@@ -271,12 +299,22 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
     # value is a cut value, by level
     star = np.flatnonzero(c & 1)
     star_t, star_p, top_t = star % ntri, corners.ravel()[star], np.flatnonzero(t_hi & 1)
-    del c, corners
     att_t = np.concatenate([star_t, top_t])
     att_j = np.concatenate([vlevel[star_p], s_hi[top_t]])
     att_v = np.concatenate([vindex[star_p], np.full(len(top_t), -1, dtype=i32)])
     o = np.argsort(att_j, kind="stable")
     att_t, att_j, att_v = att_t[o], att_j[o], att_v[o]
+
+    def spans(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least and the greatest corner value of each triangle in `t`."""
+        c0, c1, c2 = vals[tri.corners[t].T]
+        return np.minimum(np.minimum(c0, c1), c2), np.maximum(np.maximum(c0, c1), c2)
+
+    # the extrema inside slabs by slab, and all critical values in order
+    points = points[np.argsort(rank[points], kind="stable")]
+    pk = rank[points] >> 1
+    crit = np.sort(np.concatenate([cuts, vals[points]]))
+    del c, corners
 
     # batches of about ntri (triangle, slab) incidences; slab k holds size[k]
     size = np.cumsum(np.bincount(s_lo, minlength=K + 1) - np.bincount(s_hi + 1, minlength=K + 1))
@@ -314,6 +352,43 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
         comp = np.empty(n, dtype=i32)
         comp[r] = np.arange(first, last, dtype=i32)
         comp = np.append(comp[root], -1)  # the -1 stands in for nodes outside the batch
+
+        # each new component's bottom and top: the cuts around its slab, or the
+        # value of the minimum or maximum inside it.  Its witness reads the
+        # critical value next above its bottom and its key the one last below
+        # its top; each is its smallest triangle unless that one misses them.
+        # Only an extremum makes a critical value lie inside a slab.
+        ct = witness = key = node_t[r]
+        extrema = np.empty((3, 0), dtype=np.int64)
+        mine = points[slice(*np.searchsorted(pk, [k0, k1 + 1]).tolist())]
+        if len(mine):
+            # the smallest triangle around each extremum, its value, and
+            # whether it is a maximum, hung on its component's top
+            pt, pv = tri.first_triangles(mine), vals[mine]
+            up = spans(pt)[0] < pv
+            pg = comp[base[pt] + (rank[mine] >> 1)]
+            extrema = np.stack([mine, 2 * pg + up, pt])
+            lo, hi = cuts[node_k[r] - 1], cuts[node_k[r]]
+            lo[pg[~up] - first], hi[pg[up] - first] = pv[~up], pv[up]
+            next_c = crit[np.searchsorted(crit, lo, "right")]
+            last_c = crit[np.searchsorted(crit, hi) - 1]
+            t_min, t_max = spans(ct)
+            scan_w = t_min >= next_c
+            scan_k = (last_c > lo) & ((t_min > last_c) | (t_max < last_c))
+            if scan_w.any() or scan_k.any():
+                # scan the nodes of those components; infinite levels match none
+                witness, key = np.where(scan_w, ntri, ct), np.where(scan_k, ntri, ct)
+                w_cap, k_at = np.where(scan_w, next_c, -np.inf), np.where(scan_k, last_c, np.inf)
+                scan = np.zeros(n, dtype=bool)
+                scan[r[scan_w | scan_k]] = True
+                nodes = np.flatnonzero(scan[root])
+                g, t = comp[nodes] - first, node_t[nodes]
+                t_min, t_max = spans(t)
+                ok = t_min < w_cap[g]
+                np.minimum.at(witness, g[ok], t[ok])
+                k_at = k_at[g]
+                ok = (t_min <= k_at) & (t_max >= k_at)
+                np.minimum.at(key, g[ok], t[ok])
 
         # class graph: ends 2c (bottom) and 2c+1 (top) of component carried+c,
         # then the grid vertices at the settled levels
@@ -367,9 +442,9 @@ def _sweep(tri: Triangulation, cuts: np.ndarray) -> Iterator[_Batch]:
         cid[roots] = np.arange(n_cls, n_cls + len(roots))
         cid = cid[cls]
         batch = _Batch(
-            node_k[r], node_t[r], cid[2 * (first - carried) : ne : 2],
-            (np.arange(carried, last)[top], cid[1:ne:2][top]), level[roots],
-            np.stack([verts[v0:v1], cid[ne:]]),
+            node_k[r], ct, witness, key, cid[2 * (first - carried) : ne : 2],
+            (np.arange(carried, last)[top], cid[1:ne:2][top]), level[roots], least[roots],
+            np.stack([verts[v0:v1], cid[ne:]]), extrema,
         )  # fmt: skip
         in_k1 = node_k == k1
         below[node_t[in_k1]] = comp[:-1][in_k1]
@@ -392,10 +467,16 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     boundary = [] if f.kind == TORUS else [(float(f.values[0, 0]), 0)]
     if f.kind == CYLINDER:
         boundary.append((float(f.values[-1, 0]), (f.height - 1) * f.width))
-    cut_values = sorted({*(c.value for c in crits), *(v for v, _ in boundary)})
-    if not cut_values:
+    if not crits and not boundary:
         raise InvalidField("field has no critical points and no boundary")
     on_boundary = {p for _, p in boundary}
+    # cut at saddles, boundary curves and the extremes of the field; every
+    # other extremum lies inside a slab
+    vals = f.values.ravel()
+    cut_set = {*(c.value for c in crits if c.kind is CritKind.SADDLE), *(v for v, _ in boundary)}
+    cut_set |= {float(vals.min()), float(vals.max())}
+    cuts = np.array(sorted(cut_set))
+    inside = np.array([c.y * f.width + c.x for c in crits if c.value not in cut_set], dtype=int)
 
     # -- one sweep up the slabs: level classes become nodes and slab components
     # pre-edges, in the sweep's order.  Only classes with critical points or a
@@ -403,17 +484,36 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     mark_v = np.zeros(f.values.size, dtype=bool)
     mark_v[[*crits_at, *on_boundary]] = True
     parts = []
-    n_cls = 0
-    for b in _sweep(tri, np.array(cut_values)):
+    for b in _sweep(tri, cuts, inside):
         at, cls = b.vertices[:, mark_v[b.vertices[0]]]  # marked grid vertices and their classes
-        m = np.zeros(len(b.levels), dtype=bool)
-        m[cls - n_cls] = True
-        parts.append((b.levels, m, b.bottom, b.comp_slab, b.comp_t, *b.tops, at, cls))
-        n_cls += len(m)
-    level, marked, u, slab, witness, top_g, top_c, at, cls = map(np.concatenate, zip(*parts))
-    n_pre = len(u)
+        parts.append(
+            (b.levels, b.least, b.bottom, b.witness, b.key, *b.tops, at, cls, *b.extrema)
+        )
+    level, least, u, witness, key, top_g, top_c, at, cls, ext_p, ext_e, ext_t = map(
+        np.concatenate, zip(*parts)
+    )
+    n_cls, n_pre = len(level), len(u)
     v = np.empty(n_pre, dtype=np.int64)
     v[top_g] = top_c
+
+    # -- hang each extremum inside a slab on its component's empty end: the
+    # bottom at a minimum, the top at a maximum
+    ends = np.where(ext_e & 1, v[ext_e >> 1], u[ext_e >> 1])
+    hung = np.bincount(ends, minlength=n_cls)
+    bad = np.flatnonzero(hung != (least == tri.ntri))
+    if len(bad):
+        n = int(hung[bad[0]])
+        if n > 1:
+            raise ReebError(f"slab component with {n} extrema inside")
+        raise ReebError(
+            "extremum inside a slab without an empty component end"
+            if n
+            else "empty component end without an extremum"
+        )
+    value = cuts[level]
+    value[ends], least[ends] = vals[ext_p], ext_t
+    marked = np.zeros(n_cls, dtype=bool)
+    marked[cls] = marked[ends] = True
 
     # -- smooth the regular classes away: each has one pre-edge below and one
     # above, and pre-edges joined through them make a chain
@@ -429,33 +529,41 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     regular = np.flatnonzero(~marked)
     # each pre-edge's chain, named by its lowest pre-edge since they are ordered by slab
     chain = _label(n_pre, down_of[regular], up_of[regular])
-    # edges: pre-edges between marked classes in sweep order, then one per
-    # chain in the order of its topmost regular class, from its lowest to its
-    # highest pre-edge, whose witness is that of its lowest
-    highest = np.flatnonzero(~marked[u] & marked[v])
-    highest = highest[np.argsort(u[highest])]
-    direct = np.flatnonzero(marked[u] & marked[v])
-    lo_pre, hi_pre = np.concatenate([direct, chain[highest]]), np.concatenate([direct, highest])
+    # one edge per chain, from its lowest to its highest pre-edge, whose
+    # witness is that of its lowest
+    hi_pre = np.flatnonzero(marked[v])
+    lo_pre = chain[hi_pre]
+    lo, hi = value[u[lo_pre]], value[v[hi_pre]]
+    # edges with no critical value inside come first, by (lo, witness); the
+    # others by the level component they meet at the last critical value
+    # below hi: a regular class where that value is a cut, else the level in
+    # the slab of the highest pre-edge, met first by its key
+    crit = np.array(sorted(cut_set | {c.value for c in crits}))
+    last = crit[np.searchsorted(crit, hi) - 1]
+    through = last > lo
+    meet = np.where(last > value[u[hi_pre]], key[hi_pre], least[u[hi_pre]])
+    keys = np.where(through, meet, witness[lo_pre]), np.where(through, last, lo), through
+    order = np.lexsort(keys)
+    lo_pre, hi_pre, lo, hi = lo_pre[order], hi_pre[order], lo[order], hi[order]
 
     crits_of: dict[int, list[CriticalPoint]] = {}
     on_curve: set[int] = set()
     # marked grid vertices come in (level, y, x) order, so each class's crits do too
-    for p, c in zip(at.tolist(), cls.tolist()):
+    for p, c in zip(np.concatenate([at, ext_p]).tolist(), np.concatenate([cls, ends]).tolist()):
         crits_of.setdefault(c, []).extend(crits_at.get(p, []))
         if p in on_boundary:
             on_curve.add(c)
+    # vertices by (value, smallest triangle meeting the level component)
     kept = np.flatnonzero(marked)
-    vid = (np.cumsum(marked) - 1).tolist()
+    kept = kept[np.lexsort((least[kept], value[kept]))]
+    vid = np.empty(n_cls, dtype=np.int64)
+    vid[kept] = np.arange(len(kept))
     vertices = [
-        ReebVertex(i, cut_values[j], crits_of.get(c, []), c in on_curve)
-        for i, (c, j) in enumerate(zip(kept.tolist(), level[kept].tolist()))
+        ReebVertex(i, x, crits_of.get(c, []), c in on_curve)
+        for i, (c, x) in enumerate(zip(kept.tolist(), value[kept].tolist()))
     ]
-    edges = [
-        ReebEdge(i, vid[u[g]], vid[v[h]], cut_values[slab[g] - 1], cut_values[slab[h]], w)
-        for i, (g, h, w) in enumerate(
-            zip(lo_pre.tolist(), hi_pre.tolist(), witness[lo_pre].tolist())
-        )
-    ]
+    columns = vid[u[lo_pre]], vid[v[hi_pre]], lo, hi, witness[lo_pre]
+    edges = [ReebEdge(i, *e) for i, e in enumerate(zip(*(a.tolist() for a in columns)))]
 
     if not vertices:
         raise ReebError("empty Reeb graph")

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from kronrod.cli import main
+from kronrod.fields import LINK_OFFSETS, ScalarField, save_field
 from kronrod.records import ConstructionRecord, Rect, RectCycle
 from kronrod.terms import parse_term
 
@@ -113,6 +115,19 @@ class TestAnalyze:
         code, _ = run(capsys, *args, "--out", str(out))
         assert code == 0
         assert (out / "reeb.dot").exists()
+
+    def test_monkey_saddle_is_input_error(self, tmp_path, capsys):
+        """A tie-free torus field loads, but a vertex whose six link neighbours
+        alternate above and below it is no Morse critical point."""
+        xs = np.arange(9)
+        X, Y = np.meshgrid(xs, xs)
+        vals = 0.01 * X + 0.007 * Y
+        for (dx, dy), v in zip(LINK_OFFSETS, [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]):
+            vals[4 + dy, 4 + dx] = v
+        (tmp_path / "field.json").write_bytes(save_field(ScalarField("torus", vals)))
+        code, doc = run(capsys, "analyze", "--field", str(tmp_path / "field.json"))
+        assert code == 2
+        assert not doc["ok"] and "degenerate vertex at (4, 4)" in doc["error"]
 
     def test_unknown_emit_is_input_error(self, realized, capsys):
         args = ("analyze", "--field", str(realized / "field.json"), "--emit", "dot,png")

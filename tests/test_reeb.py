@@ -19,8 +19,8 @@ from kronrod.corpus import (
     realize_member,
     triangle_corners,
 )
-from kronrod.errors import NotATree
-from kronrod.fields import CritKind, classify_vertices, morse_counts
+from kronrod.errors import NotATree, ReebError
+from kronrod.fields import CritKind, ScalarField, classify_vertices, morse_counts
 from kronrod.reeb import (
     Triangulation,
     _label,
@@ -146,6 +146,23 @@ class TestBuildReeb:
             rep = classify_shape(g)
             assert g.n_vertices - g.n_edges == 1 - rep.betti1
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: p[1:], "empty component end without an extremum"),
+            (lambda p: np.repeat(p, 2), "slab component with 2 extrema inside"),
+        ],
+    )
+    def test_extrema_inside_slabs_pair_with_empty_ends(self, change, message, monkeypatch):
+        """An empty slab end needs an extremum to hang on it, and no slab
+        component holds two."""
+        f = random_torus_field(0)
+        monkeypatch.setattr(
+            kronrod.reeb, "_sweep", lambda tri, cuts, points: _sweep(tri, cuts, change(points))
+        )
+        with pytest.raises(ReebError, match=message):
+            build_reeb(f)
+
     def test_edge_witness_in_lowest_slab_apart_per_class(self):
         """Each witness is the smallest triangle of its component in its edge's
         lowest slab, and the witnesses of a parallel class lie in different
@@ -262,50 +279,126 @@ class TestLabel:
         none = np.empty(0, dtype=np.int64)
         assert len(_label(0, none, none)) == 0
 
-    def test_components_match_flood_fill(self):
-        """Every slab's components, named by their smallest triangles, and every
-        cut level's classes of slab ends, against flood fills that share no
-        code with the sweep.  A class holds the triangles that meet its level
-        in the slab components whose bottom or top end it is, and every
-        triangle around its grid vertices."""
+    def test_components_match_flood_fill(self, monkeypatch):
+        """The sweep against flood fills (see `check_sweep`), first with a cut
+        at every vertex value, then with the builder's cuts, which leave the
+        extrema between saddles and the field's extremes inside slabs."""
         fields = [random_torus_field(s) for s in (0, 1, 2)]
         fields += [realize_disk(parse_term("wr(1,3)"))[0], tube_field()]
+        hung = []
         for f in fields:
-            tri = Triangulation(f)
-            sp = spans(tri)
             cuts = sorted({v.value for v in build_reeb(f).vertices})
-            comp_slab: list[int] = []
-            comp_t: list[int] = []
-            ends: list[tuple[int, int, int]] = []  # (class, component, level)
-            class_level: list[int] = []
-            vertex_class: dict[int, int] = {}
-            for b in _sweep(tri, np.array(cuts)):
-                first = len(comp_slab)
-                comp_slab += b.comp_slab.tolist()
-                comp_t += b.comp_t.tolist()
-                bottoms = zip(b.bottom.tolist(), b.comp_slab.tolist())
-                ends += [(c, first + i, k - 1) for i, (c, k) in enumerate(bottoms)]
-                ends += [(c, g, comp_slab[g]) for g, c in zip(*b.tops)]
-                class_level += b.levels.tolist()
-                vertex_class.update(zip(*b.vertices.tolist()))
-            assert sorted(set(comp_slab)) == list(range(1, len(cuts)))
-            members: dict[tuple[int, int], list[int]] = {}  # by (slab, smallest triangle)
-            for k in range(1, len(cuts)):
-                sel = (sp.tri_max > cuts[k - 1]) & (sp.tri_min < cuts[k])
-                joins = (sp.edge_max > cuts[k - 1]) & (sp.edge_min < cuts[k])
-                comps = flood_fill(tri, sel, joins)
-                assert [t for t, j in zip(comp_t, comp_slab) if j == k] == [m[0] for m in comps]
-                members.update(((k, m[0]), m) for m in comps)
-            classes: list[set[int]] = [set() for _ in class_level]
-            for c, g, j in ends:
-                m = members[comp_slab[g], comp_t[g]]
-                classes[c].update(t for t in m if sp.tri_min[t] <= cuts[j] <= sp.tri_max[t])
-            for p, c in vertex_class.items():
-                classes[c].update(np.flatnonzero((tri.corners == p).any(axis=1)).tolist())
-            assert class_level == sorted(class_level)
-            for j, c in enumerate(cuts):
-                level = [sorted(m) for m, k in zip(classes, class_level) if k == j]
-                assert level == level_set_components(f, c)
+            assert check_sweep(f, cuts, np.empty(0, dtype=np.int64)) == 0
+            [(cuts, points)] = record_sweeps(f, monkeypatch)
+            hung.append(check_sweep(f, cuts, points))
+            assert hung[-1] == len(points)
+        assert all(hung[:3])  # the random fields have extrema inside slabs
+
+
+def record_sweeps(f, monkeypatch):
+    """The cuts (as a list) and the other arguments of every `_sweep` call
+    that `build_reeb(f)` makes."""
+    calls = []
+
+    def recording(tri, cuts, *rest):
+        calls.append((cuts.tolist(), *rest))
+        return _sweep(tri, cuts, *rest)
+
+    monkeypatch.setattr(kronrod.reeb, "_sweep", recording)
+    build_reeb(f)
+    return calls
+
+
+def check_sweep(f, cuts, points):
+    """Check `_sweep(tri, cuts, points)` against flood fills that share no
+    code with it, and return the number of extrema it hung.
+
+    Every slab's components are named by their smallest triangles.  Every
+    cut level's classes of slab ends, but the empty ones, are its level
+    components: a class holds the triangles that meet its level in the slab
+    components whose bottom or top end it is, and every triangle around its
+    grid vertices.  Each extremum inside a slab lies in the component that
+    holds the triangles around it, and the empty ends are exactly the bottoms
+    of the minima's components and the tops of the maxima's.  A component's
+    witness is its smallest triangle whose span meets the interval from its
+    bottom to the next critical value, and its key its smallest triangle
+    meeting the last critical value below its top, when that lies above its
+    bottom.
+    """
+    tri = Triangulation(f)
+    sp = spans(tri)
+    comp_slab: list[int] = []
+    comp_t: list[int] = []
+    witness: list[int] = []
+    key: list[int] = []
+    ends: list[tuple[int, int, int]] = []  # (class, component, level)
+    bottom_of: dict[int, int] = {}
+    top_of: dict[int, int] = {}
+    class_level: list[int] = []
+    vertex_class: dict[int, int] = {}
+    extrema: list[tuple[int, int, int]] = []  # (grid vertex, end, smallest triangle)
+    for b in _sweep(tri, np.array(cuts), points):
+        first = len(comp_slab)
+        comp_slab += b.comp_slab.tolist()
+        comp_t += b.comp_t.tolist()
+        witness += b.witness.tolist()
+        key += b.key.tolist()
+        bottoms = zip(b.bottom.tolist(), b.comp_slab.tolist())
+        ends += [(c, first + i, k - 1) for i, (c, k) in enumerate(bottoms)]
+        ends += [(c, g, comp_slab[g]) for g, c in zip(*b.tops)]
+        bottom_of.update(enumerate(b.bottom.tolist(), first))
+        top_of.update(zip(*b.tops))
+        class_level += b.levels.tolist()
+        vertex_class.update(zip(*b.vertices.tolist()))
+        extrema += map(tuple, b.extrema.T.tolist())
+    assert sorted(set(comp_slab)) == list(range(1, len(cuts)))
+    members: dict[tuple[int, int], list[int]] = {}  # by (slab, smallest triangle)
+    for k in range(1, len(cuts)):
+        sel = (sp.tri_max > cuts[k - 1]) & (sp.tri_min < cuts[k])
+        joins = (sp.edge_max > cuts[k - 1]) & (sp.edge_min < cuts[k])
+        comps = flood_fill(tri, sel, joins)
+        assert [t for t, j in zip(comp_t, comp_slab) if j == k] == [m[0] for m in comps]
+        members.update(((k, m[0]), m) for m in comps)
+    classes: list[set[int]] = [set() for _ in class_level]
+    for c, g, j in ends:
+        m = members[comp_slab[g], comp_t[g]]
+        classes[c].update(t for t in m if sp.tri_min[t] <= cuts[j] <= sp.tri_max[t])
+    for p, c in vertex_class.items():
+        classes[c].update(np.flatnonzero((tri.corners == p).any(axis=1)).tolist())
+    assert class_level == sorted(class_level)
+    for j, c in enumerate(cuts):
+        level = [sorted(m) for m, k in zip(classes, class_level) if k == j and m]
+        assert level == level_set_components(f, c)
+
+    kinds = {c.y * f.width + c.x: c.kind for c in classify_vertices(f)}
+    vals = f.values.ravel()
+    bottom = {g: cuts[k - 1] for g, k in enumerate(comp_slab)}
+    top = {g: cuts[k] for g, k in enumerate(comp_slab)}
+    hung = []
+    assert sorted(p for p, _, _ in extrema) == sorted(np.asarray(points).tolist())
+    for p, e, t in extrema:
+        g = e >> 1
+        star = np.flatnonzero((tri.corners == p).any(axis=1)).tolist()
+        assert t == star[0]
+        assert set(star) <= set(members[comp_slab[g], comp_t[g]])
+        assert e & 1 == (kinds[p] is CritKind.MAXIMUM)
+        if e & 1:
+            hung.append(top_of[g])
+            top[g] = vals[p]
+        else:
+            hung.append(bottom_of[g])
+            bottom[g] = vals[p]
+    assert sorted(hung) == [c for c, m in enumerate(classes) if not m]
+
+    crit = sorted({*cuts, *vals[np.asarray(points, dtype=np.int64)].tolist()})
+    for g, k in enumerate(comp_slab):
+        m = members[k, comp_t[g]]
+        nxt = min(x for x in crit if x > bottom[g])
+        assert witness[g] == min(t for t in m if sp.tri_min[t] < nxt and sp.tri_max[t] > bottom[g])
+        last = max(x for x in crit if x < top[g])
+        if last > bottom[g]:
+            assert key[g] == min(t for t in m if sp.tri_min[t] <= last <= sp.tri_max[t])
+    return len(hung)
 
 
 def bench_field(side):
@@ -326,12 +419,29 @@ ORACLE_FIELDS = {
         for s in range(12)
         for n in (16, 24)
     },
+    # two edges that end at one saddle pass the cut just below it in bands
+    # whose smallest triangles, across the seam at row 0, come in the other
+    # order than the smallest triangles at the cut
+    "random-1-16-rolled": lambda: ScalarField(
+        "torus", np.roll(random_torus_field(1, 16).values, 9, axis=0)
+    ),
     "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
     "disk-prod(wr(1,2),wr(1,3))": lambda: realize_disk(parse_term("prod(wr(1,2),wr(1,3))"))[0],
     "tube": tube_field,
     "bench-32": lambda: bench_field(32),
     "bench-64": lambda: bench_field(64),
 }
+
+
+@pytest.mark.parametrize("name", ["bench-32", "tree-wr(1,2)-1-2", "disk-wr(1,3)", "tube"])
+def test_cuts_at_saddles_boundaries_and_extremes(name, monkeypatch):
+    """The builder cuts at the saddle and boundary values and at the field's
+    minimum and maximum only; every other extremum lies inside a slab."""
+    f = ORACLE_FIELDS[name]()
+    [(cuts, *_)] = record_sweeps(f, monkeypatch)
+    saddles = {c.value for c in classify_vertices(f) if c.kind is CritKind.SADDLE}
+    boundary = set(f.values[f.boundary_mask()].tolist())
+    assert cuts == sorted(saddles | boundary | {float(f.values.min()), float(f.values.max())})
 
 
 @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
