@@ -12,9 +12,10 @@ to graph automorphisms through the critical points: every vertex is a
 critical level component (or a boundary curve), so a vertex goes to the
 vertex carrying the images of its critical points, and an edge goes to the
 edge with the mapped endpoints and the same interval.  Triangles are read
-only to split a class of parallel equal-interval edges: the class's lowest
-slab is labelled again, and each edge's witness triangle names its component
-there.
+only to split a class of parallel equal-interval edges: the build's slab
+that holds the class's lower value, between consecutive cut values, is
+labelled again, and each edge's witness triangle is the smallest triangle
+of its component there.
 """
 
 from __future__ import annotations
@@ -235,10 +236,8 @@ def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple[np.ndarray, np.ndarra
             raise NotAnAutomorphism("rect cycle with mismatched or empty rectangles")
         sx, dx = r.x0 + np.arange(r.w), r_next.x0 + np.arange(r.w)
         sy, dy = r.y0 + np.arange(r.h), r_next.y0 + np.arange(r.h)
-        if f.wraps_x:
-            sx, dx = sx % w, dx % w
-        if f.wraps_y:
-            sy, dy = sy % h, dy % h
+        if f.wraps:
+            sx, dx, sy, dy = sx % w, dx % w, sy % h, dy % h
         if not all(0 <= a.min() and a.max() < n for a, n in ((sx, w), (dx, w), (sy, h), (dy, h))):
             raise NotAnAutomorphism("rect cycle leaves the grid")
         block = np.ix_(sy, sx)
@@ -279,10 +278,11 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     A boundary vertex carries none and goes to the boundary vertex of its
     value.  An edge goes to the edge with the mapped endpoints and the same
     interval.  Within a class of parallel edges with equal intervals, each
-    edge's witness triangle names its component in the class's lowest slab,
-    and an edge goes to the one edge of the image class whose component holds
-    the images of every triangle of its own.  One image is not enough: a cell
-    that straddles the pieces of a rect cycle stays put.
+    edge's witness triangle names its component in `g.slab_roots(lo)`, the
+    build's slab that holds the class's lower value, and an edge goes to the
+    one edge of the image class whose component holds the images of every
+    triangle of its own.  One image is not enough: a cell that straddles the
+    pieces of a rect cycle stays put.
     """
     tri = g.tri
     if tri is None:

@@ -176,7 +176,11 @@ def cmd_verify(args) -> int:
     except (OSError, KronrodError) as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_INPUT
-    report = verify_realization(f, rec, term=term)
+    try:
+        report = verify_realization(f, rec, term=term)
+    except FieldError as exc:  # the field loads but is not PL-Morse
+        _emit({"ok": False, "error": str(exc)})
+        return EXIT_INPUT
     _emit(report.to_json())
     return EXIT_OK if report.ok else EXIT_VERIFY
 

@@ -119,8 +119,8 @@ def triangle_corners(f: ScalarField) -> list[tuple[int, int, int]]:
     code with `build_reeb`.
     """
     w, h = f.width, f.height
-    ncx = w if f.wraps_x else w - 1
-    ncy = h if f.wraps_y else h - 1
+    ncx = w if f.wraps else w - 1
+    ncy = h if f.wraps else h - 1
 
     def corner(x: int, y: int) -> int:
         return (y % h) * w + x % w

@@ -1,9 +1,9 @@
 """Piecewise-linear scalar fields on triangulated grids.
 
-A field assigns one value per grid vertex on a torus (both axes wrap), a
-disk (no wrapping, constant outer frame), or a cylinder (x wraps, constant
-top and bottom rows).  Every unit grid square is split along its lower-left
-to upper-right diagonal, so each interior vertex has the six link neighbors
+A field assigns one value per grid vertex on a torus (both axes wrap) or a
+disk (no wrapping, constant outer frame).  Every unit grid square is split
+along its lower-left to upper-right diagonal, so each interior vertex has
+the six link neighbors
 
     E (+1,0), NE (+1,+1), N (0,+1), W (-1,0), SW (-1,-1), S (0,-1)
 
@@ -29,11 +29,10 @@ LINK_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
 TORUS = "torus"
 DISK = "disk"
-CYLINDER = "cylinder"
-_KINDS = (TORUS, DISK, CYLINDER)
+_KINDS = (TORUS, DISK)
 
 # Euler characteristic by domain kind.
-EULER = {TORUS: 0, DISK: 1, CYLINDER: 0}
+EULER = {TORUS: 0, DISK: 1}
 
 MIN_SIDE = 8
 
@@ -90,19 +89,13 @@ class ScalarField:
         return self.values.shape[0]
 
     @property
-    def wraps_x(self) -> bool:
-        return self.kind in (TORUS, CYLINDER)
-
-    @property
-    def wraps_y(self) -> bool:
+    def wraps(self) -> bool:
+        """Both axes wrap (a torus); neither does on a disk."""
         return self.kind == TORUS
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.values.shape, dtype=bool)
-        if self.kind == CYLINDER:
-            mask[0, :] = True
-            mask[-1, :] = True
-        elif self.kind == DISK:
+        if self.kind == DISK:
             mask[0, :] = True
             mask[-1, :] = True
             mask[:, 0] = True
@@ -130,12 +123,11 @@ def _neighbor_stack(f: ScalarField) -> np.ndarray:
         # numpy row axis is y; np.roll with negative shift brings (x+dx, y+dy)
         # to position (x, y)
         shifted = np.roll(shifted, (-dy, -dx), axis=(0, 1))
-        if not f.wraps_x:
+        if not f.wraps:
             if dx == 1:
                 shifted[:, -1] = np.nan
             elif dx == -1:
                 shifted[:, 0] = np.nan
-        if not f.wraps_y:
             if dy == 1:
                 shifted[-1, :] = np.nan
             elif dy == -1:
@@ -161,10 +153,6 @@ def _validate(f: ScalarField) -> None:
         )
         if not (np.all(ring > frame[0]) or np.all(ring < frame[0])):
             raise InvalidField("disk collar is not strictly one-sided")
-    elif f.kind == CYLINDER:
-        for row in (0, h - 1):
-            if not np.all(f.values[row, :] == f.values[row, 0]):
-                raise InvalidField(f"cylinder boundary row {row} is not constant")
     # interior vertices must differ from every link neighbor
     nbs = _neighbor_stack(f)
     interior = ~f.boundary_mask()

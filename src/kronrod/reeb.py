@@ -19,7 +19,7 @@ The graph carries topology and critical points only.  The special vertex of
 a tree is read off them: a level component with e extrema, s saddles and deg
 edge ends has genus (2 - e + s - deg)/2, so it works on imported graphs too.
 Each edge keeps one witness triangle, the smallest triangle of its lowest
-component in the slab between consecutive vertex values; symmetry pushes
+slab component, and edges are numbered by (lo, witness); symmetry pushes
 label that slab again to tell apart parallel edges with equal intervals.
 """
 
@@ -39,14 +39,7 @@ from kronrod.errors import (
     ReebError,
     ShapeViolation,
 )
-from kronrod.fields import (
-    CYLINDER,
-    TORUS,
-    CriticalPoint,
-    CritKind,
-    ScalarField,
-    classify_vertices,
-)
+from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, classify_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +59,8 @@ class Triangulation:
     def __init__(self, f: ScalarField):
         self.field = f
         w, h = f.width, f.height
-        self.ncx = w if f.wraps_x else w - 1
-        self.ncy = h if f.wraps_y else h - 1
+        self.ncx = w if f.wraps else w - 1
+        self.ncy = h if f.wraps else h - 1
         self.ntri = 2 * self.ncx * self.ncy
 
         cy, cx = np.divmod(np.arange(self.ncx * self.ncy, dtype=np.int32), self.ncx)
@@ -100,7 +93,7 @@ def _sides(tri: Triangulation) -> tuple[np.ndarray, ...]:
     the left).
     """
     f, ncx, ncy = tri.field, tri.ncx, tri.ncy
-    x0, y0 = int(not f.wraps_x), int(not f.wraps_y)  # first column and row with such edges
+    x0 = y0 = int(not f.wraps)  # first column and row with such edges
     lower = 2 * np.arange(ncx * ncy, dtype=np.int32).reshape(ncy, ncx)
     below, left = np.roll(lower, 1, axis=0) + 1, np.roll(lower, 1, axis=1)
     v00, v10, v11, _, _, v01 = tri.corners.reshape(ncy, ncx, 6).transpose(2, 0, 1)
@@ -165,7 +158,7 @@ class ReebEdge:
     lo: float
     hi: float
     # smallest triangle of the edge's lowest component in the slab between
-    # consecutive vertex values, -1 on imported graphs
+    # consecutive cut values that holds lo, -1 on imported graphs
     witness: int = -1
 
 
@@ -179,19 +172,21 @@ class ShapeReport:
 
 
 class ReebGraph:
-    """Kronrod-Reeb graph with its triangulation."""
+    """Kronrod-Reeb graph with its triangulation and the values it was cut at."""
 
     def __init__(
         self,
         vertices: list[ReebVertex],
         edges: list[ReebEdge],
         tri: Optional[Triangulation] = None,
+        cuts: Optional[np.ndarray] = None,
     ):
         self.vertices = vertices
         self.edges = edges
         self.tri = tri
+        self.cuts = cuts
         self._incidence: Optional[list[list[int]]] = None
-        self._slabs: dict[float, np.ndarray] = {}
+        self._slabs: dict[int, np.ndarray] = {}
 
     @property
     def n_vertices(self) -> int:
@@ -212,18 +207,20 @@ class ReebGraph:
         return self._incidence[vid]
 
     def slab_roots(self, lo: float) -> np.ndarray:
-        """The smallest triangle of each triangle's component in the slab from
-        vertex value `lo` to the next: the triangles and shared grid edges
-        whose value span meets that open interval.  A triangle outside the
-        slab is its own root.  Labelled once per slab and kept."""
-        if lo not in self._slabs:
-            hi = min(v.value for v in self.vertices if v.value > lo)
+        """The smallest triangle of each triangle's component in the sweep's
+        slab that holds value `lo`, between consecutive cut values: the
+        triangles and shared grid edges whose value span meets that open
+        interval.  A triangle outside the slab is its own root.  Labelled
+        once per slab and kept."""
+        k = int(np.searchsorted(self.cuts, lo, "right"))
+        if k not in self._slabs:
+            lo, hi = self.cuts[k - 1], self.cuts[k]
             vals = self.tri.field.values.ravel()
             a, b, p, q = _sides(self.tri)
             p, q = vals[p], vals[q]
             live = (np.maximum(p, q) > lo) & (np.minimum(p, q) < hi)
-            self._slabs[lo] = _label(self.tri.ntri, a[live], b[live])
-        return self._slabs[lo]
+            self._slabs[k] = _label(self.tri.ntri, a[live], b[live])
+        return self._slabs[k]
 
     def edges_spanning(self, value: float) -> list[int]:
         return [e.id for e in self.edges if e.lo < value < e.hi]
@@ -240,8 +237,6 @@ class _Batch(NamedTuple):
 
     comp_slab: np.ndarray  # slab of each new component
     comp_t: np.ndarray  # smallest triangle of each new component
-    witness: np.ndarray  # its smallest triangle whose span meets (bottom, next critical value)
-    key: np.ndarray  # its smallest triangle meeting the last critical value below its top
     bottom: np.ndarray  # class of each new component's bottom end
     tops: tuple[np.ndarray, np.ndarray]  # (component, class) of the top ends settled here
     levels: np.ndarray  # level of each new class
@@ -270,9 +265,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
 
     `points` are the grid vertices of the extrema inside slabs.  Each lies in
     the component of the triangles around it, whose bottom (at a minimum) or
-    top (at a maximum) is then the extremum's value.  The critical values are
-    the cuts and the values of `points`; a component's witness and key read
-    the one next above its bottom and the one last below its top.
+    top (at a maximum) is then the extremum's value.
     """
     K, ntri, i32 = len(cuts), tri.ntri, np.int32
     vals = tri.field.values.ravel()
@@ -305,15 +298,9 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     o = np.argsort(att_j, kind="stable")
     att_t, att_j, att_v = att_t[o], att_j[o], att_v[o]
 
-    def spans(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The least and the greatest corner value of each triangle in `t`."""
-        c0, c1, c2 = vals[tri.corners[t].T]
-        return np.minimum(np.minimum(c0, c1), c2), np.maximum(np.maximum(c0, c1), c2)
-
-    # the extrema inside slabs by slab, and all critical values in order
+    # the extrema inside slabs by slab
     points = points[np.argsort(rank[points], kind="stable")]
     pk = rank[points] >> 1
-    crit = np.sort(np.concatenate([cuts, vals[points]]))
     del c, corners
 
     # batches of about ntri (triangle, slab) incidences; slab k holds size[k]
@@ -353,42 +340,14 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         comp[r] = np.arange(first, last, dtype=i32)
         comp = np.append(comp[root], -1)  # the -1 stands in for nodes outside the batch
 
-        # each new component's bottom and top: the cuts around its slab, or the
-        # value of the minimum or maximum inside it.  Its witness reads the
-        # critical value next above its bottom and its key the one last below
-        # its top; each is its smallest triangle unless that one misses them.
-        # Only an extremum makes a critical value lie inside a slab.
-        ct = witness = key = node_t[r]
+        # the extrema inside these slabs: the smallest triangle around each,
+        # and whether it is a maximum, hung on its component's top
         extrema = np.empty((3, 0), dtype=np.int64)
         mine = points[slice(*np.searchsorted(pk, [k0, k1 + 1]).tolist())]
         if len(mine):
-            # the smallest triangle around each extremum, its value, and
-            # whether it is a maximum, hung on its component's top
-            pt, pv = tri.first_triangles(mine), vals[mine]
-            up = spans(pt)[0] < pv
-            pg = comp[base[pt] + (rank[mine] >> 1)]
-            extrema = np.stack([mine, 2 * pg + up, pt])
-            lo, hi = cuts[node_k[r] - 1], cuts[node_k[r]]
-            lo[pg[~up] - first], hi[pg[up] - first] = pv[~up], pv[up]
-            next_c = crit[np.searchsorted(crit, lo, "right")]
-            last_c = crit[np.searchsorted(crit, hi) - 1]
-            t_min, t_max = spans(ct)
-            scan_w = t_min >= next_c
-            scan_k = (last_c > lo) & ((t_min > last_c) | (t_max < last_c))
-            if scan_w.any() or scan_k.any():
-                # scan the nodes of those components; infinite levels match none
-                witness, key = np.where(scan_w, ntri, ct), np.where(scan_k, ntri, ct)
-                w_cap, k_at = np.where(scan_w, next_c, -np.inf), np.where(scan_k, last_c, np.inf)
-                scan = np.zeros(n, dtype=bool)
-                scan[r[scan_w | scan_k]] = True
-                nodes = np.flatnonzero(scan[root])
-                g, t = comp[nodes] - first, node_t[nodes]
-                t_min, t_max = spans(t)
-                ok = t_min < w_cap[g]
-                np.minimum.at(witness, g[ok], t[ok])
-                k_at = k_at[g]
-                ok = (t_min <= k_at) & (t_max >= k_at)
-                np.minimum.at(key, g[ok], t[ok])
+            pt = tri.first_triangles(mine)
+            up = vals[tri.corners[pt]].min(axis=1) < vals[mine]
+            extrema = np.stack([mine, 2 * comp[base[pt] + (rank[mine] >> 1)] + up, pt])
 
         # class graph: ends 2c (bottom) and 2c+1 (top) of component carried+c,
         # then the grid vertices at the settled levels
@@ -442,7 +401,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         cid[roots] = np.arange(n_cls, n_cls + len(roots))
         cid = cid[cls]
         batch = _Batch(
-            node_k[r], ct, witness, key, cid[2 * (first - carried) : ne : 2],
+            node_k[r], node_t[r], cid[2 * (first - carried) : ne : 2],
             (np.arange(carried, last)[top], cid[1:ne:2][top]), level[roots], least[roots],
             np.stack([verts[v0:v1], cid[ne:]]), extrema,
         )  # fmt: skip
@@ -462,11 +421,8 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     crits_at: dict[int, list[CriticalPoint]] = {}  # grid vertex -> its critical points
     for c in crits:
         crits_at.setdefault(c.y * f.width + c.x, []).append(c)
-    # boundary curves as (constant value, a grid vertex on the curve): the
-    # bottom row, on the disk's frame too, and the cylinder's top row
+    # the boundary curve as (constant value, a grid vertex on it): the disk's frame
     boundary = [] if f.kind == TORUS else [(float(f.values[0, 0]), 0)]
-    if f.kind == CYLINDER:
-        boundary.append((float(f.values[-1, 0]), (f.height - 1) * f.width))
     if not crits and not boundary:
         raise InvalidField("field has no critical points and no boundary")
     on_boundary = {p for _, p in boundary}
@@ -486,10 +442,8 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     parts = []
     for b in _sweep(tri, cuts, inside):
         at, cls = b.vertices[:, mark_v[b.vertices[0]]]  # marked grid vertices and their classes
-        parts.append(
-            (b.levels, b.least, b.bottom, b.witness, b.key, *b.tops, at, cls, *b.extrema)
-        )
-    level, least, u, witness, key, top_g, top_c, at, cls, ext_p, ext_e, ext_t = map(
+        parts.append((b.levels, b.least, b.bottom, b.comp_t, *b.tops, at, cls, *b.extrema))
+    level, least, u, comp_t, top_g, top_c, at, cls, ext_p, ext_e, ext_t = map(
         np.concatenate, zip(*parts)
     )
     n_cls, n_pre = len(level), len(u)
@@ -530,21 +484,12 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     # each pre-edge's chain, named by its lowest pre-edge since they are ordered by slab
     chain = _label(n_pre, down_of[regular], up_of[regular])
     # one edge per chain, from its lowest to its highest pre-edge, whose
-    # witness is that of its lowest
+    # witness is the smallest triangle of its lowest.  Edges with equal lo
+    # start in one slab, so (lo, witness) orders them.
     hi_pre = np.flatnonzero(marked[v])
     lo_pre = chain[hi_pre]
-    lo, hi = value[u[lo_pre]], value[v[hi_pre]]
-    # edges with no critical value inside come first, by (lo, witness); the
-    # others by the level component they meet at the last critical value
-    # below hi: a regular class where that value is a cut, else the level in
-    # the slab of the highest pre-edge, met first by its key
-    crit = np.array(sorted(cut_set | {c.value for c in crits}))
-    last = crit[np.searchsorted(crit, hi) - 1]
-    through = last > lo
-    meet = np.where(last > value[u[hi_pre]], key[hi_pre], least[u[hi_pre]])
-    keys = np.where(through, meet, witness[lo_pre]), np.where(through, last, lo), through
-    order = np.lexsort(keys)
-    lo_pre, hi_pre, lo, hi = lo_pre[order], hi_pre[order], lo[order], hi[order]
+    order = np.lexsort((comp_t[lo_pre], value[u[lo_pre]]))
+    lo_pre, hi_pre = lo_pre[order], hi_pre[order]
 
     crits_of: dict[int, list[CriticalPoint]] = {}
     on_curve: set[int] = set()
@@ -562,13 +507,13 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         ReebVertex(i, x, crits_of.get(c, []), c in on_curve)
         for i, (c, x) in enumerate(zip(kept.tolist(), value[kept].tolist()))
     ]
-    columns = vid[u[lo_pre]], vid[v[hi_pre]], lo, hi, witness[lo_pre]
+    columns = vid[u[lo_pre]], vid[v[hi_pre]], value[u[lo_pre]], value[v[hi_pre]], comp_t[lo_pre]
     edges = [ReebEdge(i, *e) for i, e in enumerate(zip(*(a.tolist() for a in columns)))]
 
     if not vertices:
         raise ReebError("empty Reeb graph")
 
-    graph = ReebGraph(vertices, edges, tri)
+    graph = ReebGraph(vertices, edges, tri, cuts)
     _check_connected(graph)
     return graph
 

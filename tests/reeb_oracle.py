@@ -5,8 +5,13 @@ It labels the components of every cut level and of every slab between two
 cut levels separately, each over the whole grid, and attaches every slab
 component to the level components its triangles touch.  It raises when a
 slab component touches other than one level component on either side.
-Node order, edge order, witness triangles and the smoothing are those
-`build_reeb` promises, so the two graphs must have equal digests.
+Its witnesses are those of its own slabs, between consecutive critical
+values; at the end each is mapped to the smallest triangle of its component
+in the slab between consecutive cut values (saddles, the boundary curve and
+the field's extremes) that holds the edge's lo, and edges are ordered by
+(lo, witness).  Node order, edge order, witness triangles and the smoothing
+are then those `build_reeb` promises, so the two graphs must have equal
+digests.
 Components come from a plain union-find, which shares no code with the
 library's labeller.  `_region_euler` reads the topology of a set of
 triangles, for the special-vertex oracle in the tests.
@@ -14,13 +19,14 @@ triangles, for the special-vertex oracle in the tests.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from typing import Iterable, Optional
 
 import numpy as np
 
 from kronrod.errors import InvalidField, ReebError
-from kronrod.fields import DISK, TORUS, CriticalPoint, ScalarField, classify_vertices
+from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, classify_vertices
 from kronrod.reeb import (
     ReebEdge,
     ReebGraph,
@@ -97,14 +103,8 @@ def _components(
 def _boundary_curves(tri: Triangulation) -> list[tuple[float, int]]:
     """Boundary curves as (constant value, one triangle touching the curve)."""
     f = tri.field
-    if f.kind == TORUS:
-        return []
-    # triangle 0 touches the bottom row, which is on the disk's frame too
-    curves = [(float(f.values[0, 0]), 0)]
-    if f.kind != DISK:
-        # the upper triangle of cell (0, h-2) touches the cylinder's top row
-        curves.append((float(f.values[-1, 0]), 2 * (f.height - 2) * tri.ncx + 1))
-    return curves
+    # triangle 0 touches the bottom row, which is on the disk's frame
+    return [] if f.kind == TORUS else [(float(f.values[0, 0]), 0)]
 
 
 def _attach(
@@ -206,6 +206,22 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
 
     vertices = [ReebVertex(id=vid, **nodes[ni]) for ni, vid in kept.items()]
     live = [e for ei, e in enumerate(pedges) if ei not in merged]
+
+    # -- rename each witness by its component in the cut slab that holds lo,
+    # and order the edges by (lo, witness)
+    cuts = {c.value for c in crits if c.kind is CritKind.SADDLE} | {v for v, _ in boundary}
+    cuts = sorted(cuts | {float(f.values.min()), float(f.values.max())})
+    least: dict[int, np.ndarray] = {}  # smallest triangle of each triangle's component, by slab
+    for e in live:
+        k = bisect_right(cuts, e["lo"])
+        if k not in least:
+            a, b = cuts[k - 1], cuts[k]
+            comp_of, members = _components(
+                sp, (sp.tri_max > a) & (sp.tri_min < b), (sp.edge_max > a) & (sp.edge_min < b)
+            )
+            least[k] = np.array([m[0] for m in members])[comp_of]
+        e["witness"] = int(least[k][e["witness"]])
+    live.sort(key=lambda e: (e["lo"], e["witness"]))
     edges = [ReebEdge(i, **dict(e, u=kept[e["u"]], v=kept[e["v"]])) for i, e in enumerate(live)]
 
     if not vertices:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kronrod.cli import main
+from kronrod.construct import realize_torus_circuit
 from kronrod.fields import LINK_OFFSETS, ScalarField, save_field
 from kronrod.records import ConstructionRecord, Rect, RectCycle
 from kronrod.terms import parse_term
@@ -13,6 +14,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def monkey_saddle_field():
+    """A tie-free 9x9 torus field that loads, but whose vertex (4, 4) has six
+    link neighbours alternating above and below it: no Morse critical point."""
+    xs = np.arange(9)
+    X, Y = np.meshgrid(xs, xs)
+    vals = 0.01 * X + 0.007 * Y
+    for (dx, dy), v in zip(LINK_OFFSETS, [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]):
+        vals[4 + dy, 4 + dx] = v
+    return ScalarField("torus", vals)
 
 
 class TestRealize:
@@ -117,17 +129,18 @@ class TestAnalyze:
         assert (out / "reeb.dot").exists()
 
     def test_monkey_saddle_is_input_error(self, tmp_path, capsys):
-        """A tie-free torus field loads, but a vertex whose six link neighbours
-        alternate above and below it is no Morse critical point."""
-        xs = np.arange(9)
-        X, Y = np.meshgrid(xs, xs)
-        vals = 0.01 * X + 0.007 * Y
-        for (dx, dy), v in zip(LINK_OFFSETS, [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]):
-            vals[4 + dy, 4 + dx] = v
-        (tmp_path / "field.json").write_bytes(save_field(ScalarField("torus", vals)))
+        (tmp_path / "field.json").write_bytes(save_field(monkey_saddle_field()))
         code, doc = run(capsys, "analyze", "--field", str(tmp_path / "field.json"))
         assert code == 2
         assert not doc["ok"] and "degenerate vertex at (4, 4)" in doc["error"]
+
+    def test_cylinder_kind_is_input_error(self, tmp_path, capsys):
+        """Fields live on the torus or the disk; a cylinder field does not load."""
+        doc = {"kind": "cylinder", "width": 8, "height": 8, "values": [0.0] * 64}
+        (tmp_path / "field.json").write_text(json.dumps(doc))
+        code, out = run(capsys, "analyze", "--field", str(tmp_path / "field.json"))
+        assert code == 2
+        assert not out["ok"] and "unknown field kind" in out["error"]
 
     def test_unknown_emit_is_input_error(self, realized, capsys):
         args = ("analyze", "--field", str(realized / "field.json"), "--emit", "dot,png")
@@ -179,6 +192,23 @@ class TestVerify:
             str(tmp_path),
         )
         return tmp_path
+
+    def test_monkey_saddle_is_input_error(self, tmp_path, capsys):
+        """A field that loads but is not PL-Morse is an input error, as it is
+        for analyze, not an internal one."""
+        _, rec = realize_torus_circuit(parse_term("1"), 1)
+        (tmp_path / "field.json").write_bytes(save_field(monkey_saddle_field()))
+        (tmp_path / "record.json").write_bytes(rec.to_json())
+        code, doc = run(
+            capsys,
+            "verify",
+            "--field",
+            str(tmp_path / "field.json"),
+            "--record",
+            str(tmp_path / "record.json"),
+        )
+        assert code == 2
+        assert not doc["ok"] and "degenerate vertex at (4, 4)" in doc["error"]
 
     def test_round_trip(self, realized, capsys):
         code, doc = run(

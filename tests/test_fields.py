@@ -152,3 +152,19 @@ class TestFixTies:
         vals = bump_disk().values
         fixed = fix_ties(vals, "disk")
         assert np.array_equal(fixed, vals)
+
+
+class TestGenericImpliesSimple:
+    def test_on_random_fields(self):
+        from kronrod.corpus import random_torus_field
+        from kronrod.fields import is_generic, is_simple
+        from kronrod.reeb import build_reeb
+
+        seen_generic = 0
+        for i in range(6):
+            f = random_torus_field(5000 + i * 311)
+            g = build_reeb(f)
+            if is_generic(f):
+                seen_generic += 1
+                assert is_simple(f, g)
+        assert seen_generic > 0

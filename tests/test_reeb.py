@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import sys
 import types
+from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from kronrod.reeb import (
 from kronrod.terms import Triv, Wr, parse_term
 
 from reeb_oracle import _region_euler, build_reeb_per_level, spans, union_find_roots
-from test_cylinder import tube_field
 from test_fields import bump_disk
 
 
@@ -164,31 +164,41 @@ class TestBuildReeb:
             build_reeb(f)
 
     def test_edge_witness_in_lowest_slab_apart_per_class(self):
-        """Each witness is the smallest triangle of its component in its edge's
-        lowest slab, and the witnesses of a parallel class lie in different
-        components of that slab."""
+        """Each witness is the smallest triangle of its component in the slab
+        between consecutive cut values (saddles and the field's extremes) that
+        holds its edge's lo, and the witnesses of a parallel class lie in
+        different components of that slab.  On every oracle field, edges come
+        in strictly increasing (lo, witness) and `slab_roots` roots each
+        witness at itself."""
         for n in (1, 2):
             f, _ = realize_torus_circuit(Wr(Triv(), 2), n)
             g = build_reeb(f)
             sp = spans(g.tri)
-            cuts = sorted({v.value for v in g.vertices})
+            saddles = {c.value for c in classify_vertices(f) if c.kind is CritKind.SADDLE}
+            cuts = sorted(saddles | {float(f.values.min()), float(f.values.max())})
             classes: dict[tuple, list[int]] = {}
             roots = {}
             for e in g.edges:
-                lo, hi = e.lo, cuts[cuts.index(e.lo) + 1]
+                k = bisect_right(cuts, e.lo)
+                lo, hi = cuts[k - 1], cuts[k]
                 assert sp.tri_max[e.witness] > lo and sp.tri_min[e.witness] < hi
-                if lo not in roots:
+                if k not in roots:
                     joins = (sp.edge_max > lo) & (sp.edge_min < hi)
                     pairs = zip(sp.adj_a[joins].tolist(), sp.adj_b[joins].tolist())
-                    roots[lo] = union_find_roots(g.tri.ntri, pairs)
-                assert roots[lo][e.witness] == e.witness
+                    roots[k] = union_find_roots(g.tri.ntri, pairs)
+                assert roots[k][e.witness] == e.witness
                 classes.setdefault((e.u, e.v, e.lo, e.hi), []).append(e.id)
             parallel = [ids for ids in classes.values() if len(ids) > 1]
             if n == 1:
                 assert parallel  # the two circuit edges
             for ids in parallel:
-                comps = [roots[g.edges[e].lo][g.edges[e].witness] for e in ids]
+                comps = [roots[bisect_right(cuts, g.edges[e].lo)][g.edges[e].witness] for e in ids]
                 assert len(set(comps)) == len(comps)
+        for name, make in ORACLE_FIELDS.items():
+            g = build_reeb(make())
+            keys = [(e.lo, e.witness) for e in g.edges]
+            assert all(a < b for a, b in zip(keys, keys[1:])), name
+            assert all(g.slab_roots(e.lo)[e.witness] == e.witness for e in g.edges), name
 
 
 @st.composite
@@ -284,7 +294,7 @@ class TestLabel:
         at every vertex value, then with the builder's cuts, which leave the
         extrema between saddles and the field's extremes inside slabs."""
         fields = [random_torus_field(s) for s in (0, 1, 2)]
-        fields += [realize_disk(parse_term("wr(1,3)"))[0], tube_field()]
+        fields.append(realize_disk(parse_term("wr(1,3)"))[0])
         hung = []
         for f in fields:
             cuts = sorted({v.value for v in build_reeb(f).vertices})
@@ -319,18 +329,12 @@ def check_sweep(f, cuts, points):
     components whose bottom or top end it is, and every triangle around its
     grid vertices.  Each extremum inside a slab lies in the component that
     holds the triangles around it, and the empty ends are exactly the bottoms
-    of the minima's components and the tops of the maxima's.  A component's
-    witness is its smallest triangle whose span meets the interval from its
-    bottom to the next critical value, and its key its smallest triangle
-    meeting the last critical value below its top, when that lies above its
-    bottom.
+    of the minima's components and the tops of the maxima's.
     """
     tri = Triangulation(f)
     sp = spans(tri)
     comp_slab: list[int] = []
     comp_t: list[int] = []
-    witness: list[int] = []
-    key: list[int] = []
     ends: list[tuple[int, int, int]] = []  # (class, component, level)
     bottom_of: dict[int, int] = {}
     top_of: dict[int, int] = {}
@@ -341,8 +345,6 @@ def check_sweep(f, cuts, points):
         first = len(comp_slab)
         comp_slab += b.comp_slab.tolist()
         comp_t += b.comp_t.tolist()
-        witness += b.witness.tolist()
-        key += b.key.tolist()
         bottoms = zip(b.bottom.tolist(), b.comp_slab.tolist())
         ends += [(c, first + i, k - 1) for i, (c, k) in enumerate(bottoms)]
         ends += [(c, g, comp_slab[g]) for g, c in zip(*b.tops)]
@@ -371,9 +373,6 @@ def check_sweep(f, cuts, points):
         assert level == level_set_components(f, c)
 
     kinds = {c.y * f.width + c.x: c.kind for c in classify_vertices(f)}
-    vals = f.values.ravel()
-    bottom = {g: cuts[k - 1] for g, k in enumerate(comp_slab)}
-    top = {g: cuts[k] for g, k in enumerate(comp_slab)}
     hung = []
     assert sorted(p for p, _, _ in extrema) == sorted(np.asarray(points).tolist())
     for p, e, t in extrema:
@@ -382,22 +381,8 @@ def check_sweep(f, cuts, points):
         assert t == star[0]
         assert set(star) <= set(members[comp_slab[g], comp_t[g]])
         assert e & 1 == (kinds[p] is CritKind.MAXIMUM)
-        if e & 1:
-            hung.append(top_of[g])
-            top[g] = vals[p]
-        else:
-            hung.append(bottom_of[g])
-            bottom[g] = vals[p]
+        hung.append(top_of[g] if e & 1 else bottom_of[g])
     assert sorted(hung) == [c for c, m in enumerate(classes) if not m]
-
-    crit = sorted({*cuts, *vals[np.asarray(points, dtype=np.int64)].tolist()})
-    for g, k in enumerate(comp_slab):
-        m = members[k, comp_t[g]]
-        nxt = min(x for x in crit if x > bottom[g])
-        assert witness[g] == min(t for t in m if sp.tri_min[t] < nxt and sp.tri_max[t] > bottom[g])
-        last = max(x for x in crit if x < top[g])
-        if last > bottom[g]:
-            assert key[g] == min(t for t in m if sp.tri_min[t] <= last <= sp.tri_max[t])
     return len(hung)
 
 
@@ -427,13 +412,12 @@ ORACLE_FIELDS = {
     ),
     "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
     "disk-prod(wr(1,2),wr(1,3))": lambda: realize_disk(parse_term("prod(wr(1,2),wr(1,3))"))[0],
-    "tube": tube_field,
     "bench-32": lambda: bench_field(32),
     "bench-64": lambda: bench_field(64),
 }
 
 
-@pytest.mark.parametrize("name", ["bench-32", "tree-wr(1,2)-1-2", "disk-wr(1,3)", "tube"])
+@pytest.mark.parametrize("name", ["bench-32", "tree-wr(1,2)-1-2", "disk-wr(1,3)"])
 def test_cuts_at_saddles_boundaries_and_extremes(name, monkeypatch):
     """The builder cuts at the saddle and boundary values and at the field's
     minimum and maximum only; every other extremum lies inside a slab."""
@@ -447,7 +431,8 @@ def test_cuts_at_saddles_boundaries_and_extremes(name, monkeypatch):
 @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
 def test_matches_per_level_builder(name):
     """The sweep gives the graph of the per-level builder it replaced, with
-    the same ids, values, crits, intervals and witnesses."""
+    the same ids, values, crits, intervals and witnesses once the oracle names
+    its witnesses by the sweep's slabs."""
     f = ORACLE_FIELDS[name]()
     assert graph_digest(build_reeb(f)) == graph_digest(build_reeb_per_level(f))
 
@@ -455,16 +440,16 @@ def test_matches_per_level_builder(name):
 class TestPinnedGraphs:
     """Graph digests over ids, values, boundary flags, crits, intervals and
     edge witnesses, taken while the graph still carried triangle sets (the
-    witness was then the first of an edge's sorted cells); any change to
-    them shows here."""
+    witness was then the first of an edge's sorted cells), and re-taken
+    where edges came to be named and ordered by their witnesses in the
+    sweep's slabs; any change to them shows here."""
 
     DIGESTS = {
-        "tree-wr(1,2)-1-2": "8d26fa955a10f68c98a1d8721f3ffaebbd62a0b8dede0161fd7f6847c9822a8b",
-        "circuit-wr(1,2)-2": "ebef9f120e4c718f49ac9dc14d3c9b232f6a789d491fe4e5490be5e475d098c1",
+        "tree-wr(1,2)-1-2": "13bb14b1f6a47d32dc3cb51dc9678a54f6daff6a713c4e7b990373dcf7cbaa4f",
+        "circuit-wr(1,2)-2": "3afba67c25dd3a72c1cee3951e0e0833d2376df41df226779ff47c11be4bb275",
         "simple-wr(wr(1,2),2)-2": "05876bdbf352918a2317a37cf4caf84b7cdcd49d61dba9915fbf7bfcc6c5ebfb",
-        "disk-wr(1,3)": "244afdfc854fe0d7f0b55230526e22630382676b62c75af900348fe8d3fd5104",
-        "tube": "7f3e6f600b2324a7ae21d854f5cc19c22fa47d4e88c34001fd05bed02175503f",
-        "random-3-24": "c53e33375c7527c268d6072ef3d1799b9e177c56545df979a25238f0c1509134",
+        "disk-wr(1,3)": "8e881c84094f37ed7ed9941843152d8c587f335876ef113a86e77b5bffa7550b",
+        "random-3-24": "67d3fb37807c0a034f233f8fccec0b06d95e01b327facd6c36d130b87a74023a",
     }
 
     @staticmethod
@@ -474,7 +459,6 @@ class TestPinnedGraphs:
             return realize_member(members[name])[0]
         return {
             "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
-            "tube": tube_field,
             "random-3-24": lambda: random_torus_field(3, 24),
         }[name]()
 
@@ -570,7 +554,7 @@ class TestLevelOracle:
                 continue
             assert len(g.edges_spanning(t)) == len(level_set_components(f, t))
 
-    @pytest.mark.parametrize("name", ["random-4", "disk-wr(1,3)", "tube"])
+    @pytest.mark.parametrize("name", ["random-4", "disk-wr(1,3)"])
     def test_adjacency_is_shared_corners(self, name):
         """Every adjacency of the triangulation joins the two triangles that
         share a grid edge, with that edge's value span, and every interior
@@ -578,7 +562,6 @@ class TestLevelOracle:
         f = {
             "random-4": lambda: random_torus_field(4),
             "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
-            "tube": tube_field,
         }[name]()
         flat = f.values.ravel().tolist()
         sharing: dict[tuple[int, int], list[int]] = {}

@@ -40,3 +40,20 @@ def test_realization_gallery():
     for line in lines:
         m = re.search(r"group order (\d+) \(formula (\d+), isomorphic: (\w+)\)$", line)
         assert m and m[1] == m[2] and m[3] == "True", line
+
+
+def test_converse_sweep_two_bases():
+    proc = run_script("converse_sweep.py", "--base", "1", "--base", "wr(1,2)")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 20 + 4
+    assert all(line.startswith("ok ") for line in lines[:20])
+    counts = {}
+    for line in lines[20:]:
+        m = re.fullmatch(
+            r"(\w+): (\d+) realizations, 0 errors; checks (\d+) ok, 0 failed, (\d+) skipped",
+            line,
+        )
+        assert m, line
+        counts[m[1]] = int(m[2])
+    assert counts == {"disk": 2, "circuit": 6, "simple": 6, "tree": 6}
