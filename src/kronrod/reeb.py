@@ -6,14 +6,16 @@ per family of regular level components between consecutive vertex values.
 Level sets change topology only at saddles and boundary curves, so the sweep
 cuts the field only at saddle and boundary values and at its global extremes.
 Only the slabs between consecutive cut values are labelled, on arrays of
-(triangle, slab) nodes; `_label` roots every component at its smallest node
-by hooking roots and jumping pointers.  The components of a cut level are
-classes of slab ends (see `_sweep`).  Every other extremum lies inside a slab
-and caps a disk component there, whose end on the extremum's side is empty:
-that end becomes the extremum's vertex.  Regular classes have one edge above
-and one below and are smoothed away on arrays: one more `_label` call joins
-the slab components through them into chains, and each chain becomes one
-edge.
+(cell piece, slab) nodes: a cell's two triangles share one node in every slab
+their diagonal meets.  `_label` roots every component at its smallest node by
+hooking roots and jumping pointers, and a shared node sits at the lower
+triangle's place, so that root is the node of the smallest triangle.  The
+components of a cut level are classes of slab ends (see `_sweep`).  Every
+other extremum lies inside a slab and caps a disk component there, whose end
+on the extremum's side is empty: that end becomes the extremum's vertex.
+Regular classes have one edge above and one below and are smoothed away on
+arrays: one more `_label` call joins the slab components through them into
+chains, and each chain becomes one edge.
 
 The graph carries topology and critical points only.  The special vertex of
 a tree is read off them: a level component with e extrema, s saddles and deg
@@ -86,18 +88,18 @@ class Triangulation:
 
 def _sides(tri: Triangulation) -> tuple[np.ndarray, ...]:
     """The shared grid edges of a triangulation, worked out from its corners:
-    arrays of the two triangles on each edge and of its two grid vertices.
+    arrays of the lower and upper triangle on each edge and of its two vertices.
 
-    They are each cell's diagonal, its bottom edge (with the upper triangle of
-    the cell below) and its left edge (with the lower triangle of the cell to
-    the left).
+    They are each cell's diagonal (the first ncx*ncy, by cell), its bottom
+    edge (with the upper triangle of the cell below) and its left edge (with
+    the lower triangle of the cell to the left).
     """
     f, ncx, ncy = tri.field, tri.ncx, tri.ncy
     x0 = y0 = int(not f.wraps)  # first column and row with such edges
     lower = 2 * np.arange(ncx * ncy, dtype=np.int32).reshape(ncy, ncx)
     below, left = np.roll(lower, 1, axis=0) + 1, np.roll(lower, 1, axis=1)
     v00, v10, v11, _, _, v01 = tri.corners.reshape(ncy, ncx, 6).transpose(2, 0, 1)
-    sides = ((lower, lower, lower + 1), (lower + 1, below, left), (v00, v00, v00), (v11, v10, v01))
+    sides = ((lower, lower, left), (lower + 1, below, lower + 1), (v00, v00, v00), (v11, v10, v01))
     return tuple(
         np.concatenate([diag.ravel(), bot[y0:].ravel(), lft[:, x0:].ravel()])
         for diag, bot, lft in sides
@@ -245,6 +247,32 @@ class _Batch(NamedTuple):
     extrema: np.ndarray  # rows (grid vertex, bottom 2g or top 2g+1 it hangs on, least triangle)
 
 
+def _pieces(tri: Triangulation, rank: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray):
+    """The nodes and joins of `_sweep`, from the ranks of the grid vertices and
+    the rank spans t_lo..t_hi of the triangles.  The diagonal of cell c lies in
+    slabs d_lo[c]..d_hi[c], where the upper triangle takes the lower one's
+    node; triangle t has its own nodes in slabs n_lo[t]..n_hi[t].  The bottom
+    and left grid edges become join segments, rows (lower triangle, owner of
+    the upper triangle's node, lo, hi), split where that owner changes."""
+    lows, ups, p, q = _sides(tri)
+    p, q = rank[p], rank[q]
+    e_lo, e_hi = (np.minimum(p, q) + 1) >> 1, np.maximum(p, q) >> 1  # grid edge in e_lo..e_hi
+    del p, q
+    m = len(t_lo) // 2
+    d_lo, d_hi = e_lo[:m].copy(), e_hi[:m].copy()
+    n_lo, n_hi = (t_lo + 1) >> 1, t_hi >> 1  # triangle in slabs n_lo..n_hi
+    v01_below = n_lo[1::2] < d_lo  # the upper triangle's own slabs lie below the diagonal's
+    n_lo[1::2] = np.where(v01_below, n_lo[1::2], d_hi + 1)
+    n_hi[1::2] = np.where(v01_below, d_lo - 1, n_hi[1::2])
+    ups, c = ups[m:], ups[m:] >> 1
+    segs = np.empty((4, 2, len(ups)), dtype=np.int32)  # in the diagonal's slabs, then the rest
+    segs[0], segs[1] = lows[m:], (ups - 1, ups)
+    np.maximum(e_lo[m:], (d_lo[c], n_lo[ups]), out=segs[2])
+    np.minimum(e_hi[m:], (d_hi[c], n_hi[ups]), out=segs[3])
+    segs = segs.reshape(4, -1)
+    return d_lo, d_hi, n_lo, n_hi, segs[:, segs[2] <= segs[3]]
+
+
 def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator[_Batch]:
     """Label slab components in batches, and group their ends into level classes.
 
@@ -253,8 +281,9 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     it too.  Which slabs a triangle or grid edge lies in is read off integer
     ranks of its corner values.  One `_label` call per batch of slabs k0..k1,
     over about `ntri` nodes, roots each component at its smallest triangle: a
-    batch takes only the triangles and grid edges with a slab in k0..k1, in
-    ascending order, so its nodes are triangle-major.  The batch then settles
+    batch takes only the nodes and join segments (see `_pieces`) with a slab
+    in k0..k1, in ascending order of triangle, and a node shared by a cell's
+    two triangles sits at the lower one's place.  The batch then settles
     levels k0-1..k1-1 (the last batch the top level too): a level's components
     are classes of slab ends, joined by the triangles crossing the level, the
     grid vertices at it and the flat triangles at it.  No saddle lies inside
@@ -276,11 +305,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     c0, c1, c2 = c = rank[corners]
     t_lo = np.minimum(np.minimum(c0, c1), c2)
     t_hi = np.maximum(np.maximum(c0, c1), c2)
-    s_lo, s_hi = (t_lo + 1) >> 1, t_hi >> 1  # triangle in slabs s_lo..s_hi
-    adj_a, adj_b, p, q = _sides(tri)
-    p, q = rank[p], rank[q]
-    e_lo, e_hi = (np.minimum(p, q) + 1) >> 1, np.maximum(p, q) >> 1  # grid edge in e_lo..e_hi
-    del c0, c1, c2, p, q
+    del c0, c1, c2
     vlevel = np.where(rank & 1, rank >> 1, -1)
     verts = np.flatnonzero(rank & 1)
     verts = verts[np.argsort(vlevel[verts], kind="stable")]  # grid vertices at cut values
@@ -293,7 +318,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     star = np.flatnonzero(c & 1)
     star_t, star_p, top_t = star % ntri, corners.ravel()[star], np.flatnonzero(t_hi & 1)
     att_t = np.concatenate([star_t, top_t])
-    att_j = np.concatenate([vlevel[star_p], s_hi[top_t]])
+    att_j = np.concatenate([vlevel[star_p], t_hi[top_t] >> 1])
     att_v = np.concatenate([vindex[star_p], np.full(len(top_t), -1, dtype=i32)])
     o = np.argsort(att_j, kind="stable")
     att_t, att_j, att_v = att_t[o], att_j[o], att_v[o]
@@ -303,34 +328,42 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     pk = rank[points] >> 1
     del c, corners
 
-    # batches of about ntri (triangle, slab) incidences; slab k holds size[k]
-    size = np.cumsum(np.bincount(s_lo, minlength=K + 1) - np.bincount(s_hi + 1, minlength=K + 1))
+    d_lo, d_hi, n_lo, n_hi, (seg_a, seg_b, seg_lo, seg_hi) = _pieces(tri, rank, t_lo, t_hi)
+
+    def on_diag(t: np.ndarray, k) -> np.ndarray:  # whether slab k meets t's cell's diagonal
+        return (d_lo[t >> 1] <= k) & (k <= d_hi[t >> 1])
+
+    def node(t: np.ndarray, k) -> np.ndarray:  # the node of triangle t in slab k of the batch
+        return base[t - ((t & 1) & on_diag(t, k))] + k
+
+    # batches of about ntri nodes; slab k holds size[k]
+    size = np.cumsum(np.bincount(n_lo, minlength=K + 1) - np.bincount(n_hi + 1, minlength=K + 1))
     per = max(size[1:K].sum(), 1) / max(round(size[1:K].sum() / ntri), 1)
     ends = (np.flatnonzero(np.diff(np.cumsum(size[1:K]) // per, prepend=0)[:-1]) + 1).tolist()
     bounds = list(zip([1, *(k + 1 for k in ends)], [*ends, K - 1]))
 
     below = np.full(ntri, -1, dtype=i32)  # component of each triangle in the slab under the batch
-    base = np.zeros(ntri, dtype=i32)  # node base[t] + k is (t, k) for the batch's triangles
+    base = np.zeros(ntri, dtype=i32)  # node base[t] + k is t's own in slab k, in the batch
     carried = first = n_cls = 0  # components carried..first-1 lie in that slab
 
     def settle(k0: int, k1: int) -> _Batch:
         nonlocal carried, first, n_cls
-        # the triangles and grid edges in slabs k0..k1, in ascending order; a
-        # grid edge joins the nodes of its two triangles in every slab it lies in
-        tris = np.flatnonzero(np.maximum(s_lo, k0) <= np.minimum(s_hi, k1)).astype(i32)
-        a = np.maximum(s_lo[tris], k0)
-        cnt = np.minimum(s_hi[tris], k1) - a + 1
+        # the triangles with own nodes in slabs k0..k1 and the join segments
+        # there, in ascending order; a segment joins its nodes in all its slabs
+        tris = np.flatnonzero(np.maximum(n_lo, k0) <= np.minimum(n_hi, k1)).astype(i32)
+        a = np.maximum(n_lo[tris], k0)
+        cnt = np.minimum(n_hi[tris], k1) - a + 1
         start = np.cumsum(cnt, dtype=i32) - cnt
         n = int(cnt.sum())
         base[tris] = start - a
         node_t = np.repeat(tris, cnt)
         node_k = np.repeat(a - start, cnt) + np.arange(n, dtype=i32)
-        sides = np.flatnonzero(np.maximum(e_lo, k0) <= np.minimum(e_hi, k1))
-        ea = np.maximum(e_lo[sides], k0)
-        ecnt = np.minimum(e_hi[sides], k1) - ea + 1
+        sides = np.flatnonzero(np.maximum(seg_lo, k0) <= np.minimum(seg_hi, k1))
+        ea = np.maximum(seg_lo[sides], k0)
+        ecnt = np.minimum(seg_hi[sides], k1) - ea + 1
         shift = ea - np.cumsum(ecnt, dtype=i32) + ecnt
         run = np.arange(int(ecnt.sum()), dtype=i32)
-        joins = [np.repeat(base[s[sides]] + shift, ecnt) + run for s in (adj_a, adj_b)]
+        joins = [np.repeat(base[s[sides]] + shift, ecnt) + run for s in (seg_a, seg_b)]
         del ea, ecnt, shift, run
         root = _label(n, *joins)
         r = np.flatnonzero(root == np.arange(n, dtype=i32))
@@ -347,7 +380,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         if len(mine):
             pt = tri.first_triangles(mine)
             up = vals[tri.corners[pt]].min(axis=1) < vals[mine]
-            extrema = np.stack([mine, 2 * comp[base[pt] + (rank[mine] >> 1)] + up, pt])
+            extrema = np.stack([mine, 2 * comp[node(pt, rank[mine] >> 1)] + up, pt])
 
         # class graph: ends 2c (bottom) and 2c+1 (top) of component carried+c,
         # then the grid vertices at the settled levels
@@ -363,15 +396,19 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         lower, upper = t_lo[t] < 2 * j + 1, t_hi[t] > 2 * j + 1
         k = np.where(lower, j, j + 1)
         inside = (k >= k0) & (lower | upper)
-        g = np.where(inside, comp[np.where(inside, base[t] + k, n)], below[t])
+        g = np.where(inside, comp[np.where(inside, node(t, k), n)], below[t])
         end = np.where(lower | upper, 2 * (g - carried) + lower, vnode + vindex[tri.corners[t, 0]])
         # a node crosses the level under its slab unless it is its triangle's
-        # lowest, and meets it if it crosses or its triangle's minimum is there
-        lowest = start[a == s_lo[tris]]
+        # lowest, and meets it if it crosses or its triangle's minimum is
+        # there.  A shared lowest node meets it also where the upper triangle
+        # does; where that one crosses, so does its left or top neighbour.
+        lowest = start[2 * a - 1 <= t_lo[tris]]
         meets = np.ones(n, dtype=bool)
         meets[lowest] = False
         cross = np.flatnonzero(meets)
-        meets[lowest] = t_lo[node_t[lowest]] & 1
+        lt, lk = node_t[lowest], node_k[lowest]
+        meets[lowest] = t_lo[lt] & 1
+        up_meets = lowest[((lt & 1) == 0) & on_diag(lt, lk) & (t_lo[lt | 1] < 2 * lk)]
         # a crossing node joins the bottom end of its component to the top end
         # of the one under it.  One per component does: the level curves that
         # cross triangles and pass from one to the next through grid edges
@@ -380,7 +417,8 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         rep = np.full(last - first, -1)
         rep[comp[cross] - first] = cross  # any crossing node of each component
         rep = rep[rep >= 0]
-        under = np.where(node_k[rep] > k0, comp[rep - 1], below[node_t[rep]])
+        rt, rk = node_t[rep], node_k[rep]
+        under = np.where(rk > k0, comp[np.where(rk > k0, node(rt, rk - 1), n)], below[rt])
         cls = _label(
             vnode + v1,
             np.concatenate([2 * (under - carried) + 1, vnode + v[v >= 0]]),
@@ -391,6 +429,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         inc_e = np.concatenate([2 * (comp[:-1][meets] - carried), end[v < 0]])
         least = np.full(len(cls), ntri)
         np.minimum.at(least, cls[inc_e], inc_t)
+        np.minimum.at(least, cls[2 * (comp[up_meets] - carried)], node_t[up_meets] + 1)
         level = np.concatenate([np.stack([slab - 1, slab], axis=1).ravel(), vlevel[verts[v0:v1]]])
         settled = np.ones(len(cls), dtype=bool)
         settled[0:ne:2] = slab >= k0  # bottom ends not settled before
@@ -405,8 +444,9 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
             (np.arange(carried, last)[top], cid[1:ne:2][top]), level[roots], least[roots],
             np.stack([verts[v0:v1], cid[ne:]]), extrema,
         )  # fmt: skip
-        in_k1 = node_k == k1
-        below[node_t[in_k1]] = comp[:-1][in_k1]
+        t1 = node_t[node_k == k1]  # and the upper triangles that share a node there
+        t1 = np.concatenate([t1, t1[((t1 & 1) == 0) & on_diag(t1, k1)] + 1])
+        below[t1] = comp[node(t1, k1)]
         carried, first, n_cls = last - int((slab == k1).sum()), last, n_cls + len(roots)
         return batch
 

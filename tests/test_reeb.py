@@ -292,9 +292,16 @@ class TestLabel:
     def test_components_match_flood_fill(self, monkeypatch):
         """The sweep against flood fills (see `check_sweep`), first with a cut
         at every vertex value, then with the builder's cuts, which leave the
-        extrema between saddles and the field's extremes inside slabs."""
+        extrema between saddles and the field's extremes inside slabs.  The
+        last field has its minimum moved to (0, 1), where the smallest
+        triangle around it is the upper one of cell (0, 0): that triangle
+        shares its node in the lowest slab with its cell's lower triangle,
+        which does not meet the minimum's level."""
         fields = [random_torus_field(s) for s in (0, 1, 2)]
         fields.append(realize_disk(parse_term("wr(1,3)"))[0])
+        v = random_torus_field(0).values
+        y, x = np.unravel_index(v.argmin(), v.shape)
+        fields.append(ScalarField("torus", np.roll(v, (1 - y, -x), axis=(0, 1))))
         hung = []
         for f in fields:
             cuts = sorted({v.value for v in build_reeb(f).vertices})
@@ -339,6 +346,7 @@ def check_sweep(f, cuts, points):
     bottom_of: dict[int, int] = {}
     top_of: dict[int, int] = {}
     class_level: list[int] = []
+    class_least: list[int] = []
     vertex_class: dict[int, int] = {}
     extrema: list[tuple[int, int, int]] = []  # (grid vertex, end, smallest triangle)
     for b in _sweep(tri, np.array(cuts), points):
@@ -351,6 +359,7 @@ def check_sweep(f, cuts, points):
         bottom_of.update(enumerate(b.bottom.tolist(), first))
         top_of.update(zip(*b.tops))
         class_level += b.levels.tolist()
+        class_least += b.least.tolist()
         vertex_class.update(zip(*b.vertices.tolist()))
         extrema += map(tuple, b.extrema.T.tolist())
     assert sorted(set(comp_slab)) == list(range(1, len(cuts)))
@@ -368,6 +377,7 @@ def check_sweep(f, cuts, points):
     for p, c in vertex_class.items():
         classes[c].update(np.flatnonzero((tri.corners == p).any(axis=1)).tolist())
     assert class_level == sorted(class_level)
+    assert class_least == [min(m, default=tri.ntri) for m in classes]
     for j, c in enumerate(cuts):
         level = [sorted(m) for m, k in zip(classes, class_level) if k == j and m]
         assert level == level_set_components(f, c)
@@ -426,6 +436,84 @@ def test_cuts_at_saddles_boundaries_and_extremes(name, monkeypatch):
     saddles = {c.value for c in classify_vertices(f) if c.kind is CritKind.SADDLE}
     boundary = set(f.values[f.boundary_mask()].tolist())
     assert cuts == sorted(saddles | boundary | {float(f.values.min()), float(f.values.max())})
+
+
+def record_batches(f, monkeypatch):
+    """The cuts of the sweep that `build_reeb(f)` makes, and per batch its
+    slabs (first, last) and the node count of its first `_label` call, the
+    one that labels its slab components."""
+    counts, batches = [], []
+
+    def label(n, a, b):
+        counts.append(n)
+        return _label(n, a, b)
+
+    def sweep(tri, cuts, points):
+        for b in _sweep(tri, cuts, points):
+            batches.append((int(b.comp_slab.min()), int(b.comp_slab.max()), counts[0]))
+            counts.clear()
+            yield b
+
+    [(cuts, *_)] = record_sweeps(f, monkeypatch)
+    monkeypatch.setattr(kronrod.reeb, "_label", label)
+    monkeypatch.setattr(kronrod.reeb, "_sweep", sweep)
+    build_reeb(f)
+    return cuts, batches
+
+
+def cell_slabs(f, cuts):
+    """Per cell, the slabs (first, last) of its lower triangle, of its
+    diagonal and of its upper triangle, from corner values: slab k meets a
+    value span lo..hi when cuts[k-1] < hi and lo < cuts[k]."""
+    tri = Triangulation(f)
+    vals = f.values.ravel()[tri.corners]
+    lower, upper = vals[0::2], vals[1::2]
+    diag = lower[:, [0, 2]]  # corners (x,y) and (x+1,y+1)
+    return [
+        (np.searchsorted(cuts, v.min(axis=1), "right"), np.searchsorted(cuts, v.max(axis=1)))
+        for v in (lower, diag, upper)
+    ]
+
+
+@pytest.mark.parametrize("name", ["bench-64", "disk-wr(1,3)", "random-1-16-rolled"])
+def test_sweep_labels_one_node_per_cell_piece_and_slab(name, monkeypatch):
+    """A cell's two triangles share one node in every slab that their
+    diagonal meets, so the sweep labels each triangle's slabs less its
+    diagonal's, and no more."""
+    f = ORACLE_FIELDS[name]()
+    cuts, batches = record_batches(f, monkeypatch)
+    ranges = cell_slabs(f, cuts)
+    lower, diag, upper = (np.maximum(last - first + 1, 0).sum() for first, last in ranges)
+    assert diag > 0
+    assert sum(n for _, _, n in batches) == lower + upper - diag
+
+
+def test_oracle_fields_cover_every_cell_case(monkeypatch):
+    """Between them, the oracle fields have cells whose upper triangle has
+    its own slabs below its diagonal's, above them or none, and cells whose
+    diagonal meets no slab; and a field swept in several batches has a cell
+    that shares its node in a batch's last slab while its upper triangle
+    goes on into the next batch, which must then find that node's component
+    under it."""
+    cases, handed = set(), False
+    for name, make in ORACLE_FIELDS.items():
+        f = make()
+        cuts, batches = record_batches(f, monkeypatch)
+        _, (d0, d1), (u0, u1) = cell_slabs(f, cuts)
+        on = d0 <= d1
+        cases |= {
+            case
+            for case, cells in [
+                ("below", on & (u0 < d0)),
+                ("above", on & (u1 > d1)),
+                ("inside", on & (u0 == d0) & (u1 == d1)),
+                ("empty", ~on),
+            ]
+            if cells.any()
+        }
+        handed |= any(((d0 <= k1) & (k1 <= d1) & (u1 > k1)).any() for _, k1, _ in batches[:-1])
+    assert cases == {"below", "above", "inside", "empty"}
+    assert handed
 
 
 @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
