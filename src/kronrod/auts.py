@@ -31,7 +31,7 @@ from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
 from kronrod.fields import ScalarField
 from kronrod.permgroups import PermGroup, group_order
 from kronrod.records import ConstructionRecord, GridTranslation, RectCycle, SymmetrySpec
-from kronrod.reeb import ReebGraph, Triangulation, classify_shape
+from kronrod.reeb import ReebGraph, Triangulation, _peel, classify_shape
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, normalize
 
 DEFAULT_AUT_CAP = 10_000
@@ -97,50 +97,25 @@ class AutGroup:
         return True
 
 
-def _tree_centre(g: ReebGraph) -> int:
-    """A centre of a tree, found by peeling leaves layer by layer."""
-    deg = [len(g.incident_edges(v)) for v in range(g.n_vertices)]
-    layer = [v for v in range(g.n_vertices) if deg[v] <= 1]
-    left = g.n_vertices
-    while left > 2:
-        left -= len(layer)
-        nxt = []
-        for v in layer:
-            for ei in g.incident_edges(v):
-                e = g.edges[ei]
-                w = e.v if e.u == v else e.u
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-    return layer[0]
-
-
-def _hanging_forms(g: ReebGraph, roots: list[int], skip: set[int]) -> tuple[list[int], list[int]]:
-    """AHU labels and automorphism counts of the trees hanging from `roots`
-    once the edges in `skip` are left out.
+def _hanging_forms(
+    g: ReebGraph, peeled: list[tuple[int, int]], roots: list[int]
+) -> tuple[list[int], list[int]]:
+    """AHU labels and automorphism counts of the trees that the leaf peel
+    `peeled` hangs from `roots`.
 
     A vertex's form is (value, boundary, critical point count, sorted child
     entries (lo, hi, child label)); equal forms get equal integer labels.
     Its count is the product of its children's counts and k! for every k
-    equal child entries.  Vertices are labelled in reverse BFS order, so
-    children come before their parents.
+    equal child entries.  The peel lists children before their parents.
     """
     children: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
-    seen = set(roots)
-    order = list(roots)
-    for v in order:
-        for ei in g.incident_edges(v):
-            e = g.edges[ei]
-            w = e.v if e.u == v else e.u
-            if ei not in skip and w not in seen:
-                seen.add(w)
-                order.append(w)
-                children[v].append((ei, w))
+    for v, ei in peeled:
+        e = g.edges[ei]
+        children[e.v if e.u == v else e.u].append((ei, v))
     labels: dict[tuple, int] = {}
     label = [0] * g.n_vertices
     count = [1] * g.n_vertices
-    for v in reversed(order):
+    for v in [v for v, _ in peeled] + roots:
         entries = sorted((g.edges[ei].lo, g.edges[ei].hi, label[w]) for ei, w in children[v])
         count[v] = prod(count[w] for _, w in children[v])
         for k in Counter(entries).values():
@@ -154,19 +129,22 @@ def _hanging_forms(g: ReebGraph, roots: list[int], skip: set[int]) -> tuple[list
 def _full_order(g: ReebGraph) -> int:
     """Order of the full value-preserving automorphism group, uncapped.
 
-    A tree is counted from a centre: two centres are adjacent, so their
-    values differ and every automorphism fixes both.  A circuit multiplies
-    the counts of the trees hanging from its vertices by the number of its
-    rotations and reflections that map the cyclic sequence v_0, c_0, v_1,
-    c_1, ... of vertex labels and edge intervals onto itself; for a circuit
-    of two parallel edges the one such map besides the identity swaps them.
+    The leaf peel leaves the circuit or a tree's centres, and every
+    automorphism maps what it leaves onto itself.  Two centres are adjacent,
+    so their values differ and every automorphism fixes both.  The order is
+    the product of the counts of the trees hanging from what is left, times,
+    on a circuit, the number of its rotations and reflections that map the
+    cyclic sequence v_0, c_0, v_1, c_1, ... of vertex labels and edge
+    intervals onto itself; for a circuit of two parallel edges the one such
+    map besides the identity swaps them.
     """
     shape = classify_shape(g)
+    peeled, left = _peel(g)
+    label, count = _hanging_forms(g, peeled, left)
+    order = prod(count[v] for v in left)
     if shape.shape == "tree":
-        root = _tree_centre(g)
-        return _hanging_forms(g, [root], set())[1][root]
+        return order
     vs, es = shape.cycle_vertices, shape.cycle_edges
-    label, count = _hanging_forms(g, vs, set(es))
     seq = [x for v, e in zip(vs, es) for x in (label[v], (g.edges[e].lo, g.edges[e].hi))]
     n = len(seq)
     # vertex slots sit at even positions, so only even shifts and
@@ -176,7 +154,7 @@ def _full_order(g: ReebGraph) -> int:
         for s in range(0, n, 2)
         for sign in (1, -1)
     )
-    return prod(count[v] for v in vs) * symmetries
+    return order * symmetries
 
 
 def value_preserving_auts(g: ReebGraph) -> AutGroup:

@@ -275,6 +275,7 @@ def _meridian_profile(H: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 CIRCUIT_HEIGHT = 32
+_MIN_BAND_WIDTH = 18
 _BAND_MARGIN = 6
 
 
@@ -282,8 +283,6 @@ def realize_torus_circuit(
     base: GroupTerm,
     n: int,
     simple: bool = False,
-    min_band_width: int = 18,
-    height: int = CIRCUIT_HEIGHT,
 ) -> tuple[ScalarField, ConstructionRecord]:
     """Torus field with a circuit-shaped graph realizing `base` wreathed by
     the cyclic band rotation of order `n`.
@@ -300,20 +299,18 @@ def realize_torus_circuit(
         raise NotRealizable(f"{format_term(base)} is not simple-disk realizable")
     if not flags.disk_realizable:
         raise NotRealizable(f"{format_term(base)} is not disk realizable")
-    if height % 2 != 0 or height < 24:
-        raise ConstructionError("circuit height must be even and at least 24")
 
     shape = layout_shape(base)
     layout = None if isinstance(shape, Triv) else build_layout(shape, simple)
     cw = len(layout.cols) if layout else 0
-    P = max(min_band_width, cw + 2 * _BAND_MARGIN)
+    P = max(_MIN_BAND_WIDTH, cw + 2 * _BAND_MARGIN)
     P += P % 2
     W = n * P
-    if W * height > _grid_cap():
-        raise GridCapExceeded(f"torus grid {W}x{height} exceeds cap")
+    if W * CIRCUIT_HEIGHT > _grid_cap():
+        raise GridCapExceeded(f"torus grid {W}x{CIRCUIT_HEIGHT} exceeds cap")
 
     D = _band_profile(P, capped=layout is not None)
-    C = _meridian_profile(height)
+    C = _meridian_profile(CIRCUIT_HEIGHT)
     band = np.outer(C, D)
 
     slots: list[Slot] = []
@@ -322,8 +319,8 @@ def realize_torus_circuit(
     if layout is not None:
         content = WINDOW_LO + (WINDOW_HI - WINDOW_LO) * _content_values(layout)
         rx0 = (P - cw) // 2
-        ry0 = height - CONTENT_ROWS // 2
-        rows = [(ry0 + j) % height for j in range(CONTENT_ROWS)]
+        ry0 = CIRCUIT_HEIGHT - CONTENT_ROWS // 2
+        rows = [(ry0 + j) % CIRCUIT_HEIGHT for j in range(CONTENT_ROWS)]
         band[np.ix_(rows, range(rx0, rx0 + cw))] = content
         counts = (1, 2 + layout.counts[1], layout.counts[2])
         for i in range(n):
@@ -345,7 +342,7 @@ def realize_torus_circuit(
         n=n,
         m=1,
         width=W,
-        height=height,
+        height=CIRCUIT_HEIGHT,
         slots=slots,
         symmetries=symmetries,
         designed_counts=(counts[0] * n, counts[1] * n, counts[2] * n),

@@ -170,7 +170,6 @@ class ShapeReport:
     shape: str  # "tree" | "circuit"
     cycle_vertices: list[int] = field(default_factory=list)
     cycle_edges: list[int] = field(default_factory=list)
-    special_vertex: Optional[int] = None
 
 
 class ReebGraph:
@@ -580,66 +579,64 @@ def _check_connected(g: ReebGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _peel(g: ReebGraph) -> tuple[list[tuple[int, int]], list[int]]:
+    """Peel the leaves of a connected graph layer by layer.
+
+    Returns each peeled vertex with the edge it left by, children before
+    their parents, and the vertices left: the circuit's, or a tree's one or
+    two adjacent centres.
+    """
+    deg = [0] * g.n_vertices
+    for e in g.edges:
+        deg[e.u] += 1
+        deg[e.v] += 1
+    gone = [False] * g.n_vertices
+    peeled: list[tuple[int, int]] = []
+    layer = [v for v in range(g.n_vertices) if deg[v] == 1]
+    # a tree stops at its one or two centres, a circuit once no leaf is left
+    while layer and (g.n_edges >= g.n_vertices or g.n_vertices - len(peeled) > 2):
+        nxt = []
+        for v in layer:
+            gone[v] = True
+            for ei in g.incident_edges(v):
+                e = g.edges[ei]
+                w = e.v if e.u == v else e.u
+                if not gone[w]:
+                    peeled.append((v, ei))
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return peeled, [v for v in range(g.n_vertices) if not gone[v]]
+
+
 def classify_shape(g: ReebGraph) -> ShapeReport:
-    """Tree / unique-circuit report.  betti1 above 1 on a torus field is an error."""
+    """Tree / unique-circuit report.  betti1 above 1 on a torus field is an error.
+
+    The circuit is walked from its smallest vertex, along that vertex's
+    smallest-id circuit edge.
+    """
     betti1 = g.n_edges - g.n_vertices + 1
     if betti1 == 0:
         return ShapeReport(betti1=0, shape="tree")
-    on_torus = g.tri is not None and g.tri.field.kind == TORUS
     if betti1 > 1:
-        if on_torus:
+        if g.tri is not None and g.tri.field.kind == TORUS:
             raise ShapeViolation(f"torus Reeb graph with betti1 = {betti1}")
         raise ReebError(f"graph with betti1 = {betti1} has no unique circuit")
-    # peel leaves to expose the unique cycle
-    alive_e = [True] * g.n_edges
-    deg = [0] * g.n_vertices
-    for e in g.edges:
-        if e.u == e.v:
-            deg[e.u] += 2
-        else:
-            deg[e.u] += 1
-            deg[e.v] += 1
-    queue = [v for v in range(g.n_vertices) if deg[v] == 1]
-    alive_v = [True] * g.n_vertices
-    while queue:
-        v = queue.pop()
-        alive_v[v] = False
-        for ei in g.incident_edges(v):
-            if not alive_e[ei]:
-                continue
-            e = g.edges[ei]
-            alive_e[ei] = False
-            other = e.v if e.u == v else e.u
-            deg[other] -= 1
-            deg[v] -= 1
-            if deg[other] == 1:
-                queue.append(other)
-    cyc_v = [v for v in range(g.n_vertices) if alive_v[v] and deg[v] > 0]
-    cyc_e = [ei for ei in range(g.n_edges) if alive_e[ei]]
-    # order the cycle by walking it
-    ordered_v: list[int] = []
-    ordered_e: list[int] = []
-    if cyc_e:
-        start = cyc_v[0]
-        v = start
-        prev_e = -1
-        while True:
-            ordered_v.append(v)
-            nxt = None
-            for ei in g.incident_edges(v):
-                if ei in ordered_e or not alive_e[ei] or ei == prev_e:
-                    continue
-                nxt = ei
-                break
-            if nxt is None:
-                raise ReebError("failed to walk the circuit")
-            ordered_e.append(nxt)
-            e = g.edges[nxt]
-            v = e.v if e.u == v else e.u
-            prev_e = nxt
-            if v == start:
-                break
-    return ShapeReport(betti1=1, shape="circuit", cycle_vertices=ordered_v, cycle_edges=ordered_e)
+    peeled, left = _peel(g)
+    used = {ei for _, ei in peeled}
+    vs, es = [], []
+    v = left[0]
+    while not vs or v != vs[0]:
+        ei = next((ei for ei in g.incident_edges(v) if ei not in used), None)
+        if ei is None:
+            raise ReebError("failed to walk the circuit")
+        used.add(ei)
+        vs.append(v)
+        es.append(ei)
+        e = g.edges[ei]
+        v = e.v if e.u == v else e.u
+    return ShapeReport(betti1=1, shape="circuit", cycle_vertices=vs, cycle_edges=es)
 
 
 # ---------------------------------------------------------------------------
@@ -712,18 +709,33 @@ def export_json(g: ReebGraph) -> bytes:
 
 
 def import_json(data: bytes) -> ReebGraph:
-    doc = json.loads(data.decode("utf-8"))
-    vertices = [
-        ReebVertex(
-            id=v["id"],
-            value=v["value"],
-            crits=[
-                CriticalPoint(c["x"], c["y"], CritKind(c["kind"]), c["value"])
-                for c in v["crits"]
-            ],
-            boundary=v["boundary"],
-        )
-        for v in doc["vertices"]
-    ]
-    edges = [ReebEdge(e["id"], e["u"], e["v"], e["lo"], e["hi"]) for e in doc["edges"]]
-    return ReebGraph(vertices, edges)
+    """The graph of an `export_json` document.  ReebError unless the document
+    has the keys and kinds of one, vertex and edge ids are integers that run
+    0..n-1 in order, every edge ends at vertices of the graph, and the graph
+    is connected."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+        vertices = [
+            ReebVertex(
+                v["id"],
+                v["value"],
+                [CriticalPoint(c["x"], c["y"], CritKind(c["kind"]), c["value"]) for c in v["crits"]],
+                v["boundary"],
+            )
+            for v in doc["vertices"]
+        ]
+        edges = [ReebEdge(e["id"], e["u"], e["v"], e["lo"], e["hi"]) for e in doc["edges"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ReebError(f"not a Reeb graph document: {exc!r}") from exc
+    n = len(vertices)
+    ids = [v.id for v in vertices] + [e.id for e in edges]
+    ends = [x for e in edges for x in (e.u, e.v)]
+    if any(type(x) is not int for x in ids + ends):
+        raise ReebError("vertex ids, edge ids and edge ends must be integers")
+    if ids != [*range(n), *range(len(edges))]:
+        raise ReebError("vertex and edge ids must run 0..n-1 in order")
+    if any(not 0 <= x < n for x in ends):
+        raise ReebError(f"an edge ends outside the {n} vertices")
+    graph = ReebGraph(vertices, edges)
+    _check_connected(graph)
+    return graph

@@ -13,7 +13,8 @@ the field's extremes) that holds the edge's lo, and edges are ordered by
 are then those `build_reeb` promises, so the two graphs must have equal
 digests.
 Components come from a plain union-find, which shares no code with the
-library's labeller.  `_region_euler` reads the topology of a set of
+library's labeller, and shared grid edges from the triangles' corners, as
+in `_region_euler`.  `_region_euler` reads the topology of a set of
 triangles, for the special-vertex oracle in the tests.
 """
 
@@ -27,14 +28,7 @@ import numpy as np
 
 from kronrod.errors import InvalidField, ReebError
 from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, classify_vertices
-from kronrod.reeb import (
-    ReebEdge,
-    ReebGraph,
-    ReebVertex,
-    Triangulation,
-    _check_connected,
-    _sides,
-)
+from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation
 
 # value spans of the triangles, and the two triangles on each shared grid edge
 # with the edge's value span
@@ -42,10 +36,20 @@ Spans = namedtuple("Spans", "tri_min tri_max adj_a adj_b edge_min edge_max")
 
 
 def spans(tri: Triangulation) -> Spans:
-    """The value spans of the triangles and shared grid edges of `tri`."""
+    """The value spans of the triangles and shared grid edges of `tri`.
+
+    A grid edge is shared when two triangles have its sorted corner pair
+    among their sides.
+    """
     vals = tri.field.values.ravel()
-    corner_values = vals[tri.corners]
-    adj_a, adj_b, p, q = _sides(tri)
+    corners = tri.corners.astype(np.int64)
+    corner_values = vals[corners]
+    sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+    keys = sides[:, 0] * len(vals) + sides[:, 1]
+    order = np.argsort(keys, kind="stable")
+    shared = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    adj_a, adj_b = order[shared] // 3, order[shared + 1] // 3
+    p, q = np.divmod(keys[order[shared]], len(vals))
     return Spans(
         corner_values.min(axis=1),
         corner_values.max(axis=1),
@@ -227,9 +231,9 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
     if not vertices:
         raise ReebError("empty Reeb graph")
 
-    graph = ReebGraph(vertices, edges, tri)
-    _check_connected(graph)
-    return graph
+    if len(set(union_find_roots(len(vertices), ((e.u, e.v) for e in edges)))) != 1:
+        raise ReebError("Reeb graph is disconnected")
+    return ReebGraph(vertices, edges, tri)
 
 
 def _region_euler(tri: Triangulation, tris: Iterable[int]) -> tuple[int, int]:

@@ -161,10 +161,14 @@ class TestValuePreservingAuts:
         "graph",
         [star_graph(3), star_graph(5), star_graph(4, same_values=False),
          path_graph([0.0, 1.0, 2.0, 3.0]), path_graph([0.0, 1.0, 0.0]),
-         path_graph([1.0, 0.0, 2.0, 0.0, 1.0])],
-        ids=["star3", "star5", "star4-distinct", "path4", "path-vee", "path-mirror"],
+         path_graph([1.0, 0.0, 2.0, 0.0, 1.0]), path_graph([1.0, 0.0, 2.0, 3.0, 0.0, 1.0])],
+        ids=["star3", "star5", "star4-distinct", "path4", "path-vee", "path-mirror",
+             "path-two-centres"],
     )
     def test_hand_built_match_backtracking(self, graph):
+        """path4 and path-two-centres have two centres, path-vee and
+        path-mirror one."""
+        assert _full_order(graph) == backtrack_order(graph)
         assert value_preserving_auts(graph).order == backtrack_order(graph)
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14])

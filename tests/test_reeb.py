@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import sys
 import types
 from bisect import bisect_right
@@ -20,11 +21,15 @@ from kronrod.corpus import (
     realize_member,
     triangle_corners,
 )
-from kronrod.errors import NotATree, ReebError
+from kronrod.errors import NotATree, ReebError, ShapeViolation
 from kronrod.fields import CritKind, ScalarField, classify_vertices, morse_counts
 from kronrod.reeb import (
+    ReebEdge,
+    ReebGraph,
+    ReebVertex,
     Triangulation,
     _label,
+    _sides,
     _sweep,
     build_reeb,
     classify_shape,
@@ -555,7 +560,49 @@ class TestPinnedGraphs:
         assert graph_digest(build_reeb(self.field(name))) == self.DIGESTS[name]
 
 
+def hand_graph(values, ends, tri=None):
+    """A graph with the given vertex values and edges between the given ends."""
+    vertices = [ReebVertex(i, v, []) for i, v in enumerate(values)]
+    edges = [
+        ReebEdge(i, u, v, min(values[u], values[v]), max(values[u], values[v]))
+        for i, (u, v) in enumerate(ends)
+    ]
+    return ReebGraph(vertices, edges, tri)
+
+
+def graph_doc(n, ends):
+    """An `export_json` document of `n` vertices and edges between `ends`."""
+    doc = {
+        "vertices": [{"id": i, "value": float(i), "boundary": False, "crits": []} for i in range(n)],
+        "edges": [
+            {"id": i, "u": u, "v": v, "lo": float(min(u, v)), "hi": float(max(u, v))}
+            for i, (u, v) in enumerate(ends)
+        ],
+    }
+    return json.dumps(doc).encode("utf-8")
+
+
 class TestShape:
+    def test_theta_graph_has_no_unique_circuit(self):
+        ends = [(0, 1), (0, 1), (0, 1)]
+        with pytest.raises(ReebError, match="no unique circuit"):
+            classify_shape(hand_graph([0.0, 1.0], ends))
+        tri = Triangulation(random_torus_field(4))
+        with pytest.raises(ShapeViolation):
+            classify_shape(hand_graph([0.0, 1.0], ends, tri))
+
+    def test_loop_circuit(self):
+        # a loop at vertex 1 with a leaf on either side
+        rep = classify_shape(hand_graph([0.0, 1.0, 2.0], [(0, 1), (1, 1), (1, 2)]))
+        assert (rep.betti1, rep.shape) == (1, "circuit")
+        assert (rep.cycle_vertices, rep.cycle_edges) == ([1], [1])
+
+    def test_two_vertex_circuit_walks_from_smallest_vertex_and_edge(self):
+        # parallel edges 1 and 2 between vertices 3 and 1; leaves 0 on 3, 2 on 1
+        ends = [(0, 3), (3, 1), (1, 3), (1, 2)]
+        rep = classify_shape(hand_graph([0.0, 1.0, 2.0, 3.0], ends))
+        assert (rep.cycle_vertices, rep.cycle_edges) == ([1, 3], [1, 2])
+
     def test_path_graph_tree(self):
         g = build_reeb(bump_disk())
         rep = classify_shape(g)
@@ -644,9 +691,10 @@ class TestLevelOracle:
 
     @pytest.mark.parametrize("name", ["random-4", "disk-wr(1,3)"])
     def test_adjacency_is_shared_corners(self, name):
-        """Every adjacency of the triangulation joins the two triangles that
-        share a grid edge, with that edge's value span, and every interior
-        grid edge has one; the oracle's corners come from its own code."""
+        """Every adjacency of the triangulation, the library's and the
+        oracle's, joins the two triangles that share a grid edge, with that
+        edge's value span, and every interior grid edge has one; the corners
+        compared with come from the corpus's own code."""
         f = {
             "random-4": lambda: random_torus_field(4),
             "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
@@ -661,10 +709,17 @@ class TestLevelOracle:
             for (p, q), ts in sharing.items()
             if len(ts) == 2
         )
-        sp = spans(Triangulation(f))
-        lo, hi = np.minimum(sp.adj_a, sp.adj_b), np.maximum(sp.adj_a, sp.adj_b)
-        got = sorted(zip(lo.tolist(), hi.tolist(), sp.edge_min.tolist(), sp.edge_max.tolist()))
-        assert got == want
+        tri = Triangulation(f)
+        sp = spans(tri)
+        a, b, p, q = _sides(tri)
+        vals = f.values.ravel()
+        for adj_a, adj_b, e_min, e_max in (
+            (sp.adj_a, sp.adj_b, sp.edge_min, sp.edge_max),
+            (a, b, np.minimum(vals[p], vals[q]), np.maximum(vals[p], vals[q])),
+        ):
+            lo, hi = np.minimum(adj_a, adj_b), np.maximum(adj_a, adj_b)
+            got = sorted(zip(lo.tolist(), hi.tolist(), e_min.tolist(), e_max.tolist()))
+            assert got == want
 
 
 class TestExports:
@@ -685,7 +740,25 @@ class TestExports:
 
     def test_json_cells_elided(self):
         g = build_reeb(bump_disk())
-        import json
-
         doc = json.loads(export_json(g))
         assert "cells" not in doc["vertices"][0]
+
+    def test_json_missing_keys_rejected(self):
+        with pytest.raises(ReebError):
+            import_json(b"{}")
+
+    def test_json_disconnected_rejected(self):
+        # a path 0-1 beside a two-edge cycle 2-3: V = 4, E = 3 as in a tree
+        with pytest.raises(ReebError, match="disconnected"):
+            import_json(graph_doc(4, [(0, 1), (2, 3), (2, 3)]))
+
+    @pytest.mark.parametrize("end", [7, 2.0], ids=["out-of-range", "float"])
+    def test_json_bad_edge_end_rejected(self, end):
+        with pytest.raises(ReebError):
+            import_json(graph_doc(4, [(0, 1), (1, 2), (2, end)]))
+
+    def test_json_ids_out_of_order_rejected(self):
+        doc = json.loads(graph_doc(3, [(0, 1), (1, 2)]))
+        doc["edges"].reverse()
+        with pytest.raises(ReebError, match="ids"):
+            import_json(json.dumps(doc).encode("utf-8"))

@@ -20,18 +20,6 @@ def run_script(name, *args):
     )
 
 
-def test_run_corpus(tmp_path):
-    proc = run_script("run_corpus.py", "--out", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    members = [line for line in lines if not line.startswith(("oracle", "summary"))]
-    assert len(members) >= 20
-    assert all(line.startswith("ok ") for line in members)
-    fields = re.fullmatch(r"oracle fields: (\d+)/(\d+) ok", lines[-2])
-    assert fields and fields[1] == fields[2]
-    assert (tmp_path / "summary.json").exists()
-
-
 def test_realization_gallery():
     proc = run_script("realization_gallery.py")
     assert proc.returncode == 0, proc.stderr
