@@ -19,7 +19,7 @@ import argparse
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
+from kronrod.construct import realize
 from kronrod.errors import KronrodError
 from kronrod.terms import class_of, normalize, parse_term
 from kronrod.verify import verify_realization
@@ -34,16 +34,15 @@ CASES = ("disk", "circuit", "simple", "tree")
 
 
 def realizations(text: str):
-    """(case, label, thunk) for every realization of base `text`."""
-    base = parse_term(text)
-    yield "disk", text, lambda: realize_disk(base)
+    """(case, label, n, m) for every realization of base `text`."""
+    yield "disk", text, 1, 1
     for n in (1, 2, 3):
-        yield "circuit", f"{text} n={n}", lambda n=n: realize_torus_circuit(base, n)
-    if class_of(normalize(base)).disk_realizable_simple:
+        yield "circuit", f"{text} n={n}", n, 1
+    if class_of(normalize(parse_term(text))).disk_realizable_simple:
         for n in (1, 2, 3):
-            yield "simple", f"{text} n={n}", lambda n=n: realize_simple(base, n)
+            yield "simple", f"{text} n={n}", n, 1
     for n, m in ((1, 1), (1, 2), (2, 1)):
-        yield "tree", f"{text} n={n} m={m}", lambda n=n, m=m: realize_torus_tree(base, n, m)
+        yield "tree", f"{text} n={n} m={m}", n, m
 
 
 def main() -> int:
@@ -55,11 +54,12 @@ def main() -> int:
 
     counts = {case: Counter() for case in CASES}
     for text in args.base or BASES:
-        for case, label, make in realizations(text):
+        base = parse_term(text)
+        for case, label, n, m in realizations(text):
             tally = counts[case]
             tally["realizations"] += 1
             try:
-                f, rec = make()
+                f, rec = realize(case, base, n, m)
                 checks = verify_realization(f, rec).checks
             except KronrodError as exc:
                 tally["errors"] += 1

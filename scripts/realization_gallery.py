@@ -11,7 +11,7 @@ with the term's generators is an isomorphism.
 import argparse
 
 from kronrod.auts import generated_group, induced_graph_aut, record_term
-from kronrod.construct import realize_simple, realize_torus_circuit, realize_torus_tree
+from kronrod.construct import realize
 from kronrod.fields import morse_counts
 from kronrod.permgroups import is_isomorphic, perm_rep
 from kronrod.reeb import build_reeb, classify_shape
@@ -31,13 +31,7 @@ def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
 
     for case, base_text, n, m in GALLERY:
-        base = parse_term(base_text)
-        if case == "circuit":
-            f, rec = realize_torus_circuit(base, n)
-        elif case == "tree":
-            f, rec = realize_torus_tree(base, n, m)
-        else:
-            f, rec = realize_simple(base, n)
+        f, rec = realize(case, parse_term(base_text), n, m)
         g = build_reeb(f)
         shape = classify_shape(g)
         gens = [induced_graph_aut(g, s) for s in rec.symmetries]

@@ -48,6 +48,7 @@ from kronrod.auts import (
 from kronrod.records import ConstructionRecord, GridTranslation, RectCycle
 from kronrod.verify import verify_realization
 from kronrod.construct import (
+    realize,
     realize_disk,
     realize_torus_circuit,
     realize_torus_tree,
@@ -92,6 +93,7 @@ __all__ = [
     "generated_group",
     "record_term",
     "structural_group",
+    "realize",
     "realize_disk",
     "realize_torus_circuit",
     "realize_torus_tree",

@@ -31,7 +31,7 @@ from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
 from kronrod.fields import ScalarField
 from kronrod.permgroups import PermGroup, group_order
 from kronrod.records import ConstructionRecord, GridTranslation, RectCycle, SymmetrySpec
-from kronrod.reeb import ReebGraph, Triangulation, _peel, classify_shape
+from kronrod.reeb import ReebGraph, Triangulation, classify_shape
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, normalize
 
 DEFAULT_AUT_CAP = 10_000
@@ -86,15 +86,7 @@ class AutGroup:
     """Full f-hat-preserving automorphism group of a Reeb graph, by its order;
     its elements are the pairs of permutations `validate_graph_aut` accepts."""
 
-    carrier: ReebGraph
     order: int
-
-    def contains(self, aut: GraphAut) -> bool:
-        try:
-            validate_graph_aut(self.carrier, aut)
-        except NotAnAutomorphism:
-            return False
-        return True
 
 
 def _hanging_forms(
@@ -139,7 +131,7 @@ def _full_order(g: ReebGraph) -> int:
     map besides the identity swaps them.
     """
     shape = classify_shape(g)
-    peeled, left = _peel(g)
+    peeled, left = g.peel()
     label, count = _hanging_forms(g, peeled, left)
     order = prod(count[v] for v in left)
     if shape.shape == "tree":
@@ -163,7 +155,7 @@ def value_preserving_auts(g: ReebGraph) -> AutGroup:
     order = _full_order(g)
     if order > DEFAULT_AUT_CAP:
         raise AutOverflow(DEFAULT_AUT_CAP)
-    return AutGroup(carrier=g, order=order)
+    return AutGroup(order=order)
 
 
 # ---------------------------------------------------------------------------

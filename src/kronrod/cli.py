@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
+from kronrod.construct import realize
 from kronrod.corpus import corpus_summary
 from kronrod.errors import FieldError, GridCapExceeded, KronrodError, NotRealizable, ParseError
 from kronrod.fields import (
@@ -60,7 +60,8 @@ def _save(out: Path, files: dict[str, bytes]) -> bool:
 
 
 def _split_case_term(term: GroupTerm, case: str, n: int | None, m: int | None):
-    """Resolve the construction base and indices from a term and flags."""
+    """Resolve the construction base and indices from a term and flags; the
+    disk case takes the whole term."""
     if case == "circuit" or case == "simple":
         if n is not None:
             return term, n, 1
@@ -77,23 +78,14 @@ def _split_case_term(term: GroupTerm, case: str, n: int | None, m: int | None):
         raise NotRealizable(
             "tree case needs a top-level wr2 term or explicit --n and --m"
         )
-    if case == "disk":
-        return term, 1, 1
-    raise NotRealizable(f"unknown case {case!r}")
+    return term, 1, 1
 
 
 def cmd_realize(args) -> int:
     try:
         term = parse_term(args.term)
         base, n, m = _split_case_term(term, args.case, args.n, args.m)
-        if args.case == "circuit":
-            f, rec = realize_torus_circuit(base, n)
-        elif args.case == "simple":
-            f, rec = realize_simple(base, n)
-        elif args.case == "tree":
-            f, rec = realize_torus_tree(base, n, m)
-        else:
-            f, rec = realize_disk(base)
+        f, rec = realize(args.case, base, n, m)
     except (ParseError, NotRealizable, GridCapExceeded) as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_INPUT

@@ -92,26 +92,17 @@ def _shift_gens(gens: list[list[tuple[int, int]]], offset: int) -> list[list[tup
 _TRIV_CORE = [1, 3, 7, 13, 7, 3, 1]
 
 
-def layout_shape(t: GroupTerm) -> GroupTerm:
-    """Collapse index-1 wreaths but keep the constructor shape otherwise, so
-    a requested product of equal factors still gets separate value windows."""
-    if isinstance(t, Triv):
-        return t
-    if isinstance(t, Wr):
-        base = layout_shape(t.base)
-        return base if t.n == 1 else Wr(base, t.n)
-    if isinstance(t, Wr2):
-        return Wr2(layout_shape(t.base), t.n, t.m)
-    return Prod(*[layout_shape(f) for f in t.factors])
-
-
 def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
-    """Profile recursion over the shape of a term."""
-    t = layout_shape(t)
+    """Profile recursion over a term.  Index-1 wreaths collapse, but products
+    keep their shape, so a requested product of equal factors still gets
+    separate value windows; the layout's term is `t` so collapsed."""
     if isinstance(t, Triv):
         return Layout(t, "triv", list(_TRIV_CORE), 13, (0, 0, 1))
+    if isinstance(t, Wr) and t.n == 1:
+        return build_layout(t.base, simple)
     if isinstance(t, Wr):
         sub = build_layout(t.base, simple)
+        shape = Wr(sub.term, t.n)
         lift = 2 * sub.peak
         petal = [v + lift for v in sub.cols]
         # buffer columns flank each petal below its whole value window, so
@@ -126,10 +117,10 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
                 )
             block = [buf] + petal + [buf]
             cols = block + [1] + block
-            slots = [(1, w, t.base), (w + 4, w, t.base)]
+            slots = [(1, w, sub.term), (w + 4, w, sub.term)]
             gens = [[(0, w + 2), (w + 3, w + 2)]] + _shift_gens(sub.gens, 1)
             counts = (0, 1 + 2 * sub.counts[1], 2 * sub.counts[2])
-            return Layout(t, "wrc", cols, 3 * sub.peak, counts, slots, gens)
+            return Layout(shape, "wrc", cols, 3 * sub.peak, counts, slots, gens)
         top = 3 * sub.peak + 4
         bw = w + 3
         cols = [top]
@@ -138,10 +129,10 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
             cols.append(buf)
             cols.extend(petal)
             cols.append(buf)
-        slots = [(3 + i * bw, w, t.base) for i in range(t.n)]
+        slots = [(3 + i * bw, w, sub.term) for i in range(t.n)]
         gens = [[(1 + i * bw, bw) for i in range(t.n)]] + _shift_gens(sub.gens, 3)
         counts = (0, t.n + t.n * sub.counts[1], 1 + t.n * sub.counts[2])
-        return Layout(t, "wrc", cols, top, counts, slots, gens)
+        return Layout(shape, "wrc", cols, top, counts, slots, gens)
     if isinstance(t, Prod):
         subs = [build_layout(f, simple) for f in t.factors]
         k = len(subs)
@@ -161,8 +152,8 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
             c1 += sub.counts[1]
             c2 += sub.counts[2]
             offset += sub.peak + 3
-        peak = max(cols)
-        return Layout(t, "prod", cols, peak, (0, c1, c2), slots, gens)
+        shape = Prod(*[sub.term for sub in subs])
+        return Layout(shape, "prod", cols, max(cols), (0, c1, c2), slots, gens)
     raise NotRealizable(f"term {format_term(t)} has no disk layout")
 
 
@@ -174,20 +165,48 @@ def _content_values(layout: Layout) -> np.ndarray:
     return np.outer(rows, cols) / norm
 
 
+def _layout(base: GroupTerm, simple: bool = False) -> Layout:
+    """Disk layout of `base`; NotRealizable unless `base` is in the disk
+    class, or in the simple disk class when `simple`."""
+    flags = class_of(normalize(base))
+    if simple and not flags.disk_realizable_simple:
+        raise NotRealizable(f"{format_term(base)} is not simple-disk realizable")
+    if not flags.disk_realizable:
+        raise NotRealizable(f"{format_term(base)} is not disk realizable")
+    return build_layout(base, simple)
+
+
+def _paint(vals: np.ndarray, layout: Layout, origins: list[tuple[int, int]]) -> list[Slot]:
+    """Paint the disk content of `layout`, in the window (WINDOW_LO, WINDOW_HI),
+    into `vals` with its corner at each origin (x0, y0), rows wrapping round
+    the torus, and return one slot per copy.  A trivial layout paints nothing:
+    the torus profile's own cap is then the maximum."""
+    if layout.kind == "triv":
+        return []
+    content = WINDOW_LO + (WINDOW_HI - WINDOW_LO) * _content_values(layout)
+    h, w = content.shape
+    slots = []
+    for x0, y0 in origins:
+        vals[(y0 + np.arange(h)) % vals.shape[0], x0 : x0 + w] = content
+        slots.append(Slot(rect=Rect(x0, y0, w, h), orbit=0, term=layout.term))
+    return slots
+
+
+def _rect_cycles(layout: Layout, x0: int, y0: int, rows: int) -> list[RectCycle]:
+    """The layout's generators as rectangle cycles over `rows` rows, with the
+    layout's column 0 at x0."""
+    return [RectCycle(tuple(Rect(x0 + s, y0, w, rows) for s, w in cycle)) for cycle in layout.gens]
+
+
 # ---------------------------------------------------------------------------
 # disk realization
 # ---------------------------------------------------------------------------
 
 
-def realize_disk(t: GroupTerm, simple: bool = False) -> tuple[ScalarField, ConstructionRecord]:
+def realize_disk(t: GroupTerm) -> tuple[ScalarField, ConstructionRecord]:
     """Disk field whose Reeb-graph symmetry group realizes `t`."""
+    layout = _layout(t)
     norm = normalize(t)
-    flags = class_of(norm)
-    if simple and not flags.disk_realizable_simple:
-        raise NotRealizable(f"{format_term(t)} is not simple-disk realizable")
-    if not flags.disk_realizable:
-        raise NotRealizable(f"{format_term(t)} is not disk realizable")
-    layout = build_layout(layout_shape(t), simple)
     w = len(layout.cols) + 2
     h = DISK_HEIGHT
     if w * h > _grid_cap():
@@ -200,9 +219,6 @@ def realize_disk(t: GroupTerm, simple: bool = False) -> tuple[ScalarField, Const
     for i, (start, width, term) in enumerate(layout.slots):
         orbit = 0 if layout.kind == "wrc" else i
         slots.append(Slot(rect=Rect(1 + start, 0, width, h), orbit=orbit, term=term))
-    symmetries = [
-        RectCycle(tuple(Rect(1 + s, 0, cw, h) for s, cw in cycle)) for cycle in layout.gens
-    ]
     rec = ConstructionRecord(
         case="disk",
         term=norm,
@@ -212,7 +228,7 @@ def realize_disk(t: GroupTerm, simple: bool = False) -> tuple[ScalarField, Const
         width=w,
         height=h,
         slots=slots,
-        symmetries=symmetries,
+        symmetries=_rect_cycles(layout, 1, 0, h),
         designed_counts=layout.counts,
         disk_layout=layout.kind,
     )
@@ -294,45 +310,23 @@ def realize_torus_circuit(
     """
     if n < 1:
         raise NotRealizable("cyclic index n must be >= 1")
-    flags = class_of(normalize(base))
-    if simple and not flags.disk_realizable_simple:
-        raise NotRealizable(f"{format_term(base)} is not simple-disk realizable")
-    if not flags.disk_realizable:
-        raise NotRealizable(f"{format_term(base)} is not disk realizable")
-
-    shape = layout_shape(base)
-    layout = None if isinstance(shape, Triv) else build_layout(shape, simple)
-    cw = len(layout.cols) if layout else 0
+    layout = _layout(base, simple)
+    painted = layout.kind != "triv"
+    cw = len(layout.cols) if painted else 0
     P = max(_MIN_BAND_WIDTH, cw + 2 * _BAND_MARGIN)
     P += P % 2
     W = n * P
     if W * CIRCUIT_HEIGHT > _grid_cap():
         raise GridCapExceeded(f"torus grid {W}x{CIRCUIT_HEIGHT} exceeds cap")
 
-    D = _band_profile(P, capped=layout is not None)
+    D = _band_profile(P, capped=painted)
     C = _meridian_profile(CIRCUIT_HEIGHT)
-    band = np.outer(C, D)
+    vals = np.tile(np.outer(C, D), (1, n))
+    rx0 = (P - cw) // 2
+    ry0 = CIRCUIT_HEIGHT - CONTENT_ROWS // 2
+    slots = _paint(vals, layout, [(i * P + rx0, ry0) for i in range(n)])
+    symmetries = [GridTranslation(P, 0), *_rect_cycles(layout, rx0, ry0, CONTENT_ROWS)]
 
-    slots: list[Slot] = []
-    symmetries: list[GridTranslation | RectCycle] = [GridTranslation(P, 0)]
-    counts = (1, 2, 1)
-    if layout is not None:
-        content = WINDOW_LO + (WINDOW_HI - WINDOW_LO) * _content_values(layout)
-        rx0 = (P - cw) // 2
-        ry0 = CIRCUIT_HEIGHT - CONTENT_ROWS // 2
-        rows = [(ry0 + j) % CIRCUIT_HEIGHT for j in range(CONTENT_ROWS)]
-        band[np.ix_(rows, range(rx0, rx0 + cw))] = content
-        counts = (1, 2 + layout.counts[1], layout.counts[2])
-        for i in range(n):
-            slots.append(
-                Slot(rect=Rect(i * P + rx0, ry0, cw, CONTENT_ROWS), orbit=0, term=shape)
-            )
-        for cycle in layout.gens:
-            symmetries.append(
-                RectCycle(tuple(Rect(rx0 + s, ry0, w_, CONTENT_ROWS) for s, w_ in cycle))
-            )
-
-    vals = np.tile(band, (1, n))
     f = ScalarField(TORUS, vals)
     term = normalize(Wr(base, n))
     rec = ConstructionRecord(
@@ -345,7 +339,7 @@ def realize_torus_circuit(
         height=CIRCUIT_HEIGHT,
         slots=slots,
         symmetries=symmetries,
-        designed_counts=(counts[0] * n, counts[1] * n, counts[2] * n),
+        designed_counts=(n, (2 + layout.counts[1]) * n, layout.counts[2] * n),
     )
     _check_construction(f, rec)
     return f, rec
@@ -386,14 +380,11 @@ def realize_torus_tree(
     translations generate the promised symmetry group."""
     if n < 1 or m < 1:
         raise NotRealizable("tree indices n, m must be >= 1")
-    if not class_of(normalize(base)).disk_realizable:
-        raise NotRealizable(f"{format_term(base)} is not disk realizable")
-
-    shape = layout_shape(base)
-    layout = None if isinstance(shape, Triv) else build_layout(shape)
-    cw = len(layout.cols) if layout else 0
+    layout = _layout(base)
+    painted = layout.kind != "triv"
+    cw = len(layout.cols) if painted else 0
     s = max(subdivision, 4)
-    if layout is not None:
+    if painted:
         s = max(s, cw + 3, CONTENT_ROWS + 3)
     s += s % 2
     W, H = 2 * n * s, 2 * m * n * s
@@ -409,7 +400,7 @@ def realize_torus_tree(
     rx0 = (s - cw) // 2
     ry0 = (s - CONTENT_ROWS) // 2
     ring_r2 = None
-    if layout is not None:
+    if painted:
         ring = r2[ry0 - 1 : ry0 + CONTENT_ROWS + 1, rx0 - 1 : rx0 + cw + 1]
         ring_r2 = float(min(ring[[0, -1]].min(), ring[:, [0, -1]].min()))
     knots = _bump_knots(ring_r2)
@@ -424,35 +415,20 @@ def realize_torus_tree(
     block = np.where(on_x & on_y, 0.0, np.where(on_x | on_y, line, amp * bump))
     vals = np.tile(block, (m * n, n))
 
-    slots: list[Slot] = []
-    if layout is not None:
-        content = WINDOW_LO + (WINDOW_HI - WINDOW_LO) * _content_values(layout)
-        for i in range(n):
-            for j in range(m * n):
-                gx = 2 * i * s + rx0
-                gy = 2 * j * s + ry0
-                vals[gy : gy + CONTENT_ROWS, gx : gx + cw] = content
-                slots.append(Slot(rect=Rect(gx, gy, cw, CONTENT_ROWS), orbit=0, term=shape))
-
-    symmetries: list[GridTranslation | RectCycle] = [
+    origins = [(2 * i * s + rx0, 2 * j * s + ry0) for i in range(n) for j in range(m * n)]
+    slots = _paint(vals, layout, origins)
+    symmetries = [
         GridTranslation(2 * s, 0),
         GridTranslation(0, 2 * s),
+        *_rect_cycles(layout, rx0, ry0, CONTENT_ROWS),
     ]
-    if layout is not None:
-        for cycle in layout.gens:
-            symmetries.append(
-                RectCycle(
-                    tuple(Rect(rx0 + st, ry0, w_, CONTENT_ROWS) for st, w_ in cycle)
-                )
-            )
 
     f = ScalarField(TORUS, vals)
     blocks = n * m * n
-    cc = layout.counts if layout else (0, 0, 1)
     counts = (
         2 * n * n * m,
-        4 * n * n * m + blocks * cc[1],
-        2 * n * n * m + blocks * (cc[2] - 1),
+        4 * n * n * m + blocks * layout.counts[1],
+        2 * n * n * m + blocks * (layout.counts[2] - 1),
     )
     rec = ConstructionRecord(
         case="tree",
@@ -468,6 +444,23 @@ def realize_torus_tree(
     )
     _check_construction(f, rec)
     return f, rec
+
+
+def realize(
+    case: str, base: GroupTerm, n: int = 1, m: int = 1
+) -> tuple[ScalarField, ConstructionRecord]:
+    """Realize `base` by the construction named `case`: "disk" (n and m
+    unused), "circuit" or "simple" with n bands, or "tree" with lattice
+    indices n and m."""
+    if case == "disk":
+        return realize_disk(base)
+    if case == "circuit":
+        return realize_torus_circuit(base, n)
+    if case == "simple":
+        return realize_simple(base, n)
+    if case == "tree":
+        return realize_torus_tree(base, n, m)
+    raise NotRealizable(f"unknown case {case!r}")
 
 
 # ---------------------------------------------------------------------------

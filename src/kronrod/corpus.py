@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kronrod.construct import realize_simple, realize_torus_circuit, realize_torus_tree
+from kronrod.construct import realize
 from kronrod.errors import DegenerateVertex, InvalidField
 from kronrod.fields import ScalarField, classify_vertices, fix_ties
 from kronrod.records import ConstructionRecord
@@ -57,14 +57,7 @@ def corpus_grid() -> list[CorpusMember]:
 
 
 def realize_member(member: CorpusMember) -> tuple[ScalarField, ConstructionRecord]:
-    base = parse_term(member.base)
-    if member.case == "circuit":
-        return realize_torus_circuit(base, member.n)
-    if member.case == "tree":
-        return realize_torus_tree(base, member.n, member.m)
-    if member.case == "simple":
-        return realize_simple(base, member.n)
-    raise ValueError(f"unknown corpus case {member.case}")
+    return realize(member.case, parse_term(member.base), member.n, member.m)
 
 
 def run_realization_corpus() -> list[tuple[CorpusMember, VerificationReport]]:

@@ -13,10 +13,6 @@ class ParseError(KronrodError):
         self.position = position
 
 
-class OrderOverflow(KronrodError):
-    """Group order exceeds the representable bound."""
-
-
 class DegreeCapExceeded(KronrodError):
     """Permutation representation degree exceeds the configured cap."""
 

@@ -160,7 +160,7 @@ def group_order(g: PermGroup) -> int:
 # ---------------------------------------------------------------------------
 
 
-def perm_rep(t: GroupTerm, degree_cap: int = DEGREE_CAP) -> PermGroup:
+def perm_rep(t: GroupTerm) -> PermGroup:
     """Faithful permutation representation of the group denoted by `t`.
 
     Triv acts on one point; Prod acts on the disjoint union of its factors'
@@ -168,8 +168,9 @@ def perm_rep(t: GroupTerm, degree_cap: int = DEGREE_CAP) -> PermGroup:
     with the cyclic group(s) translating blocks.  Generators come in the
     order the constructions list their symmetries: at every Wr / Wr2 the
     block translations first, then the base generators acting on block 0.
+    DegreeCapExceeded beyond DEGREE_CAP points.
     """
-    degree, gens = _rep(t, degree_cap)
+    degree, gens = _rep(t)
     return PermGroup(degree=degree, generators=gens)
 
 
@@ -181,36 +182,36 @@ def _embed(gen: Perm, offset: int, degree: int) -> Perm:
     return tuple(p)
 
 
-def _check_degree(degree: int, cap: int) -> None:
-    if degree > cap:
-        raise DegreeCapExceeded(f"degree {degree} exceeds cap {cap}")
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
 
 
-def _rep(t: GroupTerm, cap: int) -> tuple[int, list[Perm]]:
+def _rep(t: GroupTerm) -> tuple[int, list[Perm]]:
     if isinstance(t, Triv):
         return 1, []
     if isinstance(t, Prod):
         degree = 0
         parts = []
         for f in t.factors:
-            d, gens = _rep(f, cap)
+            d, gens = _rep(f)
             parts.append((degree, gens))
             degree += d
-            _check_degree(degree, cap)
+            _check_degree(degree)
         return degree, [_embed(gen, offset, degree) for offset, gens in parts for gen in gens]
     if isinstance(t, Wr):
-        d, gens = _rep(t.base, cap)
+        d, gens = _rep(t.base)
         degree = t.n * d
-        _check_degree(degree, cap)
+        _check_degree(degree)
         out = []
         if t.n > 1:  # cyclic shift of blocks
             out.append(tuple((k + d) % degree for k in range(degree)))
         return degree, out + [_embed(gen, 0, degree) for gen in gens]
     if isinstance(t, Wr2):
-        d, gens = _rep(t.base, cap)
+        d, gens = _rep(t.base)
         rows, cols = t.n, t.m * t.n
         degree = rows * cols * d
-        _check_degree(degree, cap)
+        _check_degree(degree)
         row = cols * d  # points in one row of blocks
         out = []
         if rows > 1:  # (1, 0): the next row of blocks

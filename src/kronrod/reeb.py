@@ -28,6 +28,7 @@ label that slab again to tell apart parallel edges with equal intervals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -187,6 +188,7 @@ class ReebGraph:
         self.tri = tri
         self.cuts = cuts
         self._incidence: Optional[list[list[int]]] = None
+        self._peeled: Optional[tuple[list[tuple[int, int]], list[int]]] = None
         self._slabs: dict[int, np.ndarray] = {}
 
     @property
@@ -206,6 +208,12 @@ class ReebGraph:
                     inc[e.v].append(e.id)
             self._incidence = inc
         return self._incidence[vid]
+
+    def peel(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """The leaf peel of the graph (see `_peel`), computed once and kept."""
+        if self._peeled is None:
+            self._peeled = _peel(self)
+        return self._peeled
 
     def slab_roots(self, lo: float) -> np.ndarray:
         """The smallest triangle of each triangle's component in the sweep's
@@ -623,7 +631,7 @@ def classify_shape(g: ReebGraph) -> ShapeReport:
         if g.tri is not None and g.tri.field.kind == TORUS:
             raise ShapeViolation(f"torus Reeb graph with betti1 = {betti1}")
         raise ReebError(f"graph with betti1 = {betti1} has no unique circuit")
-    peeled, left = _peel(g)
+    peeled, left = g.peel()
     used = {ei for _, ei in peeled}
     vs, es = [], []
     v = left[0]
@@ -710,9 +718,10 @@ def export_json(g: ReebGraph) -> bytes:
 
 def import_json(data: bytes) -> ReebGraph:
     """The graph of an `export_json` document.  ReebError unless the document
-    has the keys and kinds of one, vertex and edge ids are integers that run
-    0..n-1 in order, every edge ends at vertices of the graph, and the graph
-    is connected."""
+    has the keys and kinds of one (values are finite reals, critical point
+    coordinates integers, boundary flags booleans), vertex and edge ids are
+    integers that run 0..n-1 in order, every edge ends at vertices of the
+    graph, and the graph is connected."""
     try:
         doc = json.loads(data.decode("utf-8"))
         vertices = [
@@ -732,6 +741,15 @@ def import_json(data: bytes) -> ReebGraph:
     ends = [x for e in edges for x in (e.u, e.v)]
     if any(type(x) is not int for x in ids + ends):
         raise ReebError("vertex ids, edge ids and edge ends must be integers")
+    crits = [c for v in vertices for c in v.crits]
+    reals = [v.value for v in vertices] + [c.value for c in crits]
+    reals += [x for e in edges for x in (e.lo, e.hi)]
+    if any(type(x) not in (int, float) or not math.isfinite(x) for x in reals):
+        raise ReebError("vertex, critical point and edge values must be finite real numbers")
+    if any(type(x) is not int for c in crits for x in (c.x, c.y)):
+        raise ReebError("critical point coordinates must be integers")
+    if any(type(v.boundary) is not bool for v in vertices):
+        raise ReebError("vertex boundary flags must be booleans")
     if ids != [*range(n), *range(len(edges))]:
         raise ReebError("vertex and edge ids must run 0..n-1 in order")
     if any(not 0 <= x < n for x in ends):

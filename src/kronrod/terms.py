@@ -21,11 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from kronrod.errors import OrderOverflow, ParseError
-
-# Orders above this bound are reported as overflow instead of silently
-# producing numbers no downstream enumeration could ever verify.
-ORDER_BOUND = 1 << 62
+from kronrod.errors import ParseError
 
 
 class GroupTerm:
@@ -98,27 +94,20 @@ class ClassFlags:
     simple_realizable: bool  # Wr over a simple disk-realizable base
 
 
-def order(t: GroupTerm, bound: int = ORDER_BOUND) -> int:
-    """Group order of a term.  Raises OrderOverflow beyond `bound`."""
-    n = _order(t)
-    if n > bound:
-        raise OrderOverflow(f"order {n} exceeds bound {bound}")
-    return n
-
-
-def _order(t: GroupTerm) -> int:
+def order(t: GroupTerm) -> int:
+    """Group order of a term."""
     if isinstance(t, Triv):
         return 1
     if isinstance(t, Prod):
         n = 1
         for f in t.factors:
-            n *= _order(f)
+            n *= order(f)
         return n
     if isinstance(t, Wr):
-        return _order(t.base) ** t.n * t.n
+        return order(t.base) ** t.n * t.n
     if isinstance(t, Wr2):
         blocks = t.n * (t.m * t.n)
-        return _order(t.base) ** blocks * blocks
+        return order(t.base) ** blocks * blocks
     raise TypeError(f"not a GroupTerm: {t!r}")
 
 
@@ -127,11 +116,11 @@ def _sort_key(t: GroupTerm) -> tuple:
     if isinstance(t, Triv):
         return (0, 1)
     if isinstance(t, Wr):
-        return (1, _order(t), _sort_key(t.base), t.n)
+        return (1, order(t), _sort_key(t.base), t.n)
     if isinstance(t, Wr2):
-        return (2, _order(t), _sort_key(t.base), t.n, t.m)
+        return (2, order(t), _sort_key(t.base), t.n, t.m)
     if isinstance(t, Prod):
-        return (3, _order(t), tuple(_sort_key(f) for f in t.factors))
+        return (3, order(t), tuple(_sort_key(f) for f in t.factors))
     raise TypeError(f"not a GroupTerm: {t!r}")
 
 

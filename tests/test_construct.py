@@ -212,6 +212,37 @@ class TestTree:
         assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "make,digest",
+    [
+        (
+            lambda: realize_torus_circuit(parse_term("wr(1,2)"), 2),
+            "cb0394a14444a604b8ae06a60d4cfb49a8f82ec27b505c9fd6b6da742c966691",
+        ),
+        (
+            lambda: realize_simple(parse_term("wr(wr(1,2),2)"), 2),
+            "ded2eabfe63835eb548bc50ece7bdff72168a3b0f9f70521ca96183ae7f587c0",
+        ),
+        (
+            lambda: realize_disk(parse_term("prod(wr(1,2),wr(1,3))")),
+            "a0e9c12896ce04afbaf707f146be31ba29ba0fe3129c438e411fe908b0b53ee5",
+        ),
+        (
+            lambda: realize_disk(parse_term("wr(1,3)")),
+            "1feb70328ff3dfa7aa6be806d034e1c104ceae23ac59d6f25c8dd2be62eb4c92",
+        ),
+    ],
+    ids=["circuit-wr(1,2)-2", "simple-wr(wr(1,2),2)-2", "disk-prod(wr(1,2),wr(1,3))", "disk-wr(1,3)"],
+)
+def test_pinned_digests(make, digest):
+    """Field values and record, bit for bit, of the circuit, simple and disk
+    constructions."""
+    f, rec = make()
+    h = hashlib.sha256(f.values.tobytes())
+    h.update(rec.to_json())
+    assert h.hexdigest() == digest
+
+
 class TestSimple:
     def test_simple_and_circuit(self):
         for n in (1, 2, 3):

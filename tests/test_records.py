@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
-from kronrod.errors import GridCapExceeded, IncompleteRecord, InvalidField, OrderOverflow
+from kronrod.errors import GridCapExceeded, IncompleteRecord, InvalidField
 from kronrod.fields import ScalarField, classify_vertices, euler_check, morse_counts
 from kronrod.permgroups import group_order, is_isomorphic, perm_rep
 from kronrod.records import (
@@ -127,9 +127,7 @@ class TestNormalizeIsomorphism:
     def test_perm_reps_isomorphic(self, t):
         """`normalize` only drops trivial parts and reorders product factors:
         paired in that order, its group is the term's."""
-        try:
-            order(t, bound=10**5)
-        except OrderOverflow:
+        if order(t) > 10**5:
             return
         assert normalize(presorted(t)) == normalize(t)
         assert group_order(perm_rep(t)) == order(t)

@@ -757,6 +757,29 @@ class TestExports:
         with pytest.raises(ReebError):
             import_json(graph_doc(4, [(0, 1), (1, 2), (2, end)]))
 
+    @pytest.mark.parametrize(
+        "where,key,bad",
+        [
+            ("vertex", "value", "x"),
+            ("crit", "value", "x"),
+            ("edge", "lo", "x"),
+            ("edge", "hi", "x"),
+            ("edge", "hi", float("nan")),
+            ("vertex", "value", float("inf")),
+            ("crit", "x", 0.5),
+            ("crit", "y", "0"),
+            ("vertex", "boundary", 0),
+        ],
+    )
+    def test_json_bad_field_kind_rejected(self, where, key, bad):
+        doc = json.loads(graph_doc(3, [(0, 1), (0, 2)]))
+        crit = {"x": 0, "y": 0, "kind": "minimum", "value": 0.0}
+        doc["vertices"][0]["crits"].append(crit)
+        import_json(json.dumps(doc).encode("utf-8"))  # the document is valid as made
+        {"vertex": doc["vertices"][1], "crit": crit, "edge": doc["edges"][1]}[where][key] = bad
+        with pytest.raises(ReebError):
+            import_json(json.dumps(doc).encode("utf-8"))
+
     def test_json_ids_out_of_order_rejected(self):
         doc = json.loads(graph_doc(3, [(0, 1), (1, 2)]))
         doc["edges"].reverse()

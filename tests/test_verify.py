@@ -1,20 +1,17 @@
-"""The group checks of the verification contract on large terms and on
-records with wrong generators."""
+"""The group checks of the verification contract on large terms, on
+records with wrong generators, and against a full group order that the
+generated order does not divide; and the one leaf peel a verify makes."""
 
 import pytest
 
-from kronrod.construct import realize_torus_circuit, realize_torus_tree
+from kronrod import reeb, verify
+from kronrod.auts import AutGroup
+from kronrod.construct import realize
 from kronrod.records import GridTranslation, RectCycle
 from kronrod.terms import order, parse_term
 from kronrod.verify import verify_realization
 
 GROUP_CHECKS = ("generated_order", "group_isomorphism")
-
-
-def realize(case, base, n, m=1):
-    if case == "tree":
-        return realize_torus_tree(parse_term(base), n, m)
-    return realize_torus_circuit(parse_term(base), n)
 
 
 def failing(report):
@@ -31,7 +28,7 @@ def failing(report):
     ],
 )
 def test_group_checks_run_on_large_terms(case, base, n, m):
-    f, rec = realize(case, base, n, m)
+    f, rec = realize(case, parse_term(base), n, m)
     report = verify_realization(f, rec)
     assert report.ok, failing(report)
     details = {c.name: c.detail for c in report.checks}
@@ -45,7 +42,7 @@ def test_group_checks_run_on_large_terms(case, base, n, m):
 
 
 def test_swapped_generators_fail_the_pairing():
-    f, rec = realize("circuit", "wr(1,2)", 3)
+    f, rec = realize("circuit", parse_term("wr(1,2)"), 3)
     rec.symmetries[:2] = rec.symmetries[1::-1]
     report = verify_realization(f, rec)
     assert failing(report) == {"group_isomorphism"}
@@ -57,13 +54,13 @@ def test_swapped_generators_fail_the_pairing():
 def test_swapped_generators_of_equal_order_can_pair():
     # Z2 wr Z2 is dihedral of order 8: an automorphism exchanges the two
     # classes of reflections, so the swapped pairing is still an isomorphism
-    f, rec = realize("circuit", "wr(1,2)", 2)
+    f, rec = realize("circuit", parse_term("wr(1,2)"), 2)
     rec.symmetries[:2] = rec.symmetries[1::-1]
     assert verify_realization(f, rec).ok
 
 
 def test_dropped_rect_cycle_fails_above_old_cap():
-    f, rec = realize("circuit", "wr(1,2)", 12)
+    f, rec = realize("circuit", parse_term("wr(1,2)"), 12)
     assert order(rec.term) > 5000
     rec.symmetries = [s for s in rec.symmetries if not isinstance(s, RectCycle)]
     report = verify_realization(f, rec)
@@ -71,8 +68,28 @@ def test_dropped_rect_cycle_fails_above_old_cap():
 
 
 def test_block_shift_by_two_fails():
-    f, rec = realize("circuit", "wr(1,2)", 4)
+    f, rec = realize("circuit", parse_term("wr(1,2)"), 4)
     (shift,) = [s for s in rec.symmetries if isinstance(s, GridTranslation)]
     rec.symmetries[0] = GridTranslation(2 * shift.dx, shift.dy)
     report = verify_realization(f, rec)
     assert failing(report) == set(GROUP_CHECKS)
+
+
+def test_aut_containment_fails_when_the_generated_order_does_not_divide(monkeypatch):
+    f, rec = realize("circuit", parse_term("1"), 4)
+    monkeypatch.setattr(verify, "value_preserving_auts", lambda g: AutGroup(order=6))
+    report = verify_realization(f, rec)
+    assert failing(report) == {"aut_containment"}
+    detail = next(c.detail for c in report.checks if c.name == "aut_containment")
+    assert detail == "generated order 4 does not divide full group order 6"
+
+
+@pytest.mark.parametrize("case,base,n,m", [("circuit", "1", 4, 1), ("tree", "wr(1,2)", 1, 2)])
+def test_verify_peels_the_graph_once(monkeypatch, case, base, n, m):
+    """The shape check and the full group order share one leaf peel."""
+    calls = []
+    peel = reeb._peel
+    monkeypatch.setattr(reeb, "_peel", lambda g: calls.append(g) or peel(g))
+    f, rec = realize(case, parse_term(base), n, m)
+    assert verify_realization(f, rec).ok
+    assert len(calls) == 1
