@@ -304,11 +304,18 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
 
 
 def generated_group(g: ReebGraph, gens: Iterable[GraphAut]) -> PermGroup:
-    """Permutation group on vertex + edge ids generated by graph automorphisms,
-    with its order computed."""
+    """Permutation group generated by graph automorphisms, with its order
+    computed.  It acts on the vertex ids, then on the edges of every class of
+    two or more parallel equal-interval edges.
+
+    The action is faithful: an automorphism maps each parallel class onto
+    the class of the mapped ends and the same interval, which has as many
+    edges, so an edge alone in its class goes wherever its ends go."""
     nv = g.n_vertices
-    perms = [tuple(list(a.vperm) + [nv + e for e in a.eperm]) for a in gens]
-    group = PermGroup(degree=nv + g.n_edges, generators=perms)
+    multi = [e for ids in _edge_classes(g).values() if len(ids) > 1 for e in ids]
+    point = {e: nv + k for k, e in enumerate(multi)}
+    perms = [a.vperm + tuple([point[a.eperm[e]] for e in multi]) for a in gens]
+    group = PermGroup(degree=nv + len(multi), generators=perms)
     group_order(group)
     return group
 

@@ -165,14 +165,31 @@ def _content_values(layout: Layout) -> np.ndarray:
     return np.outer(rows, cols) / norm
 
 
+def _layout_width(t: GroupTerm, simple: bool) -> int:
+    """Column count of `build_layout(t, simple)`, read off the term."""
+    if isinstance(t, Wr) and t.n > 1:
+        w = _layout_width(t.base, simple)
+        return 2 * w + 5 if simple else 1 + t.n * (w + 3)
+    if isinstance(t, Wr):
+        return _layout_width(t.base, simple)
+    if isinstance(t, Prod):
+        return sum(_layout_width(f, simple) for f in t.factors) + len(t.factors) - 1
+    return len(_TRIV_CORE)
+
+
 def _layout(base: GroupTerm, simple: bool = False) -> Layout:
     """Disk layout of `base`; NotRealizable unless `base` is in the disk
-    class, or in the simple disk class when `simple`."""
+    class, or in the simple disk class when `simple`.  GridCapExceeded
+    before the layout is built when even its content rectangle, which every
+    construction's grid holds, exceeds the cap."""
     flags = class_of(normalize(base))
     if simple and not flags.disk_realizable_simple:
         raise NotRealizable(f"{format_term(base)} is not simple-disk realizable")
     if not flags.disk_realizable:
         raise NotRealizable(f"{format_term(base)} is not disk realizable")
+    cols = _layout_width(base, simple)
+    if cols * CONTENT_ROWS > _grid_cap():
+        raise GridCapExceeded(f"layout of {cols}x{CONTENT_ROWS} content exceeds cap")
     return build_layout(base, simple)
 
 

@@ -63,21 +63,20 @@ class PermGroup:
 # ---------------------------------------------------------------------------
 
 
-def _transversal(point: int, gens: list[Perm]) -> dict[int, tuple[Perm, Perm]]:
-    """Orbit of `point` under <gens>: each orbit point x maps to a coset
-    representative u with u[point] = x, and its inverse."""
-    ident = identity(len(gens[0]))
-    reps = {point: (ident, ident)}
-    queue = [point]
-    for x in queue:
+def _transversal(reps: dict[int, tuple[Perm, Perm]], gens: list[Perm], new: int = 0) -> None:
+    """Grow the orbit `reps` under <gens> in place: each orbit point x maps
+    to a coset representative u, sending the orbit's first point to x, and its
+    inverse.  Known points keep theirs and see only gens[new:]."""
+    queue = list(reps)
+    seen = len(queue)
+    for k, x in enumerate(queue):
         u = reps[x][0]
-        for s in gens:
+        for s in gens[new if k < seen else 0 :]:
             y = s[x]
             if y not in reps:
                 v = compose(u, s)
                 reps[y] = (v, inverse(v))
                 queue.append(y)
-    return reps
 
 
 def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
@@ -91,11 +90,19 @@ def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
     point), and the scan resumes at the last level it joined.  When
     every Schreier generator sifts to the identity the chain is complete and
     the group order is the product of the orbit lengths.
+
+    Each pair (x, s) is sifted once; `checked[i][x]` counts the strong
+    generators done.  Transversals only grow and keep their representatives,
+    so a Schreier generator that sifted to the identity still does later.
+    One whose residue joined the levels below lies in <strong[i + 1]>, and
+    sifts to the identity once those levels are complete, as they are when
+    the scan comes back to level i.
     """
     gens = [p for p in gens if not _is_identity(p)]
     base: list[int] = []
     strong: list[list[Perm]] = []
     trans: list[dict[int, tuple[Perm, Perm]]] = []
+    checked: list[dict[int, int]] = []
 
     def fixes_base(p: Perm, levels: int) -> bool:
         return all(p[b] == b for b in base[:levels])
@@ -103,7 +110,8 @@ def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
     def add_level(p: Perm) -> None:
         base.append(next(k for k, x in enumerate(p) if k != x))
         strong.append([])
-        trans.append({})
+        trans.append({base[-1]: (identity(len(p)),) * 2})
+        checked.append({})
 
     def sift(h: Perm, start: int) -> tuple[Perm, int]:
         for level in range(start, len(base)):
@@ -118,13 +126,15 @@ def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
             add_level(p)
     for level in range(len(base)):
         strong[level] = [p for p in gens if fixes_base(p, level)]
-        trans[level] = _transversal(base[level], strong[level])
+        _transversal(trans[level], strong[level])
 
     i = len(base) - 1
     while i >= 0:
         failure = None
         for x, (u, _) in trans[i].items():
-            for s in strong[i]:
+            for k in range(checked[i].get(x, 0), len(strong[i])):
+                s = strong[i][k]
+                checked[i][x] = k + 1
                 us = compose(u, s)
                 target, target_inv = trans[i][s[x]]
                 if us == target:
@@ -143,7 +153,7 @@ def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
             add_level(residue)
         for level in range(i + 1, j + 1):
             strong[level].append(residue)
-            trans[level] = _transversal(base[level], strong[level])
+            _transversal(trans[level], strong[level], len(strong[level]) - 1)
         i = j
     return [len(t) for t in trans]
 

@@ -10,6 +10,7 @@ forms, checked against a backtracking enumeration up to order 10^4.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -186,6 +187,54 @@ def test_criterion_5_containment(corpus):
         "order divides the full automorphism group's",
         not bad and checked > 0,
         f"{checked} members with full group <= {AUT_CAP}" + (f"; failures {bad}" if bad else ""),
+    )
+
+
+def test_group_orders_match_sympy_on_all_points(corpus):
+    """Orders against sympy, with the induced automorphisms acting on every
+    vertex and every edge; `generated_group` acts on the vertices and the
+    edges of parallel classes of two or more edges only."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    def sympy_order(degree, perms):
+        return PermutationGroup(
+            [Permutation(list(p)) for p in perms] or [Permutation(degree - 1)]
+        ).order()
+
+    members, _ = corpus
+    bad = []
+    degrees = {}
+    for member, f, rec, g in members:
+        gens = [induced_graph_aut(g, s) for s in rec.symmetries]
+        nv, ne = g.n_vertices, g.n_edges
+        every = [a.vperm + tuple(nv + e for e in a.eperm) for a in gens]
+        classes = Counter((min(e.u, e.v), max(e.u, e.v), e.lo, e.hi) for e in g.edges)
+        grp = generated_group(g, gens)
+        degrees[member.label] = grp.degree
+        if grp.degree != nv + sum(k for k in classes.values() if k > 1):
+            bad.append(f"{member.label}: degree {grp.degree}")
+        if grp.order != sympy_order(nv + ne, every):
+            bad.append(f"{member.label}: order {grp.order}")
+        rep = perm_rep(record_term(rec))
+        iso = is_isomorphic(grp, rep)
+        g_id, h_id = tuple(range(nv + ne)), tuple(range(rep.degree))
+        gs = [p for p in every if p != g_id]
+        hs = [q for q in rep.generators if q != h_id]
+        k = max(len(gs), len(hs))
+        gs += [g_id] * (k - len(gs))
+        hs += [h_id] * (k - len(hs))
+        diagonal = [p + tuple(nv + ne + j for j in q) for p, q in zip(gs, hs)]
+        if (iso.h, iso.diagonal) != (
+            sympy_order(rep.degree, rep.generators),
+            sympy_order(nv + ne + rep.degree, diagonal),
+        ):
+            bad.append(f"{member.label}: pairing {iso}")
+    if degrees["tree-wr(1,2)-2-2"] != 57:  # 113 on every vertex and edge
+        bad.append(f"tree-wr(1,2)-2-2: degree {degrees['tree-wr(1,2)-2-2']} != 57")
+    _report(
+        "generated, term and diagonal orders equal sympy's on every vertex and edge",
+        not bad and len(members) == 26,
+        "; ".join(bad) if bad else f"{len(members)} members",
     )
 
 

@@ -3,18 +3,21 @@ import hashlib
 import numpy as np
 import pytest
 
+from kronrod import construct
 from kronrod.auts import generated_group, induced_graph_aut, record_term, structural_group
 from kronrod.construct import (
     _AMPLITUDE,
     _LINE_EPS,
     _bump_knots,
+    _layout_width,
     build_layout,
+    realize,
     realize_disk,
     realize_simple,
     realize_torus_circuit,
     realize_torus_tree,
 )
-from kronrod.errors import NotRealizable
+from kronrod.errors import GridCapExceeded, NotRealizable
 from kronrod.fields import (
     CritKind,
     classify_vertices,
@@ -314,3 +317,24 @@ class TestLayoutInternals:
         for term in ("1", "wr(1,4)", "prod(wr(1,2),wr(1,3))", "wr(wr(1,2),2)"):
             c0, c1, c2 = build_layout(parse_term(term)).counts
             assert c0 - c1 + c2 == 1
+
+    @pytest.mark.parametrize("simple", [False, True])
+    def test_width_from_the_term(self, simple):
+        for term in ("1", "wr(1,2)", "wr(wr(1,2),2)", "prod(wr(1,2),1,wr(1,3))", "wr(prod(1,1),4)"):
+            t = parse_term(term)
+            try:
+                layout = build_layout(t, simple)
+            except NotRealizable:
+                continue
+            assert _layout_width(t, simple) == len(layout.cols), term
+
+    @pytest.mark.parametrize("case", ["disk", "circuit", "tree"])
+    def test_grid_cap_checked_before_the_layout(self, monkeypatch, case):
+        # the layout alone has 273,723 columns
+        calls = []
+        build = construct.build_layout
+        monkeypatch.setattr(construct, "build_layout", lambda *a: calls.append(a) or build(*a))
+        monkeypatch.setenv("KR_GRID_CAP", "1000")
+        with pytest.raises(GridCapExceeded):
+            realize(case, parse_term("wr(wr(wr(1,30),30),30)"))
+        assert calls == []

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from kronrod import permgroups
 from kronrod.errors import DegreeCapExceeded
 from kronrod.permgroups import (
     DEGREE_CAP,
@@ -14,7 +15,7 @@ from kronrod.permgroups import (
     is_isomorphic,
     perm_rep,
 )
-from kronrod.terms import Prod, Triv, Wr, Wr2, normalize, order
+from kronrod.terms import Prod, Triv, Wr, Wr2, normalize, order, parse_term
 
 from test_terms import terms_strategy
 
@@ -107,19 +108,40 @@ class TestOrder:
         from sympy.combinatorics import Permutation, PermutationGroup
 
         rng = random.Random(7)
-        for _ in range(200):
-            degree = rng.randint(1, 10)
-            gens = []
-            for _ in range(rng.randint(0, 3)):
-                p = list(range(degree))
-                if rng.random() < 0.5:
-                    rng.shuffle(p)
-                else:  # transpositions give many small, intransitive groups
-                    i, j = rng.randrange(degree), rng.randrange(degree)
-                    p[i], p[j] = p[j], p[i]
-                gens.append(tuple(p))
-            want = PermutationGroup([Permutation(list(p)) for p in gens] or [Permutation(degree - 1)])
-            assert group_order(PermGroup(degree, gens)) == want.order(), gens
+        # 200 groups of degree <= 10 on <= 3 generators, then 100 of degree
+        # <= 40 on <= 4, whose shuffles of a few points give chains up to
+        # 19 levels deep that many residues join
+        for max_degree, max_gens, count in ((10, 3, 200), (40, 4, 100)):
+            for _ in range(count):
+                degree = rng.randint(1, max_degree)
+                gens = []
+                for _ in range(rng.randint(0, max_gens)):
+                    p = list(range(degree))
+                    shuffle = rng.random() < 0.5
+                    if shuffle and max_degree <= 10:
+                        rng.shuffle(p)
+                    elif shuffle:  # of a few points only
+                        support = rng.sample(range(degree), min(degree, rng.randint(2, 12)))
+                        for i, j in zip(support, rng.sample(support, len(support))):
+                            p[i] = j
+                    else:  # transpositions give many small, intransitive groups
+                        i, j = rng.randrange(degree), rng.randrange(degree)
+                        p[i], p[j] = p[j], p[i]
+                    gens.append(tuple(p))
+                want = PermutationGroup(
+                    [Permutation(list(p)) for p in gens] or [Permutation(degree - 1)]
+                )
+                assert group_order(PermGroup(degree, gens)) == want.order(), gens
+
+    def test_each_schreier_generator_is_sifted_once(self, monkeypatch):
+        # rescanning a level and rebuilding its transversal after every
+        # residue took 1,209 compositions here; sifting each (orbit point,
+        # strong generator) pair once takes 356
+        calls = []
+        compose_ = permgroups.compose
+        monkeypatch.setattr(permgroups, "compose", lambda p, q: calls.append(1) or compose_(p, q))
+        assert group_order(perm_rep(parse_term("wr2(prod(wr(1,2),1,1,1),2,2)"))) == 2048
+        assert len(calls) <= 600
 
 
 class TestIsomorphism:

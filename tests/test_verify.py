@@ -93,3 +93,13 @@ def test_verify_peels_the_graph_once(monkeypatch, case, base, n, m):
     f, rec = realize(case, parse_term(base), n, m)
     assert verify_realization(f, rec).ok
     assert len(calls) == 1
+
+
+def test_euler_fails_on_counts_the_record_was_not_designed_with():
+    f, rec = realize("circuit", parse_term("1"), 2)
+    c0, c1, c2 = rec.designed_counts
+    rec.designed_counts = (c0 + 1, c1 + 1, c2)  # still balanced
+    report = verify_realization(f, rec)
+    assert failing(report) == {"euler"}
+    detail = next(c.detail for c in report.checks if c.name == "euler")
+    assert detail == f"counts {(c0, c1, c2)} != designed {(c0 + 1, c1 + 1, c2)}"
