@@ -43,7 +43,6 @@ from kronrod.auts import (
     induced_graph_aut,
     generated_group,
     record_term,
-    structural_group,
 )
 from kronrod.records import ConstructionRecord, GridTranslation, RectCycle
 from kronrod.verify import verify_realization
@@ -92,7 +91,6 @@ __all__ = [
     "induced_graph_aut",
     "generated_group",
     "record_term",
-    "structural_group",
     "realize",
     "realize_disk",
     "realize_torus_circuit",

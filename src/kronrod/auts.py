@@ -28,11 +28,10 @@ from typing import Iterable
 import numpy as np
 
 from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
-from kronrod.fields import ScalarField
 from kronrod.permgroups import PermGroup, group_order
-from kronrod.records import ConstructionRecord, GridTranslation, RectCycle, SymmetrySpec
+from kronrod.records import ConstructionRecord, SymmetrySpec, moves
 from kronrod.reeb import ReebGraph, Triangulation, classify_shape
-from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, normalize
+from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2
 
 DEFAULT_AUT_CAP = 10_000
 
@@ -163,15 +162,6 @@ def value_preserving_auts(g: ReebGraph) -> AutGroup:
 # ---------------------------------------------------------------------------
 
 
-def _edge_classes(g: ReebGraph) -> dict[tuple, list[int]]:
-    """Parallel-edge classes keyed by (endpoints, interval)."""
-    classes: dict[tuple, list[int]] = {}
-    for e in g.edges:
-        key = (min(e.u, e.v), max(e.u, e.v), e.lo, e.hi)
-        classes.setdefault(key, []).append(e.id)
-    return classes
-
-
 def _canonical_eperm(g: ReebGraph, vperm: tuple[int, ...], eclasses) -> tuple[int, ...]:
     """One edge permutation compatible with a vertex permutation: map each
     parallel class to its image class in id order."""
@@ -186,54 +176,18 @@ def _canonical_eperm(g: ReebGraph, vperm: tuple[int, ...], eclasses) -> tuple[in
     return tuple(eperm)
 
 
-def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a symmetry sends each grid point, as three (height, width) arrays:
-    the image x, the image y, and the piece that moves the point rigidly (the
-    rectangle's index in a cycle, 0 for a translation, -1 where fixed)."""
-    w, h = f.width, f.height
-    ys, xs = np.mgrid[0:h, 0:w]
-    if isinstance(sym, GridTranslation):
-        if f.kind != "torus":
-            raise NotAnAutomorphism("grid translation on a non-torus field")
-        return (xs + sym.dx) % w, (ys + sym.dy) % h, np.zeros((h, w), dtype=np.int64)
-    if not isinstance(sym, RectCycle):
-        raise NotAnAutomorphism(f"unknown symmetry {sym!r}")
-    tx, ty = xs.copy(), ys.copy()
-    piece = np.full((h, w), -1, dtype=np.int64)
-    rects = sym.rects
-    for k, (r, r_next) in enumerate(zip(rects, rects[1:] + rects[:1])):
-        if (r.w, r.h) != (r_next.w, r_next.h) or min(r.w, r.h) < 1:
-            raise NotAnAutomorphism("rect cycle with mismatched or empty rectangles")
-        sx, dx = r.x0 + np.arange(r.w), r_next.x0 + np.arange(r.w)
-        sy, dy = r.y0 + np.arange(r.h), r_next.y0 + np.arange(r.h)
-        if f.wraps:
-            sx, dx, sy, dy = sx % w, dx % w, sy % h, dy % h
-        if not all(0 <= a.min() and a.max() < n for a, n in ((sx, w), (dx, w), (sy, h), (dy, h))):
-            raise NotAnAutomorphism("rect cycle leaves the grid")
-        block = np.ix_(sy, sx)
-        tx[block] = dx[None, :]
-        ty[block] = dy[:, None]
-        piece[block] = k
-    # every image lies in the grid, so the map is a bijection when all are hit
-    hit = np.zeros(w * h, dtype=bool)
-    hit[ty * w + tx] = True
-    if not hit.all():
-        raise NotAnAutomorphism("point map of the symmetry is not a bijection")
-    return tx, ty, piece
-
-
-def _cell_permutation(
-    tri: Triangulation, tx: np.ndarray, ty: np.ndarray, piece: np.ndarray
-) -> np.ndarray:
-    """Triangle-level map of a point map: a cell whose four corners lie in one
-    piece moves with them; every other cell stays put."""
+def _cell_permutation(tri: Triangulation, image: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """Triangle-level map of a point map, given as each grid point's flat
+    image and rigid piece (-1 where fixed): a cell whose four corners lie in
+    one piece moves with them; every other cell stays put."""
     w, h = tri.field.width, tri.field.height
     cells = np.arange(tri.ncx * tri.ncy)
     cy, cx = np.divmod(cells, tri.ncx)
     x1, y1 = (cx + 1) % w, (cy + 1) % h
-    p = piece[cy, cx]
-    moves = (p >= 0) & (piece[cy, x1] == p) & (piece[y1, x1] == p) & (piece[y1, cx] == p)
-    target = np.where(moves, ty[cy, cx] * tri.ncx + tx[cy, cx], cells)
+    p = piece[[cy * w + cx, cy * w + x1, y1 * w + x1, y1 * w + cx]]
+    rigid = (p[0] >= 0) & (p == p[0]).all(axis=0)
+    ty, tx = np.divmod(image[cy * w + cx], w)
+    target = np.where(rigid, ty * tri.ncx + tx, cells)
     perm = np.empty(tri.ntri, dtype=np.int64)
     perm[0::2] = 2 * target
     perm[1::2] = 2 * target + 1
@@ -257,8 +211,11 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     tri = g.tri
     if tri is None:
         raise NotAnAutomorphism("graph carries no triangulation")
-    tx, ty, piece = _point_map(tri.field, sym)
-    carrier = {(c.x, c.y): (c, v.id) for v in g.vertices for c in v.crits}
+    w, n = tri.field.width, tri.field.values.size
+    src, dst, pieces = moves(tri.field, sym)
+    image, piece = np.arange(n), np.full(n, -1)
+    image[src], piece[src] = dst, pieces
+    carrier = {c.y * w + c.x: (c, v.id) for v in g.vertices for c in v.crits}
     boundary = {v.value: v.id for v in g.vertices if v.boundary and not v.crits}
 
     vperm = []
@@ -268,7 +225,7 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
             continue
         images = set()
         for c in v.crits:
-            hit = carrier.get((int(tx[c.y, c.x]), int(ty[c.y, c.x])))
+            hit = carrier.get(int(image[c.y * w + c.x]))
             if hit is None or (hit[0].kind, hit[0].value) != (c.kind, c.value):
                 raise NotAnAutomorphism(
                     f"critical point ({c.x}, {c.y}) maps to no critical point of its kind and value"
@@ -278,17 +235,17 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
             raise NotAnAutomorphism(f"vertex {v.id} critical points map to {len(images)} vertices")
         vperm.append(images.pop())
 
-    eclasses = _edge_classes(g)
+    eclasses = g.edge_classes()
     eperm = list(_canonical_eperm(g, vperm, eclasses))
     parallel = [(lo, ids) for (_, _, lo, _), ids in eclasses.items() if len(ids) > 1]
     if parallel:
-        perm = _cell_permutation(tri, tx, ty, piece)
+        perm = _cell_permutation(tri, image, piece)
         for lo, ids in parallel:
             root = g.slab_roots(lo)
             target = {eperm[e] for e in ids}
             for e in ids:
-                image = root[perm[root == root[g.edges[e].witness]]]
-                hits = [d for d in target if (image == root[g.edges[d].witness]).all()]
+                mapped = root[perm[root == root[g.edges[e].witness]]]
+                hits = [d for d in target if (mapped == root[g.edges[d].witness]).all()]
                 if len(hits) != 1:
                     raise NotAnAutomorphism(f"edge {e} cells do not map onto one parallel edge")
                 eperm[e] = hits[0]
@@ -312,17 +269,12 @@ def generated_group(g: ReebGraph, gens: Iterable[GraphAut]) -> PermGroup:
     the class of the mapped ends and the same interval, which has as many
     edges, so an edge alone in its class goes wherever its ends go."""
     nv = g.n_vertices
-    multi = [e for ids in _edge_classes(g).values() if len(ids) > 1 for e in ids]
+    multi = [e for ids in g.edge_classes().values() if len(ids) > 1 for e in ids]
     point = {e: nv + k for k, e in enumerate(multi)}
     perms = [a.vperm + tuple([point[a.eperm[e]] for e in multi]) for a in gens]
     group = PermGroup(degree=nv + len(multi), generators=perms)
     group_order(group)
     return group
-
-
-def structural_group(rec: ConstructionRecord) -> GroupTerm:
-    """Normalized group term of a construction record (see `record_term`)."""
-    return normalize(record_term(rec))
 
 
 def record_term(rec: ConstructionRecord) -> GroupTerm:

@@ -114,26 +114,11 @@ class ScalarField:
         return f"ScalarField({self.kind}, {self.width}x{self.height})"
 
 
-def _neighbor_stack(f: ScalarField) -> np.ndarray:
-    """(6, H, W) neighbor values; NaN where the neighbor leaves the domain."""
-    vals = f.values
-    out = np.empty((6,) + vals.shape, dtype=np.float64)
-    for k, (dx, dy) in enumerate(LINK_OFFSETS):
-        shifted = vals
-        # numpy row axis is y; np.roll with negative shift brings (x+dx, y+dy)
-        # to position (x, y)
-        shifted = np.roll(shifted, (-dy, -dx), axis=(0, 1))
-        if not f.wraps:
-            if dx == 1:
-                shifted[:, -1] = np.nan
-            elif dx == -1:
-                shifted[:, 0] = np.nan
-            if dy == 1:
-                shifted[-1, :] = np.nan
-            elif dy == -1:
-                shifted[0, :] = np.nan
-        out[k] = shifted
-    return out
+def _link(vals: np.ndarray) -> np.ndarray:
+    """(6, H, W) values of each vertex's link neighbors in LINK_OFFSETS order,
+    read with wrap-around, so only an interior vertex's link lies in a disk."""
+    # rolling rows by -dy and columns by -dx brings (x + dx, y + dy) to (x, y)
+    return np.stack([np.roll(vals, (-dy, -dx), axis=(0, 1)) for dx, dy in LINK_OFFSETS])
 
 
 def _validate(f: ScalarField) -> None:
@@ -154,9 +139,7 @@ def _validate(f: ScalarField) -> None:
         if not (np.all(ring > frame[0]) or np.all(ring < frame[0])):
             raise InvalidField("disk collar is not strictly one-sided")
     # interior vertices must differ from every link neighbor
-    nbs = _neighbor_stack(f)
-    interior = ~f.boundary_mask()
-    ties = (nbs == f.values[None, :, :]) & interior[None, :, :]
+    ties = (_link(f.values) == f.values) & ~f.boundary_mask()
     if ties.any():
         k, y, x = np.argwhere(ties)[0]
         dx, dy = LINK_OFFSETS[k]
@@ -173,11 +156,8 @@ def classify_vertices(f: ScalarField) -> list[CriticalPoint]:
     interior = ~f.boundary_mask()
     # sign of (neighbor - vertex) around the link; only interior vertices are
     # classified, and their links lie in the domain, so no wrap-around is read
-    sign = np.empty((6,) + vals.shape, dtype=np.int8)
-    for k, (dx, dy) in enumerate(LINK_OFFSETS):
-        nb = np.roll(vals, (-dy, -dx), axis=(0, 1))
-        sign[k] = nb > vals
-        sign[k] -= nb < vals
+    nbs = _link(vals)
+    sign = (nbs > vals).astype(np.int8) - (nbs < vals)
     changes = sum(sign[k] != sign[k - 1] for k in range(6))
     degen = interior & (changes >= 6)
     if degen.any():
@@ -281,17 +261,16 @@ def fix_ties(values: np.ndarray, kind: str, max_rounds: int = 8) -> np.ndarray:
     """
     vals = np.array(values, dtype=np.float64)
     h, w = vals.shape
-    probe = ScalarField(kind, vals, validate=False)
+    interior = np.pad(np.ones((h - 2, w - 2), bool), 1) if kind == DISK else np.ones((h, w), bool)
     for _ in range(max_rounds):
-        nbs = _neighbor_stack(probe)
-        interior = ~probe.boundary_mask()
-        diffs = np.abs(nbs - vals[None, :, :])
-        finite = diffs[np.isfinite(diffs)]
-        nonzero = finite[finite > 0]
+        # a disk's link wraps only between frame vertices, equal on a valid frame
+        nbs = _link(vals)
+        diffs = np.abs(nbs - vals)
+        nonzero = diffs[diffs > 0]
         if nonzero.size == 0:
             raise InvalidField("constant field cannot be made PL-Morse")
         gap = float(nonzero.min())
-        tie_mask = np.any((nbs == vals[None, :, :]), axis=0) & interior
+        tie_mask = np.any(nbs == vals, axis=0) & interior
         if not tie_mask.any():
             return vals
         span = float(vals.max() - vals.min()) or 1.0
@@ -299,5 +278,4 @@ def fix_ties(values: np.ndarray, kind: str, max_rounds: int = 8) -> np.ndarray:
         ys, xs = np.nonzero(tie_mask)
         ranks = ys * w + xs + 1
         vals[ys, xs] += eps * ranks / (w * h)
-        probe = ScalarField(kind, vals, validate=False)
     raise InvalidField("could not remove neighbor ties")

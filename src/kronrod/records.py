@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
 
-from kronrod.errors import IncompleteRecord, InvalidField
+from kronrod.errors import IncompleteRecord, InvalidField, NotAnAutomorphism
 from kronrod.fields import ScalarField
 from kronrod.terms import GroupTerm, term_from_json, term_to_json
 
@@ -37,7 +38,7 @@ class GridTranslation:
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned vertex rectangle [x0, x0+w) x [y0, y0+h), torus-wrapped."""
+    """Axis-aligned vertex rectangle [x0, x0+w) x [y0, y0+h), wrapped on a torus."""
 
     x0: int
     y0: int
@@ -85,8 +86,8 @@ class ConstructionRecord:
 
     `case` is one of "disk", "circuit", "tree", "simple".  For torus cases
     `base` is the term carried by each band / orbit-one square.  The
-    structural group of the whole field is derived from the record by the
-    wreath recursion in `kronrod.auts.structural_group`.
+    group term of the whole field is derived from the record by the
+    wreath recursion in `kronrod.auts.record_term`.
     """
 
     case: str
@@ -150,8 +151,45 @@ class ConstructionRecord:
         return rec
 
 
+def moves(f: ScalarField, sym: SymmetrySpec) -> tuple:
+    """Where a symmetry sends the grid points it moves: their flat indices
+    ``y * width + x`` (``slice(None)``, all of them, for a translation), their
+    images, and the piece that moves each rigidly (the rectangle's index in a
+    cycle, 0 for a translation).  NotAnAutomorphism unless the map is a
+    bijection of the grid: a translation of a torus, or a cycle of equal,
+    nonempty, pairwise disjoint rectangles inside the grid, wrapping only on
+    a torus; each goes onto the next, so together they are their own image.
+    """
+    w, h = f.width, f.height
+    if isinstance(sym, GridTranslation):
+        if not f.wraps:
+            raise NotAnAutomorphism("grid translation on a non-torus field")
+        xs, ys = (np.arange(w) + sym.dx) % w, (np.arange(h) + sym.dy) % h
+        return slice(None), (ys[:, None] * w + xs).ravel(), 0
+    if not isinstance(sym, RectCycle):
+        raise NotAnAutomorphism(f"unknown symmetry {sym!r}")
+    rects = sym.rects
+    rw, rh = (rects[0].w, rects[0].h) if rects else (0, 0)
+    if min(rw, rh) < 1 or any((r.w, r.h) != (rw, rh) for r in rects):
+        raise NotAnAutomorphism("rect cycle with mismatched or empty rectangles")
+    if not f.wraps and any(min(r.x0, r.y0) < 0 or r.x0 + rw > w or r.y0 + rh > h for r in rects):
+        raise NotAnAutomorphism("rect cycle leaves the grid")
+
+    def apart(a: Rect, b: Rect) -> bool:  # disjoint, modulo the grid
+        return rw <= (a.x0 - b.x0) % w <= w - rw or rh <= (a.y0 - b.y0) % h <= h - rh
+
+    # a rectangle longer than the torus overlaps itself
+    if rw > w or rh > h or not all(apart(a, b) for a, b in combinations(rects, 2)):
+        raise NotAnAutomorphism("point map of the symmetry is not a bijection")
+    dx, dy = np.arange(rw), np.arange(rh)
+    src = np.stack([(r.y0 + dy)[:, None] % h * w + (r.x0 + dx) % w for r in rects])
+    dst = np.concatenate([src[1:], src[:1]])
+    return src.ravel(), dst.ravel(), np.repeat(np.arange(len(rects)), rw * rh)
+
+
 def check_record_against_field(rec: ConstructionRecord, f: ScalarField) -> None:
-    """Exactness checks: slot congruence and symmetry invariance, bit for bit."""
+    """Exactness checks: slot congruence, and that every symmetry is a
+    bijection of the grid (see `moves`) that keeps each value, bit for bit."""
     if (rec.width, rec.height) != (f.width, f.height):
         raise IncompleteRecord(
             f"record grid {rec.width}x{rec.height} != field {f.width}x{f.height}"
@@ -165,20 +203,11 @@ def check_record_against_field(rec: ConstructionRecord, f: ScalarField) -> None:
         for s in slots[1:]:
             if not np.array_equal(ref, _slot_values(vals, s.rect, f)):
                 raise InvalidField(f"slots of orbit {orbit} are not value-congruent")
+    flat = vals.ravel()
     for sym in rec.symmetries:
-        if isinstance(sym, GridTranslation):
-            if f.kind != "torus":
-                raise IncompleteRecord("grid translations only apply to torus fields")
-            rolled = np.roll(vals, (-sym.dy, -sym.dx), axis=(0, 1))
-            if not np.array_equal(rolled, vals):
-                raise InvalidField(f"field is not invariant under {sym}")
-        else:
-            rects = sym.rects
-            for a, b in zip(rects, rects[1:] + rects[:1]):
-                if (a.w, a.h) != (b.w, b.h):
-                    raise IncompleteRecord("rect cycle with mismatched rectangles")
-                if not np.array_equal(_slot_values(vals, a, f), _slot_values(vals, b, f)):
-                    raise InvalidField("rect cycle does not preserve values")
+        src, dst, _ = moves(f, sym)
+        if not np.array_equal(flat[dst], flat[src]):
+            raise InvalidField(f"field is not invariant under {sym}")
 
 
 def _slot_values(vals: np.ndarray, rect: Rect, f: ScalarField) -> np.ndarray:

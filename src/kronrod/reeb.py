@@ -189,6 +189,7 @@ class ReebGraph:
         self.cuts = cuts
         self._incidence: Optional[list[list[int]]] = None
         self._peeled: Optional[tuple[list[tuple[int, int]], list[int]]] = None
+        self._classes: Optional[dict[tuple, list[int]]] = None
         self._slabs: dict[int, np.ndarray] = {}
 
     @property
@@ -214,6 +215,12 @@ class ReebGraph:
         if self._peeled is None:
             self._peeled = _peel(self)
         return self._peeled
+
+    def edge_classes(self) -> dict[tuple, list[int]]:
+        """Parallel-edge classes keyed by (endpoints, interval), computed once and kept."""
+        if self._classes is None:
+            self._classes = _edge_classes(self)
+        return self._classes
 
     def slab_roots(self, lo: float) -> np.ndarray:
         """The smallest triangle of each triangle's component in the sweep's
@@ -568,18 +575,18 @@ def build_reeb(f: ScalarField) -> ReebGraph:
 def _check_connected(g: ReebGraph) -> None:
     if not g.vertices:
         raise ReebError("graph has no vertices")
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for ei in g.incident_edges(v):
-            e = g.edges[ei]
-            for nb in (e.u, e.v):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    if len(seen) != len(g.vertices):
+    us = np.array([e.u for e in g.edges], dtype=np.int64)
+    vs = np.array([e.v for e in g.edges], dtype=np.int64)
+    if _label(g.n_vertices, us, vs).any():
         raise ReebError("Reeb graph is disconnected")
+
+
+def _edge_classes(g: ReebGraph) -> dict[tuple, list[int]]:
+    classes: dict[tuple, list[int]] = {}
+    for e in g.edges:
+        key = (min(e.u, e.v), max(e.u, e.v), e.lo, e.hi)
+        classes.setdefault(key, []).append(e.id)
+    return classes
 
 
 # ---------------------------------------------------------------------------

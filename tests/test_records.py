@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
+from kronrod.corpus import corpus_grid, realize_member
 from kronrod.errors import GridCapExceeded, IncompleteRecord, InvalidField
 from kronrod.fields import ScalarField, classify_vertices, euler_check, morse_counts
 from kronrod.permgroups import group_order, is_isomorphic, perm_rep
@@ -13,6 +14,7 @@ from kronrod.records import (
     GridTranslation,
     RectCycle,
     check_record_against_field,
+    moves,
 )
 from kronrod.terms import Prod, Triv, Wr, Wr2, _sort_key, normalize, order, parse_term
 
@@ -147,3 +149,39 @@ class TestMixedCaseDispatch:
         assert order(normalize(rec.term)) == 8 ** 2 * 2
         assert euler_check(f)
         assert morse_counts(f).c1 > 0
+
+
+def plain_image(f, sym):
+    """Each grid point's image (x, y) under a recorded symmetry, point by point."""
+    w, h = f.width, f.height
+    image = {(x, y): (x, y) for y in range(h) for x in range(w)}
+    if isinstance(sym, GridTranslation):
+        return {(x, y): ((x + sym.dx) % w, (y + sym.dy) % h) for x, y in image}
+    rects = sym.rects
+    for r, s in zip(rects, rects[1:] + rects[:1]):
+        for i in range(r.w):
+            for j in range(r.h):
+                image[(r.x0 + i) % w, (r.y0 + j) % h] = ((s.x0 + i) % w, (s.y0 + j) % h)
+    return image
+
+
+def test_moves_matches_the_plain_image_on_the_corpus():
+    """On every symmetry of the corpus records, `moves` gives the image
+    worked out point by point, which is a bijection of the grid keeping f."""
+    for member in corpus_grid():
+        f, rec = realize_member(member)
+        w, h = f.width, f.height
+        for sym in rec.symmetries:
+            image = plain_image(f, sym)
+            assert sorted(image.values()) == sorted(image), (member.label, sym)
+            assert all(f.values[y, x] == f.values[image[x, y][1], image[x, y][0]] for x, y in image)
+            src, dst, piece = moves(f, sym)
+            got = np.arange(w * h)
+            got[src] = dst
+            want = [x + y * w for x, y in (image[p % w, p // w] for p in range(w * h))]
+            assert got.tolist() == want
+            if isinstance(sym, RectCycle):
+                r = sym.rects
+                assert piece.tolist() == [k for k in range(len(r)) for _ in range(r[k].w * r[k].h)]
+            else:
+                assert piece == 0

@@ -7,7 +7,8 @@ import pytest
 from kronrod import reeb, verify
 from kronrod.auts import AutGroup
 from kronrod.construct import realize
-from kronrod.records import GridTranslation, RectCycle
+from kronrod.corpus import run_realization_corpus
+from kronrod.records import GridTranslation, Rect, RectCycle
 from kronrod.terms import order, parse_term
 from kronrod.verify import verify_realization
 
@@ -93,6 +94,37 @@ def test_verify_peels_the_graph_once(monkeypatch, case, base, n, m):
     f, rec = realize(case, parse_term(base), n, m)
     assert verify_realization(f, rec).ok
     assert len(calls) == 1
+
+
+def test_corpus_verify_computes_each_graphs_edge_classes_once(monkeypatch):
+    """Every push and the generated group share one parallel-edge class
+    dict per graph."""
+    calls = []
+    classes = reeb._edge_classes
+    monkeypatch.setattr(reeb, "_edge_classes", lambda g: calls.append(g) or classes(g))
+    runs = run_realization_corpus()
+    assert all(report.ok for _, report in runs)
+    assert len(calls) == len(runs) == 26
+
+
+@pytest.mark.parametrize(
+    "rects,reason",
+    [
+        (lambda w: (Rect(0, 0, 2, 1), Rect(1, 0, 2, 1)), "not a bijection"),  # overlaps itself
+        (lambda w: (Rect(w - 1, 0, 2, 1), Rect(3, 0, 2, 1)), "leaves the grid"),  # wraps a disk
+        (lambda w: (Rect(0, 0, 2, 1), Rect(3, 0, 3, 1)), "mismatched"),
+    ],
+    ids=["overlapping", "leaving-the-disk", "mismatched"],
+)
+def test_record_exactness_needs_a_bijection_of_the_grid(rects, reason):
+    """A cycle on the constant disk frame keeps every value, but it is a
+    symmetry only when it is a bijection of the grid."""
+    f, rec = realize("disk", parse_term("wr(1,2)"))
+    rec.symmetries.append(RectCycle(rects(f.width)))
+    report = verify_realization(f, rec)
+    assert {"record_exactness", "induced_automorphisms"} <= failing(report)
+    detail = next(c.detail for c in report.checks if c.name == "record_exactness")
+    assert reason in detail
 
 
 def test_euler_fails_on_counts_the_record_was_not_designed_with():
