@@ -10,12 +10,9 @@ reflections of the cycle that preserve its hanging trees.
 Construction symmetries (grid translations and rectangle cycles) are pushed
 to graph automorphisms through the critical points: every vertex is a
 critical level component (or a boundary curve), so a vertex goes to the
-vertex carrying the images of its critical points, and an edge goes to the
-edge with the mapped endpoints and the same interval.  Triangles are read
-only to split a class of parallel equal-interval edges: the build's slab
-that holds the class's lower value, between consecutive cut values, is
-labelled again, and each edge's witness triangle is the smallest triangle
-of its component there.
+vertex carrying the images of its critical points.  The graph carries the
+push onto its edges (`ReebGraph.edge_images`); this module reads no
+triangle, witness or slab.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import numpy as np
 from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
 from kronrod.permgroups import PermGroup, group_order
 from kronrod.records import ConstructionRecord, SymmetrySpec, moves
-from kronrod.reeb import ReebGraph, Triangulation, classify_shape
+from kronrod.reeb import ReebGraph, classify_shape
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2
 
 DEFAULT_AUT_CAP = 10_000
@@ -162,57 +159,19 @@ def value_preserving_auts(g: ReebGraph) -> AutGroup:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_eperm(g: ReebGraph, vperm: tuple[int, ...], eclasses) -> tuple[int, ...]:
-    """One edge permutation compatible with a vertex permutation: map each
-    parallel class to its image class in id order."""
-    eperm = [0] * g.n_edges
-    for (u, v, lo, hi), ids in eclasses.items():
-        tu, tv = vperm[u], vperm[v]
-        target = eclasses.get((min(tu, tv), max(tu, tv), lo, hi))
-        if target is None or len(target) != len(ids):
-            raise NotAnAutomorphism("vertex map does not transport edge classes")
-        for a, b in zip(sorted(ids), sorted(target)):
-            eperm[a] = b
-    return tuple(eperm)
-
-
-def _cell_permutation(tri: Triangulation, image: np.ndarray, piece: np.ndarray) -> np.ndarray:
-    """Triangle-level map of a point map, given as each grid point's flat
-    image and rigid piece (-1 where fixed): a cell whose four corners lie in
-    one piece moves with them; every other cell stays put."""
-    w, h = tri.field.width, tri.field.height
-    cells = np.arange(tri.ncx * tri.ncy)
-    cy, cx = np.divmod(cells, tri.ncx)
-    x1, y1 = (cx + 1) % w, (cy + 1) % h
-    p = piece[[cy * w + cx, cy * w + x1, y1 * w + x1, y1 * w + cx]]
-    rigid = (p[0] >= 0) & (p == p[0]).all(axis=0)
-    ty, tx = np.divmod(image[cy * w + cx], w)
-    target = np.where(rigid, ty * tri.ncx + tx, cells)
-    perm = np.empty(tri.ntri, dtype=np.int64)
-    perm[0::2] = 2 * target
-    perm[1::2] = 2 * target + 1
-    return perm
-
-
 def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     """Push a grid symmetry to a GraphAut through the critical points.
 
     A vertex goes to the vertex carrying the images of its critical points,
     which must be critical points of the same kind and value on one vertex.
     A boundary vertex carries none and goes to the boundary vertex of its
-    value.  An edge goes to the edge with the mapped endpoints and the same
-    interval.  Within a class of parallel edges with equal intervals, each
-    edge's witness triangle names its component in `g.slab_roots(lo)`, the
-    build's slab that holds the class's lower value, and an edge goes to the
-    one edge of the image class whose component holds the images of every
-    triangle of its own.  One image is not enough: a cell that straddles the
-    pieces of a rect cycle stays put.
+    value.  The edges go where `g.edge_images` sends them.
     """
-    tri = g.tri
-    if tri is None:
+    if g.tri is None:
         raise NotAnAutomorphism("graph carries no triangulation")
-    w, n = tri.field.width, tri.field.values.size
-    src, dst, pieces = moves(tri.field, sym)
+    f = g.tri.field
+    w, n = f.width, f.values.size
+    src, dst, pieces = moves(f, sym)
     image, piece = np.arange(n), np.full(n, -1)
     image[src], piece[src] = dst, pieces
     carrier = {c.y * w + c.x: (c, v.id) for v in g.vertices for c in v.crits}
@@ -235,22 +194,7 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
             raise NotAnAutomorphism(f"vertex {v.id} critical points map to {len(images)} vertices")
         vperm.append(images.pop())
 
-    eclasses = g.edge_classes()
-    eperm = list(_canonical_eperm(g, vperm, eclasses))
-    parallel = [(lo, ids) for (_, _, lo, _), ids in eclasses.items() if len(ids) > 1]
-    if parallel:
-        perm = _cell_permutation(tri, image, piece)
-        for lo, ids in parallel:
-            root = g.slab_roots(lo)
-            target = {eperm[e] for e in ids}
-            for e in ids:
-                mapped = root[perm[root == root[g.edges[e].witness]]]
-                hits = [d for d in target if (mapped == root[g.edges[d].witness]).all()]
-                if len(hits) != 1:
-                    raise NotAnAutomorphism(f"edge {e} cells do not map onto one parallel edge")
-                eperm[e] = hits[0]
-
-    aut = GraphAut(tuple(vperm), tuple(eperm))
+    aut = GraphAut(tuple(vperm), g.edge_images(vperm, image, piece))
     validate_graph_aut(g, aut)
     return aut
 
@@ -262,17 +206,16 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
 
 def generated_group(g: ReebGraph, gens: Iterable[GraphAut]) -> PermGroup:
     """Permutation group generated by graph automorphisms, with its order
-    computed.  It acts on the vertex ids, then on the edges of every class of
-    two or more parallel equal-interval edges.
+    computed.  It acts on the vertex ids, then on the parallel pair of a
+    circuit of length two.
 
-    The action is faithful: an automorphism maps each parallel class onto
-    the class of the mapped ends and the same interval, which has as many
-    edges, so an edge alone in its class goes wherever its ends go."""
+    The action is faithful: no other two edges share both ends, so every
+    other edge goes wherever its ends go."""
     nv = g.n_vertices
-    multi = [e for ids in g.edge_classes().values() if len(ids) > 1 for e in ids]
-    point = {e: nv + k for k, e in enumerate(multi)}
-    perms = [a.vperm + tuple([point[a.eperm[e]] for e in multi]) for a in gens]
-    group = PermGroup(degree=nv + len(multi), generators=perms)
+    pair = g.parallel_pair() or ()
+    point = {e: nv + k for k, e in enumerate(pair)}
+    perms = [a.vperm + tuple([point[a.eperm[e]] for e in pair]) for a in gens]
+    group = PermGroup(degree=nv + len(pair), generators=perms)
     group_order(group)
     return group
 

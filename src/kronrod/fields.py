@@ -117,8 +117,9 @@ class ScalarField:
 def _link(vals: np.ndarray) -> np.ndarray:
     """(6, H, W) values of each vertex's link neighbors in LINK_OFFSETS order,
     read with wrap-around, so only an interior vertex's link lies in a disk."""
-    # rolling rows by -dy and columns by -dx brings (x + dx, y + dy) to (x, y)
-    return np.stack([np.roll(vals, (-dy, -dx), axis=(0, 1)) for dx, dy in LINK_OFFSETS])
+    h, w = vals.shape
+    pad = np.pad(vals, 1, mode="wrap")  # pad[y + 1, x + 1] is (x, y)
+    return np.stack([pad[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] for dx, dy in LINK_OFFSETS])
 
 
 def _validate(f: ScalarField) -> None:

@@ -151,14 +151,28 @@ class ConstructionRecord:
         return rec
 
 
+def _rect_points(f: ScalarField, r: Rect) -> np.ndarray:
+    """The flat indices ``y * width + x`` of a rectangle's grid points, row by
+    row.  NotAnAutomorphism unless it is nonempty, no larger than the grid,
+    and inside the grid on a disk: only a torus wraps it."""
+    w, h = f.width, f.height
+    if min(r.w, r.h) < 1:
+        raise NotAnAutomorphism(f"empty rectangle {r}")
+    if not f.wraps and (min(r.x0, r.y0) < 0 or r.x0 + r.w > w or r.y0 + r.h > h):
+        raise NotAnAutomorphism(f"rectangle {r} leaves the grid")
+    if r.w > w or r.h > h:
+        raise NotAnAutomorphism(f"rectangle {r} is larger than the torus")
+    return (r.y0 + np.arange(r.h))[:, None] % h * w + (r.x0 + np.arange(r.w)) % w
+
+
 def moves(f: ScalarField, sym: SymmetrySpec) -> tuple:
     """Where a symmetry sends the grid points it moves: their flat indices
     ``y * width + x`` (``slice(None)``, all of them, for a translation), their
     images, and the piece that moves each rigidly (the rectangle's index in a
     cycle, 0 for a translation).  NotAnAutomorphism unless the map is a
     bijection of the grid: a translation of a torus, or a cycle of equal,
-    nonempty, pairwise disjoint rectangles inside the grid, wrapping only on
-    a torus; each goes onto the next, so together they are their own image.
+    pairwise disjoint rectangles that `_rect_points` reads; each goes onto the
+    next, so together they are their own image.
     """
     w, h = f.width, f.height
     if isinstance(sym, GridTranslation):
@@ -169,48 +183,40 @@ def moves(f: ScalarField, sym: SymmetrySpec) -> tuple:
     if not isinstance(sym, RectCycle):
         raise NotAnAutomorphism(f"unknown symmetry {sym!r}")
     rects = sym.rects
-    rw, rh = (rects[0].w, rects[0].h) if rects else (0, 0)
-    if min(rw, rh) < 1 or any((r.w, r.h) != (rw, rh) for r in rects):
+    if not rects or any((r.w, r.h) != (rects[0].w, rects[0].h) for r in rects):
         raise NotAnAutomorphism("rect cycle with mismatched or empty rectangles")
-    if not f.wraps and any(min(r.x0, r.y0) < 0 or r.x0 + rw > w or r.y0 + rh > h for r in rects):
-        raise NotAnAutomorphism("rect cycle leaves the grid")
+    src = np.stack([_rect_points(f, r) for r in rects])
+    rw, rh = rects[0].w, rects[0].h
 
     def apart(a: Rect, b: Rect) -> bool:  # disjoint, modulo the grid
         return rw <= (a.x0 - b.x0) % w <= w - rw or rh <= (a.y0 - b.y0) % h <= h - rh
 
-    # a rectangle longer than the torus overlaps itself
-    if rw > w or rh > h or not all(apart(a, b) for a, b in combinations(rects, 2)):
+    if not all(apart(a, b) for a, b in combinations(rects, 2)):
         raise NotAnAutomorphism("point map of the symmetry is not a bijection")
-    dx, dy = np.arange(rw), np.arange(rh)
-    src = np.stack([(r.y0 + dy)[:, None] % h * w + (r.x0 + dx) % w for r in rects])
     dst = np.concatenate([src[1:], src[:1]])
     return src.ravel(), dst.ravel(), np.repeat(np.arange(len(rects)), rw * rh)
 
 
 def check_record_against_field(rec: ConstructionRecord, f: ScalarField) -> None:
-    """Exactness checks: slot congruence, and that every symmetry is a
-    bijection of the grid (see `moves`) that keeps each value, bit for bit."""
+    """Exactness checks: congruence of slots that `_rect_points` reads, and
+    that every symmetry is a bijection of the grid (see `moves`) that keeps
+    each value, bit for bit."""
     if (rec.width, rec.height) != (f.width, f.height):
         raise IncompleteRecord(
             f"record grid {rec.width}x{rec.height} != field {f.width}x{f.height}"
         )
-    vals = f.values
+    flat = f.values.ravel()
     by_orbit: dict[int, list[Slot]] = {}
     for s in rec.slots:
         by_orbit.setdefault(s.orbit, []).append(s)
     for orbit, slots in by_orbit.items():
-        ref = _slot_values(vals, slots[0].rect, f)
-        for s in slots[1:]:
-            if not np.array_equal(ref, _slot_values(vals, s.rect, f)):
-                raise InvalidField(f"slots of orbit {orbit} are not value-congruent")
-    flat = vals.ravel()
+        try:
+            ref, *rest = [flat[_rect_points(f, s.rect)] for s in slots]
+        except NotAnAutomorphism as exc:
+            raise IncompleteRecord(f"slot of orbit {orbit}: {exc}") from exc
+        if not all(np.array_equal(ref, x) for x in rest):
+            raise InvalidField(f"slots of orbit {orbit} are not value-congruent")
     for sym in rec.symmetries:
         src, dst, _ = moves(f, sym)
         if not np.array_equal(flat[dst], flat[src]):
             raise InvalidField(f"field is not invariant under {sym}")
-
-
-def _slot_values(vals: np.ndarray, rect: Rect, f: ScalarField) -> np.ndarray:
-    xs = (rect.x0 + np.arange(rect.w)) % f.width
-    ys = (rect.y0 + np.arange(rect.h)) % f.height
-    return vals[np.ix_(ys, xs)]

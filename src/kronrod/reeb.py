@@ -21,8 +21,10 @@ The graph carries topology and critical points only.  The special vertex of
 a tree is read off them: a level component with e extrema, s saddles and deg
 edge ends has genus (2 - e + s - deg)/2, so it works on imported graphs too.
 Each edge keeps one witness triangle, the smallest triangle of its lowest
-slab component, and edges are numbered by (lo, witness); symmetry pushes
-label that slab again to tell apart parallel edges with equal intervals.
+slab component, and edges are numbered by (lo, witness).  A graph has at
+most one cycle, so two edges share both ends only on a circuit of length
+two, and a symmetry push reads triangles only to split that pair (see
+`ReebGraph.edge_images`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from kronrod.errors import (
     InvalidField,
     MultipleSpecialVertices,
     NoSpecialVertex,
+    NotAnAutomorphism,
     NotATree,
     ReebError,
     ShapeViolation,
@@ -105,6 +108,24 @@ def _sides(tri: Triangulation) -> tuple[np.ndarray, ...]:
         np.concatenate([diag.ravel(), bot[y0:].ravel(), lft[:, x0:].ravel()])
         for diag, bot, lft in sides
     )
+
+
+def _cell_permutation(tri: Triangulation, image: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """Triangle-level map of a point map, given as each grid point's flat
+    image and rigid piece (-1 where fixed): a cell whose four corners lie in
+    one piece moves with them; every other cell stays put."""
+    w, h = tri.field.width, tri.field.height
+    cells = np.arange(tri.ncx * tri.ncy)
+    cy, cx = np.divmod(cells, tri.ncx)
+    x1, y1 = (cx + 1) % w, (cy + 1) % h
+    p = piece[[cy * w + cx, cy * w + x1, y1 * w + x1, y1 * w + cx]]
+    rigid = (p[0] >= 0) & (p == p[0]).all(axis=0)
+    ty, tx = np.divmod(image[cy * w + cx], w)
+    target = np.where(rigid, ty * tri.ncx + tx, cells)
+    perm = np.empty(tri.ntri, dtype=np.int64)
+    perm[0::2] = 2 * target
+    perm[1::2] = 2 * target + 1
+    return perm
 
 
 def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,7 +210,6 @@ class ReebGraph:
         self.cuts = cuts
         self._incidence: Optional[list[list[int]]] = None
         self._peeled: Optional[tuple[list[tuple[int, int]], list[int]]] = None
-        self._classes: Optional[dict[tuple, list[int]]] = None
         self._slabs: dict[int, np.ndarray] = {}
 
     @property
@@ -216,11 +236,42 @@ class ReebGraph:
             self._peeled = _peel(self)
         return self._peeled
 
-    def edge_classes(self) -> dict[tuple, list[int]]:
-        """Parallel-edge classes keyed by (endpoints, interval), computed once and kept."""
-        if self._classes is None:
-            self._classes = _edge_classes(self)
-        return self._classes
+    def parallel_pair(self) -> Optional[tuple[int, int]]:
+        """The two edges of a circuit of length two, in id order, or None.
+        With at most one cycle (see `classify_shape`), they are the only
+        edges that share both ends."""
+        es = classify_shape(self).cycle_edges
+        return (es[0], es[1]) if len(es) == 2 else None
+
+    def edge_images(
+        self, vperm: list[int], image: np.ndarray, piece: np.ndarray
+    ) -> tuple[int, ...]:
+        """Where a push with vertex map `vperm` and point map `image`, `piece`
+        (see `_cell_permutation`) sends each edge: to the edge between the
+        images of its ends.  An edge of the parallel pair goes to the one
+        whose witness's component in `slab_roots(lo)` holds the images of
+        every triangle of its own; one image is not enough, as a cell that
+        straddles the pieces of a rect cycle stays put."""
+        between = {frozenset((e.u, e.v)): e.id for e in self.edges}
+        eperm = []
+        for e in self.edges:
+            d = between.get(frozenset((vperm[e.u], vperm[e.v])))
+            if d is None:
+                raise NotAnAutomorphism(f"vertex map does not transport edge {e.id}")
+            eperm.append(d)
+        pair = self.parallel_pair()
+        # a vertex map that moves the pair's ends sends both edges to one
+        # edge, which no automorphism does
+        if pair and eperm[pair[0]] in pair:
+            root = self.slab_roots(self.edges[pair[0]].lo)
+            perm = _cell_permutation(self.tri, image, piece)
+            for e in pair:
+                mapped = root[perm[root == root[self.edges[e].witness]]]
+                hits = [d for d in pair if (mapped == root[self.edges[d].witness]).all()]
+                if len(hits) != 1:
+                    raise NotAnAutomorphism(f"edge {e} cells do not map onto one parallel edge")
+                eperm[e] = hits[0]
+        return tuple(eperm)
 
     def slab_roots(self, lo: float) -> np.ndarray:
         """The smallest triangle of each triangle's component in the sweep's
@@ -579,14 +630,6 @@ def _check_connected(g: ReebGraph) -> None:
     vs = np.array([e.v for e in g.edges], dtype=np.int64)
     if _label(g.n_vertices, us, vs).any():
         raise ReebError("Reeb graph is disconnected")
-
-
-def _edge_classes(g: ReebGraph) -> dict[tuple, list[int]]:
-    classes: dict[tuple, list[int]] = {}
-    for e in g.edges:
-        key = (min(e.u, e.v), max(e.u, e.v), e.lo, e.hi)
-        classes.setdefault(key, []).append(e.id)
-    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from kronrod.errors import DegenerateVertex, InvalidField
+from kronrod.construct import realize_disk, realize_torus_circuit
 from kronrod.fields import (
+    LINK_OFFSETS,
     CritKind,
     ScalarField,
     classify_vertices,
@@ -14,6 +16,8 @@ from kronrod.fields import (
     morse_counts,
     save_field,
 )
+from kronrod.fields import _link
+from kronrod.terms import Triv, Wr
 
 
 def bump_disk(w=11, h=11):
@@ -27,6 +31,23 @@ def bump_disk(w=11, h=11):
     vals[:, 0] = 0
     vals[:, -1] = 0
     return ScalarField("disk", vals)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: realize_disk(Wr(Triv(), 2)), lambda: realize_torus_circuit(Triv(), 2)],
+    ids=["disk", "torus"],
+)
+def test_link_reads_each_neighbour_with_wraparound(make):
+    """`_link` against a point-by-point read of (x + dx, y + dy), on grids
+    whose width and height differ."""
+    vals = make()[0].values
+    h, w = vals.shape
+    assert w != h
+    link = _link(vals)
+    for k, (dx, dy) in enumerate(LINK_OFFSETS):
+        for y in range(h):
+            for x in range(w):
+                assert link[k, y, x] == vals[(y + dy) % h, (x + dx) % w]
 
 
 class TestClassify:

@@ -8,8 +8,8 @@ from kronrod import reeb, verify
 from kronrod.auts import AutGroup
 from kronrod.construct import realize
 from kronrod.corpus import run_realization_corpus
-from kronrod.records import GridTranslation, Rect, RectCycle
-from kronrod.terms import order, parse_term
+from kronrod.records import GridTranslation, Rect, RectCycle, Slot
+from kronrod.terms import Triv, order, parse_term
 from kronrod.verify import verify_realization
 
 GROUP_CHECKS = ("generated_order", "group_isomorphism")
@@ -96,15 +96,22 @@ def test_verify_peels_the_graph_once(monkeypatch, case, base, n, m):
     assert len(calls) == 1
 
 
-def test_corpus_verify_computes_each_graphs_edge_classes_once(monkeypatch):
-    """Every push and the generated group share one parallel-edge class
-    dict per graph."""
-    calls = []
-    classes = reeb._edge_classes
-    monkeypatch.setattr(reeb, "_edge_classes", lambda g: calls.append(g) or classes(g))
+def test_corpus_verify_labels_one_slab_per_parallel_pair(monkeypatch):
+    """Only a circuit of length two reads triangles in a push, and its
+    pushes share one slab labelling: one per such corpus member."""
+    labelled = []
+    slab_roots = reeb.ReebGraph.slab_roots
+
+    def counting(g, lo):
+        before = len(g._slabs)
+        root = slab_roots(g, lo)
+        labelled.extend([g] * (len(g._slabs) - before))
+        return root
+
+    monkeypatch.setattr(reeb.ReebGraph, "slab_roots", counting)
     runs = run_realization_corpus()
     assert all(report.ok for _, report in runs)
-    assert len(calls) == len(runs) == 26
+    assert len(labelled) == len(set(map(id, labelled))) == 4
 
 
 @pytest.mark.parametrize(
@@ -125,6 +132,27 @@ def test_record_exactness_needs_a_bijection_of_the_grid(rects, reason):
     assert {"record_exactness", "induced_automorphisms"} <= failing(report)
     detail = next(c.detail for c in report.checks if c.name == "record_exactness")
     assert reason in detail
+
+
+@pytest.mark.parametrize(
+    "slots,reason",
+    [
+        ([Slot(Rect(22, 0, 2, 9), 7, Triv())] * 2, "leaves the grid"),  # wraps round the disk
+        ([Slot(Rect(0, 0, 0, 0), 7, Triv())], "empty rectangle"),
+    ],
+    ids=["leaving-the-disk", "empty"],
+)
+def test_record_exactness_reads_slots_by_the_rect_rule(slots, reason):
+    """Slots are read like the rectangles of a cycle (see `records._rect_points`):
+    a slot that wraps round a disk reads the constant frame, and an empty one
+    reads nothing, so value congruence alone would pass both."""
+    f, rec = realize("disk", parse_term("wr(1,2)"))
+    assert (f.width, f.height) == (23, 9)
+    rec.slots += slots
+    report = verify_realization(f, rec)
+    assert "record_exactness" in failing(report)
+    detail = next(c.detail for c in report.checks if c.name == "record_exactness")
+    assert detail.startswith("slot of orbit 7:") and reason in detail
 
 
 def test_euler_fails_on_counts_the_record_was_not_designed_with():
