@@ -1,21 +1,17 @@
 #!/usr/bin/env python3
 """Walk a gallery of group terms through the full pipeline.
 
-For each term and construction case: synthesize the field, build the
-Kronrod-Reeb graph, push the recorded symmetries, and print the critical
-counts, graph size, and the order of the realized symmetry group next to
-the order formula of the term, and whether pairing the recorded symmetries
-with the term's generators is an isomorphism.
+For each term and construction case: synthesize the field, run the full
+verification contract on it, and print the verdict, the failed checks, the
+critical counts, the graph size and shape, and the order of the realized
+symmetry group next to the order of the term.
 """
 
 import argparse
 
-from kronrod.auts import generated_group, induced_graph_aut, record_term
 from kronrod.construct import realize
-from kronrod.fields import morse_counts
-from kronrod.permgroups import is_isomorphic, perm_rep
-from kronrod.reeb import build_reeb, classify_shape
-from kronrod.terms import format_term, normalize, order, parse_term
+from kronrod.terms import format_term, parse_term
+from kronrod.verify import verify_realization
 
 GALLERY = [
     ("circuit", "1", 4, 1),
@@ -32,18 +28,13 @@ def main() -> int:
 
     for case, base_text, n, m in GALLERY:
         f, rec = realize(case, parse_term(base_text), n, m)
-        g = build_reeb(f)
-        shape = classify_shape(g)
-        gens = [induced_graph_aut(g, s) for s in rec.symmetries]
-        grp = generated_group(g, gens)
-        term = normalize(rec.term)
-        iso = is_isomorphic(grp, perm_rep(record_term(rec)))
-        mc = morse_counts(f)
+        report = verify_realization(f, rec)
+        detail = {c.name: c.detail for c in report.checks}
+        failed = [c.name for c in report.checks if not c.ok]
         print(
-            f"{case:8s} {format_term(term):28s} grid {f.width}x{f.height}"
-            f"  crits {mc.as_tuple()}  graph V={g.n_vertices} E={g.n_edges}"
-            f" ({shape.shape})  group order {grp.order}"
-            f" (formula {order(term)}, isomorphic: {bool(iso)})"
+            f"{case:8s} {format_term(rec.term):28s} {'ok' if report.ok else 'FAIL'}"
+            f"  failed {failed}  {detail['euler']}  graph {detail.get('reeb')}"
+            f" ({detail.get('shape')})  {detail.get('generated_order')}"
         )
     return 0
 

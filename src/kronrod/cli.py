@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``realize`` -- synthesize a field for a term and write field, record, and
-  manifest JSON files,
+* ``realize`` -- synthesize a field for a term, run the contract's graph-free
+  checks on it, and write field, record, and manifest JSON files,
 * ``analyze`` -- classify a field, build its graph, and report shape data,
 * ``verify``  -- run the full contract for a field/record pair against a term,
 * ``corpus``  -- generate and verify the deterministic test corpus.
@@ -21,7 +21,8 @@ from pathlib import Path
 
 from kronrod.construct import realize
 from kronrod.corpus import corpus_summary
-from kronrod.errors import FieldError, GridCapExceeded, KronrodError, NotRealizable, ParseError
+from kronrod.errors import ConstructionError, FieldError, GridCapExceeded, KronrodError
+from kronrod.errors import NotRealizable, ParseError
 from kronrod.fields import (
     euler_check,
     export_pgm,
@@ -34,7 +35,7 @@ from kronrod.fields import (
 from kronrod.records import ConstructionRecord
 from kronrod.reeb import build_reeb, classify_shape, export_dot, export_json, find_special_vertex
 from kronrod.terms import GroupTerm, Wr, Wr2, class_of, format_term, normalize, parse_term
-from kronrod.verify import verify_realization
+from kronrod.verify import graph_free_checks, verify_realization
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -72,6 +73,9 @@ def _split_case_term(term: GroupTerm, case: str, n: int | None, m: int | None):
         raise NotRealizable(f"{format_term(term)} has no top-level cyclic wreath")
     if case == "tree":
         if isinstance(term, Wr2):
+            for flag, given, own in (("--n", n, term.n), ("--m", m, term.m)):
+                if given is not None and given != own:
+                    raise NotRealizable(f"{flag} {given} differs from the term's index {own}")
             return term.base, term.n, term.m
         if n is not None and m is not None:
             return term, n, m
@@ -89,10 +93,13 @@ def cmd_realize(args) -> int:
     except (ParseError, NotRealizable, GridCapExceeded) as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_INPUT
+    failed = [c for c in graph_free_checks(f, rec).checks if not c.ok]
+    if failed:  # main reports it as internal, before any file is written
+        raise ConstructionError("; ".join(f"{c.name}: {c.detail}" for c in failed))
 
     manifest = {
         "term": args.term,
-        "normalized": format_term(normalize(term)),
+        "normalized": format_term(rec.term),
         "case": args.case,
         "n": rec.n,
         "m": rec.m,

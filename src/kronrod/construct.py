@@ -39,9 +39,8 @@ from typing import Optional
 import numpy as np
 
 from kronrod.errors import ConstructionError, GridCapExceeded, NotRealizable
-from kronrod.fields import DISK, TORUS, ScalarField, euler_check, morse_counts
+from kronrod.fields import DISK, TORUS, ScalarField
 from kronrod.records import ConstructionRecord, GridTranslation, Rect, RectCycle, Slot
-from kronrod.records import check_record_against_field
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, class_of, format_term, normalize
 
 # Window constants (dyadic so copies and comparisons are exact).
@@ -249,7 +248,6 @@ def realize_disk(t: GroupTerm) -> tuple[ScalarField, ConstructionRecord]:
         designed_counts=layout.counts,
         disk_layout=layout.kind,
     )
-    _check_construction(f, rec)
     return f, rec
 
 
@@ -358,7 +356,6 @@ def realize_torus_circuit(
         symmetries=symmetries,
         designed_counts=(n, (2 + layout.counts[1]) * n, layout.counts[2] * n),
     )
-    _check_construction(f, rec)
     return f, rec
 
 
@@ -459,7 +456,6 @@ def realize_torus_tree(
         symmetries=symmetries,
         designed_counts=counts,
     )
-    _check_construction(f, rec)
     return f, rec
 
 
@@ -479,19 +475,3 @@ def realize(
         return realize_torus_tree(base, n, m)
     raise NotRealizable(f"unknown case {case!r}")
 
-
-# ---------------------------------------------------------------------------
-# post-construction checks
-# ---------------------------------------------------------------------------
-
-
-def _check_construction(f: ScalarField, rec: ConstructionRecord) -> None:
-    mc = morse_counts(f)
-    if rec.designed_counts and mc.as_tuple() != tuple(rec.designed_counts):
-        raise ConstructionError(
-            f"{rec.case} realization of {format_term(rec.term)}: "
-            f"counts {mc.as_tuple()} != designed {rec.designed_counts}"
-        )
-    if not euler_check(f):
-        raise ConstructionError(f"{rec.case} realization fails the Morse equality")
-    check_record_against_field(rec, f)

@@ -70,7 +70,7 @@ class NotRealizable(KronrodError):
 
 
 class ConstructionError(KronrodError):
-    """A realized field failed its own post-construction checks."""
+    """A construction cannot lay out its band profile, or its field fails a graph-free check."""
 
 
 class IncompleteRecord(KronrodError):

@@ -97,9 +97,9 @@ class ConstructionRecord:
     m: int
     width: int
     height: int
+    designed_counts: tuple[int, int, int]  # (minima, saddles, maxima) the design promises
     slots: list[Slot] = field(default_factory=list)
     symmetries: list[SymmetrySpec] = field(default_factory=list)
-    designed_counts: Optional[tuple[int, int, int]] = None
     disk_layout: Optional[str] = None  # "triv" | "prod" | "wrc" for disk records
 
     def to_json(self) -> bytes:
@@ -113,7 +113,7 @@ class ConstructionRecord:
             "height": self.height,
             "slots": [s.to_json() for s in self.slots],
             "symmetries": [s.to_json() for s in self.symmetries],
-            "designed_counts": list(self.designed_counts) if self.designed_counts else None,
+            "designed_counts": list(self.designed_counts),
             "disk_layout": self.disk_layout,
         }
         return json.dumps(doc, sort_keys=True).encode("utf-8")
@@ -122,6 +122,9 @@ class ConstructionRecord:
     def from_json(data: bytes) -> "ConstructionRecord":
         try:
             doc = json.loads(data.decode("utf-8"))
+            counts = doc["designed_counts"]
+            if not isinstance(counts, list) or [type(c) for c in counts] != [int] * 3:
+                raise ValueError(f"designed_counts must be three integers, got {counts!r}")
             rec = ConstructionRecord(
                 case=doc["case"],
                 term=term_from_json(doc["term"]),
@@ -139,12 +142,10 @@ class ConstructionRecord:
                     for s in doc["slots"]
                 ],
                 symmetries=[symmetry_from_json(s) for s in doc["symmetries"]],
-                designed_counts=(
-                    tuple(doc["designed_counts"]) if doc.get("designed_counts") else None
-                ),
+                designed_counts=tuple(counts),
                 disk_layout=doc.get("disk_layout"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise IncompleteRecord(f"malformed record JSON: {exc}") from exc
         if rec.case not in ("disk", "circuit", "tree", "simple"):
             raise IncompleteRecord(f"unknown construction case {rec.case!r}")

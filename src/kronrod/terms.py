@@ -294,7 +294,10 @@ class _Parser:
 def parse_term(text: str) -> GroupTerm:
     """Parse a term from text.  Returns the raw parse tree (not normalized)."""
     p = _Parser(text)
-    t = p.parse_term()
+    try:
+        t = p.parse_term()
+    except RecursionError:
+        raise ParseError("term nested too deeply", p.peek()[1]) from None
     tok, pos = p.peek()
     if tok:
         raise ParseError(f"trailing input {tok!r}", pos)
@@ -330,13 +333,16 @@ def term_to_json(t: GroupTerm) -> dict[str, Any]:
 
 
 def term_from_json(obj: dict[str, Any]) -> GroupTerm:
-    kind = obj.get("k")
-    if kind == "triv":
-        return Triv()
-    if kind == "prod":
-        return Prod(*[term_from_json(f) for f in obj["f"]])
-    if kind == "wr":
-        return Wr(term_from_json(obj["b"]), int(obj["n"]))
-    if kind == "wr2":
-        return Wr2(term_from_json(obj["b"]), int(obj["n"]), int(obj["m"]))
+    try:
+        kind = obj.get("k")
+        if kind == "triv":
+            return Triv()
+        if kind == "prod":
+            return Prod(*[term_from_json(f) for f in obj["f"]])
+        if kind == "wr":
+            return Wr(term_from_json(obj["b"]), int(obj["n"]))
+        if kind == "wr2":
+            return Wr2(term_from_json(obj["b"]), int(obj["n"]), int(obj["m"]))
+    except RecursionError:
+        raise ValueError("term nested too deeply") from None
     raise ValueError(f"unknown term kind {kind!r}")

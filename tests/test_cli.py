@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from kronrod import verify
 from kronrod.cli import main
-from kronrod.construct import realize_torus_circuit
-from kronrod.fields import LINK_OFFSETS, ScalarField, save_field
+from kronrod.construct import realize, realize_torus_circuit
+from kronrod.fields import LINK_OFFSETS, MorseCounts, ScalarField, save_field
 from kronrod.records import ConstructionRecord, Rect, RectCycle
 from kronrod.terms import parse_term
 
@@ -64,6 +65,56 @@ class TestRealize:
         code, doc = run(capsys, "realize", "--term", "1", "--case", "circuit", "--out", out)
         assert code == 2
         assert not doc["ok"] and "taken" in doc["error"]
+
+
+    @pytest.mark.parametrize("case", ["disk", "circuit", "tree"])
+    def test_counts_unlike_the_design_are_refused(self, tmp_path, capsys, monkeypatch, case):
+        """`realize` refuses a field whose Morse counts differ from the designed
+        ones, names both triples, and writes nothing."""
+        _, rec = realize(case, parse_term("wr(1,2)"), 2, 1)
+        designed = tuple(rec.designed_counts)
+        found = tuple(c + 1 for c in designed)
+        monkeypatch.setattr(verify, "morse_counts", lambda f: MorseCounts(*found))
+        out = tmp_path / "out"
+        flags = ["--case", case, "--n", "2", "--m", "1", "--out", str(out)]
+        code, doc = run(capsys, "realize", "--term", "wr(1,2)", *flags)
+        assert code == 3
+        assert f"euler: counts {found} != designed {designed}" in doc["error"]
+        assert not out.exists()
+
+    def test_manifest_names_the_realized_term(self, tmp_path, capsys):
+        flags = ["--case", "circuit", "--n", "3", "--out", str(tmp_path)]
+        run(capsys, "realize", "--term", "1", *flags)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["normalized"] == "wr(1,3)"
+        code, doc = run(
+            capsys,
+            "verify",
+            "--field",
+            str(tmp_path / "field.json"),
+            "--record",
+            str(tmp_path / "record.json"),
+            "--term",
+            manifest["normalized"],
+        )
+        assert code == 0 and doc["ok"]
+
+    @pytest.mark.parametrize("flag, given, own", [("--n", "5", "2"), ("--m", "3", "1")])
+    def test_tree_index_unlike_the_terms_is_input_error(self, tmp_path, capsys, flag, given, own):
+        term = ["--term", "wr2(1,2,1)", "--case", "tree"]
+        code, doc = run(capsys, "realize", *term, flag, given, "--out", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == f"{flag} {given} differs from the term's index {own}"
+        assert not (tmp_path / "field.json").exists()
+        code, doc = run(capsys, "realize", *term, flag, own, "--out", str(tmp_path))
+        assert code == 0 and (doc["n"], doc["m"]) == (2, 1)
+
+    def test_deep_term_is_input_error(self, tmp_path, capsys, shallow_stack):
+        deep = "wr(" * 300 + "1" + ",2)" * 300
+        with shallow_stack:
+            code = main(["realize", "--term", deep, "--case", "circuit", "--out", str(tmp_path)])
+        assert code == 2
+        assert "nested too deeply" in json.loads(capsys.readouterr().out)["error"]
 
 
 class TestGridCap:
@@ -224,6 +275,20 @@ class TestVerify:
         )
         assert code == 0
         assert doc["ok"]
+
+    @pytest.mark.parametrize("counts", [[], "drop"])
+    def test_record_without_designed_counts_is_input_error(self, realized, capsys, counts):
+        """Without designed counts `euler` would compare the counts with themselves."""
+        doc = json.loads((realized / "record.json").read_text())
+        if counts == "drop":
+            del doc["designed_counts"]
+        else:
+            doc["designed_counts"] = counts
+        (realized / "record.json").write_text(json.dumps(doc))
+        field, record = str(realized / "field.json"), str(realized / "record.json")
+        code, doc = run(capsys, "verify", "--field", field, "--record", record)
+        assert code == 2
+        assert "designed_counts" in doc["error"]
 
     def test_wrong_term(self, realized, capsys):
         code, doc = run(

@@ -1,5 +1,4 @@
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -18,10 +17,9 @@ from kronrod.construct import (
     realize_torus_circuit,
     realize_torus_tree,
 )
-from kronrod.errors import ConstructionError, GridCapExceeded, NotRealizable
+from kronrod.errors import GridCapExceeded, NotRealizable
 from kronrod.fields import (
     CritKind,
-    MorseCounts,
     classify_vertices,
     euler_check,
     is_generic,
@@ -341,14 +339,3 @@ class TestLayoutInternals:
             realize(case, parse_term("wr(wr(wr(1,30),30),30)"))
         assert calls == []
 
-
-@pytest.mark.parametrize("case", ["disk", "circuit", "tree"])
-def test_self_check_names_both_count_triples(monkeypatch, case):
-    """`realize` refuses a field whose Morse counts differ from the designed ones."""
-    _, rec = realize(case, parse_term("wr(1,2)"), 2, 1)
-    designed = tuple(rec.designed_counts)
-    found = tuple(c + 1 for c in designed)
-    monkeypatch.setattr(construct, "morse_counts", lambda f: MorseCounts(*found))
-    message = re.escape(f"counts {found} != designed {designed}")
-    with pytest.raises(ConstructionError, match=message):
-        realize(case, parse_term("wr(1,2)"), 2, 1)

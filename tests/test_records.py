@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -52,6 +53,30 @@ class TestRecordJson:
     def test_malformed(self):
         with pytest.raises(IncompleteRecord):
             ConstructionRecord.from_json(b'{"case": "circus"}')
+
+    @pytest.mark.parametrize(
+        "counts", [None, [], [2, 4], [2, 4, 2, 0], [2, 4, "2"], [2.0, 4, 2], [True, 2, 1], "drop"]
+    )
+    def test_designed_counts_are_three_integers(self, counts):
+        """A record without its designed counts would let `euler` compare the
+        field's counts with themselves."""
+        doc = json.loads(realize_torus_circuit(Triv(), 1)[1].to_json())
+        if counts == "drop":
+            del doc["designed_counts"]
+        else:
+            doc["designed_counts"] = counts
+        with pytest.raises(IncompleteRecord, match="designed_counts"):
+            ConstructionRecord.from_json(json.dumps(doc).encode())
+
+    def test_deeply_nested_record(self, shallow_stack):
+        """Incomplete wherever the stack runs out: here `json.loads` overflows
+        before `term_from_json` (see test_terms) is reached."""
+        doc = json.loads(realize_torus_circuit(Triv(), 1)[1].to_json())
+        for _ in range(300):
+            doc["term"] = {"k": "wr", "b": doc["term"], "n": 2}
+        data = json.dumps(doc).encode()
+        with shallow_stack, pytest.raises(IncompleteRecord, match="recursion"):
+            ConstructionRecord.from_json(data)
 
     def test_congruence_check_catches_tampering(self):
         f, rec = realize_torus_circuit(Wr(Triv(), 2), 2)

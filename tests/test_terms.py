@@ -66,6 +66,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_term("prod(1)")
 
+    def test_deep_nesting_is_a_parse_error(self, shallow_stack):
+        deep = "wr(" * 300 + "1" + ",2)" * 300
+        with shallow_stack, pytest.raises(ParseError, match="nested too deeply"):
+            parse_term(deep)
+
+    def test_deep_json_nesting_is_a_value_error(self, shallow_stack):
+        """`ConstructionRecord.from_json` reports a ValueError as an incomplete record."""
+        obj = {"k": "triv"}
+        for _ in range(300):
+            obj = {"k": "wr", "b": obj, "n": 2}
+        with shallow_stack, pytest.raises(ValueError, match="nested too deeply"):
+            term_from_json(obj)
+
 
 class TestFormat:
     def test_examples(self):

@@ -2,9 +2,11 @@
 records with wrong generators, and against a full group order that the
 generated order does not divide; and the one leaf peel a verify makes."""
 
+import sys
+
 import pytest
 
-from kronrod import reeb, verify
+from kronrod import records, reeb, verify
 from kronrod.auts import AutGroup
 from kronrod.construct import realize
 from kronrod.corpus import run_realization_corpus
@@ -112,6 +114,24 @@ def test_corpus_verify_labels_one_slab_per_parallel_pair(monkeypatch):
     runs = run_realization_corpus()
     assert all(report.ok for _, report in runs)
     assert len(labelled) == len(set(map(id, labelled))) == 4
+
+
+def test_corpus_checks_each_record_once(monkeypatch):
+    """Constructions only build: a realize+verify pass over the corpus checks
+    each record against its field once, wherever the check is imported."""
+    calls = []
+    check = records.check_record_against_field
+
+    def counting(rec, f):
+        calls.append(rec)
+        return check(rec, f)
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "kronrod"]:
+        for attr in [a for a, v in vars(mod).items() if v is check]:
+            monkeypatch.setattr(mod, attr, counting)
+    runs = run_realization_corpus()
+    assert all(report.ok for _, report in runs)
+    assert len(runs) == len(calls) == 26
 
 
 @pytest.mark.parametrize(
