@@ -214,7 +214,7 @@ def generated_group(g: ReebGraph, gens: Iterable[GraphAut]) -> PermGroup:
     nv = g.n_vertices
     pair = g.parallel_pair() or ()
     point = {e: nv + k for k, e in enumerate(pair)}
-    perms = [a.vperm + tuple([point[a.eperm[e]] for e in pair]) for a in gens]
+    perms = [np.array(a.vperm + tuple([point[a.eperm[e]] for e in pair]), np.int32) for a in gens]
     group = PermGroup(degree=nv + len(pair), generators=perms)
     group_order(group)
     return group

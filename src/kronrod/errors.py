@@ -13,10 +13,6 @@ class ParseError(KronrodError):
         self.position = position
 
 
-class DegreeCapExceeded(KronrodError):
-    """Permutation representation degree exceeds the configured cap."""
-
-
 class FieldError(KronrodError):
     """Invalid scalar field."""
 

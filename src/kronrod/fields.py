@@ -221,7 +221,7 @@ def save_field(f: ScalarField) -> bytes:
 def load_field(data: bytes) -> ScalarField:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InvalidField(f"malformed field JSON: {exc}") from exc
     try:
         kind = doc["kind"]

@@ -1,9 +1,10 @@
 """Concrete permutation groups as carriers for abstract group terms.
 
-Permutations are tuples p of length `degree` with p[i] = image of point i.
-`compose(p, q)` applies p first, then q.  Groups are given by generators;
-their orders come from a deterministic Schreier-Sims stabilizer chain
-(Sims 1970; Holt, Eick & O'Brien 2005, sec. 4.4), which lists no elements.
+Permutations are int32 arrays p of length `degree` with p[i] = image of
+point i.  `compose(p, q)` applies p first, then q.  Groups are given by
+generators; their orders come from a deterministic Schreier-Sims stabilizer
+chain (Sims 1970; Holt, Eick & O'Brien 2005, sec. 4.4), which lists no
+elements, on one orbit of each isomorphism class of orbits.
 
 Isomorphism is certified for a given pairing of generators: g_i -> h_i
 extends to an isomorphism exactly when |<g>| = |<h>| = |<(g_i, h_i)>|, the
@@ -16,45 +17,46 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from kronrod.errors import DegreeCapExceeded
+import numpy as np
+
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2
 
-DEGREE_CAP = 1 << 14
-
-Perm = tuple[int, ...]
+Perm = np.ndarray
+Gen = tuple[Perm, list[int]]  # a permutation and its images as a list
 
 
 def identity(degree: int) -> Perm:
-    return tuple(range(degree))
+    return np.arange(degree, dtype=np.int32)
 
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple([q[i] for i in p])
+    return q[p]
 
 
 def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
+    inv = np.empty_like(p)
+    inv[p] = identity(len(p))
+    return inv
 
 
 def _is_identity(p: Perm) -> bool:
-    return all(i == j for i, j in enumerate(p))
+    return p.tobytes() == identity(len(p)).tobytes()
 
 
 @dataclass
 class PermGroup:
-    """Permutation group on {0, ..., degree-1} given by generators."""
+    """Permutation group on {0, ..., degree-1} given by generators, which
+    may be passed as any integer sequences and are kept as int32 arrays."""
 
     degree: int
     generators: list[Perm]
     order: Optional[int] = None
 
     def __post_init__(self):
+        self.generators = [np.asarray(g, dtype=np.int32) for g in self.generators]
         for g in self.generators:
-            if len(g) != self.degree or sorted(g) != list(range(self.degree)):
+            if g.shape != (self.degree,) or not (np.sort(g) == identity(self.degree)).all():
                 raise ValueError(f"generator {g} is not a permutation of degree {self.degree}")
 
 
@@ -63,24 +65,67 @@ class PermGroup:
 # ---------------------------------------------------------------------------
 
 
-def _transversal(reps: dict[int, tuple[Perm, Perm]], gens: list[Perm], new: int = 0) -> None:
-    """Grow the orbit `reps` under <gens> in place: each orbit point x maps
-    to a coset representative u, sending the orbit's first point to x, and its
-    inverse.  Known points keep theirs and see only gens[new:]."""
+def _same_action(images: list[list[int]], a: int, b: int) -> bool:
+    """Is x^s -> y^s, started from a -> b, a map of the orbit of a?  Onto an
+    orbit of the same length it is then an isomorphism of the two actions, so
+    every element fixes both orbits or neither."""
+    phi, queue = {a: b}, [a]
+    for x in queue:
+        for s in images:
+            if s[x] not in phi:
+                phi[s[x]] = s[phi[x]]
+                queue.append(s[x])
+            elif phi[s[x]] != s[phi[x]]:
+                return False
+    return True
+
+
+def _one_orbit_per_class(gens: list[Gen]) -> list[Gen]:
+    """`gens` acting on one orbit of each isomorphism class of their orbits,
+    its points renumbered in order.  The action stays faithful: isomorphic
+    orbits have one kernel.  Orbits are compared from their least points,
+    and one that is isomorphic to a kept orbit only from others stays."""
+    images = [s for _, s in gens]
+    seen = [False] * (len(images[0]) if images else 0)
+    kept: dict[int, list[int]] = {}  # orbit length -> least points of kept orbits
+    points: list[int] = []
+    for a in range(len(seen)):
+        if seen[a]:
+            continue
+        seen[a] = True
+        orbit = [a]
+        for x in orbit:
+            for s in images:
+                if not seen[s[x]]:
+                    seen[s[x]] = True
+                    orbit.append(s[x])
+        like = kept.setdefault(len(orbit), [])
+        if not any(_same_action(images, b, a) for b in like):
+            like.append(a)
+            points += orbit
+    if len(points) == len(seen):
+        return gens
+    renumber = {x: k for k, x in enumerate(sorted(points))}  # in the order of the points
+    reduced = [[renumber[s[x]] for x in renumber] for s in images]
+    return [(np.array(s, dtype=np.int32), s) for s in reduced]
+
+
+def _transversal(reps: dict[int, Perm], gens: list[Gen], new: int = 0) -> None:
+    """Grow the orbit `reps` under `gens` in place: each orbit point x maps
+    to a coset representative, sending the orbit's first point to x.  Known
+    points keep theirs and see only gens[new:]."""
     queue = list(reps)
     seen = len(queue)
     for k, x in enumerate(queue):
-        u = reps[x][0]
-        for s in gens[new if k < seen else 0 :]:
-            y = s[x]
-            if y not in reps:
-                v = compose(u, s)
-                reps[y] = (v, inverse(v))
-                queue.append(y)
+        for s, images in gens[new if k < seen else 0 :]:
+            if images[x] not in reps:
+                reps[images[x]] = compose(reps[x], s)
+                queue.append(images[x])
 
 
-def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
-    """Lengths of the basic orbits of a stabilizer chain of <gens>.
+def _basic_orbit_lengths(perms: list[Perm]) -> list[int]:
+    """Lengths of the basic orbits of a stabilizer chain of <perms>, acting
+    on one orbit of each isomorphism class.
 
     Level i holds a base point, the strong generators that fix the earlier
     base points, and the transversal of its orbit.  Working from the last
@@ -98,49 +143,55 @@ def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
     sifts to the identity once those levels are complete, as they are when
     the scan comes back to level i.
     """
-    gens = [p for p in gens if not _is_identity(p)]
+    gens = _one_orbit_per_class([(p, p.tolist()) for p in perms if not _is_identity(p)])
+    one = identity(len(gens[0][1]) if gens else 0)
     base: list[int] = []
-    strong: list[list[Perm]] = []
-    trans: list[dict[int, tuple[Perm, Perm]]] = []
+    strong: list[list[Gen]] = []
+    trans: list[dict[int, Perm]] = []
+    inverses: dict[tuple[int, int], Perm] = {}  # (level, point) -> u^-1, made once needed
     checked: list[dict[int, int]] = []
 
-    def fixes_base(p: Perm, levels: int) -> bool:
-        return all(p[b] == b for b in base[:levels])
+    def fixes_base(images: list[int], levels: int) -> bool:
+        return all(images[b] == b for b in base[:levels])
 
-    def add_level(p: Perm) -> None:
-        base.append(next(k for k, x in enumerate(p) if k != x))
+    def add_level(images: list[int]) -> None:
+        base.append(next(k for k, x in enumerate(images) if k != x))
         strong.append([])
-        trans.append({base[-1]: (identity(len(p)),) * 2})
+        trans.append({base[-1]: one})
         checked.append({})
+
+    def inverse_rep(level: int, x: int) -> Perm:
+        if (level, x) not in inverses:
+            inverses[level, x] = inverse(trans[level][x])
+        return inverses[level, x]
 
     def sift(h: Perm, start: int) -> tuple[Perm, int]:
         for level in range(start, len(base)):
-            rep = trans[level].get(h[base[level]])
-            if rep is None:
+            x = int(h[base[level]])
+            if x not in trans[level]:
                 return h, level
-            h = compose(h, rep[1])
+            h = compose(h, inverse_rep(level, x))
         return h, len(base)
 
-    for p in gens:
-        if fixes_base(p, len(base)):
-            add_level(p)
+    for _, images in gens:
+        if fixes_base(images, len(base)):
+            add_level(images)
     for level in range(len(base)):
-        strong[level] = [p for p in gens if fixes_base(p, level)]
+        strong[level] = [s for s in gens if fixes_base(s[1], level)]
         _transversal(trans[level], strong[level])
 
     i = len(base) - 1
     while i >= 0:
         failure = None
-        for x, (u, _) in trans[i].items():
+        for x, u in trans[i].items():
             for k in range(checked[i].get(x, 0), len(strong[i])):
-                s = strong[i][k]
+                s, images = strong[i][k]
                 checked[i][x] = k + 1
                 us = compose(u, s)
-                target, target_inv = trans[i][s[x]]
-                if us == target:
+                if us.tobytes() == trans[i][images[x]].tobytes():
                     continue
-                residue, j = sift(compose(us, target_inv), i + 1)
-                if j < len(base) or not _is_identity(residue):
+                residue, j = sift(compose(us, inverse_rep(i, images[x])), i + 1)
+                if j < len(base) or residue.tobytes() != one.tobytes():
                     failure = residue, j
                     break
             if failure:
@@ -149,10 +200,11 @@ def _basic_orbit_lengths(gens: list[Perm]) -> list[int]:
             i -= 1
             continue
         residue, j = failure
+        gen = residue, residue.tolist()
         if j == len(base):
-            add_level(residue)
+            add_level(gen[1])
         for level in range(i + 1, j + 1):
-            strong[level].append(residue)
+            strong[level].append(gen)
             _transversal(trans[level], strong[level], len(strong[level]) - 1)
         i = j
     return [len(t) for t in trans]
@@ -170,6 +222,19 @@ def group_order(g: PermGroup) -> int:
 # ---------------------------------------------------------------------------
 
 
+def rep_degree(t: GroupTerm) -> int:
+    """Number of points `perm_rep(t)` acts on, worked out without building it."""
+    if isinstance(t, Triv):
+        return 1
+    if isinstance(t, Prod):
+        return sum(rep_degree(f) for f in t.factors)
+    if isinstance(t, Wr):
+        return t.n * rep_degree(t.base)
+    if isinstance(t, Wr2):
+        return t.n * t.n * t.m * rep_degree(t.base)
+    raise TypeError(f"not a GroupTerm: {t!r}")
+
+
 def perm_rep(t: GroupTerm) -> PermGroup:
     """Faithful permutation representation of the group denoted by `t`.
 
@@ -178,58 +243,33 @@ def perm_rep(t: GroupTerm) -> PermGroup:
     with the cyclic group(s) translating blocks.  Generators come in the
     order the constructions list their symmetries: at every Wr / Wr2 the
     block translations first, then the base generators acting on block 0.
-    DegreeCapExceeded beyond DEGREE_CAP points.
     """
-    degree, gens = _rep(t)
-    return PermGroup(degree=degree, generators=gens)
+    return PermGroup(rep_degree(t), _gens(t))
 
 
 def _embed(gen: Perm, offset: int, degree: int) -> Perm:
     """`gen` acting on the points from `offset` on, fixing the rest."""
-    p = list(range(degree))
-    for i, j in enumerate(gen):
-        p[offset + i] = offset + j
-    return tuple(p)
+    p = identity(degree)
+    p[offset : offset + len(gen)] = gen + offset
+    return p
 
 
-def _check_degree(degree: int) -> None:
-    if degree > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
-
-
-def _rep(t: GroupTerm) -> tuple[int, list[Perm]]:
-    if isinstance(t, Triv):
-        return 1, []
+def _gens(t: GroupTerm) -> list[Perm]:
+    degree = rep_degree(t)
     if isinstance(t, Prod):
-        degree = 0
-        parts = []
+        out, offset = [], 0
         for f in t.factors:
-            d, gens = _rep(f)
-            parts.append((degree, gens))
-            degree += d
-            _check_degree(degree)
-        return degree, [_embed(gen, offset, degree) for offset, gens in parts for gen in gens]
-    if isinstance(t, Wr):
-        d, gens = _rep(t.base)
-        degree = t.n * d
-        _check_degree(degree)
-        out = []
-        if t.n > 1:  # cyclic shift of blocks
-            out.append(tuple((k + d) % degree for k in range(degree)))
-        return degree, out + [_embed(gen, 0, degree) for gen in gens]
-    if isinstance(t, Wr2):
-        d, gens = _rep(t.base)
-        rows, cols = t.n, t.m * t.n
-        degree = rows * cols * d
-        _check_degree(degree)
-        row = cols * d  # points in one row of blocks
-        out = []
-        if rows > 1:  # (1, 0): the next row of blocks
-            out.append(tuple((k + row) % degree for k in range(degree)))
-        if cols > 1:  # (0, 1): the next block within a row
-            out.append(tuple(k - k % row + (k % row + d) % row for k in range(degree)))
-        return degree, out + [_embed(gen, 0, degree) for gen in gens]
-    raise TypeError(f"not a GroupTerm: {t!r}")
+            out += [_embed(gen, offset, degree) for gen in _gens(f)]
+            offset += rep_degree(f)
+        return out
+    if isinstance(t, (Wr, Wr2)):
+        d, k = rep_degree(t.base), identity(degree)
+        row = degree if isinstance(t, Wr) else t.m * t.n * d  # points in one row of blocks
+        out = [(k + row) % degree] if row < degree else []  # Wr2's (1, 0): the next row
+        if row > d:  # (0, 1): the next block within a row
+            out.append(k - k % row + (k % row + d) % row)
+        return out + [_embed(gen, 0, degree) for gen in _gens(t.base)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -265,5 +305,5 @@ def is_isomorphic(g: PermGroup, h: PermGroup) -> Pairing:
     k = max(len(gs), len(hs))
     gs += [identity(g.degree)] * (k - len(gs))
     hs += [identity(h.degree)] * (k - len(hs))
-    diagonal = [p + tuple([g.degree + j for j in q]) for p, q in zip(gs, hs)]
+    diagonal = [np.concatenate([p, q + g.degree]) for p, q in zip(gs, hs)]
     return Pairing(group_order(g), group_order(h), prod(_basic_orbit_lengths(diagonal)))

@@ -19,7 +19,7 @@ chains, and each chain becomes one edge.
 
 The graph carries topology and critical points only.  The special vertex of
 a tree is read off them: a level component with e extrema, s saddles and deg
-edge ends has genus (2 - e + s - deg)/2, so it works on imported graphs too.
+edge ends has genus (2 - e + s - deg)/2, so it needs no triangulation.
 Each edge keeps one witness triangle, the smallest triangle of its lowest
 slab component, and edges are numbered by (lo, witness).  A graph has at
 most one cycle, so two edges share both ends only on a circuit of length
@@ -30,7 +30,6 @@ two, and a symmetry push reads triangles only to split that pair (see
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -182,7 +181,7 @@ class ReebEdge:
     lo: float
     hi: float
     # smallest triangle of the edge's lowest component in the slab between
-    # consecutive cut values that holds lo, -1 on imported graphs
+    # consecutive cut values that holds lo, -1 on a graph without a triangulation
     witness: int = -1
 
 
@@ -764,46 +763,3 @@ def export_json(g: ReebGraph) -> bytes:
         "edges": [{"id": e.id, "u": e.u, "v": e.v, "lo": e.lo, "hi": e.hi} for e in g.edges],
     }
     return json.dumps(doc, sort_keys=True).encode("utf-8")
-
-
-def import_json(data: bytes) -> ReebGraph:
-    """The graph of an `export_json` document.  ReebError unless the document
-    has the keys and kinds of one (values are finite reals, critical point
-    coordinates integers, boundary flags booleans), vertex and edge ids are
-    integers that run 0..n-1 in order, every edge ends at vertices of the
-    graph, and the graph is connected."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-        vertices = [
-            ReebVertex(
-                v["id"],
-                v["value"],
-                [CriticalPoint(c["x"], c["y"], CritKind(c["kind"]), c["value"]) for c in v["crits"]],
-                v["boundary"],
-            )
-            for v in doc["vertices"]
-        ]
-        edges = [ReebEdge(e["id"], e["u"], e["v"], e["lo"], e["hi"]) for e in doc["edges"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ReebError(f"not a Reeb graph document: {exc!r}") from exc
-    n = len(vertices)
-    ids = [v.id for v in vertices] + [e.id for e in edges]
-    ends = [x for e in edges for x in (e.u, e.v)]
-    if any(type(x) is not int for x in ids + ends):
-        raise ReebError("vertex ids, edge ids and edge ends must be integers")
-    crits = [c for v in vertices for c in v.crits]
-    reals = [v.value for v in vertices] + [c.value for c in crits]
-    reals += [x for e in edges for x in (e.lo, e.hi)]
-    if any(type(x) not in (int, float) or not math.isfinite(x) for x in reals):
-        raise ReebError("vertex, critical point and edge values must be finite real numbers")
-    if any(type(x) is not int for c in crits for x in (c.x, c.y)):
-        raise ReebError("critical point coordinates must be integers")
-    if any(type(v.boundary) is not bool for v in vertices):
-        raise ReebError("vertex boundary flags must be booleans")
-    if ids != [*range(n), *range(len(edges))]:
-        raise ReebError("vertex and edge ids must run 0..n-1 in order")
-    if any(not 0 <= x < n for x in ends):
-        raise ReebError(f"an edge ends outside the {n} vertices")
-    graph = ReebGraph(vertices, edges)
-    _check_connected(graph)
-    return graph

@@ -25,7 +25,7 @@ from kronrod.auts import (
 )
 from kronrod.errors import AutOverflow, KronrodError
 from kronrod.fields import ScalarField, euler_check, is_simple, morse_counts
-from kronrod.permgroups import is_isomorphic, perm_rep
+from kronrod.permgroups import is_isomorphic, perm_rep, rep_degree
 from kronrod.records import ConstructionRecord, check_record_against_field
 from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
 from kronrod.terms import GroupTerm, format_term, normalize, order
@@ -131,6 +131,13 @@ def verify_realization(
     try:
         if rt is None:
             raise KronrodError("the record gives no term")
+        # every point of the representation is a layout block of grid points
+        points = rep_degree(rt)
+        if points > f.values.size:
+            raise KronrodError(
+                f"the term acts on {points} points, more than the field's"
+                f" {f.values.size} grid points"
+            )
         iso = is_isomorphic(grp, perm_rep(rt))
         detail = f"pairing orders: generated {iso.g}, term {iso.h}, diagonal {iso.diagonal}"
         report.add("group_isomorphism", bool(iso), detail)

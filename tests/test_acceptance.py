@@ -217,14 +217,15 @@ def test_group_orders_match_sympy_on_all_points(corpus):
         rep = perm_rep(record_term(rec))
         iso = is_isomorphic(grp, rep)
         g_id, h_id = tuple(range(nv + ne)), tuple(range(rep.degree))
+        rep_gens = [tuple(q.tolist()) for q in rep.generators]
         gs = [p for p in every if p != g_id]
-        hs = [q for q in rep.generators if q != h_id]
+        hs = [q for q in rep_gens if q != h_id]
         k = max(len(gs), len(hs))
         gs += [g_id] * (k - len(gs))
         hs += [h_id] * (k - len(hs))
         diagonal = [p + tuple(nv + ne + j for j in q) for p, q in zip(gs, hs)]
         if (iso.h, iso.diagonal) != (
-            sympy_order(rep.degree, rep.generators),
+            sympy_order(rep.degree, rep_gens),
             sympy_order(nv + ne + rep.degree, diagonal),
         ):
             bad.append(f"{member.label}: pairing {iso}")

@@ -229,6 +229,14 @@ class TestAnalyze:
         assert code == 2
         assert not out["ok"]
 
+    def test_deeply_nested_field_is_input_error(self, tmp_path, capsys, shallow_stack):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000 + "]" * 5000)
+        with shallow_stack:
+            code, doc = run(capsys, "analyze", "--field", str(deep))
+        assert code == 2
+        assert "malformed field JSON" in doc["error"]
+
 
 class TestVerify:
     @pytest.fixture()
@@ -261,6 +269,14 @@ class TestVerify:
         )
         assert code == 2
         assert not doc["ok"] and "degenerate vertex at (4, 4)" in doc["error"]
+
+    def test_deeply_nested_field_is_input_error(self, realized, capsys, shallow_stack):
+        (realized / "field.json").write_text("[" * 5000 + "]" * 5000)
+        field, record = str(realized / "field.json"), str(realized / "record.json")
+        with shallow_stack:
+            code, doc = run(capsys, "verify", "--field", field, "--record", record)
+        assert code == 2
+        assert "malformed field JSON" in doc["error"]
 
     def test_round_trip(self, realized, capsys):
         code, doc = run(

@@ -1,12 +1,10 @@
 import random
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 
 from kronrod import permgroups
-from kronrod.errors import DegreeCapExceeded
 from kronrod.permgroups import (
-    DEGREE_CAP,
     PermGroup,
     compose,
     group_order,
@@ -14,6 +12,7 @@ from kronrod.permgroups import (
     inverse,
     is_isomorphic,
     perm_rep,
+    rep_degree,
 )
 from kronrod.terms import Prod, Triv, Wr, Wr2, normalize, order, parse_term
 
@@ -33,13 +32,13 @@ def cyclic_order(p):
 
 class TestPermBasics:
     def test_compose(self):
-        p = (1, 2, 0)
-        q = (0, 2, 1)
-        assert compose(p, q) == (2, 1, 0)
+        p = np.array([1, 2, 0], np.int32)
+        q = np.array([0, 2, 1], np.int32)
+        assert compose(p, q).tolist() == [2, 1, 0]
 
     def test_inverse(self):
-        p = (2, 0, 1)
-        assert compose(p, inverse(p)) == (0, 1, 2)
+        p = np.array([2, 0, 1], np.int32)
+        assert compose(p, inverse(p)).tolist() == [0, 1, 2]
 
     def test_perm_order(self):
         assert cyclic_order((1, 2, 0, 4, 3)) == 6
@@ -62,22 +61,24 @@ class TestPermRep:
         assert len(g.generators) == 2
         assert all(cyclic_order(p) == 2 for p in g.generators)
         a, b = g.generators
-        assert compose(a, b) == compose(b, a)
+        assert np.array_equal(compose(a, b), compose(b, a))
         assert group_order(g) == 4
 
     def test_block_shifts_come_first(self):
         # the constructions list the block shift before the base symmetries
-        shift, base = perm_rep(Wr(Wr(Triv(), 2), 3)).generators
-        assert shift == (2, 3, 4, 5, 0, 1)
-        assert base == (1, 0, 2, 3, 4, 5)
-        rows, cols, base = perm_rep(Wr2(Wr(Triv(), 2), 2, 1)).generators
-        assert rows == (4, 5, 6, 7, 0, 1, 2, 3)
-        assert cols == (2, 3, 0, 1, 6, 7, 4, 5)
-        assert base == (1, 0, 2, 3, 4, 5, 6, 7)
+        shift, base = (p.tolist() for p in perm_rep(Wr(Wr(Triv(), 2), 3)).generators)
+        assert shift == [2, 3, 4, 5, 0, 1]
+        assert base == [1, 0, 2, 3, 4, 5]
+        rows, cols, base = (p.tolist() for p in perm_rep(Wr2(Wr(Triv(), 2), 2, 1)).generators)
+        assert rows == [4, 5, 6, 7, 0, 1, 2, 3]
+        assert cols == [2, 3, 0, 1, 6, 7, 4, 5]
+        assert base == [1, 0, 2, 3, 4, 5, 6, 7]
 
-    def test_degree_cap(self):
-        with pytest.raises(DegreeCapExceeded):
-            perm_rep(Wr(Triv(), DEGREE_CAP + 1))
+    def test_degree_without_building(self):
+        for text in ("1", "wr(1,5)", "prod(wr(1,2),1,wr(wr(1,3),2))", "wr2(prod(wr(1,2),1),2,3)"):
+            t = parse_term(text)
+            assert rep_degree(t) == perm_rep(t).degree, text
+        assert rep_degree(Wr(Triv(), 10**9)) == 10**9
 
 
 class TestOrder:
@@ -142,6 +143,69 @@ class TestOrder:
         monkeypatch.setattr(permgroups, "compose", lambda p, q: calls.append(1) or compose_(p, q))
         assert group_order(perm_rep(parse_term("wr2(prod(wr(1,2),1,1,1),2,2)"))) == 2048
         assert len(calls) <= 600
+
+
+def random_gens(rng, degree, count):
+    out = []
+    for _ in range(count):
+        p = list(range(degree))
+        rng.shuffle(p)
+        out.append(p)
+    return out
+
+
+def sympy_order(degree, gens):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    group = PermutationGroup([Permutation(list(p)) for p in gens] or [Permutation(degree - 1)])
+    return group.order()
+
+
+class TestOneOrbitPerClass:
+    """A chain acts on one orbit of each isomorphism class of orbits."""
+
+    def test_copies_of_one_orbit(self):
+        # each copy lies on its own shuffled points, so the copies' least
+        # points need not correspond and some copies stay
+        rng = random.Random(3)
+        for _ in range(80):
+            d, copies = rng.randint(1, 8), rng.randint(2, 4)
+            gens = random_gens(rng, d, rng.randint(1, 3))
+            points = list(range(d * copies))
+            rng.shuffle(points)
+            big = []
+            for g in gens:
+                p = [0] * len(points)
+                for c in range(copies):
+                    for i in range(d):
+                        p[points[c * d + i]] = points[c * d + g[i]]
+                big.append(p)
+            want = sympy_order(d, gens)
+            assert group_order(PermGroup(len(points), big)) == want == sympy_order(len(points), big)
+
+    def test_orbits_with_different_kernels(self):
+        # a 2-cycle on one orbit and a 4-cycle on another: the first orbit
+        # alone gives order 2
+        assert group_order(PermGroup(6, [(1, 0, 3, 4, 5, 2)])) == 4
+        rng = random.Random(5)
+        for _ in range(80):  # generators paired across two random groups
+            a, b = rng.randint(1, 6), rng.randint(1, 6)
+            count = rng.randint(1, 3)
+            gens = [
+                p + [a + j for j in q]
+                for p, q in zip(random_gens(rng, a, count), random_gens(rng, b, count))
+            ]
+            assert group_order(PermGroup(a + b, gens)) == sympy_order(a + b, gens), gens
+
+    def test_regular_action_above_16384_points(self):
+        # Z_16 x Z_272 on four copies of its regular orbit, as tree `1` at
+        # (16, 17) lays out its orbit representatives
+        t = parse_term("wr2(prod(1,1,1,1),16,17)")
+        g = perm_rep(t)
+        assert g.degree == 17_408
+        (p, images), *_ = permgroups._one_orbit_per_class([(p, p.tolist()) for p in g.generators])
+        assert len(p) == len(images) == 4_352
+        assert group_order(g) == order(t) == 4_352
 
 
 class TestIsomorphism:

@@ -2,7 +2,11 @@
 records with wrong generators, and against a full group order that the
 generated order does not divide; and the one leaf peel a verify makes."""
 
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,50 @@ def test_group_checks_run_on_large_terms(case, base, n, m):
     )
     for name in GROUP_CHECKS:
         assert "skipped" not in details[name] and "beyond cap" not in details[name]
+
+
+def test_tree_above_the_old_degree_cap():
+    """Tree `1` at (16, 17): a 128 x 2,176 grid whose graph has 17,409
+    vertices, above the 16,384 points group orders once were capped at.
+    Its verify runs in a fresh interpreter, which reports its peak RSS."""
+    code = (
+        "import json, resource\n"
+        "from kronrod.construct import realize\n"
+        "from kronrod.terms import parse_term\n"
+        "from kronrod.verify import verify_realization\n"
+        "report = verify_realization(*realize('tree', parse_term('1'), 16, 17))\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([report.to_json(), rss]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, rss_kb = json.loads(proc.stdout)
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert report["ok"], report
+    assert details["reeb"] == "V=17409 E=17408"
+    assert details["group_isomorphism"] == (
+        "pairing orders: generated 4352, term 4352, diagonal 4352"
+    )
+    assert [name for name, d in details.items() if "skipped" in d] == ["aut_containment"]
+    assert rss_kb <= 500 * 1024
+
+
+def test_term_with_more_points_than_the_grid_fails_the_pairing(monkeypatch):
+    """A record read from a file may claim any index; its representation is
+    refused before it is built."""
+    f, rec = realize("circuit", parse_term("1"), 3)
+    rec.n = 10**9
+    monkeypatch.setattr(verify, "perm_rep", lambda t: pytest.fail("representation built"))
+    report = verify_realization(f, rec)
+    assert failing(report) == {"structural_term", "group_isomorphism"}
+    detail = next(c.detail for c in report.checks if c.name == "group_isomorphism")
+    assert detail == (
+        "could not pair the generators: the term acts on 1000000000 points,"
+        f" more than the field's {f.values.size} grid points"
+    )
 
 
 def test_swapped_generators_fail_the_pairing():
