@@ -40,18 +40,6 @@ class GraphAut:
     vperm: tuple[int, ...]
     eperm: tuple[int, ...]
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.vperm)) and all(
-            i == j for i, j in enumerate(self.eperm)
-        )
-
-    def compose(self, other: "GraphAut") -> "GraphAut":
-        """Apply self, then other."""
-        return GraphAut(
-            tuple(other.vperm[i] for i in self.vperm),
-            tuple(other.eperm[i] for i in self.eperm),
-        )
-
 
 def validate_graph_aut(g: ReebGraph, aut: GraphAut) -> None:
     """Raise NotAnAutomorphism unless `aut` preserves values and incidence."""

@@ -190,11 +190,7 @@ def cmd_corpus(args) -> int:
         return EXIT_INPUT
     if args.out and not _save(Path(args.out), {}):  # an unusable --out fails before the run
         return EXIT_INPUT
-    try:
-        summary = corpus_summary(args.seed)
-    except GridCapExceeded as exc:
-        _emit({"ok": False, "error": str(exc)})
-        return EXIT_INPUT
+    summary = corpus_summary(args.seed)
     summary_json = json.dumps(summary, sort_keys=True, indent=2).encode()
     if args.out and not _save(Path(args.out), {"summary.json": summary_json}):
         return EXIT_INPUT

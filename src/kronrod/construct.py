@@ -32,7 +32,6 @@ field symmetries.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,20 +49,13 @@ DISK_HEIGHT = 9
 CONTENT_ROWS = 7
 _E_PROFILE = (0, 1, 2, 3, 2, 1, 0)
 
-DEFAULT_GRID_CAP = 2_000_000
+GRID_CAP = 2_000_000
 
 
-def _grid_cap() -> int:
-    env = os.environ.get("KR_GRID_CAP")
-    if not env:
-        return DEFAULT_GRID_CAP
-    try:
-        cap = int(env)
-        if cap >= 1:
-            return cap
-    except ValueError:
-        pass
-    raise GridCapExceeded(f"KR_GRID_CAP must be a positive integer, got {env!r}")
+def _check_grid(w: int, h: int, what: str) -> None:
+    """GridCapExceeded when a w-by-h grid has more points than GRID_CAP."""
+    if w * h > GRID_CAP:
+        raise GridCapExceeded(f"{what} {w}x{h} exceeds cap {GRID_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +86,12 @@ _TRIV_CORE = [1, 3, 7, 13, 7, 3, 1]
 def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
     """Profile recursion over a term.  Index-1 wreaths collapse, but products
     keep their shape, so a requested product of equal factors still gets
-    separate value windows; the layout's term is `t` so collapsed."""
+    separate value windows; the layout's term is `t` so collapsed.
+
+    Every construction's grid holds the content rectangle, so each level
+    checks its width against the grid cap before it builds its columns:
+    widths only grow up the recursion, and no layout is built wider than the
+    cap allows."""
     if isinstance(t, Triv):
         return Layout(t, "triv", list(_TRIV_CORE), 13, (0, 0, 1))
     if isinstance(t, Wr) and t.n == 1:
@@ -114,6 +111,7 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
                 raise NotRealizable(
                     f"simple wreath layouts need index 2, got {t.n}"
                 )
+            _check_grid(2 * w + 5, CONTENT_ROWS, "disk content")
             block = [buf] + petal + [buf]
             cols = block + [1] + block
             slots = [(1, w, sub.term), (w + 4, w, sub.term)]
@@ -122,6 +120,7 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
             return Layout(shape, "wrc", cols, 3 * sub.peak, counts, slots, gens)
         top = 3 * sub.peak + 4
         bw = w + 3
+        _check_grid(1 + t.n * bw, CONTENT_ROWS, "disk content")
         cols = [top]
         for _ in range(t.n):
             cols.append(1)
@@ -135,6 +134,7 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
     if isinstance(t, Prod):
         subs = [build_layout(f, simple) for f in t.factors]
         k = len(subs)
+        _check_grid(sum(len(sub.cols) for sub in subs) + k - 1, CONTENT_ROWS, "disk content")
         offset = 2 * k
         cols: list[int] = []
         slots = []
@@ -164,31 +164,14 @@ def _content_values(layout: Layout) -> np.ndarray:
     return np.outer(rows, cols) / norm
 
 
-def _layout_width(t: GroupTerm, simple: bool) -> int:
-    """Column count of `build_layout(t, simple)`, read off the term."""
-    if isinstance(t, Wr) and t.n > 1:
-        w = _layout_width(t.base, simple)
-        return 2 * w + 5 if simple else 1 + t.n * (w + 3)
-    if isinstance(t, Wr):
-        return _layout_width(t.base, simple)
-    if isinstance(t, Prod):
-        return sum(_layout_width(f, simple) for f in t.factors) + len(t.factors) - 1
-    return len(_TRIV_CORE)
-
-
 def _layout(base: GroupTerm, simple: bool = False) -> Layout:
     """Disk layout of `base`; NotRealizable unless `base` is in the disk
-    class, or in the simple disk class when `simple`.  GridCapExceeded
-    before the layout is built when even its content rectangle, which every
-    construction's grid holds, exceeds the cap."""
+    class, or in the simple disk class when `simple`."""
     flags = class_of(normalize(base))
     if simple and not flags.disk_realizable_simple:
         raise NotRealizable(f"{format_term(base)} is not simple-disk realizable")
     if not flags.disk_realizable:
         raise NotRealizable(f"{format_term(base)} is not disk realizable")
-    cols = _layout_width(base, simple)
-    if cols * CONTENT_ROWS > _grid_cap():
-        raise GridCapExceeded(f"layout of {cols}x{CONTENT_ROWS} content exceeds cap")
     return build_layout(base, simple)
 
 
@@ -225,8 +208,7 @@ def realize_disk(t: GroupTerm) -> tuple[ScalarField, ConstructionRecord]:
     norm = normalize(t)
     w = len(layout.cols) + 2
     h = DISK_HEIGHT
-    if w * h > _grid_cap():
-        raise GridCapExceeded(f"disk grid {w}x{h} exceeds cap")
+    _check_grid(w, h, "disk grid")
     vals = np.zeros((h, w), dtype=np.float64)
     vals[1:-1, 1:-1] = _content_values(layout)
     f = ScalarField(DISK, vals)
@@ -331,8 +313,7 @@ def realize_torus_circuit(
     P = max(_MIN_BAND_WIDTH, cw + 2 * _BAND_MARGIN)
     P += P % 2
     W = n * P
-    if W * CIRCUIT_HEIGHT > _grid_cap():
-        raise GridCapExceeded(f"torus grid {W}x{CIRCUIT_HEIGHT} exceeds cap")
+    _check_grid(W, CIRCUIT_HEIGHT, "torus grid")
 
     D = _band_profile(P, capped=painted)
     C = _meridian_profile(CIRCUIT_HEIGHT)
@@ -402,8 +383,7 @@ def realize_torus_tree(
         s = max(s, cw + 3, CONTENT_ROWS + 3)
     s += s % 2
     W, H = 2 * n * s, 2 * m * n * s
-    if W * H > _grid_cap():
-        raise GridCapExceeded(f"torus grid {W}x{H} exceeds cap")
+    _check_grid(W, H, "torus grid")
 
     # one 2s-by-2s block of four unit squares, tiled over the torus
     ys, xs = np.mgrid[0 : 2 * s, 0 : 2 * s]

@@ -41,14 +41,6 @@ class ShapeViolation(ReebError):
     """Torus Reeb graph with first Betti number above one."""
 
 
-class NoSpecialVertex(ReebError):
-    pass
-
-
-class MultipleSpecialVertices(ReebError):
-    pass
-
-
 class NotAnAutomorphism(KronrodError):
     """A pushed symmetry fails graph-automorphism validation."""
 

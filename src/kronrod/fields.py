@@ -251,7 +251,10 @@ def export_pgm(f: ScalarField) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def fix_ties(values: np.ndarray, kind: str, max_rounds: int = 8) -> np.ndarray:
+_TIE_ROUNDS = 8
+
+
+def fix_ties(values: np.ndarray, kind: str) -> np.ndarray:
     """Perturb interior vertices that tie a link neighbor.
 
     Adds eps * rank(vertex index) with eps = 1e-9 of the value range, capped
@@ -263,7 +266,7 @@ def fix_ties(values: np.ndarray, kind: str, max_rounds: int = 8) -> np.ndarray:
     vals = np.array(values, dtype=np.float64)
     h, w = vals.shape
     interior = np.pad(np.ones((h - 2, w - 2), bool), 1) if kind == DISK else np.ones((h, w), bool)
-    for _ in range(max_rounds):
+    for _ in range(_TIE_ROUNDS):
         # a disk's link wraps only between frame vertices, equal on a valid frame
         nbs = _link(vals)
         diffs = np.abs(nbs - vals)

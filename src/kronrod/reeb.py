@@ -37,8 +37,6 @@ import numpy as np
 
 from kronrod.errors import (
     InvalidField,
-    MultipleSpecialVertices,
-    NoSpecialVertex,
     NotAnAutomorphism,
     NotATree,
     ReebError,
@@ -623,8 +621,6 @@ def build_reeb(f: ScalarField) -> ReebGraph:
 
 
 def _check_connected(g: ReebGraph) -> None:
-    if not g.vertices:
-        raise ReebError("graph has no vertices")
     us = np.array([e.u for e in g.edges], dtype=np.int64)
     vs = np.array([e.v for e in g.edges], dtype=np.int64)
     if _label(g.n_vertices, us, vs).any():
@@ -722,9 +718,9 @@ def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
         if (2 - extrema + saddles - len(g.incident_edges(v.id))) / 2 == 1:  # a tree has no loops
             found.append(v.id)
     if not found:
-        raise NoSpecialVertex("no vertex has an all-disk complement")
+        raise ReebError("no vertex has an all-disk complement")
     if len(found) > 1:
-        raise MultipleSpecialVertices(f"vertices {found} all have all-disk complements")
+        raise ReebError(f"vertices {found} all have all-disk complements")
     return found[0]
 
 

@@ -2,6 +2,7 @@
 library functions the benchmark's per-layer spans rebind, and the result
 fields its output capture reads."""
 
+import ast
 import importlib
 import json
 import os
@@ -34,6 +35,18 @@ def test_import_loads_no_third_party_module_but_numpy():
     third_party = loaded - set(sys.stdlib_module_names) - {"kronrod", "numpy"}
     assert not third_party
     assert not loaded & {"scipy", "networkx", "sympy", "numba"}
+
+
+def test_library_reads_no_environment_variable():
+    """The library has no knobs: what it does depends on its arguments only."""
+    env_names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(kronrod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.name if isinstance(node, ast.alias) else getattr(node, "attr", None)
+            if (name or getattr(node, "id", None)) in env_names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def test_all_exports_resolve():

@@ -185,26 +185,23 @@ class TestInducedAuts:
         f, rec = realize_torus_circuit(Triv(), 1)
         g = build_reeb(f)
         aut = induced_graph_aut(g, GridTranslation(f.width, 0))
-        assert aut.is_identity()
+        assert aut.vperm == tuple(range(g.n_vertices))
+        assert aut.eperm == tuple(range(g.n_edges))
 
     def test_band_shift_order(self):
         for n in (2, 3, 4):
             f, rec = realize_torus_circuit(Triv(), n)
             g = build_reeb(f)
             aut = induced_graph_aut(g, rec.symmetries[0])
-            power = aut
-            k = 1
-            while not power.is_identity():
-                power = power.compose(aut)
-                k += 1
-            assert k == n
+            assert generated_group(g, [aut]).order == n
 
     def test_tree_translations_commute(self):
         f, rec = realize_torus_tree(Triv(), 2, 1)
         g = build_reeb(f)
         a = induced_graph_aut(g, rec.symmetries[0])
         b = induced_graph_aut(g, rec.symmetries[1])
-        assert a.compose(b) == b.compose(a)
+        for p, q in ((a.vperm, b.vperm), (a.eperm, b.eperm)):
+            assert [q[i] for i in p] == [p[i] for i in q]
 
     def test_corrupted_cycle_rejected(self):
         f, rec = realize_torus_circuit(Wr(Triv(), 2), 2)
@@ -231,7 +228,7 @@ class TestInducedAuts:
         g = build_reeb(f)
         cyc = next(s for s in rec.symmetries if isinstance(s, RectCycle))
         aut = induced_graph_aut(g, cyc)
-        assert not aut.is_identity()  # the two cap maxima and their edges swap
+        assert aut.vperm != tuple(range(g.n_vertices))  # the two cap maxima and their edges swap
         classes: dict[tuple, list[int]] = {}
         for e in g.edges:
             classes.setdefault((e.u, e.v, e.lo, e.hi), []).append(e.id)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kronrod import verify
+from kronrod import construct, verify
 from kronrod.cli import main
 from kronrod.construct import realize, realize_torus_circuit
 from kronrod.fields import LINK_OFFSETS, MorseCounts, ScalarField, save_field
@@ -119,25 +119,12 @@ class TestRealize:
 
 class TestGridCap:
     def test_cap_exceeded_is_input_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("KR_GRID_CAP", "512")
+        monkeypatch.setattr(construct, "GRID_CAP", 512)
         code, doc = run(
             capsys, "realize", "--term", "wr2(wr(1,2),2,2)", "--case", "tree", "--out", str(tmp_path)
         )
         assert code == 2
         assert "exceeds cap" in doc["error"]
-
-    @pytest.mark.parametrize("cap", ["abc", "0", "-5", "1.5"])
-    def test_malformed_cap_is_input_error(self, tmp_path, capsys, monkeypatch, cap):
-        monkeypatch.setenv("KR_GRID_CAP", cap)
-        code, doc = run(
-            capsys, "realize", "--term", "wr(1,2)", "--case", "circuit", "--out", str(tmp_path)
-        )
-        assert code == 2
-        assert "KR_GRID_CAP" in doc["error"]
-        assert not (tmp_path / "field.json").exists()
-        code, doc = run(capsys, "corpus", "--seed", "0")
-        assert code == 2
-        assert "KR_GRID_CAP" in doc["error"]
 
 
 class TestAnalyze:

@@ -6,10 +6,10 @@ import pytest
 from kronrod import construct
 from kronrod.auts import generated_group, induced_graph_aut, record_term
 from kronrod.construct import (
+    CONTENT_ROWS,
     _AMPLITUDE,
     _LINE_EPS,
     _bump_knots,
-    _layout_width,
     build_layout,
     realize,
     realize_disk,
@@ -318,24 +318,27 @@ class TestLayoutInternals:
             c0, c1, c2 = build_layout(parse_term(term)).counts
             assert c0 - c1 + c2 == 1
 
-    @pytest.mark.parametrize("simple", [False, True])
-    def test_width_from_the_term(self, simple):
-        for term in ("1", "wr(1,2)", "wr(wr(1,2),2)", "prod(wr(1,2),1,wr(1,3))", "wr(prod(1,1),4)"):
-            t = parse_term(term)
-            try:
-                layout = build_layout(t, simple)
-            except NotRealizable:
-                continue
-            assert _layout_width(t, simple) == len(layout.cols), term
-
-    @pytest.mark.parametrize("case", ["disk", "circuit", "tree"])
-    def test_grid_cap_checked_before_the_layout(self, monkeypatch, case):
-        # the layout alone has 273,723 columns
-        calls = []
-        build = construct.build_layout
-        monkeypatch.setattr(construct, "build_layout", lambda *a: calls.append(a) or build(*a))
-        monkeypatch.setenv("KR_GRID_CAP", "1000")
-        with pytest.raises(GridCapExceeded):
-            realize(case, parse_term("wr(wr(wr(1,30),30),30)"))
-        assert calls == []
+    @pytest.mark.parametrize(
+        "case,term,cap",
+        [
+            ("disk", "wr(wr(wr(1,30),30),30)", 1000),  # 273,723 columns in all
+            ("circuit", "wr(wr(wr(1,30),30),30)", 1000),
+            ("tree", "wr(wr(wr(1,30),30),30)", 1000),
+            ("simple", "wr(wr(wr(wr(1,2),2),2),2)", 1000),  # 187 columns
+            ("disk", "prod(wr(1,13),wr(1,13))", 1000),  # 131 + 1 + 131 columns
+            ("disk", "wr(1,1000000000)", construct.GRID_CAP),
+            ("circuit", "wr(1,1000000000)", construct.GRID_CAP),
+            ("tree", "wr(1,1000000000)", construct.GRID_CAP),
+        ],
+        ids=["disk", "circuit", "tree", "simple", "product", "disk-1e9", "circuit-1e9", "tree-1e9"],
+    )
+    def test_grid_cap_checked_before_the_layout(self, monkeypatch, case, term, cap):
+        """No layout wider than the cap allows for the content rows is built."""
+        widths = []
+        layout = construct.Layout
+        monkeypatch.setattr(construct, "Layout", lambda *a: widths.append(len(a[2])) or layout(*a))
+        monkeypatch.setattr(construct, "GRID_CAP", cap)
+        with pytest.raises(GridCapExceeded, match=f"exceeds cap {cap}$"):
+            realize(case, parse_term(term), 2)
+        assert widths and max(widths) <= cap // CONTENT_ROWS
 

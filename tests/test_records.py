@@ -1,10 +1,10 @@
 import json
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from kronrod import construct
 from kronrod.construct import realize_disk, realize_simple, realize_torus_circuit, realize_torus_tree
 from kronrod.corpus import corpus_grid, realize_member
 from kronrod.errors import GridCapExceeded, IncompleteRecord, InvalidField
@@ -89,13 +89,10 @@ class TestRecordJson:
 
 
 class TestGridCap:
-    def test_env_cap(self):
-        os.environ["KR_GRID_CAP"] = "512"
-        try:
-            with pytest.raises(GridCapExceeded):
-                realize_torus_tree(Wr(Triv(), 2), 2, 2)
-        finally:
-            del os.environ["KR_GRID_CAP"]
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(construct, "GRID_CAP", 512)
+        with pytest.raises(GridCapExceeded):
+            realize_torus_tree(Wr(Triv(), 2), 2, 2)
 
 
 class TestEulerFailureModes:

@@ -6,14 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kronrod import records, reeb, verify
 from kronrod.auts import AutGroup
 from kronrod.construct import realize
 from kronrod.corpus import run_realization_corpus
+from kronrod.fields import ScalarField
 from kronrod.records import GridTranslation, Rect, RectCycle, Slot
 from kronrod.terms import Triv, order, parse_term
 from kronrod.verify import verify_realization
@@ -23,6 +26,63 @@ GROUP_CHECKS = ("generated_order", "group_isomorphism")
 
 def failing(report):
     return {c.name for c in report.checks if not c.ok}
+
+
+def _add_a_minimum(f, rec):
+    c0, c1, c2 = rec.designed_counts
+    return f, replace(rec, designed_counts=(c0 + 1, c1, c2)), None
+
+
+def _nudge_slot(f, rec):
+    vals = np.array(f.values)
+    s = rec.slots[1].rect
+    vals[s.y0 % f.height, s.x0] += 1e-9
+    return ScalarField(f.kind, vals, validate=False), rec, None
+
+
+def _shift_one_column(f, rec):
+    return f, replace(rec, symmetries=[GridTranslation(1, 0), *rec.symmetries[1:]]), None
+
+
+# One edit of circuit `wr(1,3)` at n = 2 per check, with every check it fails.
+# No edit of the field or record fails `reeb` (any PL-Morse field has a
+# graph) or `aut_containment` (a pushed group lies in the full group).
+MUTATIONS = {
+    "designed-count": (_add_a_minimum, {"euler"}),
+    "slot-value": (_nudge_slot, {"record_exactness"}),
+    "tree-case": (
+        lambda f, rec: (f, replace(rec, case="tree"), None),
+        {"shape", "special_vertex", "structural_term", "group_isomorphism"},
+    ),
+    "simple-case": (lambda f, rec: (f, replace(rec, case="simple"), None), {"simple"}),
+    "one-column-shift": (_shift_one_column, {"record_exactness", "induced_automorphisms"}),
+    "other-term": (
+        lambda f, rec: (f, rec, parse_term("wr(1,4)")),
+        {"structural_term", "generated_order"},
+    ),
+    "dropped-band-shift": (
+        lambda f, rec: (f, replace(rec, symmetries=rec.symmetries[1:]), None),
+        {"generated_order", "group_isomorphism"},
+    ),
+}
+
+
+def _edited(name):
+    edit, _ = MUTATIONS[name]
+    f, rec = realize("circuit", parse_term("wr(1,3)"), 2)
+    assert verify_realization(f, rec).ok
+    return verify_realization(*edit(f, rec))
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_each_edit_fails_exactly_its_checks(name):
+    assert failing(_edited(name)) == MUTATIONS[name][1]
+
+
+def test_the_edits_fail_every_check_but_reeb_and_aut_containment():
+    ran = {c.name for name in MUTATIONS for c in _edited(name).checks}
+    failed = set().union(*(fails for _, fails in MUTATIONS.values()))
+    assert failed == ran - {"reeb", "aut_containment"}
 
 
 @pytest.mark.parametrize(
