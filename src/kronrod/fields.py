@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from kronrod.errors import DegenerateVertex, InvalidField
+from kronrod.terms import json_int
 
 LINK_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
@@ -114,12 +115,15 @@ class ScalarField:
         return f"ScalarField({self.kind}, {self.width}x{self.height})"
 
 
-def _link(vals: np.ndarray) -> np.ndarray:
-    """(6, H, W) values of each vertex's link neighbors in LINK_OFFSETS order,
-    read with wrap-around, so only an interior vertex's link lies in a disk."""
+def _link(vals: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Six (H, W) views of each vertex's link neighbors in LINK_OFFSETS order,
+    read with wrap-around from one wrapped copy, so only an interior vertex's
+    link lies in a disk."""
     h, w = vals.shape
-    pad = np.pad(vals, 1, mode="wrap")  # pad[y + 1, x + 1] is (x, y)
-    return np.stack([pad[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] for dx, dy in LINK_OFFSETS])
+    pad = np.empty((h + 2, w + 2), dtype=vals.dtype)  # pad[y + 1, x + 1] is (x, y)
+    pad[1:-1, 1:-1], pad[0, 1:-1], pad[-1, 1:-1] = vals, vals[-1], vals[0]
+    pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
+    return tuple(pad[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] for dx, dy in LINK_OFFSETS)
 
 
 def _validate(f: ScalarField) -> None:
@@ -140,13 +144,14 @@ def _validate(f: ScalarField) -> None:
         if not (np.all(ring > frame[0]) or np.all(ring < frame[0])):
             raise InvalidField("disk collar is not strictly one-sided")
     # interior vertices must differ from every link neighbor
-    ties = (_link(f.values) == f.values) & ~f.boundary_mask()
-    if ties.any():
-        k, y, x = np.argwhere(ties)[0]
-        dx, dy = LINK_OFFSETS[k]
-        raise InvalidField(
-            f"interior vertex ({x}, {y}) ties its link neighbor ({x + dx}, {y + dy})"
-        )
+    interior = ~f.boundary_mask()
+    for (dx, dy), nb in zip(LINK_OFFSETS, _link(f.values)):
+        ties = (nb == f.values) & interior
+        if ties.any():
+            y, x = np.argwhere(ties)[0]
+            raise InvalidField(
+                f"interior vertex ({x}, {y}) ties its link neighbor ({x + dx}, {y + dy})"
+            )
 
 
 def classify_vertices(f: ScalarField) -> list[CriticalPoint]:
@@ -157,22 +162,23 @@ def classify_vertices(f: ScalarField) -> list[CriticalPoint]:
     interior = ~f.boundary_mask()
     # sign of (neighbor - vertex) around the link; only interior vertices are
     # classified, and their links lie in the domain, so no wrap-around is read
-    nbs = _link(vals)
-    sign = (nbs > vals).astype(np.int8) - (nbs < vals)
-    changes = sum(sign[k] != sign[k - 1] for k in range(6))
+    sign = [(nb > vals).astype(np.int8) - (nb < vals) for nb in _link(vals)]
+    changes = sum(s != sign[k - 1] for k, s in enumerate(sign))
     degen = interior & (changes >= 6)
     if degen.any():
         y, x = np.argwhere(degen)[0]
         raise DegenerateVertex(int(x), int(y))
     crits: list[CriticalPoint] = []
+    # an extremum's neighbors all lie on one side, so its first says which
     extremum = interior & (changes == 0)
-    saddle = interior & (changes == 4)
-    all_below = np.all(sign < 0, axis=0)
-    for y, x in np.argwhere(extremum):
-        kind = CritKind.MAXIMUM if all_below[y, x] else CritKind.MINIMUM
-        crits.append(CriticalPoint(int(x), int(y), kind, float(vals[y, x])))
-    for y, x in np.argwhere(saddle):
-        crits.append(CriticalPoint(int(x), int(y), CritKind.SADDLE, float(vals[y, x])))
+    maximum = extremum & (sign[0] < 0)
+    for mask, kind in (
+        (maximum, CritKind.MAXIMUM),
+        (extremum & ~maximum, CritKind.MINIMUM),
+        (interior & (changes == 4), CritKind.SADDLE),
+    ):
+        ys, xs = np.nonzero(mask)
+        crits += map(CriticalPoint, xs.tolist(), ys.tolist(), [kind] * len(xs), vals[mask].tolist())
     crits.sort(key=lambda c: (c.value, c.y, c.x))
     f._crits = crits
     return crits
@@ -225,8 +231,7 @@ def load_field(data: bytes) -> ScalarField:
         raise InvalidField(f"malformed field JSON: {exc}") from exc
     try:
         kind = doc["kind"]
-        w = int(doc["width"])
-        h = int(doc["height"])
+        w, h = json_int(doc["width"]), json_int(doc["height"])
         values = doc["values"]
         if not isinstance(values, list) or len(values) != w * h:
             raise InvalidField(f"values length {len(values) if isinstance(values, list) else '?'} != {w}x{h}")
@@ -268,7 +273,7 @@ def fix_ties(values: np.ndarray, kind: str) -> np.ndarray:
     interior = np.pad(np.ones((h - 2, w - 2), bool), 1) if kind == DISK else np.ones((h, w), bool)
     for _ in range(_TIE_ROUNDS):
         # a disk's link wraps only between frame vertices, equal on a valid frame
-        nbs = _link(vals)
+        nbs = np.stack(_link(vals))
         diffs = np.abs(nbs - vals)
         nonzero = diffs[diffs > 0]
         if nonzero.size == 0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from kronrod.errors import IncompleteRecord, InvalidField, NotAnAutomorphism
 from kronrod.fields import ScalarField
-from kronrod.terms import GroupTerm, term_from_json, term_to_json
+from kronrod.terms import GroupTerm, json_int, term_from_json, term_to_json
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,9 @@ SymmetrySpec = Union[GridTranslation, RectCycle]
 
 def symmetry_from_json(obj: dict) -> SymmetrySpec:
     if obj.get("kind") == "translation":
-        return GridTranslation(int(obj["dx"]), int(obj["dy"]))
+        return GridTranslation(json_int(obj["dx"]), json_int(obj["dy"]))
     if obj.get("kind") == "rect_cycle":
-        return RectCycle(tuple(Rect(*map(int, r)) for r in obj["rects"]))
+        return RectCycle(tuple(Rect(*map(json_int, r)) for r in obj["rects"]))
     raise ValueError(f"unknown symmetry kind {obj.get('kind')!r}")
 
 
@@ -129,14 +129,14 @@ class ConstructionRecord:
                 case=doc["case"],
                 term=term_from_json(doc["term"]),
                 base=term_from_json(doc["base"]),
-                n=int(doc["n"]),
-                m=int(doc["m"]),
-                width=int(doc["width"]),
-                height=int(doc["height"]),
+                n=json_int(doc["n"]),
+                m=json_int(doc["m"]),
+                width=json_int(doc["width"]),
+                height=json_int(doc["height"]),
                 slots=[
                     Slot(
-                        rect=Rect(*map(int, s["rect"])),
-                        orbit=int(s["orbit"]),
+                        rect=Rect(*map(json_int, s["rect"])),
+                        orbit=json_int(s["orbit"]),
                         term=term_from_json(s["term"]),
                     )
                     for s in doc["slots"]

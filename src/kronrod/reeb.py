@@ -30,7 +30,8 @@ two, and a symmetry push reads triangles only to split that pair (see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -55,70 +56,93 @@ class Triangulation:
 
     Triangle 2*(cy*ncx + cx) is the lower triangle of cell (cx, cy) with
     corners (x,y), (x+1,y), (x+1,y+1); triangle 2*(...)+1 is the upper one
-    with corners (x,y), (x+1,y+1), (x,y+1).  Graphs keep it for the corners;
-    `_sides` works out the adjacency when a build or a slab labelling needs it.
+    with corners (x,y), (x+1,y+1), (x,y+1).  A build reads a grid's values at
+    the corners through the shifted views of `cell_corners`, and the few
+    corners it needs one by one through `star`; `_sides` works out the
+    adjacency when a build or a slab labelling needs it.
     """
 
     def __init__(self, f: ScalarField):
         self.field = f
-        w, h = f.width, f.height
-        self.ncx = w if f.wraps else w - 1
-        self.ncy = h if f.wraps else h - 1
+        self.ncx = f.width if f.wraps else f.width - 1
+        self.ncy = f.height if f.wraps else f.height - 1
         self.ntri = 2 * self.ncx * self.ncy
 
-        cy, cx = np.divmod(np.arange(self.ncx * self.ncy, dtype=np.int32), self.ncx)
-        v00, v01 = cy * w + cx, (cy + 1) % h * w + cx
-        v10, v11 = v00 - cx + (cx + 1) % w, v01 - cx + (cx + 1) % w
-        # grid vertices y*w + x at the corners of every triangle
-        self.corners = np.empty((self.ntri, 3), dtype=np.int32)
-        self.corners[0::2] = np.stack([v00, v10, v11], axis=1)
-        self.corners[1::2] = np.stack([v00, v11, v01], axis=1)
+    def cell_corners(self, grid: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The values of an (H, W) grid at the corners (x,y), (x+1,y),
+        (x+1,y+1) and (x,y+1) of every cell (cx, cy), as (ncy, ncx) views: of
+        the grid with its first row and column appended on a torus, of the
+        grid itself on a disk."""
+        if self.field.wraps:
+            h, w = grid.shape
+            ext = np.empty((h + 1, w + 1), dtype=grid.dtype)
+            ext[:h, :w], ext[h, :w] = grid, grid[0]
+            ext[:, w] = ext[:, 0]
+            grid = ext
+        return grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
 
-    def first_triangles(self, points: np.ndarray) -> np.ndarray:
-        """The smallest triangle around each of the interior grid vertices
-        `points`: the least of the lower triangles of the cells to the lower
-        left, to the left and at the vertex, and the upper one of the cell
-        below.  The other two triangles around a vertex come after these."""
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """(ntri, 3) grid vertices y*w + x at the corners of every triangle."""
+        f = self.field
+        v00, v10, v11, v01 = self.cell_corners(
+            np.arange(f.values.size, dtype=np.int32).reshape(f.values.shape)
+        )
+        lower, upper = np.stack([v00, v10, v11], axis=-1), np.stack([v00, v11, v01], axis=-1)
+        return np.stack([lower, upper], axis=2).reshape(self.ntri, 3)
+
+    def star(self, points: np.ndarray) -> np.ndarray:
+        """The triangles around each of the grid vertices `points`, as a
+        (len(points), 6) array: the lower triangles of the cells to the lower
+        left, to the left and at the vertex, then the upper ones of the cells
+        to the lower left, below and at it; ntri where a disk has no such
+        cell."""
         w, h = self.field.width, self.field.height
         y, x = np.divmod(points, w)
         xl, yl = (x - 1) % w, (y - 1) % h
-        below, row = yl * self.ncx, y * self.ncx
-        first = [2 * (below + xl), 2 * (below + x) + 1, 2 * (row + xl), 2 * (row + x)]
-        return np.minimum.reduce(first)
+        cells = ((xl, yl, 0), (xl, y, 0), (x, y, 0), (xl, yl, 1), (x, yl, 1), (x, y, 1))
+        star = np.stack([2 * (cy * self.ncx + cx) + up for cx, cy, up in cells], axis=1)
+        if not self.field.wraps:
+            inside = np.stack([(cx < self.ncx) & (cy < self.ncy) for cx, cy, _ in cells], axis=1)
+            star[~inside] = self.ntri
+        return star
 
 
-def _sides(tri: Triangulation) -> tuple[np.ndarray, ...]:
-    """The shared grid edges of a triangulation, worked out from its corners:
-    arrays of the lower and upper triangle on each edge and of its two vertices.
+def _sides(tri: Triangulation, grid: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The shared grid edges of a triangulation: arrays of the lower and upper
+    triangle on each edge and of the values of an (H, W) `grid` at its two
+    ends (the vertex-id grid gives the end vertices).
 
-    They are each cell's diagonal (the first ncx*ncy, by cell), its bottom
-    edge (with the upper triangle of the cell below) and its left edge (with
-    the lower triangle of the cell to the left).
+    Each edge belongs to the cell of its upper triangle.  They are each
+    cell's diagonal (the first ncx*ncy, by cell), then its top edge (with the
+    lower triangle of the cell above) and its left edge (with the lower
+    triangle of the cell to the left) where the grid has them.
     """
-    f, ncx, ncy = tri.field, tri.ncx, tri.ncy
-    x0 = y0 = int(not f.wraps)  # first column and row with such edges
-    lower = 2 * np.arange(ncx * ncy, dtype=np.int32).reshape(ncy, ncx)
-    below, left = np.roll(lower, 1, axis=0) + 1, np.roll(lower, 1, axis=1)
-    v00, v10, v11, _, _, v01 = tri.corners.reshape(ncy, ncx, 6).transpose(2, 0, 1)
-    sides = ((lower, lower, left), (lower + 1, below, lower + 1), (v00, v00, v00), (v11, v10, v01))
-    return tuple(
-        np.concatenate([diag.ravel(), bot[y0:].ravel(), lft[:, x0:].ravel()])
-        for diag, bot, lft in sides
-    )
+    g00, _, g11, g01 = tri.cell_corners(grid)
+    lower = 2 * np.arange(tri.ncx * tri.ncy, dtype=np.int32).reshape(tri.ncy, tri.ncx)
+    above, left = np.roll(lower, -1, axis=0), np.roll(lower, 1, axis=1)
+    sides = ((lower, above, left), (lower + 1,) * 3, (g00, g01, g00), (g11, g11, g01))
+    return tuple(np.concatenate([diag.ravel(), _shared(tri, top, lft)]) for diag, top, lft in sides)
+
+
+def _shared(tri: Triangulation, top: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Per-cell (ncy, ncx) arrays at the shared top and left edges of the
+    cells, in the order of `_sides`: a disk's top row has no cell above and
+    its first column none to the left."""
+    edge = int(not tri.field.wraps)
+    return np.concatenate([top[: tri.ncy - edge].ravel(), left[:, edge:].ravel()])
 
 
 def _cell_permutation(tri: Triangulation, image: np.ndarray, piece: np.ndarray) -> np.ndarray:
     """Triangle-level map of a point map, given as each grid point's flat
     image and rigid piece (-1 where fixed): a cell whose four corners lie in
     one piece moves with them; every other cell stays put."""
-    w, h = tri.field.width, tri.field.height
-    cells = np.arange(tri.ncx * tri.ncy)
-    cy, cx = np.divmod(cells, tri.ncx)
-    x1, y1 = (cx + 1) % w, (cy + 1) % h
-    p = piece[[cy * w + cx, cy * w + x1, y1 * w + x1, y1 * w + cx]]
-    rigid = (p[0] >= 0) & (p == p[0]).all(axis=0)
-    ty, tx = np.divmod(image[cy * w + cx], w)
-    target = np.where(rigid, ty * tri.ncx + tx, cells)
+    shape, w = tri.field.values.shape, tri.field.width
+    p00, p10, p11, p01 = tri.cell_corners(piece.reshape(shape))
+    rigid = (p00 >= 0) & (p10 == p00) & (p11 == p00) & (p01 == p00)
+    ty, tx = np.divmod(tri.cell_corners(image.reshape(shape))[0], w)
+    cells = np.arange(tri.ncx * tri.ncy).reshape(tri.ncy, tri.ncx)
+    target = np.where(rigid, ty * tri.ncx + tx, cells).ravel()
     perm = np.empty(tri.ntri, dtype=np.int64)
     perm[0::2] = 2 * target
     perm[1::2] = 2 * target + 1
@@ -183,12 +207,12 @@ class ReebEdge:
     witness: int = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeReport:
     betti1: int
     shape: str  # "tree" | "circuit"
-    cycle_vertices: list[int] = field(default_factory=list)
-    cycle_edges: list[int] = field(default_factory=list)
+    cycle_vertices: tuple[int, ...] = ()
+    cycle_edges: tuple[int, ...] = ()
 
 
 class ReebGraph:
@@ -207,6 +231,7 @@ class ReebGraph:
         self.cuts = cuts
         self._incidence: Optional[list[list[int]]] = None
         self._peeled: Optional[tuple[list[tuple[int, int]], list[int]]] = None
+        self._shape: Optional[ShapeReport] = None
         self._slabs: dict[int, np.ndarray] = {}
 
     @property
@@ -279,9 +304,7 @@ class ReebGraph:
         k = int(np.searchsorted(self.cuts, lo, "right"))
         if k not in self._slabs:
             lo, hi = self.cuts[k - 1], self.cuts[k]
-            vals = self.tri.field.values.ravel()
-            a, b, p, q = _sides(self.tri)
-            p, q = vals[p], vals[q]
+            a, b, p, q = _sides(self.tri, self.tri.field.values)
             live = (np.maximum(p, q) > lo) & (np.minimum(p, q) < hi)
             self._slabs[k] = _label(self.tri.ntri, a[live], b[live])
         return self._slabs[k]
@@ -310,14 +333,13 @@ class _Batch(NamedTuple):
 
 
 def _pieces(tri: Triangulation, rank: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray):
-    """The nodes and joins of `_sweep`, from the ranks of the grid vertices and
-    the rank spans t_lo..t_hi of the triangles.  The diagonal of cell c lies in
-    slabs d_lo[c]..d_hi[c], where the upper triangle takes the lower one's
-    node; triangle t has its own nodes in slabs n_lo[t]..n_hi[t].  The bottom
-    and left grid edges become join segments, rows (lower triangle, owner of
-    the upper triangle's node, lo, hi), split where that owner changes."""
-    lows, ups, p, q = _sides(tri)
-    p, q = rank[p], rank[q]
+    """The nodes and joins of `_sweep`, from the (H, W) grid of vertex ranks
+    and the rank spans t_lo..t_hi of the triangles.  The diagonal of cell c
+    lies in slabs d_lo[c]..d_hi[c], where the upper triangle takes the lower
+    one's node; triangle t has its own nodes in slabs n_lo[t]..n_hi[t].  The
+    top and left grid edges become join segments, rows (lower triangle, owner
+    of the upper triangle's node, lo, hi), split where that owner changes."""
+    lows, ups, p, q = _sides(tri, rank)
     e_lo, e_hi = (np.minimum(p, q) + 1) >> 1, np.maximum(p, q) >> 1  # grid edge in e_lo..e_hi
     del p, q
     m = len(t_lo) // 2
@@ -326,13 +348,20 @@ def _pieces(tri: Triangulation, rank: np.ndarray, t_lo: np.ndarray, t_hi: np.nda
     v01_below = n_lo[1::2] < d_lo  # the upper triangle's own slabs lie below the diagonal's
     n_lo[1::2] = np.where(v01_below, n_lo[1::2], d_hi + 1)
     n_hi[1::2] = np.where(v01_below, d_lo - 1, n_hi[1::2])
-    ups, c = ups[m:], ups[m:] >> 1
+
+    def at_ups(per_cell: np.ndarray) -> np.ndarray:  # at each edge's upper triangle's cell
+        grid = per_cell.reshape(tri.ncy, tri.ncx)
+        return _shared(tri, grid, grid)
+
+    ups = ups[m:]
     segs = np.empty((4, 2, len(ups)), dtype=np.int32)  # in the diagonal's slabs, then the rest
     segs[0], segs[1] = lows[m:], (ups - 1, ups)
-    np.maximum(e_lo[m:], (d_lo[c], n_lo[ups]), out=segs[2])
-    np.minimum(e_hi[m:], (d_hi[c], n_hi[ups]), out=segs[3])
+    np.maximum(e_lo[m:], at_ups(d_lo), out=segs[2, 0])
+    np.maximum(e_lo[m:], at_ups(n_lo[1::2]), out=segs[2, 1])
+    np.minimum(e_hi[m:], at_ups(d_hi), out=segs[3, 0])
+    np.minimum(e_hi[m:], at_ups(n_hi[1::2]), out=segs[3, 1])
     segs = segs.reshape(4, -1)
-    return d_lo, d_hi, n_lo, n_hi, segs[:, segs[2] <= segs[3]]
+    return d_lo, d_hi, n_lo, n_hi, np.compress(segs[2] <= segs[3], segs, axis=1)
 
 
 def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator[_Batch]:
@@ -358,39 +387,40 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     the component of the triangles around it, whose bottom (at a minimum) or
     top (at a maximum) is then the extremum's value.
     """
-    K, ntri, i32 = len(cuts), tri.ntri, np.int32
+    K, ntri, ncx, w, i32 = len(cuts), tri.ntri, tri.ncx, tri.field.width, np.int32
     vals = tri.field.values.ravel()
     # 2j+1 at cut value j and 2j between cut values j-1 and j, so ranks order
     # like values; a span of ranks rlo..rhi lies in slabs (rlo+1)//2..rhi//2
-    rank = (np.searchsorted(cuts, vals) + np.searchsorted(cuts, vals, "right")).astype(i32)
-    corners = np.ascontiguousarray(tri.corners.T)
-    c0, c1, c2 = c = rank[corners]
-    t_lo = np.minimum(np.minimum(c0, c1), c2)
-    t_hi = np.maximum(np.maximum(c0, c1), c2)
-    del c0, c1, c2
-    vlevel = np.where(rank & 1, rank >> 1, -1)
+    above = np.searchsorted(cuts, vals, "right")  # cut values at or below each value
+    rank = (2 * above - (cuts[above - 1] == vals)).astype(i32)
+    grid = rank.reshape(tri.field.values.shape)
+    r00, r10, r11, r01 = tri.cell_corners(grid)
+    lo, hi = np.minimum(r00, r11), np.maximum(r00, r11)  # on the diagonal
+    t_lo = np.stack([np.minimum(lo, r10), np.minimum(lo, r01)], axis=-1).reshape(ntri)
+    t_hi = np.stack([np.maximum(hi, r10), np.maximum(hi, r01)], axis=-1).reshape(ntri)
+    del above, r00, r10, r11, r01, lo, hi
     verts = np.flatnonzero(rank & 1)
-    verts = verts[np.argsort(vlevel[verts], kind="stable")]  # grid vertices at cut values
-    vlev = vlevel[verts]
+    verts = verts[np.argsort(rank[verts], kind="stable")]  # grid vertices at cut values
+    vlev = rank[verts] >> 1
     vindex = np.zeros(len(vals), dtype=i32)
     vindex[verts] = np.arange(len(verts))
     # (triangle, level, vertex index) for every triangle around a vertex at a
     # cut value, and (triangle, level, -1) for every triangle whose top corner
     # value is a cut value, by level
-    star = np.flatnonzero(c & 1)
-    star_t, star_p, top_t = star % ntri, corners.ravel()[star], np.flatnonzero(t_hi & 1)
-    att_t = np.concatenate([star_t, top_t])
-    att_j = np.concatenate([vlevel[star_p], t_hi[top_t] >> 1])
-    att_v = np.concatenate([vindex[star_p], np.full(len(top_t), -1, dtype=i32)])
+    star = tri.star(verts)
+    on = star < ntri
+    star_v, top_t = np.nonzero(on)[0], np.flatnonzero(t_hi & 1)
+    att_t = np.concatenate([star[on], top_t])
+    att_j = np.concatenate([vlev[star_v], t_hi[top_t] >> 1])
+    att_v = np.concatenate([star_v, np.full(len(top_t), -1)])
     o = np.argsort(att_j, kind="stable")
     att_t, att_j, att_v = att_t[o], att_j[o], att_v[o]
 
     # the extrema inside slabs by slab
     points = points[np.argsort(rank[points], kind="stable")]
     pk = rank[points] >> 1
-    del c, corners
 
-    d_lo, d_hi, n_lo, n_hi, (seg_a, seg_b, seg_lo, seg_hi) = _pieces(tri, rank, t_lo, t_hi)
+    d_lo, d_hi, n_lo, n_hi, (seg_a, seg_b, seg_lo, seg_hi) = _pieces(tri, grid, t_lo, t_hi)
 
     def on_diag(t: np.ndarray, k) -> np.ndarray:  # whether slab k meets t's cell's diagonal
         return (d_lo[t >> 1] <= k) & (k <= d_hi[t >> 1])
@@ -440,8 +470,9 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         extrema = np.empty((3, 0), dtype=np.int64)
         mine = points[slice(*np.searchsorted(pk, [k0, k1 + 1]).tolist())]
         if len(mine):
-            pt = tri.first_triangles(mine)
-            up = vals[tri.corners[pt]].min(axis=1) < vals[mine]
+            pt = tri.star(mine).min(axis=1)
+            y, x = np.divmod(mine, w)
+            up = vals[y * w + (x + 1) % w] < vals[mine]  # all its neighbours lie on one side
             extrema = np.stack([mine, 2 * comp[node(pt, rank[mine] >> 1)] + up, pt])
 
         # class graph: ends 2c (bottom) and 2c+1 (top) of component carried+c,
@@ -459,7 +490,8 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         k = np.where(lower, j, j + 1)
         inside = (k >= k0) & (lower | upper)
         g = np.where(inside, comp[np.where(inside, node(t, k), n)], below[t])
-        end = np.where(lower | upper, 2 * (g - carried) + lower, vnode + vindex[tri.corners[t, 0]])
+        cy, cx = np.divmod(t >> 1, ncx)
+        end = np.where(lower | upper, 2 * (g - carried) + lower, vnode + vindex[cy * w + cx])
         # a node crosses the level under its slab unless it is its triangle's
         # lowest, and meets it if it crosses or its triangle's minimum is
         # there.  A shared lowest node meets it also where the upper triangle
@@ -492,7 +524,7 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         least = np.full(len(cls), ntri)
         np.minimum.at(least, cls[inc_e], inc_t)
         np.minimum.at(least, cls[2 * (comp[up_meets] - carried)], node_t[up_meets] + 1)
-        level = np.concatenate([np.stack([slab - 1, slab], axis=1).ravel(), vlevel[verts[v0:v1]]])
+        level = np.concatenate([np.stack([slab - 1, slab], axis=1).ravel(), vlev[v0:v1]])
         settled = np.ones(len(cls), dtype=bool)
         settled[0:ne:2] = slab >= k0  # bottom ends not settled before
         settled[1:ne:2] = top = slab < done  # top ends not left to the next batch
@@ -664,14 +696,18 @@ def _peel(g: ReebGraph) -> tuple[list[tuple[int, int]], list[int]]:
 
 
 def classify_shape(g: ReebGraph) -> ShapeReport:
-    """Tree / unique-circuit report.  betti1 above 1 on a torus field is an error.
+    """Tree / unique-circuit report, computed once per graph and kept.  betti1
+    above 1 on a torus field is an error, raised on every call.
 
     The circuit is walked from its smallest vertex, along that vertex's
     smallest-id circuit edge.
     """
+    if g._shape is not None:
+        return g._shape
     betti1 = g.n_edges - g.n_vertices + 1
     if betti1 == 0:
-        return ShapeReport(betti1=0, shape="tree")
+        g._shape = ShapeReport(0, "tree")
+        return g._shape
     if betti1 > 1:
         if g.tri is not None and g.tri.field.kind == TORUS:
             raise ShapeViolation(f"torus Reeb graph with betti1 = {betti1}")
@@ -689,7 +725,8 @@ def classify_shape(g: ReebGraph) -> ShapeReport:
         es.append(ei)
         e = g.edges[ei]
         v = e.v if e.u == v else e.u
-    return ShapeReport(betti1=1, shape="circuit", cycle_vertices=vs, cycle_edges=es)
+    g._shape = ShapeReport(1, "circuit", tuple(vs), tuple(es))
+    return g._shape
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,14 @@ def term_to_json(t: GroupTerm) -> dict[str, Any]:
     raise TypeError(f"not a GroupTerm: {t!r}")
 
 
+def json_int(value: Any) -> int:
+    """A JSON integer as read; ValueError for any other value, a float, a
+    numeric string or a boolean included."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def term_from_json(obj: dict[str, Any]) -> GroupTerm:
     try:
         kind = obj.get("k")
@@ -340,9 +348,9 @@ def term_from_json(obj: dict[str, Any]) -> GroupTerm:
         if kind == "prod":
             return Prod(*[term_from_json(f) for f in obj["f"]])
         if kind == "wr":
-            return Wr(term_from_json(obj["b"]), int(obj["n"]))
+            return Wr(term_from_json(obj["b"]), json_int(obj["n"]))
         if kind == "wr2":
-            return Wr2(term_from_json(obj["b"]), int(obj["n"]), int(obj["m"]))
+            return Wr2(term_from_json(obj["b"]), json_int(obj["n"]), json_int(obj["m"]))
     except RecursionError:
         raise ValueError("term nested too deeply") from None
     raise ValueError(f"unknown term kind {kind!r}")

@@ -279,6 +279,18 @@ class TestVerify:
         assert code == 0
         assert doc["ok"]
 
+    @pytest.mark.parametrize("name, key", [("record.json", "n"), ("field.json", "width")])
+    def test_fractional_integer_is_input_error(self, realized, capsys, name, key):
+        """A float where a JSON integer belongs is refused, not read as the
+        integer below it, which would verify ok."""
+        doc = json.loads((realized / name).read_text())
+        doc[key] += 0.5
+        (realized / name).write_text(json.dumps(doc))
+        field, record = str(realized / "field.json"), str(realized / "record.json")
+        code, out = run(capsys, "verify", "--field", field, "--record", record)
+        assert code == 2
+        assert "expected an integer" in out["error"]
+
     @pytest.mark.parametrize("counts", [[], "drop"])
     def test_record_without_designed_counts_is_input_error(self, realized, capsys, counts):
         """Without designed counts `euler` would compare the counts with themselves."""

@@ -44,10 +44,12 @@ def test_link_reads_each_neighbour_with_wraparound(make):
     h, w = vals.shape
     assert w != h
     link = _link(vals)
-    for k, (dx, dy) in enumerate(LINK_OFFSETS):
+    assert len(link) == len(LINK_OFFSETS)
+    for nb, (dx, dy) in zip(link, LINK_OFFSETS):
+        assert nb.shape == (h, w)
         for y in range(h):
             for x in range(w):
-                assert link[k, y, x] == vals[(y + dy) % h, (x + dx) % w]
+                assert nb[y, x] == vals[(y + dy) % h, (x + dx) % w]
 
 
 class TestClassify:
@@ -146,6 +148,18 @@ class TestSerialization:
     def test_bad_json(self):
         with pytest.raises(InvalidField):
             load_field(b"{not json")
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    @pytest.mark.parametrize("value", [11.0, 11.9, "11", True])
+    def test_sizes_are_json_integers(self, key, value):
+        """`int()` would read each of these as a side of the 11x11 grid or of
+        a grid of one row or column."""
+        import json
+
+        doc = json.loads(save_field(bump_disk()))
+        doc[key] = value
+        with pytest.raises(InvalidField, match="expected an integer"):
+            load_field(json.dumps(doc).encode())
 
     def test_nonconstant_frame_rejected_on_load(self):
         f = bump_disk()

@@ -16,6 +16,7 @@ from kronrod.records import (
     RectCycle,
     check_record_against_field,
     moves,
+    symmetry_from_json,
 )
 from kronrod.terms import Prod, Triv, Wr, Wr2, _sort_key, normalize, order, parse_term
 
@@ -67,6 +68,54 @@ class TestRecordJson:
             doc["designed_counts"] = counts
         with pytest.raises(IncompleteRecord, match="designed_counts"):
             ConstructionRecord.from_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (["n"], 3.7),
+            (["n"], "3"),
+            (["m"], 1.0),
+            (["width"], 102.0),
+            (["height"], "32"),
+            (["slots", 0, "rect", 2], 21.0),
+            (["slots", 1, "orbit"], False),
+            (["symmetries", 0, "dx"], 34.0),
+            (["symmetries", 1, "rects", 0, 0], "7"),
+            (["term", "n"], 3.0),
+            (["base", "n"], "2"),
+        ],
+        ids=[
+            "n-fraction", "n-string", "m-float", "width-float", "height-string",
+            "rect-float", "orbit-bool", "dx-float", "rect-cycle-string", "term-float",
+            "base-string",
+        ],
+    )  # fmt: skip
+    def test_integer_fields_are_json_integers(self, path, value):
+        """Every integer of a record of circuit `wr(wr(1,2),3)` must be a JSON
+        integer: `int()` would read each of these edits as the value it
+        replaced, or as 0 or 1, and the record would still load, with most of
+        them verifying ok."""
+        doc = json.loads(realize_torus_circuit(Wr(Triv(), 2), 3)[1].to_json())
+        *head, last = path
+        at = doc
+        for key in head:
+            at = at[key]
+        at[last] = value
+        with pytest.raises(IncompleteRecord, match="expected an integer"):
+            ConstructionRecord.from_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "translation", "dx": 1.0, "dy": 0},
+            {"kind": "translation", "dx": 1, "dy": "0"},
+            {"kind": "rect_cycle", "rects": [[0, 0, 2, 2.5], [2, 0, 2, 2]]},
+        ],
+        ids=["dx-float", "dy-string", "rect-fraction"],
+    )
+    def test_symmetry_offsets_are_json_integers(self, obj):
+        with pytest.raises(ValueError, match="expected an integer"):
+            symmetry_from_json(obj)
 
     def test_deeply_nested_record(self, shallow_stack):
         """Incomplete wherever the stack runs out: here `json.loads` overflows

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -38,6 +39,7 @@ from kronrod.reeb import (
     find_special_vertex,
 )
 from kronrod.terms import Triv, Wr, parse_term
+from kronrod.verify import verify_realization
 
 from reeb_oracle import _region_euler, build_reeb_per_level, spans, union_find_roots
 from test_fields import bump_disk
@@ -571,24 +573,40 @@ def hand_graph(values, ends, tri=None):
 
 class TestShape:
     def test_theta_graph_has_no_unique_circuit(self):
+        """On every call: a report is kept, an error is not."""
         ends = [(0, 1), (0, 1), (0, 1)]
-        with pytest.raises(ReebError, match="no unique circuit"):
-            classify_shape(hand_graph([0.0, 1.0], ends))
-        tri = Triangulation(random_torus_field(4))
-        with pytest.raises(ShapeViolation):
-            classify_shape(hand_graph([0.0, 1.0], ends, tri))
+        g = hand_graph([0.0, 1.0], ends)
+        for _ in range(2):
+            with pytest.raises(ReebError, match="no unique circuit"):
+                classify_shape(g)
+        g = hand_graph([0.0, 1.0], ends, Triangulation(random_torus_field(4)))
+        for _ in range(2):
+            with pytest.raises(ShapeViolation):
+                classify_shape(g)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_report_is_kept_and_frozen(self, n):
+        """Every caller gets the one report of a graph, so none can change it."""
+        g = build_reeb(realize_torus_circuit(Triv(), n)[0])
+        rep = classify_shape(g)
+        assert classify_shape(g) is rep
+        assert rep.shape == "circuit" and len(rep.cycle_edges) == 2 * n
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.cycle_edges = ()
+        tree = build_reeb(realize_torus_tree(Triv(), 1, 1)[0])
+        assert classify_shape(tree) is classify_shape(tree)
 
     def test_loop_circuit(self):
         # a loop at vertex 1 with a leaf on either side
         rep = classify_shape(hand_graph([0.0, 1.0, 2.0], [(0, 1), (1, 1), (1, 2)]))
         assert (rep.betti1, rep.shape) == (1, "circuit")
-        assert (rep.cycle_vertices, rep.cycle_edges) == ([1], [1])
+        assert (rep.cycle_vertices, rep.cycle_edges) == ((1,), (1,))
 
     def test_two_vertex_circuit_walks_from_smallest_vertex_and_edge(self):
         # parallel edges 1 and 2 between vertices 3 and 1; leaves 0 on 3, 2 on 1
         ends = [(0, 3), (3, 1), (1, 3), (1, 2)]
         rep = classify_shape(hand_graph([0.0, 1.0, 2.0, 3.0], ends))
-        assert (rep.cycle_vertices, rep.cycle_edges) == ([1, 3], [1, 2])
+        assert (rep.cycle_vertices, rep.cycle_edges) == ((1, 3), (1, 2))
 
     def test_only_a_two_edge_circuit_has_parallel_edges(self):
         """Edges that share both ends occur exactly as `parallel_pair()`, over
@@ -718,7 +736,7 @@ class TestLevelOracle:
         )
         tri = Triangulation(f)
         sp = spans(tri)
-        a, b, p, q = _sides(tri)
+        a, b, p, q = _sides(tri, np.arange(f.values.size).reshape(f.values.shape))
         vals = f.values.ravel()
         for adj_a, adj_b, e_min, e_max in (
             (sp.adj_a, sp.adj_b, sp.edge_min, sp.edge_max),
@@ -727,6 +745,38 @@ class TestLevelOracle:
             lo, hi = np.minimum(adj_a, adj_b), np.maximum(adj_a, adj_b)
             got = sorted(zip(lo.tolist(), hi.tolist(), e_min.tolist(), e_max.tolist()))
             assert got == want
+
+
+class TestCellCorners:
+    @pytest.mark.parametrize("kind", ["torus", "disk"])
+    @pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
+    def test_views_match_the_corpus_corners(self, kind, shape):
+        """`Triangulation.cell_corners` of the vertex-id grid, and the corner
+        table built from it, against `corpus.triangle_corners`, which works
+        out the corners (x,y), (x+1,y+1) and the third one by itself.  Grids
+        with w != h at the minimum side pin the appended wrap row and column."""
+        f = ScalarField(kind, np.zeros(shape), validate=False)
+        tri = Triangulation(f)
+        ids = np.arange(f.values.size).reshape(shape)
+        v00, v10, v11, v01 = (v.ravel().tolist() for v in tri.cell_corners(ids))
+        got = [t for c in zip(v00, v10, v11, v01) for t in ((c[0], c[2], c[1]), (c[0], c[2], c[3]))]
+        want = triangle_corners(f)
+        assert got == want
+        assert tri.corners[:, [0, 2, 1]][0::2].tolist() == [list(t) for t in want[0::2]]
+        assert tri.corners[1::2].tolist() == [list(t) for t in want[1::2]]
+
+    def test_build_reads_no_corner_table(self, monkeypatch):
+        """The build and a push read corners through shifted views and index
+        arithmetic only; the (ntri, 3) table is kept for tests and oracles."""
+
+        def no_table(tri):
+            raise AssertionError("the corner table was read")
+
+        monkeypatch.setattr(Triangulation, "corners", property(no_table))
+        for name in ("random-3-16", "random-1-16-rolled", "disk-wr(1,3)", "tree-wr(1,2)-1-2"):
+            build_reeb(ORACLE_FIELDS[name]())
+        members = {m.label: m for m in corpus_grid()}  # its push splits the parallel pair
+        assert verify_realization(*realize_member(members["circuit-wr(1,2)-1"])).ok
 
 
 class TestExports:

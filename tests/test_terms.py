@@ -79,6 +79,14 @@ class TestParse:
         with shallow_stack, pytest.raises(ValueError, match="nested too deeply"):
             term_from_json(obj)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", True])
+    def test_json_indices_are_json_integers(self, n):
+        """`int()` would read each of these as an index."""
+        with pytest.raises(ValueError, match="expected an integer"):
+            term_from_json({"k": "wr", "b": {"k": "triv"}, "n": n})
+        with pytest.raises(ValueError, match="expected an integer"):
+            term_from_json({"k": "wr2", "b": {"k": "triv"}, "n": 1, "m": n})
+
 
 class TestFormat:
     def test_examples(self):
