@@ -235,6 +235,9 @@ def load_field(data: bytes) -> ScalarField:
         values = doc["values"]
         if not isinstance(values, list) or len(values) != w * h:
             raise InvalidField(f"values length {len(values) if isinstance(values, list) else '?'} != {w}x{h}")
+        kinds = set(map(type, values)) - {float, int}  # numpy reads "0.25" and true as numbers
+        if kinds:
+            raise InvalidField(f"values must be JSON numbers, got {min(t.__name__ for t in kinds)}")
         arr = np.asarray(values, dtype=np.float64).reshape(h, w)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidField(f"malformed field data: {exc}") from exc

@@ -51,15 +51,19 @@ from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, classify
 # ---------------------------------------------------------------------------
 
 
+# the cells (dx, dy) and triangles (upper) around a grid vertex, for `Triangulation.star`
+_STAR = np.array([[-1, -1, 0, -1, 0, 0], [-1, 0, 0, -1, -1, 0], [0, 0, 0, 1, 1, 1]])
+
+
 class Triangulation:
     """Index arithmetic for the diagonal-split grid of a field.
 
     Triangle 2*(cy*ncx + cx) is the lower triangle of cell (cx, cy) with
     corners (x,y), (x+1,y), (x+1,y+1); triangle 2*(...)+1 is the upper one
     with corners (x,y), (x+1,y+1), (x,y+1).  A build reads a grid's values at
-    the corners through the shifted views of `cell_corners`, and the few
-    corners it needs one by one through `star`; `_sides` works out the
-    adjacency when a build or a slab labelling needs it.
+    the corners once, through the shifted views of `cell_corners`, and the few
+    corners it needs one by one through `star`.  The adjacency of `_sides` is
+    read only by `ReebGraph.slab_roots` and the tests.
     """
 
     def __init__(self, f: ScalarField):
@@ -99,19 +103,19 @@ class Triangulation:
         cell."""
         w, h = self.field.width, self.field.height
         y, x = np.divmod(points, w)
-        xl, yl = (x - 1) % w, (y - 1) % h
-        cells = ((xl, yl, 0), (xl, y, 0), (x, y, 0), (xl, yl, 1), (x, yl, 1), (x, y, 1))
-        star = np.stack([2 * (cy * self.ncx + cx) + up for cx, cy, up in cells], axis=1)
-        if not self.field.wraps:
-            inside = np.stack([(cx < self.ncx) & (cy < self.ncy) for cx, cy, _ in cells], axis=1)
-            star[~inside] = self.ntri
+        dx, dy, up = _STAR
+        cx, cy = (x[:, None] + dx) % w, (y[:, None] + dy) % h
+        star = 2 * (cy * self.ncx + cx) + up
+        if not self.field.wraps:  # a disk's cells stop one short of the grid
+            star[(cx == self.ncx) | (cy == self.ncy)] = self.ntri
         return star
 
 
 def _sides(tri: Triangulation, grid: np.ndarray) -> tuple[np.ndarray, ...]:
     """The shared grid edges of a triangulation: arrays of the lower and upper
     triangle on each edge and of the values of an (H, W) `grid` at its two
-    ends (the vertex-id grid gives the end vertices).
+    ends (the vertex-id grid gives the end vertices).  `ReebGraph.slab_roots`
+    and the tests read it; a build works on cell pieces instead (`_pieces`).
 
     Each edge belongs to the cell of its upper triangle.  They are each
     cell's diagonal (the first ncx*ncy, by cell), then its top edge (with the
@@ -119,18 +123,21 @@ def _sides(tri: Triangulation, grid: np.ndarray) -> tuple[np.ndarray, ...]:
     triangle of the cell to the left) where the grid has them.
     """
     g00, _, g11, g01 = tri.cell_corners(grid)
+    lower, has = _across(tri)
+    ends = np.array([(g00, g01, g00), (g11, g11, g01)])
+    return lower[has], np.broadcast_to(lower[0] + 1, has.shape)[has], *ends[:, has]
+
+
+def _across(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """The lower triangles of each cell and of the cells above and left of it,
+    as (3, ncy, ncx) arrays wrapping round a torus, and a mask of those a disk has."""
     lower = 2 * np.arange(tri.ncx * tri.ncy, dtype=np.int32).reshape(tri.ncy, tri.ncx)
-    above, left = np.roll(lower, -1, axis=0), np.roll(lower, 1, axis=1)
-    sides = ((lower, above, left), (lower + 1,) * 3, (g00, g01, g00), (g11, g11, g01))
-    return tuple(np.concatenate([diag.ravel(), _shared(tri, top, lft)]) for diag, top, lft in sides)
-
-
-def _shared(tri: Triangulation, top: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Per-cell (ncy, ncx) arrays at the shared top and left edges of the
-    cells, in the order of `_sides`: a disk's top row has no cell above and
-    its first column none to the left."""
-    edge = int(not tri.field.wraps)
-    return np.concatenate([top[: tri.ncy - edge].ravel(), left[:, edge:].ravel()])
+    lower = np.array([lower, (lower + 2 * tri.ncx) % tri.ntri, lower - 2])
+    lower[2, :, 0] += 2 * tri.ncx
+    has = np.ones(lower.shape, dtype=bool)
+    if not tri.field.wraps:
+        has[1, -1] = has[2, :, 0] = False
+    return lower, has
 
 
 def _cell_permutation(tri: Triangulation, image: np.ndarray, piece: np.ndarray) -> np.ndarray:
@@ -157,29 +164,30 @@ def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     other edge onto the smaller, so it lowers a root.  Only pointers that can
     still move are then jumped to a root: in the first round those that moved
     in one pass over all nodes, later the hooked roots, after which one gather
-    `root[root]` settles every node.  The result has the dtype of `a`.
+    `root[root]` settles every node, so edge ends move on from their roots.
+    The result has the dtype of `a`; `take` gathers through int32 indices fast.
     """
     root, ra, rb, first = np.arange(n, dtype=a.dtype), a, b, True
     while True:
         live = ra != rb
         if not live.all():
-            a, b, ra, rb = a[live], b[live], ra[live], rb[live]
-        if not len(a):
+            ra, rb = ra[live], rb[live]
+        if not len(ra):
             return root
         hook = np.maximum(ra, rb)
         np.minimum.at(root, hook, np.minimum(ra, rb))
         if first:
-            up = root[root]
-            hook, root = np.flatnonzero(up != root), up
+            up = root.take(root)
+            hook, root = (up != root).nonzero()[0], up
         while len(hook):
             rh = root[hook]
-            up = root[rh]
+            up = root.take(rh)
             root[hook] = up
             hook = hook[up != rh]
         if not first:
-            root = root[root]
+            root = root.take(root)
         first = False
-        ra, rb = root[a], root[b]
+        ra, rb = root.take(ra), root.take(rb)
 
 
 # ---------------------------------------------------------------------------
@@ -332,36 +340,34 @@ class _Batch(NamedTuple):
     extrema: np.ndarray  # rows (grid vertex, bottom 2g or top 2g+1 it hangs on, least triangle)
 
 
-def _pieces(tri: Triangulation, rank: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray):
-    """The nodes and joins of `_sweep`, from the (H, W) grid of vertex ranks
-    and the rank spans t_lo..t_hi of the triangles.  The diagonal of cell c
-    lies in slabs d_lo[c]..d_hi[c], where the upper triangle takes the lower
-    one's node; triangle t has its own nodes in slabs n_lo[t]..n_hi[t].  The
-    top and left grid edges become join segments, rows (lower triangle, owner
-    of the upper triangle's node, lo, hi), split where that owner changes."""
-    lows, ups, p, q = _sides(tri, rank)
-    e_lo, e_hi = (np.minimum(p, q) + 1) >> 1, np.maximum(p, q) >> 1  # grid edge in e_lo..e_hi
-    del p, q
-    m = len(t_lo) // 2
-    d_lo, d_hi = e_lo[:m].copy(), e_hi[:m].copy()
-    n_lo, n_hi = (t_lo + 1) >> 1, t_hi >> 1  # triangle in slabs n_lo..n_hi
-    v01_below = n_lo[1::2] < d_lo  # the upper triangle's own slabs lie below the diagonal's
-    n_lo[1::2] = np.where(v01_below, n_lo[1::2], d_hi + 1)
-    n_hi[1::2] = np.where(v01_below, d_lo - 1, n_hi[1::2])
+def _pieces(tri: Triangulation, rank: np.ndarray):
+    """The cell pieces of `_sweep`, from one `cell_corners` pass over the grid of
+    vertex ranks.  Per triangle: its rank span t_lo..t_hi, its cell's diagonal's slabs
+    d_lo..d_hi, where an upper triangle takes the lower one's node (none for a lower one),
+    and the slabs n_lo..n_hi of its own nodes.  The top and left grid edges become join
+    segments (lower triangle, owner of the upper one's node, lo, hi), split where it changes."""
+    r00, r10, r11, r01 = tri.cell_corners(rank)
+    lo, hi = np.minimum(r00, r11), np.maximum(r00, r11)  # on the diagonal
+    t_hi = np.empty((tri.ncy, tri.ncx, 2), dtype=np.int32)
+    t_hi[..., 0], t_hi[..., 1] = np.maximum(hi, r10), np.maximum(hi, r01)
+    span = np.empty((5, tri.ncy, tri.ncx, 2), dtype=np.int32)
+    low, up = span[..., 0], span[..., 1]  # the rows of the lower and the upper triangles
+    low[0], up[0] = np.minimum(lo, r10), np.minimum(lo, r01)
+    low[1], low[2], up[1], up[2] = 1, 0, (lo + 1) >> 1, hi >> 1
+    span[3], span[4] = (span[0] + 1) >> 1, t_hi >> 1
+    under = up[3] < up[1]  # the upper triangle's own slabs lie below the diagonal's
+    up[3], up[4] = np.where(under, up[3], up[2] + 1), np.where(under, up[1] - 1, up[4])
 
-    def at_ups(per_cell: np.ndarray) -> np.ndarray:  # at each edge's upper triangle's cell
-        grid = per_cell.reshape(tri.ncy, tri.ncx)
-        return _shared(tri, grid, grid)
-
-    ups = ups[m:]
-    segs = np.empty((4, 2, len(ups)), dtype=np.int32)  # in the diagonal's slabs, then the rest
-    segs[0], segs[1] = lows[m:], (ups - 1, ups)
-    np.maximum(e_lo[m:], at_ups(d_lo), out=segs[2, 0])
-    np.maximum(e_lo[m:], at_ups(n_lo[1::2]), out=segs[2, 1])
-    np.minimum(e_hi[m:], at_ups(d_hi), out=segs[3, 0])
-    np.minimum(e_hi[m:], at_ups(n_hi[1::2]), out=segs[3, 1])
+    lower, has = _across(tri)
+    # by top or left edge, then by the diagonal's slabs or the upper triangle's own
+    segs = np.empty((4, 2, 2, tri.ncy, tri.ncx), dtype=np.int32)
+    segs[0], segs[1, :, 0], segs[1, :, 1] = lower[1:, None], lower[0], lower[0] + 1
+    for i, (p, q) in enumerate(((r01, r11), (r00, r01))):
+        np.maximum((np.minimum(p, q) + 1) >> 1, up[1:4:2], out=segs[2, i])
+        np.minimum(np.maximum(p, q) >> 1, up[2:5:2], out=segs[3, i])
+    segs[3] *= has[1:, None]  # an edge with no cell across it lies in no slab
     segs = segs.reshape(4, -1)
-    return d_lo, d_hi, n_lo, n_hi, np.compress(segs[2] <= segs[3], segs, axis=1)
+    return t_hi.reshape(-1), span.reshape(5, -1), segs.compress(segs[2] <= segs[3], axis=1)
 
 
 def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator[_Batch]:
@@ -391,48 +397,51 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     vals = tri.field.values.ravel()
     # 2j+1 at cut value j and 2j between cut values j-1 and j, so ranks order
     # like values; a span of ranks rlo..rhi lies in slabs (rlo+1)//2..rhi//2
-    above = np.searchsorted(cuts, vals, "right")  # cut values at or below each value
+    above = cuts.searchsorted(vals, "right")  # cut values at or below each value
     rank = (2 * above - (cuts[above - 1] == vals)).astype(i32)
-    grid = rank.reshape(tri.field.values.shape)
-    r00, r10, r11, r01 = tri.cell_corners(grid)
-    lo, hi = np.minimum(r00, r11), np.maximum(r00, r11)  # on the diagonal
-    t_lo = np.stack([np.minimum(lo, r10), np.minimum(lo, r01)], axis=-1).reshape(ntri)
-    t_hi = np.stack([np.maximum(hi, r10), np.maximum(hi, r01)], axis=-1).reshape(ntri)
-    del above, r00, r10, r11, r01, lo, hi
-    verts = np.flatnonzero(rank & 1)
-    verts = verts[np.argsort(rank[verts], kind="stable")]  # grid vertices at cut values
+    del above
+    t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, rank.reshape(-1, w))
+    seg_a, seg_b, seg_lo, seg_hi = segs
+    verts = (rank & 1).nonzero()[0]
+    verts = verts[rank[verts].argsort(kind="stable")]  # grid vertices at cut values
     vlev = rank[verts] >> 1
     vindex = np.zeros(len(vals), dtype=i32)
     vindex[verts] = np.arange(len(verts))
     # (triangle, level, vertex index) for every triangle around a vertex at a
-    # cut value, and (triangle, level, -1) for every triangle whose top corner
-    # value is a cut value, by level
+    # cut value, by level: every triangle that meets a level at a corner
     star = tri.star(verts)
     on = star < ntri
-    star_v, top_t = np.nonzero(on)[0], np.flatnonzero(t_hi & 1)
-    att_t = np.concatenate([star[on], top_t])
-    att_j = np.concatenate([vlev[star_v], t_hi[top_t] >> 1])
-    att_v = np.concatenate([star_v, np.full(len(top_t), -1)])
-    o = np.argsort(att_j, kind="stable")
-    att_t, att_j, att_v = att_t[o], att_j[o], att_v[o]
+    att_t, att_v = star[on], on.nonzero()[0]
+    att_j = vlev[att_v]
+    # the end through which triangle t meets level j: the top of slab j, the
+    # bottom of slab j+1, or for a flat triangle the vertex at its first corner
+    att_lower = t_lo[att_t] < 2 * att_j + 1
+    att_cross = att_lower | (t_hi[att_t] > 2 * att_j + 1)
+    att_k = att_j + 1 - att_lower
+    att_flat = vindex[(att_t >> 1) + (w - ncx) * ((att_t >> 1) // ncx)]  # at the cell's (x,y)
 
-    # the extrema inside slabs by slab
-    points = points[np.argsort(rank[points], kind="stable")]
-    pk = rank[points] >> 1
+    # the extrema inside slabs by slab: the smallest triangle around each, and
+    # whether it is a maximum, hung on its component's top
+    points = points[rank[points].argsort(kind="stable")]
+    pk, pt = rank[points] >> 1, tri.star(points).min(axis=1)
+    y, x = np.divmod(points, w)
+    maximum = vals[y * w + (x + 1) % w] < vals[points]  # all its neighbours lie on one side
+    del rank, t_hi, vindex, star, on  # read by the set-up only
 
-    d_lo, d_hi, n_lo, n_hi, (seg_a, seg_b, seg_lo, seg_hi) = _pieces(tri, grid, t_lo, t_hi)
-
-    def on_diag(t: np.ndarray, k) -> np.ndarray:  # whether slab k meets t's cell's diagonal
-        return (d_lo[t >> 1] <= k) & (k <= d_hi[t >> 1])
+    def on_diag(t: np.ndarray, k) -> np.ndarray:  # whether t takes its lower one's node in slab k
+        return (d_lo[t] <= k) & (k <= d_hi[t])
 
     def node(t: np.ndarray, k) -> np.ndarray:  # the node of triangle t in slab k of the batch
-        return base[t - ((t & 1) & on_diag(t, k))] + k
+        return base[t - on_diag(t, k)] + k
 
-    # batches of about ntri nodes; slab k holds size[k]
-    size = np.cumsum(np.bincount(n_lo, minlength=K + 1) - np.bincount(n_hi + 1, minlength=K + 1))
-    per = max(size[1:K].sum(), 1) / max(round(size[1:K].sum() / ntri), 1)
-    ends = (np.flatnonzero(np.diff(np.cumsum(size[1:K]) // per, prepend=0)[:-1]) + 1).tolist()
-    bounds = list(zip([1, *(k + 1 for k in ends)], [*ends, K - 1]))
+    # batches of about ntri nodes, planned when there are more; slab k holds size[k]
+    total, bounds = int((n_hi - n_lo).sum()) + ntri, [(1, K - 1)]
+    if round(total / ntri) > 1:
+        size = np.bincount(n_lo, minlength=K + 1) - np.bincount(n_hi + 1, minlength=K + 1)
+        size = np.cumsum(size)
+        per = total / round(total / ntri)
+        ends = (np.flatnonzero(np.diff(np.cumsum(size[1:K]) // per, prepend=0)[:-1]) + 1).tolist()
+        bounds = list(zip([1, *(k + 1 for k in ends)], [*ends, K - 1]))
 
     below = np.full(ntri, -1, dtype=i32)  # component of each triangle in the slab under the batch
     base = np.zeros(ntri, dtype=i32)  # node base[t] + k is t's own in slab k, in the batch
@@ -442,105 +451,100 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
         nonlocal carried, first, n_cls
         # the triangles with own nodes in slabs k0..k1 and the join segments
         # there, in ascending order; a segment joins its nodes in all its slabs
-        tris = np.flatnonzero(np.maximum(n_lo, k0) <= np.minimum(n_hi, k1)).astype(i32)
+        tris = (np.maximum(n_lo, k0) <= np.minimum(n_hi, k1)).nonzero()[0]
         a = np.maximum(n_lo[tris], k0)
         cnt = np.minimum(n_hi[tris], k1) - a + 1
-        start = np.cumsum(cnt, dtype=i32) - cnt
+        start = cnt.cumsum() - cnt
         n = int(cnt.sum())
         base[tris] = start - a
-        node_t = np.repeat(tris, cnt)
-        node_k = np.repeat(a - start, cnt) + np.arange(n, dtype=i32)
-        sides = np.flatnonzero(np.maximum(seg_lo, k0) <= np.minimum(seg_hi, k1))
+        node_t = tris.repeat(cnt)
+        node_k = (a - start).repeat(cnt) + np.arange(n)
+        lowest = start[2 * a - 1 <= t_lo[tris]]  # the nodes that are their triangle's lowest
+        del tris, a, cnt, start
+        sides = (np.maximum(seg_lo, k0) <= np.minimum(seg_hi, k1)).nonzero()[0]
         ea = np.maximum(seg_lo[sides], k0)
         ecnt = np.minimum(seg_hi[sides], k1) - ea + 1
-        shift = ea - np.cumsum(ecnt, dtype=i32) + ecnt
+        shift = ea - ecnt.cumsum(dtype=i32) + ecnt
         run = np.arange(int(ecnt.sum()), dtype=i32)
-        joins = [np.repeat(base[s[sides]] + shift, ecnt) + run for s in (seg_a, seg_b)]
-        del ea, ecnt, shift, run
+        joins = [(base.take(s[sides]) + shift).repeat(ecnt) + run for s in (seg_a, seg_b)]
+        del sides, ea, ecnt, shift, run
         root = _label(n, *joins)
-        r = np.flatnonzero(root == np.arange(n, dtype=i32))
-        r = r[np.argsort(node_k[r], kind="stable")]
+        del joins
+        r = (root == np.arange(n)).nonzero()[0]
+        r = r[node_k[r].argsort(kind="stable")]
         last = first + len(r)
-        comp = np.empty(n, dtype=i32)
-        comp[r] = np.arange(first, last, dtype=i32)
-        comp = np.append(comp[root], -1)  # the -1 stands in for nodes outside the batch
+        comp = np.full(n + 1, -1)  # the -1 stands in for nodes outside the batch
+        comp[r] = np.arange(first, last)
+        comp[:n] = comp.take(root)  # root holds int32 ids, which `take` reads fast
 
-        # the extrema inside these slabs: the smallest triangle around each,
-        # and whether it is a maximum, hung on its component's top
-        extrema = np.empty((3, 0), dtype=np.int64)
-        mine = points[slice(*np.searchsorted(pk, [k0, k1 + 1]).tolist())]
-        if len(mine):
-            pt = tri.star(mine).min(axis=1)
-            y, x = np.divmod(mine, w)
-            up = vals[y * w + (x + 1) % w] < vals[mine]  # all its neighbours lie on one side
-            extrema = np.stack([mine, 2 * comp[node(pt, rank[mine] >> 1)] + up, pt])
+        ext = slice(*pk.searchsorted([k0, k1 + 1]).tolist())  # the extrema inside these slabs
+        extrema = np.array([points[ext], 2 * comp[node(pt[ext], pk[ext])] + maximum[ext], pt[ext]])
 
         # class graph: ends 2c (bottom) and 2c+1 (top) of component carried+c,
         # then the grid vertices at the settled levels
         done = k1 + (k1 == K - 1)  # levels k0-1..done-1 settle here
-        slab = np.concatenate([np.full(first - carried, k0 - 1, dtype=i32), node_k[r]])  # per comp
-        v0, v1 = np.searchsorted(vlev, [k0 - 1, done]).tolist()
+        slab = np.full(last - carried, k0 - 1, dtype=i32)  # per component
+        slab[first - carried :] = node_k[r]
+        v0, v1 = vlev.searchsorted([k0 - 1, done]).tolist()
         ne = 2 * (last - carried)
         vnode = ne - v0  # vertex index i is class graph node vnode + i
-        # the end through which triangle t meets level j: the top of slab j,
-        # the bottom of slab j+1, or for a flat triangle its first corner
-        p0, p1 = np.searchsorted(att_j, [k0 - 1, done])
-        t, j, v = att_t[p0:p1], att_j[p0:p1], att_v[p0:p1]
-        lower, upper = t_lo[t] < 2 * j + 1, t_hi[t] > 2 * j + 1
-        k = np.where(lower, j, j + 1)
-        inside = (k >= k0) & (lower | upper)
-        g = np.where(inside, comp[np.where(inside, node(t, k), n)], below[t])
-        cy, cx = np.divmod(t >> 1, ncx)
-        end = np.where(lower | upper, 2 * (g - carried) + lower, vnode + vindex[cy * w + cx])
+        p0, p1 = att_j.searchsorted([k0 - 1, done]).tolist()
+        t, v, k, lower, cross = (x[p0:p1] for x in (att_t, att_v, att_k, att_lower, att_cross))
+        inside = cross & (k >= k0)
+        g = np.where(inside, comp.take(np.where(inside, node(t, k), n)), below[t])
+        end = np.where(cross, 2 * (g - carried) + lower, vnode + att_flat[p0:p1])
         # a node crosses the level under its slab unless it is its triangle's
         # lowest, and meets it if it crosses or its triangle's minimum is
         # there.  A shared lowest node meets it also where the upper triangle
         # does; where that one crosses, so does its left or top neighbour.
-        lowest = start[2 * a - 1 <= t_lo[tris]]
         meets = np.ones(n, dtype=bool)
         meets[lowest] = False
-        cross = np.flatnonzero(meets)
+        crossing = meets.nonzero()[0]
         lt, lk = node_t[lowest], node_k[lowest]
         meets[lowest] = t_lo[lt] & 1
-        up_meets = lowest[((lt & 1) == 0) & on_diag(lt, lk) & (t_lo[lt | 1] < 2 * lk)]
+        up_meets = lowest[on_diag(lt ^ 1, lk) & (t_lo[lt ^ 1] < 2 * lk)]  # lt ^ 1: its upper one
         # a crossing node joins the bottom end of its component to the top end
         # of the one under it.  One per component does: the level curves that
         # cross triangles and pass from one to the next through grid edges
         # meet the same two components, and where such a curve ends at a grid
         # vertex, that vertex is joined to the top end under it.
         rep = np.full(last - first, -1)
-        rep[comp[cross] - first] = cross  # any crossing node of each component
+        rep[comp[crossing] - first] = crossing  # any crossing node of each component
         rep = rep[rep >= 0]
         rt, rk = node_t[rep], node_k[rep]
-        under = np.where(rk > k0, comp[np.where(rk > k0, node(rt, rk - 1), n)], below[rt])
+        within = rk > k0
+        under = np.where(within, comp[np.where(within, node(rt, rk - 1), n)], below[rt])
         cls = _label(
             vnode + v1,
-            np.concatenate([2 * (under - carried) + 1, vnode + v[v >= 0]]),
-            np.concatenate([2 * (comp[rep] - carried), end[v >= 0]]),
+            np.concatenate([2 * (under - carried) + 1, vnode + v]),
+            np.concatenate([2 * (comp[rep] - carried), end]),
         )
         # the smallest triangle meeting each class orders the classes of a level
-        inc_t = np.concatenate([node_t[meets], t[v < 0]])
-        inc_e = np.concatenate([2 * (comp[:-1][meets] - carried), end[v < 0]])
+        inc_t = np.concatenate([node_t[meets], t, node_t[up_meets] + 1])
+        inc_e = np.concatenate(
+            [2 * (comp[:n][meets] - carried), end, 2 * (comp[up_meets] - carried)]
+        )
         least = np.full(len(cls), ntri)
         np.minimum.at(least, cls[inc_e], inc_t)
-        np.minimum.at(least, cls[2 * (comp[up_meets] - carried)], node_t[up_meets] + 1)
-        level = np.concatenate([np.stack([slab - 1, slab], axis=1).ravel(), vlev[v0:v1]])
+        level = np.empty(len(cls), dtype=i32)
+        level[0:ne:2], level[1:ne:2], level[ne:] = slab - 1, slab, vlev[v0:v1]
         settled = np.ones(len(cls), dtype=bool)
         settled[0:ne:2] = slab >= k0  # bottom ends not settled before
         settled[1:ne:2] = top = slab < done  # top ends not left to the next batch
-        roots = np.flatnonzero(settled & (cls == np.arange(len(cls))))
+        roots = (settled & (cls == np.arange(len(cls)))).nonzero()[0]
         roots = roots[np.lexsort((least[roots], level[roots]))]
         cid = np.full(len(cls), -1)
         cid[roots] = np.arange(n_cls, n_cls + len(roots))
         cid = cid[cls]
         batch = _Batch(
-            node_k[r], node_t[r], cid[2 * (first - carried) : ne : 2],
+            slab[first - carried :], node_t[r], cid[2 * (first - carried) : ne : 2],
             (np.arange(carried, last)[top], cid[1:ne:2][top]), level[roots], least[roots],
-            np.stack([verts[v0:v1], cid[ne:]]), extrema,
+            np.array([verts[v0:v1], cid[ne:]]), extrema,
         )  # fmt: skip
-        t1 = node_t[node_k == k1]  # and the upper triangles that share a node there
-        t1 = np.concatenate([t1, t1[((t1 & 1) == 0) & on_diag(t1, k1)] + 1])
-        below[t1] = comp[node(t1, k1)]
+        if k1 < K - 1:  # the last slab's triangles and those that share their nodes
+            t1 = node_t[node_k == k1]
+            t1 = np.concatenate([t1, t1[on_diag(t1 ^ 1, k1)] ^ 1])
+            below[t1] = comp.take(node(t1, k1))
         carried, first, n_cls = last - int((slab == k1).sum()), last, n_cls + len(roots)
         return batch
 
@@ -588,7 +592,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     # bottom at a minimum, the top at a maximum
     ends = np.where(ext_e & 1, v[ext_e >> 1], u[ext_e >> 1])
     hung = np.bincount(ends, minlength=n_cls)
-    bad = np.flatnonzero(hung != (least == tri.ntri))
+    bad = (hung != (least == tri.ntri)).nonzero()[0]
     if len(bad):
         n = int(hung[bad[0]])
         if n > 1:
@@ -606,24 +610,25 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     # -- smooth the regular classes away: each has one pre-edge below and one
     # above, and pre-edges joined through them make a chain
     n_up, n_down = np.bincount(u, minlength=n_cls), np.bincount(v, minlength=n_cls)
-    bad = np.flatnonzero(~marked & ((n_up != 1) | (n_down != 1)))
+    bad = (~marked & ((n_up != 1) | (n_down != 1))).nonzero()[0]
     if len(bad):
         degree = int(n_up[bad[0]] + n_down[bad[0]])
         if degree != 2:
             raise ReebError(f"regular level component with degree {degree} (expected 2)")
         raise ReebError("regular component with both edges on one side")
-    up_of, down_of = np.empty(n_cls, dtype=np.int64), np.empty(n_cls, dtype=np.int64)
-    up_of[u], down_of[v] = np.arange(n_pre), np.arange(n_pre)
-    regular = np.flatnonzero(~marked)
-    # each pre-edge's chain, named by its lowest pre-edge since they are ordered by slab
-    chain = _label(n_pre, down_of[regular], up_of[regular])
+    up_of = np.empty(n_cls, dtype=np.int64)
+    up_of[u] = np.arange(n_pre)
+    # each pre-edge's chain, named by its lowest pre-edge since they are
+    # ordered by slab: one that ends at a regular class joins the one above
+    joined = (~marked[v]).nonzero()[0]
+    chain = _label(n_pre, joined, up_of[v[joined]])
     # one edge per chain, from its lowest to its highest pre-edge, whose
     # witness is the smallest triangle of its lowest.  Edges with equal lo
     # start in one slab, so (lo, witness) orders them.
-    hi_pre = np.flatnonzero(marked[v])
+    hi_pre = marked[v].nonzero()[0]
     lo_pre = chain[hi_pre]
     order = np.lexsort((comp_t[lo_pre], value[u[lo_pre]]))
-    lo_pre, hi_pre = lo_pre[order], hi_pre[order]
+    lo, hi, witness = u[lo_pre[order]], v[hi_pre[order]], comp_t[lo_pre[order]]
 
     crits_of: dict[int, list[CriticalPoint]] = {}
     on_curve: set[int] = set()
@@ -633,7 +638,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         if p in on_boundary:
             on_curve.add(c)
     # vertices by (value, smallest triangle meeting the level component)
-    kept = np.flatnonzero(marked)
+    kept = marked.nonzero()[0]
     kept = kept[np.lexsort((least[kept], value[kept]))]
     vid = np.empty(n_cls, dtype=np.int64)
     vid[kept] = np.arange(len(kept))
@@ -641,22 +646,14 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         ReebVertex(i, x, crits_of.get(c, []), c in on_curve)
         for i, (c, x) in enumerate(zip(kept.tolist(), value[kept].tolist()))
     ]
-    columns = vid[u[lo_pre]], vid[v[hi_pre]], value[u[lo_pre]], value[v[hi_pre]], comp_t[lo_pre]
+    columns = vid[lo], vid[hi], value[lo], value[hi], witness
     edges = [ReebEdge(i, *e) for i, e in enumerate(zip(*(a.tolist() for a in columns)))]
 
     if not vertices:
         raise ReebError("empty Reeb graph")
-
-    graph = ReebGraph(vertices, edges, tri, cuts)
-    _check_connected(graph)
-    return graph
-
-
-def _check_connected(g: ReebGraph) -> None:
-    us = np.array([e.u for e in g.edges], dtype=np.int64)
-    vs = np.array([e.v for e in g.edges], dtype=np.int64)
-    if _label(g.n_vertices, us, vs).any():
+    if _label(len(vertices), *columns[:2]).any():
         raise ReebError("Reeb graph is disconnected")
+    return ReebGraph(vertices, edges, tri, cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,19 @@ class TestAnalyze:
         assert code == 2
         assert not out["ok"]
 
+    @pytest.mark.parametrize("spell", [str, bool], ids=["strings", "booleans"])
+    def test_values_that_are_not_numbers_are_input_errors(self, tmp_path, capsys, spell):
+        """numpy would read "0.25" as 0.25, so the field spelled out in strings
+        would analyze as the field itself."""
+        f, _ = realize_torus_circuit(parse_term("1"), 1)
+        doc = json.loads(save_field(f))
+        doc["values"] = [spell(v) for v in doc["values"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run(capsys, "analyze", "--field", str(bad))
+        assert code == 2
+        assert f"values must be JSON numbers, got {spell.__name__}" in out["error"]
+
     def test_deeply_nested_field_is_input_error(self, tmp_path, capsys, shallow_stack):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 5000 + "]" * 5000)
@@ -256,6 +269,15 @@ class TestVerify:
         )
         assert code == 2
         assert not doc["ok"] and "degenerate vertex at (4, 4)" in doc["error"]
+
+    def test_string_values_are_input_error(self, realized, capsys):
+        doc = json.loads((realized / "field.json").read_text())
+        doc["values"] = [str(v) for v in doc["values"]]
+        (realized / "field.json").write_text(json.dumps(doc))
+        field, record = str(realized / "field.json"), str(realized / "record.json")
+        code, out = run(capsys, "verify", "--field", field, "--record", record)
+        assert code == 2
+        assert "values must be JSON numbers, got str" in out["error"]
 
     def test_deeply_nested_field_is_input_error(self, realized, capsys, shallow_stack):
         (realized / "field.json").write_text("[" * 5000 + "]" * 5000)

@@ -161,6 +161,34 @@ class TestSerialization:
         with pytest.raises(InvalidField, match="expected an integer"):
             load_field(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize(
+        "value, kind",
+        [("0.25", "str"), (True, "bool"), (None, "NoneType"), ([0.25], "list")],
+        ids=["string", "boolean", "null", "nested-list"],
+    )
+    @pytest.mark.parametrize("where", ["one", "all"])
+    def test_values_are_json_numbers(self, value, kind, where):
+        """numpy reads "0.25" as 0.25 and true as 1.0, so a field of strings
+        would load equal to the field it spells out; only JSON numbers pass."""
+        import json
+
+        doc = json.loads(save_field(bump_disk()))
+        if where == "one":
+            doc["values"][60] = value
+        else:
+            doc["values"] = [value] * len(doc["values"])
+        with pytest.raises(InvalidField, match=f"values must be JSON numbers, got {kind}$"):
+            load_field(json.dumps(doc).encode())
+
+    def test_integer_values_load(self):
+        import json
+
+        f = bump_disk()
+        doc = json.loads(save_field(f))
+        doc["values"] = [int(v) if v == int(v) else v for v in doc["values"]]
+        assert any(type(v) is int for v in doc["values"])
+        assert load_field(json.dumps(doc).encode()) == f
+
     def test_nonconstant_frame_rejected_on_load(self):
         f = bump_disk()
         import json

@@ -765,6 +765,68 @@ class TestCellCorners:
         assert tri.corners[:, [0, 2, 1]][0::2].tolist() == [list(t) for t in want[0::2]]
         assert tri.corners[1::2].tolist() == [list(t) for t in want[1::2]]
 
+    @pytest.mark.parametrize("kind", ["torus", "disk"])
+    @pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
+    def test_star_matches_the_corpus_corners(self, kind, shape):
+        """`Triangulation.star` of every grid point, in a random order and the
+        disk's frame included, against the triangles whose
+        `corpus.triangle_corners` hold the point, in the order its docstring
+        gives: the lower triangles that have it as their corner (x+1,y+1),
+        (x+1,y) and (x,y), then the upper ones that have it as (x+1,y+1),
+        (x,y+1) and (x,y), and ntri where a disk has none.  A triangle is an
+        upper one when its third corner lies off its first corner's row."""
+        f = ScalarField(kind, np.zeros(shape), validate=False)
+        h, w = shape
+        tri = Triangulation(f)
+        at = {}
+        for t, corners in enumerate(triangle_corners(f)):
+            upper = corners[2] // w != corners[0] // w
+            at.update(((p, upper, i), t) for i, p in enumerate(corners))
+        points = np.random.default_rng(w).permutation(w * h)
+        order = [(up, i) for up in (False, True) for i in (1, 2, 0)]
+        want = [[at.get((p, up, i), tri.ntri) for up, i in order] for p in points]
+        assert tri.star(points).tolist() == want
+
+    def test_build_reads_the_cell_corners_once(self, monkeypatch):
+        """A build reads the grid at the cell corners in one `cell_corners`
+        pass and never works out the adjacency of `_sides`, on a torus, on a
+        disk and on a field swept in several batches."""
+        calls = []
+        cell_corners = Triangulation.cell_corners
+
+        def counting(tri, grid):
+            calls.append(grid.shape)
+            return cell_corners(tri, grid)
+
+        def no_sides(tri, grid):
+            raise AssertionError("the build read _sides")
+
+        monkeypatch.setattr(Triangulation, "cell_corners", counting)
+        monkeypatch.setattr(kronrod.reeb, "_sides", no_sides)
+        for name in ("random-3-16", "disk-wr(1,3)", "bench-64"):
+            f = ORACLE_FIELDS[name]()
+            calls.clear()
+            build_reeb(f)
+            assert calls == [f.values.shape], name
+        _, batches = record_batches(f, monkeypatch)
+        assert len(batches) > 1
+
+    def test_slab_roots_is_the_one_reader_of_sides(self):
+        """No function of the library but `ReebGraph.slab_roots` names
+        `_sides`, so the build and a push never work out the adjacency."""
+        readers = set()
+
+        def walk(code):
+            if "_sides" in code.co_names and code.co_name != "<module>":
+                readers.add(code.co_name)
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    walk(const)
+
+        for path in Path(kronrod.__file__).parent.glob("*.py"):
+            walk(compile(path.read_text(), str(path), "exec"))
+        assert readers == {"slab_roots"}
+
     def test_build_reads_no_corner_table(self, monkeypatch):
         """The build and a push read corners through shifted views and index
         arithmetic only; the (ntri, 3) table is kept for tests and oracles."""

@@ -45,3 +45,25 @@ def test_converse_sweep_two_bases():
         assert m, line
         counts[m[1]] = int(m[2])
     assert counts == {"disk": 2, "circuit": 6, "simple": 6, "tree": 6}
+
+
+def test_build_cost_one_rep():
+    proc = run_script("build_cost.py", "--reps", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 26 + 5 + 4 + 1
+    groups = []
+    for line in lines[:-1]:
+        m = re.fullmatch(
+            r"(corpus|circuit|fields) +(\S+) +grid +(\d+)x(\d+) +triangles +(\d+) +cuts +(\d+)"
+            r" +nodes +(\d+) +build +(\d+\.\d{3}) ms",
+            line,
+        )
+        assert m, line
+        w, h, tris, cuts, nodes = map(int, m.group(3, 4, 5, 6, 7))
+        assert tris in (2 * w * h, 2 * (w - 1) * (h - 1)) and cuts >= 2 and nodes > 0, line
+        groups.append(m[1])
+    assert groups == ["corpus"] * 26 + ["circuit"] * 5 + ["fields"] * 4
+    fit = r"least squares over 31 constructed fields: floor -?\d+\.\d{3} ms, -?\d+\.\d ns per"
+    fit += " triangle"
+    assert re.fullmatch(fit, lines[-1]), lines[-1]
