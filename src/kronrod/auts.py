@@ -17,9 +17,8 @@ triangle, witness or slab.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import factorial, prod
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -81,23 +80,28 @@ def _hanging_forms(
 
     A vertex's form is (value, boundary, critical point count, sorted child
     entries (lo, hi, child label)); equal forms get equal integer labels.
-    Its count is the product of its children's counts and k! for every k
-    equal child entries.  The peel lists children before their parents.
+    Its count is the product of its children's counts and k! for every run
+    of k equal entries in the sorted list.  The peel lists children before
+    their parents.
     """
-    children: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    children: list[list[tuple[float, float, int]]] = [[] for _ in g.vertices]
     for v, ei in peeled:
         e = g.edges[ei]
-        children[e.v if e.u == v else e.u].append((ei, v))
+        children[e.v if e.u == v else e.u].append((e.lo, e.hi, v))
     labels: dict[tuple, int] = {}
     label = [0] * g.n_vertices
     count = [1] * g.n_vertices
     for v in [v for v, _ in peeled] + roots:
-        entries = sorted((g.edges[ei].lo, g.edges[ei].hi, label[w]) for ei, w in children[v])
-        count[v] = prod(count[w] for _, w in children[v])
-        for k in Counter(entries).values():
-            count[v] *= factorial(k)
+        entries = ()
+        if children[v]:
+            entries = tuple(sorted([(lo, hi, label[w]) for lo, hi, w in children[v]]))
+            count[v] = prod([count[w] for _, _, w in children[v]])
+            run = 1
+            for a, b in zip(entries, entries[1:]):
+                run = run + 1 if a == b else 1  # the j-th equal entry multiplies by j
+                count[v] *= run
         vx = g.vertices[v]
-        form = (vx.value, vx.boundary, len(vx.crits), tuple(entries))
+        form = (vx.value, vx.boundary, len(vx.crits), entries)
         label[v] = labels.setdefault(form, len(labels))
     return label, count
 
@@ -122,15 +126,11 @@ def _full_order(g: ReebGraph) -> int:
         return order
     vs, es = shape.cycle_vertices, shape.cycle_edges
     seq = [x for v, e in zip(vs, es) for x in (label[v], (g.edges[e].lo, g.edges[e].hi))]
-    n = len(seq)
-    # vertex slots sit at even positions, so only even shifts and
-    # reflections about even positions keep them there
-    symmetries = sum(
-        all(seq[(s + sign * i) % n] == seq[i] for i in range(n))
-        for s in range(0, n, 2)
-        for sign in (1, -1)
-    )
-    return order * symmetries
+    # vertex slots sit at even positions, so only even rotations of the
+    # sequence and of its reflection about position 0 keep them there
+    reflected = seq[:1] + seq[:0:-1]
+    shifts = range(0, len(seq), 2)
+    return order * sum(s[k:] + s[:k] == seq for s in (seq, reflected) for k in shifts)
 
 
 def value_preserving_auts(g: ReebGraph) -> AutGroup:
@@ -202,7 +202,7 @@ def generated_group(g: ReebGraph, gens: Iterable[GraphAut]) -> PermGroup:
     nv = g.n_vertices
     pair = g.parallel_pair() or ()
     point = {e: nv + k for k, e in enumerate(pair)}
-    perms = [np.array(a.vperm + tuple([point[a.eperm[e]] for e in pair]), np.int32) for a in gens]
+    perms = [np.array(a.vperm + tuple([point[a.eperm[e]] for e in pair]), np.intp) for a in gens]
     group = PermGroup(degree=nv + len(pair), generators=perms)
     group_order(group)
     return group

@@ -1,14 +1,19 @@
 """Concrete permutation groups as carriers for abstract group terms.
 
-Permutations are int32 arrays p of length `degree` with p[i] = image of
-point i.  `compose(p, q)` applies p first, then q.  Groups are given by
-generators; their orders come from a deterministic Schreier-Sims stabilizer
-chain (Sims 1970; Holt, Eick & O'Brien 2005, sec. 4.4), which lists no
-elements, on one orbit of each isomorphism class of orbits.
+Permutations are intp arrays p of length `degree` with p[i] = image of
+point i, so that they index without a cast.  `compose(p, q)` applies p
+first, then q.  Groups are given by generators; their orders come from a
+deterministic Schreier-Sims stabilizer chain (Sims 1970; Holt, Eick &
+O'Brien 2005, sec. 4.4), which lists no elements, on one orbit of each
+isomorphism class of orbits.
 
 Isomorphism is certified for a given pairing of generators: g_i -> h_i
 extends to an isomorphism exactly when |<g>| = |<h>| = |<(g_i, h_i)>|, the
-last group acting on the disjoint union of the two point sets.
+last group acting on the disjoint union of the two point sets.  The
+diagonal's order comes first and bounds the others: both groups are its
+images, and the product of a partial chain's orbit lengths never exceeds
+the group's order (Seress 2003), so a chain that reaches the bound stops
+there with the exact order.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ Gen = tuple[Perm, list[int]]  # a permutation and its images as a list
 
 
 def identity(degree: int) -> Perm:
-    return np.arange(degree, dtype=np.int32)
+    return np.arange(degree, dtype=np.intp)
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -47,17 +52,21 @@ def _is_identity(p: Perm) -> bool:
 @dataclass
 class PermGroup:
     """Permutation group on {0, ..., degree-1} given by generators, which
-    may be passed as any integer sequences and are kept as int32 arrays."""
+    may be passed as any integer sequences and are kept as intp arrays."""
 
     degree: int
     generators: list[Perm]
     order: Optional[int] = None
 
     def __post_init__(self):
-        self.generators = [np.asarray(g, dtype=np.int32) for g in self.generators]
-        for g in self.generators:
-            if g.shape != (self.degree,) or not (np.sort(g) == identity(self.degree)).all():
-                raise ValueError(f"generator {g} is not a permutation of degree {self.degree}")
+        given, self.generators = self.generators, []
+        for g in map(np.asarray, given):
+            if g.dtype.kind in "iu" and g.shape == (self.degree,):
+                g = g.astype(np.intp, copy=False)
+                if (np.sort(g) == identity(self.degree)).all():
+                    self.generators.append(g)
+                    continue
+            raise ValueError(f"generator {g} is not a permutation of degree {self.degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -65,49 +74,40 @@ class PermGroup:
 # ---------------------------------------------------------------------------
 
 
-def _same_action(images: list[list[int]], a: int, b: int) -> bool:
-    """Is x^s -> y^s, started from a -> b, a map of the orbit of a?  Onto an
-    orbit of the same length it is then an isomorphism of the two actions, so
-    every element fixes both orbits or neither."""
-    phi, queue = {a: b}, [a]
-    for x in queue:
-        for s in images:
-            if s[x] not in phi:
-                phi[s[x]] = s[phi[x]]
-                queue.append(s[x])
-            elif phi[s[x]] != s[phi[x]]:
-                return False
-    return True
-
-
 def _one_orbit_per_class(gens: list[Gen]) -> list[Gen]:
-    """`gens` acting on one orbit of each isomorphism class of their orbits,
-    its points renumbered in order.  The action stays faithful: isomorphic
-    orbits have one kernel.  Orbits are compared from their least points,
-    and one that is isomorphic to a kept orbit only from others stays."""
+    """`gens` acting on one orbit of each isomorphism class of their orbits
+    of two or more points, its points renumbered in order.  The action stays
+    faithful: isomorphic orbits have one kernel, and a fixed point's is the
+    whole group.
+
+    An orbit is walked breadth first from its least point, and its table
+    lists, for each point in turn and each generator, the place in the walk
+    of the point's image.  Orbits with one table are isomorphic, by the map
+    between their walks; one that is isomorphic to a kept orbit only from
+    other points stays."""
     images = [s for _, s in gens]
-    seen = [False] * (len(images[0]) if images else 0)
-    kept: dict[int, list[int]] = {}  # orbit length -> least points of kept orbits
+    place = [-1] * (len(images[0]) if images else 0)  # in the walk of its orbit
+    tables: set[tuple[int, ...]] = set()
     points: list[int] = []
-    for a in range(len(seen)):
-        if seen[a]:
+    for a in range(len(place)):
+        if place[a] >= 0:
             continue
-        seen[a] = True
-        orbit = [a]
+        place[a], orbit, table = 0, [a], []
         for x in orbit:
             for s in images:
-                if not seen[s[x]]:
-                    seen[s[x]] = True
-                    orbit.append(s[x])
-        like = kept.setdefault(len(orbit), [])
-        if not any(_same_action(images, b, a) for b in like):
-            like.append(a)
+                y = s[x]
+                if place[y] < 0:
+                    place[y] = len(orbit)
+                    orbit.append(y)
+                table.append(place[y])
+        if len(orbit) > 1 and tuple(table) not in tables:
+            tables.add(tuple(table))
             points += orbit
-    if len(points) == len(seen):
+    if len(points) == len(place):
         return gens
     renumber = {x: k for k, x in enumerate(sorted(points))}  # in the order of the points
     reduced = [[renumber[s[x]] for x in renumber] for s in images]
-    return [(np.array(s, dtype=np.int32), s) for s in reduced]
+    return [(np.array(s, dtype=np.intp), s) for s in reduced]
 
 
 def _transversal(reps: dict[int, Perm], gens: list[Gen], new: int = 0) -> None:
@@ -123,9 +123,11 @@ def _transversal(reps: dict[int, Perm], gens: list[Gen], new: int = 0) -> None:
                 queue.append(images[x])
 
 
-def _basic_orbit_lengths(perms: list[Perm]) -> list[int]:
+def _basic_orbit_lengths(perms: list[Perm], bound: Optional[int] = None) -> list[int]:
     """Lengths of the basic orbits of a stabilizer chain of <perms>, acting
-    on one orbit of each isomorphism class.
+    on one orbit of each isomorphism class.  The scan stops once their
+    product reaches `bound`, an upper bound on the order: the chain's
+    product never exceeds the order, so it then equals it.
 
     Level i holds a base point, the strong generators that fix the earlier
     base points, and the transversal of its orbit.  Working from the last
@@ -141,56 +143,59 @@ def _basic_orbit_lengths(perms: list[Perm]) -> list[int]:
     so a Schreier generator that sifted to the identity still does later.
     One whose residue joined the levels below lies in <strong[i + 1]>, and
     sifts to the identity once those levels are complete, as they are when
-    the scan comes back to level i.
+    the scan comes back to level i; so does a strong generator that fixes
+    the base point, which is its own Schreier generator there, and it is
+    not sifted.
     """
     gens = _one_orbit_per_class([(p, p.tolist()) for p in perms if not _is_identity(p)])
     one = identity(len(gens[0][1]) if gens else 0)
     base: list[int] = []
     strong: list[list[Gen]] = []
     trans: list[dict[int, Perm]] = []
-    inverses: dict[tuple[int, int], Perm] = {}  # (level, point) -> u^-1, made once needed
+    inverses: list[dict[int, Perm]] = []  # u^-1 of each level's points, made once needed
     checked: list[dict[int, int]] = []
-
-    def fixes_base(images: list[int], levels: int) -> bool:
-        return all(images[b] == b for b in base[:levels])
 
     def add_level(images: list[int]) -> None:
         base.append(next(k for k, x in enumerate(images) if k != x))
         strong.append([])
         trans.append({base[-1]: one})
+        inverses.append({base[-1]: one})
         checked.append({})
 
     def inverse_rep(level: int, x: int) -> Perm:
-        if (level, x) not in inverses:
-            inverses[level, x] = inverse(trans[level][x])
-        return inverses[level, x]
+        if x not in inverses[level]:
+            inverses[level][x] = inverse(trans[level][x])
+        return inverses[level][x]
 
     def sift(h: Perm, start: int) -> tuple[Perm, int]:
         for level in range(start, len(base)):
-            x = int(h[base[level]])
+            x = h.item(base[level])
             if x not in trans[level]:
                 return h, level
             h = compose(h, inverse_rep(level, x))
         return h, len(base)
 
     for _, images in gens:
-        if fixes_base(images, len(base)):
+        if all(images[b] == b for b in base):
             add_level(images)
     for level in range(len(base)):
-        strong[level] = [s for s in gens if fixes_base(s[1], level)]
+        strong[level] = [s for s in gens if all(s[1][c] == c for c in base[:level])]
         _transversal(trans[level], strong[level])
 
     i = len(base) - 1
-    while i >= 0:
+    while i >= 0 and prod(map(len, trans)) != bound:
         failure = None
-        for x, u in trans[i].items():
-            for k in range(checked[i].get(x, 0), len(strong[i])):
-                s, images = strong[i][k]
-                checked[i][x] = k + 1
-                us = compose(u, s)
-                if us.tobytes() == trans[i][images[x]].tobytes():
+        reps, done, level_gens = trans[i], checked[i], strong[i]
+        for x, u in reps.items():
+            for k in range(done.get(x, 0), len(level_gens)):
+                s, images = level_gens[k]
+                done[x] = k + 1
+                if images[x] == x == base[i]:  # u = 1: s itself, in <strong[i + 1]>
                     continue
-                residue, j = sift(compose(us, inverse_rep(i, images[x])), i + 1)
+                us, y = compose(u, s), images[x]
+                if us.tobytes() == reps[y].tobytes():
+                    continue
+                residue, j = sift(compose(us, inverse_rep(i, y)), i + 1)
                 if j < len(base) or residue.tobytes() != one.tobytes():
                     failure = residue, j
                     break
@@ -299,11 +304,17 @@ class Pairing:
 def is_isomorphic(g: PermGroup, h: PermGroup) -> Pairing:
     """Does the i-th non-identity generator of `g` -> the i-th of `h` extend
     to an isomorphism?  A shorter list is padded with identities, so a
-    missing generator maps to (or from) the identity."""
+    missing generator maps to (or from) the identity.  The chain of a side
+    whose order is unknown stops at the diagonal's order, and the order is
+    kept."""
     gs = [p for p in g.generators if not _is_identity(p)]
     hs = [q for q in h.generators if not _is_identity(q)]
     k = max(len(gs), len(hs))
     gs += [identity(g.degree)] * (k - len(gs))
     hs += [identity(h.degree)] * (k - len(hs))
-    diagonal = [np.concatenate([p, q + g.degree]) for p, q in zip(gs, hs)]
-    return Pairing(group_order(g), group_order(h), prod(_basic_orbit_lengths(diagonal)))
+    pairs = [np.concatenate([p, q + g.degree]) for p, q in zip(gs, hs)]
+    diagonal = prod(_basic_orbit_lengths(pairs))
+    for side in (g, h):
+        if side.order is None:
+            side.order = prod(_basic_orbit_lengths(side.generators, diagonal))
+    return Pairing(g.order, h.order, diagonal)

@@ -238,6 +238,7 @@ class ReebGraph:
         self.tri = tri
         self.cuts = cuts
         self._incidence: Optional[list[list[int]]] = None
+        self._between: Optional[dict[frozenset, int]] = None
         self._peeled: Optional[tuple[list[tuple[int, int]], list[int]]] = None
         self._shape: Optional[ShapeReport] = None
         self._slabs: dict[int, np.ndarray] = {}
@@ -282,10 +283,11 @@ class ReebGraph:
         whose witness's component in `slab_roots(lo)` holds the images of
         every triangle of its own; one image is not enough, as a cell that
         straddles the pieces of a rect cycle stays put."""
-        between = {frozenset((e.u, e.v)): e.id for e in self.edges}
+        if self._between is None:  # edge ends -> edge, kept for every push
+            self._between = {frozenset((e.u, e.v)): e.id for e in self.edges}
         eperm = []
         for e in self.edges:
-            d = between.get(frozenset((vperm[e.u], vperm[e.v])))
+            d = self._between.get(frozenset((vperm[e.u], vperm[e.v])))
             if d is None:
                 raise NotAnAutomorphism(f"vertex map does not transport edge {e.id}")
             eperm.append(d)

@@ -119,8 +119,9 @@ def verify_realization(
     # that cannot be built fails the checks that need it, with the reason.
     try:
         rt = record_term(rec)
-        detail = f"record gives {format_term(normalize(rt))}, requested {format_term(want)}"
-        report.add("structural_term", normalize(rt) == want, detail)
+        got = normalize(rt)
+        detail = f"record gives {format_term(got)}, requested {format_term(want)}"
+        report.add("structural_term", got == want, detail)
     except KronrodError as exc:
         rt = None
         report.add("structural_term", False, str(exc))

@@ -1,6 +1,8 @@
+import random
 from collections import Counter
 from math import factorial
 
+import numpy as np
 import pytest
 
 from kronrod.auts import (
@@ -55,6 +57,59 @@ def path_graph(values):
         for i in range(len(values) - 1)
     ]
     return ReebGraph(vertices, edges)
+
+
+def circuit_graph(values, leaves):
+    """A circuit through vertices of the given values, in order, with a leaf
+    of value `leaves[i]` hung on vertex i unless that is None.  Neighbours
+    on the circuit need distinct values."""
+    vertices, edges = [], []
+    for i, v in enumerate(values):
+        crit = CriticalPoint(i, 0, CritKind.SADDLE, v)
+        vertices.append(ReebVertex(id=i, value=v, crits=[crit]))
+    for i, (a, b) in enumerate(zip(values, values[1:] + values[:1])):
+        edges.append(ReebEdge(id=i, u=i, v=(i + 1) % len(values), lo=min(a, b), hi=max(a, b)))
+    for i, leaf in enumerate(leaves):
+        if leaf is not None:
+            w = len(vertices)
+            crit = CriticalPoint(w, 1, CritKind.MAXIMUM, leaf)
+            vertices.append(ReebVertex(id=w, value=leaf, crits=[crit]))
+            lo, hi = sorted((leaf, values[i]))
+            edges.append(ReebEdge(id=len(edges), u=i, v=w, lo=lo, hi=hi))
+    return ReebGraph(vertices, edges)
+
+
+def cycle_symmetries(seq) -> int:
+    """Element-by-element count of the rotations and reflections of the
+    cyclic sequence v_0, c_0, v_1, c_1, ... that keep vertex slots at even
+    positions and map it onto itself: the oracle for `_full_order`'s
+    whole-sequence compares."""
+    n = len(seq)
+    return sum(
+        all(seq[(s + sign * i) % n] == seq[i] for i in range(n))
+        for s in range(0, n, 2)
+        for sign in (1, -1)
+    )
+
+
+def random_circuit(rng: random.Random, kind: str):
+    """Vertex values and leaves of a random circuit; "periodic" repeats a
+    pattern and "palindromic" mirrors one."""
+    def pattern(length, closed):
+        while True:
+            vs = [float(rng.randrange(3)) for _ in range(length)]
+            pairs = zip(vs, vs[1:] + vs[:1] if closed else vs[1:])
+            if all(a != b for a, b in pairs):
+                return vs, [rng.choice([None, None, -1.0, 3.0]) for _ in vs]
+
+    if kind == "periodic":
+        vs, ls = pattern(rng.randint(2, 4), closed=True)
+        k = rng.randint(2, 4)
+        return vs * k, ls * k
+    if kind == "palindromic":
+        vs, ls = pattern(rng.randint(2, 6), closed=False)
+        return vs + vs[-2:0:-1], ls + ls[-2:0:-1]
+    return pattern(rng.randint(2, 12), closed=True)
 
 
 def backtrack_order(g: ReebGraph, cap: int = 10_000) -> int:
@@ -175,6 +230,32 @@ class TestValuePreservingAuts:
         g = build_reeb(random_torus_field(seed))
         assert value_preserving_auts(g).order == backtrack_order(g)
 
+    @pytest.mark.parametrize("kind", ["random", "periodic", "palindromic"])
+    def test_circuit_count_matches_element_by_element(self, kind):
+        rng = random.Random(f"circuits-{kind}")
+        counts = Counter()
+        for _ in range(60):
+            values, leaves = random_circuit(rng, kind)
+            g = circuit_graph(values, leaves)
+            seq = []
+            for a, b, leaf in zip(values, values[1:] + values[:1], leaves):
+                seq += [(a, leaf), (min(a, b), max(a, b))]
+            want = cycle_symmetries(seq)
+            assert _full_order(g) == want == backtrack_order(g), (values, leaves)
+            counts[want] += 1
+        if kind == "random":  # rigid circuits and symmetric ones
+            assert counts[1] and max(counts) >= 2
+        else:  # rotations by the period, or the mirror
+            assert min(counts) >= 2 and max(counts) >= 4
+
+    def test_equal_children_in_runs(self):
+        # leaves of values 1, 1, 1, 2, 2, 3 on one root: 3! * 2! * 1!
+        g = star_graph(6, same_values=False)
+        for e, v in zip(g.edges, (1.0, 1.0, 1.0, 2.0, 2.0, 3.0)):
+            e.hi = g.vertices[e.v].value = v
+            g.vertices[e.v].crits = [CriticalPoint(e.v, 0, CritKind.MAXIMUM, v)]
+        assert _full_order(g) == 12 == backtrack_order(g)
+
     def test_long_path_without_recursion(self):
         g = path_graph([float(i) for i in range(2000)])
         assert value_preserving_auts(g).order == 1
@@ -294,6 +375,13 @@ class TestGeneratedGroup:
         grp = generated_group(g, gens)
         assert grp.order == 4
         assert is_isomorphic(grp, perm_rep(Wr2(Triv(), 2, 1)))
+
+    def test_permutations_are_intp(self):
+        f, rec = realize_torus_circuit(Wr(Triv(), 2), 1)  # with a parallel pair
+        g = build_reeb(f)
+        grp = generated_group(g, [induced_graph_aut(g, s) for s in rec.symmetries])
+        assert grp.degree == g.n_vertices + 2 and grp.generators
+        assert all(p.dtype == np.intp for p in grp.generators)
 
     def test_rotation_cyclic(self):
         f, rec = realize_torus_circuit(Triv(), 4)

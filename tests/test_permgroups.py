@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from kronrod import permgroups
@@ -42,6 +43,48 @@ class TestPermBasics:
 
     def test_perm_order(self):
         assert cyclic_order((1, 2, 0, 4, 3)) == 6
+
+    def test_int32_inputs_give_the_same_results(self):
+        rng = random.Random(2)
+        for degree in (1, 2, 9, 57, 300):
+            p, q = (np.array(rng.sample(range(degree), degree)) for _ in range(2))
+            assert p.dtype == np.intp
+            p32, q32 = p.astype(np.int32), q.astype(np.int32)
+            assert np.array_equal(compose(p32, q32), compose(p, q))
+            assert np.array_equal(inverse(p32), inverse(p))
+            assert np.array_equal(compose(p, inverse(p)), identity(degree))
+
+
+class TestPermGroupInput:
+    def test_generators_are_kept_as_intp(self):
+        gens = [(1, 2, 0), np.array([1, 0, 2], np.int32), np.array([0, 2, 1], np.uint8)]
+        g = PermGroup(3, gens)
+        assert all(p.dtype == np.intp for p in g.generators)
+        assert [p.tolist() for p in g.generators] == [[1, 2, 0], [1, 0, 2], [0, 2, 1]]
+        assert identity(4).dtype == np.intp
+
+    def test_perm_rep_is_intp(self):
+        for text in ("wr(1,3)", "prod(wr(1,2),1,wr(wr(1,3),2))", "wr2(prod(wr(1,2),1),2,3)"):
+            assert all(p.dtype == np.intp for p in perm_rep(parse_term(text)).generators)
+
+    @pytest.mark.parametrize(
+        "degree, gen",
+        [
+            (3, [0.5, 1.7, 2.2]),  # truncates to the identity
+            (2, [1.0, 0.0]),
+            (2, [2**32, 0]),  # past int32
+            (2, [2**63, 0]),
+            (2, [2**64, 0]),
+            (2, [-1, 0]),
+            (2, [True, False]),
+            (2, ["1", "0"]),
+            (3, [0, 1]),
+            (2, [0, 0]),
+        ],
+    )
+    def test_non_permutations_are_refused(self, degree, gen):
+        with pytest.raises(ValueError, match="is not a permutation of degree"):
+            PermGroup(degree, [gen])
 
 
 class TestPermRep:
@@ -206,6 +249,84 @@ class TestOneOrbitPerClass:
         (p, images), *_ = permgroups._one_orbit_per_class([(p, p.tolist()) for p in g.generators])
         assert len(p) == len(images) == 4_352
         assert group_order(g) == order(t) == 4_352
+
+
+def pairing_orders(g_gens, g_degree, h_gens, h_degree):
+    """sympy's orders of <g>, <h> and the diagonal of the pairing."""
+    k = max(len(g_gens), len(h_gens))
+    g_gens = g_gens + [list(range(g_degree))] * (k - len(g_gens))
+    h_gens = h_gens + [list(range(h_degree))] * (k - len(h_gens))
+    diagonal = [list(p) + [g_degree + x for x in q] for p, q in zip(g_gens, h_gens)]
+    return (
+        sympy_order(g_degree, g_gens),
+        sympy_order(h_degree, h_gens),
+        sympy_order(g_degree + h_degree, diagonal),
+    )
+
+
+class TestBoundedChains:
+    """`is_isomorphic` runs the chain of a side whose order is unknown only
+    until its orbit lengths multiply to the diagonal's order."""
+
+    def test_bound_stops_the_scan(self, monkeypatch):
+        (c,) = perm_rep(Wr(Triv(), 8)).generators
+        calls = []
+        compose_ = permgroups.compose
+        monkeypatch.setattr(permgroups, "compose", lambda p, q: calls.append(1) or compose_(p, q))
+        assert permgroups._basic_orbit_lengths([c]) == [8]
+        unbounded, calls[:] = len(calls), []
+        assert permgroups._basic_orbit_lengths([c], 8) == [8]
+        assert len(calls) == 7 < unbounded  # the transversal only
+        assert permgroups._basic_orbit_lengths([c], 16) == [8]  # never reached
+        assert len(calls) == 7 + unbounded
+
+    def test_orders_match_sympy(self):
+        rng = random.Random(17)
+        cases = {"equal": 0, "g below": 0, "h below": 0, "both below": 0}
+        for trial in range(160):
+            degree = rng.randint(1, 7)
+            gens = random_gens(rng, degree, rng.randint(0, 3))
+            kind = trial % 3
+            if kind == 0:  # a relabelled copy with extra fixed points: an isomorphism
+                extra = rng.randint(0, 3)
+                sigma = rng.sample(range(degree + extra), degree + extra)
+                h_degree, h_gens = degree + extra, []
+                for p in gens:
+                    q = list(range(h_degree))
+                    for x in range(degree):
+                        q[sigma[x]] = sigma[p[x]]
+                    h_gens.append(q)
+            elif kind == 1:  # the action on one orbit: a homomorphic image
+                orbit = {rng.randrange(degree)}
+                for _ in range(degree):
+                    orbit |= {p[x] for p in gens for x in orbit}
+                points = sorted(orbit)
+                h_degree = len(points)
+                h_gens = [[points.index(p[x]) for x in points] for p in gens]
+            else:  # an unrelated group
+                h_degree = rng.randint(1, 7)
+                h_gens = random_gens(rng, h_degree, rng.randint(0, 3))
+            g, h = PermGroup(degree, gens), PermGroup(h_degree, h_gens)
+            iso = is_isomorphic(g, h)
+            want = pairing_orders(gens, degree, h_gens, h_degree)
+            assert (iso.g, iso.h, iso.diagonal) == want, (gens, h_gens)
+            assert (g.order, h.order) == want[:2]
+            below = (iso.g < iso.diagonal, iso.h < iso.diagonal)
+            names = {(0, 0): "equal", (1, 0): "g below", (0, 1): "h below", (1, 1): "both below"}
+            cases[names[below]] += 1
+        assert min(cases.values()) >= 5, cases
+
+    def test_known_order_is_kept(self, monkeypatch):
+        g = perm_rep(Wr(Wr(Triv(), 2), 3))
+        assert group_order(g) == 24
+        seen = []
+        lengths = permgroups._basic_orbit_lengths
+        monkeypatch.setattr(
+            permgroups, "_basic_orbit_lengths", lambda *a: seen.append(a[1:]) or lengths(*a)
+        )
+        iso = is_isomorphic(g, perm_rep(Wr(Wr(Triv(), 2), 3)))
+        assert iso and (iso.g, iso.h, iso.diagonal) == (24, 24, 24)
+        assert seen == [(), (24,)]  # the diagonal, then the term side bounded by it
 
 
 class TestIsomorphism:

@@ -67,3 +67,27 @@ def test_build_cost_one_rep():
     fit = r"least squares over 31 constructed fields: floor -?\d+\.\d{3} ms, -?\d+\.\d ns per"
     fit += " triangle"
     assert re.fullmatch(fit, lines[-1]), lines[-1]
+
+
+def test_group_cost_one_rep():
+    proc = run_script("group_cost.py", "--reps", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 26 + 5 + 1
+    groups = []
+    for line in lines[:-1]:
+        m = re.fullmatch(
+            r"(corpus|circuit) +(\S+) +generated +(\d+) pts order +(\d+) +term +(\d+) pts order"
+            r" +(\d+) +diagonal +(\d+) pts order +(\d+) +generated_group +(\d+\.\d{3}) ms"
+            r" +is_isomorphic +(\d+\.\d{3}) ms",
+            line,
+        )
+        assert m, line
+        g_pts, g_order, h_pts, h_order, d_pts, d_order = map(int, m.group(3, 4, 5, 6, 7, 8))
+        # every realization's pairing is an isomorphism
+        assert g_order == h_order == d_order and d_pts == g_pts + h_pts, line
+        groups.append(m[1])
+    assert groups == ["corpus"] * 26 + ["circuit"] * 5
+    total = r"totals: corpus generated_group \d+\.\d{3} ms is_isomorphic \d+\.\d{3} ms, "
+    total += r"circuit generated_group \d+\.\d{3} ms is_isomorphic \d+\.\d{3} ms"
+    assert re.fullmatch(total, lines[-1]), lines[-1]
