@@ -162,8 +162,7 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     src, dst, pieces = moves(f, sym)
     image, piece = np.arange(n), np.full(n, -1)
     image[src], piece[src] = dst, pieces
-    carrier = {c.y * w + c.x: (c, v.id) for v in g.vertices for c in v.crits}
-    boundary = {v.value: v.id for v in g.vertices if v.boundary and not v.crits}
+    _, carrier, boundary = g.push_tables()
 
     vperm = []
     for v in g.vertices:

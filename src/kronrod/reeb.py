@@ -24,14 +24,14 @@ Each edge keeps one witness triangle, the smallest triangle of its lowest
 slab component, and edges are numbered by (lo, witness).  A graph has at
 most one cycle, so two edges share both ends only on a circuit of length
 two, and a symmetry push reads triangles only to split that pair (see
-`ReebGraph.edge_images`).
+`ReebGraph.edge_images`).  One rule, `_pieces`, says which triangles lie in
+a slab and how they join, for the build and for the push's `slab_roots`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -62,8 +62,7 @@ class Triangulation:
     corners (x,y), (x+1,y), (x+1,y+1); triangle 2*(...)+1 is the upper one
     with corners (x,y), (x+1,y+1), (x,y+1).  A build reads a grid's values at
     the corners once, through the shifted views of `cell_corners`, and the few
-    corners it needs one by one through `star`.  The adjacency of `_sides` is
-    read only by `ReebGraph.slab_roots` and the tests.
+    corners it needs one by one through `star`.
     """
 
     def __init__(self, f: ScalarField):
@@ -85,16 +84,6 @@ class Triangulation:
             grid = ext
         return grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
 
-    @cached_property
-    def corners(self) -> np.ndarray:
-        """(ntri, 3) grid vertices y*w + x at the corners of every triangle."""
-        f = self.field
-        v00, v10, v11, v01 = self.cell_corners(
-            np.arange(f.values.size, dtype=np.int32).reshape(f.values.shape)
-        )
-        lower, upper = np.stack([v00, v10, v11], axis=-1), np.stack([v00, v11, v01], axis=-1)
-        return np.stack([lower, upper], axis=2).reshape(self.ntri, 3)
-
     def star(self, points: np.ndarray) -> np.ndarray:
         """The triangles around each of the grid vertices `points`, as a
         (len(points), 6) array: the lower triangles of the cells to the lower
@@ -109,35 +98,6 @@ class Triangulation:
         if not self.field.wraps:  # a disk's cells stop one short of the grid
             star[(cx == self.ncx) | (cy == self.ncy)] = self.ntri
         return star
-
-
-def _sides(tri: Triangulation, grid: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The shared grid edges of a triangulation: arrays of the lower and upper
-    triangle on each edge and of the values of an (H, W) `grid` at its two
-    ends (the vertex-id grid gives the end vertices).  `ReebGraph.slab_roots`
-    and the tests read it; a build works on cell pieces instead (`_pieces`).
-
-    Each edge belongs to the cell of its upper triangle.  They are each
-    cell's diagonal (the first ncx*ncy, by cell), then its top edge (with the
-    lower triangle of the cell above) and its left edge (with the lower
-    triangle of the cell to the left) where the grid has them.
-    """
-    g00, _, g11, g01 = tri.cell_corners(grid)
-    lower, has = _across(tri)
-    ends = np.array([(g00, g01, g00), (g11, g11, g01)])
-    return lower[has], np.broadcast_to(lower[0] + 1, has.shape)[has], *ends[:, has]
-
-
-def _across(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """The lower triangles of each cell and of the cells above and left of it,
-    as (3, ncy, ncx) arrays wrapping round a torus, and a mask of those a disk has."""
-    lower = 2 * np.arange(tri.ncx * tri.ncy, dtype=np.int32).reshape(tri.ncy, tri.ncx)
-    lower = np.array([lower, (lower + 2 * tri.ncx) % tri.ntri, lower - 2])
-    lower[2, :, 0] += 2 * tri.ncx
-    has = np.ones(lower.shape, dtype=bool)
-    if not tri.field.wraps:
-        has[1, -1] = has[2, :, 0] = False
-    return lower, has
 
 
 def _cell_permutation(tri: Triangulation, image: np.ndarray, piece: np.ndarray) -> np.ndarray:
@@ -238,7 +198,7 @@ class ReebGraph:
         self.tri = tri
         self.cuts = cuts
         self._incidence: Optional[list[list[int]]] = None
-        self._between: Optional[dict[frozenset, int]] = None
+        self._tables: Optional[tuple[dict, dict, dict]] = None
         self._peeled: Optional[tuple[list[tuple[int, int]], list[int]]] = None
         self._shape: Optional[ShapeReport] = None
         self._slabs: dict[int, np.ndarray] = {}
@@ -274,6 +234,19 @@ class ReebGraph:
         es = classify_shape(self).cycle_edges
         return (es[0], es[1]) if len(es) == 2 else None
 
+    def push_tables(self) -> tuple[dict, dict, dict]:
+        """The lookups every push reads, built on the first and kept: edge
+        ends -> edge, grid vertex -> (critical point there, its vertex), and
+        value -> boundary vertex without critical points."""
+        if self._tables is None:
+            w = self.tri.field.width
+            self._tables = (
+                {frozenset((e.u, e.v)): e.id for e in self.edges},
+                {c.y * w + c.x: (c, v.id) for v in self.vertices for c in v.crits},
+                {v.value: v.id for v in self.vertices if v.boundary and not v.crits},
+            )
+        return self._tables
+
     def edge_images(
         self, vperm: list[int], image: np.ndarray, piece: np.ndarray
     ) -> tuple[int, ...]:
@@ -283,11 +256,9 @@ class ReebGraph:
         whose witness's component in `slab_roots(lo)` holds the images of
         every triangle of its own; one image is not enough, as a cell that
         straddles the pieces of a rect cycle stays put."""
-        if self._between is None:  # edge ends -> edge, kept for every push
-            self._between = {frozenset((e.u, e.v)): e.id for e in self.edges}
-        eperm = []
+        between, eperm = self.push_tables()[0], []
         for e in self.edges:
-            d = self._between.get(frozenset((vperm[e.u], vperm[e.v])))
+            d = between.get(frozenset((vperm[e.u], vperm[e.v])))
             if d is None:
                 raise NotAnAutomorphism(f"vertex map does not transport edge {e.id}")
             eperm.append(d)
@@ -307,16 +278,18 @@ class ReebGraph:
 
     def slab_roots(self, lo: float) -> np.ndarray:
         """The smallest triangle of each triangle's component in the sweep's
-        slab that holds value `lo`, between consecutive cut values: the
-        triangles and shared grid edges whose value span meets that open
-        interval.  A triangle outside the slab is its own root.  Labelled
-        once per slab and kept."""
+        slab k that holds value `lo`, between consecutive cut values, joined
+        by the build's own rule (`_pieces`): along the join segments whose
+        slabs hold k, and across the diagonal of each cell whose two
+        triangles share a node in slab k.  A triangle outside the slab is its
+        own root.  Labelled once per slab and kept."""
         k = int(np.searchsorted(self.cuts, lo, "right"))
         if k not in self._slabs:
-            lo, hi = self.cuts[k - 1], self.cuts[k]
-            a, b, p, q = _sides(self.tri, self.tri.field.values)
-            live = (np.maximum(p, q) > lo) & (np.minimum(p, q) < hi)
-            self._slabs[k] = _label(self.tri.ntri, a[live], b[live])
+            _, span, (a, b, s_lo, s_hi) = _pieces(self.tri, _ranks(self.tri.field, self.cuts))
+            seg = (s_lo <= k) & (k <= s_hi)
+            up = ((span[1] <= k) & (k <= span[2])).nonzero()[0].astype(np.int32)  # on lower's node
+            joins = np.concatenate([a[seg], up - 1]), np.concatenate([b[seg], up])
+            self._slabs[k] = _label(self.tri.ntri, *joins)
         return self._slabs[k]
 
     def edges_spanning(self, value: float) -> list[int]:
@@ -342,12 +315,21 @@ class _Batch(NamedTuple):
     extrema: np.ndarray  # rows (grid vertex, bottom 2g or top 2g+1 it hangs on, least triangle)
 
 
+def _ranks(f: ScalarField, cuts: np.ndarray) -> np.ndarray:
+    """The (H, W) int32 grid of ranks of the values of `f` among the cut values:
+    2j+1 at cut value j and 2j between cut values j-1 and j, so ranks order like
+    values, and a span of ranks rlo..rhi lies in slabs (rlo+1)//2..rhi//2."""
+    above = cuts.searchsorted(f.values, "right")  # cut values at or below each value
+    return (2 * above - (cuts[above - 1] == f.values)).astype(np.int32)
+
+
 def _pieces(tri: Triangulation, rank: np.ndarray):
-    """The cell pieces of `_sweep`, from one `cell_corners` pass over the grid of
-    vertex ranks.  Per triangle: its rank span t_lo..t_hi, its cell's diagonal's slabs
-    d_lo..d_hi, where an upper triangle takes the lower one's node (none for a lower one),
-    and the slabs n_lo..n_hi of its own nodes.  The top and left grid edges become join
-    segments (lower triangle, owner of the upper one's node, lo, hi), split where it changes."""
+    """The one slab rule, for `_sweep` and `ReebGraph.slab_roots`: cell pieces from one
+    `cell_corners` pass over the grid of vertex ranks (see `_ranks`).  Per triangle: its
+    rank span t_lo..t_hi, its cell's diagonal's slabs d_lo..d_hi, where an upper triangle
+    takes the lower one's node (none for a lower one), and the slabs n_lo..n_hi of its own
+    nodes.  The top and left grid edges become join segments (lower triangle, owner of the
+    upper one's node, lo, hi), split where it changes."""
     r00, r10, r11, r01 = tri.cell_corners(rank)
     lo, hi = np.minimum(r00, r11), np.maximum(r00, r11)  # on the diagonal
     t_hi = np.empty((tri.ncy, tri.ncx, 2), dtype=np.int32)
@@ -360,14 +342,18 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     under = up[3] < up[1]  # the upper triangle's own slabs lie below the diagonal's
     up[3], up[4] = np.where(under, up[3], up[2] + 1), np.where(under, up[1] - 1, up[4])
 
-    lower, has = _across(tri)
+    # the lower triangles of each cell and of the cells above and left of it, round a torus
+    lower = 2 * np.arange(tri.ncx * tri.ncy, dtype=np.int32).reshape(tri.ncy, tri.ncx)
+    across = np.array([(lower + 2 * tri.ncx) % tri.ntri, lower - 2])
+    across[1, :, 0] += 2 * tri.ncx
     # by top or left edge, then by the diagonal's slabs or the upper triangle's own
     segs = np.empty((4, 2, 2, tri.ncy, tri.ncx), dtype=np.int32)
-    segs[0], segs[1, :, 0], segs[1, :, 1] = lower[1:, None], lower[0], lower[0] + 1
+    segs[0], segs[1, :, 0], segs[1, :, 1] = across[:, None], lower, lower + 1
     for i, (p, q) in enumerate(((r01, r11), (r00, r01))):
         np.maximum((np.minimum(p, q) + 1) >> 1, up[1:4:2], out=segs[2, i])
         np.minimum(np.maximum(p, q) >> 1, up[2:5:2], out=segs[3, i])
-    segs[3] *= has[1:, None]  # an edge with no cell across it lies in no slab
+    if not tri.field.wraps:  # no cell lies above a disk's top row or left of its left column
+        segs[3, 0, :, -1] = segs[3, 1, :, :, 0] = 0
     segs = segs.reshape(4, -1)
     return t_hi.reshape(-1), span.reshape(5, -1), segs.compress(segs[2] <= segs[3], axis=1)
 
@@ -378,18 +364,19 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     Slab k (0 < k < K) holds the triangles whose value span meets the open
     interval (cuts[k-1], cuts[k]), joined across grid edges whose span meets
     it too.  Which slabs a triangle or grid edge lies in is read off integer
-    ranks of its corner values.  One `_label` call per batch of slabs k0..k1,
-    over about `ntri` nodes, roots each component at its smallest triangle: a
-    batch takes only the nodes and join segments (see `_pieces`) with a slab
-    in k0..k1, in ascending order of triangle, and a node shared by a cell's
-    two triangles sits at the lower one's place.  The batch then settles
-    levels k0-1..k1-1 (the last batch the top level too): a level's components
-    are classes of slab ends, joined by the triangles crossing the level, the
-    grid vertices at it and the flat triangles at it.  No saddle lies inside
-    an open slab, so an end is the limit of connected level curves: it lies in
-    one level component, and no slab component can attach to two.  Components
-    and classes are numbered by (slab or level, smallest triangle).  Only the
-    components of the last slab carry over to the next batch.
+    ranks of its corner values (`_ranks`).  One `_label` call per batch of
+    slabs k0..k1, over about `ntri` nodes, roots each component at its
+    smallest triangle: a batch takes only the nodes and join segments (see
+    `_pieces`) with a slab in k0..k1, in ascending order of triangle, and a
+    node shared by a cell's two triangles sits at the lower one's place.  The
+    batch then settles levels k0-1..k1-1 (the last batch the top level too): a
+    level's components are classes of slab ends, joined by the triangles
+    crossing the level, the grid vertices at it and the flat triangles at it.
+    No saddle lies inside an open slab, so an end is the limit of connected
+    level curves: it lies in one level component, and no slab component can
+    attach to two.  Components and classes are numbered by (slab or level,
+    smallest triangle).  Only the components of the last slab carry over to
+    the next batch.
 
     `points` are the grid vertices of the extrema inside slabs.  Each lies in
     the component of the triangles around it, whose bottom (at a minimum) or
@@ -397,12 +384,9 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     """
     K, ntri, ncx, w, i32 = len(cuts), tri.ntri, tri.ncx, tri.field.width, np.int32
     vals = tri.field.values.ravel()
-    # 2j+1 at cut value j and 2j between cut values j-1 and j, so ranks order
-    # like values; a span of ranks rlo..rhi lies in slabs (rlo+1)//2..rhi//2
-    above = cuts.searchsorted(vals, "right")  # cut values at or below each value
-    rank = (2 * above - (cuts[above - 1] == vals)).astype(i32)
-    del above
-    t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, rank.reshape(-1, w))
+    rank = _ranks(tri.field, cuts)
+    t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, rank)
+    rank = rank.ravel()
     seg_a, seg_b, seg_lo, seg_hi = segs
     verts = (rank & 1).nonzero()[0]
     verts = verts[rank[verts].argsort(kind="stable")]  # grid vertices at cut values

@@ -43,14 +43,12 @@ class Prod(GroupTerm):
     factors: tuple[GroupTerm, ...]
 
     def __init__(self, *factors: GroupTerm):
-        if len(factors) == 1 and isinstance(factors[0], (tuple, list)):
-            factors = tuple(factors[0])
         if not factors:
             raise ValueError("Prod needs at least one factor")
         for f in factors:
             if not isinstance(f, GroupTerm):
                 raise TypeError(f"Prod factor {f!r} is not a GroupTerm")
-        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "factors", factors)
 
     def __repr__(self) -> str:
         return f"Prod({', '.join(map(repr, self.factors))})"

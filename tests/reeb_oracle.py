@@ -14,8 +14,9 @@ are then those `build_reeb` promises, so the two graphs must have equal
 digests.
 Components come from a plain union-find, which shares no code with the
 library's labeller, and shared grid edges from the triangles' corners, as
-in `_region_euler`.  `_region_euler` reads the topology of a set of
-triangles, for the special-vertex oracle in the tests.
+in `_region_euler`.  The corners come from `corpus.triangle_corners`, which
+shares no code with the library's triangulation.  `_region_euler` reads the
+topology of a set of triangles, for the special-vertex oracle in the tests.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from kronrod.corpus import triangle_corners
 from kronrod.errors import InvalidField, ReebError
 from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, classify_vertices
 from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation
@@ -35,6 +37,19 @@ from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation
 Spans = namedtuple("Spans", "tri_min tri_max adj_a adj_b edge_min edge_max")
 
 
+_CORNERS: dict[tuple, np.ndarray] = {}
+
+
+def corner_table(f: ScalarField) -> np.ndarray:
+    """`corpus.triangle_corners(f)` as a read-only (ntri, 3) int64 array,
+    built once per grid kind and shape, the only things it depends on."""
+    key = (f.kind, f.values.shape)
+    if key not in _CORNERS:
+        _CORNERS[key] = np.array(triangle_corners(f), dtype=np.int64)
+        _CORNERS[key].setflags(write=False)
+    return _CORNERS[key]
+
+
 def spans(tri: Triangulation) -> Spans:
     """The value spans of the triangles and shared grid edges of `tri`.
 
@@ -42,7 +57,7 @@ def spans(tri: Triangulation) -> Spans:
     among their sides.
     """
     vals = tri.field.values.ravel()
-    corners = tri.corners.astype(np.int64)
+    corners = corner_table(tri.field)
     corner_values = vals[corners]
     sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
     keys = sides[:, 0] * len(vals) + sides[:, 1]
@@ -239,7 +254,7 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
 def _region_euler(tri: Triangulation, tris: Iterable[int]) -> tuple[int, int]:
     """(Euler characteristic of the closed region of triangles `tris`, number
     of its boundary curves)."""
-    corners = tri.corners[np.fromiter(tris, dtype=np.int64)].astype(np.int64)
+    corners = corner_table(tri.field)[np.fromiter(tris, dtype=np.int64)]
     nv = tri.field.width * tri.field.height
     sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
     keys, uses = np.unique(sides[:, 0] * nv + sides[:, 1], return_counts=True)

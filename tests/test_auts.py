@@ -20,7 +20,7 @@ from kronrod.construct import (
     realize_torus_circuit,
     realize_torus_tree,
 )
-from kronrod.corpus import random_torus_field
+from kronrod.corpus import corpus_grid, random_torus_field, realize_member
 from kronrod.errors import AutOverflow, NotAnAutomorphism
 from kronrod.fields import CriticalPoint, CritKind
 from kronrod.permgroups import is_isomorphic, perm_rep
@@ -337,6 +337,37 @@ class TestInducedAuts:
         swap = RectCycle((Rect(3, 4, 3, 3), Rect(12, 4, 3, 3)))
         with pytest.raises(NotAnAutomorphism, match="onto one parallel edge"):
             induced_graph_aut(g, swap)
+
+    @pytest.mark.parametrize("label", ["circuit-wr(1,2)-1", "tree-wr(1,2)-1-2", "disk"])
+    def test_push_tables_are_built_once(self, label):
+        """A graph builds the lookups of its pushes on the first and keeps
+        them, and a push gives the same automorphism on a graph that has
+        pushed before as on a fresh one.  Its vertex map is the one found by
+        scanning every vertex's critical points, or, for a boundary vertex
+        without any, the boundary vertex of its value."""
+        if label == "disk":
+            f, rec = realize_disk(Prod(Wr(Triv(), 2), Wr(Triv(), 3)))
+        else:
+            f, rec = realize_member(next(m for m in corpus_grid() if m.label == label))
+        g = build_reeb(f)
+        first = [induced_graph_aut(g, s) for s in rec.symmetries]
+        tables = g.push_tables()
+        again = [induced_graph_aut(g, s) for s in rec.symmetries]
+        assert g.push_tables() is tables
+        assert all(a is b for a, b in zip(g.push_tables(), tables))
+        assert first == again == [induced_graph_aut(build_reeb(f), s) for s in rec.symmetries]
+        w = f.width
+        for s, aut in zip(rec.symmetries, first):
+            src, dst, _ = moves(f, s)
+            image = np.arange(f.values.size)
+            image[src] = dst
+            for v in g.vertices:
+                if v.crits:
+                    p = image[v.crits[0].y * w + v.crits[0].x]
+                    [to] = [u.id for u in g.vertices if any(d.y * w + d.x == p for d in u.crits)]
+                else:
+                    [to] = [u.id for u in g.vertices if u.boundary and u.value == v.value]
+                assert aut.vperm[v.id] == to
 
     def test_overlapping_cycle_not_a_bijection(self):
         f, _ = realize_torus_tree(Triv(), 1, 1)

@@ -30,7 +30,6 @@ from kronrod.reeb import (
     ReebVertex,
     Triangulation,
     _label,
-    _sides,
     _sweep,
     build_reeb,
     classify_shape,
@@ -41,7 +40,14 @@ from kronrod.reeb import (
 from kronrod.terms import Triv, Wr, parse_term
 from kronrod.verify import verify_realization
 
-from reeb_oracle import _region_euler, build_reeb_per_level, spans, union_find_roots
+from reeb_oracle import (
+    _components,
+    _region_euler,
+    build_reeb_per_level,
+    corner_table,
+    spans,
+    union_find_roots,
+)
 from test_fields import bump_disk
 
 
@@ -90,7 +96,8 @@ def complement_components(g, vid):
     tri, v = g.tri, g.vertices[vid]
     sp = spans(tri)
     c = v.crits[0]
-    at_crit = np.flatnonzero((tri.corners == c.y * tri.field.width + c.x).any(axis=1))
+    corners = corner_table(tri.field)
+    at_crit = np.flatnonzero((corners == c.y * tri.field.width + c.x).any(axis=1))
     meets = (sp.tri_min <= v.value) & (sp.tri_max >= v.value)
     joins = (sp.edge_min <= v.value) & (sp.edge_max >= v.value)
     [level] = flood_fill(tri, meets, joins, at_crit)
@@ -345,7 +352,7 @@ def check_sweep(f, cuts, points):
     of the minima's components and the tops of the maxima's.
     """
     tri = Triangulation(f)
-    sp = spans(tri)
+    sp, corners = spans(tri), corner_table(f)
     comp_slab: list[int] = []
     comp_t: list[int] = []
     ends: list[tuple[int, int, int]] = []  # (class, component, level)
@@ -381,7 +388,7 @@ def check_sweep(f, cuts, points):
         m = members[comp_slab[g], comp_t[g]]
         classes[c].update(t for t in m if sp.tri_min[t] <= cuts[j] <= sp.tri_max[t])
     for p, c in vertex_class.items():
-        classes[c].update(np.flatnonzero((tri.corners == p).any(axis=1)).tolist())
+        classes[c].update(np.flatnonzero((corners == p).any(axis=1)).tolist())
     assert class_level == sorted(class_level)
     assert class_least == [min(m, default=tri.ntri) for m in classes]
     for j, c in enumerate(cuts):
@@ -393,7 +400,7 @@ def check_sweep(f, cuts, points):
     assert sorted(p for p, _, _ in extrema) == sorted(np.asarray(points).tolist())
     for p, e, t in extrema:
         g = e >> 1
-        star = np.flatnonzero((tri.corners == p).any(axis=1)).tolist()
+        star = np.flatnonzero((corners == p).any(axis=1)).tolist()
         assert t == star[0]
         assert set(star) <= set(members[comp_slab[g], comp_t[g]])
         assert e & 1 == (kinds[p] is CritKind.MAXIMUM)
@@ -471,10 +478,9 @@ def cell_slabs(f, cuts):
     """Per cell, the slabs (first, last) of its lower triangle, of its
     diagonal and of its upper triangle, from corner values: slab k meets a
     value span lo..hi when cuts[k-1] < hi and lo < cuts[k]."""
-    tri = Triangulation(f)
-    vals = f.values.ravel()[tri.corners]
+    vals = f.values.ravel()[corner_table(f)]
     lower, upper = vals[0::2], vals[1::2]
-    diag = lower[:, [0, 2]]  # corners (x,y) and (x+1,y+1)
+    diag = lower[:, :2]  # corners (x,y) and (x+1,y+1)
     return [
         (np.searchsorted(cuts, v.min(axis=1), "right"), np.searchsorted(cuts, v.max(axis=1)))
         for v in (lower, diag, upper)
@@ -716,10 +722,10 @@ class TestLevelOracle:
 
     @pytest.mark.parametrize("name", ["random-4", "disk-wr(1,3)"])
     def test_adjacency_is_shared_corners(self, name):
-        """Every adjacency of the triangulation, the library's and the
-        oracle's, joins the two triangles that share a grid edge, with that
-        edge's value span, and every interior grid edge has one; the corners
-        compared with come from the corpus's own code."""
+        """Every adjacency of the oracle's `spans` joins the two triangles
+        that share a grid edge, with that edge's value span, and every
+        interior grid edge has one; the corners compared with come from the
+        corpus's own code, worked out one triangle at a time."""
         f = {
             "random-4": lambda: random_torus_field(4),
             "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
@@ -734,36 +740,26 @@ class TestLevelOracle:
             for (p, q), ts in sharing.items()
             if len(ts) == 2
         )
-        tri = Triangulation(f)
-        sp = spans(tri)
-        a, b, p, q = _sides(tri, np.arange(f.values.size).reshape(f.values.shape))
-        vals = f.values.ravel()
-        for adj_a, adj_b, e_min, e_max in (
-            (sp.adj_a, sp.adj_b, sp.edge_min, sp.edge_max),
-            (a, b, np.minimum(vals[p], vals[q]), np.maximum(vals[p], vals[q])),
-        ):
-            lo, hi = np.minimum(adj_a, adj_b), np.maximum(adj_a, adj_b)
-            got = sorted(zip(lo.tolist(), hi.tolist(), e_min.tolist(), e_max.tolist()))
-            assert got == want
+        sp = spans(Triangulation(f))
+        lo, hi = np.minimum(sp.adj_a, sp.adj_b), np.maximum(sp.adj_a, sp.adj_b)
+        got = sorted(zip(lo.tolist(), hi.tolist(), sp.edge_min.tolist(), sp.edge_max.tolist()))
+        assert got == want
 
 
 class TestCellCorners:
     @pytest.mark.parametrize("kind", ["torus", "disk"])
     @pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
     def test_views_match_the_corpus_corners(self, kind, shape):
-        """`Triangulation.cell_corners` of the vertex-id grid, and the corner
-        table built from it, against `corpus.triangle_corners`, which works
-        out the corners (x,y), (x+1,y+1) and the third one by itself.  Grids
-        with w != h at the minimum side pin the appended wrap row and column."""
+        """`Triangulation.cell_corners` of the vertex-id grid against
+        `corpus.triangle_corners`, which works out the corners (x,y),
+        (x+1,y+1) and the third one by itself.  Grids with w != h at the
+        minimum side pin the appended wrap row and column."""
         f = ScalarField(kind, np.zeros(shape), validate=False)
         tri = Triangulation(f)
         ids = np.arange(f.values.size).reshape(shape)
         v00, v10, v11, v01 = (v.ravel().tolist() for v in tri.cell_corners(ids))
         got = [t for c in zip(v00, v10, v11, v01) for t in ((c[0], c[2], c[1]), (c[0], c[2], c[3]))]
-        want = triangle_corners(f)
-        assert got == want
-        assert tri.corners[:, [0, 2, 1]][0::2].tolist() == [list(t) for t in want[0::2]]
-        assert tri.corners[1::2].tolist() == [list(t) for t in want[1::2]]
+        assert got == triangle_corners(f)
 
     @pytest.mark.parametrize("kind", ["torus", "disk"])
     @pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
@@ -789,8 +785,7 @@ class TestCellCorners:
 
     def test_build_reads_the_cell_corners_once(self, monkeypatch):
         """A build reads the grid at the cell corners in one `cell_corners`
-        pass and never works out the adjacency of `_sides`, on a torus, on a
-        disk and on a field swept in several batches."""
+        pass, on a torus, on a disk and on a field swept in several batches."""
         calls = []
         cell_corners = Triangulation.cell_corners
 
@@ -798,11 +793,7 @@ class TestCellCorners:
             calls.append(grid.shape)
             return cell_corners(tri, grid)
 
-        def no_sides(tri, grid):
-            raise AssertionError("the build read _sides")
-
         monkeypatch.setattr(Triangulation, "cell_corners", counting)
-        monkeypatch.setattr(kronrod.reeb, "_sides", no_sides)
         for name in ("random-3-16", "disk-wr(1,3)", "bench-64"):
             f = ORACLE_FIELDS[name]()
             calls.clear()
@@ -811,13 +802,55 @@ class TestCellCorners:
         _, batches = record_batches(f, monkeypatch)
         assert len(batches) > 1
 
-    def test_slab_roots_is_the_one_reader_of_sides(self):
-        """No function of the library but `ReebGraph.slab_roots` names
-        `_sides`, so the build and a push never work out the adjacency."""
+
+class TestSlabRoots:
+    PARALLEL = ["circuit-1-1", "circuit-wr(1,2)-1", "simple-1-1", "simple-wr(1,2)-1"]
+
+    def test_parallel_pairs_of_the_corpus(self):
+        """The corpus members whose graph has a parallel pair, the ones whose
+        pushes read `slab_roots`."""
+        pairs = [m.label for m in corpus_grid() if build_reeb(realize_member(m)[0]).parallel_pair()]
+        assert pairs == self.PARALLEL
+
+    @pytest.mark.parametrize(
+        "name",
+        ["random-1-16-rolled", "disk-wr(1,3)", "disk-prod(wr(1,2),wr(1,3))", "bench-32", *PARALLEL],
+    )
+    def test_slab_roots_match_the_union_find(self, name, monkeypatch):
+        """`slab_roots` of every cut slab, on a torus, a disk, a field swept
+        in several batches and every corpus member with a parallel pair,
+        against the oracle's union-find over the triangles and shared grid
+        edges whose value spans meet the slab's open interval, worked out
+        with `_pieces`, `_ranks` and `_label` barred.  Every other triangle
+        is its own root."""
+        g = build_reeb(ORACLE_FIELDS[name]())
+        sp, want = spans(g.tri), []
+
+        def barred(*args):
+            raise AssertionError("the oracle called the library's slab rule")
+
+        with monkeypatch.context() as mp:
+            for fn in ("_pieces", "_ranks", "_label"):
+                mp.setattr(kronrod.reeb, fn, barred)
+            for a, b in zip(g.cuts[:-1], g.cuts[1:]):
+                comp_of, members = _components(
+                    sp, (sp.tri_max > a) & (sp.tri_min < b), (sp.edge_max > a) & (sp.edge_min < b)
+                )
+                root, inside = np.arange(g.tri.ntri), comp_of >= 0
+                root[inside] = np.array([m[0] for m in members])[comp_of[inside]]
+                want.append(root)
+        for k, root in enumerate(want, 1):
+            assert g.slab_roots(g.cuts[k - 1]).tolist() == root.tolist(), k
+
+    def test_pieces_is_the_one_reader_of_the_cell_adjacency(self, monkeypatch):
+        """No function of the library but `_pieces` works out which cells lie
+        above and left of a cell (its `across`), and both the build and a
+        push's `slab_roots` take their slabs from `_pieces`: one call each on
+        a corpus member whose pushes split a parallel pair."""
         readers = set()
 
         def walk(code):
-            if "_sides" in code.co_names and code.co_name != "<module>":
+            if {"across", "_across"} & {*code.co_names, *code.co_varnames}:
                 readers.add(code.co_name)
             for const in code.co_consts:
                 if isinstance(const, types.CodeType):
@@ -825,20 +858,14 @@ class TestCellCorners:
 
         for path in Path(kronrod.__file__).parent.glob("*.py"):
             walk(compile(path.read_text(), str(path), "exec"))
-        assert readers == {"slab_roots"}
+        assert readers == {"_pieces"}
 
-    def test_build_reads_no_corner_table(self, monkeypatch):
-        """The build and a push read corners through shifted views and index
-        arithmetic only; the (ntri, 3) table is kept for tests and oracles."""
-
-        def no_table(tri):
-            raise AssertionError("the corner table was read")
-
-        monkeypatch.setattr(Triangulation, "corners", property(no_table))
-        for name in ("random-3-16", "random-1-16-rolled", "disk-wr(1,3)", "tree-wr(1,2)-1-2"):
-            build_reeb(ORACLE_FIELDS[name]())
-        members = {m.label: m for m in corpus_grid()}  # its push splits the parallel pair
+        calls = []
+        pieces = kronrod.reeb._pieces
+        monkeypatch.setattr(kronrod.reeb, "_pieces", lambda *a: calls.append(1) or pieces(*a))
+        members = {m.label: m for m in corpus_grid()}
         assert verify_realization(*realize_member(members["circuit-wr(1,2)-1"])).ok
+        assert len(calls) == 2
 
 
 class TestExports:

@@ -128,6 +128,13 @@ class TestNormalize:
     def test_trivial_product(self):
         assert normalize(Prod(Triv(), Triv())) == Triv()
 
+    def test_prod_takes_its_factors_spread(self):
+        """A list or tuple of factors is not a factor: `Prod` takes them spread."""
+        for factors in ([Triv(), Triv()], (Triv(), Triv())):
+            with pytest.raises(TypeError, match="is not a GroupTerm"):
+                Prod(factors)
+        assert Prod(*[Triv(), Triv()]).factors == (Triv(), Triv())
+
     def test_flatten(self):
         a, b, c = Wr(Triv(), 2), Wr(Triv(), 3), Wr(Triv(), 5)
         flat = normalize(Prod(Prod(a, b), c))
