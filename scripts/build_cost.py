@@ -9,11 +9,12 @@ built once untimed, which classifies its vertices and caches the result on
 the field, so the times below are of the build alone.
 
 Prints one line per field: its set, label, grid, triangles, cut levels,
-the (cell piece, slab) nodes that the sweep labels, and the best of
-`--reps` build times.  The last line fits build time = floor + slope x
-triangles by least squares over the constructed fields (corpus and
-circuits; the trig-sum fields cut at many more levels per triangle) and
-prints the floor and the slope.
+the (cell piece, slab) nodes that the sweep labels, the best of `--reps`
+`classify_vertices` times, each on a fresh unvalidated copy of the field
+made outside the timer, and the best of `--reps` build times.  The last
+line fits build time = floor + slope x triangles by least squares over the
+constructed fields (corpus and circuits; the trig-sum fields cut at many
+more levels per triangle) and prints the floor and the slope.
 """
 
 import argparse
@@ -29,7 +30,7 @@ import kronrod
 from kronrod import reeb
 from kronrod.construct import realize_torus_circuit
 from kronrod.corpus import corpus_grid, realize_member
-from kronrod.fields import ScalarField
+from kronrod.fields import ScalarField, classify_vertices
 from kronrod.terms import parse_term
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,16 +78,21 @@ def labelled_nodes(f: ScalarField) -> int:
     return counted[0]
 
 
-def best_times(fs: list[ScalarField], reps: int) -> list[float]:
-    """The best of `reps` build times of each field, timed round robin so
-    that a phase of load on the machine slows every field alike."""
-    best = [float("inf")] * len(fs)
+def best_times(fs: list[ScalarField], reps: int) -> list[tuple[float, float]]:
+    """The best of `reps` classification and build times of each field,
+    timed round robin so that a phase of load on the machine slows every
+    field alike."""
+    best = [[float("inf")] * 2 for _ in fs]
     for _ in range(reps):
-        for i, f in enumerate(fs):
+        for f, times in zip(fs, best):
+            fresh = ScalarField(f.kind, f.values, validate=False)
+            t = time.perf_counter()
+            classify_vertices(fresh)
+            times[0] = min(times[0], time.perf_counter() - t)
             t = time.perf_counter()
             reeb.build_reeb(f)
-            best[i] = min(best[i], time.perf_counter() - t)
-    return best
+            times[1] = min(times[1], time.perf_counter() - t)
+    return [tuple(t) for t in best]
 
 
 def main() -> None:
@@ -97,12 +103,12 @@ def main() -> None:
     graphs = [reeb.build_reeb(f) for _, _, f in measured]
     times = best_times([f for _, _, f in measured], args.reps)
     fit = []
-    for (group, label, f), g, seconds in zip(measured, graphs, times):
+    for (group, label, f), g, (classify, seconds) in zip(measured, graphs, times):
         nodes = labelled_nodes(f)
         print(
             f"{group:8s} {label:32s} grid {f.width:3d}x{f.height:<3d} "
             f"triangles {g.tri.ntri:6d}  cuts {len(g.cuts):4d}  nodes {nodes:6d}  "
-            f"build {seconds * 1e3:8.3f} ms"
+            f"classify {classify * 1e3:7.3f} ms  build {seconds * 1e3:8.3f} ms"
         )
         if group != "fields":
             fit.append((g.tri.ntri, seconds))

@@ -10,13 +10,16 @@ record's term, built outside the timer.
 
 Prints one line per realization: its set and label, the degree and order
 of the generated group, the term group and the diagonal group of their
-pairing, and the best of `--reps` times of `generated_group` and
-`is_isomorphic`.  The last line sums the best times over each set.
+pairing, the best of `--reps` times of `generated_group` and
+`is_isomorphic`, and whether the pairing ran a diagonal chain or took the
+generated group's order.  The last line sums the best times over each set
+and counts the pairings that skipped the diagonal chain.
 """
 
 import argparse
 import time
 
+from kronrod import permgroups
 from kronrod.auts import generated_group, induced_graph_aut, record_term
 from kronrod.construct import realize_torus_circuit
 from kronrod.corpus import corpus_grid, realize_member
@@ -50,6 +53,23 @@ def best_times(cases: list[tuple], reps: int) -> list[tuple[float, float]]:
     return [tuple(t) for t in best]
 
 
+def pairing(grp, h):
+    """`is_isomorphic(grp, h)` with the order of `grp` known, and whether it
+    ran a diagonal chain: the one chain it then runs without a bound."""
+    unbounded = []
+    lengths = permgroups._basic_orbit_lengths
+
+    def counting(gens, bound=None):
+        unbounded.append(bound is None)
+        return lengths(gens, bound)
+
+    permgroups._basic_orbit_lengths = counting
+    try:
+        return is_isomorphic(grp, h), any(unbounded)
+    finally:
+        permgroups._basic_orbit_lengths = lengths
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--reps", type=int, default=20, help="calls timed per case (best is kept)")
@@ -61,24 +81,28 @@ def main() -> None:
         measured.append((group, label))
         cases.append((g, auts, record_term(rec)))
     times = best_times(cases, args.reps)
-    totals: dict[str, list[float]] = {}
+    totals: dict[str, list] = {}
     for (group, label), (g, auts, term), (t_gen, t_iso) in zip(measured, cases, times):
         grp, h = generated_group(g, auts), perm_rep(term)
-        iso = is_isomorphic(grp, h)
+        iso, ran = pairing(grp, h)
         print(
             f"{group:8s} {label:30s} generated {grp.degree:4d} pts order {iso.g:5d}  "
             f"term {h.degree:4d} pts order {iso.h:5d}  "
             f"diagonal {grp.degree + h.degree:4d} pts order {iso.diagonal:5d}  "
-            f"generated_group {t_gen * 1e3:7.3f} ms  is_isomorphic {t_iso * 1e3:7.3f} ms"
+            f"generated_group {t_gen * 1e3:7.3f} ms  is_isomorphic {t_iso * 1e3:7.3f} ms  "
+            f"diagonal chain {'ran' if ran else 'skipped'}"
         )
-        total = totals.setdefault(group, [0.0, 0.0])
+        total = totals.setdefault(group, [0.0, 0.0, 0, 0])
         total[0] += t_gen
         total[1] += t_iso
+        total[2] += not ran
+        total[3] += 1
     print(
         "totals: "
         + ", ".join(
             f"{group} generated_group {a * 1e3:.3f} ms is_isomorphic {b * 1e3:.3f} ms"
-            for group, (a, b) in totals.items()
+            f" diagonal chains skipped {skipped}/{n}"
+            for group, (a, b, skipped, n) in totals.items()
         )
     )
 

@@ -24,7 +24,6 @@ from kronrod.corpus import corpus_summary
 from kronrod.errors import ConstructionError, FieldError, GridCapExceeded, KronrodError
 from kronrod.errors import NotRealizable, ParseError
 from kronrod.fields import (
-    euler_check,
     export_pgm,
     is_generic,
     is_simple,
@@ -128,7 +127,7 @@ def cmd_analyze(args) -> int:
         return EXIT_INPUT
     try:
         mc = morse_counts(f)
-        euler = euler_check(f)
+        euler = mc.morse_equality(f.kind)
         g = build_reeb(f)
         shape = classify_shape(g)
         special = None

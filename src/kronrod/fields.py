@@ -7,9 +7,10 @@ the six link neighbors
 
     E (+1,0), NE (+1,+1), N (0,+1), W (-1,0), SW (-1,-1), S (0,-1)
 
-in this cyclic order.  A vertex is classified by counting sign changes of
-(neighbor value - vertex value) around the link: 0 changes is an extremum,
-2 regular, 4 a saddle, 6 a degenerate (monkey) saddle which is rejected.
+in this cyclic order.  A vertex is classified by its link code, whose bit
+k is set when link neighbor k lies above it, through a 64-entry table made
+from the sign-change rule: around the link, 0 changes is an extremum, 2
+regular, 4 a saddle, 6 a degenerate (monkey) saddle which is rejected.
 Interior vertices must differ from all their link neighbors; equal values
 are allowed only between non-adjacent vertices and on the boundary.
 """
@@ -17,6 +18,7 @@ are allowed only between non-adjacent vertices and on the boundary.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -60,6 +62,10 @@ class MorseCounts:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.c0, self.c1, self.c2)
+
+    def morse_equality(self, kind: str) -> bool:
+        """The Morse equality c0 - c1 + c2 = chi on a domain of this kind."""
+        return self.c0 - self.c1 + self.c2 == EULER[kind]
 
 
 class ScalarField:
@@ -154,47 +160,59 @@ def _validate(f: ScalarField) -> None:
             )
 
 
+# Vertex kinds by link code; 0 is a regular vertex.
+_MINIMUM, _SADDLE, _MAXIMUM, _DEGENERATE = 1, 2, 3, 4
+_CRIT_KINDS = (None, CritKind.MINIMUM, CritKind.SADDLE, CritKind.MAXIMUM)
+
+
+def _kind_of_code(code: int) -> int:
+    """The sign-change rule on a link code: a change is a bit that differs
+    from the one before it, cyclically."""
+    changes = bin(code ^ (code >> 1 | (code & 1) << 5)).count("1")
+    if changes == 0:
+        return _MINIMUM if code else _MAXIMUM
+    return {4: _SADDLE, 6: _DEGENERATE}.get(changes, 0)
+
+
+_KIND_OF_CODE = np.array([_kind_of_code(code) for code in range(64)], dtype=np.uint8)
+
+
 def classify_vertices(f: ScalarField) -> list[CriticalPoint]:
-    """Critical points of the field by the link sign-change rule."""
+    """Critical points of the field by the link sign-change rule, in
+    (value, y, x) order.  A disk's frame vertices, whose links wrap around,
+    are left unclassified.  A neighbor that ties the vertex, which only a
+    field made with `validate=False` has, reads as below it.  Raises
+    `DegenerateVertex` at the first degenerate vertex in row-major order."""
     if f._crits is not None:
         return f._crits
     vals = f.values
-    interior = ~f.boundary_mask()
-    # sign of (neighbor - vertex) around the link; only interior vertices are
-    # classified, and their links lie in the domain, so no wrap-around is read
-    sign = [(nb > vals).astype(np.int8) - (nb < vals) for nb in _link(vals)]
-    changes = sum(s != sign[k - 1] for k, s in enumerate(sign))
-    degen = interior & (changes >= 6)
+    code = np.zeros(vals.shape, dtype=np.uint8)
+    for k, nb in enumerate(_link(vals)):
+        code |= np.greater(nb, vals).view(np.uint8) << k
+    kind = _KIND_OF_CODE.take(code)
+    if f.kind == DISK:
+        kind[f.boundary_mask()] = 0
+    degen = kind == _DEGENERATE
     if degen.any():
         y, x = np.argwhere(degen)[0]
         raise DegenerateVertex(int(x), int(y))
-    crits: list[CriticalPoint] = []
-    # an extremum's neighbors all lie on one side, so its first says which
-    extremum = interior & (changes == 0)
-    maximum = extremum & (sign[0] < 0)
-    for mask, kind in (
-        (maximum, CritKind.MAXIMUM),
-        (extremum & ~maximum, CritKind.MINIMUM),
-        (interior & (changes == 4), CritKind.SADDLE),
-    ):
-        ys, xs = np.nonzero(mask)
-        crits += map(CriticalPoint, xs.tolist(), ys.tolist(), [kind] * len(xs), vals[mask].tolist())
-    crits.sort(key=lambda c: (c.value, c.y, c.x))
-    f._crits = crits
-    return crits
+    ys, xs = np.nonzero(kind)
+    values = vals[ys, xs]
+    order = np.lexsort((xs, ys, values))
+    kinds = map(_CRIT_KINDS.__getitem__, kind[ys, xs][order].tolist())
+    f._crits = list(
+        map(CriticalPoint, xs[order].tolist(), ys[order].tolist(), kinds, values[order].tolist())
+    )
+    return f._crits
 
 
 def morse_counts(f: ScalarField) -> MorseCounts:
-    crits = classify_vertices(f)
-    c0 = sum(1 for c in crits if c.kind is CritKind.MINIMUM)
-    c1 = sum(1 for c in crits if c.kind is CritKind.SADDLE)
-    c2 = sum(1 for c in crits if c.kind is CritKind.MAXIMUM)
-    return MorseCounts(c0, c1, c2)
+    counts = Counter(c.kind for c in classify_vertices(f))
+    return MorseCounts(counts[CritKind.MINIMUM], counts[CritKind.SADDLE], counts[CritKind.MAXIMUM])
 
 
 def euler_check(f: ScalarField) -> bool:
-    m = morse_counts(f)
-    return m.c0 - m.c1 + m.c2 == EULER[f.kind]
+    return morse_counts(f).morse_equality(f.kind)
 
 
 def is_generic(f: ScalarField) -> bool:

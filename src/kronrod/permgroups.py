@@ -74,17 +74,19 @@ class PermGroup:
 # ---------------------------------------------------------------------------
 
 
-def _one_orbit_per_class(gens: list[Gen]) -> list[Gen]:
-    """`gens` acting on one orbit of each isomorphism class of their orbits
-    of two or more points, its points renumbered in order.  The action stays
-    faithful: isomorphic orbits have one kernel, and a fixed point's is the
-    whole group.
+def _one_orbit_per_class(perms: list[Perm]) -> tuple[list[Gen], list[int]]:
+    """The non-identity `perms` acting on one orbit of each isomorphism class
+    of their orbits of two or more points, with the points kept, in order,
+    which the reduced generators number from 0.  The action stays faithful:
+    isomorphic orbits have one kernel, and a fixed point's is the whole
+    group.
 
     An orbit is walked breadth first from its least point, and its table
     lists, for each point in turn and each generator, the place in the walk
     of the point's image.  Orbits with one table are isomorphic, by the map
     between their walks; one that is isomorphic to a kept orbit only from
     other points stays."""
+    gens = [(p, p.tolist()) for p in perms if not _is_identity(p)]
     images = [s for _, s in gens]
     place = [-1] * (len(images[0]) if images else 0)  # in the walk of its orbit
     tables: set[tuple[int, ...]] = set()
@@ -103,11 +105,12 @@ def _one_orbit_per_class(gens: list[Gen]) -> list[Gen]:
         if len(orbit) > 1 and tuple(table) not in tables:
             tables.add(tuple(table))
             points += orbit
+    points.sort()
     if len(points) == len(place):
-        return gens
-    renumber = {x: k for k, x in enumerate(sorted(points))}  # in the order of the points
-    reduced = [[renumber[s[x]] for x in renumber] for s in images]
-    return [(np.array(s, dtype=np.intp), s) for s in reduced]
+        return gens, points
+    renumber = {x: k for k, x in enumerate(points)}
+    reduced = [[renumber[s[x]] for x in points] for s in images]
+    return [(np.array(s, dtype=np.intp), s) for s in reduced], points
 
 
 def _transversal(reps: dict[int, Perm], gens: list[Gen], new: int = 0) -> None:
@@ -123,9 +126,9 @@ def _transversal(reps: dict[int, Perm], gens: list[Gen], new: int = 0) -> None:
                 queue.append(images[x])
 
 
-def _basic_orbit_lengths(perms: list[Perm], bound: Optional[int] = None) -> list[int]:
-    """Lengths of the basic orbits of a stabilizer chain of <perms>, acting
-    on one orbit of each isomorphism class.  The scan stops once their
+def _basic_orbit_lengths(gens: list[Gen], bound: Optional[int] = None) -> list[int]:
+    """Lengths of the basic orbits of a stabilizer chain of <gens>, the
+    generators that `_one_orbit_per_class` reduced.  The scan stops once their
     product reaches `bound`, an upper bound on the order: the chain's
     product never exceeds the order, so it then equals it.
 
@@ -147,7 +150,6 @@ def _basic_orbit_lengths(perms: list[Perm], bound: Optional[int] = None) -> list
     the base point, which is its own Schreier generator there, and it is
     not sifted.
     """
-    gens = _one_orbit_per_class([(p, p.tolist()) for p in perms if not _is_identity(p)])
     one = identity(len(gens[0][1]) if gens else 0)
     base: list[int] = []
     strong: list[list[Gen]] = []
@@ -218,7 +220,7 @@ def _basic_orbit_lengths(perms: list[Perm], bound: Optional[int] = None) -> list
 def group_order(g: PermGroup) -> int:
     """Order of `g`, computed once and kept in `g.order`."""
     if g.order is None:
-        g.order = prod(_basic_orbit_lengths(g.generators))
+        g.order = prod(_basic_orbit_lengths(_one_orbit_per_class(g.generators)[0]))
     return g.order
 
 
@@ -304,17 +306,28 @@ class Pairing:
 def is_isomorphic(g: PermGroup, h: PermGroup) -> Pairing:
     """Does the i-th non-identity generator of `g` -> the i-th of `h` extend
     to an isomorphism?  A shorter list is padded with identities, so a
-    missing generator maps to (or from) the identity.  The chain of a side
-    whose order is unknown stops at the diagonal's order, and the order is
-    kept."""
+    missing generator maps to (or from) the identity.
+
+    The diagonal's generators are reduced once, and the diagonal acts
+    faithfully on the points the reduction keeps.  When these all lie in
+    g's points, an element that fixes g's points fixes them too and is the
+    identity, so the projection onto <g> is injective and |diagonal| =
+    |<g>|: `group_order(g)`, which `generated_group` has already computed
+    in a verify, is taken and no diagonal chain runs.  Otherwise the chain
+    runs on the reduced generators.  The chain of a side whose order is
+    still unknown stops at the diagonal's order, and the order is kept."""
     gs = [p for p in g.generators if not _is_identity(p)]
     hs = [q for q in h.generators if not _is_identity(q)]
     k = max(len(gs), len(hs))
     gs += [identity(g.degree)] * (k - len(gs))
     hs += [identity(h.degree)] * (k - len(hs))
-    pairs = [np.concatenate([p, q + g.degree]) for p, q in zip(gs, hs)]
-    diagonal = prod(_basic_orbit_lengths(pairs))
+    pairs, kept = _one_orbit_per_class([np.concatenate([p, q + g.degree]) for p, q in zip(gs, hs)])
+    if not kept or kept[-1] < g.degree:
+        diagonal = group_order(g)
+    else:
+        diagonal = prod(_basic_orbit_lengths(pairs))
     for side in (g, h):
         if side.order is None:
-            side.order = prod(_basic_orbit_lengths(side.generators, diagonal))
+            gens, _ = _one_orbit_per_class(side.generators)
+            side.order = prod(_basic_orbit_lengths(gens, diagonal))
     return Pairing(g.order, h.order, diagonal)

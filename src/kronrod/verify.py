@@ -24,7 +24,7 @@ from kronrod.auts import (
     value_preserving_auts,
 )
 from kronrod.errors import AutOverflow, KronrodError
-from kronrod.fields import ScalarField, euler_check, is_simple, morse_counts
+from kronrod.fields import ScalarField, is_simple, morse_counts
 from kronrod.permgroups import is_isomorphic, perm_rep, rep_degree
 from kronrod.records import ConstructionRecord, check_record_against_field
 from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
@@ -60,10 +60,10 @@ def graph_free_checks(f: ScalarField, rec: ConstructionRecord) -> VerificationRe
     """The contract's checks that need no graph: `euler` and `record_exactness`."""
     report = VerificationReport()
     # every field that classifies has c0 - c1 + c2 = chi; the counts can differ
-    counts = morse_counts(f).as_tuple()
-    designed = tuple(rec.designed_counts)
+    found = morse_counts(f)
+    counts, designed = found.as_tuple(), tuple(rec.designed_counts)
     detail = f"counts {counts}" + (f" != designed {designed}" if designed != counts else "")
-    report.add("euler", euler_check(f) and designed == counts, detail)
+    report.add("euler", found.morse_equality(f.kind) and designed == counts, detail)
 
     try:
         check_record_against_field(rec, f)

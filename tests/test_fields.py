@@ -16,6 +16,7 @@ from kronrod.fields import (
     morse_counts,
     save_field,
 )
+from kronrod import fields
 from kronrod.fields import _link
 from kronrod.terms import Triv, Wr
 
@@ -81,8 +82,20 @@ class TestClassify:
         ):
             vals[4 + dy, 4 + dx] = v
         f = ScalarField("disk", vals, validate=False)
-        with pytest.raises(DegenerateVertex):
+        with pytest.raises(DegenerateVertex) as exc:
             classify_vertices(f)
+        assert exc.value.vertex == (4, 4)
+
+    def test_a_tie_reads_as_below(self):
+        """An interior tie, which only an unvalidated field has, reads as
+        below from both sides: the bump's top and its tied east neighbor are
+        both maxima, while in the pit the tied pair are both regular."""
+        vals = bump_disk().values.copy()
+        vals[5, 6] = vals[5, 5]
+        bump = ScalarField("disk", vals, validate=False)
+        got = [(c.x, c.y, c.kind, c.value) for c in classify_vertices(bump)]
+        assert got == [(5, 5, CritKind.MAXIMUM, 1.0), (6, 5, CritKind.MAXIMUM, 1.0)]
+        assert classify_vertices(ScalarField("disk", -vals, validate=False)) == []
 
     def test_shift_and_scale_invariance(self):
         f = bump_disk()
@@ -104,6 +117,76 @@ class TestClassify:
         rolled = ScalarField("torus", np.roll(vals, (-3, -5), axis=(0, 1)))
         moved = {((c.x + 5) % size, (c.y + 3) % size, c.kind) for c in classify_vertices(rolled)}
         assert moved == ref
+
+
+def sign_change_kind(above):
+    """The kind by the sign-change rule on the six link neighbors, given
+    whether each lies above the vertex: None for a regular vertex and
+    "degenerate" for a monkey saddle."""
+    changes = sum(a != b for a, b in zip(above, above[1:] + above[:1]))
+    if changes == 0:
+        return CritKind.MINIMUM if above[0] else CritKind.MAXIMUM
+    return {4: CritKind.SADDLE, 6: "degenerate"}.get(changes)
+
+
+def classify_by_hand(f):
+    """`classify_vertices` vertex by vertex, each neighbor read at
+    ((x + dx) mod w, (y + dy) mod h): the critical points as (x, y, kind,
+    value) in (value, y, x) order, or the row-major first degenerate vertex."""
+    vals, h, w = f.values.tolist(), f.height, f.width
+    frame = 1 if f.kind == "disk" else 0
+    crits = []
+    for y in range(frame, h - frame):
+        for x in range(frame, w - frame):
+            above = [vals[(y + dy) % h][(x + dx) % w] > vals[y][x] for dx, dy in LINK_OFFSETS]
+            kind = sign_change_kind(above)
+            if kind == "degenerate":
+                return (x, y)
+            if kind is not None:
+                crits.append((vals[y][x], y, x, kind))
+    return [(x, y, kind, v) for v, y, x, kind in sorted(crits, key=lambda c: c[:3])]
+
+
+def test_kind_table_follows_the_sign_change_rule():
+    """All 64 link codes: bit k set when link neighbor k lies above."""
+    names = dict(enumerate(fields._CRIT_KINDS)) | {fields._DEGENERATE: "degenerate"}
+    for code in range(64):
+        want = sign_change_kind([bool(code >> k & 1) for k in range(6)])
+        assert names[int(fields._KIND_OF_CODE[code])] == want, code
+    assert fields._KIND_OF_CODE.tolist().count(fields._DEGENERATE) == 2  # 0b010101, 0b101010
+
+
+@pytest.mark.parametrize("kind", ["torus", "disk"])
+def test_classify_matches_a_vertex_by_vertex_read(kind):
+    """Seeded smooth and rough fields, w != h and some tiled 2 x 2, against
+    `classify_by_hand`; both critical point lists and degenerate vertices
+    occur."""
+    rng = np.random.default_rng(11)
+    outcomes = {"crits": 0, "degenerate": 0}
+    for trial in range(24):
+        h, w = rng.integers(8, 20, size=2)
+        if trial % 2:
+            vals = rng.random((h, w))
+        else:
+            ys, xs = np.arange(h)[:, None] * (2 * np.pi / h), np.arange(w) * (2 * np.pi / w)
+            waves = [(a, b, *rng.uniform(0, 6, size=2)) for a in (1, 2) for b in (1, 2)]
+            vals = sum(np.cos(a * xs + p) * np.cos(b * ys + q) / (a + b) for a, b, p, q in waves)
+            vals = fix_ties(vals, "torus")
+            if trial % 4 == 0:  # equal critical values, ordered by y and then x
+                vals = np.tile(vals, (2, 2))
+        if kind == "disk":
+            vals = np.pad(vals[1:-1, 1:-1] - vals.min() + 1.0, 1)
+        f = ScalarField(kind, vals, validate=False)
+        want = classify_by_hand(f)
+        if isinstance(want, tuple):
+            outcomes["degenerate"] += 1
+            with pytest.raises(DegenerateVertex) as exc:
+                classify_vertices(f)
+            assert exc.value.vertex == want
+        else:
+            outcomes["crits"] += 1
+            assert [(c.x, c.y, c.kind, c.value) for c in classify_vertices(f)] == want
+    assert min(outcomes.values()) >= 3, outcomes
 
 
 class TestInvariants:

@@ -246,8 +246,9 @@ class TestOneOrbitPerClass:
         t = parse_term("wr2(prod(1,1,1,1),16,17)")
         g = perm_rep(t)
         assert g.degree == 17_408
-        (p, images), *_ = permgroups._one_orbit_per_class([(p, p.tolist()) for p in g.generators])
+        ((p, images), *_), kept = permgroups._one_orbit_per_class(g.generators)
         assert len(p) == len(images) == 4_352
+        assert kept == list(range(0, 17_408, 4))  # the first point of every block
         assert group_order(g) == order(t) == 4_352
 
 
@@ -269,15 +270,15 @@ class TestBoundedChains:
     until its orbit lengths multiply to the diagonal's order."""
 
     def test_bound_stops_the_scan(self, monkeypatch):
-        (c,) = perm_rep(Wr(Triv(), 8)).generators
+        gens, _ = permgroups._one_orbit_per_class(perm_rep(Wr(Triv(), 8)).generators)
         calls = []
         compose_ = permgroups.compose
         monkeypatch.setattr(permgroups, "compose", lambda p, q: calls.append(1) or compose_(p, q))
-        assert permgroups._basic_orbit_lengths([c]) == [8]
+        assert permgroups._basic_orbit_lengths(gens) == [8]
         unbounded, calls[:] = len(calls), []
-        assert permgroups._basic_orbit_lengths([c], 8) == [8]
+        assert permgroups._basic_orbit_lengths(gens, 8) == [8]
         assert len(calls) == 7 < unbounded  # the transversal only
-        assert permgroups._basic_orbit_lengths([c], 16) == [8]  # never reached
+        assert permgroups._basic_orbit_lengths(gens, 16) == [8]  # never reached
         assert len(calls) == 7 + unbounded
 
     def test_orders_match_sympy(self):
@@ -326,7 +327,25 @@ class TestBoundedChains:
         )
         iso = is_isomorphic(g, perm_rep(Wr(Wr(Triv(), 2), 3)))
         assert iso and (iso.g, iso.h, iso.diagonal) == (24, 24, 24)
-        assert seen == [(), (24,)]  # the diagonal, then the term side bounded by it
+        # the reduced diagonal keeps g's points only, so its order is g's
+        # and no diagonal chain runs; the term side is bounded by it
+        assert seen == [(24,)]
+
+    def test_diagonal_chain_runs_on_points_of_both_sides(self, monkeypatch):
+        """Z4 paired with Z2: the diagonal's orbits on the two sides are not
+        isomorphic, so it keeps points of both and its chain runs, on the
+        reduced generators, before both sides' chains bounded by it."""
+        g, h = perm_rep(Wr(Triv(), 4)), perm_rep(Wr(Triv(), 2))
+        seen = []
+        lengths = permgroups._basic_orbit_lengths
+        monkeypatch.setattr(
+            permgroups,
+            "_basic_orbit_lengths",
+            lambda gens, *a: seen.append((len(gens[0][1]), *a)) or lengths(gens, *a),
+        )
+        iso = is_isomorphic(g, h)
+        assert not iso and (iso.g, iso.h, iso.diagonal) == (4, 2, 4)
+        assert seen == [(6,), (4, 4), (2, 4)]  # points acted on, then the bound
 
 
 class TestIsomorphism:

@@ -56,7 +56,7 @@ def test_build_cost_one_rep():
     for line in lines[:-1]:
         m = re.fullmatch(
             r"(corpus|circuit|fields) +(\S+) +grid +(\d+)x(\d+) +triangles +(\d+) +cuts +(\d+)"
-            r" +nodes +(\d+) +build +(\d+\.\d{3}) ms",
+            r" +nodes +(\d+) +classify +(\d+\.\d{3}) ms +build +(\d+\.\d{3}) ms",
             line,
         )
         assert m, line
@@ -79,7 +79,7 @@ def test_group_cost_one_rep():
         m = re.fullmatch(
             r"(corpus|circuit) +(\S+) +generated +(\d+) pts order +(\d+) +term +(\d+) pts order"
             r" +(\d+) +diagonal +(\d+) pts order +(\d+) +generated_group +(\d+\.\d{3}) ms"
-            r" +is_isomorphic +(\d+\.\d{3}) ms",
+            r" +is_isomorphic +(\d+\.\d{3}) ms +diagonal chain (ran|skipped)",
             line,
         )
         assert m, line
@@ -88,6 +88,8 @@ def test_group_cost_one_rep():
         assert g_order == h_order == d_order and d_pts == g_pts + h_pts, line
         groups.append(m[1])
     assert groups == ["corpus"] * 26 + ["circuit"] * 5
-    total = r"totals: corpus generated_group \d+\.\d{3} ms is_isomorphic \d+\.\d{3} ms, "
-    total += r"circuit generated_group \d+\.\d{3} ms is_isomorphic \d+\.\d{3} ms"
+    # every pairing's reduced diagonal keeps the generated group's points only
+    total = r"totals: corpus generated_group \d+\.\d{3} ms is_isomorphic \d+\.\d{3} ms"
+    total += r" diagonal chains skipped 26/26, circuit generated_group \d+\.\d{3} ms"
+    total += r" is_isomorphic \d+\.\d{3} ms diagonal chains skipped 5/5"
     assert re.fullmatch(total, lines[-1]), lines[-1]
