@@ -17,9 +17,8 @@ triangle, witness or slab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2
 DEFAULT_AUT_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class GraphAut:
+class GraphAut(NamedTuple):
     """Automorphism of a Reeb graph: permutations of vertex and edge ids."""
 
     vperm: tuple[int, ...]
@@ -64,12 +62,14 @@ def validate_graph_aut(g: ReebGraph, aut: GraphAut) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AutGroup:
     """Full f-hat-preserving automorphism group of a Reeb graph, by its order;
     its elements are the pairs of permutations `validate_graph_aut` accepts."""
 
-    order: int
+    __slots__ = ("order",)
+
+    def __init__(self, order: int):
+        self.order = order
 
 
 def _hanging_forms(

@@ -32,7 +32,6 @@ field symmetries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -63,17 +62,23 @@ def _check_grid(w: int, h: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Layout:
     """Integer x-profile of a disk realization plus its slot structure."""
 
-    term: GroupTerm
-    kind: str  # "triv" | "prod" | "wrc"
-    cols: list[int]
-    peak: int
-    counts: tuple[int, int, int]
-    slots: list[tuple[int, int, GroupTerm]] = field(default_factory=list)  # start, width, term
-    gens: list[list[tuple[int, int]]] = field(default_factory=list)  # cycles of (start, width)
+    __slots__ = ("term", "kind", "cols", "peak", "counts", "slots", "gens")
+
+    def __init__(
+        self,
+        term: GroupTerm,
+        kind: str,  # "triv" | "prod" | "wrc"
+        cols: list[int],
+        peak: int,
+        counts: tuple[int, int, int],
+        slots: list[tuple[int, int, GroupTerm]],  # start, width, term
+        gens: list[list[tuple[int, int]]],  # cycles of (start, width)
+    ):
+        self.term, self.kind, self.cols, self.peak, self.counts = term, kind, cols, peak, counts
+        self.slots, self.gens = slots, gens
 
 
 def _shift_gens(gens: list[list[tuple[int, int]]], offset: int) -> list[list[tuple[int, int]]]:
@@ -93,7 +98,7 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
     widths only grow up the recursion, and no layout is built wider than the
     cap allows."""
     if isinstance(t, Triv):
-        return Layout(t, "triv", list(_TRIV_CORE), 13, (0, 0, 1))
+        return Layout(t, "triv", list(_TRIV_CORE), 13, (0, 0, 1), [], [])
     if isinstance(t, Wr) and t.n == 1:
         return build_layout(t.base, simple)
     if isinstance(t, Wr):

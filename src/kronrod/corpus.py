@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +24,11 @@ from kronrod.terms import parse_term
 from kronrod.verify import VerificationReport, verify_realization
 
 
-@dataclass
 class CorpusMember:
-    label: str
-    case: str
-    base: str
-    n: int
-    m: int
+    __slots__ = ("label", "case", "base", "n", "m")
+
+    def __init__(self, label: str, case: str, base: str, n: int, m: int):
+        self.label, self.case, self.base, self.n, self.m = label, case, base, n, m
 
 
 def corpus_grid() -> list[CorpusMember]:

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,16 +45,14 @@ class CritKind(str, Enum):
     MAXIMUM = "maximum"
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     x: int
     y: int
     kind: CritKind
     value: float
 
 
-@dataclass(frozen=True)
-class MorseCounts:
+class MorseCounts(NamedTuple):
     c0: int  # minima
     c1: int  # saddles
     c2: int  # maxima

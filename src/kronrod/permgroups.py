@@ -18,9 +18,8 @@ there with the exact order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,24 +48,31 @@ def _is_identity(p: Perm) -> bool:
     return p.tobytes() == identity(len(p)).tobytes()
 
 
-@dataclass
 class PermGroup:
     """Permutation group on {0, ..., degree-1} given by generators, which
     may be passed as any integer sequences and are kept as intp arrays."""
 
-    degree: int
-    generators: list[Perm]
-    order: Optional[int] = None
+    __slots__ = ("degree", "generators", "order")
 
-    def __post_init__(self):
-        given, self.generators = self.generators, []
-        for g in map(np.asarray, given):
-            if g.dtype.kind in "iu" and g.shape == (self.degree,):
+    def __init__(self, degree: int, generators: Iterable, order: Optional[int] = None):
+        self.degree, self.generators, self.order = degree, [], order
+        for g in map(np.asarray, generators):
+            if g.dtype.kind in "iu" and g.shape == (degree,):
                 g = g.astype(np.intp, copy=False)
-                if (np.sort(g) == identity(self.degree)).all():
+                if _hits_each_point(g):
                     self.generators.append(g)
                     continue
-            raise ValueError(f"generator {g} is not a permutation of degree {self.degree}")
+            raise ValueError(f"generator {g} is not a permutation of degree {degree}")
+
+
+def _hits_each_point(g: Perm) -> bool:
+    """Is each of the points 0, ..., len(g)-1 an image of `g`, once?  Counts
+    the images, with any past the last point counted at len(g)."""
+    try:
+        hits = np.bincount(np.minimum(g, len(g)), minlength=len(g) + 1)
+    except ValueError:  # a negative image
+        return False
+    return np.count_nonzero(hits[:-1]) == len(g)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +257,7 @@ def perm_rep(t: GroupTerm) -> PermGroup:
     order the constructions list their symmetries: at every Wr / Wr2 the
     block translations first, then the base generators acting on block 0.
     """
-    return PermGroup(rep_degree(t), _gens(t))
+    return PermGroup(*_gens(t))
 
 
 def _embed(gen: Perm, offset: int, degree: int) -> Perm:
@@ -261,22 +267,28 @@ def _embed(gen: Perm, offset: int, degree: int) -> Perm:
     return p
 
 
-def _gens(t: GroupTerm) -> list[Perm]:
-    degree = rep_degree(t)
+def _gens(t: GroupTerm) -> tuple[int, list[Perm]]:
+    """`rep_degree(t)` and the generators of `perm_rep(t)`, with each
+    subterm's degree worked out once."""
     if isinstance(t, Prod):
-        out, offset = [], 0
-        for f in t.factors:
-            out += [_embed(gen, offset, degree) for gen in _gens(f)]
-            offset += rep_degree(f)
-        return out
+        parts = [_gens(f) for f in t.factors]
+        degree, out, offset = sum(d for d, _ in parts), [], 0
+        for d, gens in parts:
+            out += [_embed(gen, offset, degree) for gen in gens]
+            offset += d
+        return degree, out
     if isinstance(t, (Wr, Wr2)):
-        d, k = rep_degree(t.base), identity(degree)
-        row = degree if isinstance(t, Wr) else t.m * t.n * d  # points in one row of blocks
+        d, gens = _gens(t.base)
+        row = t.n * d if isinstance(t, Wr) else t.m * t.n * d  # points in one row of blocks
+        degree = row if isinstance(t, Wr) else t.n * row
+        k = identity(degree)
         out = [(k + row) % degree] if row < degree else []  # Wr2's (1, 0): the next row
         if row > d:  # (0, 1): the next block within a row
             out.append(k - k % row + (k % row + d) % row)
-        return out + [_embed(gen, 0, degree) for gen in _gens(t.base)]
-    return []
+        return degree, out + [_embed(gen, 0, degree) for gen in gens]
+    if isinstance(t, Triv):
+        return 1, []
+    raise TypeError(f"not a GroupTerm: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +296,7 @@ def _gens(t: GroupTerm) -> list[Perm]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(NamedTuple):
     """The three orders behind the pairing g_i -> h_i; truthy when it
     extends to an isomorphism.
 

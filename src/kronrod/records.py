@@ -16,9 +16,8 @@ Symmetries are self-contained cell-level maps:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from kronrod.fields import ScalarField
 from kronrod.terms import GroupTerm, json_int, term_from_json, term_to_json
 
 
-@dataclass(frozen=True)
-class GridTranslation:
+class GridTranslation(NamedTuple):
     dx: int
     dy: int
 
@@ -36,8 +34,7 @@ class GridTranslation:
         return {"kind": "translation", "dx": self.dx, "dy": self.dy}
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     """Axis-aligned vertex rectangle [x0, x0+w) x [y0, y0+h), wrapped on a torus."""
 
     x0: int
@@ -49,8 +46,7 @@ class Rect:
         return [self.x0, self.y0, self.w, self.h]
 
 
-@dataclass(frozen=True)
-class RectCycle:
+class RectCycle(NamedTuple):
     rects: tuple[Rect, ...]
 
     def to_json(self) -> dict:
@@ -68,19 +64,18 @@ def symmetry_from_json(obj: dict) -> SymmetrySpec:
     raise ValueError(f"unknown symmetry kind {obj.get('kind')!r}")
 
 
-@dataclass
 class Slot:
-    """A rectangle of grid vertices carrying one sub-construction copy."""
+    """A rectangle of grid vertices carrying one sub-construction copy of `term`."""
 
-    rect: Rect
-    orbit: int
-    term: GroupTerm  # group term realized inside the slot
+    __slots__ = ("rect", "orbit", "term")
+
+    def __init__(self, rect: Rect, orbit: int, term: GroupTerm):
+        self.rect, self.orbit, self.term = rect, orbit, term
 
     def to_json(self) -> dict:
         return {"rect": self.rect.to_json(), "orbit": self.orbit, "term": term_to_json(self.term)}
 
 
-@dataclass
 class ConstructionRecord:
     """What was built and which symmetries it promises.
 
@@ -90,17 +85,34 @@ class ConstructionRecord:
     wreath recursion in `kronrod.auts.record_term`.
     """
 
-    case: str
-    term: GroupTerm  # the normalized term the construction realizes
-    base: GroupTerm  # the sub-term painted into each band / square (Triv when none)
-    n: int
-    m: int
-    width: int
-    height: int
-    designed_counts: tuple[int, int, int]  # (minima, saddles, maxima) the design promises
-    slots: list[Slot] = field(default_factory=list)
-    symmetries: list[SymmetrySpec] = field(default_factory=list)
-    disk_layout: Optional[str] = None  # "triv" | "prod" | "wrc" for disk records
+    __slots__ = (
+        "case", "term", "base", "n", "m", "width", "height", "designed_counts",
+        "slots", "symmetries", "disk_layout",
+    )
+
+    def __init__(
+        self,
+        case: str,
+        term: GroupTerm,  # the normalized term the construction realizes
+        base: GroupTerm,  # the sub-term painted into each band / square (Triv when none)
+        n: int,
+        m: int,
+        width: int,
+        height: int,
+        designed_counts: tuple[int, int, int],  # (minima, saddles, maxima) the design promises
+        slots: Optional[list[Slot]] = None,
+        symmetries: Optional[list[SymmetrySpec]] = None,
+        disk_layout: Optional[str] = None,  # "triv" | "prod" | "wrc" for disk records
+    ):
+        self.case, self.term, self.base, self.n, self.m = case, term, base, n, m
+        self.width, self.height, self.designed_counts = width, height, designed_counts
+        self.slots = [] if slots is None else slots
+        self.symmetries = [] if symmetries is None else symmetries
+        self.disk_layout = disk_layout
+
+    def replace(self, **changes: Any) -> "ConstructionRecord":
+        """A copy with the named fields changed; the others are shared."""
+        return ConstructionRecord(**{k: getattr(self, k) for k in self.__slots__} | changes)
 
     def to_json(self) -> bytes:
         doc = {

@@ -31,7 +31,6 @@ a slab and how they join, for the build and for the push's `slab_roots`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -155,28 +154,23 @@ def _label(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ReebVertex:
-    id: int
-    value: float
-    crits: list[CriticalPoint]
-    boundary: bool = False
+    __slots__ = ("id", "value", "crits", "boundary")
+
+    def __init__(self, id: int, value: float, crits: list[CriticalPoint], boundary: bool = False):
+        self.id, self.value, self.crits, self.boundary = id, value, crits, boundary
 
 
-@dataclass
 class ReebEdge:
-    id: int
-    u: int
-    v: int
-    lo: float
-    hi: float
-    # smallest triangle of the edge's lowest component in the slab between
+    # `witness`: smallest triangle of the edge's lowest component in the slab between
     # consecutive cut values that holds lo, -1 on a graph without a triangulation
-    witness: int = -1
+    __slots__ = ("id", "u", "v", "lo", "hi", "witness")
+
+    def __init__(self, id: int, u: int, v: int, lo: float, hi: float, witness: int = -1):
+        self.id, self.u, self.v, self.lo, self.hi, self.witness = id, u, v, lo, hi, witness
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     betti1: int
     shape: str  # "tree" | "circuit"
     cycle_vertices: tuple[int, ...] = ()

@@ -18,29 +18,46 @@ the recursive disk construction, ``tree_realizable`` / ``circuit_realizable``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from kronrod.errors import ParseError
 
 
 class GroupTerm:
-    """Base class; concrete terms are Triv, Prod, Wr, Wr2."""
+    """Base class; concrete terms are Triv, Prod, Wr, Wr2.  A term is
+    immutable, and equals a term of its own type with equal fields only."""
 
     __slots__ = ()
 
+    def _set(self, *values: Any) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
-@dataclass(frozen=True)
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
 class Triv(GroupTerm):
     __slots__ = ()
 
-    def __repr__(self) -> str:
-        return "Triv()"
 
-
-@dataclass(frozen=True)
 class Prod(GroupTerm):
-    factors: tuple[GroupTerm, ...]
+    __slots__ = ("factors",)
 
     def __init__(self, *factors: GroupTerm):
         if not factors:
@@ -48,41 +65,36 @@ class Prod(GroupTerm):
         for f in factors:
             if not isinstance(f, GroupTerm):
                 raise TypeError(f"Prod factor {f!r} is not a GroupTerm")
-        object.__setattr__(self, "factors", factors)
+        self._set(factors)
 
     def __repr__(self) -> str:
         return f"Prod({', '.join(map(repr, self.factors))})"
 
 
-@dataclass(frozen=True)
 class Wr(GroupTerm):
-    base: GroupTerm
-    n: int
+    __slots__ = ("base", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.base, GroupTerm):
+    def __init__(self, base: GroupTerm, n: int):
+        if not isinstance(base, GroupTerm):
             raise TypeError("Wr base must be a GroupTerm")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"Wr index must be a positive integer, got {self.n}")
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"Wr index must be a positive integer, got {n}")
+        self._set(base, n)
 
 
-@dataclass(frozen=True)
 class Wr2(GroupTerm):
-    base: GroupTerm
-    n: int
-    m: int
+    __slots__ = ("base", "n", "m")
 
-    def __post_init__(self):
-        if not isinstance(self.base, GroupTerm):
+    def __init__(self, base: GroupTerm, n: int, m: int):
+        if not isinstance(base, GroupTerm):
             raise TypeError("Wr2 base must be a GroupTerm")
-        for name in ("n", "m"):
-            v = getattr(self, name)
+        for name, v in (("n", n), ("m", m)):
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"Wr2 index {name} must be a positive integer, got {v}")
+        self._set(base, n, m)
 
 
-@dataclass(frozen=True)
-class ClassFlags:
+class ClassFlags(NamedTuple):
     """Membership of a normalized term in the realizable classes."""
 
     disk_realizable: bool  # products and cyclic wreaths only

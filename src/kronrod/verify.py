@@ -13,8 +13,7 @@ counted independently from canonical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from kronrod.auts import (
     DEFAULT_AUT_CAP,
@@ -31,8 +30,7 @@ from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
 from kronrod.terms import GroupTerm, format_term, normalize, order
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -41,9 +39,11 @@ class CheckResult:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Optional[list[CheckResult]] = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -136,6 +136,14 @@ class TestRecordJson:
         with pytest.raises(InvalidField):
             check_record_against_field(rec, tampered)
 
+    def test_symmetry_failure_names_the_symmetry(self):
+        """The message quotes the symmetry's repr, and `verify` reports it."""
+        f, rec = realize_torus_circuit(Wr(Triv(), 3), 2)
+        rec.symmetries = [GridTranslation(1, 0), *rec.symmetries]
+        text = r"field is not invariant under GridTranslation\(dx=1, dy=0\)"
+        with pytest.raises(InvalidField, match=f"^{text}$"):
+            check_record_against_field(rec, f)
+
 
 class TestGridCap:
     def test_cap(self, monkeypatch):

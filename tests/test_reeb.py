@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -597,7 +596,7 @@ class TestShape:
         rep = classify_shape(g)
         assert classify_shape(g) is rep
         assert rep.shape == "circuit" and len(rep.cycle_edges) == 2 * n
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rep.cycle_edges = ()
         tree = build_reeb(realize_torus_tree(Triv(), 1, 1)[0])
         assert classify_shape(tree) is classify_shape(tree)

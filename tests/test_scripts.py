@@ -93,3 +93,16 @@ def test_group_cost_one_rep():
     total += r" diagonal chains skipped 26/26, circuit generated_group \d+\.\d{3} ms"
     total += r" is_isomorphic \d+\.\d{3} ms diagonal chains skipped 5/5"
     assert re.fullmatch(total, lines[-1]), lines[-1]
+
+
+def test_import_cost_two_imports():
+    before = {p: p.stat().st_mtime_ns for p in (ROOT / "src").rglob("*")}
+    proc = run_script("import_cost.py", "--n", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    ms = r" +median +(\d+\.\d\d) ms +quartiles +(\d+\.\d\d) \.\. +(\d+\.\d\d) ms +\(2 imports\)"
+    for line, mode in zip(lines, ("bytecode off", "bytecode cached"), strict=True):
+        m = re.fullmatch(mode + ms, line)
+        assert m and float(m[2]) <= float(m[1]) <= float(m[3]), line
+    # the bytecode of both modes is kept outside the checkout
+    assert {p: p.stat().st_mtime_ns for p in (ROOT / "src").rglob("*")} == before

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ def failing(report):
 
 def _add_a_minimum(f, rec):
     c0, c1, c2 = rec.designed_counts
-    return f, replace(rec, designed_counts=(c0 + 1, c1, c2)), None
+    return f, rec.replace(designed_counts=(c0 + 1, c1, c2)), None
 
 
 def _nudge_slot(f, rec):
@@ -41,7 +40,7 @@ def _nudge_slot(f, rec):
 
 
 def _shift_one_column(f, rec):
-    return f, replace(rec, symmetries=[GridTranslation(1, 0), *rec.symmetries[1:]]), None
+    return f, rec.replace(symmetries=[GridTranslation(1, 0), *rec.symmetries[1:]]), None
 
 
 # One edit of circuit `wr(1,3)` at n = 2 per check, with every check it fails.
@@ -51,17 +50,17 @@ MUTATIONS = {
     "designed-count": (_add_a_minimum, {"euler"}),
     "slot-value": (_nudge_slot, {"record_exactness"}),
     "tree-case": (
-        lambda f, rec: (f, replace(rec, case="tree"), None),
+        lambda f, rec: (f, rec.replace(case="tree"), None),
         {"shape", "special_vertex", "structural_term", "group_isomorphism"},
     ),
-    "simple-case": (lambda f, rec: (f, replace(rec, case="simple"), None), {"simple"}),
+    "simple-case": (lambda f, rec: (f, rec.replace(case="simple"), None), {"simple"}),
     "one-column-shift": (_shift_one_column, {"record_exactness", "induced_automorphisms"}),
     "other-term": (
         lambda f, rec: (f, rec, parse_term("wr(1,4)")),
         {"structural_term", "generated_order"},
     ),
     "dropped-band-shift": (
-        lambda f, rec: (f, replace(rec, symmetries=rec.symmetries[1:]), None),
+        lambda f, rec: (f, rec.replace(symmetries=rec.symmetries[1:]), None),
         {"generated_order", "group_isomorphism"},
     ),
 }
