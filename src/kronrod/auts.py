@@ -192,17 +192,11 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
 
 
 def generated_group(g: ReebGraph, gens: Iterable[GraphAut]) -> PermGroup:
-    """Permutation group generated by graph automorphisms, with its order
-    computed.  It acts on the vertex ids, then on the parallel pair of a
-    circuit of length two.
-
-    The action is faithful: no other two edges share both ends, so every
-    other edge goes wherever its ends go."""
-    nv = g.n_vertices
-    pair = g.parallel_pair() or ()
-    point = {e: nv + k for k, e in enumerate(pair)}
-    perms = [np.array(a.vperm + tuple([point[a.eperm[e]] for e in pair]), np.intp) for a in gens]
-    group = PermGroup(degree=nv + len(pair), generators=perms)
+    """Permutation group generated by graph automorphisms, acting on the edge
+    ids, with its order computed.  The action is faithful: the ends of an
+    edge have different values, so an automorphism that fixes every edge
+    fixes every vertex of the connected graph."""
+    group = PermGroup(g.n_edges, [a.eperm for a in gens])
     group_order(group)
     return group
 

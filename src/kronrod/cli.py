@@ -33,7 +33,7 @@ from kronrod.fields import (
 )
 from kronrod.records import ConstructionRecord
 from kronrod.reeb import build_reeb, classify_shape, export_dot, export_json, find_special_vertex
-from kronrod.terms import GroupTerm, Wr, Wr2, class_of, format_term, normalize, parse_term
+from kronrod.terms import GroupTerm, Wr, Wr2, format_term, parse_term
 from kronrod.verify import graph_free_checks, verify_realization
 
 EXIT_OK = 0
@@ -61,16 +61,13 @@ def _save(out: Path, files: dict[str, bytes]) -> bool:
 
 def _split_case_term(term: GroupTerm, case: str, n: int | None, m: int | None):
     """Resolve the construction base and indices from a term and flags; the
-    disk case takes the whole term."""
+    disk case, and a circuit or simple term that is no wreath, take it whole."""
     if case == "circuit" or case == "simple":
         if n is not None:
             return term, n, 1
         if isinstance(term, Wr):
             return term.base, term.n, 1
-        if class_of(normalize(term)).disk_realizable:
-            return term, 1, 1
-        raise NotRealizable(f"{format_term(term)} has no top-level cyclic wreath")
-    if case == "tree":
+    elif case == "tree":
         if isinstance(term, Wr2):
             for flag, given, own in (("--n", n, term.n), ("--m", m, term.m)):
                 if given is not None and given != own:
@@ -78,9 +75,7 @@ def _split_case_term(term: GroupTerm, case: str, n: int | None, m: int | None):
             return term.base, term.n, term.m
         if n is not None and m is not None:
             return term, n, m
-        raise NotRealizable(
-            "tree case needs a top-level wr2 term or explicit --n and --m"
-        )
+        raise NotRealizable("tree case needs a top-level wr2 term or explicit --n and --m")
     return term, 1, 1
 
 

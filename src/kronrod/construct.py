@@ -39,7 +39,7 @@ import numpy as np
 from kronrod.errors import ConstructionError, GridCapExceeded, NotRealizable
 from kronrod.fields import DISK, TORUS, ScalarField
 from kronrod.records import ConstructionRecord, GridTranslation, Rect, RectCycle, Slot
-from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, class_of, format_term, normalize
+from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, format_term, normalize
 
 # Window constants (dyadic so copies and comparisons are exact).
 WINDOW_LO = 11.0 / 16.0
@@ -93,6 +93,9 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
     keep their shape, so a requested product of equal factors still gets
     separate value windows; the layout's term is `t` so collapsed.
 
+    The constructions' one realizability check: NotRealizable for a Wr2
+    anywhere and, when `simple`, for a wreath index above 2.
+
     Every construction's grid holds the content rectangle, so each level
     checks its width against the grid cap before it builds its columns:
     widths only grow up the recursion, and no layout is built wider than the
@@ -113,9 +116,7 @@ def build_layout(t: GroupTerm, simple: bool = False) -> Layout:
         w = len(petal)
         if simple:
             if t.n != 2:
-                raise NotRealizable(
-                    f"simple wreath layouts need index 2, got {t.n}"
-                )
+                raise NotRealizable(f"simple wreath layouts need index 2, got {t.n}")
             _check_grid(2 * w + 5, CONTENT_ROWS, "disk content")
             block = [buf] + petal + [buf]
             cols = block + [1] + block
@@ -169,17 +170,6 @@ def _content_values(layout: Layout) -> np.ndarray:
     return np.outer(rows, cols) / norm
 
 
-def _layout(base: GroupTerm, simple: bool = False) -> Layout:
-    """Disk layout of `base`; NotRealizable unless `base` is in the disk
-    class, or in the simple disk class when `simple`."""
-    flags = class_of(normalize(base))
-    if simple and not flags.disk_realizable_simple:
-        raise NotRealizable(f"{format_term(base)} is not simple-disk realizable")
-    if not flags.disk_realizable:
-        raise NotRealizable(f"{format_term(base)} is not disk realizable")
-    return build_layout(base, simple)
-
-
 def _paint(vals: np.ndarray, layout: Layout, origins: list[tuple[int, int]]) -> list[Slot]:
     """Paint the disk content of `layout`, in the window (WINDOW_LO, WINDOW_HI),
     into `vals` with its corner at each origin (x0, y0), rows wrapping round
@@ -209,7 +199,7 @@ def _rect_cycles(layout: Layout, x0: int, y0: int, rows: int) -> list[RectCycle]
 
 def realize_disk(t: GroupTerm) -> tuple[ScalarField, ConstructionRecord]:
     """Disk field whose Reeb-graph symmetry group realizes `t`."""
-    layout = _layout(t)
+    layout = build_layout(t)
     norm = normalize(t)
     w = len(layout.cols) + 2
     h = DISK_HEIGHT
@@ -312,7 +302,7 @@ def realize_torus_circuit(
     """
     if n < 1:
         raise NotRealizable("cyclic index n must be >= 1")
-    layout = _layout(base, simple)
+    layout = build_layout(base, simple)
     painted = layout.kind != "triv"
     cw = len(layout.cols) if painted else 0
     P = max(_MIN_BAND_WIDTH, cw + 2 * _BAND_MARGIN)
@@ -380,7 +370,7 @@ def realize_torus_tree(
     translations generate the promised symmetry group."""
     if n < 1 or m < 1:
         raise NotRealizable("tree indices n, m must be >= 1")
-    layout = _layout(base)
+    layout = build_layout(base)
     painted = layout.kind != "triv"
     cw = len(layout.cols) if painted else 0
     s = max(subdivision, 4)

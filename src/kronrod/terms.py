@@ -229,29 +229,28 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+# argument kinds of each constructor ("t" a term, "n" an integer >= 1), whether
+# more terms may follow them, and the term it builds
+_CONSTRUCTORS = {
+    "cyc": ("n", False, lambda n: Wr(Triv(), n)),
+    "wr": ("tn", False, Wr),
+    "wr2": ("tnn", False, Wr2),
+    "prod": ("tt", True, Prod),
+}
 
-    def peek(self) -> tuple[str, int]:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("", len(self.text))
 
-    def next(self) -> tuple[str, int]:
-        tok = self.peek()
-        self.i += 1
-        return tok
+def parse_term(text: str) -> GroupTerm:
+    """Parse a term from text.  Returns the raw parse tree (not normalized)."""
+    tokens = _tokenize(text)[::-1]  # the next token is last
 
-    def expect(self, what: str) -> None:
-        tok, pos = self.next()
-        if tok != what:
+    def take(what: str = "") -> tuple[str, int]:
+        tok, pos = tokens.pop() if tokens else ("", len(text))
+        if what and tok != what:
             raise ParseError(f"expected {what!r}, found {tok!r}", pos)
+        return tok, pos
 
-    def parse_int(self) -> int:
-        tok, pos = self.next()
+    def index() -> int:
+        tok, pos = take()
         if not tok.isdigit():
             raise ParseError(f"expected an integer, found {tok!r}", pos)
         value = int(tok)
@@ -259,56 +258,30 @@ class _Parser:
             raise ParseError(f"integer must be >= 1, got {value}", pos)
         return value
 
-    def parse_term(self) -> GroupTerm:
-        tok, pos = self.next()
+    def term() -> GroupTerm:
+        tok, pos = take()
         if tok == "1":
             return Triv()
-        if tok == "cyc":
-            self.expect("(")
-            n = self.parse_int()
-            self.expect(")")
-            return Wr(Triv(), n)
-        if tok == "wr":
-            self.expect("(")
-            base = self.parse_term()
-            self.expect(",")
-            n = self.parse_int()
-            self.expect(")")
-            return Wr(base, n)
-        if tok == "wr2":
-            self.expect("(")
-            base = self.parse_term()
-            self.expect(",")
-            n = self.parse_int()
-            self.expect(",")
-            m = self.parse_int()
-            self.expect(")")
-            return Wr2(base, n, m)
-        if tok == "prod":
-            self.expect("(")
-            factors = [self.parse_term()]
-            while True:
-                sep, spos = self.next()
-                if sep == ",":
-                    factors.append(self.parse_term())
-                elif sep == ")":
-                    break
-                else:
-                    raise ParseError(f"expected ',' or ')', found {sep!r}", spos)
-            if len(factors) < 2:
-                raise ParseError("prod needs at least two factors", pos)
-            return Prod(*factors)
-        raise ParseError(f"expected a term, found {tok!r}", pos)
+        if tok not in _CONSTRUCTORS:
+            raise ParseError(f"expected a term, found {tok!r}", pos)
+        kinds, more, make = _CONSTRUCTORS[tok]
+        sep = take("(")[0]
+        args: list = []
+        while sep != ")":
+            args.append(term() if kinds[min(len(args), len(kinds) - 1)] == "t" else index())
+            wanted = ",)" if more else "," if len(args) < len(kinds) else ")"
+            sep, spos = take()
+            if not sep or sep not in wanted:
+                raise ParseError(f"expected {' or '.join(map(repr, wanted))}, found {sep!r}", spos)
+        if len(args) < len(kinds):
+            raise ParseError(f"{tok} needs at least two factors", pos)
+        return make(*args)
 
-
-def parse_term(text: str) -> GroupTerm:
-    """Parse a term from text.  Returns the raw parse tree (not normalized)."""
-    p = _Parser(text)
     try:
-        t = p.parse_term()
+        t = term()
     except RecursionError:
-        raise ParseError("term nested too deeply", p.peek()[1]) from None
-    tok, pos = p.peek()
+        raise ParseError("term nested too deeply", take()[1]) from None
+    tok, pos = take()
     if tok:
         raise ParseError(f"trailing input {tok!r}", pos)
     return t

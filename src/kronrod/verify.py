@@ -56,6 +56,11 @@ class VerificationReport:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
+def _number(n: int) -> str:
+    """`n` in decimal, or its size where Python would refuse the decimal."""
+    return str(n) if n.bit_length() <= 10_000 else f"<{n.bit_length()}-bit number>"
+
+
 def graph_free_checks(f: ScalarField, rec: ConstructionRecord) -> VerificationReport:
     """The contract's checks that need no graph: `euler` and `record_exactness`."""
     report = VerificationReport()
@@ -127,7 +132,7 @@ def verify_realization(
         report.add("structural_term", False, str(exc))
 
     grp = generated_group(g, induced)
-    detail = f"generated order {grp.order}, term order {order(want)}"
+    detail = f"generated order {_number(grp.order)}, term order {_number(order(want))}"
     report.add("generated_order", grp.order == order(want), detail)
     try:
         if rt is None:
@@ -140,7 +145,7 @@ def verify_realization(
                 f" {f.values.size} grid points"
             )
         iso = is_isomorphic(grp, perm_rep(rt))
-        detail = f"pairing orders: generated {iso.g}, term {iso.h}, diagonal {iso.diagonal}"
+        detail = "pairing orders: generated {}, term {}, diagonal {}".format(*map(_number, iso))
         report.add("group_isomorphism", bool(iso), detail)
     except KronrodError as exc:
         report.add("group_isomorphism", False, f"could not pair the generators: {exc}")

@@ -411,7 +411,7 @@ class TestGeneratedGroup:
         f, rec = realize_torus_circuit(Wr(Triv(), 2), 1)  # with a parallel pair
         g = build_reeb(f)
         grp = generated_group(g, [induced_graph_aut(g, s) for s in rec.symmetries])
-        assert grp.degree == g.n_vertices + 2 and grp.generators
+        assert grp.degree == g.n_edges and grp.generators
         assert all(p.dtype == np.intp for p in grp.generators)
 
     def test_rotation_cyclic(self):

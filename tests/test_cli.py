@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kronrod import construct, verify
+from kronrod import construct, terms, verify
 from kronrod.cli import main
 from kronrod.construct import realize, realize_torus_circuit
 from kronrod.fields import LINK_OFFSETS, MorseCounts, ScalarField, save_field
@@ -123,6 +123,20 @@ class TestGridCap:
         code, doc = run(
             capsys, "realize", "--term", "wr2(wr(1,2),2,2)", "--case", "tree", "--out", str(tmp_path)
         )
+        assert code == 2
+        assert "exceeds cap" in doc["error"]
+
+    @pytest.mark.parametrize("case", ["disk", "circuit"])
+    def test_cap_refuses_before_any_order(self, tmp_path, capsys, monkeypatch, case):
+        """The layout recursion refuses the wide factor level by level; no
+        group order of the term, here of 10^9 bits, is computed first."""
+
+        def no_order(t):
+            raise AssertionError("order computed")
+
+        monkeypatch.setattr(terms, "order", no_order)
+        term = "prod(wr(wr(1,2),1000000000),wr(1,3))"
+        code, doc = run(capsys, "realize", "--term", term, "--case", case, "--out", str(tmp_path))
         assert code == 2
         assert "exceeds cap" in doc["error"]
 
@@ -341,6 +355,18 @@ class TestVerify:
         assert code == 1
         failing = {c["name"] for c in doc["checks"] if not c["ok"]}
         assert "structural_term" in failing or "group_isomorphism" in failing
+
+    def test_term_order_too_long_to_print(self, tmp_path, capsys):
+        """The order of wr(wr(1,2),15000) has 4,520 digits, more than Python
+        prints; the report gives its size and fails `generated_order`."""
+        run(capsys, "realize", "--term", "wr(1,2)", "--case", "circuit", "--out", str(tmp_path))
+        field, record = str(tmp_path / "field.json"), str(tmp_path / "record.json")
+        term = "wr(wr(1,2),15000)"
+        code, doc = run(capsys, "verify", "--field", field, "--record", record, "--term", term)
+        assert code == 1
+        detail = {c["name"]: (c["ok"], c["detail"]) for c in doc["checks"]}
+        want = "generated order 2, term order <15014-bit number>"
+        assert detail["generated_order"] == (False, want)
 
     def test_corrupted_record(self, tmp_path, capsys):
         run(

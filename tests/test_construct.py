@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from kronrod.fields import (
 from kronrod.permgroups import is_isomorphic, perm_rep
 from kronrod.records import GridTranslation, check_record_against_field
 from kronrod.reeb import build_reeb, classify_shape
-from kronrod.terms import Prod, Triv, Wr, Wr2, normalize, parse_term
+from kronrod.terms import Prod, Triv, Wr, Wr2, class_of, format_term, normalize, parse_term
 
 
 class TestDisk:
@@ -301,6 +303,42 @@ class TestRoundTrip:
     def test_simple(self, base, n):
         f, rec = realize_simple(parse_term(base), n)
         assert _roundtrip_ok(f, rec)
+
+
+@lru_cache(maxsize=None)
+def terms_of_size(k: int) -> tuple:
+    """Every term with k constructors: Wr indices 1 to 3, Wr2 with indices
+    (2, 1), and products of two or three factors."""
+    if k == 1:
+        return (Triv(),)
+    out = []
+    for t in terms_of_size(k - 1):
+        out += [Wr(t, 1), Wr(t, 2), Wr(t, 3), Wr2(t, 2, 1)]
+    for parts in (2, 3):
+        for sizes in itertools.product(range(1, k - 1), repeat=parts):
+            if sum(sizes) == k - 1:
+                out += [Prod(*fs) for fs in itertools.product(*map(terms_of_size, sizes))]
+    return tuple(out)
+
+
+def test_layouts_refuse_exactly_the_terms_outside_the_disk_classes():
+    """`build_layout` is the constructions' one realizability check; it
+    agrees with the paper's classes on all 12,162 terms of up to 7
+    constructors, with and without `simple`."""
+    terms = [t for k in range(1, 8) for t in terms_of_size(k)]
+    refused = {False: 0, True: 0}
+    for t in terms:
+        flags = class_of(normalize(t))
+        classes = ((False, flags.disk_realizable), (True, flags.disk_realizable_simple))
+        for simple, realizable in classes:
+            try:
+                build_layout(t, simple)
+            except NotRealizable:
+                refused[simple] += 1
+                assert not realizable, (format_term(t), simple)
+            else:
+                assert realizable, (format_term(t), simple)
+    assert (len(terms), refused[False], refused[True]) == (12162, 8472, 11260)
 
 
 class TestLayoutInternals:

@@ -66,6 +66,32 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_term("prod(1)")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("wr(1 3)", "expected ',', found '3'", 5),
+            ("", "expected a term, found ''", 0),
+            ("prod(1)", "prod needs at least two factors", 0),
+            ("prod(1,", "expected a term, found ''", 7),
+            ("wr(1,0)", "integer must be >= 1, got 0", 5),
+            ("wr2(1,2)", "expected ',', found ')'", 7),
+            ("foo(1)", "expected a term, found 'foo'", 0),
+            ("1 1", "trailing input '1'", 2),
+            ("cyc(x)", "expected an integer, found 'x'", 4),
+            ("wr(1,2", "expected ')', found ''", 6),
+            ("prod(1,1 1)", "expected ',' or ')', found '1'", 9),
+            ("$", "unexpected character '$'", 0),
+            ("wr(1,2))", "trailing input ')'", 7),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_term(text)
+        assert (str(err.value), err.value.position) == (
+            f"{message} (at position {position})",
+            position,
+        )
+
     def test_deep_nesting_is_a_parse_error(self, shallow_stack):
         deep = "wr(" * 300 + "1" + ",2)" * 300
         with shallow_stack, pytest.raises(ParseError, match="nested too deeply"):
