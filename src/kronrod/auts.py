@@ -38,25 +38,6 @@ class GraphAut(NamedTuple):
     eperm: tuple[int, ...]
 
 
-def validate_graph_aut(g: ReebGraph, aut: GraphAut) -> None:
-    """Raise NotAnAutomorphism unless `aut` preserves values and incidence."""
-    nv, ne = g.n_vertices, g.n_edges
-    if sorted(aut.vperm) != list(range(nv)) or sorted(aut.eperm) != list(range(ne)):
-        raise NotAnAutomorphism("not a permutation of the element ids")
-    for v in g.vertices:
-        w = g.vertices[aut.vperm[v.id]]
-        if v.value != w.value:
-            raise NotAnAutomorphism(f"vertex {v.id} value {v.value} -> {w.value}")
-        if len(v.crits) != len(w.crits) or v.boundary != w.boundary:
-            raise NotAnAutomorphism(f"vertex {v.id} critical structure changes")
-    for e in g.edges:
-        f_ = g.edges[aut.eperm[e.id]]
-        if (e.lo, e.hi) != (f_.lo, f_.hi):
-            raise NotAnAutomorphism(f"edge {e.id} interval changes")
-        if {aut.vperm[e.u], aut.vperm[e.v]} != {f_.u, f_.v}:
-            raise NotAnAutomorphism(f"edge {e.id} incidence changes")
-
-
 # ---------------------------------------------------------------------------
 # full value-preserving automorphism group
 # ---------------------------------------------------------------------------
@@ -64,7 +45,8 @@ def validate_graph_aut(g: ReebGraph, aut: GraphAut) -> None:
 
 class AutGroup:
     """Full f-hat-preserving automorphism group of a Reeb graph, by its order;
-    its elements are the pairs of permutations `validate_graph_aut` accepts."""
+    its elements are the vertex and edge permutations that keep incidence,
+    vertex values, critical point counts and boundary flags, and edge intervals."""
 
     __slots__ = ("order",)
 
@@ -119,9 +101,8 @@ def _full_order(g: ReebGraph) -> int:
     map besides the identity swaps them.
     """
     shape = classify_shape(g)
-    peeled, left = g.peel()
-    label, count = _hanging_forms(g, peeled, left)
-    order = prod(count[v] for v in left)
+    label, count = _hanging_forms(g, g.peeled, g.left)
+    order = prod(count[v] for v in g.left)
     if shape.shape == "tree":
         return order
     vs, es = shape.cycle_vertices, shape.cycle_edges
@@ -152,22 +133,32 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
 
     A vertex goes to the vertex carrying the images of its critical points,
     which must be critical points of the same kind and value on one vertex.
-    A boundary vertex carries none and goes to the boundary vertex of its
-    value.  The edges go where `g.edge_images` sends them.
+    A disk's collar lies on one side of its frame, so its boundary vertex
+    carries none, and it goes to itself.  An edge goes where `g.edge_images`
+    sends it: to the edge between the images of its ends.
+
+    Only that both maps are permutations is checked; the rest follows.  A
+    vertex has the value of its critical points.  `moves` is a bijection of
+    the grid, so the image of a vertex carries at least as many critical
+    points, and exactly as many once the vertex map is a permutation.  An
+    edge's interval is its ends' values.  With one cycle at most (more raise
+    in `classify_shape`), only the parallel pair shares both ends, and
+    `edge_images` maps it onto itself one-to-one.
     """
     if g.tri is None:
         raise NotAnAutomorphism("graph carries no triangulation")
+    classify_shape(g)
     f = g.tri.field
     w, n = f.width, f.values.size
     src, dst, pieces = moves(f, sym)
     image, piece = np.arange(n), np.full(n, -1)
     image[src], piece[src] = dst, pieces
-    _, carrier, boundary = g.push_tables()
+    carrier = g.push_tables()[1]
 
     vperm = []
     for v in g.vertices:
         if v.boundary and not v.crits:
-            vperm.append(boundary[v.value])
+            vperm.append(v.id)
             continue
         images = set()
         for c in v.crits:
@@ -180,10 +171,10 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
         if len(images) != 1:
             raise NotAnAutomorphism(f"vertex {v.id} critical points map to {len(images)} vertices")
         vperm.append(images.pop())
-
-    aut = GraphAut(tuple(vperm), g.edge_images(vperm, image, piece))
-    validate_graph_aut(g, aut)
-    return aut
+    eperm = g.edge_images(vperm, image, piece)
+    if len(set(vperm)) < len(vperm) or len(set(eperm)) < len(eperm):
+        raise NotAnAutomorphism("vertex or edge map is not a permutation")
+    return GraphAut(tuple(vperm), eperm)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from kronrod.errors import ConstructionError, GridCapExceeded, NotRealizable
+from kronrod.errors import GridCapExceeded, NotRealizable
 from kronrod.fields import DISK, TORUS, ScalarField
 from kronrod.records import ConstructionRecord, GridTranslation, Rect, RectCycle, Slot
 from kronrod.terms import GroupTerm, Prod, Triv, Wr, Wr2, format_term, normalize
@@ -239,15 +239,10 @@ def _odd_range(lo: int, hi: int) -> list[int]:
 
 
 def _select_even(values: list[int], count: int) -> list[int]:
-    if len(values) < count:
-        raise ConstructionError("not enough odd steps for the band profile")
-    if count == 1:
-        return [values[-1]]
-    idx = [round(j * (len(values) - 1) / (count - 1)) for j in range(count)]
-    out = [values[i] for i in idx]
-    if len(set(out)) != len(out):
-        raise ConstructionError("band profile selection collided")
-    return out
+    """`count` of `values`, evenly spaced from first to last.  Callers pass at least `count`
+    values and `count` = P/2 + 1 >= 10 (a band width P is even and at least 18), so no two
+    picks round to one index."""
+    return [values[round(j * (len(values) - 1) / (count - 1))] for j in range(count)]
 
 
 def _band_profile(P: int, capped: bool) -> np.ndarray:

@@ -50,7 +50,6 @@ class AutOverflow(KronrodError):
 
     def __init__(self, cap: int):
         super().__init__(f"group size exceeds cap {cap}")
-        self.cap = cap
 
 
 class NotRealizable(KronrodError):
@@ -58,7 +57,7 @@ class NotRealizable(KronrodError):
 
 
 class ConstructionError(KronrodError):
-    """A construction cannot lay out its band profile, or its field fails a graph-free check."""
+    """A constructed field fails a graph-free check."""
 
 
 class IncompleteRecord(KronrodError):

@@ -242,7 +242,7 @@ def save_field(f: ScalarField) -> bytes:
 def load_field(data: bytes) -> ScalarField:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits in an integer
         raise InvalidField(f"malformed field JSON: {exc}") from exc
     try:
         kind = doc["kind"]
@@ -254,7 +254,7 @@ def load_field(data: bytes) -> ScalarField:
         if kinds:
             raise InvalidField(f"values must be JSON numbers, got {min(t.__name__ for t in kinds)}")
         arr = np.asarray(values, dtype=np.float64).reshape(h, w)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an integer past float range
         raise InvalidField(f"malformed field data: {exc}") from exc
     return ScalarField(kind, arr)
 

@@ -54,8 +54,8 @@ class PermGroup:
 
     __slots__ = ("degree", "generators", "order")
 
-    def __init__(self, degree: int, generators: Iterable, order: Optional[int] = None):
-        self.degree, self.generators, self.order = degree, [], order
+    def __init__(self, degree: int, generators: Iterable):
+        self.degree, self.generators, self.order = degree, [], None
         for g in map(np.asarray, generators):
             if g.dtype.kind in "iu" and g.shape == (degree,):
                 g = g.astype(np.intp, copy=False)

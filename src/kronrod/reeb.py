@@ -178,7 +178,10 @@ class ShapeReport(NamedTuple):
 
 
 class ReebGraph:
-    """Kronrod-Reeb graph with its triangulation and the values it was cut at."""
+    """Kronrod-Reeb graph with its triangulation and the values it was cut at,
+    settled when it is made: the edge ends at each vertex (`incidence`), the
+    leaf peel (`peeled`, `left`, see `_peel`), the shape report (`shape`, see
+    `_walk`) and the edges of a circuit of length two (`parallel`)."""
 
     def __init__(
         self,
@@ -187,14 +190,16 @@ class ReebGraph:
         tri: Optional[Triangulation] = None,
         cuts: Optional[np.ndarray] = None,
     ):
-        self.vertices = vertices
-        self.edges = edges
-        self.tri = tri
-        self.cuts = cuts
-        self._incidence: Optional[list[list[int]]] = None
-        self._tables: Optional[tuple[dict, dict, dict]] = None
-        self._peeled: Optional[tuple[list[tuple[int, int]], list[int]]] = None
-        self._shape: Optional[ShapeReport] = None
+        self.vertices, self.edges, self.tri, self.cuts = vertices, edges, tri, cuts
+        self.incidence: list[list[int]] = [[] for _ in vertices]
+        for e in edges:
+            for x in (e.u, e.v):
+                self.incidence[x].append(e.id)
+        self.peeled, self.left = _peel(self)
+        self.shape = _walk(self)
+        es = self.shape.cycle_edges if self.shape else ()
+        self.parallel: Optional[tuple[int, int]] = es if len(es) == 2 else None
+        self._tables: Optional[tuple[dict, dict]] = None
         self._slabs: dict[int, np.ndarray] = {}
 
     @property
@@ -205,39 +210,14 @@ class ReebGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def incident_edges(self, vid: int) -> list[int]:
-        if self._incidence is None:
-            inc: list[list[int]] = [[] for _ in self.vertices]
-            for e in self.edges:
-                inc[e.u].append(e.id)
-                if e.v != e.u:
-                    inc[e.v].append(e.id)
-            self._incidence = inc
-        return self._incidence[vid]
-
-    def peel(self) -> tuple[list[tuple[int, int]], list[int]]:
-        """The leaf peel of the graph (see `_peel`), computed once and kept."""
-        if self._peeled is None:
-            self._peeled = _peel(self)
-        return self._peeled
-
-    def parallel_pair(self) -> Optional[tuple[int, int]]:
-        """The two edges of a circuit of length two, in id order, or None.
-        With at most one cycle (see `classify_shape`), they are the only
-        edges that share both ends."""
-        es = classify_shape(self).cycle_edges
-        return (es[0], es[1]) if len(es) == 2 else None
-
-    def push_tables(self) -> tuple[dict, dict, dict]:
+    def push_tables(self) -> tuple[dict, dict]:
         """The lookups every push reads, built on the first and kept: edge
-        ends -> edge, grid vertex -> (critical point there, its vertex), and
-        value -> boundary vertex without critical points."""
+        ends -> edge, and grid vertex -> (critical point there, its vertex)."""
         if self._tables is None:
             w = self.tri.field.width
             self._tables = (
                 {frozenset((e.u, e.v)): e.id for e in self.edges},
                 {c.y * w + c.x: (c, v.id) for v in self.vertices for c in v.crits},
-                {v.value: v.id for v in self.vertices if v.boundary and not v.crits},
             )
         return self._tables
 
@@ -246,19 +226,18 @@ class ReebGraph:
     ) -> tuple[int, ...]:
         """Where a push with vertex map `vperm` and point map `image`, `piece`
         (see `_cell_permutation`) sends each edge: to the edge between the
-        images of its ends.  An edge of the parallel pair goes to the one
-        whose witness's component in `slab_roots(lo)` holds the images of
-        every triangle of its own; one image is not enough, as a cell that
-        straddles the pieces of a rect cycle stays put."""
+        images of its ends, so both edges of the parallel pair to one.  If
+        that is one of the pair, each goes to the one whose witness's
+        component in `slab_roots(lo)` holds the images of every triangle of its
+        own; one image is not enough, as a cell that straddles the pieces of a
+        rect cycle stays put."""
         between, eperm = self.push_tables()[0], []
         for e in self.edges:
             d = between.get(frozenset((vperm[e.u], vperm[e.v])))
             if d is None:
                 raise NotAnAutomorphism(f"vertex map does not transport edge {e.id}")
             eperm.append(d)
-        pair = self.parallel_pair()
-        # a vertex map that moves the pair's ends sends both edges to one
-        # edge, which no automorphism does
+        pair = self.parallel
         if pair and eperm[pair[0]] in pair:
             root = self.slab_roots(self.edges[pair[0]].lo)
             perm = _cell_permutation(self.tri, image, piece)
@@ -648,10 +627,7 @@ def _peel(g: ReebGraph) -> tuple[list[tuple[int, int]], list[int]]:
     their parents, and the vertices left: the circuit's, or a tree's one or
     two adjacent centres.
     """
-    deg = [0] * g.n_vertices
-    for e in g.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
+    deg = [len(ends) for ends in g.incidence]
     gone = [False] * g.n_vertices
     peeled: list[tuple[int, int]] = []
     layer = [v for v in range(g.n_vertices) if deg[v] == 1]
@@ -660,7 +636,7 @@ def _peel(g: ReebGraph) -> tuple[list[tuple[int, int]], list[int]]:
         nxt = []
         for v in layer:
             gone[v] = True
-            for ei in g.incident_edges(v):
+            for ei in g.incidence[v]:
                 e = g.edges[ei]
                 w = e.v if e.u == v else e.u
                 if not gone[w]:
@@ -672,38 +648,39 @@ def _peel(g: ReebGraph) -> tuple[list[tuple[int, int]], list[int]]:
     return peeled, [v for v in range(g.n_vertices) if not gone[v]]
 
 
-def classify_shape(g: ReebGraph) -> ShapeReport:
-    """Tree / unique-circuit report, computed once per graph and kept.  betti1
-    above 1 on a torus field is an error, raised on every call.
-
-    The circuit is walked from its smallest vertex, along that vertex's
-    smallest-id circuit edge.
-    """
-    if g._shape is not None:
-        return g._shape
+def _walk(g: ReebGraph) -> Optional[ShapeReport]:
+    """Tree / unique-circuit report of a graph from its leaf peel; None when
+    betti1 > 1, or when the walk fails on a disconnected graph.  The circuit
+    is walked from its smallest vertex, along that vertex's smallest-id
+    circuit edge."""
     betti1 = g.n_edges - g.n_vertices + 1
     if betti1 == 0:
-        g._shape = ShapeReport(0, "tree")
-        return g._shape
-    if betti1 > 1:
-        if g.tri is not None and g.tri.field.kind == TORUS:
-            raise ShapeViolation(f"torus Reeb graph with betti1 = {betti1}")
-        raise ReebError(f"graph with betti1 = {betti1} has no unique circuit")
-    peeled, left = g.peel()
-    used = {ei for _, ei in peeled}
-    vs, es = [], []
-    v = left[0]
+        return ShapeReport(0, "tree")
+    if betti1 > 1 or not g.left:
+        return None
+    used = {ei for _, ei in g.peeled}
+    vs, es, v = [], [], g.left[0]
     while not vs or v != vs[0]:
-        ei = next((ei for ei in g.incident_edges(v) if ei not in used), None)
+        ei = next((ei for ei in g.incidence[v] if ei not in used), None)
         if ei is None:
-            raise ReebError("failed to walk the circuit")
+            return None
         used.add(ei)
         vs.append(v)
         es.append(ei)
         e = g.edges[ei]
         v = e.v if e.u == v else e.u
-    g._shape = ShapeReport(1, "circuit", tuple(vs), tuple(es))
-    return g._shape
+    return ShapeReport(1, "circuit", tuple(vs), tuple(es))
+
+
+def classify_shape(g: ReebGraph) -> ShapeReport:
+    """The report the graph was made with.  A graph without one raises on
+    every call: a ShapeViolation on a torus field with betti1 above 1."""
+    if g.shape is None:
+        betti1 = g.n_edges - g.n_vertices + 1
+        if betti1 > 1 and g.tri is not None and g.tri.field.kind == TORUS:
+            raise ShapeViolation(f"torus Reeb graph with betti1 = {betti1}")
+        raise ReebError(f"graph with betti1 = {betti1} has no unique circuit")
+    return g.shape
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +706,7 @@ def find_special_vertex(g: ReebGraph, f: ScalarField) -> int:
     for v in g.vertices:
         saddles = sum(c.kind is CritKind.SADDLE for c in v.crits)
         extrema = len(v.crits) - saddles
-        if (2 - extrema + saddles - len(g.incident_edges(v.id))) / 2 == 1:  # a tree has no loops
+        if (2 - extrema + saddles - len(g.incidence[v.id])) / 2 == 1:
             found.append(v.id)
     if not found:
         raise ReebError("no vertex has an all-disk complement")

@@ -253,7 +253,10 @@ def parse_term(text: str) -> GroupTerm:
         tok, pos = take()
         if not tok.isdigit():
             raise ParseError(f"expected an integer, found {tok!r}", pos)
-        value = int(tok)
+        try:
+            value = int(tok)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise ParseError(f"integer of {len(tok)} digits is too long", pos) from None
         if value < 1:
             raise ParseError(f"integer must be >= 1, got {value}", pos)
         return value

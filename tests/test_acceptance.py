@@ -20,7 +20,6 @@ from kronrod.auts import (
     generated_group,
     induced_graph_aut,
     record_term,
-    validate_graph_aut,
     value_preserving_auts,
 )
 from kronrod.corpus import (
@@ -36,6 +35,7 @@ from kronrod.permgroups import group_order, is_isomorphic, perm_rep
 from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
 from kronrod.terms import Triv, Wr, Wr2, format_term, normalize, order
 
+from aut_oracle import validate_graph_aut
 from reeb_oracle import _region_euler
 from test_auts import backtrack_order
 from test_reeb import complement_components

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from math import factorial
+from math import factorial, gcd, lcm
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from kronrod.auts import (
     generated_group,
     induced_graph_aut,
     record_term,
-    validate_graph_aut,
     value_preserving_auts,
 )
 from kronrod.construct import (
@@ -21,12 +20,14 @@ from kronrod.construct import (
     realize_torus_tree,
 )
 from kronrod.corpus import corpus_grid, random_torus_field, realize_member
-from kronrod.errors import AutOverflow, NotAnAutomorphism
+from kronrod.errors import AutOverflow, NotAnAutomorphism, ShapeViolation
 from kronrod.fields import CriticalPoint, CritKind
 from kronrod.permgroups import is_isomorphic, perm_rep
 from kronrod.records import GridTranslation, Rect, RectCycle, moves
-from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, build_reeb
-from kronrod.terms import Prod, Triv, Wr, Wr2, format_term, normalize
+from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation, build_reeb
+from kronrod.terms import Prod, Triv, Wr, Wr2, format_term, normalize, parse_term
+
+from aut_oracle import validate_graph_aut
 
 
 def star_graph(branches: int, same_values: bool = True):
@@ -121,7 +122,7 @@ def backtrack_order(g: ReebGraph, cap: int = 10_000) -> int:
     colors = [
         fresh.setdefault(
             (v.value, v.boundary, len(v.crits),
-             tuple(sorted((g.edges[ei].lo, g.edges[ei].hi) for ei in g.incident_edges(v.id)))),
+             tuple(sorted((g.edges[ei].lo, g.edges[ei].hi) for ei in g.incidence[v.id]))),
             len(fresh),
         )
         for v in g.vertices
@@ -130,7 +131,7 @@ def backtrack_order(g: ReebGraph, cap: int = 10_000) -> int:
         sig = []
         for v in g.vertices:
             nb = []
-            for ei in g.incident_edges(v.id):
+            for ei in g.incidence[v.id]:
                 e = g.edges[ei]
                 other = e.v if e.u == v.id else e.u
                 nb.append((e.lo, e.hi, colors[other]))
@@ -332,7 +333,7 @@ class TestInducedAuts:
         critical points, leaves every witness in place but splits the images."""
         f, _ = realize_torus_circuit(Triv(), 1)
         g = build_reeb(f)
-        a, b = g.parallel_pair()
+        a, b = g.parallel
         assert [g.edges[e].witness for e in (a, b)] == [4, 22]  # cells (2, 0) and (11, 0)
         swap = RectCycle((Rect(3, 4, 3, 3), Rect(12, 4, 3, 3)))
         with pytest.raises(NotAnAutomorphism, match="onto one parallel edge"):
@@ -369,6 +370,16 @@ class TestInducedAuts:
                     [to] = [u.id for u in g.vertices if u.boundary and u.value == v.value]
                 assert aut.vperm[v.id] == to
 
+    def test_graph_with_two_cycles_is_refused(self):
+        """A push relies on the graph having at most one cycle: a theta
+        graph on a torus field raises even under the identity."""
+        crits = [CriticalPoint(0, 0, CritKind.MINIMUM, 0.0), CriticalPoint(1, 0, CritKind.MAXIMUM, 1.0)]
+        vertices = [ReebVertex(i, c.value, [c]) for i, c in enumerate(crits)]
+        edges = [ReebEdge(i, 0, 1, 0.0, 1.0) for i in range(3)]
+        g = ReebGraph(vertices, edges, Triangulation(random_torus_field(4)))
+        with pytest.raises(ShapeViolation):
+            induced_graph_aut(g, GridTranslation(0, 0))
+
     def test_overlapping_cycle_not_a_bijection(self):
         f, _ = realize_torus_tree(Triv(), 1, 1)
         sym = RectCycle((Rect(0, 0, 2, 2), Rect(1, 0, 2, 2)))
@@ -391,6 +402,51 @@ class TestInducedAuts:
         g = star_graph(2, same_values=False)
         with pytest.raises(NotAnAutomorphism):
             validate_graph_aut(g, GraphAut((0, 2, 1), (0, 1)))
+
+
+def push_cases():
+    """Graphs with the symmetries to push on each: the 26 corpus members and
+    three disk realizations, each with its recorded symmetries, every
+    multiple of each recorded translation, and seeded random translations,
+    rect cycles and sub-cycles of its recorded rect cycles."""
+    rng = random.Random("every push")
+    realized = [realize_member(m) for m in corpus_grid()]
+    realized += [realize_disk(parse_term(t)) for t in ("wr(1,2)", "prod(wr(1,2),wr(1,3))", "wr(wr(1,2),3)")]
+    for f, rec in realized:
+        w, h = f.width, f.height
+        syms = list(rec.symmetries)
+        for s in rec.symmetries:
+            if isinstance(s, GridTranslation):
+                period = lcm(w // gcd(s.dx, w), h // gcd(s.dy, h))
+                syms += [GridTranslation(k * s.dx % w, k * s.dy % h) for k in range(2, period + 1)]
+        cycles = [s.rects for s in rec.symmetries if isinstance(s, RectCycle)]
+        for _ in range(20):
+            syms.append(GridTranslation(rng.randrange(w), rng.randrange(h)))
+            rw, rh = rng.randint(1, w // 2), rng.randint(1, h // 2)
+            corners = [(rng.randrange(w - rw + 1), rng.randrange(h - rh + 1)) for _ in range(rng.randint(2, 3))]
+            syms.append(RectCycle(tuple(Rect(x, y, rw, rh) for x, y in corners)))
+            if cycles:
+                rects = rng.choice(cycles)
+                syms.append(RectCycle(tuple(rng.sample(rects, rng.randint(2, len(rects))))))
+        yield build_reeb(f), syms
+
+
+def test_every_accepted_push_passes_the_oracle():
+    """A push checks only that its vertex and edge maps are permutations;
+    every other property of an automorphism follows from its construction
+    (see `induced_graph_aut`).  The oracle checks them all on each push the
+    library accepts, and the pinned counts catch a change in what it accepts."""
+    accepted = refused = 0
+    for g, syms in push_cases():
+        for s in syms:
+            try:
+                aut = induced_graph_aut(g, s)
+            except NotAnAutomorphism:
+                refused += 1
+                continue
+            validate_graph_aut(g, aut)
+            accepted += 1
+    assert (accepted, refused) == (600, 1013)
 
 
 class TestGeneratedGroup:

@@ -29,6 +29,15 @@ def monkey_saddle_field():
     return ScalarField("torus", vals)
 
 
+def with_long_integer(field_json: bytes, digits: int = 5000) -> str:
+    """A field's JSON with its first value replaced by an integer of `digits`
+    digits: 5,000 is past CPython's default limit of 4,300 digits for
+    reading one, and 400 past the range of a float."""
+    doc = json.loads(field_json)
+    doc["values"][0] = "long"
+    return json.dumps(doc).replace('"long"', "9" * digits, 1)
+
+
 class TestRealize:
     def test_circuit(self, tmp_path, capsys):
         code, doc = run(
@@ -115,6 +124,13 @@ class TestRealize:
             code = main(["realize", "--term", deep, "--case", "circuit", "--out", str(tmp_path)])
         assert code == 2
         assert "nested too deeply" in json.loads(capsys.readouterr().out)["error"]
+
+
+    def test_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys):
+        term = "wr(1," + "9" * 5000 + ")"
+        code, doc = run(capsys, "realize", "--term", term, "--case", "circuit", "--out", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "integer of 5000 digits is too long (at position 5)"
 
 
 class TestGridCap:
@@ -251,6 +267,19 @@ class TestAnalyze:
         assert code == 2
         assert "malformed field JSON" in doc["error"]
 
+    @pytest.mark.parametrize(
+        "digits,error",
+        [(5000, "malformed field JSON"), (400, "int too large to convert to float")],
+        ids=["5000-digits", "400-digits"],
+    )
+    def test_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys, digits, error):
+        f, _ = realize_torus_circuit(parse_term("1"), 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(with_long_integer(save_field(f), digits))
+        code, doc = run(capsys, "analyze", "--field", str(bad))
+        assert code == 2
+        assert error in doc["error"]
+
 
 class TestVerify:
     @pytest.fixture()
@@ -298,6 +327,13 @@ class TestVerify:
         field, record = str(realized / "field.json"), str(realized / "record.json")
         with shallow_stack:
             code, doc = run(capsys, "verify", "--field", field, "--record", record)
+        assert code == 2
+        assert "malformed field JSON" in doc["error"]
+
+    def test_integer_past_the_digit_limit_is_input_error(self, realized, capsys):
+        field = realized / "field.json"
+        field.write_text(with_long_integer(field.read_bytes()))
+        code, doc = run(capsys, "verify", "--field", str(field), "--record", str(realized / "record.json"))
         assert code == 2
         assert "malformed field JSON" in doc["error"]
 

@@ -614,7 +614,7 @@ class TestShape:
         assert (rep.cycle_vertices, rep.cycle_edges) == ((1, 3), (1, 2))
 
     def test_only_a_two_edge_circuit_has_parallel_edges(self):
-        """Edges that share both ends occur exactly as `parallel_pair()`, over
+        """Edges that share both ends occur exactly as `parallel`, over
         72 graphs: the 26 corpus members, 30 random torus fields and the 16
         converse-sweep bases on the disk.  22 of them have the pair."""
         path = Path(__file__).resolve().parents[1] / "scripts" / "converse_sweep.py"
@@ -629,7 +629,7 @@ class TestShape:
             g = build_reeb(f)
             ends = Counter(frozenset((e.u, e.v)) for e in g.edges)
             shared = [e.id for e in g.edges if ends[frozenset((e.u, e.v))] > 1]
-            assert shared == list(g.parallel_pair() or ())
+            assert shared == list(g.parallel or ())
             pairs += bool(shared)
         assert (len(fields), pairs) == (72, 22)
 
@@ -808,7 +808,7 @@ class TestSlabRoots:
     def test_parallel_pairs_of_the_corpus(self):
         """The corpus members whose graph has a parallel pair, the ones whose
         pushes read `slab_roots`."""
-        pairs = [m.label for m in corpus_grid() if build_reeb(realize_member(m)[0]).parallel_pair()]
+        pairs = [m.label for m in corpus_grid() if build_reeb(realize_member(m)[0]).parallel]
         assert pairs == self.PARALLEL
 
     @pytest.mark.parametrize(
