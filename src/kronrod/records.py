@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from typing import Any, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -110,10 +110,6 @@ class ConstructionRecord:
         self.symmetries = [] if symmetries is None else symmetries
         self.disk_layout = disk_layout
 
-    def replace(self, **changes: Any) -> "ConstructionRecord":
-        """A copy with the named fields changed; the others are shared."""
-        return ConstructionRecord(**{k: getattr(self, k) for k in self.__slots__} | changes)
-
     def to_json(self) -> bytes:
         doc = {
             "case": self.case,
@@ -175,7 +171,8 @@ def _rect_points(f: ScalarField, r: Rect) -> np.ndarray:
         raise NotAnAutomorphism(f"rectangle {r} leaves the grid")
     if r.w > w or r.h > h:
         raise NotAnAutomorphism(f"rectangle {r} is larger than the torus")
-    return (r.y0 + np.arange(r.h))[:, None] % h * w + (r.x0 + np.arange(r.w)) % w
+    # origins reduced first: numpy reads no integer past the C long range
+    return (r.y0 % h + np.arange(r.h))[:, None] % h * w + (r.x0 % w + np.arange(r.w)) % w
 
 
 def moves(f: ScalarField, sym: SymmetrySpec) -> tuple:
@@ -191,7 +188,7 @@ def moves(f: ScalarField, sym: SymmetrySpec) -> tuple:
     if isinstance(sym, GridTranslation):
         if not f.wraps:
             raise NotAnAutomorphism("grid translation on a non-torus field")
-        xs, ys = (np.arange(w) + sym.dx) % w, (np.arange(h) + sym.dy) % h
+        xs, ys = (np.arange(w) + sym.dx % w) % w, (np.arange(h) + sym.dy % h) % h
         return slice(None), (ys[:, None] * w + xs).ravel(), 0
     if not isinstance(sym, RectCycle):
         raise NotAnAutomorphism(f"unknown symmetry {sym!r}")

@@ -17,15 +17,22 @@ Regular classes have one edge above and one below and are smoothed away on
 arrays: one more `_label` call joins the slab components through them into
 chains, and each chain becomes one edge.
 
+A field whose cells span many cut levels is built in two passes instead:
+the first labels the slabs between a few coarse cuts, and the sweep then
+runs on virtual ranks that cut each coarse slab component only at the
+values of its own saddles (see `_virtual_ranks`), so the nodes it labels
+follow the saddles each region holds, not the number of cut values.
+
 The graph carries topology and critical points only.  The special vertex of
 a tree is read off them: a level component with e extrema, s saddles and deg
 edge ends has genus (2 - e + s - deg)/2, so it needs no triangulation.
-Each edge keeps one witness triangle, the smallest triangle of its lowest
-slab component, and edges are numbered by (lo, witness).  A graph has at
-most one cycle, so two edges share both ends only on a circuit of length
-two, and a symmetry push reads triangles only to split that pair (see
-`ReebGraph.edge_images`).  One rule, `_pieces`, says which triangles lie in
-a slab and how they join, for the build and for the push's `slab_roots`.
+Each edge keeps one witness triangle, its smallest, the least of its slab
+components', which does not depend on the cuts, and edges are numbered by
+(lo, witness).  A graph has at most one cycle, so two edges share both ends
+only on a circuit of length two, and a symmetry push reads triangles only to
+split that pair (see `ReebGraph.edge_images`).  One rule, `_pieces`, says
+which triangles lie in a slab and how they join, for the build and for the
+push's `slab_roots`.
 """
 
 from __future__ import annotations
@@ -162,8 +169,7 @@ class ReebVertex:
 
 
 class ReebEdge:
-    # `witness`: smallest triangle of the edge's lowest component in the slab between
-    # consecutive cut values that holds lo, -1 on a graph without a triangulation
+    # `witness`: the smallest triangle of the edge, -1 on a graph without a triangulation
     __slots__ = ("id", "u", "v", "lo", "hi", "witness")
 
     def __init__(self, id: int, u: int, v: int, lo: float, hi: float, witness: int = -1):
@@ -178,19 +184,18 @@ class ShapeReport(NamedTuple):
 
 
 class ReebGraph:
-    """Kronrod-Reeb graph with its triangulation and the values it was cut at,
-    settled when it is made: the edge ends at each vertex (`incidence`), the
-    leaf peel (`peeled`, `left`, see `_peel`), the shape report (`shape`, see
-    `_walk`) and the edges of a circuit of length two (`parallel`)."""
+    """Kronrod-Reeb graph with its triangulation, settled when it is made: the
+    edge ends at each vertex (`incidence`), the leaf peel (`peeled`, `left`,
+    see `_peel`), the shape report (`shape`, see `_walk`) and the edges of a
+    circuit of length two (`parallel`)."""
 
     def __init__(
         self,
         vertices: list[ReebVertex],
         edges: list[ReebEdge],
         tri: Optional[Triangulation] = None,
-        cuts: Optional[np.ndarray] = None,
     ):
-        self.vertices, self.edges, self.tri, self.cuts = vertices, edges, tri, cuts
+        self.vertices, self.edges, self.tri = vertices, edges, tri
         self.incidence: list[list[int]] = [[] for _ in vertices]
         for e in edges:
             for x in (e.u, e.v):
@@ -200,7 +205,7 @@ class ReebGraph:
         es = self.shape.cycle_edges if self.shape else ()
         self.parallel: Optional[tuple[int, int]] = es if len(es) == 2 else None
         self._tables: Optional[tuple[dict, dict]] = None
-        self._slabs: dict[int, np.ndarray] = {}
+        self._slabs: dict[tuple[float, float], np.ndarray] = {}
 
     @property
     def n_vertices(self) -> int:
@@ -228,9 +233,10 @@ class ReebGraph:
         (see `_cell_permutation`) sends each edge: to the edge between the
         images of its ends, so both edges of the parallel pair to one.  If
         that is one of the pair, each goes to the one whose witness's
-        component in `slab_roots(lo)` holds the images of every triangle of its
-        own; one image is not enough, as a cell that straddles the pieces of a
-        rect cycle stays put."""
+        component in `slab_roots(lo, hi)` of the pair's open interval, where
+        each edge of the pair is one component, holds the images of every
+        triangle of its own; one image is not enough, as a cell that straddles
+        the pieces of a rect cycle stays put."""
         between, eperm = self.push_tables()[0], []
         for e in self.edges:
             d = between.get(frozenset((vperm[e.u], vperm[e.v])))
@@ -239,7 +245,7 @@ class ReebGraph:
             eperm.append(d)
         pair = self.parallel
         if pair and eperm[pair[0]] in pair:
-            root = self.slab_roots(self.edges[pair[0]].lo)
+            root = self.slab_roots(self.edges[pair[0]].lo, self.edges[pair[0]].hi)
             perm = _cell_permutation(self.tri, image, piece)
             for e in pair:
                 mapped = root[perm[root == root[self.edges[e].witness]]]
@@ -249,21 +255,20 @@ class ReebGraph:
                 eperm[e] = hits[0]
         return tuple(eperm)
 
-    def slab_roots(self, lo: float) -> np.ndarray:
-        """The smallest triangle of each triangle's component in the sweep's
-        slab k that holds value `lo`, between consecutive cut values, joined
-        by the build's own rule (`_pieces`): along the join segments whose
-        slabs hold k, and across the diagonal of each cell whose two
-        triangles share a node in slab k.  A triangle outside the slab is its
-        own root.  Labelled once per slab and kept."""
-        k = int(np.searchsorted(self.cuts, lo, "right"))
-        if k not in self._slabs:
-            _, span, (a, b, s_lo, s_hi) = _pieces(self.tri, _ranks(self.tri.field, self.cuts))
-            seg = (s_lo <= k) & (k <= s_hi)
-            up = ((span[1] <= k) & (k <= span[2])).nonzero()[0].astype(np.int32)  # on lower's node
+    def slab_roots(self, lo: float, hi: float) -> np.ndarray:
+        """The smallest triangle of each triangle's component in the slab of
+        the open interval (lo, hi), joined by the build's own rule (`_pieces`):
+        along the join segments that meet it, and across the diagonal of each
+        cell whose two triangles share a node there.  A triangle outside the
+        slab is its own root.  Labelled once per interval and kept."""
+        if (lo, hi) not in self._slabs:
+            rank = _ranks(self.tri.field, np.array([lo, hi]))
+            _, span, (a, b, s_lo, s_hi) = _pieces(self.tri, rank)
+            seg = (s_lo <= 1) & (1 <= s_hi)
+            up = ((span[1] <= 1) & (1 <= span[2])).nonzero()[0].astype(np.int32)  # on lower's node
             joins = np.concatenate([a[seg], up - 1]), np.concatenate([b[seg], up])
-            self._slabs[k] = _label(self.tri.ntri, *joins)
-        return self._slabs[k]
+            self._slabs[lo, hi] = _label(self.tri.ntri, *joins)
+        return self._slabs[lo, hi]
 
     def edges_spanning(self, value: float) -> list[int]:
         return [e.id for e in self.edges if e.lo < value < e.hi]
@@ -272,6 +277,20 @@ class ReebGraph:
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
+
+# The two-pass rule of `build_reeb`.  One pass labels about one node per
+# triangle and cut level it spans; `_levels_crossed` estimates those levels.
+# Where it reaches TWO_PASS_LEVELS, the field is swept on virtual ranks (see
+# `_virtual_ranks`), whose coarse cuts take every COARSE_STRIDE-th saddle
+# value.  Both come from the size sweep of `scripts/build_cost.py --sweep`,
+# 45 seeded trig-sum torus fields of side 32 to 160 on a 2-core x86-64 VM, at
+# stride 24: two passes lost 12-66% on all 17 fields below 8 levels, took
+# 0.90-1.14 times as long from 8 to 18, and 0.54-1.16 times (14 of 16 won)
+# above.  The summed build time was least at thresholds from 14.7 to 15.5 and
+# 0.1% more at 14; over 44 other draws it was least at 11, and 0.2% more at
+# 14.  Strides 16 and 24 did alike.
+TWO_PASS_LEVELS = 14
+COARSE_STRIDE = 24
 
 
 class _Batch(NamedTuple):
@@ -331,43 +350,70 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     return t_hi.reshape(-1), span.reshape(5, -1), segs.compress(segs[2] <= segs[3], axis=1)
 
 
-def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator[_Batch]:
+def _slab_nodes(k0: int, k1: int, n_lo, n_hi, segs, base: np.ndarray):
+    """The (cell piece, slab) nodes of slabs k0..k1 and the joins between them,
+    from the per-triangle slabs n_lo..n_hi of own nodes and the join segments
+    of `_pieces`.  The nodes come in ascending order of triangle, and node
+    base[t] + k is triangle t's own in slab k: `base` is set here for every
+    triangle with own nodes in these slabs.  A segment joins its nodes in all
+    its slabs.  Returns each node's triangle and slab, the first node of each
+    triangle, and the two join arrays."""
+    seg_a, seg_b, seg_lo, seg_hi = segs
+    tris = (np.maximum(n_lo, k0) <= np.minimum(n_hi, k1)).nonzero()[0]
+    a = np.maximum(n_lo[tris], k0)
+    cnt = np.minimum(n_hi[tris], k1) - a + 1
+    start = cnt.cumsum() - cnt
+    n = int(cnt.sum())
+    base[tris] = start - a
+    node_t = tris.repeat(cnt)
+    node_k = (a - start).repeat(cnt) + np.arange(n)
+    del tris, a, cnt
+    sides = (np.maximum(seg_lo, k0) <= np.minimum(seg_hi, k1)).nonzero()[0]
+    ea = np.maximum(seg_lo[sides], k0)
+    ecnt = np.minimum(seg_hi[sides], k1) - ea + 1
+    shift = ea - ecnt.cumsum(dtype=np.int32) + ecnt
+    run = np.arange(int(ecnt.sum()), dtype=np.int32)
+    joins = [(base.take(s[sides]) + shift).repeat(ecnt) + run for s in (seg_a, seg_b)]
+    return node_t, node_k, start, joins
+
+
+def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator[_Batch]:
     """Label slab components in batches, and group their ends into level classes.
 
-    Slab k (0 < k < K) holds the triangles whose value span meets the open
-    interval (cuts[k-1], cuts[k]), joined across grid edges whose span meets
-    it too.  Which slabs a triangle or grid edge lies in is read off integer
-    ranks of its corner values (`_ranks`).  One `_label` call per batch of
-    slabs k0..k1, over about `ntri` nodes, roots each component at its
-    smallest triangle: a batch takes only the nodes and join segments (see
-    `_pieces`) with a slab in k0..k1, in ascending order of triangle, and a
-    node shared by a cell's two triangles sits at the lower one's place.  The
-    batch then settles levels k0-1..k1-1 (the last batch the top level too): a
-    level's components are classes of slab ends, joined by the triangles
-    crossing the level, the grid vertices at it and the flat triangles at it.
-    No saddle lies inside an open slab, so an end is the limit of connected
-    level curves: it lies in one level component, and no slab component can
-    attach to two.  Components and classes are numbered by (slab or level,
-    smallest triangle).  Only the components of the last slab carry over to
-    the next batch.
+    `rank` is an (H, W) grid of vertex ranks over K cut levels, 2j+1 at level
+    j and 2j between levels j-1 and j (see `_ranks`), that orders the corners
+    of every triangle and grid edge as the field does; the field's maximum
+    has the top rank 2K-1.  Slab k (0 < k < K) holds the triangles whose rank
+    span meets 2k, joined across grid edges whose span meets it too.  One
+    `_label` call per batch of slabs k0..k1, over about `ntri` nodes, roots
+    each component at its smallest triangle: a batch takes only the nodes and
+    join segments (see `_pieces` and `_slab_nodes`) with a slab in k0..k1, in
+    ascending order of triangle, and a node shared by a cell's two triangles
+    sits at the lower one's place.  The batch then settles levels k0-1..k1-1
+    (the last batch the top level too): a level's components are classes of
+    slab ends, joined by the triangles crossing the level, the grid vertices
+    at it and the flat triangles at it.  No saddle lies inside an open slab,
+    so an end is the limit of connected level curves: it lies in one level
+    component, and no slab component can attach to two.  Components and
+    classes are numbered by (slab or level, smallest triangle).  Only the
+    components of the last slab carry over to the next batch.
 
-    `points` are the grid vertices of the extrema inside slabs.  Each lies in
-    the component of the triangles around it, whose bottom (at a minimum) or
-    top (at a maximum) is then the extremum's value.
+    `points` are the grid vertices of the extrema inside slabs, those of even
+    rank.  Each lies in the component of the triangles around it, whose
+    bottom (at a minimum) or top (at a maximum) is then the extremum's value.
     """
-    K, ntri, ncx, w, i32 = len(cuts), tri.ntri, tri.ncx, tri.field.width, np.int32
+    ntri, ncx, w, i32 = tri.ntri, tri.ncx, tri.field.width, np.int32
+    K = (int(rank.max()) + 1) >> 1
     vals = tri.field.values.ravel()
-    rank = _ranks(tri.field, cuts)
     t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, rank)
     rank = rank.ravel()
-    seg_a, seg_b, seg_lo, seg_hi = segs
     verts = (rank & 1).nonzero()[0]
-    verts = verts[rank[verts].argsort(kind="stable")]  # grid vertices at cut values
+    verts = verts[rank[verts].argsort(kind="stable")]  # grid vertices at cut levels
     vlev = rank[verts] >> 1
     vindex = np.zeros(len(vals), dtype=i32)
     vindex[verts] = np.arange(len(verts))
     # (triangle, level, vertex index) for every triangle around a vertex at a
-    # cut value, by level: every triangle that meets a level at a corner
+    # cut level, by level: every triangle that meets a level at a corner
     star = tri.star(verts)
     on = star < ntri
     att_t, att_v = star[on], on.nonzero()[0]
@@ -408,25 +454,10 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
 
     def settle(k0: int, k1: int) -> _Batch:
         nonlocal carried, first, n_cls
-        # the triangles with own nodes in slabs k0..k1 and the join segments
-        # there, in ascending order; a segment joins its nodes in all its slabs
-        tris = (np.maximum(n_lo, k0) <= np.minimum(n_hi, k1)).nonzero()[0]
-        a = np.maximum(n_lo[tris], k0)
-        cnt = np.minimum(n_hi[tris], k1) - a + 1
-        start = cnt.cumsum() - cnt
-        n = int(cnt.sum())
-        base[tris] = start - a
-        node_t = tris.repeat(cnt)
-        node_k = (a - start).repeat(cnt) + np.arange(n)
-        lowest = start[2 * a - 1 <= t_lo[tris]]  # the nodes that are their triangle's lowest
-        del tris, a, cnt, start
-        sides = (np.maximum(seg_lo, k0) <= np.minimum(seg_hi, k1)).nonzero()[0]
-        ea = np.maximum(seg_lo[sides], k0)
-        ecnt = np.minimum(seg_hi[sides], k1) - ea + 1
-        shift = ea - ecnt.cumsum(dtype=i32) + ecnt
-        run = np.arange(int(ecnt.sum()), dtype=i32)
-        joins = [(base.take(s[sides]) + shift).repeat(ecnt) + run for s in (seg_a, seg_b)]
-        del sides, ea, ecnt, shift, run
+        node_t, node_k, start, joins = _slab_nodes(k0, k1, n_lo, n_hi, segs, base)
+        n = len(node_t)
+        lowest = start[2 * node_k[start] - 1 <= t_lo[node_t[start]]]  # their triangle's lowest
+        del start
         root = _label(n, *joins)
         del joins
         r = (root == np.arange(n)).nonzero()[0]
@@ -510,8 +541,80 @@ def _sweep(tri: Triangulation, cuts: np.ndarray, points: np.ndarray) -> Iterator
     yield from (settle(k0, k1) for k0, k1 in bounds)
 
 
+def _virtual_ranks(
+    tri: Triangulation, rank: np.ndarray, coarse: np.ndarray, saddles: np.ndarray
+) -> np.ndarray:
+    """Ranks for a sweep that cuts each component of a coarse slab only at the
+    values of the saddles inside it.
+
+    `rank` holds the fine ranks of the field (see `_ranks`) over its K cut
+    values, `coarse` marks the cut values kept as coarse cuts, and `saddles`
+    are the saddles' grid vertices.  A lookup table turns fine ranks into
+    coarse ones, and one `_label` call labels every coarse slab.  A grid vertex
+    strictly inside coarse slab k lies in the component of any triangle around
+    it, and component X of slab k holds its own saddle values own(X), as fine
+    cut indices.  Slab k gets R_k virtual cuts, R_k the longest own(X) there,
+    numbered on from the virtual index V of coarse cut k-1.  A vertex of X
+    with i own values below it has rank 2(V+i+1), or 2(V+i+1)+1 at the
+    (i+1)-th; above X's last own value it has the slab's top rank.  The corners
+    of a grid edge strictly inside one coarse slab are joined along it, so the
+    new ranks order the corners of every triangle and grid edge as the field
+    does, and each component is cut exactly at its own saddle values.
+    """
+    K, nv = len(coarse), rank.size
+    below = np.cumsum(coarse, dtype=np.int32)  # coarse cuts at or below each fine cut
+    table = np.zeros(2 * K + 1, dtype=np.int32)
+    table[1::2], table[2::2] = 2 * below - coarse, 2 * below
+    crank = table[rank].ravel()
+    _, (_, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, crank.reshape(rank.shape))
+    base = np.zeros(tri.ntri, dtype=np.int32)
+    node_t, _, _, joins = _slab_nodes(1, int(below[-1]) - 1, n_lo, n_hi, segs, base)
+    root = _label(len(node_t), *joins)
+    del node_t, joins, segs, n_lo, n_hi
+    # the component of each grid vertex strictly inside a coarse slab, read
+    # off a triangle of its own cell, clamped into a disk's cells
+    inside = ((crank & 1) == 0).nonzero()[0]
+    k = crank[inside] >> 1
+    y, x = np.divmod(inside, tri.field.width)
+    cx, cy = np.minimum(x, tri.ncx - 1), np.minimum(y, tri.ncy - 1)
+    t = 2 * (cy * tri.ncx + cx) + ((x == cx) & (y != cy))  # the upper one at its (x, y+1)
+    comp = np.full(nv, -1, dtype=np.int64)
+    comp[inside] = root[base[t - ((d_lo[t] <= k) & (k <= d_hi[t]))] + k]
+    del base, t, d_lo, d_hi, x, y, cx, cy
+    # own(X) as rows of counts: under[row[X], j] own values of X below fine cut j
+    fine = rank.ravel() >> 1
+    saddles = saddles[(crank[saddles] & 1) == 0]
+    holder, fine_at = comp[saddles], fine[saddles]
+    row = np.zeros(len(root), dtype=np.int64)
+    row[holder] = 1
+    holders = row.nonzero()[0]
+    row[:] = -1  # the last row, all zeros, for the components with no own values
+    row[holders] = np.arange(len(holders))
+    under = np.zeros((len(holders) + 1, K + 1), dtype=np.int64)
+    under[row[holder], fine_at + 1] = 1
+    under = under.cumsum(axis=1)
+    longest = np.zeros(int(below[-1]), dtype=np.int64)  # R_k
+    np.maximum.at(longest, below[fine_at], under[row[holder], K])
+    virtual = np.arange(len(longest)) + np.cumsum(longest)  # virtual index of each coarse cut
+    out = 2 * virtual[crank >> 1] + 1  # right at the coarse cuts
+    r, j = row[comp[inside]], fine[inside]
+    i, n_own = under[r, j], under[r, K]
+    at_own = (under[r, j + 1] - i) & rank.ravel()[inside]  # 1 right at an own value
+    v = virtual[k - 1]
+    out[inside] = np.where(i < n_own, 2 * (v + i + 1) + at_own, 2 * (v + longest[k] + 1))
+    return out.astype(np.int32).reshape(rank.shape)
+
+
+def _levels_crossed(rank: np.ndarray) -> float:
+    """The cut levels crossed by a grid step along x plus one along y, on
+    average over the grid (round a disk too, whose frame is level): about the
+    levels a cell spans, and at most 2(K-1) over K cut levels."""
+    return sum(float(np.abs(rank - np.roll(rank, 1, axis=a)).mean()) for a in (0, 1)) / 2
+
+
 def build_reeb(f: ScalarField) -> ReebGraph:
-    """Construct the Kronrod-Reeb graph of a PL-Morse field."""
+    """Construct the Kronrod-Reeb graph of a PL-Morse field, in two passes
+    where its cells span many cut levels (see TWO_PASS_LEVELS)."""
     crits = classify_vertices(f)
     tri = Triangulation(f)
 
@@ -523,13 +626,19 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     if not crits and not boundary:
         raise InvalidField("field has no critical points and no boundary")
     on_boundary = {p for _, p in boundary}
-    # cut at saddles, boundary curves and the extremes of the field; every
-    # other extremum lies inside a slab
+    # cut at saddles, boundary curves and the extremes of the field, or in two
+    # passes at the coarse cuts first; every other extremum lies inside a slab
     vals = f.values.ravel()
-    cut_set = {*(c.value for c in crits if c.kind is CritKind.SADDLE), *(v for v, _ in boundary)}
-    cut_set |= {float(vals.min()), float(vals.max())}
-    cuts = np.array(sorted(cut_set))
-    inside = np.array([c.y * f.width + c.x for c in crits if c.value not in cut_set], dtype=int)
+    saddles = {c.value for c in crits if c.kind is CritKind.SADDLE}
+    extremes = {*(v for v, _ in boundary), float(vals.min()), float(vals.max())}
+    cuts = np.array(sorted(saddles | extremes))
+    rank = _ranks(f, cuts)
+    if 2 * (len(cuts) - 1) >= TWO_PASS_LEVELS and _levels_crossed(rank) >= TWO_PASS_LEVELS:
+        coarse = np.isin(cuts, [*extremes, *sorted(saddles)[COARSE_STRIDE - 1 :: COARSE_STRIDE]])
+        sites = np.array([c.y * f.width + c.x for c in crits if c.kind is CritKind.SADDLE])
+        rank = _virtual_ranks(tri, rank, coarse, sites)
+    sites = np.array(list(crits_at), dtype=np.int64)
+    inside = sites[(rank.ravel()[sites] & 1) == 0]
 
     # -- one sweep up the slabs: level classes become nodes and slab components
     # pre-edges, in the sweep's order.  Only classes with critical points or a
@@ -537,13 +646,11 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     mark_v = np.zeros(f.values.size, dtype=bool)
     mark_v[[*crits_at, *on_boundary]] = True
     parts = []
-    for b in _sweep(tri, cuts, inside):
+    for b in _sweep(tri, rank, inside):
         at, cls = b.vertices[:, mark_v[b.vertices[0]]]  # marked grid vertices and their classes
-        parts.append((b.levels, b.least, b.bottom, b.comp_t, *b.tops, at, cls, *b.extrema))
-    level, least, u, comp_t, top_g, top_c, at, cls, ext_p, ext_e, ext_t = map(
-        np.concatenate, zip(*parts)
-    )
-    n_cls, n_pre = len(level), len(u)
+        parts.append((b.least, b.bottom, b.comp_t, *b.tops, at, cls, *b.extrema))
+    least, u, comp_t, top_g, top_c, at, cls, ext_p, ext_e, ext_t = map(np.concatenate, zip(*parts))
+    n_cls, n_pre = len(least), len(u)
     v = np.empty(n_pre, dtype=np.int64)
     v[top_g] = top_c
 
@@ -561,8 +668,8 @@ def build_reeb(f: ScalarField) -> ReebGraph:
             if n
             else "empty component end without an extremum"
         )
-    value = cuts[level]
-    value[ends], least[ends] = vals[ext_p], ext_t
+    value = np.empty(n_cls)  # read at marked classes only
+    value[cls], value[ends], least[ends] = vals[at], vals[ext_p], ext_t
     marked = np.zeros(n_cls, dtype=bool)
     marked[cls] = marked[ends] = True
 
@@ -582,12 +689,16 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     joined = (~marked[v]).nonzero()[0]
     chain = _label(n_pre, joined, up_of[v[joined]])
     # one edge per chain, from its lowest to its highest pre-edge, whose
-    # witness is the smallest triangle of its lowest.  Edges with equal lo
-    # start in one slab, so (lo, witness) orders them.
+    # witness is its smallest triangle, the least of its slab components'.
+    # Edges with equal lo share no triangle: f runs monotonely along a segment
+    # in a triangle, so the segment could pass from one edge to another only
+    # through a vertex at lo.  So (lo, witness) orders them.
     hi_pre = marked[v].nonzero()[0]
     lo_pre = chain[hi_pre]
-    order = np.lexsort((comp_t[lo_pre], value[u[lo_pre]]))
-    lo, hi, witness = u[lo_pre[order]], v[hi_pre[order]], comp_t[lo_pre[order]]
+    least_t = np.full(n_pre, tri.ntri, dtype=comp_t.dtype)
+    np.minimum.at(least_t, chain, comp_t)
+    order = np.lexsort((least_t[lo_pre], value[u[lo_pre]]))
+    lo, hi, witness = u[lo_pre[order]], v[hi_pre[order]], least_t[lo_pre[order]]
 
     crits_of: dict[int, list[CriticalPoint]] = {}
     on_curve: set[int] = set()
@@ -612,7 +723,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         raise ReebError("empty Reeb graph")
     if _label(len(vertices), *columns[:2]).any():
         raise ReebError("Reeb graph is disconnected")
-    return ReebGraph(vertices, edges, tri, cuts)
+    return ReebGraph(vertices, edges, tri)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ the recursive disk construction, ``tree_realizable`` / ``circuit_realizable``
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any, Iterator, NamedTuple
 
@@ -118,6 +119,22 @@ def order(t: GroupTerm) -> int:
     if isinstance(t, Wr2):
         blocks = t.n * (t.m * t.n)
         return order(t.base) ** blocks * blocks
+    raise TypeError(f"not a GroupTerm: {t!r}")
+
+
+def order_bits(t: GroupTerm) -> float:
+    """log2 of the group order of a term, read off its structure without the
+    order itself: inf where that passes the float range."""
+    if isinstance(t, Triv):
+        return 0.0
+    if isinstance(t, Prod):
+        return sum(map(order_bits, t.factors))
+    if isinstance(t, (Wr, Wr2)):
+        blocks = t.n if isinstance(t, Wr) else t.n * (t.m * t.n)
+        base = order_bits(t.base)
+        if base and blocks > 2**1000:  # past the float range
+            return math.inf
+        return blocks * base + math.log2(blocks)
     raise TypeError(f"not a GroupTerm: {t!r}")
 
 

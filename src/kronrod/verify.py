@@ -13,6 +13,7 @@ counted independently from canonical forms.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 from kronrod.auts import (
@@ -27,7 +28,7 @@ from kronrod.fields import ScalarField, is_simple, morse_counts
 from kronrod.permgroups import is_isomorphic, perm_rep, rep_degree
 from kronrod.records import ConstructionRecord, check_record_against_field
 from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
-from kronrod.terms import GroupTerm, format_term, normalize, order
+from kronrod.terms import GroupTerm, format_term, normalize, order, order_bits
 
 
 class CheckResult(NamedTuple):
@@ -59,6 +60,20 @@ class VerificationReport:
 def _number(n: int) -> str:
     """`n` in decimal, or its size where Python would refuse the decimal."""
     return str(n) if n.bit_length() <= 10_000 else f"<{n.bit_length()}-bit number>"
+
+
+def _term_order(want: GroupTerm, generated: int) -> tuple[Optional[int], str]:
+    """The order of `want` and how a report prints it.  Its size comes first,
+    from the term's structure (`order_bits`); the order itself is computed
+    only when that size is within a bit of the generated order's or small,
+    so a term far larger than the generated group costs no more than that."""
+    bits = order_bits(want)
+    if abs(bits - math.log2(generated)) < 1 or bits < 100_000:
+        n = order(want)
+        return n, _number(n)
+    if bits == math.inf:
+        return None, "<number of more than 10^300 bits>"
+    return None, f"<{math.floor(bits) + 1}-bit number>"
 
 
 def graph_free_checks(f: ScalarField, rec: ConstructionRecord) -> VerificationReport:
@@ -132,8 +147,9 @@ def verify_realization(
         report.add("structural_term", False, str(exc))
 
     grp = generated_group(g, induced)
-    detail = f"generated order {_number(grp.order)}, term order {_number(order(want))}"
-    report.add("generated_order", grp.order == order(want), detail)
+    want_order, printed = _term_order(want, grp.order)
+    detail = f"generated order {_number(grp.order)}, term order {printed}"
+    report.add("generated_order", grp.order == want_order, detail)
     try:
         if rt is None:
             raise KronrodError("the record gives no term")

@@ -5,13 +5,11 @@ It labels the components of every cut level and of every slab between two
 cut levels separately, each over the whole grid, and attaches every slab
 component to the level components its triangles touch.  It raises when a
 slab component touches other than one level component on either side.
-Its witnesses are those of its own slabs, between consecutive critical
-values; at the end each is mapped to the smallest triangle of its component
-in the slab between consecutive cut values (saddles, the boundary curve and
-the field's extremes) that holds the edge's lo, and edges are ordered by
-(lo, witness).  Node order, edge order, witness triangles and the smoothing
-are then those `build_reeb` promises, so the two graphs must have equal
-digests.
+Each slab component's witness is its smallest triangle, and an edge merged
+from several keeps the least of theirs: the smallest triangle of the edge.
+Edges are ordered by (lo, witness).  Node order, edge order, witness
+triangles and the smoothing are then those `build_reeb` promises, so the two
+graphs must have equal digests.
 Components come from a plain union-find, which shares no code with the
 library's labeller, and shared grid edges from the triangles' corners, as
 in `_region_euler`.  The corners come from `corpus.triangle_corners`, which
@@ -21,7 +19,6 @@ topology of a set of triangles, for the special-vertex oracle in the tests.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from typing import Iterable, Optional
 
@@ -29,7 +26,7 @@ import numpy as np
 
 from kronrod.corpus import triangle_corners
 from kronrod.errors import InvalidField, ReebError
-from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, classify_vertices
+from kronrod.fields import TORUS, CriticalPoint, ScalarField, classify_vertices
 from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation
 
 # value spans of the triangles, and the two triangles on each shared grid edge
@@ -220,26 +217,14 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
             raise ReebError("regular component with both edges on one side")
         incident[e1["u"]].append(len(pedges))
         incident[e2["v"]].append(len(pedges))
-        pedges.append(dict(e1, v=e2["v"], hi=e2["hi"]))
+        witness = min(e1["witness"], e2["witness"])
+        pedges.append(dict(e1, v=e2["v"], hi=e2["hi"], witness=witness))
         merged.update(live)
 
     vertices = [ReebVertex(id=vid, **nodes[ni]) for ni, vid in kept.items()]
     live = [e for ei, e in enumerate(pedges) if ei not in merged]
 
-    # -- rename each witness by its component in the cut slab that holds lo,
-    # and order the edges by (lo, witness)
-    cuts = {c.value for c in crits if c.kind is CritKind.SADDLE} | {v for v, _ in boundary}
-    cuts = sorted(cuts | {float(f.values.min()), float(f.values.max())})
-    least: dict[int, np.ndarray] = {}  # smallest triangle of each triangle's component, by slab
-    for e in live:
-        k = bisect_right(cuts, e["lo"])
-        if k not in least:
-            a, b = cuts[k - 1], cuts[k]
-            comp_of, members = _components(
-                sp, (sp.tri_max > a) & (sp.tri_min < b), (sp.edge_max > a) & (sp.edge_min < b)
-            )
-            least[k] = np.array([m[0] for m in members])[comp_of]
-        e["witness"] = int(least[k][e["witness"]])
+    # -- order the edges by (lo, witness)
     live.sort(key=lambda e: (e["lo"], e["witness"]))
     edges = [ReebEdge(i, **dict(e, u=kept[e["u"]], v=kept[e["v"]])) for i, e in enumerate(live)]
 

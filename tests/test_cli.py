@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -403,6 +404,49 @@ class TestVerify:
         detail = {c["name"]: (c["ok"], c["detail"]) for c in doc["checks"]}
         want = "generated order 2, term order <15014-bit number>"
         assert detail["generated_order"] == (False, want)
+
+    def test_outside_term_order_is_sized_not_computed(self, tmp_path, capsys, monkeypatch):
+        """The order of wr(wr(1,2),300000000) has 300,000,029 bits.  The
+        report reads its size off the term and fails `generated_order`
+        without computing it, well within a second."""
+        run(capsys, "realize", "--term", "wr(1,2)", "--case", "circuit", "--out", str(tmp_path))
+        field, record = str(tmp_path / "field.json"), str(tmp_path / "record.json")
+        order = verify.order
+
+        def small_only(t):
+            assert terms.order_bits(t) < 100_000, "computed an outside term's order"
+            return order(t)
+
+        monkeypatch.setattr(verify, "order", small_only)
+        term = "wr(wr(1,2),300000000)"
+        start = time.perf_counter()
+        code, doc = run(capsys, "verify", "--field", field, "--record", record, "--term", term)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        detail = {c["name"]: (c["ok"], c["detail"]) for c in doc["checks"]}
+        want = "generated order 2, term order <300000029-bit number>"
+        assert detail["generated_order"] == (False, want)
+
+    @pytest.mark.parametrize("kind", ["translation", "rect_cycle"])
+    def test_offsets_past_the_c_long_range_wrap(self, tmp_path, capsys, kind):
+        """A torus symmetry whose offset or rect origin is moved by 10^400
+        grid widths or heights is the same map: it is reduced modulo the grid
+        before numpy reads it, and the realization still verifies."""
+        base = "wr(1,2)" if kind == "translation" else "wr(wr(1,2),2)"
+        run(capsys, "realize", "--term", base, "--case", "circuit", "--out", str(tmp_path))
+        doc = json.loads((tmp_path / "record.json").read_bytes())
+        sym = next(s for s in doc["symmetries"] if s["kind"] == kind)
+        w, h, far = doc["width"], doc["height"], 10**400
+        if kind == "translation":
+            sym["dx"] += far * w
+            sym["dy"] -= far * h
+        else:
+            sym["rects"][0][0] += far * w
+            sym["rects"][-1][1] -= far * h
+        (tmp_path / "record.json").write_text(json.dumps(doc))
+        argv = ["--field", str(tmp_path / "field.json"), "--record", str(tmp_path / "record.json")]
+        code, doc = run(capsys, "verify", *argv)
+        assert code == 0 and doc["ok"]
 
     def test_corrupted_record(self, tmp_path, capsys):
         run(

@@ -1,9 +1,9 @@
+import functools
 import hashlib
 import importlib.util
 import json
 import sys
 import types
-from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +29,8 @@ from kronrod.reeb import (
     ReebVertex,
     Triangulation,
     _label,
+    _levels_crossed,
+    _ranks,
     _sweep,
     build_reeb,
     classify_shape,
@@ -170,47 +172,37 @@ class TestBuildReeb:
         component holds two."""
         f = random_torus_field(0)
         monkeypatch.setattr(
-            kronrod.reeb, "_sweep", lambda tri, cuts, points: _sweep(tri, cuts, change(points))
+            kronrod.reeb, "_sweep", lambda tri, rank, points: _sweep(tri, rank, change(points))
         )
         with pytest.raises(ReebError, match=message):
             build_reeb(f)
 
-    def test_edge_witness_in_lowest_slab_apart_per_class(self):
-        """Each witness is the smallest triangle of its component in the slab
-        between consecutive cut values (saddles and the field's extremes) that
-        holds its edge's lo, and the witnesses of a parallel class lie in
-        different components of that slab.  On every oracle field, edges come
-        in strictly increasing (lo, witness) and `slab_roots` roots each
+    def test_edge_witness_is_its_smallest_triangle(self):
+        """Each witness is the smallest triangle of its edge: of the edge's
+        component among the triangles and shared grid edges whose value spans
+        meet the open interval (lo, hi), where every edge is one component,
+        worked out by the oracle's union-find.  So the witnesses of a parallel
+        pair differ, and on every oracle field edges come in strictly
+        increasing (lo, witness), with `slab_roots(lo, hi)` rooting each
         witness at itself."""
         for n in (1, 2):
             f, _ = realize_torus_circuit(Wr(Triv(), 2), n)
             g = build_reeb(f)
             sp = spans(g.tri)
-            saddles = {c.value for c in classify_vertices(f) if c.kind is CritKind.SADDLE}
-            cuts = sorted(saddles | {float(f.values.min()), float(f.values.max())})
-            classes: dict[tuple, list[int]] = {}
-            roots = {}
             for e in g.edges:
-                k = bisect_right(cuts, e.lo)
-                lo, hi = cuts[k - 1], cuts[k]
-                assert sp.tri_max[e.witness] > lo and sp.tri_min[e.witness] < hi
-                if k not in roots:
-                    joins = (sp.edge_max > lo) & (sp.edge_min < hi)
-                    pairs = zip(sp.adj_a[joins].tolist(), sp.adj_b[joins].tolist())
-                    roots[k] = union_find_roots(g.tri.ntri, pairs)
-                assert roots[k][e.witness] == e.witness
-                classes.setdefault((e.u, e.v, e.lo, e.hi), []).append(e.id)
-            parallel = [ids for ids in classes.values() if len(ids) > 1]
+                joins = (sp.edge_max > e.lo) & (sp.edge_min < e.hi)
+                pairs = zip(sp.adj_a[joins].tolist(), sp.adj_b[joins].tolist())
+                root = union_find_roots(g.tri.ntri, pairs)
+                assert sp.tri_max[e.witness] > e.lo and sp.tri_min[e.witness] < e.hi
+                assert root[e.witness] == e.witness
             if n == 1:
-                assert parallel  # the two circuit edges
-            for ids in parallel:
-                comps = [roots[bisect_right(cuts, g.edges[e].lo)][g.edges[e].witness] for e in ids]
-                assert len(set(comps)) == len(comps)
+                a, b = (g.edges[e] for e in g.parallel)  # the two circuit edges
+                assert (a.lo, a.hi) == (b.lo, b.hi) and a.witness != b.witness
         for name, make in ORACLE_FIELDS.items():
             g = build_reeb(make())
             keys = [(e.lo, e.witness) for e in g.edges]
             assert all(a < b for a, b in zip(keys, keys[1:])), name
-            assert all(g.slab_roots(e.lo)[e.witness] == e.witness for e in g.edges), name
+            assert all(g.slab_roots(e.lo, e.hi)[e.witness] == e.witness for e in g.edges), name
 
 
 @st.composite
@@ -325,13 +317,14 @@ class TestLabel:
 
 
 def record_sweeps(f, monkeypatch):
-    """The cuts (as a list) and the other arguments of every `_sweep` call
-    that `build_reeb(f)` makes."""
+    """The cut values (as a list) and the extrema inside slabs of every
+    `_sweep` call that `build_reeb(f)` makes, the cut values read off the
+    grid vertices of odd rank, which a one-pass build puts at its cuts."""
     calls = []
 
-    def recording(tri, cuts, *rest):
-        calls.append((cuts.tolist(), *rest))
-        return _sweep(tri, cuts, *rest)
+    def recording(tri, rank, points):
+        calls.append((sorted(set(tri.field.values[(rank & 1) == 1].tolist())), points))
+        return _sweep(tri, rank, points)
 
     monkeypatch.setattr(kronrod.reeb, "_sweep", recording)
     build_reeb(f)
@@ -339,7 +332,7 @@ def record_sweeps(f, monkeypatch):
 
 
 def check_sweep(f, cuts, points):
-    """Check `_sweep(tri, cuts, points)` against flood fills that share no
+    """Check `_sweep` on the ranks of `cuts` against flood fills that share no
     code with it, and return the number of extrema it hung.
 
     Every slab's components are named by their smallest triangles.  Every
@@ -361,7 +354,7 @@ def check_sweep(f, cuts, points):
     class_least: list[int] = []
     vertex_class: dict[int, int] = {}
     extrema: list[tuple[int, int, int]] = []  # (grid vertex, end, smallest triangle)
-    for b in _sweep(tri, np.array(cuts), points):
+    for b in _sweep(tri, _ranks(f, np.array(cuts)), points):
         first = len(comp_slab)
         comp_slab += b.comp_slab.tolist()
         comp_t += b.comp_t.tolist()
@@ -439,15 +432,20 @@ ORACLE_FIELDS = {
 }
 
 
+def cut_values(f):
+    """The saddle and boundary values of `f` and its minimum and maximum, sorted."""
+    saddles = {c.value for c in classify_vertices(f) if c.kind is CritKind.SADDLE}
+    boundary = set(f.values[f.boundary_mask()].tolist())
+    return sorted(saddles | boundary | {float(f.values.min()), float(f.values.max())})
+
+
 @pytest.mark.parametrize("name", ["bench-32", "tree-wr(1,2)-1-2", "disk-wr(1,3)"])
 def test_cuts_at_saddles_boundaries_and_extremes(name, monkeypatch):
     """The builder cuts at the saddle and boundary values and at the field's
     minimum and maximum only; every other extremum lies inside a slab."""
     f = ORACLE_FIELDS[name]()
     [(cuts, *_)] = record_sweeps(f, monkeypatch)
-    saddles = {c.value for c in classify_vertices(f) if c.kind is CritKind.SADDLE}
-    boundary = set(f.values[f.boundary_mask()].tolist())
-    assert cuts == sorted(saddles | boundary | {float(f.values.min()), float(f.values.max())})
+    assert cuts == cut_values(f)
 
 
 def record_batches(f, monkeypatch):
@@ -460,8 +458,8 @@ def record_batches(f, monkeypatch):
         counts.append(n)
         return _label(n, a, b)
 
-    def sweep(tri, cuts, points):
-        for b in _sweep(tri, cuts, points):
+    def sweep(tri, rank, points):
+        for b in _sweep(tri, rank, points):
             batches.append((int(b.comp_slab.min()), int(b.comp_slab.max()), counts[0]))
             counts.clear()
             yield b
@@ -527,13 +525,139 @@ def test_oracle_fields_cover_every_cell_case(monkeypatch):
     assert handed
 
 
+@functools.lru_cache(maxsize=None)
+def per_level_digest(name):
+    """The digest of the per-level builder's graph of an oracle field."""
+    return graph_digest(build_reeb_per_level(ORACLE_FIELDS[name]()))
+
+
 @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
 def test_matches_per_level_builder(name):
     """The sweep gives the graph of the per-level builder it replaced, with
-    the same ids, values, crits, intervals and witnesses once the oracle names
-    its witnesses by the sweep's slabs."""
-    f = ORACLE_FIELDS[name]()
-    assert graph_digest(build_reeb(f)) == graph_digest(build_reeb_per_level(f))
+    the same ids, values, crits, intervals and witnesses, the smallest
+    triangle of each edge."""
+    assert graph_digest(build_reeb(ORACLE_FIELDS[name]())) == per_level_digest(name)
+
+
+def spy_two_passes(monkeypatch):
+    """The list that each call of `_virtual_ranks`, the first of two passes,
+    appends to."""
+    calls = []
+    virtual_ranks = kronrod.reeb._virtual_ranks
+    monkeypatch.setattr(
+        kronrod.reeb, "_virtual_ranks", lambda *args: calls.append(1) or virtual_ranks(*args)
+    )
+    return calls
+
+
+def passes(monkeypatch, stride=None):
+    """Make every build take two passes at `stride`, or (None) one pass; the
+    calls of `_virtual_ranks` as `spy_two_passes` gives them."""
+    monkeypatch.setattr(kronrod.reeb, "TWO_PASS_LEVELS", 10**9 if stride is None else 0)
+    monkeypatch.setattr(kronrod.reeb, "COARSE_STRIDE", stride)
+    return spy_two_passes(monkeypatch)
+
+
+def count_nodes(f, monkeypatch):
+    """The (cell piece, slab) nodes that `build_reeb(f)` labels, per
+    `_slab_nodes` call: in the coarse pass and in each batch of the sweep."""
+    nodes = []
+    slab_nodes = kronrod.reeb._slab_nodes
+
+    def counting(*args):
+        out = slab_nodes(*args)
+        nodes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(kronrod.reeb, "_slab_nodes", counting)
+    build_reeb(f)
+    return nodes
+
+
+class TestTwoPasses:
+    """A build on virtual ranks (`_virtual_ranks`) gives the graph of one
+    pass: every digest here must match the one-pass build's."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+    def test_matches_per_level_builder(self, name, monkeypatch):
+        """Every oracle field, each build forced into two passes at stride 2,
+        where most coarse slabs hold one fine cut."""
+        f = ORACLE_FIELDS[name]()
+        calls = passes(monkeypatch, 2)
+        assert graph_digest(build_reeb(f)) == per_level_digest(name)
+        assert calls == [1]
+
+    EQUAL = {
+        **{f"bench-{side}": (lambda side=side: bench_field(side)) for side in (32, 64, 96, 128)},
+        **{
+            f"random-{s}-{n}": (lambda s=s, n=n: random_torus_field(s, n))
+            for n in (16, 24, 40)
+            for s in range(4)
+        },
+        "disk-wr(1,3)": ORACLE_FIELDS["disk-wr(1,3)"],
+        "disk-prod(wr(1,2),wr(1,3))": ORACLE_FIELDS["disk-prod(wr(1,2),wr(1,3))"],
+    }
+
+    @pytest.mark.parametrize("name", list(EQUAL))
+    def test_two_passes_equal_one(self, name, monkeypatch):
+        """The `fields-analyze` benchmark fields, random torus fields of side
+        16 to 40 and two disks give one digest in one pass and in two, at
+        strides 2, 3, 8 and the module's own."""
+        f = self.EQUAL[name]()
+        with monkeypatch.context() as mp:
+            assert passes(mp) == []
+            one = graph_digest(build_reeb(f))
+        for stride in (2, 3, 8, kronrod.reeb.COARSE_STRIDE):
+            with monkeypatch.context() as mp:
+                calls = passes(mp, stride)
+                assert graph_digest(build_reeb(f)) == one, stride
+                assert calls == [1]
+
+    def test_constructions_keep_one_pass(self, monkeypatch):
+        """The rule sends no corpus member and no field of the
+        `circuit-scale` benchmark (circuit `1`, n = 4..8) to two passes: their
+        cells span few cut levels."""
+
+        def barred(*args):
+            raise AssertionError("a construction took two passes")
+
+        monkeypatch.setattr(kronrod.reeb, "_virtual_ranks", barred)
+        for m in corpus_grid():
+            build_reeb(realize_member(m)[0])
+        for n in range(4, 9):
+            build_reeb(realize_torus_circuit(parse_term("1"), n)[0])
+
+    def test_two_passes_label_fewer_nodes(self, monkeypatch):
+        """On the 96 x 96 benchmark field the module's rule takes two passes,
+        which label a fifth fewer nodes together than one pass does."""
+        f = bench_field(96)
+        with monkeypatch.context() as mp:
+            calls = spy_two_passes(mp)
+            two = count_nodes(f, mp)
+            assert calls == [1]
+        with monkeypatch.context() as mp:
+            passes(mp)
+            one = count_nodes(f, mp)
+        assert sum(two) < 0.8 * sum(one)
+
+    @pytest.mark.parametrize("name", ["random-3-16", "disk-wr(1,3)", "bench-32", "simple-1-1"])
+    def test_levels_crossed_by_grid_steps(self, name):
+        """`_levels_crossed` against a loop over the grid steps along x and
+        along y, round the grid, each crossing |rank difference| / 2 cut
+        levels; it is at most 2(K-1) over K cut levels."""
+        f = ORACLE_FIELDS[name]()
+        cuts = cut_values(f)
+        rank = _ranks(f, np.array(cuts)).tolist()
+        h, w = f.values.shape
+        steps = [
+            abs(rank[y][x] - rank[(y + dy) % h][(x + dx) % w])
+            for y in range(h)
+            for x in range(w)
+            for dx, dy in ((1, 0), (0, 1))
+        ]
+        want = sum(steps) / (2 * h * w)
+        got = _levels_crossed(np.array(rank))
+        assert got == pytest.approx(want) and got <= 2 * (len(cuts) - 1)
 
 
 class TestPinnedGraphs:
@@ -541,14 +665,16 @@ class TestPinnedGraphs:
     edge witnesses, taken while the graph still carried triangle sets (the
     witness was then the first of an edge's sorted cells), and re-taken
     where edges came to be named and ordered by their witnesses in the
-    sweep's slabs; any change to them shows here."""
+    sweep's slabs.  The witness is now again the edge's smallest triangle,
+    which moved four witnesses of `random-3-24` and none of the
+    constructions'; any change to them shows here."""
 
     DIGESTS = {
         "tree-wr(1,2)-1-2": "13bb14b1f6a47d32dc3cb51dc9678a54f6daff6a713c4e7b990373dcf7cbaa4f",
         "circuit-wr(1,2)-2": "3afba67c25dd3a72c1cee3951e0e0833d2376df41df226779ff47c11be4bb275",
         "simple-wr(wr(1,2),2)-2": "05876bdbf352918a2317a37cf4caf84b7cdcd49d61dba9915fbf7bfcc6c5ebfb",
         "disk-wr(1,3)": "8e881c84094f37ed7ed9941843152d8c587f335876ef113a86e77b5bffa7550b",
-        "random-3-24": "67d3fb37807c0a034f233f8fccec0b06d95e01b327facd6c36d130b87a74023a",
+        "random-3-24": "277ce9813187bcb4e79bbccb2d962970e357f370dbb21219df70261c27b69bcf",
     }
 
     @staticmethod
@@ -816,13 +942,21 @@ class TestSlabRoots:
         ["random-1-16-rolled", "disk-wr(1,3)", "disk-prod(wr(1,2),wr(1,3))", "bench-32", *PARALLEL],
     )
     def test_slab_roots_match_the_union_find(self, name, monkeypatch):
-        """`slab_roots` of every cut slab, on a torus, a disk, a field swept
-        in several batches and every corpus member with a parallel pair,
-        against the oracle's union-find over the triangles and shared grid
-        edges whose value spans meet the slab's open interval, worked out
-        with `_pieces`, `_ranks` and `_label` barred.  Every other triangle
-        is its own root."""
-        g = build_reeb(ORACLE_FIELDS[name]())
+        """`slab_roots` of the interval between each two consecutive cut
+        values and of a parallel pair's interval, on a torus, a disk, a field
+        swept in several batches and every corpus member with a parallel
+        pair, against the oracle's union-find over the triangles and shared
+        grid edges whose value spans meet the open interval, worked out with
+        `_pieces`, `_ranks` and `_label` barred.  Every other triangle is its
+        own root, and each edge of a parallel pair is one component, rooted
+        at its witness."""
+        f = ORACLE_FIELDS[name]()
+        g = build_reeb(f)
+        cuts = cut_values(f)
+        intervals = list(zip(cuts[:-1], cuts[1:]))
+        if g.parallel:
+            pair = [g.edges[e] for e in g.parallel]
+            intervals.append((pair[0].lo, pair[0].hi))
         sp, want = spans(g.tri), []
 
         def barred(*args):
@@ -831,15 +965,19 @@ class TestSlabRoots:
         with monkeypatch.context() as mp:
             for fn in ("_pieces", "_ranks", "_label"):
                 mp.setattr(kronrod.reeb, fn, barred)
-            for a, b in zip(g.cuts[:-1], g.cuts[1:]):
+            for a, b in intervals:
                 comp_of, members = _components(
                     sp, (sp.tri_max > a) & (sp.tri_min < b), (sp.edge_max > a) & (sp.edge_min < b)
                 )
                 root, inside = np.arange(g.tri.ntri), comp_of >= 0
                 root[inside] = np.array([m[0] for m in members])[comp_of[inside]]
                 want.append(root)
-        for k, root in enumerate(want, 1):
-            assert g.slab_roots(g.cuts[k - 1]).tolist() == root.tolist(), k
+        for (a, b), root in zip(intervals, want):
+            assert g.slab_roots(a, b).tolist() == root.tolist(), (a, b)
+        if g.parallel:
+            root = want[-1]
+            assert [root[e.witness] for e in pair] == [e.witness for e in pair]
+            assert pair[0].witness != pair[1].witness
 
     def test_pieces_is_the_one_reader_of_the_cell_adjacency(self, monkeypatch):
         """No function of the library but `_pieces` works out which cells lie

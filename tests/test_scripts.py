@@ -52,21 +52,56 @@ def test_build_cost_one_rep():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 26 + 5 + 4 + 1
-    groups = []
+    groups, passes = [], []
     for line in lines[:-1]:
         m = re.fullmatch(
-            r"(corpus|circuit|fields) +(\S+) +grid +(\d+)x(\d+) +triangles +(\d+) +cuts +(\d+)"
-            r" +nodes +(\d+) +classify +(\d+\.\d{3}) ms +build +(\d+\.\d{3}) ms",
+            r"(corpus|circuit|fields) +(\S+) +grid +(\d+)x(\d+) +triangles +(\d+) +saddle values"
+            r" +(\d+) +levels per cell +(\d+\.\d\d) +passes ([12]) +nodes +(\d+) \+ +(\d+)"
+            r" \( *(\d+\.\d\d) per triangle\) +classify +(\d+\.\d{3}) ms +build +(\d+\.\d{3}) ms",
             line,
         )
         assert m, line
-        w, h, tris, cuts, nodes = map(int, m.group(3, 4, 5, 6, 7))
-        assert tris in (2 * w * h, 2 * (w - 1) * (h - 1)) and cuts >= 2 and nodes > 0, line
+        w, h, tris, coarse, swept = map(int, m.group(3, 4, 5, 9, 10))
+        assert tris in (2 * w * h, 2 * (w - 1) * (h - 1)) and swept > 0, line
+        # the coarse pass labels nodes exactly when the build takes two passes
+        assert (coarse > 0) == (m[8] == "2"), line
+        assert abs(float(m[11]) - (coarse + swept) / tris) < 0.006, line
         groups.append(m[1])
+        passes.append(m[8])
     assert groups == ["corpus"] * 26 + ["circuit"] * 5 + ["fields"] * 4
+    # only the benchmark's larger trig-sum fields take two passes
+    assert passes == ["1"] * 33 + ["2"] * 2
     fit = r"least squares over 31 constructed fields: floor -?\d+\.\d{3} ms, -?\d+\.\d ns per"
     fit += " triangle"
     assert re.fullmatch(fit, lines[-1]), lines[-1]
+
+
+def test_build_cost_sweep_one_side():
+    proc = run_script("build_cost.py", "--sweep", "--reps", "1", "--side", "32", "--stride", "8")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 9 + 1
+    levels = []
+    for line, freq in zip(lines, range(4, 13)):
+        m = re.fullmatch(
+            r"side +32 freq +(\d+) +K +(\d+) +saddle values +(\d+) +levels per cell +(\d+\.\d\d)"
+            r" +one pass +(\d+\.\d{3}) ms +two passes s8 +(\d+\.\d{3}) ms x(\d+\.\d\d)",
+            line,
+        )
+        assert m and int(m[1]) == freq, line
+        # a torus field has as many saddles as extrema
+        assert int(m[3]) <= int(m[2]) // 2, line
+        levels.append(m[4])
+    m = re.fullmatch(
+        r"stride 8: least summed build time with two passes from above (\d+\.\d\d) to"
+        r" (\d+\.\d\d|inf) levels per cell: (\d+\.\d{3}) ms; one pass (\d+\.\d{3}) ms;"
+        r" the module's \d+ levels (\d+\.\d{3}) ms",
+        lines[-1],
+    )
+    assert m, lines[-1]
+    assert m[2] in levels + ["inf"]
+    least, one, module = map(float, m.group(3, 4, 5))
+    assert least <= min(one, module)
 
 
 def test_group_cost_one_rep():
