@@ -6,7 +6,7 @@ Subcommands:
   checks on it, and write field, record, and manifest JSON files,
 * ``analyze`` -- classify a field, build its graph, and report shape data,
 * ``verify``  -- run the full contract for a field/record pair against a term,
-* ``corpus``  -- generate and verify the deterministic test corpus.
+* ``corpus``  -- realize and verify the deterministic corpus of realizations.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
 assertion.  Reports are JSON on stdout.
@@ -179,21 +179,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.seed < 0:
-        _emit({"ok": False, "error": f"seed must be non-negative, got {args.seed}"})
-        return EXIT_INPUT
     if args.out and not _save(Path(args.out), {}):  # an unusable --out fails before the run
         return EXIT_INPUT
-    summary = corpus_summary(args.seed)
+    summary = corpus_summary()
     summary_json = json.dumps(summary, sort_keys=True, indent=2).encode()
     if args.out and not _save(Path(args.out), {"summary.json": summary_json}):
         return EXIT_INPUT
     _emit(
         {
             "ok": summary["ok"],
-            "seed": summary["seed"],
             "realizations": len(summary["realizations"]),
-            "oracle_fields": len(summary["oracle"]),
             "failures": [r["label"] for r in summary["realizations"] if not r["ok"]],
         }
     )
@@ -224,8 +219,7 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("--term", default=None)
     pv.set_defaults(func=cmd_verify)
 
-    pc = sub.add_parser("corpus", help="generate and verify the test corpus")
-    pc.add_argument("--seed", type=int, default=0)
+    pc = sub.add_parser("corpus", help="realize and verify the corpus of realizations")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_corpus)
     return p

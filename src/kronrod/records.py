@@ -57,6 +57,8 @@ SymmetrySpec = Union[GridTranslation, RectCycle]
 
 
 def symmetry_from_json(obj: dict) -> SymmetrySpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a symmetry must be a JSON object, not {type(obj).__name__}")
     if obj.get("kind") == "translation":
         return GridTranslation(json_int(obj["dx"]), json_int(obj["dy"]))
     if obj.get("kind") == "rect_cycle":

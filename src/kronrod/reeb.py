@@ -270,9 +270,6 @@ class ReebGraph:
             self._slabs[lo, hi] = _label(self.tri.ntri, *joins)
         return self._slabs[lo, hi]
 
-    def edges_spanning(self, value: float) -> list[int]:
-        return [e.id for e in self.edges if e.lo < value < e.hi]
-
 
 # ---------------------------------------------------------------------------
 # construction

@@ -344,6 +344,8 @@ def json_int(value: Any) -> int:
 
 
 def term_from_json(obj: dict[str, Any]) -> GroupTerm:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a term must be a JSON object, not {type(obj).__name__}")
     try:
         kind = obj.get("k")
         if kind == "triv":

@@ -1,33 +1,156 @@
-"""The per-level Kronrod-Reeb builder, kept as a differential oracle for
-`kronrod.reeb.build_reeb`.
+"""Oracles for `kronrod.reeb.build_reeb`, and the random fields they run on.
 
-It labels the components of every cut level and of every slab between two
-cut levels separately, each over the whole grid, and attaches every slab
-component to the level components its triangles touch.  It raises when a
-slab component touches other than one level component on either side.
-Each slab component's witness is its smallest triangle, and an edge merged
-from several keeps the least of theirs: the smallest triangle of the edge.
-Edges are ordered by (lo, witness).  Node order, edge order, witness
-triangles and the smoothing are then those `build_reeb` promises, so the two
-graphs must have equal digests.
+`random_torus_field` draws seeded trigonometric sums on a torus grid, made
+PL-Morse by the library's tie repair.  `level_set_components` labels the
+components of one level set by a flood fill over `triangle_corners`, and
+`reeb_level_oracle` compares their number at random regular values with the
+number of graph edges that span the value.
+
+The per-level Kronrod-Reeb builder, `build_reeb_per_level`, is a
+differential oracle.  It labels the components of every cut level and of
+every slab between two cut levels separately, each over the whole grid, and
+attaches every slab component to the level components its triangles touch.
+It raises when a slab component touches other than one level component on
+either side.  Each slab component's witness is its smallest triangle, and an
+edge merged from several keeps the least of theirs: the smallest triangle
+of the edge.  Edges are ordered by (lo, witness).  Node order, edge order,
+witness triangles and the smoothing are then those `build_reeb` promises,
+so the two graphs must have equal digests.
+
 Components come from a plain union-find, which shares no code with the
 library's labeller, and shared grid edges from the triangles' corners, as
-in `_region_euler`.  The corners come from `corpus.triangle_corners`, which
-shares no code with the library's triangulation.  `_region_euler` reads the
+in `_region_euler`.  The corners come from `triangle_corners`, which shares
+no code with the library's triangulation.  `_region_euler` reads the
 topology of a set of triangles, for the special-vertex oracle in the tests.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from typing import Iterable, Optional
 
 import numpy as np
 
-from kronrod.corpus import triangle_corners
-from kronrod.errors import InvalidField, ReebError
-from kronrod.fields import TORUS, CriticalPoint, ScalarField, classify_vertices
-from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation
+from kronrod.errors import DegenerateVertex, InvalidField, ReebError
+from kronrod.fields import TORUS, CriticalPoint, ScalarField, classify_vertices, fix_ties
+from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation, build_reeb
+
+
+def random_torus_field(seed: int, size: int = 16) -> ScalarField:
+    """Seeded trigonometric sum on a torus grid, tie-repaired to PL-Morse.
+
+    Draws are retried deterministically (seed chaining) until the sampled
+    field has no degenerate vertex.
+    """
+    attempt = seed
+    while True:
+        rng = np.random.default_rng(attempt)
+        xs = np.arange(size) * (2 * np.pi / size)
+        ys = np.arange(size) * (2 * np.pi / size)
+        X, Y = np.meshgrid(xs, ys)
+        vals = np.zeros((size, size))
+        for kx in (1, 2):
+            for ky in (1, 2):
+                amp = rng.normal() / (kx + ky)
+                phx = rng.uniform(0, 2 * np.pi)
+                phy = rng.uniform(0, 2 * np.pi)
+                vals += amp * np.cos(kx * X + phx) * np.cos(ky * Y + phy)
+        try:
+            vals = fix_ties(vals, "torus")
+            f = ScalarField("torus", vals)
+            classify_vertices(f)
+            return f
+        except (DegenerateVertex, InvalidField):
+            attempt += 7919  # deterministic retry chain
+            continue
+
+
+def triangle_corners(f: ScalarField) -> list[tuple[int, int, int]]:
+    """Grid corners (y*width + x) of every triangle, by triangle id.
+
+    Triangles are numbered as in `reeb.Triangulation`: 2*(cy*ncx + cx) is
+    the lower triangle of cell (cx, cy), with corners (x,y), (x+1,y),
+    (x+1,y+1), and the next id is the upper one, with corners (x,y),
+    (x+1,y+1), (x,y+1).  Worked out here, so the oracle shares no adjacency
+    code with `build_reeb`.
+    """
+    w, h = f.width, f.height
+    ncx = w if f.wraps else w - 1
+    ncy = h if f.wraps else h - 1
+
+    def corner(x: int, y: int) -> int:
+        return (y % h) * w + x % w
+
+    out = []
+    for t in range(2 * ncx * ncy):
+        cy, cx = divmod(t // 2, ncx)
+        third = corner(cx, cy + 1) if t % 2 else corner(cx + 1, cy)
+        out.append((corner(cx, cy), corner(cx + 1, cy + 1), third))
+    return out
+
+
+def level_set_components(f: ScalarField, value: float) -> list[list[int]]:
+    """Connected components of a level set as sorted triangle lists (flood fill).
+
+    A triangle meets the level when its corner values span it, and two such
+    triangles are joined when they share two grid corners whose values span
+    it too.  The components come in the order of their smallest triangles.
+    """
+    flat = f.values.ravel().tolist()
+
+    def spans(*pts: int) -> bool:
+        return min(flat[p] for p in pts) <= value <= max(flat[p] for p in pts)
+
+    nbrs: dict[int, list[int]] = {}
+    sharing: dict[tuple[int, int], list[int]] = {}
+    for t, pts in enumerate(triangle_corners(f)):
+        if not spans(*pts):
+            continue
+        nbrs[t] = []
+        for i in range(3):
+            p, q = sorted((pts[i], pts[i - 1]))
+            if spans(p, q):
+                for u in sharing.setdefault((p, q), []):
+                    nbrs[u].append(t)
+                    nbrs[t].append(u)
+                sharing[(p, q)].append(t)
+    seen: set[int] = set()
+    comps = []
+    for start in nbrs:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, comp = deque([start]), []
+        while queue:
+            t = queue.popleft()
+            comp.append(t)
+            for u in nbrs[t]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def reeb_level_oracle(f: ScalarField, seed: int, samples: int = 20) -> list[tuple[float, int, int]]:
+    """Compare, at random regular values, the number of graph edges spanning
+    the value with the flood-fill count of level-set components."""
+    g = build_reeb(f)
+    crit_values = sorted({c.value for c in classify_vertices(f)})
+    lo, hi = crit_values[0], crit_values[-1]
+    rng = np.random.default_rng(seed)
+    rows = []
+    found = 0
+    while found < samples:
+        t = float(rng.uniform(lo, hi))
+        if any(t == c for c in crit_values):
+            continue
+        edges = sum(e.lo < t < e.hi for e in g.edges)
+        flood = len(level_set_components(f, t))
+        rows.append((t, edges, flood))
+        found += 1
+    return rows
+
 
 # value spans of the triangles, and the two triangles on each shared grid edge
 # with the edge's value span
@@ -38,7 +161,7 @@ _CORNERS: dict[tuple, np.ndarray] = {}
 
 
 def corner_table(f: ScalarField) -> np.ndarray:
-    """`corpus.triangle_corners(f)` as a read-only (ntri, 3) int64 array,
+    """`triangle_corners(f)` as a read-only (ntri, 3) int64 array,
     built once per grid kind and shape, the only things it depends on."""
     key = (f.kind, f.values.shape)
     if key not in _CORNERS:

@@ -22,13 +22,7 @@ from kronrod.auts import (
     record_term,
     value_preserving_auts,
 )
-from kronrod.corpus import (
-    corpus_grid,
-    corpus_summary,
-    random_torus_field,
-    realize_member,
-    reeb_level_oracle,
-)
+from kronrod.corpus import corpus_grid, corpus_summary, realize_member
 from kronrod.errors import AutOverflow, NotAnAutomorphism
 from kronrod.fields import euler_check, is_simple
 from kronrod.permgroups import group_order, is_isomorphic, perm_rep
@@ -36,7 +30,7 @@ from kronrod.reeb import build_reeb, classify_shape, find_special_vertex
 from kronrod.terms import Triv, Wr, Wr2, format_term, normalize, order
 
 from aut_oracle import validate_graph_aut
-from reeb_oracle import _region_euler
+from reeb_oracle import _region_euler, random_torus_field, reeb_level_oracle
 from test_auts import backtrack_order
 from test_reeb import complement_components
 
@@ -332,10 +326,10 @@ def test_criterion_8_special_vertex(corpus):
 
 
 def test_criterion_9_corpus_determinism():
-    a = json.dumps(corpus_summary(0), sort_keys=True).encode()
-    b = json.dumps(corpus_summary(0), sort_keys=True).encode()
+    a = json.dumps(corpus_summary(), sort_keys=True).encode()
+    b = json.dumps(corpus_summary(), sort_keys=True).encode()
     _report(
-        "criterion 9: corpus generation is byte-identical for a fixed seed",
+        "criterion 9: corpus generation is byte-identical from run to run",
         a == b,
         f"{len(a)} bytes",
     )

@@ -1,6 +1,6 @@
 """Guards on the names other code binds to: the package exports, the
-library functions the benchmark's per-layer spans rebind, and the result
-fields its output capture reads."""
+library functions the benchmark's per-layer spans rebind, the result fields
+its output capture reads, and the library names the tests' oracles read."""
 
 import ast
 import importlib
@@ -17,7 +17,8 @@ from kronrod.construct import realize_torus_circuit
 from kronrod.reeb import build_reeb
 from kronrod.terms import Triv
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+TESTS = Path(__file__).resolve().parent
+SPANS = TESTS.parent / "perfbench" / "spans.py"
 
 
 def test_import_loads_no_third_party_module_but_numpy():
@@ -48,6 +49,27 @@ def test_library_reads_no_environment_variable():
             name = node.name if isinstance(node, ast.alias) else getattr(node, "attr", None)
             if (name or getattr(node, "id", None)) in env_names:
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_oracles_take_only_public_library_names():
+    """The oracles stay independent of the code they check: they read no
+    corpus code and no private library name, only the public types and
+    entry points whose results they judge."""
+    found = []
+    for name in ("reeb_oracle.py", "aut_oracle.py"):
+        for node in ast.walk(ast.parse((TESTS / name).read_text())):
+            if isinstance(node, ast.Import):
+                imported = [a.name for a in node.names if a.name.startswith("kronrod")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kronrod"):
+                imported = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [
+                f"{name}: {path}"
+                for path in imported
+                if path.startswith("kronrod.corpus") or path.rpartition(".")[2].startswith("_")
+            ]
     assert not found
 
 

@@ -19,7 +19,7 @@ from kronrod.construct import (
     realize_torus_circuit,
     realize_torus_tree,
 )
-from kronrod.corpus import corpus_grid, random_torus_field, realize_member
+from kronrod.corpus import corpus_grid, realize_member
 from kronrod.errors import AutOverflow, NotAnAutomorphism, ShapeViolation
 from kronrod.fields import CriticalPoint, CritKind
 from kronrod.permgroups import is_isomorphic, perm_rep
@@ -28,6 +28,7 @@ from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation, build_r
 from kronrod.terms import Prod, Triv, Wr, Wr2, format_term, normalize, parse_term
 
 from aut_oracle import validate_graph_aut
+from reeb_oracle import random_torus_field
 
 
 def star_graph(branches: int, same_values: bool = True):

@@ -42,6 +42,14 @@ class TestExpectedSymmetries:
         assert len(cycles[0].rects) == 3
 
 
+def set_at(doc, path, value):
+    """Set the item of a JSON document at a path of keys and indices."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
 class TestRecordJson:
     def test_round_trip(self):
         _, rec = realize_torus_circuit(Wr(Triv(), 2), 2)
@@ -96,12 +104,27 @@ class TestRecordJson:
         replaced, or as 0 or 1, and the record would still load, with most of
         them verifying ok."""
         doc = json.loads(realize_torus_circuit(Wr(Triv(), 2), 3)[1].to_json())
-        *head, last = path
-        at = doc
-        for key in head:
-            at = at[key]
-        at[last] = value
+        set_at(doc, path, value)
         with pytest.raises(IncompleteRecord, match="expected an integer"):
+            ConstructionRecord.from_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (["symmetries", 0], [1, 2]),
+            (["symmetries", 0], "ab"),
+            (["term"], 5),
+            (["base"], "x"),
+            (["slots", 0, "term"], [1]),
+        ],
+        ids=["symmetry-list", "symmetry-string", "term-number", "base-string", "slot-term-list"],
+    )
+    def test_parts_that_are_not_objects(self, path, value):
+        """A term or symmetry that is a JSON list, number or string is a
+        malformed record, not an AttributeError from the parser."""
+        doc = json.loads(realize_torus_circuit(Wr(Triv(), 2), 1)[1].to_json())
+        set_at(doc, path, value)
+        with pytest.raises(IncompleteRecord, match="malformed record JSON: a .* must be a JSON object"):
             ConstructionRecord.from_json(json.dumps(doc).encode())
 
     @pytest.mark.parametrize(

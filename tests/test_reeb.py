@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 
 import kronrod
 from kronrod.construct import realize_disk, realize_torus_circuit, realize_torus_tree
-from kronrod.corpus import (
-    corpus_grid,
-    level_set_components,
-    random_torus_field,
-    realize_member,
-    triangle_corners,
-)
+from kronrod.corpus import corpus_grid, realize_member
 from kronrod.errors import NotATree, ReebError, ShapeViolation
 from kronrod.fields import CritKind, ScalarField, classify_vertices, morse_counts
 from kronrod.reeb import (
@@ -46,7 +40,10 @@ from reeb_oracle import (
     _region_euler,
     build_reeb_per_level,
     corner_table,
+    level_set_components,
+    random_torus_field,
     spans,
+    triangle_corners,
     union_find_roots,
 )
 from test_fields import bump_disk
@@ -843,14 +840,14 @@ class TestLevelOracle:
             t = float(rng.uniform(crit_values[0], crit_values[-1]))
             if t in crit_values:
                 continue
-            assert len(g.edges_spanning(t)) == len(level_set_components(f, t))
+            assert sum(e.lo < t < e.hi for e in g.edges) == len(level_set_components(f, t))
 
     @pytest.mark.parametrize("name", ["random-4", "disk-wr(1,3)"])
     def test_adjacency_is_shared_corners(self, name):
         """Every adjacency of the oracle's `spans` joins the two triangles
         that share a grid edge, with that edge's value span, and every
-        interior grid edge has one; the corners compared with come from the
-        corpus's own code, worked out one triangle at a time."""
+        interior grid edge has one; the corners compared with come from
+        `triangle_corners`, worked out one triangle at a time."""
         f = {
             "random-4": lambda: random_torus_field(4),
             "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
@@ -876,7 +873,7 @@ class TestCellCorners:
     @pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
     def test_views_match_the_corpus_corners(self, kind, shape):
         """`Triangulation.cell_corners` of the vertex-id grid against
-        `corpus.triangle_corners`, which works out the corners (x,y),
+        `reeb_oracle.triangle_corners`, which works out the corners (x,y),
         (x+1,y+1) and the third one by itself.  Grids with w != h at the
         minimum side pin the appended wrap row and column."""
         f = ScalarField(kind, np.zeros(shape), validate=False)
@@ -891,7 +888,7 @@ class TestCellCorners:
     def test_star_matches_the_corpus_corners(self, kind, shape):
         """`Triangulation.star` of every grid point, in a random order and the
         disk's frame included, against the triangles whose
-        `corpus.triangle_corners` hold the point, in the order its docstring
+        `reeb_oracle.triangle_corners` hold the point, in the order its docstring
         gives: the lower triangles that have it as their corner (x+1,y+1),
         (x+1,y) and (x,y), then the upper ones that have it as (x+1,y+1),
         (x,y+1) and (x,y), and ntri where a disk has none.  A triangle is an
