@@ -10,8 +10,10 @@ the field, so the times below are of the build alone.
 
 Prints one line per field: its set, label, grid, triangles, distinct saddle
 values, the cut levels a cell spans on average (`reeb._levels_crossed`, which
-the two-pass rule reads), how many passes the build takes, the (cell piece,
-slab) nodes that each pass labels and their sum per triangle, the best of
+the two-pass rule reads), how many passes the build takes, the nodes that
+each pass labels and their sum per triangle, the shares of the cells that
+are flat and that continue a run in each pass's ranks (see `reeb._pieces`;
+a dash for the coarse pass of a one-pass build), the best of
 `--reps` `classify_vertices` times, each on a fresh unvalidated copy of the
 field made outside the timer, and the best of `--reps` build times.  The
 last line fits build time = floor + slope x triangles by least squares over
@@ -28,6 +30,9 @@ last line per stride gives the range of thresholds on the levels per cell
 that make the summed build time of these fields least, next to the sums in
 one pass and at the module's threshold.  `--side` restricts the sweep to
 some sides.
+
+`--reps`, `--stride` below 1 and `--side` below `fields.MIN_SIDE` are
+refused before any field is built.
 """
 
 import argparse
@@ -44,7 +49,7 @@ from kronrod import reeb
 from kronrod.construct import realize_torus_circuit
 from kronrod.corpus import corpus_grid, realize_member
 from kronrod.errors import DegenerateVertex, InvalidField
-from kronrod.fields import CritKind, ScalarField, classify_vertices, fix_ties
+from kronrod.fields import MIN_SIDE, CritKind, ScalarField, classify_vertices, fix_ties
 from kronrod.terms import parse_term
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,18 +112,32 @@ def rule_inputs(f: ScalarField) -> tuple[int, float]:
     return len(saddles), reeb._levels_crossed(rank)
 
 
-def labelled_nodes(f: ScalarField) -> tuple[int, int, int]:
-    """The passes of one build of `f` and the (cell piece, slab) nodes that
-    it labels, read off the `reeb._slab_nodes` calls: those of the coarse
-    pass (`_virtual_ranks`, 0 when the build takes one pass) and those of the
-    sweep."""
-    counts, phase, passes = [0, 0], [1], [1]
-    slab_nodes, virtual_ranks = reeb._slab_nodes, reeb._virtual_ranks
+def run_shares(tri: reeb.Triangulation, rank: np.ndarray) -> tuple[float, float]:
+    """The shares of the cells of `tri` that are flat, their four corner ranks
+    equal and even, and that continue a run of flat cells, with a flat left
+    neighbour in their row."""
+    r00, r10, r11, r01 = tri.cell_corners(rank)
+    flat = (r00 % 2 == 0) & (r10 == r00) & (r11 == r00) & (r01 == r00)
+    return float(flat.mean()), (flat[:, 1:] & flat[:, :-1]).sum() / flat.size
+
+
+def labelled_nodes(f: ScalarField) -> tuple[int, list[int], list]:
+    """The passes of one build of `f`, and per pass, the coarse one
+    (`_virtual_ranks`) and then the sweep, the nodes that it labels, read off
+    the `reeb._slab_nodes` calls, and the `run_shares` of the ranks of its
+    `reeb._pieces` call.  A one-pass build's coarse pass labels 0 nodes and
+    has no shares (None)."""
+    counts, shares, phase, passes = [0, 0], [None, None], [1], [1]
+    slab_nodes, pieces, virtual_ranks = reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks
 
     def counting(*args):
         out = slab_nodes(*args)
         counts[phase[0]] += len(out[0])
         return out
+
+    def sharing(tri, rank):
+        shares[phase[0]] = run_shares(tri, rank)
+        return pieces(tri, rank)
 
     def coarse(*args):
         phase[0], passes[0] = 0, 2
@@ -127,12 +146,12 @@ def labelled_nodes(f: ScalarField) -> tuple[int, int, int]:
         finally:
             phase[0] = 1
 
-    reeb._slab_nodes, reeb._virtual_ranks = counting, coarse
+    reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks = counting, sharing, coarse
     try:
         reeb.build_reeb(f)
     finally:
-        reeb._slab_nodes, reeb._virtual_ranks = slab_nodes, virtual_ranks
-    return passes[0], counts[0], counts[1]
+        reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks = slab_nodes, pieces, virtual_ranks
+    return passes[0], counts, shares
 
 
 def best_times(fs: list[ScalarField], reps: int) -> list[tuple[float, float]]:
@@ -219,6 +238,12 @@ def main() -> None:
         help="coarse stride of the sweep's two-pass builds (repeatable; default the module's)",
     )
     args = p.parse_args()
+    if args.reps < 1:
+        p.error("--reps must be at least 1")
+    if min(args.stride or [1]) < 1:
+        p.error("--stride must be at least 1")
+    if min(args.side or [MIN_SIDE]) < MIN_SIDE:
+        p.error(f"--side must be at least {MIN_SIDE}")
     if args.sweep:
         sweep(args.side or SWEEP_SIDES, args.stride or [reeb.COARSE_STRIDE], args.reps)
         return
@@ -227,7 +252,10 @@ def main() -> None:
     times = best_times([f for _, _, f in measured], args.reps)
     fit = []
     for (group, label, f), g, (classify, seconds) in zip(measured, graphs, times):
-        passes, coarse, swept = labelled_nodes(f)
+        passes, (coarse, swept), shares = labelled_nodes(f)
+        flat, cont = (
+            "/".join("-" if s is None else f"{s[i]:4.2f}" for s in shares) for i in (0, 1)
+        )
         saddles, levels = rule_inputs(f)
         print(
             f"{group:8s} {label:32s} grid {f.width:3d}x{f.height:<3d} "
@@ -235,6 +263,7 @@ def main() -> None:
             f"levels per cell {levels:6.2f}  "
             f"passes {passes}  nodes {coarse:6d} + {swept:6d} "
             f"({(coarse + swept) / g.tri.ntri:5.2f} per triangle)  "
+            f"flat cells {flat}  continuing {cont}  "
             f"classify {classify * 1e3:7.3f} ms  build {seconds * 1e3:8.3f} ms"
         )
         if group != "fields":

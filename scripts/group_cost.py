@@ -13,7 +13,8 @@ of the generated group, the term group and the diagonal group of their
 pairing, the best of `--reps` times of `generated_group` and
 `is_isomorphic`, and whether the pairing ran a diagonal chain or took the
 generated group's order.  The last line sums the best times over each set
-and counts the pairings that skipped the diagonal chain.
+and counts the pairings that skipped the diagonal chain.  `--reps` below 1
+is refused before any field is built.
 """
 
 import argparse
@@ -74,6 +75,8 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--reps", type=int, default=20, help="calls timed per case (best is kept)")
     args = p.parse_args()
+    if args.reps < 1:
+        p.error("--reps must be at least 1")
     measured, cases = [], []
     for group, label, f, rec in realizations():
         g = build_reeb(f)

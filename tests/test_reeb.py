@@ -481,17 +481,34 @@ def cell_slabs(f, cuts):
     ]
 
 
+def continuing_cells(f, cuts):
+    """Per cell, as an (ncy, ncx) array, the slab of a cell that continues a
+    run of flat cells, -1 for every other cell, from corner values: a flat
+    cell's four corners lie strictly inside one slab, cuts[k-1] < value <
+    cuts[k], and a run continues at a flat cell whose left neighbour in its
+    row, not across a torus row's end, is flat too."""
+    vals = f.values.ravel()[corner_table(f)].reshape(-1, 6)  # a cell's two triangles
+    first = np.searchsorted(cuts, vals.min(axis=1))
+    flat = np.where(first == np.searchsorted(cuts, vals.max(axis=1), "right"), first, -1)
+    flat = flat.reshape(-1, f.width if f.wraps else f.width - 1)
+    cont = np.full_like(flat, -1)
+    cont[:, 1:] = np.where(flat[:, :-1] >= 0, flat[:, 1:], -1)
+    return cont
+
+
 @pytest.mark.parametrize("name", ["bench-64", "disk-wr(1,3)", "random-1-16-rolled"])
 def test_sweep_labels_one_node_per_cell_piece_and_slab(name, monkeypatch):
     """A cell's two triangles share one node in every slab that their
-    diagonal meets, so the sweep labels each triangle's slabs less its
-    diagonal's, and no more."""
+    diagonal meets, and a cell that continues a run of flat cells shares the
+    node of the run's first cell, so the sweep labels each triangle's slabs
+    less its diagonal's, less one per continuing cell, and no more."""
     f = ORACLE_FIELDS[name]()
     cuts, batches = record_batches(f, monkeypatch)
     ranges = cell_slabs(f, cuts)
     lower, diag, upper = (np.maximum(last - first + 1, 0).sum() for first, last in ranges)
-    assert diag > 0
-    assert sum(n for _, _, n in batches) == lower + upper - diag
+    continuing = int((continuing_cells(f, cuts) >= 0).sum())
+    assert diag > 0 and continuing > 0
+    assert sum(n for _, _, n in batches) == lower + upper - diag - continuing
 
 
 def test_oracle_fields_cover_every_cell_case(monkeypatch):
@@ -520,6 +537,37 @@ def test_oracle_fields_cover_every_cell_case(monkeypatch):
         handed |= any(((d0 <= k1) & (k1 <= d1) & (u1 > k1)).any() for _, k1, _ in batches[:-1])
     assert cases == {"below", "above", "inside", "empty"}
     assert handed
+
+
+def test_oracle_fields_cover_every_run_case(monkeypatch):
+    """Between them, the oracle fields have runs of flat cells that end at a
+    torus row's last cell, runs on a disk, runs in a later batch of a sweep
+    in several batches, and an extremum inside a slab whose smallest star
+    triangle lies in a continuing cell, whose node is its run head's; and
+    the parallel pair of `circuit-wr(1,2)-1`, whose pushes split it through
+    `slab_roots`, has runs in that interval."""
+    cases = set()
+    for name, make in ORACLE_FIELDS.items():
+        f = make()
+        cuts, batches = record_batches(f, monkeypatch)
+        cont = continuing_cells(f, cuts)
+        if (cont[:, -1] >= 0).any() and f.wraps:
+            cases.add("row end")
+        if (cont >= 0).any() and not f.wraps:
+            cases.add("disk")
+        if len(batches) > 1 and (cont >= batches[1][0]).any():
+            cases.add("later batch")
+        for c in classify_vertices(f):
+            if c.kind is not CritKind.SADDLE and c.value not in cuts:
+                p = c.y * f.width + c.x
+                t = np.flatnonzero((corner_table(f) == p).any(axis=1))[0]
+                if cont.ravel()[t // 2] >= 0:
+                    cases.add("extremum")
+    assert cases == {"row end", "disk", "later batch", "extremum"}
+    f = ORACLE_FIELDS["circuit-wr(1,2)-1"]()
+    g = build_reeb(f)
+    e = g.edges[g.parallel[0]]
+    assert (continuing_cells(f, [e.lo, e.hi]) == 1).any()
 
 
 @functools.lru_cache(maxsize=None)

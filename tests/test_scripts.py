@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -52,12 +54,14 @@ def test_build_cost_one_rep():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 26 + 5 + 4 + 1
-    groups, passes = [], []
+    groups, passes, swept_flat = [], [], []
     for line in lines[:-1]:
         m = re.fullmatch(
             r"(corpus|circuit|fields) +(\S+) +grid +(\d+)x(\d+) +triangles +(\d+) +saddle values"
             r" +(\d+) +levels per cell +(\d+\.\d\d) +passes ([12]) +nodes +(\d+) \+ +(\d+)"
-            r" \( *(\d+\.\d\d) per triangle\) +classify +(\d+\.\d{3}) ms +build +(\d+\.\d{3}) ms",
+            r" \( *(\d+\.\d\d) per triangle\) +flat cells +(-|\d\.\d\d)/(\d\.\d\d)"
+            r" +continuing +(-|\d\.\d\d)/(\d\.\d\d)"
+            r" +classify +(\d+\.\d{3}) ms +build +(\d+\.\d{3}) ms",
             line,
         )
         assert m, line
@@ -66,11 +70,19 @@ def test_build_cost_one_rep():
         # the coarse pass labels nodes exactly when the build takes two passes
         assert (coarse > 0) == (m[8] == "2"), line
         assert abs(float(m[11]) - (coarse + swept) / tris) < 0.006, line
+        # each pass has its shares of flat cells and of the flat cells that
+        # continue a run; a one-pass build has a dash for its coarse pass
+        assert (m[12] == "-") == (m[14] == "-") == (m[8] == "1"), line
+        for flat, cont in (m.group(12, 14), m.group(13, 15)):
+            assert flat == "-" or 0 <= float(cont) <= float(flat) <= 1, line
+        swept_flat.append(float(m[13]))
         groups.append(m[1])
         passes.append(m[8])
     assert groups == ["corpus"] * 26 + ["circuit"] * 5 + ["fields"] * 4
     # only the benchmark's larger trig-sum fields take two passes
     assert passes == ["1"] * 33 + ["2"] * 2
+    # the constructions are flatter than the trig-sum fields' sweeps
+    assert min(swept_flat[:31]) > max(swept_flat[31:])
     fit = r"least squares over 31 constructed fields: floor -?\d+\.\d{3} ms, -?\d+\.\d ns per"
     fit += " triangle"
     assert re.fullmatch(fit, lines[-1]), lines[-1]
@@ -102,6 +114,26 @@ def test_build_cost_sweep_one_side():
     assert m[2] in levels + ["inf"]
     least, one, module = map(float, m.group(3, 4, 5))
     assert least <= min(one, module)
+
+
+@pytest.mark.parametrize(
+    "script, args, refusal",
+    [
+        ("build_cost.py", "--reps 0", "--reps must be at least 1"),
+        ("build_cost.py", "--sweep --side 32 --stride 0", "--stride must be at least 1"),
+        ("build_cost.py", "--sweep --side 32 --side 4", "--side must be at least 8"),
+        ("group_cost.py", "--reps 0", "--reps must be at least 1"),
+    ],
+    ids=["build-reps", "build-stride", "build-side", "group-reps"],
+)
+def test_cost_scripts_refuse_meaningless_arguments(script, args, refusal):
+    """A meaningless argument is a usage error, exit 2, raised before any
+    field is built: nothing is printed, not even for a valid side given
+    before it."""
+    proc = run_script(script, *args.split())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"{script}: error: {refusal}"
 
 
 def test_group_cost_one_rep():
