@@ -8,17 +8,22 @@ of the 4 trig-sum torus fields of the `fields-analyze` benchmark (made by
 built once untimed, which classifies its vertices and caches the result on
 the field, so the times below are of the build alone.
 
-Prints one line per field: its set, label, grid, triangles, distinct saddle
-values, the cut levels a cell spans on average (`reeb._levels_crossed`, which
-the two-pass rule reads), how many passes the build takes, the nodes that
-each pass labels and their sum per triangle, the shares of the cells that
-are flat and that continue a run in each pass's ranks (see `reeb._pieces`;
-a dash for the coarse pass of a one-pass build), the best of
-`--reps` `classify_vertices` times, each on a fresh unvalidated copy of the
-field made outside the timer, and the best of `--reps` build times.  The
-last line fits build time = floor + slope x triangles by least squares over
-the constructed fields (corpus and circuits; the trig-sum fields cut at
-many more levels per triangle) and prints the floor and the slope.
+Prints one line per field: its set, label, grid, the grid that its sweep
+labels after repeated rank lines are dropped (`reeb._kept_lines`), both as
+columns x rows, triangles, distinct saddle values, the cut levels a cell
+spans on average (`reeb._levels_crossed`, which the two-pass rule reads),
+how many passes the build takes, the nodes that each pass labels and their
+sum per triangle, the shares of the cells that are flat and that continue a
+run in each pass's ranks, on the grid that pass labels (see `reeb._pieces`;
+a dash for the coarse pass of a one-pass build), the best of `--reps`
+`classify_vertices` times, each on a fresh unvalidated copy of the field
+made outside the timer, and the best of `--reps` build times.  The last
+line fits build time = floor + slope x triangles over the constructed
+fields (corpus and circuits; the trig-sum fields cut at many more levels
+per triangle) and prints the floor and the slope.  The fit is Theil-Sen's:
+the slope is the median of the slopes between every two fields of
+different sizes, and the floor the median of time - slope x triangles, so
+that no one field, such as the largest, moves it much.
 
 With `--sweep`, prints instead the size sweep behind the two-pass rule
 (`reeb.TWO_PASS_LEVELS` and `reeb.COARSE_STRIDE`): seeded trig-sum torus
@@ -121,14 +126,16 @@ def run_shares(tri: reeb.Triangulation, rank: np.ndarray) -> tuple[float, float]
     return float(flat.mean()), (flat[:, 1:] & flat[:, :-1]).sum() / flat.size
 
 
-def labelled_nodes(f: ScalarField) -> tuple[int, list[int], list]:
+def labelled_nodes(f: ScalarField) -> tuple[int, list[int], list, tuple[int, int]]:
     """The passes of one build of `f`, and per pass, the coarse one
     (`_virtual_ranks`) and then the sweep, the nodes that it labels, read off
     the `reeb._slab_nodes` calls, and the `run_shares` of the ranks of its
-    `reeb._pieces` call.  A one-pass build's coarse pass labels 0 nodes and
+    `reeb._pieces` call; then the columns and rows that the sweep keeps
+    (`reeb._kept_lines`).  A one-pass build's coarse pass labels 0 nodes and
     has no shares (None)."""
-    counts, shares, phase, passes = [0, 0], [None, None], [1], [1]
+    counts, shares, phase, passes, kept = [0, 0], [None, None], [1], [1], []
     slab_nodes, pieces, virtual_ranks = reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks
+    kept_lines = reeb._kept_lines
 
     def counting(*args):
         out = slab_nodes(*args)
@@ -146,12 +153,28 @@ def labelled_nodes(f: ScalarField) -> tuple[int, list[int], list]:
         finally:
             phase[0] = 1
 
+    def keeping(rank, wraps):
+        rows, cols = kept_lines(rank, wraps)
+        kept.append((len(cols), len(rows)))
+        return rows, cols
+
     reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks = counting, sharing, coarse
+    reeb._kept_lines = keeping
     try:
         reeb.build_reeb(f)
     finally:
         reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks = slab_nodes, pieces, virtual_ranks
-    return passes[0], counts, shares
+        reeb._kept_lines = kept_lines
+    return passes[0], counts, shares, kept[0]
+
+
+def theil_sen(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The Theil-Sen fit y = floor + slope x: the median slope over every two
+    points of different x, and the median of y - slope x."""
+    i, j = np.triu_indices(len(x), 1)
+    apart = x[i] != x[j]
+    slope = float(np.median((y[j] - y[i])[apart] / (x[j] - x[i])[apart]))
+    return float(np.median(y - slope * x)), slope
 
 
 def best_times(fs: list[ScalarField], reps: int) -> list[tuple[float, float]]:
@@ -252,13 +275,14 @@ def main() -> None:
     times = best_times([f for _, _, f in measured], args.reps)
     fit = []
     for (group, label, f), g, (classify, seconds) in zip(measured, graphs, times):
-        passes, (coarse, swept), shares = labelled_nodes(f)
+        passes, (coarse, swept), shares, (kept_w, kept_h) = labelled_nodes(f)
         flat, cont = (
             "/".join("-" if s is None else f"{s[i]:4.2f}" for s in shares) for i in (0, 1)
         )
         saddles, levels = rule_inputs(f)
         print(
             f"{group:8s} {label:32s} grid {f.width:3d}x{f.height:<3d} "
+            f"kept {kept_w:3d}x{kept_h:<3d} "
             f"triangles {g.tri.ntri:6d}  saddle values {saddles:4d}  "
             f"levels per cell {levels:6.2f}  "
             f"passes {passes}  nodes {coarse:6d} + {swept:6d} "
@@ -268,10 +292,9 @@ def main() -> None:
         )
         if group != "fields":
             fit.append((g.tri.ntri, seconds))
-    tris, secs = np.array(fit).T
-    slope, floor = np.polyfit(tris, secs, 1)
+    floor, slope = theil_sen(*np.array(fit).T)
     print(
-        f"least squares over {len(fit)} constructed fields: "
+        f"Theil-Sen fit over {len(fit)} constructed fields: "
         f"floor {floor * 1e3:.3f} ms, {slope * 1e9:.1f} ns per triangle"
     )
 

@@ -26,6 +26,22 @@ runs on virtual ranks that cut each coarse slab component only at the
 values of its own saddles (see `_virtual_ranks`), so the nodes it labels
 follow the saddles each region holds, not the number of cut values.
 
+A construction tiles congruent bands and squares, so its rank grid repeats
+whole rows and columns, and the sweep runs on the grid with every line
+dropped whose ranks equal the next line's (see `_kept_lines`).  The cells
+between a dropped line and the next are ramps: two opposite edges carry
+equal ranks, so the cell's span is that of its bottom or left edge.  In
+every slab a ramp meets, its pieces join the cell below it or left of it,
+of a smaller triangle id, through that edge, so each block of cells between
+two kept lines labels as its first cell, whose corners carry the kept
+lines' ranks.  Components, level classes, witnesses and the order of
+vertices and edges are then those of the smaller grid, read back onto the
+field's triangles by a map that keeps their order; a grid vertex on a
+dropped line lies in the level class of its image on the next kept line.
+The extrema inside slabs take their points, values and smallest triangles
+from the field itself, and `ReebGraph.tri`, `slab_roots` and the push read
+the field's own grid.
+
 The graph carries topology and critical points only.  The special vertex of
 a tree is read off them: a level component with e extrema, s saddles and deg
 edge ends has genus (2 - e + s - deg)/2, so it needs no triangulation.
@@ -308,7 +324,7 @@ class _Batch(NamedTuple):
     levels: np.ndarray  # level of each new class
     least: np.ndarray  # smallest triangle meeting each new class, ntri for an empty one
     vertices: np.ndarray  # rows (grid vertex, class) for each vertex at a settled level
-    extrema: np.ndarray  # rows (grid vertex, bottom 2g or top 2g+1 it hangs on, least triangle)
+    extrema: np.ndarray  # rows (index in the caller's points, component) per extremum inside
 
 
 def _ranks(f: ScalarField, cuts: np.ndarray) -> np.ndarray:
@@ -373,6 +389,14 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     np.logical_and(flat[:, 1:], flat[:, :-1], out=cont[:, 1:])
     low[3] += cont  # no node of its own
     np.copyto(segs[3, :, 0], 0, where=cont)
+    # A run head off row and column 0 joins nothing across its left edge
+    # either.  In its column, the heads above one another and their left
+    # neighbours are joined through their top edges, and the top head of
+    # such a stack reaches its left neighbour round their shared top-left
+    # corner: across that neighbour's top edge and the left edge of the cell
+    # above the head, which heads no run.  A torus column of heads has no
+    # top head, and its head in row 0 keeps the join.
+    np.copyto(segs[3, 1, 0, 1:, 1:], 0, where=flat[1:, 1:] & ~cont[1:, 1:])
     head = np.maximum.accumulate(np.where(cont, 0, lower).ravel())
     cont = cont.ravel().nonzero()[0]
     runs = 2 * cont.astype(np.int32), head[cont]
@@ -435,18 +459,18 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     components of the last slab carry over to the next batch.
 
     `points` are the grid vertices of the extrema inside slabs, those of even
-    rank.  Each lies in the component of the triangles around it, whose
-    bottom (at a minimum) or top (at a maximum) is then the extremum's value.
+    rank, repeats allowed.  Each lies in the component of the triangles
+    around it, whose bottom (at a minimum) or top (at a maximum) is then the
+    extremum's value; a batch gives each by its index in `points`.
     """
     ntri, ncx, w, i32 = tri.ntri, tri.ncx, tri.field.width, np.int32
     K = (int(rank.max()) + 1) >> 1
-    vals = tri.field.values.ravel()
     t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs, runs = _pieces(tri, rank)
     rank = rank.ravel()
     verts = (rank & 1).nonzero()[0]
     verts = verts[rank[verts].argsort(kind="stable")]  # grid vertices at cut levels
     vlev = rank[verts] >> 1
-    vindex = np.zeros(len(vals), dtype=i32)
+    vindex = np.zeros(len(rank), dtype=i32)
     vindex[verts] = np.arange(len(verts))
     # (triangle, level, vertex index) for every triangle around a vertex at a
     # cut level, by level: every triangle that meets a level at a corner
@@ -461,12 +485,10 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     att_k = att_j + 1 - att_lower
     att_flat = vindex[(att_t >> 1) + (w - ncx) * ((att_t >> 1) // ncx)]  # at the cell's (x,y)
 
-    # the extrema inside slabs by slab: the smallest triangle around each, and
-    # whether it is a maximum, hung on its component's top
-    points = points[rank[points].argsort(kind="stable")]
+    # the extrema inside slabs by slab, with the smallest triangle around each
+    order = rank[points].argsort(kind="stable")
+    points = points[order]
     pk, pt = rank[points] >> 1, tri.star(points).min(axis=1)
-    y, x = np.divmod(points, w)
-    maximum = vals[y * w + (x + 1) % w] < vals[points]  # all its neighbours lie on one side
     del rank, t_hi, vindex, star, on  # read by the set-up only
 
     def on_diag(t: np.ndarray, k) -> np.ndarray:  # whether t takes its lower one's node in slab k
@@ -504,7 +526,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
         comp[:n] = comp.take(root)  # root holds int32 ids, which `take` reads fast
 
         ext = slice(*pk.searchsorted([k0, k1 + 1]).tolist())  # the extrema inside these slabs
-        extrema = np.array([points[ext], 2 * comp[node(pt[ext], pk[ext])] + maximum[ext], pt[ext]])
+        extrema = np.array([order[ext], comp[node(pt[ext], pk[ext])]])
 
         # class graph: ends 2c (bottom) and 2c+1 (top) of component carried+c,
         # then the grid vertices at the settled levels
@@ -650,9 +672,29 @@ def _levels_crossed(rank: np.ndarray) -> float:
     return sum(float(np.abs(rank - np.roll(rank, 1, axis=a)).mean()) for a in (0, 1)) / 2
 
 
+def _kept_lines(rank: np.ndarray, wraps: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns of a rank grid that the sweep keeps, as
+    ascending line indices: line 0, every line whose ranks differ from the
+    next line's (round a torus), and on a disk its last cell line and its
+    frame.  Line 0 stays so that every dropped line's cells have a smaller
+    neighbour across the ramp (see the module docstring).  A torus axis that
+    would keep fewer than 3 lines keeps them all: its cells would meet
+    themselves or one neighbour twice across the wrap."""
+    kept = []
+    for axis in (0, 1):
+        keep = (rank != np.roll(rank, -1, axis=axis)).any(axis=1 - axis)
+        keep[0] = True
+        if not wraps:
+            keep[-2:] = True
+        lines = keep.nonzero()[0]
+        kept.append(lines if len(lines) >= 3 else np.arange(len(keep)))
+    return kept[0], kept[1]
+
+
 def build_reeb(f: ScalarField) -> ReebGraph:
     """Construct the Kronrod-Reeb graph of a PL-Morse field, in two passes
-    where its cells span many cut levels (see TWO_PASS_LEVELS)."""
+    where its cells span many cut levels (see TWO_PASS_LEVELS), sweeping the
+    grid with its repeated rank lines dropped (see `_kept_lines`)."""
     crits = classify_vertices(f)
     tri = Triangulation(f)
 
@@ -677,24 +719,49 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         rank = _virtual_ranks(tri, rank, coarse, sites)
     sites = np.array(list(crits_at), dtype=np.int64)
     inside = sites[(rank.ravel()[sites] & 1) == 0]
+    y, x = np.divmod(inside, f.width)
+    maximum = vals[y * f.width + (x + 1) % f.width] < vals[inside]  # all neighbours on one side
+    at = np.array(sorted({*crits_at, *on_boundary}), dtype=np.int64)
+    at = at[(rank.ravel()[at] & 1) == 1]
+    at = at[rank.ravel()[at].argsort(kind="stable")]  # the marked ones at levels, by (level, y, x)
+
+    # -- sweep the grid with repeated lines dropped (see `_kept_lines`), and
+    # read its triangles and grid vertices back on the field's grid
+    rows, cols = _kept_lines(rank, f.wraps)
+    sweep_tri, sweep_at, sweep_inside, tmap = tri, at, inside, None
+    if len(rows) < f.height or len(cols) < f.width:
+        sub = np.ix_(rows, cols)
+        sweep_tri = Triangulation(ScalarField(f.kind, f.values[sub], validate=False))
+        rank = rank[sub]
+        # a grid vertex goes to the next kept line, round a torus
+        ry = rows.searchsorted(np.arange(f.height)) % len(rows)
+        cx = cols.searchsorted(np.arange(f.width)) % len(cols)
+        sweep_at, sweep_inside = (
+            ry[p // f.width] * len(cols) + cx[p % f.width] for p in (at, inside)
+        )
+        cells = (rows[: sweep_tri.ncy, None] * tri.ncx + cols[: sweep_tri.ncx]).ravel()
+        tmap = np.empty(sweep_tri.ntri + 1, dtype=np.int64)
+        tmap[0:-1:2], tmap[1:-1:2], tmap[-1] = 2 * cells, 2 * cells + 1, tri.ntri
 
     # -- one sweep up the slabs: level classes become nodes and slab components
     # pre-edges, in the sweep's order.  Only classes with critical points or a
     # boundary curve are marked and survive the smoothing.
-    mark_v = np.zeros(f.values.size, dtype=bool)
-    mark_v[[*crits_at, *on_boundary]] = True
-    parts = []
-    for b in _sweep(tri, rank, inside):
-        at, cls = b.vertices[:, mark_v[b.vertices[0]]]  # marked grid vertices and their classes
-        parts.append((b.least, b.bottom, b.comp_t, *b.tops, at, cls, *b.extrema))
-    least, u, comp_t, top_g, top_c, at, cls, ext_p, ext_e, ext_t = map(np.concatenate, zip(*parts))
+    parts, vcls = [], np.empty(rank.size, dtype=np.int64)
+    for b in _sweep(sweep_tri, rank, sweep_inside):
+        vcls[b.vertices[0]] = b.vertices[1]
+        parts.append((b.least, b.bottom, b.comp_t, *b.tops, *b.extrema))
+    least, u, comp_t, top_g, top_c, ext_i, ext_g = map(np.concatenate, zip(*parts))
+    if tmap is not None:
+        least, comp_t = tmap[least], tmap[comp_t]
+    cls = vcls[sweep_at]
     n_cls, n_pre = len(least), len(u)
     v = np.empty(n_pre, dtype=np.int64)
     v[top_g] = top_c
 
     # -- hang each extremum inside a slab on its component's empty end: the
     # bottom at a minimum, the top at a maximum
-    ends = np.where(ext_e & 1, v[ext_e >> 1], u[ext_e >> 1])
+    ext_p = inside[ext_i]
+    ends = np.where(maximum[ext_i], v[ext_g], u[ext_g])
     hung = np.bincount(ends, minlength=n_cls)
     bad = (hung != (least == tri.ntri)).nonzero()[0]
     if len(bad):
@@ -707,7 +774,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
             else "empty component end without an extremum"
         )
     value = np.empty(n_cls)  # read at marked classes only
-    value[cls], value[ends], least[ends] = vals[at], vals[ext_p], ext_t
+    value[cls], value[ends], least[ends] = vals[at], vals[ext_p], tri.star(ext_p).min(axis=1)
     marked = np.zeros(n_cls, dtype=bool)
     marked[cls] = marked[ends] = True
 

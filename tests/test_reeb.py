@@ -16,12 +16,13 @@ import kronrod
 from kronrod.construct import realize_disk, realize_torus_circuit, realize_torus_tree
 from kronrod.corpus import corpus_grid, realize_member
 from kronrod.errors import NotATree, ReebError, ShapeViolation
-from kronrod.fields import CritKind, ScalarField, classify_vertices, morse_counts
+from kronrod.fields import CritKind, ScalarField, classify_vertices, fix_ties, morse_counts
 from kronrod.reeb import (
     ReebEdge,
     ReebGraph,
     ReebVertex,
     Triangulation,
+    _kept_lines,
     _label,
     _levels_crossed,
     _ranks,
@@ -160,17 +161,21 @@ class TestBuildReeb:
     @pytest.mark.parametrize(
         "change, message",
         [
-            (lambda p: p[1:], "empty component end without an extremum"),
-            (lambda p: np.repeat(p, 2), "slab component with 2 extrema inside"),
+            (lambda e: e[:, 1:], "empty component end without an extremum"),
+            (lambda e: np.repeat(e, 2, axis=1), "slab component with 2 extrema inside"),
         ],
     )
     def test_extrema_inside_slabs_pair_with_empty_ends(self, change, message, monkeypatch):
         """An empty slab end needs an extremum to hang on it, and no slab
-        component holds two."""
+        component holds two: the sweep's extrema, (index in its points,
+        component) rows, with the first left out or each given twice."""
         f = random_torus_field(0)
-        monkeypatch.setattr(
-            kronrod.reeb, "_sweep", lambda tri, rank, points: _sweep(tri, rank, change(points))
-        )
+
+        def sweep(tri, rank, points):
+            for b in _sweep(tri, rank, points):
+                yield b._replace(extrema=change(b.extrema))
+
+        monkeypatch.setattr(kronrod.reeb, "_sweep", sweep)
         with pytest.raises(ReebError, match=message):
             build_reeb(f)
 
@@ -307,20 +312,22 @@ class TestLabel:
         for f in fields:
             cuts = sorted({v.value for v in build_reeb(f).vertices})
             assert check_sweep(f, cuts, np.empty(0, dtype=np.int64)) == 0
-            [(cuts, points)] = record_sweeps(f, monkeypatch)
-            hung.append(check_sweep(f, cuts, points))
+            [(g, cuts, points)] = record_sweeps(f, monkeypatch)
+            hung.append(check_sweep(g, cuts, points))
             assert hung[-1] == len(points)
         assert all(hung[:3])  # the random fields have extrema inside slabs
 
 
 def record_sweeps(f, monkeypatch):
-    """The cut values (as a list) and the extrema inside slabs of every
-    `_sweep` call that `build_reeb(f)` makes, the cut values read off the
-    grid vertices of odd rank, which a one-pass build puts at its cuts."""
+    """The field that each `_sweep` call of `build_reeb(f)` sweeps, `f` with
+    its repeated rank lines dropped, its cut values (as a list) and its
+    extrema inside slabs; the cut values are read off the grid vertices of
+    odd rank, which a one-pass build puts at its cuts."""
     calls = []
 
     def recording(tri, rank, points):
-        calls.append((sorted(set(tri.field.values[(rank & 1) == 1].tolist())), points))
+        cuts = sorted(set(tri.field.values[(rank & 1) == 1].tolist()))
+        calls.append((tri.field, cuts, points))
         return _sweep(tri, rank, points)
 
     monkeypatch.setattr(kronrod.reeb, "_sweep", recording)
@@ -336,9 +343,9 @@ def check_sweep(f, cuts, points):
     cut level's classes of slab ends, but the empty ones, are its level
     components: a class holds the triangles that meet its level in the slab
     components whose bottom or top end it is, and every triangle around its
-    grid vertices.  Each extremum inside a slab lies in the component that
-    holds the triangles around it, and the empty ends are exactly the bottoms
-    of the minima's components and the tops of the maxima's.
+    grid vertices.  Each extremum inside a slab is given once, by its index
+    in `points`, with the component that holds the triangles around it, and
+    the empty ends are exactly one end of each of those components.
     """
     tri = Triangulation(f)
     sp, corners = spans(tri), corner_table(f)
@@ -350,7 +357,7 @@ def check_sweep(f, cuts, points):
     class_level: list[int] = []
     class_least: list[int] = []
     vertex_class: dict[int, int] = {}
-    extrema: list[tuple[int, int, int]] = []  # (grid vertex, end, smallest triangle)
+    extrema: list[tuple[int, int]] = []  # (index in points, component)
     for b in _sweep(tri, _ranks(f, np.array(cuts)), points):
         first = len(comp_slab)
         comp_slab += b.comp_slab.tolist()
@@ -384,16 +391,13 @@ def check_sweep(f, cuts, points):
         level = [sorted(m) for m, k in zip(classes, class_level) if k == j and m]
         assert level == level_set_components(f, c)
 
-    kinds = {c.y * f.width + c.x: c.kind for c in classify_vertices(f)}
     hung = []
-    assert sorted(p for p, _, _ in extrema) == sorted(np.asarray(points).tolist())
-    for p, e, t in extrema:
-        g = e >> 1
-        star = np.flatnonzero((corners == p).any(axis=1)).tolist()
-        assert t == star[0]
+    assert sorted(i for i, _ in extrema) == list(range(len(points)))
+    for i, g in extrema:
+        star = np.flatnonzero((corners == points[i]).any(axis=1)).tolist()
         assert set(star) <= set(members[comp_slab[g], comp_t[g]])
-        assert e & 1 == (kinds[p] is CritKind.MAXIMUM)
-        hung.append(top_of[g] if e & 1 else bottom_of[g])
+        [end] = [c for c in (bottom_of[g], top_of[g]) if not classes[c]]
+        hung.append(end)
     assert sorted(hung) == [c for c, m in enumerate(classes) if not m]
     return len(hung)
 
@@ -426,6 +430,11 @@ ORACLE_FIELDS = {
     "disk-prod(wr(1,2),wr(1,3))": lambda: realize_disk(parse_term("prod(wr(1,2),wr(1,3))"))[0],
     "bench-32": lambda: bench_field(32),
     "bench-64": lambda: bench_field(64),
+    # constructions beyond the corpus, whose sweeps run on grids with
+    # repeated rank lines dropped: the largest `circuit-scale` circuit and a
+    # tree of n*m = 3 lattice squares
+    "circuit-1-8": lambda: realize_torus_circuit(parse_term("1"), 8)[0],
+    "tree-wr(1,2)-3-1": lambda: realize_torus_tree(parse_term("wr(1,2)"), 3, 1)[0],
 }
 
 
@@ -441,14 +450,15 @@ def test_cuts_at_saddles_boundaries_and_extremes(name, monkeypatch):
     """The builder cuts at the saddle and boundary values and at the field's
     minimum and maximum only; every other extremum lies inside a slab."""
     f = ORACLE_FIELDS[name]()
-    [(cuts, *_)] = record_sweeps(f, monkeypatch)
+    [(_, cuts, _)] = record_sweeps(f, monkeypatch)
     assert cuts == cut_values(f)
 
 
 def record_batches(f, monkeypatch):
-    """The cuts of the sweep that `build_reeb(f)` makes, and per batch its
-    slabs (first, last) and the node count of its first `_label` call, the
-    one that labels its slab components."""
+    """The field, cuts and points of the sweep that `build_reeb(f)` makes
+    (see `record_sweeps`), and per batch its slabs (first, last) and the
+    node count of its first `_label` call, the one that labels its slab
+    components."""
     counts, batches = [], []
 
     def label(n, a, b):
@@ -461,11 +471,11 @@ def record_batches(f, monkeypatch):
             counts.clear()
             yield b
 
-    [(cuts, *_)] = record_sweeps(f, monkeypatch)
+    [swept] = record_sweeps(f, monkeypatch)
     monkeypatch.setattr(kronrod.reeb, "_label", label)
     monkeypatch.setattr(kronrod.reeb, "_sweep", sweep)
     build_reeb(f)
-    return cuts, batches
+    return (*swept, batches)
 
 
 def cell_slabs(f, cuts):
@@ -496,33 +506,43 @@ def continuing_cells(f, cuts):
     return cont
 
 
-@pytest.mark.parametrize("name", ["bench-64", "disk-wr(1,3)", "random-1-16-rolled"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "bench-64",
+        "disk-wr(1,3)",
+        "disk-prod(wr(1,2),wr(1,3))",
+        "random-1-16-rolled",
+        "tree-wr(1,2)-2-2",
+    ],
+)
 def test_sweep_labels_one_node_per_cell_piece_and_slab(name, monkeypatch):
     """A cell's two triangles share one node in every slab that their
     diagonal meets, and a cell that continues a run of flat cells shares the
     node of the run's first cell, so the sweep labels each triangle's slabs
-    less its diagonal's, less one per continuing cell, and no more."""
+    less its diagonal's, less one per continuing cell, and no more, on the
+    grid it sweeps: the constructions' with repeated lines dropped, which
+    leaves `disk-wr(1,3)` no run of two flat cells."""
     f = ORACLE_FIELDS[name]()
-    cuts, batches = record_batches(f, monkeypatch)
-    ranges = cell_slabs(f, cuts)
+    g, cuts, _, batches = record_batches(f, monkeypatch)
+    ranges = cell_slabs(g, cuts)
     lower, diag, upper = (np.maximum(last - first + 1, 0).sum() for first, last in ranges)
-    continuing = int((continuing_cells(f, cuts) >= 0).sum())
-    assert diag > 0 and continuing > 0
+    continuing = int((continuing_cells(g, cuts) >= 0).sum())
+    assert diag > 0 and (continuing > 0) == (name != "disk-wr(1,3)")
     assert sum(n for _, _, n in batches) == lower + upper - diag - continuing
 
 
 def test_oracle_fields_cover_every_cell_case(monkeypatch):
-    """Between them, the oracle fields have cells whose upper triangle has
-    its own slabs below its diagonal's, above them or none, and cells whose
-    diagonal meets no slab; and a field swept in several batches has a cell
-    that shares its node in a batch's last slab while its upper triangle
-    goes on into the next batch, which must then find that node's component
-    under it."""
+    """Between them, the grids that the oracle fields' sweeps are given have
+    cells whose upper triangle has its own slabs below its diagonal's, above
+    them or none, and cells whose diagonal meets no slab; and a field swept
+    in several batches has a cell that shares its node in a batch's last
+    slab while its upper triangle goes on into the next batch, which must
+    then find that node's component under it."""
     cases, handed = set(), False
     for name, make in ORACLE_FIELDS.items():
-        f = make()
-        cuts, batches = record_batches(f, monkeypatch)
-        _, (d0, d1), (u0, u1) = cell_slabs(f, cuts)
+        g, cuts, _, batches = record_batches(make(), monkeypatch)
+        _, (d0, d1), (u0, u1) = cell_slabs(g, cuts)
         on = d0 <= d1
         cases |= {
             case
@@ -540,34 +560,108 @@ def test_oracle_fields_cover_every_cell_case(monkeypatch):
 
 
 def test_oracle_fields_cover_every_run_case(monkeypatch):
-    """Between them, the oracle fields have runs of flat cells that end at a
-    torus row's last cell, runs on a disk, runs in a later batch of a sweep
-    in several batches, and an extremum inside a slab whose smallest star
-    triangle lies in a continuing cell, whose node is its run head's; and
-    the parallel pair of `circuit-wr(1,2)-1`, whose pushes split it through
+    """Between them, the grids that the oracle fields' sweeps are given have
+    runs of flat cells that end at a torus row's last cell, runs on a disk,
+    runs in a later batch of a sweep in several batches, a run's first cell
+    above another's, off row and column 0, which joins nothing across its
+    left edge, and an extremum inside a slab whose smallest star triangle
+    lies in a continuing cell, whose node is its run head's; and the
+    parallel pair of `circuit-wr(1,2)-1`, whose pushes split it through
     `slab_roots`, has runs in that interval."""
     cases = set()
     for name, make in ORACLE_FIELDS.items():
-        f = make()
-        cuts, batches = record_batches(f, monkeypatch)
-        cont = continuing_cells(f, cuts)
-        if (cont[:, -1] >= 0).any() and f.wraps:
+        g, cuts, points, batches = record_batches(make(), monkeypatch)
+        cont = continuing_cells(g, cuts)
+        if (cont[:, -1] >= 0).any() and g.wraps:
             cases.add("row end")
-        if (cont >= 0).any() and not f.wraps:
+        if (cont >= 0).any() and not g.wraps:
             cases.add("disk")
         if len(batches) > 1 and (cont >= batches[1][0]).any():
             cases.add("later batch")
-        for c in classify_vertices(f):
-            if c.kind is not CritKind.SADDLE and c.value not in cuts:
-                p = c.y * f.width + c.x
-                t = np.flatnonzero((corner_table(f) == p).any(axis=1))[0]
-                if cont.ravel()[t // 2] >= 0:
-                    cases.add("extremum")
-    assert cases == {"row end", "disk", "later batch", "extremum"}
+        lead = np.zeros_like(cont, dtype=bool)  # first cells of runs of two or more
+        lead[:, :-1] = (cont[:, 1:] >= 0) & (cont[:, :-1] < 0)
+        if (lead[1:, 1:] & lead[:-1, 1:]).any():
+            cases.add("stacked heads")
+        for p in points.tolist():
+            t = np.flatnonzero((corner_table(g) == p).any(axis=1))[0]
+            if cont.ravel()[t // 2] >= 0:
+                cases.add("extremum")
+    assert cases == {"row end", "disk", "later batch", "stacked heads", "extremum"}
     f = ORACLE_FIELDS["circuit-wr(1,2)-1"]()
     g = build_reeb(f)
     e = g.edges[g.parallel[0]]
     assert (continuing_cells(f, [e.lo, e.hi]) == 1).any()
+
+
+def test_torus_column_of_run_heads():
+    """A torus field of x but for a small wave in y: the saddle at x = 0
+    cuts every cell of column 0, and every cell of column 1 heads a run of
+    flat cells in the middle slab.  Column 0's pieces in that slab reach
+    the runs only across those heads' left edges, and the column of heads
+    has no top head, which would reach its left neighbour round its
+    top-left corner: the head in row 0 keeps its join.  The sweep, on the
+    field's own grid, against flood fills."""
+    x, y = np.meshgrid(np.arange(16), np.arange(16))
+    values = np.cos(x * np.pi / 8) + 0.03 * np.cos(y * np.pi / 8)
+    f = ScalarField("torus", fix_ties(values, "torus"))
+    cuts = cut_values(f)
+    cont = continuing_cells(f, cuts)
+    assert (cont[:, 1] < 0).all() and (cont[:, 2] >= 0).all()
+    assert ((_ranks(f, np.array(cuts))[:, 0] & 1) == 1).any()  # the saddle's column
+    assert check_sweep(f, cuts, np.empty(0, dtype=np.int64)) == 0
+
+
+@pytest.mark.parametrize(
+    "wraps, pattern, kept",
+    [
+        (True, "aabbbc", [0, 1, 4, 5]),  # line 0, and the last line of each run
+        (True, "abbcaa", [0, 2, 3]),  # lines 4 and 5 equal line 0 round the torus
+        (False, "abbcaa", [0, 2, 3, 4, 5]),  # a disk's last cell line and its frame
+        (True, "abbb", [0, 1, 2, 3]),  # two lines would be left
+        (True, "aaaa", [0, 1, 2, 3]),
+    ],
+)
+def test_kept_lines(wraps, pattern, kept):
+    """`_kept_lines` keeps line 0, the last line of each run of lines with
+    equal ranks, compared round a torus, and a disk's last two lines, and
+    keeps every line of a torus axis that would keep fewer than 3; rows and
+    columns alike, each whatever the other axis holds."""
+    rows = np.array([ord(c) for c in pattern])
+    cols = np.arange(8)  # no two columns equal
+    rank = (2 * (100 * rows[:, None] + cols)).astype(np.int32)
+    r, c = _kept_lines(rank, wraps)
+    assert (r.tolist(), c.tolist()) == (kept, list(range(8)))
+    r, c = _kept_lines(rank.T.copy(), wraps)
+    assert (r.tolist(), c.tolist()) == (list(range(8)), kept)
+
+
+def test_kept_grid_points(monkeypatch):
+    """The grid points the sweep keeps: every one of the four
+    `fields-analyze` fields, 2,880 of the 17,280 of the five `circuit-scale`
+    circuits and 21,284 of the 80,592 of the 26 corpus members."""
+    sizes = []
+    kept_lines = kronrod.reeb._kept_lines
+
+    def spy(rank, wraps):
+        rows, cols = kept_lines(rank, wraps)
+        sizes.append((len(rows) * len(cols), rank.size))
+        return rows, cols
+
+    monkeypatch.setattr(kronrod.reeb, "_kept_lines", spy)
+    workloads = {
+        "fields": [bench_field(side) for side in (32, 64, 96, 128)],
+        "circuits": [realize_torus_circuit(parse_term("1"), n)[0] for n in range(4, 9)],
+        "corpus": [realize_member(m)[0] for m in corpus_grid()],
+    }
+    got = {}
+    for name, fields in workloads.items():
+        sizes.clear()
+        for f in fields:
+            build_reeb(f)
+        got[name] = tuple(map(sum, zip(*sizes)))
+        if name == "fields":
+            assert all(kept == size for kept, size in sizes)
+    assert got == {"fields": (30720, 30720), "circuits": (2880, 17280), "corpus": (21284, 80592)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -954,8 +1048,9 @@ class TestCellCorners:
         assert tri.star(points).tolist() == want
 
     def test_build_reads_the_cell_corners_once(self, monkeypatch):
-        """A build reads the grid at the cell corners in one `cell_corners`
-        pass, on a torus, on a disk and on a field swept in several batches."""
+        """A build reads the grid it sweeps at the cell corners in one
+        `cell_corners` pass, on a torus, on a disk, whose repeated rank lines
+        are dropped first, and on a field swept in several batches."""
         calls = []
         cell_corners = Triangulation.cell_corners
 
@@ -963,13 +1058,19 @@ class TestCellCorners:
             calls.append(grid.shape)
             return cell_corners(tri, grid)
 
-        monkeypatch.setattr(Triangulation, "cell_corners", counting)
+        shapes = {}
         for name in ("random-3-16", "disk-wr(1,3)", "bench-64"):
             f = ORACLE_FIELDS[name]()
-            calls.clear()
-            build_reeb(f)
-            assert calls == [f.values.shape], name
-        _, batches = record_batches(f, monkeypatch)
+            with monkeypatch.context() as mp:
+                [(g, *_)] = record_sweeps(f, mp)
+                mp.setattr(Triangulation, "cell_corners", counting)
+                calls.clear()
+                build_reeb(f)
+            assert calls == [g.values.shape], name
+            shapes[name] = g.values.shape == f.values.shape
+        # the disk's grid is swept with repeated lines dropped
+        assert shapes == {"random-3-16": True, "disk-wr(1,3)": False, "bench-64": True}
+        *_, batches = record_batches(f, monkeypatch)
         assert len(batches) > 1
 
 

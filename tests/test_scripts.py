@@ -1,11 +1,13 @@
 """Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,38 +56,55 @@ def test_build_cost_one_rep():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 26 + 5 + 4 + 1
-    groups, passes, swept_flat = [], [], []
+    groups, passes, collapsed = [], [], []
     for line in lines[:-1]:
         m = re.fullmatch(
-            r"(corpus|circuit|fields) +(\S+) +grid +(\d+)x(\d+) +triangles +(\d+) +saddle values"
-            r" +(\d+) +levels per cell +(\d+\.\d\d) +passes ([12]) +nodes +(\d+) \+ +(\d+)"
-            r" \( *(\d+\.\d\d) per triangle\) +flat cells +(-|\d\.\d\d)/(\d\.\d\d)"
+            r"(corpus|circuit|fields) +(\S+) +grid +(\d+)x(\d+) +kept +(\d+)x(\d+) +triangles"
+            r" +(\d+) +saddle values +(\d+) +levels per cell +(\d+\.\d\d) +passes ([12]) +nodes"
+            r" +(\d+) \+ +(\d+) \( *(\d+\.\d\d) per triangle\) +flat cells +(-|\d\.\d\d)/(\d\.\d\d)"
             r" +continuing +(-|\d\.\d\d)/(\d\.\d\d)"
             r" +classify +(\d+\.\d{3}) ms +build +(\d+\.\d{3}) ms",
             line,
         )
         assert m, line
-        w, h, tris, coarse, swept = map(int, m.group(3, 4, 5, 9, 10))
+        w, h, kept_w, kept_h, tris, coarse, swept = map(int, m.group(3, 4, 5, 6, 7, 11, 12))
         assert tris in (2 * w * h, 2 * (w - 1) * (h - 1)) and swept > 0, line
+        # the sweep keeps at least 3 lines along each axis, and never more than the grid's
+        assert 3 <= kept_w <= w and 3 <= kept_h <= h, line
+        collapsed.append(kept_w * kept_h < w * h)
         # the coarse pass labels nodes exactly when the build takes two passes
-        assert (coarse > 0) == (m[8] == "2"), line
-        assert abs(float(m[11]) - (coarse + swept) / tris) < 0.006, line
+        assert (coarse > 0) == (m[10] == "2"), line
+        assert abs(float(m[13]) - (coarse + swept) / tris) < 0.006, line
         # each pass has its shares of flat cells and of the flat cells that
         # continue a run; a one-pass build has a dash for its coarse pass
-        assert (m[12] == "-") == (m[14] == "-") == (m[8] == "1"), line
-        for flat, cont in (m.group(12, 14), m.group(13, 15)):
+        assert (m[14] == "-") == (m[16] == "-") == (m[10] == "1"), line
+        for flat, cont in (m.group(14, 16), m.group(15, 17)):
             assert flat == "-" or 0 <= float(cont) <= float(flat) <= 1, line
-        swept_flat.append(float(m[13]))
         groups.append(m[1])
-        passes.append(m[8])
+        passes.append(m[10])
     assert groups == ["corpus"] * 26 + ["circuit"] * 5 + ["fields"] * 4
     # only the benchmark's larger trig-sum fields take two passes
     assert passes == ["1"] * 33 + ["2"] * 2
-    # the constructions are flatter than the trig-sum fields' sweeps
-    assert min(swept_flat[:31]) > max(swept_flat[31:])
-    fit = r"least squares over 31 constructed fields: floor -?\d+\.\d{3} ms, -?\d+\.\d ns per"
+    # every construction repeats rank lines that its sweep drops; the
+    # trig-sum fields repeat none
+    assert collapsed == [True] * 31 + [False] * 4
+    fit = r"Theil-Sen fit over 31 constructed fields: floor -?\d+\.\d{3} ms, -?\d+\.\d ns per"
     fit += " triangle"
     assert re.fullmatch(fit, lines[-1]), lines[-1]
+
+
+def test_build_cost_fit_ignores_one_outlier():
+    """The build-cost fit is Theil-Sen's: one field far off the line, here
+    the largest, moves neither its floor nor its slope, where least squares
+    would lean on it."""
+    spec = importlib.util.spec_from_file_location("build_cost", ROOT / "scripts" / "build_cost.py")
+    build_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_cost)
+    x = np.array([128.0, 256, 256, 512, 1024, 2048, 4096, 8192, 36864])
+    y = 2.0 + 3.0 * x
+    y[-1] *= 1.5
+    assert build_cost.theil_sen(x, y) == pytest.approx((2.0, 3.0))
+    assert np.polyfit(x, y, 1)[0] > 4
 
 
 def test_build_cost_sweep_one_side():
