@@ -148,12 +148,11 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     if g.tri is None:
         raise NotAnAutomorphism("graph carries no triangulation")
     classify_shape(g)
-    f = g.tri.field
-    w, n = f.width, f.values.size
-    src, dst, pieces = moves(f, sym)
-    image, piece = np.arange(n), np.full(n, -1)
-    image[src], piece[src] = dst, pieces
-    carrier = g.push_tables()[1]
+    point_map = moves(g.tri.field, sym)
+    _, carrier, points = g.push_tables()
+    image = np.arange(g.tri.field.values.size)
+    image[point_map[0]] = point_map[1]
+    hits = map(carrier.get, image[points].tolist())  # the critical points', vertex by vertex
 
     vperm = []
     for v in g.vertices:
@@ -161,8 +160,7 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
             vperm.append(v.id)
             continue
         images = set()
-        for c in v.crits:
-            hit = carrier.get(int(image[c.y * w + c.x]))
+        for c, hit in zip(v.crits, hits):  # takes from `hits` only while v.crits lasts
             if hit is None or (hit[0].kind, hit[0].value) != (c.kind, c.value):
                 raise NotAnAutomorphism(
                     f"critical point ({c.x}, {c.y}) maps to no critical point of its kind and value"
@@ -171,7 +169,7 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
         if len(images) != 1:
             raise NotAnAutomorphism(f"vertex {v.id} critical points map to {len(images)} vertices")
         vperm.append(images.pop())
-    eperm = g.edge_images(vperm, image, piece)
+    eperm = g.edge_images(vperm, point_map)
     if len(set(vperm)) < len(vperm) or len(set(eperm)) < len(eperm):
         raise NotAnAutomorphism("vertex or edge map is not a permutation")
     return GraphAut(tuple(vperm), eperm)

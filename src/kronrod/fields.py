@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +66,11 @@ class MorseCounts(NamedTuple):
 
 
 class ScalarField:
-    """Immutable PL field: kind plus an (H, W) array of vertex values."""
+    """Immutable PL field: kind plus an (H, W) array of vertex values, which
+    keeps its link codes (`_code`, made by validation or else classification),
+    critical points (`_crits`) and symmetries' point maps (`records.moves`)."""
 
-    __slots__ = ("kind", "values", "_crits")
+    __slots__ = ("kind", "values", "_code", "_crits", "_maps")
 
     def __init__(self, kind: str, values: np.ndarray, validate: bool = True):
         if kind not in _KINDS:
@@ -80,7 +82,7 @@ class ScalarField:
         arr.setflags(write=False)
         self.kind = kind
         self.values = arr
-        self._crits: Optional[list[CriticalPoint]] = None
+        self._code, self._crits, self._maps = None, None, {}
         if validate:
             _validate(self)
 
@@ -129,6 +131,14 @@ def _link(vals: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(pad[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] for dx, dy in LINK_OFFSETS)
 
 
+def _link_code(vals: np.ndarray) -> np.ndarray:
+    """The link code of each grid vertex: bit k is set where link neighbor k lies above it."""
+    code = np.zeros(vals.shape, dtype=np.uint8)
+    for k, nb in enumerate(_link(vals)):
+        code |= np.greater(nb, vals).view(np.uint8) << k
+    return code
+
+
 def _validate(f: ScalarField) -> None:
     h, w = f.values.shape
     if w < MIN_SIDE or h < MIN_SIDE:
@@ -146,15 +156,22 @@ def _validate(f: ScalarField) -> None:
         )
         if not (np.all(ring > frame[0]) or np.all(ring < frame[0])):
             raise InvalidField("disk collar is not strictly one-sided")
-    # interior vertices must differ from every link neighbor
-    interior = ~f.boundary_mask()
-    for (dx, dy), nb in zip(LINK_OFFSETS, _link(f.values)):
-        ties = (nb == f.values) & interior
-        if ties.any():
-            y, x = np.argwhere(ties)[0]
-            raise InvalidField(
-                f"interior vertex ({x}, {y}) ties its link neighbor ({x + dx}, {y + dy})"
-            )
+    # Interior vertices must differ from every link neighbor.  Two neighbors tie
+    # when neither lies above the other: bit k of `tied` marks one with link
+    # neighbor k < 3 (E, NE, N), which see every pair but the frame's own.
+    f._code = code = _link_code(f.values)
+    back = _link(code)  # back[k] at a vertex: the code of its link neighbor k
+    tied = 7 & ~(code | back[0] >> 3 & 1 | back[1] >> 3 & 2 | back[2] >> 3 & 4)
+    if f.kind == DISK:
+        tied[0] = tied[-1] = tied[:, 0] = tied[:, -1] = 0
+    if tied.any():  # name the first tie of a scan over E, NE, N, W, SW, S, row by row
+        back = _link(tied)
+        hit = np.stack([(tied if k < 3 else back[k]) >> k % 3 & 1 for k in range(6)])
+        k, y, x = np.unravel_index(hit.argmax(), hit.shape)
+        dx, dy = LINK_OFFSETS[k]
+        raise InvalidField(
+            f"interior vertex ({x}, {y}) ties its link neighbor ({x + dx}, {y + dy})"
+        )
 
 
 # Vertex kinds by link code; 0 is a regular vertex.
@@ -177,16 +194,15 @@ _KIND_OF_CODE = np.array([_kind_of_code(code) for code in range(64)], dtype=np.u
 def classify_vertices(f: ScalarField) -> list[CriticalPoint]:
     """Critical points of the field by the link sign-change rule, in
     (value, y, x) order.  A disk's frame vertices, whose links wrap around,
-    are left unclassified.  A neighbor that ties the vertex, which only a
-    field made with `validate=False` has, reads as below it.  Raises
+    are left unclassified.  The link codes are validation's, or made here on
+    a field made with `validate=False`, where a tie reads as below.  Raises
     `DegenerateVertex` at the first degenerate vertex in row-major order."""
     if f._crits is not None:
         return f._crits
+    if f._code is None:
+        f._code = _link_code(f.values)
     vals = f.values
-    code = np.zeros(vals.shape, dtype=np.uint8)
-    for k, nb in enumerate(_link(vals)):
-        code |= np.greater(nb, vals).view(np.uint8) << k
-    kind = _KIND_OF_CODE.take(code)
+    kind = _KIND_OF_CODE.take(f._code)
     if f.kind == DISK:
         kind[f.boundary_mask()] = 0
     degen = kind == _DEGENERATE

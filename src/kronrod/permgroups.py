@@ -52,10 +52,10 @@ class PermGroup:
     """Permutation group on {0, ..., degree-1} given by generators, which
     may be passed as any integer sequences and are kept as intp arrays."""
 
-    __slots__ = ("degree", "generators", "order")
+    __slots__ = ("degree", "generators", "order", "walk")
 
     def __init__(self, degree: int, generators: Iterable):
-        self.degree, self.generators, self.order = degree, [], None
+        self.degree, self.generators, self.order, self.walk = degree, [], None, None
         for g in map(np.asarray, generators):
             if g.dtype.kind in "iu" and g.shape == (degree,):
                 g = g.astype(np.intp, copy=False)
@@ -80,22 +80,16 @@ def _hits_each_point(g: Perm) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _one_orbit_per_class(perms: list[Perm]) -> tuple[list[Gen], list[int]]:
-    """The non-identity `perms` acting on one orbit of each isomorphism class
-    of their orbits of two or more points, with the points kept, in order,
-    which the reduced generators number from 0.  The action stays faithful:
-    isomorphic orbits have one kernel, and a fixed point's is the whole
-    group.
-
+def _orbit_walk(images: list[list[int]], tables: set) -> list[int]:
+    """The points, ascending, of one orbit of each isomorphism class of the
+    orbits of two or more points of the permutations `images`, but for the
+    classes with a table in `tables`, to which the kept orbits' are added.
     An orbit is walked breadth first from its least point, and its table
-    lists, for each point in turn and each generator, the place in the walk
+    lists, for each point in turn and each permutation, the place in the walk
     of the point's image.  Orbits with one table are isomorphic, by the map
     between their walks; one that is isomorphic to a kept orbit only from
     other points stays."""
-    gens = [(p, p.tolist()) for p in perms if not _is_identity(p)]
-    images = [s for _, s in gens]
     place = [-1] * (len(images[0]) if images else 0)  # in the walk of its orbit
-    tables: set[tuple[int, ...]] = set()
     points: list[int] = []
     for a in range(len(place)):
         if place[a] >= 0:
@@ -112,11 +106,24 @@ def _one_orbit_per_class(perms: list[Perm]) -> tuple[list[Gen], list[int]]:
             tables.add(tuple(table))
             points += orbit
     points.sort()
-    if len(points) == len(place):
-        return gens, points
-    renumber = {x: k for k, x in enumerate(points)}
-    reduced = [[renumber[s[x]] for x in points] for s in images]
-    return [(np.array(s, dtype=np.intp), s) for s in reduced], points
+    return points
+
+
+def _walk(g: PermGroup) -> tuple[list[Gen], list[int], set]:
+    """The non-identity generators of `g` acting on one orbit of each
+    isomorphism class of their orbits of two or more points (`_orbit_walk`),
+    faithfully (isomorphic orbits have one kernel), the points kept, which
+    they number from 0, and the kept orbits' tables; kept in `g.walk`."""
+    if g.walk is None:
+        gens = [(p, p.tolist()) for p in g.generators if not _is_identity(p)]
+        images, tables = [s for _, s in gens], set()
+        points = _orbit_walk(images, tables)
+        if len(points) < g.degree:
+            renumber = {x: k for k, x in enumerate(points)}
+            reduced = [[renumber[s[x]] for x in points] for s in images]
+            gens = [(np.array(s, dtype=np.intp), s) for s in reduced]
+        g.walk = gens, points, tables
+    return g.walk
 
 
 def _transversal(reps: dict[int, Perm], gens: list[Gen], new: int = 0) -> None:
@@ -134,7 +141,7 @@ def _transversal(reps: dict[int, Perm], gens: list[Gen], new: int = 0) -> None:
 
 def _basic_orbit_lengths(gens: list[Gen], bound: Optional[int] = None) -> list[int]:
     """Lengths of the basic orbits of a stabilizer chain of <gens>, the
-    generators that `_one_orbit_per_class` reduced.  The scan stops once their
+    generators that `_walk` reduced.  The scan stops once their
     product reaches `bound`, an upper bound on the order: the chain's
     product never exceeds the order, so it then equals it.
 
@@ -226,7 +233,7 @@ def _basic_orbit_lengths(gens: list[Gen], bound: Optional[int] = None) -> list[i
 def group_order(g: PermGroup) -> int:
     """Order of `g`, computed once and kept in `g.order`."""
     if g.order is None:
-        g.order = prod(_basic_orbit_lengths(_one_orbit_per_class(g.generators)[0]))
+        g.order = prod(_basic_orbit_lengths(_walk(g)[0]))
     return g.order
 
 
@@ -320,25 +327,29 @@ def is_isomorphic(g: PermGroup, h: PermGroup) -> Pairing:
     missing generator maps to (or from) the identity.
 
     The diagonal's generators are reduced once, and the diagonal acts
-    faithfully on the points the reduction keeps.  When these all lie in
-    g's points, an element that fixes g's points fixes them too and is the
+    faithfully on the points the reduction keeps.  On g's points these are
+    the points of the walk `group_order(g)` kept, so only h's are walked.
+    When none of them is kept, an element that fixes g's points is the
     identity, so the projection onto <g> is injective and |diagonal| =
-    |<g>|: `group_order(g)`, which `generated_group` has already computed
-    in a verify, is taken and no diagonal chain runs.  Otherwise the chain
-    runs on the reduced generators.  The chain of a side whose order is
-    still unknown stops at the diagonal's order, and the order is kept."""
-    gs = [p for p in g.generators if not _is_identity(p)]
-    hs = [q for q in h.generators if not _is_identity(q)]
-    k = max(len(gs), len(hs))
-    gs += [identity(g.degree)] * (k - len(gs))
-    hs += [identity(h.degree)] * (k - len(hs))
-    pairs, kept = _one_orbit_per_class([np.concatenate([p, q + g.degree]) for p, q in zip(gs, hs)])
-    if not kept or kept[-1] < g.degree:
+    |<g>|: `group_order(g)`, which `generated_group` has already computed in
+    a verify, is taken and no diagonal chain runs.  Otherwise the chain runs
+    on the reduced generators.  The chain of a side whose order is still
+    unknown stops at the diagonal's order, and the order is kept."""
+    g_gens, g_points, tables = _walk(g)
+    hs = [q.tolist() for q in h.generators if not _is_identity(q)]
+    k = max(len(g_gens), len(hs))
+    g_images = [s for _, s in g_gens] + [list(range(len(g_points)))] * (k - len(g_gens))
+    hs += [list(range(h.degree))] * (k - len(hs))
+    if k > len(g_gens):  # padded identities add entries: g's kept orbits are walked again
+        _orbit_walk(g_images, tables := set())
+    kept = _orbit_walk(hs, set(tables))
+    if not kept:
         diagonal = group_order(g)
     else:
-        diagonal = prod(_basic_orbit_lengths(pairs))
+        renumber = {x: len(g_points) + i for i, x in enumerate(kept)}
+        pairs = [a + [renumber[q[x]] for x in kept] for a, q in zip(g_images, hs)]
+        diagonal = prod(_basic_orbit_lengths([(np.array(s, dtype=np.intp), s) for s in pairs]))
     for side in (g, h):
         if side.order is None:
-            gens, _ = _one_orbit_per_class(side.generators)
-            side.order = prod(_basic_orbit_lengths(gens, diagonal))
+            side.order = prod(_basic_orbit_lengths(_walk(side)[0], diagonal))
     return Pairing(g.order, h.order, diagonal)

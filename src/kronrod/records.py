@@ -184,16 +184,24 @@ def moves(f: ScalarField, sym: SymmetrySpec) -> tuple:
     cycle, 0 for a translation).  NotAnAutomorphism unless the map is a
     bijection of the grid: a translation of a torus, or a cycle of equal,
     pairwise disjoint rectangles that `_rect_points` reads; each goes onto the
-    next, so together they are their own image.
+    next, so together they are their own image.  Made once per field and
+    symmetry and kept on the field; a symmetry whose map raises keeps nothing.
     """
+    if not isinstance(sym, (GridTranslation, RectCycle)):
+        raise NotAnAutomorphism(f"unknown symmetry {sym!r}")
+    if sym not in f._maps:
+        f._maps[sym] = _point_map(f, sym)
+    return f._maps[sym]
+
+
+def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple:
     w, h = f.width, f.height
     if isinstance(sym, GridTranslation):
         if not f.wraps:
             raise NotAnAutomorphism("grid translation on a non-torus field")
-        xs, ys = (np.arange(w) + sym.dx % w) % w, (np.arange(h) + sym.dy % h) % h
+        xs = (np.arange(w, dtype=np.int32) + sym.dx % w) % w  # int32: kept on the field
+        ys = (np.arange(h, dtype=np.int32) + sym.dy % h) % h
         return slice(None), (ys[:, None] * w + xs).ravel(), 0
-    if not isinstance(sym, RectCycle):
-        raise NotAnAutomorphism(f"unknown symmetry {sym!r}")
     rects = sym.rects
     if not rects or any((r.w, r.h) != (rects[0].w, rects[0].h) for r in rects):
         raise NotAnAutomorphism("rect cycle with mismatched or empty rectangles")
@@ -230,5 +238,5 @@ def check_record_against_field(rec: ConstructionRecord, f: ScalarField) -> None:
             raise InvalidField(f"slots of orbit {orbit} are not value-congruent")
     for sym in rec.symmetries:
         src, dst, _ = moves(f, sym)
-        if not np.array_equal(flat[dst], flat[src]):
+        if not np.array_equal(flat.take(dst), flat[src]):
             raise InvalidField(f"field is not invariant under {sym}")

@@ -118,18 +118,21 @@ class Triangulation:
         w, h = self.field.width, self.field.height
         y, x = np.divmod(points, w)
         dx, dy, up = _STAR
-        cx, cy = (x[:, None] + dx) % w, (y[:, None] + dy) % h
+        cx, cy = x[:, None] + dx, y[:, None] + dy
+        cx[cx < 0], cy[cy < 0] = w - 1, h - 1  # the offsets are -1 or 0
         star = 2 * (cy * self.ncx + cx) + up
         if not self.field.wraps:  # a disk's cells stop one short of the grid
             star[(cx == self.ncx) | (cy == self.ncy)] = self.ntri
         return star
 
 
-def _cell_permutation(tri: Triangulation, image: np.ndarray, piece: np.ndarray) -> np.ndarray:
-    """Triangle-level map of a point map, given as each grid point's flat
-    image and rigid piece (-1 where fixed): a cell whose four corners lie in
-    one piece moves with them; every other cell stays put."""
+def _cell_permutation(tri: Triangulation, point_map: tuple) -> np.ndarray:
+    """Triangle-level map of a point map (see `records.moves`), read as each
+    grid point's flat image and rigid piece (-1 where fixed): a cell whose
+    four corners lie in one piece moves with them; every other cell stays put."""
     shape, w = tri.field.values.shape, tri.field.width
+    image, piece = np.arange(tri.field.values.size), np.full(tri.field.values.size, -1)
+    image[point_map[0]], piece[point_map[0]] = point_map[1:]
     p00, p10, p11, p01 = tri.cell_corners(piece.reshape(shape))
     rigid = (p00 >= 0) & (p10 == p00) & (p11 == p00) & (p01 == p00)
     ty, tx = np.divmod(tri.cell_corners(image.reshape(shape))[0], w)
@@ -223,7 +226,7 @@ class ReebGraph:
         self.shape = _walk(self)
         es = self.shape.cycle_edges if self.shape else ()
         self.parallel: Optional[tuple[int, int]] = es if len(es) == 2 else None
-        self._tables: Optional[tuple[dict, dict]] = None
+        self._tables: Optional[tuple[dict, dict, np.ndarray]] = None
         self._slabs: dict[tuple[float, float], np.ndarray] = {}
 
     @property
@@ -234,22 +237,23 @@ class ReebGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def push_tables(self) -> tuple[dict, dict]:
+    def push_tables(self) -> tuple[dict, dict, np.ndarray]:
         """The lookups every push reads, built on the first and kept: edge
-        ends -> edge, and grid vertex -> (critical point there, its vertex)."""
+        ends -> edge, grid vertex -> (critical point there, its vertex), and
+        the grid vertices of the vertices' critical points, in order."""
         if self._tables is None:
             w = self.tri.field.width
+            carried = [(c.y * w + c.x, (c, v.id)) for v in self.vertices for c in v.crits]
             self._tables = (
                 {frozenset((e.u, e.v)): e.id for e in self.edges},
-                {c.y * w + c.x: (c, v.id) for v in self.vertices for c in v.crits},
+                dict(carried),
+                np.array([p for p, _ in carried], dtype=np.intp),
             )
         return self._tables
 
-    def edge_images(
-        self, vperm: list[int], image: np.ndarray, piece: np.ndarray
-    ) -> tuple[int, ...]:
-        """Where a push with vertex map `vperm` and point map `image`, `piece`
-        (see `_cell_permutation`) sends each edge: to the edge between the
+    def edge_images(self, vperm: list[int], point_map: tuple) -> tuple[int, ...]:
+        """Where a push with vertex map `vperm` and point map `point_map` (see
+        `_cell_permutation`) sends each edge: to the edge between the
         images of its ends, so both edges of the parallel pair to one.  If
         that is one of the pair, each goes to the one whose witness's
         component in `slab_roots(lo, hi)` of the pair's open interval, where
@@ -265,7 +269,7 @@ class ReebGraph:
         pair = self.parallel
         if pair and eperm[pair[0]] in pair:
             root = self.slab_roots(self.edges[pair[0]].lo, self.edges[pair[0]].hi)
-            perm = _cell_permutation(self.tri, image, piece)
+            perm = _cell_permutation(self.tri, point_map)
             for e in pair:
                 mapped = root[perm[root == root[self.edges[e].witness]]]
                 hits = [d for d in pair if (mapped == root[self.edges[d].witness]).all()]
@@ -669,7 +673,8 @@ def _levels_crossed(rank: np.ndarray) -> float:
     """The cut levels crossed by a grid step along x plus one along y, on
     average over the grid (round a disk too, whose frame is level): about the
     levels a cell spans, and at most 2(K-1) over K cut levels."""
-    return sum(float(np.abs(rank - np.roll(rank, 1, axis=a)).mean()) for a in (0, 1)) / 2
+    steps = (int(np.abs(r[1:] - r[:-1]).sum() + np.abs(r[0] - r[-1]).sum()) for r in (rank, rank.T))
+    return sum(s / rank.size for s in steps) / 2
 
 
 def _kept_lines(rank: np.ndarray, wraps: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -681,8 +686,8 @@ def _kept_lines(rank: np.ndarray, wraps: bool) -> tuple[np.ndarray, np.ndarray]:
     would keep fewer than 3 lines keeps them all: its cells would meet
     themselves or one neighbour twice across the wrap."""
     kept = []
-    for axis in (0, 1):
-        keep = (rank != np.roll(rank, -1, axis=axis)).any(axis=1 - axis)
+    for r in (rank, rank.T):
+        keep = np.append((r[:-1] != r[1:]).any(axis=1), (r[-1] != r[0]).any())
         keep[0] = True
         if not wraps:
             keep[-2:] = True
@@ -706,11 +711,13 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     if not crits and not boundary:
         raise InvalidField("field has no critical points and no boundary")
     on_boundary = {p for _, p in boundary}
-    # cut at saddles, boundary curves and the extremes of the field, or in two
-    # passes at the coarse cuts first; every other extremum lies inside a slab
+    # cut at saddles, boundary curves and the extremes of the field (off the
+    # frame, extremes are extrema), or in two passes at the coarse cuts first;
+    # every other extremum lies inside a slab
     vals = f.values.ravel()
     saddles = {c.value for c in crits if c.kind is CritKind.SADDLE}
-    extremes = {*(v for v, _ in boundary), float(vals.min()), float(vals.max())}
+    ends = [*(v for v, _ in boundary), *(c.value for c in crits[:1] + crits[-1:])]
+    extremes = {*(v for v, _ in boundary), min(ends), max(ends)}
     cuts = np.array(sorted(saddles | extremes))
     rank = _ranks(f, cuts)
     if 2 * (len(cuts) - 1) >= TWO_PASS_LEVELS and _levels_crossed(rank) >= TWO_PASS_LEVELS:

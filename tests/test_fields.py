@@ -20,6 +20,8 @@ from kronrod import fields
 from kronrod.fields import _link
 from kronrod.terms import Triv, Wr
 
+from reeb_oracle import random_torus_field
+
 
 def bump_disk(w=11, h=11):
     xs = np.arange(w)
@@ -211,6 +213,78 @@ class TestInvariants:
     def test_minimum_size(self):
         with pytest.raises(InvalidField):
             ScalarField("disk", np.zeros((4, 4)))
+
+
+def scan_ties(vals, kind):
+    """The text of the first tie of a scan over the link directions E, NE, N,
+    W, SW, S in turn, each over the vertices off a disk's frame in row-major
+    order, with the neighbor read by `np.roll`: the tie that validation named
+    before it kept link codes, or None."""
+    interior = np.ones(vals.shape, dtype=bool)
+    if kind == "disk":
+        interior[0] = interior[-1] = interior[:, 0] = interior[:, -1] = False
+    for dx, dy in LINK_OFFSETS:
+        ties = (np.roll(vals, (-dy, -dx), axis=(0, 1)) == vals) & interior
+        if ties.any():
+            y, x = np.argwhere(ties)[0]
+            return f"interior vertex ({x}, {y}) ties its link neighbor ({x + dx}, {y + dy})"
+    return None
+
+
+def tie_text(vals, kind):
+    """The text of the `InvalidField` that validation raises, or None."""
+    try:
+        ScalarField(kind, vals)
+    except InvalidField as exc:
+        return str(exc)
+    return None
+
+
+class TestTieTexts:
+    """Validation reads ties off the link codes it keeps, and names the same
+    vertex and neighbor as the scan of `scan_ties`."""
+
+    @pytest.mark.parametrize("k", range(6), ids=["E", "NE", "N", "W", "SW", "S"])
+    @pytest.mark.parametrize("at", [(5, 7), (0, 0), (15, 15)], ids=["inside", "origin", "corner"])
+    def test_one_torus_tie_in_each_direction(self, k, at):
+        """A tie of (x, y) with its link neighbor k is named from the end that
+        sees the other as its E, NE or N neighbor, unwrapped."""
+        vals = np.array(random_torus_field(0).values)
+        (x, y), (dx, dy) = at, LINK_OFFSETS[k]
+        vals[(y + dy) % 16, (x + dx) % 16] = vals[y, x]
+        if k >= 3:  # named from the neighbor's side
+            x, y, dx, dy = (x + dx) % 16, (y + dy) % 16, -dx, -dy
+        want = f"interior vertex ({x}, {y}) ties its link neighbor ({x + dx}, {y + dy})"
+        assert tie_text(vals, "torus") == scan_ties(vals, "torus") == want
+
+    def test_named_ties_across_the_wrap(self):
+        vals = np.array(random_torus_field(0).values)
+        vals[15, 15] = vals[0, 0]  # the SW neighbor of (0, 0)
+        assert tie_text(vals, "torus") == "interior vertex (15, 15) ties its link neighbor (16, 16)"
+        vals = np.array(random_torus_field(0).values)
+        vals[7, 15] = vals[7, 0]  # the W neighbor of (0, 7)
+        assert tie_text(vals, "torus") == "interior vertex (15, 7) ties its link neighbor (16, 7)"
+
+    @pytest.mark.parametrize("kind", ["torus", "disk"])
+    def test_many_ties_name_the_first_of_the_scan(self, kind):
+        """Fields of few distinct values, with ties in several directions and
+        rows; a disk's interior lies above its frame."""
+        rng = np.random.default_rng(7)
+        named = 0
+        for _ in range(150):
+            h, w = rng.integers(8, 14, size=2)
+            vals = rng.integers(1, rng.integers(4, 300), size=(h, w)).astype(float)
+            if kind == "disk":
+                vals[0] = vals[-1] = vals[:, 0] = vals[:, -1] = 0
+            want = scan_ties(vals, kind)
+            named += want is not None
+            assert tie_text(vals, kind) == want
+        assert named >= 50
+
+    def test_collar_tied_to_the_frame(self):
+        vals = bump_disk().values.copy()
+        vals[1, 4] = 0.0  # the frame's value
+        assert tie_text(vals, "disk") == "disk collar is not strictly one-sided"
 
 
 class TestSerialization:

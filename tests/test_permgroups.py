@@ -246,7 +246,7 @@ class TestOneOrbitPerClass:
         t = parse_term("wr2(prod(1,1,1,1),16,17)")
         g = perm_rep(t)
         assert g.degree == 17_408
-        ((p, images), *_), kept = permgroups._one_orbit_per_class(g.generators)
+        ((p, images), *_), kept, _ = permgroups._walk(g)
         assert len(p) == len(images) == 4_352
         assert kept == list(range(0, 17_408, 4))  # the first point of every block
         assert group_order(g) == order(t) == 4_352
@@ -270,7 +270,7 @@ class TestBoundedChains:
     until its orbit lengths multiply to the diagonal's order."""
 
     def test_bound_stops_the_scan(self, monkeypatch):
-        gens, _ = permgroups._one_orbit_per_class(perm_rep(Wr(Triv(), 8)).generators)
+        gens = permgroups._walk(perm_rep(Wr(Triv(), 8)))[0]
         calls = []
         compose_ = permgroups.compose
         monkeypatch.setattr(permgroups, "compose", lambda p, q: calls.append(1) or compose_(p, q))

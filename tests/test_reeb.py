@@ -665,6 +665,51 @@ def test_kept_grid_points(monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
+def checked_fields():
+    """(label, field) for the 26 corpus members, the four `fields-analyze`
+    fields and `random_torus_field(s, 24)` for s = 0..9."""
+    return (
+        [(m.label, realize_member(m)[0]) for m in corpus_grid()]
+        + [(f"field-{side}", bench_field(side)) for side in (32, 64, 96, 128)]
+        + [(f"random-{s}-24", random_torus_field(s, 24)) for s in range(10)]
+    )
+
+
+def test_validation_keeps_the_link_codes_classification_computes():
+    """A validated field keeps the link codes validation made, and
+    classification reads them; an unvalidated copy has none until it is
+    classified, and then the same codes and critical points."""
+    for label, f in checked_fields():
+        valid, copy = ScalarField(f.kind, f.values), ScalarField(f.kind, f.values, validate=False)
+        assert valid._code is not None and copy._code is None, label
+        assert classify_vertices(valid) == classify_vertices(copy), label
+        assert valid._code.dtype == np.uint8 and np.array_equal(valid._code, copy._code), label
+
+
+def test_build_cuts_at_the_values_of_a_grid_scan(monkeypatch):
+    """`build_reeb` reads the field's extremes off its sorted critical points
+    and the frame's value, and cuts where a scan of the grid would: at the
+    saddle values, the frame's, and the least and greatest grid values.  The
+    fields above and three disks, one with its collar below the frame."""
+    cuts, ranks = [], kronrod.reeb._ranks
+    monkeypatch.setattr(kronrod.reeb, "_ranks", lambda f, c: cuts.append(c) or ranks(f, c))
+    disk = realize_disk(parse_term("wr(1,2)"))[0]
+    disks = [
+        ("disk-wr(1,2)", disk),
+        ("disk-wr(1,2)-negated", ScalarField("disk", -disk.values)),
+        ("disk-prod(wr(1,2),wr(1,3))", realize_disk(parse_term("prod(wr(1,2),wr(1,3))"))[0]),
+    ]
+    for label, f in checked_fields() + disks:
+        cuts.clear()
+        build_reeb(ScalarField(f.kind, f.values))
+        vals = f.values
+        scan = {c.value for c in classify_vertices(f) if c.kind is CritKind.SADDLE}
+        scan |= {*vals[f.boundary_mask()].tolist(), float(vals.min()), float(vals.max())}
+        assert cuts[0].tolist() == sorted(scan), label
+    assert disks[1][1].values.max() == 0.0 < disk.values.max()  # the negated frame is on top
+
+
+@functools.lru_cache(maxsize=None)
 def per_level_digest(name):
     """The digest of the per-level builder's graph of an oracle field."""
     return graph_digest(build_reeb_per_level(ORACLE_FIELDS[name]()))

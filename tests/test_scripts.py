@@ -142,8 +142,9 @@ def test_build_cost_sweep_one_side():
         ("build_cost.py", "--sweep --side 32 --stride 0", "--stride must be at least 1"),
         ("build_cost.py", "--sweep --side 32 --side 4", "--side must be at least 8"),
         ("group_cost.py", "--reps 0", "--reps must be at least 1"),
+        ("verify_cost.py", "--reps 0", "--reps must be at least 1"),
     ],
-    ids=["build-reps", "build-stride", "build-side", "group-reps"],
+    ids=["build-reps", "build-stride", "build-side", "group-reps", "verify-reps"],
 )
 def test_cost_scripts_refuse_meaningless_arguments(script, args, refusal):
     """A meaningless argument is a usage error, exit 2, raised before any
@@ -179,6 +180,33 @@ def test_group_cost_one_rep():
     total += r" diagonal chains skipped 26/26, circuit generated_group \d+\.\d{3} ms"
     total += r" is_isomorphic \d+\.\d{3} ms diagonal chains skipped 5/5"
     assert re.fullmatch(total, lines[-1]), lines[-1]
+
+
+def test_verify_cost_one_rep():
+    proc = run_script("verify_cost.py", "--reps", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 26 + 5 + 1
+    stages = ("validate", "classify", "record", "build", "push", "generated", "iso", "full")
+    ms = r" +(\d+\.\d{3}) ms"
+    line_re = r"(corpus|circuit) +(\S+) +grid (\d+)x(\d+) +symmetries (\d+)"
+    line_re += "".join(rf" +{name}{ms}" for name in stages)
+    sums, groups = {"corpus": [0.0] * len(stages), "circuit": [0.0] * len(stages)}, []
+    for line in lines[:-1]:
+        m = re.fullmatch(line_re, line)
+        assert m, line
+        assert int(m[5]) >= 1 and min(map(int, m.group(3, 4))) >= 8, line
+        sums[m[1]] = [a + float(t) for a, t in zip(sums[m[1]], m.groups()[5:])]
+        groups.append(m[1])
+    assert groups == ["corpus"] * 26 + ["circuit"] * 5
+    total = ", ".join(
+        group + " " + " ".join(rf"{name}{ms}" for name in stages) for group in sums
+    )
+    m = re.fullmatch("totals: " + total, lines[-1])
+    assert m, lines[-1]
+    # the totals sum the lines, up to the rounding of each printed time
+    printed = [float(t) for t in m.groups()]
+    assert np.allclose(printed, sums["corpus"] + sums["circuit"], atol=0.0005 * 26)
 
 
 def test_import_cost_two_imports():

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kronrod import records, reeb, verify
+from kronrod import fields, records, reeb, verify
 from kronrod.auts import AutGroup
 from kronrod.construct import realize
-from kronrod.corpus import run_realization_corpus
+from kronrod.corpus import corpus_grid, realize_member, run_realization_corpus
+from kronrod.errors import NotAnAutomorphism
 from kronrod.fields import ScalarField
 from kronrod.records import GridTranslation, Rect, RectCycle, Slot
 from kronrod.terms import Triv, order, parse_term
@@ -229,6 +230,13 @@ def test_corpus_verify_labels_one_slab_per_parallel_pair(monkeypatch):
     assert len(labelled) == len(set(map(id, labelled))) == 4
 
 
+def replace_everywhere(monkeypatch, fn, by):
+    """Replace the function `fn` by `by` in every kronrod module that holds it."""
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "kronrod"]:
+        for attr in [a for a, v in vars(mod).items() if v is fn]:
+            monkeypatch.setattr(mod, attr, by)
+
+
 def test_corpus_checks_each_record_once(monkeypatch):
     """Constructions only build: a realize+verify pass over the corpus checks
     each record against its field once, wherever the check is imported."""
@@ -239,12 +247,76 @@ def test_corpus_checks_each_record_once(monkeypatch):
         calls.append(rec)
         return check(rec, f)
 
-    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "kronrod"]:
-        for attr in [a for a, v in vars(mod).items() if v is check]:
-            monkeypatch.setattr(mod, attr, counting)
+    replace_everywhere(monkeypatch, check, counting)
     runs = run_realization_corpus()
     assert all(report.ok for _, report in runs)
     assert len(runs) == len(calls) == 26
+
+
+def test_a_verify_computes_each_grid_fact_once(monkeypatch):
+    """After its realize, a verify of each corpus member makes no link pass:
+    the realize made one per validated field, and classification reads its
+    codes.  Each symmetry's point map is made once, by the record check, and
+    every push of it reads the same arrays."""
+    validated, passes, classifying, maps = [], [], [False], {}
+    link, validate = fields._link, fields._validate
+    classify, moves = fields.classify_vertices, records.moves
+
+    def link_pass(vals):  # over the values, not over link codes
+        if vals.dtype == np.float64:
+            passes.append(classifying[0])
+        return link(vals)
+
+    def classify_once(f):
+        classifying[0] = True
+        try:
+            return classify(f)
+        finally:
+            classifying[0] = False
+
+    def point_map(f, sym):
+        out = moves(f, sym)
+        maps.setdefault(sym, []).append(out[1])
+        return out
+
+    monkeypatch.setattr(fields, "_link", link_pass)
+    monkeypatch.setattr(fields, "_validate", lambda f: validated.append(f) or validate(f))
+    replace_everywhere(monkeypatch, classify, classify_once)
+    replace_everywhere(monkeypatch, moves, point_map)
+    for member in corpus_grid():
+        validated[:], passes[:] = [], []
+        f, rec = realize_member(member)
+        assert validated and passes == [False] * len(validated), member.label
+        validated[:], passes[:] = [], []
+        maps.clear()
+        assert verify_realization(f, rec).ok
+        assert passes == validated == [], member.label
+        assert set(maps) == set(rec.symmetries), member.label
+        for sym, images in maps.items():  # the record check's, then each push's
+            assert len(images) >= 2 and all(a is images[0] for a in images), (member.label, sym)
+    # a field made without validation works out its codes when it is classified
+    copy = ScalarField(f.kind, f.values, validate=False)
+    classify_once(copy)
+    assert passes == [True]
+
+
+def test_a_symmetry_whose_map_raises_keeps_nothing(monkeypatch):
+    """A bijection's point map is made on the first call and kept; one that
+    raises is worked out again, and raises again, on every call."""
+    calls = []
+    rect_points = records._rect_points
+    monkeypatch.setattr(records, "_rect_points", lambda f, r: calls.append(r) or rect_points(f, r))
+    f, rec = realize("disk", parse_term("wr(1,2)"))
+    [good] = rec.symmetries
+    first = records.moves(f, good)
+    made = len(calls)
+    assert made == len(good.rects) and records.moves(f, good) is first and len(calls) == made
+    bad = RectCycle((Rect(0, 0, 2, 1), Rect(1, 0, 2, 1)))  # overlaps itself
+    for n in (1, 2):
+        with pytest.raises(NotAnAutomorphism, match="not a bijection"):
+            records.moves(f, bad)
+        assert len(calls) == made + 2 * n
+    assert list(f._maps) == [good]
 
 
 @pytest.mark.parametrize(
