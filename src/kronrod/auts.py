@@ -145,12 +145,12 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     in `classify_shape`), only the parallel pair shares both ends, and
     `edge_images` maps it onto itself one-to-one.
     """
-    if g.tri is None:
-        raise NotAnAutomorphism("graph carries no triangulation")
+    if g.field is None:
+        raise NotAnAutomorphism("graph carries no field")
     classify_shape(g)
-    point_map = moves(g.tri.field, sym)
+    point_map = moves(g.field, sym)
     _, carrier, points = g.push_tables()
-    image = np.arange(g.tri.field.values.size)
+    image = np.arange(g.field.values.size)
     image[point_map[0]] = point_map[1]
     hits = map(carrier.get, image[points].tolist())  # the critical points', vertex by vertex
 

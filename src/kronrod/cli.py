@@ -61,7 +61,11 @@ def _save(out: Path, files: dict[str, bytes]) -> bool:
 
 def _split_case_term(term: GroupTerm, case: str, n: int | None, m: int | None):
     """Resolve the construction base and indices from a term and flags; the
-    disk case, and a circuit or simple term that is no wreath, take it whole."""
+    disk case, and a circuit or simple term that is no wreath, take it whole.
+    A flag for an index that the case fixes at 1 must be 1."""
+    for flag, given in (("--n", n if case == "disk" else None), ("--m", m)):
+        if case != "tree" and given is not None and given != 1:
+            raise NotRealizable(f"{flag} {given} differs from the {case} case's index 1")
     if case == "circuit" or case == "simple":
         if n is not None:
             return term, n, 1

@@ -39,8 +39,8 @@ vertices and edges are then those of the smaller grid, read back onto the
 field's triangles by a map that keeps their order; a grid vertex on a
 dropped line lies in the level class of its image on the next kept line.
 The extrema inside slabs take their points, values and smallest triangles
-from the field itself, and `ReebGraph.tri`, `slab_roots` and the push read
-the field's own grid.
+from the field itself, and with no line dropped both maps are identities.
+The graph keeps its field, whose grid `slab_roots` and the push read.
 
 The graph carries topology and critical points only.  The special vertex of
 a tree is read off them: a level component with e extrema, s saddles and deg
@@ -81,7 +81,7 @@ _STAR = np.array([[-1, -1, 0, -1, 0, 0], [-1, 0, 0, -1, -1, 0], [0, 0, 0, 1, 1, 
 
 
 class Triangulation:
-    """Index arithmetic for the diagonal-split grid of a field.
+    """Index arithmetic for the diagonal-split grid of a torus or disk shape.
 
     Triangle 2*(cy*ncx + cx) is the lower triangle of cell (cx, cy) with
     corners (x,y), (x+1,y), (x+1,y+1); triangle 2*(...)+1 is the upper one
@@ -90,10 +90,10 @@ class Triangulation:
     corners it needs one by one through `star`.
     """
 
-    def __init__(self, f: ScalarField):
-        self.field = f
-        self.ncx = f.width if f.wraps else f.width - 1
-        self.ncy = f.height if f.wraps else f.height - 1
+    def __init__(self, wraps: bool, height: int, width: int):
+        self.wraps, self.height, self.width = wraps, height, width
+        self.ncx = width if wraps else width - 1
+        self.ncy = height if wraps else height - 1
         self.ntri = 2 * self.ncx * self.ncy
 
     def cell_corners(self, grid: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -101,7 +101,7 @@ class Triangulation:
         (x+1,y+1) and (x,y+1) of every cell (cx, cy), as (ncy, ncx) views: of
         the grid with its first row and column appended on a torus, of the
         grid itself on a disk."""
-        if self.field.wraps:
+        if self.wraps:
             h, w = grid.shape
             ext = np.empty((h + 1, w + 1), dtype=grid.dtype)
             ext[:h, :w], ext[h, :w] = grid, grid[0]
@@ -115,13 +115,13 @@ class Triangulation:
         left, to the left and at the vertex, then the upper ones of the cells
         to the lower left, below and at it; ntri where a disk has no such
         cell."""
-        w, h = self.field.width, self.field.height
+        w, h = self.width, self.height
         y, x = np.divmod(points, w)
         dx, dy, up = _STAR
         cx, cy = x[:, None] + dx, y[:, None] + dy
         cx[cx < 0], cy[cy < 0] = w - 1, h - 1  # the offsets are -1 or 0
         star = 2 * (cy * self.ncx + cx) + up
-        if not self.field.wraps:  # a disk's cells stop one short of the grid
+        if not self.wraps:  # a disk's cells stop one short of the grid
             star[(cx == self.ncx) | (cy == self.ncy)] = self.ntri
         return star
 
@@ -130,12 +130,12 @@ def _cell_permutation(tri: Triangulation, point_map: tuple) -> np.ndarray:
     """Triangle-level map of a point map (see `records.moves`), read as each
     grid point's flat image and rigid piece (-1 where fixed): a cell whose
     four corners lie in one piece moves with them; every other cell stays put."""
-    shape, w = tri.field.values.shape, tri.field.width
-    image, piece = np.arange(tri.field.values.size), np.full(tri.field.values.size, -1)
+    shape = tri.height, tri.width
+    image, piece = np.arange(tri.height * tri.width), np.full(tri.height * tri.width, -1)
     image[point_map[0]], piece[point_map[0]] = point_map[1:]
     p00, p10, p11, p01 = tri.cell_corners(piece.reshape(shape))
     rigid = (p00 >= 0) & (p10 == p00) & (p11 == p00) & (p01 == p00)
-    ty, tx = np.divmod(tri.cell_corners(image.reshape(shape))[0], w)
+    ty, tx = np.divmod(tri.cell_corners(image.reshape(shape))[0], tri.width)
     cells = np.arange(tri.ncx * tri.ncy).reshape(tri.ncy, tri.ncx)
     target = np.where(rigid, ty * tri.ncx + tx, cells).ravel()
     perm = np.empty(tri.ntri, dtype=np.int64)
@@ -191,7 +191,7 @@ class ReebVertex:
 
 
 class ReebEdge:
-    # `witness`: the smallest triangle of the edge, -1 on a graph without a triangulation
+    # `witness`: the smallest triangle of the edge, -1 on a graph without a field
     __slots__ = ("id", "u", "v", "lo", "hi", "witness")
 
     def __init__(self, id: int, u: int, v: int, lo: float, hi: float, witness: int = -1):
@@ -206,18 +206,20 @@ class ShapeReport(NamedTuple):
 
 
 class ReebGraph:
-    """Kronrod-Reeb graph with its triangulation, settled when it is made: the
-    edge ends at each vertex (`incidence`), the leaf peel (`peeled`, `left`,
-    see `_peel`), the shape report (`shape`, see `_walk`) and the edges of a
+    """Kronrod-Reeb graph with its field (None on a graph made from parts)
+    and that field's triangulation, settled when it is made: the edge ends
+    at each vertex (`incidence`), the leaf peel (`peeled`, `left`, see
+    `_peel`), the shape report (`shape`, see `_walk`) and the edges of a
     circuit of length two (`parallel`)."""
 
     def __init__(
         self,
         vertices: list[ReebVertex],
         edges: list[ReebEdge],
-        tri: Optional[Triangulation] = None,
+        field: Optional[ScalarField] = None,
     ):
-        self.vertices, self.edges, self.tri = vertices, edges, tri
+        self.vertices, self.edges, self.field = vertices, edges, field
+        self.tri = None if field is None else Triangulation(field.wraps, field.height, field.width)
         self.incidence: list[list[int]] = [[] for _ in vertices]
         for e in edges:
             for x in (e.u, e.v):
@@ -242,7 +244,7 @@ class ReebGraph:
         ends -> edge, grid vertex -> (critical point there, its vertex), and
         the grid vertices of the vertices' critical points, in order."""
         if self._tables is None:
-            w = self.tri.field.width
+            w = self.field.width
             carried = [(c.y * w + c.x, (c, v.id)) for v in self.vertices for c in v.crits]
             self._tables = (
                 {frozenset((e.u, e.v)): e.id for e in self.edges},
@@ -285,7 +287,7 @@ class ReebGraph:
         one per (cell piece, slab) pair.  A triangle outside the slab is its
         own root.  Labelled once per interval and kept."""
         if (lo, hi) not in self._slabs:
-            rank = _ranks(self.tri.field, np.array([lo, hi]))
+            rank = _ranks(self.field, np.array([lo, hi]))
             t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs, runs = _pieces(self.tri, rank)
             base = np.zeros(self.tri.ntri, dtype=np.int32)
             node_t, _, _, joins = _slab_nodes(1, 1, n_lo, n_hi, segs, runs, base)
@@ -378,7 +380,7 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     for i, (p, q) in enumerate(((r01, r11), (r00, r01))):
         np.maximum((np.minimum(p, q) + 1) >> 1, up[1:4:2], out=segs[2, i])
         np.minimum(np.maximum(p, q) >> 1, up[2:5:2], out=segs[3, i])
-    if not tri.field.wraps:  # no cell lies above a disk's top row or left of its left column
+    if not tri.wraps:  # no cell lies above a disk's top row or left of its left column
         segs[3, 0, :, -1] = segs[3, 1, :, :, 0] = 0
 
     # runs of flat cells along rows, never across a torus row's end (flat
@@ -467,7 +469,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     around it, whose bottom (at a minimum) or top (at a maximum) is then the
     extremum's value; a batch gives each by its index in `points`.
     """
-    ntri, ncx, w, i32 = tri.ntri, tri.ncx, tri.field.width, np.int32
+    ntri, ncx, w, i32 = tri.ntri, tri.ncx, tri.width, np.int32
     K = (int(rank.max()) + 1) >> 1
     t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs, runs = _pieces(tri, rank)
     rank = rank.ravel()
@@ -636,15 +638,14 @@ def _virtual_ranks(
     root = _label(len(node_t), *joins)
     del node_t, joins, segs, runs, n_lo, n_hi
     # the component of each grid vertex strictly inside a coarse slab, read
-    # off a triangle of its own cell, clamped into a disk's cells
+    # off the lower triangle of its own cell: a disk's frame is a coarse cut
     inside = ((crank & 1) == 0).nonzero()[0]
     k = crank[inside] >> 1
-    y, x = np.divmod(inside, tri.field.width)
-    cx, cy = np.minimum(x, tri.ncx - 1), np.minimum(y, tri.ncy - 1)
-    t = 2 * (cy * tri.ncx + cx) + ((x == cx) & (y != cy))  # the upper one at its (x, y+1)
+    y, x = np.divmod(inside, tri.width)
+    t = 2 * (y * tri.ncx + x)
     comp = np.full(nv, -1, dtype=np.int64)
     comp[inside] = root[base[t - ((d_lo[t] <= k) & (k <= d_hi[t]))] + k]
-    del base, t, d_lo, d_hi, x, y, cx, cy
+    del base, t, d_lo, d_hi, x, y
     # own(X) as rows of counts: under[row[X], j] own values of X below fine cut j
     fine = rank.ravel() >> 1
     saddles = saddles[(crank[saddles] & 1) == 0]
@@ -701,7 +702,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     where its cells span many cut levels (see TWO_PASS_LEVELS), sweeping the
     grid with its repeated rank lines dropped (see `_kept_lines`)."""
     crits = classify_vertices(f)
-    tri = Triangulation(f)
+    tri = Triangulation(f.wraps, f.height, f.width)
 
     crits_at: dict[int, list[CriticalPoint]] = {}  # grid vertex -> its critical points
     for c in crits:
@@ -732,34 +733,27 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     at = at[(rank.ravel()[at] & 1) == 1]
     at = at[rank.ravel()[at].argsort(kind="stable")]  # the marked ones at levels, by (level, y, x)
 
-    # -- sweep the grid with repeated lines dropped (see `_kept_lines`), and
-    # read its triangles and grid vertices back on the field's grid
+    # -- sweep the grid with repeated lines dropped (see `_kept_lines`): a
+    # grid vertex goes to the next kept line, round a torus
     rows, cols = _kept_lines(rank, f.wraps)
-    sweep_tri, sweep_at, sweep_inside, tmap = tri, at, inside, None
-    if len(rows) < f.height or len(cols) < f.width:
-        sub = np.ix_(rows, cols)
-        sweep_tri = Triangulation(ScalarField(f.kind, f.values[sub], validate=False))
-        rank = rank[sub]
-        # a grid vertex goes to the next kept line, round a torus
-        ry = rows.searchsorted(np.arange(f.height)) % len(rows)
-        cx = cols.searchsorted(np.arange(f.width)) % len(cols)
-        sweep_at, sweep_inside = (
-            ry[p // f.width] * len(cols) + cx[p % f.width] for p in (at, inside)
-        )
-        cells = (rows[: sweep_tri.ncy, None] * tri.ncx + cols[: sweep_tri.ncx]).ravel()
-        tmap = np.empty(sweep_tri.ntri + 1, dtype=np.int64)
-        tmap[0:-1:2], tmap[1:-1:2], tmap[-1] = 2 * cells, 2 * cells + 1, tri.ntri
+    sweep = Triangulation(f.wraps, len(rows), len(cols))
+    rank = rank[np.ix_(rows, cols)]
+    ry = rows.searchsorted(np.arange(f.height)) % len(rows)
+    cx = cols.searchsorted(np.arange(f.width)) % len(cols)
+    sweep_at, sweep_inside = (ry[p // f.width] * len(cols) + cx[p % f.width] for p in (at, inside))
 
     # -- one sweep up the slabs: level classes become nodes and slab components
     # pre-edges, in the sweep's order.  Only classes with critical points or a
     # boundary curve are marked and survive the smoothing.
     parts, vcls = [], np.empty(rank.size, dtype=np.int64)
-    for b in _sweep(sweep_tri, rank, sweep_inside):
+    for b in _sweep(sweep, rank, sweep_inside):
         vcls[b.vertices[0]] = b.vertices[1]
         parts.append((b.least, b.bottom, b.comp_t, *b.tops, *b.extrema))
     least, u, comp_t, top_g, top_c, ext_i, ext_g = map(np.concatenate, zip(*parts))
-    if tmap is not None:
-        least, comp_t = tmap[least], tmap[comp_t]
+    # swept cell c is the field's cells[c], and the one past the last (holding
+    # the sweep's ntri, an empty class's least) the field's one past its last
+    cells = np.append(rows[: sweep.ncy, None] * tri.ncx + cols[: sweep.ncx], tri.ntri >> 1)
+    least, comp_t = (2 * cells[t >> 1] + (t & 1) for t in (least, comp_t))
     cls = vcls[sweep_at]
     n_cls, n_pre = len(least), len(u)
     v = np.empty(n_pre, dtype=np.int64)
@@ -835,7 +829,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
         raise ReebError("empty Reeb graph")
     if _label(len(vertices), *columns[:2]).any():
         raise ReebError("Reeb graph is disconnected")
-    return ReebGraph(vertices, edges, tri)
+    return ReebGraph(vertices, edges, f)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +894,7 @@ def classify_shape(g: ReebGraph) -> ShapeReport:
     every call: a ShapeViolation on a torus field with betti1 above 1."""
     if g.shape is None:
         betti1 = g.n_edges - g.n_vertices + 1
-        if betti1 > 1 and g.tri is not None and g.tri.field.kind == TORUS:
+        if betti1 > 1 and g.field is not None and g.field.kind == TORUS:
             raise ShapeViolation(f"torus Reeb graph with betti1 = {betti1}")
         raise ReebError(f"graph with betti1 = {betti1} has no unique circuit")
     return g.shape

@@ -33,7 +33,7 @@ import numpy as np
 
 from kronrod.errors import DegenerateVertex, InvalidField, ReebError
 from kronrod.fields import TORUS, CriticalPoint, ScalarField, classify_vertices, fix_ties
-from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, Triangulation, build_reeb
+from kronrod.reeb import ReebEdge, ReebGraph, ReebVertex, build_reeb
 
 
 def random_torus_field(seed: int, size: int = 16) -> ScalarField:
@@ -170,14 +170,14 @@ def corner_table(f: ScalarField) -> np.ndarray:
     return _CORNERS[key]
 
 
-def spans(tri: Triangulation) -> Spans:
-    """The value spans of the triangles and shared grid edges of `tri`.
+def spans(f: ScalarField) -> Spans:
+    """The value spans of the triangles and shared grid edges of `f`.
 
     A grid edge is shared when two triangles have its sorted corner pair
     among their sides.
     """
-    vals = tri.field.values.ravel()
-    corners = corner_table(tri.field)
+    vals = f.values.ravel()
+    corners = corner_table(f)
     corner_values = vals[corners]
     sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
     keys = sides[:, 0] * len(vals) + sides[:, 1]
@@ -239,9 +239,8 @@ def _components(
     return comp_of, members
 
 
-def _boundary_curves(tri: Triangulation) -> list[tuple[float, int]]:
+def _boundary_curves(f: ScalarField) -> list[tuple[float, int]]:
     """Boundary curves as (constant value, one triangle touching the curve)."""
-    f = tri.field
     # triangle 0 touches the bottom row, which is on the disk's frame
     return [] if f.kind == TORUS else [(float(f.values[0, 0]), 0)]
 
@@ -261,13 +260,13 @@ def _attach(
 def build_reeb_per_level(f: ScalarField) -> ReebGraph:
     """The Kronrod-Reeb graph of a PL-Morse field, one level at a time."""
     crits = classify_vertices(f)
-    tri = Triangulation(f)
-    sp = spans(tri)
+    sp = spans(f)
+    ncx = f.width if f.wraps else f.width - 1
 
     crits_at: dict[float, list[CriticalPoint]] = {}
     for c in crits:
         crits_at.setdefault(c.value, []).append(c)
-    boundary = _boundary_curves(tri)
+    boundary = _boundary_curves(f)
     cut_values = sorted({*crits_at, *(v for v, _ in boundary)})
     if not cut_values:
         raise InvalidField("field has no critical points and no boundary")
@@ -287,7 +286,7 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
             # every grid edge at a critical vertex ends at the cut value, so it
             # joins the triangles on both of its sides: they all lie in the
             # component of the lower triangle of the vertex's own cell
-            level[comp_of[2 * (c.y * tri.ncx + c.x)]]["crits"].append(c)
+            level[comp_of[2 * (c.y * ncx + c.x)]]["crits"].append(c)
         for value, t in boundary:
             if value == b:
                 level[comp_of[t]]["boundary"] = True
@@ -356,14 +355,14 @@ def build_reeb_per_level(f: ScalarField) -> ReebGraph:
 
     if len(set(union_find_roots(len(vertices), ((e.u, e.v) for e in edges)))) != 1:
         raise ReebError("Reeb graph is disconnected")
-    return ReebGraph(vertices, edges, tri)
+    return ReebGraph(vertices, edges, f)
 
 
-def _region_euler(tri: Triangulation, tris: Iterable[int]) -> tuple[int, int]:
-    """(Euler characteristic of the closed region of triangles `tris`, number
-    of its boundary curves)."""
-    corners = corner_table(tri.field)[np.fromiter(tris, dtype=np.int64)]
-    nv = tri.field.width * tri.field.height
+def _region_euler(f: ScalarField, tris: Iterable[int]) -> tuple[int, int]:
+    """(Euler characteristic of the closed region of triangles `tris` of
+    `f`'s grid, number of its boundary curves)."""
+    corners = corner_table(f)[np.fromiter(tris, dtype=np.int64)]
+    nv = f.width * f.height
     sides = np.sort(corners[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
     keys, uses = np.unique(sides[:, 0] * nv + sides[:, 1], return_counts=True)
     chi = len(np.unique(corners)) - len(keys) + len(corners)

@@ -314,7 +314,7 @@ def test_criterion_8_special_vertex(corpus):
             bad.append(f"{member.label}: {exc}")
             continue
         for region in complement_components(g, sv):
-            chi, curves = _region_euler(g.tri, region)
+            chi, curves = _region_euler(g.field, region)
             if chi != 1 or curves != 1:
                 bad.append(f"{member.label}: complement region chi={chi}")
                 break

@@ -54,8 +54,9 @@ def test_library_reads_no_environment_variable():
 
 def test_oracles_take_only_public_library_names():
     """The oracles stay independent of the code they check: they read no
-    corpus code and no private library name, only the public types and
-    entry points whose results they judge."""
+    corpus code, no private library name and not the library's
+    triangulation, only the public types and entry points whose results
+    they judge."""
     found = []
     for name in ("reeb_oracle.py", "aut_oracle.py"):
         for node in ast.walk(ast.parse((TESTS / name).read_text())):
@@ -68,8 +69,25 @@ def test_oracles_take_only_public_library_names():
             found += [
                 f"{name}: {path}"
                 for path in imported
-                if path.startswith("kronrod.corpus") or path.rpartition(".")[2].startswith("_")
+                if path.startswith("kronrod.corpus")
+                or path.rpartition(".")[2].startswith("_")
+                or path.endswith(".Triangulation")
             ]
+    assert not found
+
+
+def test_library_makes_no_unvalidated_field():
+    """Every `ScalarField` the library makes is validated: no call passes
+    `validate=False`."""
+    found = []
+    for path in sorted(Path(kronrod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "ScalarField":
+                flags = [k.value for k in node.keywords if k.arg == "validate"] + node.args[2:]
+                if any(not (isinstance(v, ast.Constant) and v.value is True) for v in flags):
+                    found.append(f"{path.name}:{node.lineno}")
     assert not found
 
 

@@ -86,7 +86,8 @@ class TestRealize:
         found = tuple(c + 1 for c in designed)
         monkeypatch.setattr(verify, "morse_counts", lambda f: MorseCounts(*found))
         out = tmp_path / "out"
-        flags = ["--case", case, "--n", "2", "--m", "1", "--out", str(out)]
+        n = [] if case == "disk" else ["--n", "2"]  # a disk's n is fixed at 1
+        flags = ["--case", case, *n, "--m", "1", "--out", str(out)]
         code, doc = run(capsys, "realize", "--term", "wr(1,2)", *flags)
         assert code == 3
         assert f"euler: counts {found} != designed {designed}" in doc["error"]
@@ -108,6 +109,23 @@ class TestRealize:
             manifest["normalized"],
         )
         assert code == 0 and doc["ok"]
+
+    @pytest.mark.parametrize(
+        "case, flag, given",
+        [("disk", "--n", "5"), ("disk", "--m", "2")]
+        + [("circuit", "--m", "7"), ("simple", "--m", "0")],
+    )
+    def test_index_the_case_fixes_is_input_error(self, tmp_path, capsys, case, flag, given):
+        """A disk fixes n = m = 1, a circuit or simple case m = 1: another
+        value is refused, and the value 1 is taken."""
+        args = ["realize", "--term", "wr(1,2)", "--case", case]
+        code, doc = run(capsys, *args, flag, given, "--out", str(tmp_path))
+        assert code == 2
+        error = f"{flag} {given} differs from the {case} case's index 1"
+        assert doc == {"ok": False, "error": error}
+        assert not any(tmp_path.iterdir())
+        code, doc = run(capsys, *args, flag, "1", "--out", str(tmp_path))
+        assert code == 0 and doc["m"] == 1 and (doc["n"] == 1 or case != "disk")
 
     @pytest.mark.parametrize("flag, given, own", [("--n", "5", "2"), ("--m", "3", "1")])
     def test_tree_index_unlike_the_terms_is_input_error(self, tmp_path, capsys, flag, given, own):

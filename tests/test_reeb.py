@@ -50,17 +50,18 @@ from reeb_oracle import (
 from test_fields import bump_disk
 
 
-def flood_fill(tri, free, joins=None, starts=None):
-    """Components of the `free` triangles, joined across the adjacencies in
-    `joins` (all of them by default), in the order of their smallest triangles;
-    only the components of the triangles in `starts`, when given.
+def flood_fill(f, free, joins=None, starts=None):
+    """Components of the `free` triangles of `f`'s grid, joined across the
+    adjacencies in `joins` (all of them by default), in the order of their
+    smallest triangles; only the components of the triangles in `starts`,
+    when given.
 
     A plain stack flood fill that shares no code with the library's labeller.
     """
-    sp = spans(tri)
+    sp = spans(f)
     if joins is None:
         joins = np.ones(len(sp.adj_a), dtype=bool)
-    nbrs: list[list[int]] = [[] for _ in range(tri.ntri)]
+    nbrs: list[list[int]] = [[] for _ in free]
     for a, b, j in zip(sp.adj_a.tolist(), sp.adj_b.tolist(), joins.tolist()):
         if j and free[a] and free[b]:
             nbrs[a].append(b)
@@ -92,17 +93,17 @@ def complement_components(g, vid):
     `find_special_vertex`, which reads the genus off the graph instead and
     shares no code with this.
     """
-    tri, v = g.tri, g.vertices[vid]
-    sp = spans(tri)
+    f, v = g.field, g.vertices[vid]
+    sp = spans(f)
     c = v.crits[0]
-    corners = corner_table(tri.field)
-    at_crit = np.flatnonzero((corners == c.y * tri.field.width + c.x).any(axis=1))
+    corners = corner_table(f)
+    at_crit = np.flatnonzero((corners == c.y * f.width + c.x).any(axis=1))
     meets = (sp.tri_min <= v.value) & (sp.tri_max >= v.value)
     joins = (sp.edge_min <= v.value) & (sp.edge_max >= v.value)
-    [level] = flood_fill(tri, meets, joins, at_crit)
-    free = np.ones(tri.ntri, dtype=bool)
+    [level] = flood_fill(f, meets, joins, at_crit)
+    free = np.ones(g.tri.ntri, dtype=bool)
     free[level] = False
-    return flood_fill(tri, free)
+    return flood_fill(f, free)
 
 
 def graph_digest(g):
@@ -190,7 +191,7 @@ class TestBuildReeb:
         for n in (1, 2):
             f, _ = realize_torus_circuit(Wr(Triv(), 2), n)
             g = build_reeb(f)
-            sp = spans(g.tri)
+            sp = spans(g.field)
             for e in g.edges:
                 joins = (sp.edge_max > e.lo) & (sp.edge_min < e.hi)
                 pairs = zip(sp.adj_a[joins].tolist(), sp.adj_b[joins].tolist())
@@ -320,18 +321,27 @@ class TestLabel:
 
 def record_sweeps(f, monkeypatch):
     """The field that each `_sweep` call of `build_reeb(f)` sweeps, `f` with
-    its repeated rank lines dropped, its cut values (as a list) and its
-    extrema inside slabs; the cut values are read off the grid vertices of
-    odd rank, which a one-pass build puts at its cuts."""
-    calls = []
+    its repeated rank lines dropped (its values on the lines `_kept_lines`
+    keeps), its cut values (as a list) and its extrema inside slabs; the cut
+    values are read off the grid vertices of odd rank, which a one-pass
+    build puts at its cuts."""
+    calls, kept = [], []
+    kept_lines = kronrod.reeb._kept_lines
+
+    def keeping(rank, wraps):
+        kept.append(kept_lines(rank, wraps))
+        return kept[-1]
 
     def recording(tri, rank, points):
-        cuts = sorted(set(tri.field.values[(rank & 1) == 1].tolist()))
-        calls.append((tri.field, cuts, points))
+        values = f.values[np.ix_(*kept[-1])]
+        cuts = sorted(set(values[(rank & 1) == 1].tolist()))
+        calls.append((ScalarField(f.kind, values, validate=False), cuts, points))
         return _sweep(tri, rank, points)
 
-    monkeypatch.setattr(kronrod.reeb, "_sweep", recording)
-    build_reeb(f)
+    with monkeypatch.context() as mp:  # `recording` reads this `f` only
+        mp.setattr(kronrod.reeb, "_kept_lines", keeping)
+        mp.setattr(kronrod.reeb, "_sweep", recording)
+        build_reeb(f)
     return calls
 
 
@@ -347,8 +357,8 @@ def check_sweep(f, cuts, points):
     in `points`, with the component that holds the triangles around it, and
     the empty ends are exactly one end of each of those components.
     """
-    tri = Triangulation(f)
-    sp, corners = spans(tri), corner_table(f)
+    tri = Triangulation(f.wraps, f.height, f.width)
+    sp, corners = spans(f), corner_table(f)
     comp_slab: list[int] = []
     comp_t: list[int] = []
     ends: list[tuple[int, int, int]] = []  # (class, component, level)
@@ -376,7 +386,7 @@ def check_sweep(f, cuts, points):
     for k in range(1, len(cuts)):
         sel = (sp.tri_max > cuts[k - 1]) & (sp.tri_min < cuts[k])
         joins = (sp.edge_max > cuts[k - 1]) & (sp.edge_min < cuts[k])
-        comps = flood_fill(tri, sel, joins)
+        comps = flood_fill(f, sel, joins)
         assert [t for t, j in zip(comp_t, comp_slab) if j == k] == [m[0] for m in comps]
         members.update(((k, m[0]), m) for m in comps)
     classes: list[set[int]] = [set() for _ in class_level]
@@ -425,6 +435,15 @@ ORACLE_FIELDS = {
     # order than the smallest triangles at the cut
     "random-1-16-rolled": lambda: ScalarField(
         "torus", np.roll(random_torus_field(1, 16).values, 9, axis=0)
+    ),
+    # constructions rolled so that row 0 and column 0 lie inside runs of
+    # repeated rank lines, which the sweep drops but for line 0
+    "circuit-1-2-rolled": lambda: ScalarField(
+        "torus", np.roll(realize_torus_circuit(parse_term("1"), 2)[0].values, (7, 4), axis=(0, 1))
+    ),
+    "tree-wr(1,2)-1-1-rolled": lambda: ScalarField(
+        "torus",
+        np.roll(realize_torus_tree(parse_term("wr(1,2)"), 1, 1)[0].values, (30, 32), axis=(0, 1)),
     ),
     "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
     "disk-prod(wr(1,2),wr(1,3))": lambda: realize_disk(parse_term("prod(wr(1,2),wr(1,3))"))[0],
@@ -876,14 +895,14 @@ class TestPinnedGraphs:
         assert graph_digest(build_reeb(self.field(name))) == self.DIGESTS[name]
 
 
-def hand_graph(values, ends, tri=None):
+def hand_graph(values, ends, field=None):
     """A graph with the given vertex values and edges between the given ends."""
     vertices = [ReebVertex(i, v, []) for i, v in enumerate(values)]
     edges = [
         ReebEdge(i, u, v, min(values[u], values[v]), max(values[u], values[v]))
         for i, (u, v) in enumerate(ends)
     ]
-    return ReebGraph(vertices, edges, tri)
+    return ReebGraph(vertices, edges, field)
 
 
 class TestShape:
@@ -894,7 +913,7 @@ class TestShape:
         for _ in range(2):
             with pytest.raises(ReebError, match="no unique circuit"):
                 classify_shape(g)
-        g = hand_graph([0.0, 1.0], ends, Triangulation(random_torus_field(4)))
+        g = hand_graph([0.0, 1.0], ends, random_torus_field(4))
         for _ in range(2):
             with pytest.raises(ShapeViolation):
                 classify_shape(g)
@@ -982,7 +1001,7 @@ class TestSpecialVertex:
             g = build_reeb(f)
             comps = complement_components(g, find_special_vertex(g, f))
             assert len(comps) == 4 * n * n * m, label
-            assert all(_region_euler(g.tri, c) == (1, 1) for c in comps), label
+            assert all(_region_euler(g.field, c) == (1, 1) for c in comps), label
 
     def test_imported_graph_same_answer(self):
         """The genus is read off the graph alone, so the same vertices and
@@ -1049,7 +1068,7 @@ class TestLevelOracle:
             for (p, q), ts in sharing.items()
             if len(ts) == 2
         )
-        sp = spans(Triangulation(f))
+        sp = spans(f)
         lo, hi = np.minimum(sp.adj_a, sp.adj_b), np.maximum(sp.adj_a, sp.adj_b)
         got = sorted(zip(lo.tolist(), hi.tolist(), sp.edge_min.tolist(), sp.edge_max.tolist()))
         assert got == want
@@ -1064,7 +1083,7 @@ class TestCellCorners:
         (x+1,y+1) and the third one by itself.  Grids with w != h at the
         minimum side pin the appended wrap row and column."""
         f = ScalarField(kind, np.zeros(shape), validate=False)
-        tri = Triangulation(f)
+        tri = Triangulation(f.wraps, *shape)
         ids = np.arange(f.values.size).reshape(shape)
         v00, v10, v11, v01 = (v.ravel().tolist() for v in tri.cell_corners(ids))
         got = [t for c in zip(v00, v10, v11, v01) for t in ((c[0], c[2], c[1]), (c[0], c[2], c[3]))]
@@ -1082,7 +1101,7 @@ class TestCellCorners:
         upper one when its third corner lies off its first corner's row."""
         f = ScalarField(kind, np.zeros(shape), validate=False)
         h, w = shape
-        tri = Triangulation(f)
+        tri = Triangulation(f.wraps, h, w)
         at = {}
         for t, corners in enumerate(triangle_corners(f)):
             upper = corners[2] // w != corners[0] // w
@@ -1148,7 +1167,7 @@ class TestSlabRoots:
         if g.parallel:
             pair = [g.edges[e] for e in g.parallel]
             intervals.append((pair[0].lo, pair[0].hi))
-        sp, want = spans(g.tri), []
+        sp, want = spans(g.field), []
 
         def barred(*args):
             raise AssertionError("the oracle called the library's slab rule")

@@ -141,10 +141,9 @@ def test_build_cost_sweep_one_side():
         ("build_cost.py", "--reps 0", "--reps must be at least 1"),
         ("build_cost.py", "--sweep --side 32 --stride 0", "--stride must be at least 1"),
         ("build_cost.py", "--sweep --side 32 --side 4", "--side must be at least 8"),
-        ("group_cost.py", "--reps 0", "--reps must be at least 1"),
         ("verify_cost.py", "--reps 0", "--reps must be at least 1"),
     ],
-    ids=["build-reps", "build-stride", "build-side", "group-reps", "verify-reps"],
+    ids=["build-reps", "build-stride", "build-side", "verify-reps"],
 )
 def test_cost_scripts_refuse_meaningless_arguments(script, args, refusal):
     """A meaningless argument is a usage error, exit 2, raised before any
@@ -156,51 +155,35 @@ def test_cost_scripts_refuse_meaningless_arguments(script, args, refusal):
     assert proc.stderr.splitlines()[-1] == f"{script}: error: {refusal}"
 
 
-def test_group_cost_one_rep():
-    proc = run_script("group_cost.py", "--reps", "1")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 26 + 5 + 1
-    groups = []
-    for line in lines[:-1]:
-        m = re.fullmatch(
-            r"(corpus|circuit) +(\S+) +generated +(\d+) pts order +(\d+) +term +(\d+) pts order"
-            r" +(\d+) +diagonal +(\d+) pts order +(\d+) +generated_group +(\d+\.\d{3}) ms"
-            r" +is_isomorphic +(\d+\.\d{3}) ms +diagonal chain (ran|skipped)",
-            line,
-        )
-        assert m, line
-        g_pts, g_order, h_pts, h_order, d_pts, d_order = map(int, m.group(3, 4, 5, 6, 7, 8))
-        # every realization's pairing is an isomorphism
-        assert g_order == h_order == d_order and d_pts == g_pts + h_pts, line
-        groups.append(m[1])
-    assert groups == ["corpus"] * 26 + ["circuit"] * 5
-    # every pairing's reduced diagonal keeps the generated group's points only
-    total = r"totals: corpus generated_group \d+\.\d{3} ms is_isomorphic \d+\.\d{3} ms"
-    total += r" diagonal chains skipped 26/26, circuit generated_group \d+\.\d{3} ms"
-    total += r" is_isomorphic \d+\.\d{3} ms diagonal chains skipped 5/5"
-    assert re.fullmatch(total, lines[-1]), lines[-1]
-
-
 def test_verify_cost_one_rep():
     proc = run_script("verify_cost.py", "--reps", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 26 + 5 + 1
-    stages = ("validate", "classify", "record", "build", "push", "generated", "iso", "full")
+    stages = ("validate", "classify", "record", "build", "push", "generated", "rep", "iso", "full")
     ms = r" +(\d+\.\d{3}) ms"
     line_re = r"(corpus|circuit) +(\S+) +grid (\d+)x(\d+) +symmetries (\d+)"
+    line_re += r" +generated +(\d+) pts order +(\d+) +term +(\d+) pts order +(\d+)"
+    line_re += r" +diagonal +(\d+) pts order +(\d+) +diagonal chain (ran|skipped)"
     line_re += "".join(rf" +{name}{ms}" for name in stages)
     sums, groups = {"corpus": [0.0] * len(stages), "circuit": [0.0] * len(stages)}, []
     for line in lines[:-1]:
         m = re.fullmatch(line_re, line)
         assert m, line
         assert int(m[5]) >= 1 and min(map(int, m.group(3, 4))) >= 8, line
-        sums[m[1]] = [a + float(t) for a, t in zip(sums[m[1]], m.groups()[5:])]
+        g_pts, g_order, h_pts, h_order, d_pts, d_order = map(int, m.group(6, 7, 8, 9, 10, 11))
+        # every realization's pairing is an isomorphism
+        assert g_order == h_order == d_order and d_pts == g_pts + h_pts, line
+        sums[m[1]] = [a + float(t) for a, t in zip(sums[m[1]], m.groups()[12:])]
         groups.append(m[1])
     assert groups == ["corpus"] * 26 + ["circuit"] * 5
+    # every pairing's reduced diagonal keeps the generated group's points only
     total = ", ".join(
-        group + " " + " ".join(rf"{name}{ms}" for name in stages) for group in sums
+        group
+        + " "
+        + " ".join(rf"{name}{ms}" for name in stages)
+        + f" diagonal chains skipped {n}/{n}"
+        for group, n in (("corpus", 26), ("circuit", 5))
     )
     m = re.fullmatch("totals: " + total, lines[-1])
     assert m, lines[-1]
