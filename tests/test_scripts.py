@@ -155,38 +155,63 @@ def test_cost_scripts_refuse_meaningless_arguments(script, args, refusal):
     assert proc.stderr.splitlines()[-1] == f"{script}: error: {refusal}"
 
 
-def test_verify_cost_one_rep():
+@pytest.fixture(scope="module")
+def verify_cost_lines():
     proc = run_script("verify_cost.py", "--reps", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 26 + 5 + 1
-    stages = ("validate", "classify", "record", "build", "push", "generated", "rep", "iso", "full")
-    ms = r" +(\d+\.\d{3}) ms"
-    line_re = r"(corpus|circuit) +(\S+) +grid (\d+)x(\d+) +symmetries (\d+)"
-    line_re += r" +generated +(\d+) pts order +(\d+) +term +(\d+) pts order +(\d+)"
-    line_re += r" +diagonal +(\d+) pts order +(\d+) +diagonal chain (ran|skipped)"
-    line_re += "".join(rf" +{name}{ms}" for name in stages)
-    sums, groups = {"corpus": [0.0] * len(stages), "circuit": [0.0] * len(stages)}, []
-    for line in lines[:-1]:
-        m = re.fullmatch(line_re, line)
+    return lines
+
+
+VERIFY_STAGES = (
+    "validate", "classify", "record", "build", "push", "generated", "rep", "iso", "full"
+)
+MS = r" +(\d+\.\d{3}) ms"
+VERIFY_LINE = (
+    r"(corpus|circuit) +(\S+) +grid (\d+)x(\d+) +symmetries (\d+)"
+    r" +generated +(\d+) pts order +(\d+) +term +(\d+) pts order +(\d+)"
+    r" +diagonal +(\d+) pts order +(\d+) +diagonal chain (ran|skipped)"
+    + "".join(rf" +{name}{MS}" for name in VERIFY_STAGES)
+)
+
+
+def test_group_cost_one_rep(verify_cost_lines):
+    groups = []
+    for line in verify_cost_lines[:-1]:
+        m = re.fullmatch(VERIFY_LINE, line)
         assert m, line
-        assert int(m[5]) >= 1 and min(map(int, m.group(3, 4))) >= 8, line
         g_pts, g_order, h_pts, h_order, d_pts, d_order = map(int, m.group(6, 7, 8, 9, 10, 11))
         # every realization's pairing is an isomorphism
         assert g_order == h_order == d_order and d_pts == g_pts + h_pts, line
-        sums[m[1]] = [a + float(t) for a, t in zip(sums[m[1]], m.groups()[12:])]
         groups.append(m[1])
     assert groups == ["corpus"] * 26 + ["circuit"] * 5
     # every pairing's reduced diagonal keeps the generated group's points only
+    for group, n in (("corpus", 26), ("circuit", 5)):
+        assert re.search(
+            rf"{group} [^,]* diagonal chains skipped {n}/{n}(,|$)", verify_cost_lines[-1]
+        ), verify_cost_lines[-1]
+
+
+def test_verify_cost_one_rep(verify_cost_lines):
+    sums = {group: [0.0] * len(VERIFY_STAGES) for group in ("corpus", "circuit")}
+    groups = []
+    for line in verify_cost_lines[:-1]:
+        m = re.fullmatch(VERIFY_LINE, line)
+        assert m, line
+        assert int(m[5]) >= 1 and min(map(int, m.group(3, 4))) >= 8, line
+        sums[m[1]] = [a + float(t) for a, t in zip(sums[m[1]], m.groups()[12:])]
+        groups.append(m[1])
+    assert groups == ["corpus"] * 26 + ["circuit"] * 5
     total = ", ".join(
         group
         + " "
-        + " ".join(rf"{name}{ms}" for name in stages)
+        + " ".join(rf"{name}{MS}" for name in VERIFY_STAGES)
         + f" diagonal chains skipped {n}/{n}"
         for group, n in (("corpus", 26), ("circuit", 5))
     )
-    m = re.fullmatch("totals: " + total, lines[-1])
-    assert m, lines[-1]
+    m = re.fullmatch("totals: " + total, verify_cost_lines[-1])
+    assert m, verify_cost_lines[-1]
     # the totals sum the lines, up to the rounding of each printed time
     printed = [float(t) for t in m.groups()]
     assert np.allclose(printed, sums["corpus"] + sums["circuit"], atol=0.0005 * 26)
