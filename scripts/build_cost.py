@@ -13,17 +13,15 @@ labels after repeated rank lines are dropped (`reeb._kept_lines`), both as
 columns x rows, triangles, distinct saddle values, the cut levels a cell
 spans on average (`reeb._levels_crossed`, which the two-pass rule reads),
 how many passes the build takes, the nodes that each pass labels and their
-sum per triangle, the shares of the cells that are flat and that continue a
-run in each pass's ranks, on the grid that pass labels (see `reeb._pieces`;
-a dash for the coarse pass of a one-pass build), the best of `--reps`
-`classify_vertices` times, each on a fresh unvalidated copy of the field
-made outside the timer, and the best of `--reps` build times.  The last
-line fits build time = floor + slope x triangles over the constructed
-fields (corpus and circuits; the trig-sum fields cut at many more levels
-per triangle) and prints the floor and the slope.  The fit is Theil-Sen's:
-the slope is the median of the slopes between every two fields of
-different sizes, and the floor the median of time - slope x triangles, so
-that no one field, such as the largest, moves it much.
+sum per triangle, the best of `--reps` `classify_vertices` times, each on a
+fresh unvalidated copy of the field made outside the timer, and the best of
+`--reps` build times.  The last line fits build time = floor + slope x
+triangles over the constructed fields (corpus and circuits; the trig-sum
+fields cut at many more levels per triangle) and prints the floor and the
+slope.  The fit is Theil-Sen's: the slope is the median of the slopes
+between every two fields of different sizes, and the floor the median of
+time - slope x triangles, so that no one field, such as the largest, moves
+it much.
 
 With `--sweep`, prints instead the size sweep behind the two-pass rule
 (`reeb.TWO_PASS_LEVELS` and `reeb.COARSE_STRIDE`): seeded trig-sum torus
@@ -117,34 +115,19 @@ def rule_inputs(f: ScalarField) -> tuple[int, float]:
     return len(saddles), reeb._levels_crossed(rank)
 
 
-def run_shares(tri: reeb.Triangulation, rank: np.ndarray) -> tuple[float, float]:
-    """The shares of the cells of `tri` that are flat, their four corner ranks
-    equal and even, and that continue a run of flat cells, with a flat left
-    neighbour in their row."""
-    r00, r10, r11, r01 = tri.cell_corners(rank)
-    flat = (r00 % 2 == 0) & (r10 == r00) & (r11 == r00) & (r01 == r00)
-    return float(flat.mean()), (flat[:, 1:] & flat[:, :-1]).sum() / flat.size
-
-
-def labelled_nodes(f: ScalarField) -> tuple[int, list[int], list, tuple[int, int]]:
+def labelled_nodes(f: ScalarField) -> tuple[int, list[int], tuple[int, int]]:
     """The passes of one build of `f`, and per pass, the coarse one
     (`_virtual_ranks`) and then the sweep, the nodes that it labels, read off
-    the `reeb._slab_nodes` calls, and the `run_shares` of the ranks of its
-    `reeb._pieces` call; then the columns and rows that the sweep keeps
-    (`reeb._kept_lines`).  A one-pass build's coarse pass labels 0 nodes and
-    has no shares (None)."""
-    counts, shares, phase, passes, kept = [0, 0], [None, None], [1], [1], []
-    slab_nodes, pieces, virtual_ranks = reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks
-    kept_lines = reeb._kept_lines
+    the `reeb._slab_nodes` calls; then the columns and rows that the sweep
+    keeps (`reeb._kept_lines`).  A one-pass build's coarse pass labels 0
+    nodes."""
+    counts, phase, passes, kept = [0, 0], [1], [1], []
+    slab_nodes, virtual_ranks, kept_lines = reeb._slab_nodes, reeb._virtual_ranks, reeb._kept_lines
 
     def counting(*args):
         out = slab_nodes(*args)
         counts[phase[0]] += len(out[0])
         return out
-
-    def sharing(tri, rank):
-        shares[phase[0]] = run_shares(tri, rank)
-        return pieces(tri, rank)
 
     def coarse(*args):
         phase[0], passes[0] = 0, 2
@@ -158,14 +141,13 @@ def labelled_nodes(f: ScalarField) -> tuple[int, list[int], list, tuple[int, int
         kept.append((len(cols), len(rows)))
         return rows, cols
 
-    reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks = counting, sharing, coarse
-    reeb._kept_lines = keeping
+    reeb._slab_nodes, reeb._virtual_ranks, reeb._kept_lines = counting, coarse, keeping
     try:
         reeb.build_reeb(f)
     finally:
-        reeb._slab_nodes, reeb._pieces, reeb._virtual_ranks = slab_nodes, pieces, virtual_ranks
+        reeb._slab_nodes, reeb._virtual_ranks = slab_nodes, virtual_ranks
         reeb._kept_lines = kept_lines
-    return passes[0], counts, shares, kept[0]
+    return passes[0], counts, kept[0]
 
 
 def theil_sen(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -275,10 +257,7 @@ def main() -> None:
     times = best_times([f for _, _, f in measured], args.reps)
     fit = []
     for (group, label, f), g, (classify, seconds) in zip(measured, graphs, times):
-        passes, (coarse, swept), shares, (kept_w, kept_h) = labelled_nodes(f)
-        flat, cont = (
-            "/".join("-" if s is None else f"{s[i]:4.2f}" for s in shares) for i in (0, 1)
-        )
+        passes, (coarse, swept), (kept_w, kept_h) = labelled_nodes(f)
         saddles, levels = rule_inputs(f)
         print(
             f"{group:8s} {label:32s} grid {f.width:3d}x{f.height:<3d} "
@@ -287,7 +266,6 @@ def main() -> None:
             f"levels per cell {levels:6.2f}  "
             f"passes {passes}  nodes {coarse:6d} + {swept:6d} "
             f"({(coarse + swept) / g.tri.ntri:5.2f} per triangle)  "
-            f"flat cells {flat}  continuing {cont}  "
             f"classify {classify * 1e3:7.3f} ms  build {seconds * 1e3:8.3f} ms"
         )
         if group != "fields":

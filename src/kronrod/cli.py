@@ -60,27 +60,25 @@ def _save(out: Path, files: dict[str, bytes]) -> bool:
 
 
 def _split_case_term(term: GroupTerm, case: str, n: int | None, m: int | None):
-    """Resolve the construction base and indices from a term and flags; the
-    disk case, and a circuit or simple term that is no wreath, take it whole.
-    A flag for an index that the case fixes at 1 must be 1."""
+    """Resolve the construction base and indices from a term and flags.  A
+    term whose top constructor is the case's, `wr` for a circuit or simple
+    case and `wr2` for a tree, gives the base and the indices, and an
+    explicit --n or --m must equal its index; the disk case, and every other
+    term, take the term whole as the base, with the flags' indices (a tree
+    needs both).  A flag for an index that the case fixes at 1 must be 1."""
     for flag, given in (("--n", n if case == "disk" else None), ("--m", m)):
         if case != "tree" and given is not None and given != 1:
             raise NotRealizable(f"{flag} {given} differs from the {case} case's index 1")
-    if case == "circuit" or case == "simple":
-        if n is not None:
-            return term, n, 1
-        if isinstance(term, Wr):
-            return term.base, term.n, 1
-    elif case == "tree":
-        if isinstance(term, Wr2):
-            for flag, given, own in (("--n", n, term.n), ("--m", m, term.m)):
-                if given is not None and given != own:
-                    raise NotRealizable(f"{flag} {given} differs from the term's index {own}")
-            return term.base, term.n, term.m
-        if n is not None and m is not None:
-            return term, n, m
+    top = {"circuit": Wr, "simple": Wr, "tree": Wr2}.get(case)
+    if top is not None and isinstance(term, top):
+        own = term.n, term.m if case == "tree" else 1
+        for flag, given, index in zip(("--n", "--m"), (n, m), own):
+            if given is not None and given != index:
+                raise NotRealizable(f"{flag} {given} differs from the term's index {index}")
+        return (term.base, *own)
+    if case == "tree" and (n is None or m is None):
         raise NotRealizable("tree case needs a top-level wr2 term or explicit --n and --m")
-    return term, 1, 1
+    return term, 1 if n is None else n, 1 if m is None else m
 
 
 def cmd_realize(args) -> int:

@@ -355,9 +355,7 @@ def _bump_knots(ring_r2: Optional[float]) -> list[tuple[float, float]]:
     return [(0.0, 1.0), (knot, 0.6), (0.76, 1.0 / 32.0)]
 
 
-def realize_torus_tree(
-    base: GroupTerm, n: int, m: int, subdivision: int = 4
-) -> tuple[ScalarField, ConstructionRecord]:
+def realize_torus_tree(base: GroupTerm, n: int, m: int) -> tuple[ScalarField, ConstructionRecord]:
     """Torus field with a tree-shaped graph: saddles at every lattice point
     of a 2n-by-2mn grid of unit squares (all at value 0, one level component),
     square extrema at +1, +2, -1, -2 by orbit, and the disk content of `base`
@@ -368,9 +366,7 @@ def realize_torus_tree(
     layout = build_layout(base)
     painted = layout.kind != "triv"
     cw = len(layout.cols) if painted else 0
-    s = max(subdivision, 4)
-    if painted:
-        s = max(s, cw + 3, CONTENT_ROWS + 3)
+    s = max(4, cw + 3, CONTENT_ROWS + 3) if painted else 4  # a unit square's side
     s += s % 2
     W, H = 2 * n * s, 2 * m * n * s
     _check_grid(W, H, "torus grid")

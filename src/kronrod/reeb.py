@@ -6,19 +6,17 @@ per family of regular level components between consecutive vertex values.
 Level sets change topology only at saddles and boundary curves, so the sweep
 cuts the field only at saddle and boundary values and at its global extremes.
 Only the slabs between consecutive cut values are labelled, on arrays of
-nodes (see `_pieces`).  A run of flat cells along a row, cells whose corners
-all lie inside one slab, is one node.  Every other cell has one node per
-(cell piece, slab) pair: its two triangles share one in every slab their
-diagonal meets.  `_label` roots every component at its smallest node by
-hooking roots and jumping pointers, and a node sits at its least triangle's
-place, a cell's lower triangle or a run's first, so that root is the node of
-the smallest triangle.  The components of a cut level are classes of slab
-ends (see `_sweep`), which no flat cell meets.  Every other extremum lies
-inside a slab and caps a disk component there, whose end on the extremum's
-side is empty: that end becomes the extremum's vertex.  Regular classes have
-one edge above and one below and are smoothed away on arrays: one more
-`_label` call joins the slab components through them into chains, and each
-chain becomes one edge.
+nodes (see `_pieces`), one per (cell piece, slab) pair: a cell's two
+triangles share one in every slab their diagonal meets.  `_label` roots
+every component at its smallest node by hooking roots and jumping pointers,
+and a node sits at its least triangle's place, a cell's lower triangle where
+they share it, so that root is the node of the smallest triangle.  The
+components of a cut level are classes of slab ends (see `_sweep`).  Every
+other extremum lies inside a slab and caps a disk component there, whose
+end on the extremum's side is empty: that end becomes the extremum's vertex.
+Regular classes have one edge above and one below and are smoothed away on
+arrays: one more `_label` call joins the slab components through them into
+chains, and each chain becomes one edge.
 
 A field whose cells span many cut levels is built in two passes instead:
 the first labels the slabs between a few coarse cuts, and the sweep then
@@ -283,14 +281,14 @@ class ReebGraph:
     def slab_roots(self, lo: float, hi: float) -> np.ndarray:
         """The smallest triangle of each triangle's component in the slab of
         the open interval (lo, hi), labelled on the build's own nodes and
-        joins (`_pieces`, `_slab_nodes`): one node per run of flat cells, then
-        one per (cell piece, slab) pair.  A triangle outside the slab is its
-        own root.  Labelled once per interval and kept."""
+        joins (`_pieces`, `_slab_nodes`): one node per (cell piece, slab)
+        pair.  A triangle outside the slab is its own root.  Labelled once
+        per interval and kept."""
         if (lo, hi) not in self._slabs:
             rank = _ranks(self.field, np.array([lo, hi]))
-            t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs, runs = _pieces(self.tri, rank)
+            t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(self.tri, rank)
             base = np.zeros(self.tri.ntri, dtype=np.int32)
-            node_t, _, _, joins = _slab_nodes(1, 1, n_lo, n_hi, segs, runs, base)
+            node_t, _, _, joins = _slab_nodes(1, 1, n_lo, n_hi, segs, base)
             root = np.arange(self.tri.ntri)
             t = ((t_lo <= 2) & (2 <= t_hi)).nonzero()[0]
             on_diag = (d_lo[t] <= 1) & (1 <= d_hi[t])
@@ -309,12 +307,13 @@ class ReebGraph:
 # `_virtual_ranks`), whose coarse cuts take every COARSE_STRIDE-th saddle
 # value.  Both come from the size sweep of `scripts/build_cost.py --sweep`,
 # 45 seeded trig-sum torus fields of side 32 to 160 on a 2-core x86-64 VM.
-# Measured again with runs of flat cells as nodes, at stride 24, two passes
-# took 1.00-1.48 times as long as one on all 16 fields below 8 levels,
-# 0.87-1.15 times from 8 to 18 (7 of 13 won), and 0.69-0.94 times (all 16
-# won) above.  The summed build time was least at thresholds from 6.9 to 7.2
-# and 0.7% more at 14; in a second run, from 10.2 to 10.9 and 0.5% more at
-# 14.  Strides 16 and 24 did alike.
+# Measured again with one node per (cell piece, slab) pair, at stride 24 in
+# two runs, two passes took 1.11-1.74 times as long as one on all 16 fields
+# below 8 levels, 0.86-1.28 times from 8 to 18 (3 and 4 of 13 won), and
+# 0.59-0.98 times (all 16 won) above.  The summed build time was least at
+# thresholds from 14.7 to 15.5 and 0.2% more at 14; in the second run, from
+# 10.9 to 11.2 and 0.07% more at 14.  In a third run, strides 16 and 24
+# summed within 0.5% of each other at 14.
 TWO_PASS_LEVELS = 14
 COARSE_STRIDE = 24
 
@@ -345,19 +344,12 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     """The one slab rule, for `_sweep` and `ReebGraph.slab_roots`, from one
     `cell_corners` pass over the grid of vertex ranks (see `_ranks`).
 
-    A cell is flat when its four corner ranks are equal and even, so that it
-    lies inside one slab, and a flat cell whose left neighbour in its row is
-    flat too continues a run: its triangles take the node of the run's first
-    cell.  Runs never wrap across a torus row's end, and no cell touching a
-    disk's frame, a cut level, is flat.  Every other cell has one node per
-    (cell piece, slab) pair.  Per triangle: its rank span t_lo..t_hi, its
-    cell's diagonal's slabs d_lo..d_hi, where an upper triangle takes the
-    lower one's node (none for a lower one), and the slabs n_lo..n_hi of its
-    own nodes (none for a continuing cell's lower one).  The top and left
-    grid edges become join segments (lower triangle, owner of the upper one's
-    node, lo, hi), split where it changes, but for those that join nothing
-    new (see below).  `runs` pairs each continuing cell's lower triangle with
-    its run's first one."""
+    Every cell has one node per (cell piece, slab) pair.  Per triangle: its
+    rank span t_lo..t_hi, its cell's diagonal's slabs d_lo..d_hi, where an
+    upper triangle takes the lower one's node (none for a lower one), and the
+    slabs n_lo..n_hi of its own nodes.  The top and left grid edges become
+    join segments (lower triangle, owner of the upper one's node, lo, hi),
+    split where it changes, but for those that meet no slab."""
     r00, r10, r11, r01 = tri.cell_corners(rank)
     lo, hi = np.minimum(r00, r11), np.maximum(r00, r11)  # on the diagonal
     t_hi = np.empty((tri.ncy, tri.ncx, 2), dtype=np.int32)
@@ -383,45 +375,20 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     if not tri.wraps:  # no cell lies above a disk's top row or left of its left column
         segs[3, 0, :, -1] = segs[3, 1, :, :, 0] = 0
 
-    # runs of flat cells along rows, never across a torus row's end (flat
-    # compares both triangles' spans at once, as int64 views of int32 pairs).
-    # A continuing cell's lower triangle takes its run head's node, and the
-    # cell joins nothing across its left and top edges: its left neighbour is
-    # in its run, and the cells above the run, in its slab at the corners they
-    # share with it, are joined along their row through their left edges to
-    # the one above the head, whose bottom edge keeps its join.
-    flat = (span[0].view(np.int64) == t_hi.view(np.int64))[..., 0] & ((lo & 1) == 0)
-    cont = np.zeros_like(flat)
-    np.logical_and(flat[:, 1:], flat[:, :-1], out=cont[:, 1:])
-    low[3] += cont  # no node of its own
-    np.copyto(segs[3, :, 0], 0, where=cont)
-    # A run head off row and column 0 joins nothing across its left edge
-    # either.  In its column, the heads above one another and their left
-    # neighbours are joined through their top edges, and the top head of
-    # such a stack reaches its left neighbour round their shared top-left
-    # corner: across that neighbour's top edge and the left edge of the cell
-    # above the head, which heads no run.  A torus column of heads has no
-    # top head, and its head in row 0 keeps the join.
-    np.copyto(segs[3, 1, 0, 1:, 1:], 0, where=flat[1:, 1:] & ~cont[1:, 1:])
-    head = np.maximum.accumulate(np.where(cont, 0, lower).ravel())
-    cont = cont.ravel().nonzero()[0]
-    runs = 2 * cont.astype(np.int32), head[cont]
     segs = segs.reshape(4, -1)
     segs = segs.compress(segs[2] <= segs[3], axis=1)
-    return t_hi.reshape(-1), span.reshape(5, -1), segs, runs
+    return t_hi.reshape(-1), span.reshape(5, -1), segs
 
 
-def _slab_nodes(k0: int, k1: int, n_lo, n_hi, segs, runs, base: np.ndarray):
+def _slab_nodes(k0: int, k1: int, n_lo, n_hi, segs, base: np.ndarray):
     """The nodes of slabs k0..k1 and the joins between them, from the
-    per-triangle slabs n_lo..n_hi of own nodes, the join segments and the
-    runs of `_pieces`: one node per run of flat cells, at its first cell,
-    then one per (cell piece, slab) pair.  The nodes come in ascending order
-    of triangle, and node base[t] + k is triangle t's own in slab k: `base`
-    is set here for every triangle with own nodes in these slabs, and a
-    continuing cell's lower triangle takes its run's first one's.  A segment
-    joins its nodes in all its slabs.  Returns each node's triangle and slab,
-    the first node of each triangle with own nodes, and the two join
-    arrays."""
+    per-triangle slabs n_lo..n_hi of own nodes and the join segments of
+    `_pieces`: one node per (cell piece, slab) pair.  The nodes come in
+    ascending order of triangle, and node base[t] + k is triangle t's own in
+    slab k: `base` is set here for every triangle with own nodes in these
+    slabs.  A segment joins its nodes in all its slabs.  Returns each node's
+    triangle and slab, the first node of each triangle with own nodes, and
+    the two join arrays."""
     seg_a, seg_b, seg_lo, seg_hi = segs
     tris = (np.maximum(n_lo, k0) <= np.minimum(n_hi, k1)).nonzero()[0]
     a = np.maximum(n_lo[tris], k0)
@@ -429,8 +396,6 @@ def _slab_nodes(k0: int, k1: int, n_lo, n_hi, segs, runs, base: np.ndarray):
     start = cnt.cumsum() - cnt
     n = int(cnt.sum())
     base[tris] = start - a
-    cont, head = runs
-    base[cont] = base.take(head)
     node_t = tris.repeat(cnt)
     node_k = (a - start).repeat(cnt) + np.arange(n)
     del tris, a, cnt
@@ -454,8 +419,8 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     `_label` call per batch of slabs k0..k1, over about `ntri` nodes, roots
     each component at its smallest triangle: a batch takes only the nodes and
     join segments (see `_pieces` and `_slab_nodes`) with a slab in k0..k1, in
-    ascending order of triangle, and a node shared by several triangles sits
-    at the least one's place.  The batch then settles levels k0-1..k1-1
+    ascending order of triangle, and a node that a cell's two triangles share
+    sits at the lower one's place.  The batch then settles levels k0-1..k1-1
     (the last batch the top level too): a level's components are classes of
     slab ends, joined by the triangles crossing the level, the grid vertices
     at it and the triangles with all corners at it.  No saddle lies inside an
@@ -471,7 +436,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     """
     ntri, ncx, w, i32 = tri.ntri, tri.ncx, tri.width, np.int32
     K = (int(rank.max()) + 1) >> 1
-    t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs, runs = _pieces(tri, rank)
+    t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, rank)
     rank = rank.ravel()
     verts = (rank & 1).nonzero()[0]
     verts = verts[rank[verts].argsort(kind="stable")]  # grid vertices at cut levels
@@ -518,7 +483,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
 
     def settle(k0: int, k1: int) -> _Batch:
         nonlocal carried, first, n_cls
-        node_t, node_k, start, joins = _slab_nodes(k0, k1, n_lo, n_hi, segs, runs, base)
+        node_t, node_k, start, joins = _slab_nodes(k0, k1, n_lo, n_hi, segs, base)
         n = len(node_t)
         lowest = start[2 * node_k[start] - 1 <= t_lo[node_t[start]]]  # their triangle's lowest
         del start
@@ -596,7 +561,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
             np.array([verts[v0:v1], cid[ne:]]), extrema,
         )  # fmt: skip
         # under the next batch: the last slab's triangles with own nodes and the
-        # upper ones that share them; no triangle of a run meets a level
+        # upper ones that share them
         if k1 < K - 1:
             t1 = node_t[node_k == k1]
             t1 = np.concatenate([t1, t1[on_diag(t1 ^ 1, k1)] ^ 1])
@@ -632,11 +597,11 @@ def _virtual_ranks(
     table = np.zeros(2 * K + 1, dtype=np.int32)
     table[1::2], table[2::2] = 2 * below - coarse, 2 * below
     crank = table[rank].ravel()
-    _, (_, d_lo, d_hi, n_lo, n_hi), segs, runs = _pieces(tri, crank.reshape(rank.shape))
+    _, (_, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, crank.reshape(rank.shape))
     base = np.zeros(tri.ntri, dtype=np.int32)
-    node_t, _, _, joins = _slab_nodes(1, int(below[-1]) - 1, n_lo, n_hi, segs, runs, base)
+    node_t, _, _, joins = _slab_nodes(1, int(below[-1]) - 1, n_lo, n_hi, segs, base)
     root = _label(len(node_t), *joins)
-    del node_t, joins, segs, runs, n_lo, n_hi
+    del node_t, joins, segs, n_lo, n_hi
     # the component of each grid vertex strictly inside a coarse slab, read
     # off the lower triangle of its own cell: a disk's frame is a coarse cut
     inside = ((crank & 1) == 0).nonzero()[0]

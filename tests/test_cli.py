@@ -87,8 +87,10 @@ class TestRealize:
         monkeypatch.setattr(verify, "morse_counts", lambda f: MorseCounts(*found))
         out = tmp_path / "out"
         n = [] if case == "disk" else ["--n", "2"]  # a disk's n is fixed at 1
+        # a circuit's --n restates the index of a top-level wr term
+        term = "wr(wr(1,2),2)" if case == "circuit" else "wr(1,2)"
         flags = ["--case", case, *n, "--m", "1", "--out", str(out)]
-        code, doc = run(capsys, "realize", "--term", "wr(1,2)", *flags)
+        code, doc = run(capsys, "realize", "--term", term, *flags)
         assert code == 3
         assert f"euler: counts {found} != designed {designed}" in doc["error"]
         assert not out.exists()
@@ -136,6 +138,30 @@ class TestRealize:
         assert not (tmp_path / "field.json").exists()
         code, doc = run(capsys, "realize", *term, flag, own, "--out", str(tmp_path))
         assert code == 0 and (doc["n"], doc["m"]) == (2, 1)
+
+    @pytest.mark.parametrize("case", ["circuit", "simple"])
+    def test_wreath_index_unlike_the_terms_is_input_error(self, tmp_path, capsys, case):
+        """A circuit or simple case reads --n as a tree reads it: as the
+        index of a top-level wr term, refused where it differs, the same
+        realization where it agrees."""
+        term = ["--term", "wr(1,3)", "--case", case]
+        code, doc = run(capsys, "realize", *term, "--n", "2", "--out", str(tmp_path))
+        assert code == 2
+        assert doc == {"ok": False, "error": "--n 2 differs from the term's index 3"}
+        assert not any(tmp_path.iterdir())
+        code, doc = run(capsys, "realize", *term, "--n", "3", "--out", str(tmp_path))
+        assert code == 0 and (doc["normalized"], doc["n"]) == ("wr(1,3)", 3)
+
+    def test_nested_wreath_takes_its_top_index(self, tmp_path, capsys):
+        """`wr(wr(1,3),3)` in the circuit case is three bands of `wr(1,3)`,
+        and verifies against that term."""
+        flags = ["--case", "circuit", "--out", str(tmp_path)]
+        code, doc = run(capsys, "realize", "--term", "wr(wr(1,3),3)", *flags)
+        assert code == 0
+        assert (doc["normalized"], doc["n"], doc["grid"]) == ("wr(wr(1,3),3)", 3, [132, 32])
+        args = ["--field", str(tmp_path / "field.json"), "--record", str(tmp_path / "record.json")]
+        code, doc = run(capsys, "verify", *args, "--term", "wr(wr(1,3),3)")
+        assert code == 0 and doc["ok"]
 
     def test_deep_term_is_input_error(self, tmp_path, capsys, shallow_stack):
         deep = "wr(" * 300 + "1" + ",2)" * 300

@@ -152,18 +152,20 @@ class TestTree:
         assert not is_generic(f)
 
     @pytest.mark.parametrize(
-        "base,n,m,subdivision",
+        "base,n,m,least",
         [
             ("1", 1, 1, 4),
-            ("1", 2, 1, 7),
-            ("1", 1, 2, 12),
             ("wr(1,2)", 1, 1, 4),
-            ("wr(1,3)", 2, 1, 40),
+            ("wr(1,3)", 2, 1, 4),
         ],
     )
-    def test_matches_pointwise_reference(self, base, n, m, subdivision):
-        f, rec = realize_torus_tree(parse_term(base), n, m, subdivision=subdivision)
+    def test_matches_pointwise_reference(self, base, n, m, least):
+        """The field against the pointwise reference at the side of a unit
+        square that the construction picks: even, at least `least`, and
+        wider for painted content."""
+        f, rec = realize_torus_tree(parse_term(base), n, m)
         s = rec.symmetries[0].dx // 2
+        assert s >= least and s % 2 == 0
         ring_r2 = None
         if rec.slots:
             r = rec.slots[0].rect
@@ -178,7 +180,7 @@ class TestTree:
         assert want.tobytes() == f.values.tobytes()
 
     @pytest.mark.parametrize(
-        "base,n,m,subdivision,digest",
+        "base,n,m,least,digest",
         [
         ("1", 1, 1, 4, "24b914d2058348310959c9211d9d01546b23e307c9bbc79728926adc2de2a036"),
         ("wr(1,2)", 1, 1, 4, "159b7a8b273426e58114808239e08aefe955264d64bfc8e90b280074f339d621"),
@@ -204,14 +206,14 @@ class TestTree:
             4,
             "4b6bac76497524a94b24906c7ffbb90dbb63c87bd80a5fff3f4ab55b79670983",
         ),
-        ("1", 1, 1, 6, "c795d552acbe5bab8e655bfa1088fce3cf7f6e672da6e1fd03c7703d2501893e"),
-        ("1", 1, 1, 9, "1c35bf55124c78f269505d499d748705dc1aaa7ee4d8d706f905dfbd9c74a833"),
         ],
     )
-    def test_pinned_digests(self, base, n, m, subdivision, digest):
-        """Field values and record, bit for bit: the nine corpus tree members,
-        three more bases and index pairs, and two finer subdivisions."""
-        f, rec = realize_torus_tree(parse_term(base), n, m, subdivision=subdivision)
+    def test_pinned_digests(self, base, n, m, least, digest):
+        """Field values and record, bit for bit: the nine corpus tree members
+        and three more bases and index pairs, on unit squares of an even side
+        at least `least`."""
+        f, rec = realize_torus_tree(parse_term(base), n, m)
+        assert rec.symmetries[0].dx // 2 >= least and rec.symmetries[0].dx % 4 == 0
         h = hashlib.sha256(f.values.tobytes())
         h.update(rec.to_json())
         assert h.hexdigest() == digest

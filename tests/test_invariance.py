@@ -9,8 +9,14 @@ Each keeps the number of vertices and edges, the shape, the order of the
 full value-preserving group, and per vertex its value (mapped), its
 critical points by kind (minima and maxima swapped under negation) and its
 degree.  The benchmark's `place` relies on the first four.
+
+A roll and negation act on a construction record too: a roll shifts its
+slot and rect-cycle rectangles and leaves its translations alone, and
+negation swaps its designed minima and maxima.  A corpus member so
+transformed verifies as the member does.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -18,9 +24,12 @@ import pytest
 
 from kronrod.auts import _full_order
 from kronrod.construct import realize_disk
+from kronrod.corpus import corpus_grid, realize_member
 from kronrod.fields import CritKind, ScalarField
+from kronrod.records import ConstructionRecord
 from kronrod.reeb import build_reeb, classify_shape
 from kronrod.terms import parse_term
+from kronrod.verify import verify_realization
 
 from test_reeb import checked_fields
 
@@ -82,3 +91,47 @@ def test_relation_keeps_the_graph(relation):
         assert invariants(build_reeb(image)) == want, label
         checked += 1
     assert checked == (40 if relation == "roll" else 42)
+
+
+# name -> (roll as (dy, dx), whether it negates)
+RECORD_RELATIONS = {
+    "roll": ((3, 5), False),
+    "negation": ((0, 0), True),
+    "roll-negation": ((7, 11), True),
+}
+
+
+def transformed(f, rec, roll, negate):
+    """A realization rolled by `roll` and then negated when `negate`, field
+    and record alike."""
+    (dy, dx), doc = roll, json.loads(rec.to_json())
+
+    def shift(r):
+        return [(r[0] + dx) % f.width, (r[1] + dy) % f.height, *r[2:]]
+
+    for slot in doc["slots"]:
+        slot["rect"] = shift(slot["rect"])
+    for sym in doc["symmetries"]:
+        if sym["kind"] == "rect_cycle":
+            sym["rects"] = [shift(r) for r in sym["rects"]]
+    values = np.roll(f.values, roll, axis=(0, 1))
+    if negate:
+        values = -values
+        doc["designed_counts"].reverse()
+    return ScalarField(f.kind, values), ConstructionRecord.from_json(json.dumps(doc).encode())
+
+
+def verdict(report):
+    """Each check's name and ok flag, and the details of the checks that
+    state the generated, term, diagonal and full orders."""
+    orders = ("generated_order", "group_isomorphism", "aut_containment")
+    return [(c.name, c.ok, c.detail if c.name in orders else "") for c in report.checks]
+
+
+@pytest.mark.parametrize("relation", list(RECORD_RELATIONS))
+def test_relation_on_the_record_keeps_the_verdict(relation):
+    roll, negate = RECORD_RELATIONS[relation]
+    for m in corpus_grid():
+        f, rec = realize_member(m)
+        want = verdict(verify_realization(f, rec))
+        assert verdict(verify_realization(*transformed(f, rec, roll, negate))) == want, m.label

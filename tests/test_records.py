@@ -30,7 +30,7 @@ class TestExpectedSymmetries:
         assert syms == [GridTranslation(f.width, 0)]
 
     def test_tree_lattice_steps(self):
-        f, rec = realize_torus_tree(Triv(), 2, 1, subdivision=4)
+        f, rec = realize_torus_tree(Triv(), 2, 1)
         syms = rec.symmetries
         assert GridTranslation(8, 0) in syms
         assert GridTranslation(0, 8) in syms

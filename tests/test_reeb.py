@@ -510,45 +510,18 @@ def cell_slabs(f, cuts):
     ]
 
 
-def continuing_cells(f, cuts):
-    """Per cell, as an (ncy, ncx) array, the slab of a cell that continues a
-    run of flat cells, -1 for every other cell, from corner values: a flat
-    cell's four corners lie strictly inside one slab, cuts[k-1] < value <
-    cuts[k], and a run continues at a flat cell whose left neighbour in its
-    row, not across a torus row's end, is flat too."""
-    vals = f.values.ravel()[corner_table(f)].reshape(-1, 6)  # a cell's two triangles
-    first = np.searchsorted(cuts, vals.min(axis=1))
-    flat = np.where(first == np.searchsorted(cuts, vals.max(axis=1), "right"), first, -1)
-    flat = flat.reshape(-1, f.width if f.wraps else f.width - 1)
-    cont = np.full_like(flat, -1)
-    cont[:, 1:] = np.where(flat[:, :-1] >= 0, flat[:, 1:], -1)
-    return cont
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "bench-64",
-        "disk-wr(1,3)",
-        "disk-prod(wr(1,2),wr(1,3))",
-        "random-1-16-rolled",
-        "tree-wr(1,2)-2-2",
-    ],
-)
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
 def test_sweep_labels_one_node_per_cell_piece_and_slab(name, monkeypatch):
     """A cell's two triangles share one node in every slab that their
-    diagonal meets, and a cell that continues a run of flat cells shares the
-    node of the run's first cell, so the sweep labels each triangle's slabs
-    less its diagonal's, less one per continuing cell, and no more, on the
-    grid it sweeps: the constructions' with repeated lines dropped, which
-    leaves `disk-wr(1,3)` no run of two flat cells."""
+    diagonal meets, so the sweep labels each triangle's slabs less its
+    diagonal's, and no more, on the grid it sweeps: the constructions' with
+    repeated lines dropped."""
     f = ORACLE_FIELDS[name]()
     g, cuts, _, batches = record_batches(f, monkeypatch)
     ranges = cell_slabs(g, cuts)
     lower, diag, upper = (np.maximum(last - first + 1, 0).sum() for first, last in ranges)
-    continuing = int((continuing_cells(g, cuts) >= 0).sum())
-    assert diag > 0 and (continuing > 0) == (name != "disk-wr(1,3)")
-    assert sum(n for _, _, n in batches) == lower + upper - diag - continuing
+    assert diag > 0
+    assert sum(n for _, _, n in batches) == lower + upper - diag
 
 
 def test_oracle_fields_cover_every_cell_case(monkeypatch):
@@ -578,55 +551,19 @@ def test_oracle_fields_cover_every_cell_case(monkeypatch):
     assert handed
 
 
-def test_oracle_fields_cover_every_run_case(monkeypatch):
-    """Between them, the grids that the oracle fields' sweeps are given have
-    runs of flat cells that end at a torus row's last cell, runs on a disk,
-    runs in a later batch of a sweep in several batches, a run's first cell
-    above another's, off row and column 0, which joins nothing across its
-    left edge, and an extremum inside a slab whose smallest star triangle
-    lies in a continuing cell, whose node is its run head's; and the
-    parallel pair of `circuit-wr(1,2)-1`, whose pushes split it through
-    `slab_roots`, has runs in that interval."""
-    cases = set()
-    for name, make in ORACLE_FIELDS.items():
-        g, cuts, points, batches = record_batches(make(), monkeypatch)
-        cont = continuing_cells(g, cuts)
-        if (cont[:, -1] >= 0).any() and g.wraps:
-            cases.add("row end")
-        if (cont >= 0).any() and not g.wraps:
-            cases.add("disk")
-        if len(batches) > 1 and (cont >= batches[1][0]).any():
-            cases.add("later batch")
-        lead = np.zeros_like(cont, dtype=bool)  # first cells of runs of two or more
-        lead[:, :-1] = (cont[:, 1:] >= 0) & (cont[:, :-1] < 0)
-        if (lead[1:, 1:] & lead[:-1, 1:]).any():
-            cases.add("stacked heads")
-        for p in points.tolist():
-            t = np.flatnonzero((corner_table(g) == p).any(axis=1))[0]
-            if cont.ravel()[t // 2] >= 0:
-                cases.add("extremum")
-    assert cases == {"row end", "disk", "later batch", "stacked heads", "extremum"}
-    f = ORACLE_FIELDS["circuit-wr(1,2)-1"]()
-    g = build_reeb(f)
-    e = g.edges[g.parallel[0]]
-    assert (continuing_cells(f, [e.lo, e.hi]) == 1).any()
-
-
 def test_torus_column_of_run_heads():
     """A torus field of x but for a small wave in y: the saddle at x = 0
-    cuts every cell of column 0, and every cell of column 1 heads a run of
-    flat cells in the middle slab.  Column 0's pieces in that slab reach
-    the runs only across those heads' left edges, and the column of heads
-    has no top head, which would reach its left neighbour round its
-    top-left corner: the head in row 0 keeps its join.  The sweep, on the
-    field's own grid, against flood fills."""
+    cuts every cell of column 0, and every cell of column 1 lies strictly
+    inside the middle slab.  Column 0's pieces in that slab reach column 1
+    only across its left edges, down the whole torus column.  The sweep, on
+    the field's own grid, against flood fills."""
     x, y = np.meshgrid(np.arange(16), np.arange(16))
     values = np.cos(x * np.pi / 8) + 0.03 * np.cos(y * np.pi / 8)
     f = ScalarField("torus", fix_ties(values, "torus"))
     cuts = cut_values(f)
-    cont = continuing_cells(f, cuts)
-    assert (cont[:, 1] < 0).all() and (cont[:, 2] >= 0).all()
-    assert ((_ranks(f, np.array(cuts))[:, 0] & 1) == 1).any()  # the saddle's column
+    rank = _ranks(f, np.array(cuts))
+    assert ((rank[:, 0] & 1) == 1).any()  # the saddle's column
+    assert (rank[:, 1:3] == 4).all()  # column 1's corners, inside slab 2
     assert check_sweep(f, cuts, np.empty(0, dtype=np.int64)) == 0
 
 

@@ -61,8 +61,7 @@ def test_build_cost_one_rep():
         m = re.fullmatch(
             r"(corpus|circuit|fields) +(\S+) +grid +(\d+)x(\d+) +kept +(\d+)x(\d+) +triangles"
             r" +(\d+) +saddle values +(\d+) +levels per cell +(\d+\.\d\d) +passes ([12]) +nodes"
-            r" +(\d+) \+ +(\d+) \( *(\d+\.\d\d) per triangle\) +flat cells +(-|\d\.\d\d)/(\d\.\d\d)"
-            r" +continuing +(-|\d\.\d\d)/(\d\.\d\d)"
+            r" +(\d+) \+ +(\d+) \( *(\d+\.\d\d) per triangle\)"
             r" +classify +(\d+\.\d{3}) ms +build +(\d+\.\d{3}) ms",
             line,
         )
@@ -75,11 +74,6 @@ def test_build_cost_one_rep():
         # the coarse pass labels nodes exactly when the build takes two passes
         assert (coarse > 0) == (m[10] == "2"), line
         assert abs(float(m[13]) - (coarse + swept) / tris) < 0.006, line
-        # each pass has its shares of flat cells and of the flat cells that
-        # continue a run; a one-pass build has a dash for its coarse pass
-        assert (m[14] == "-") == (m[16] == "-") == (m[10] == "1"), line
-        for flat, cont in (m.group(14, 16), m.group(15, 17)):
-            assert flat == "-" or 0 <= float(cont) <= float(flat) <= 1, line
         groups.append(m[1])
         passes.append(m[10])
     assert groups == ["corpus"] * 26 + ["circuit"] * 5 + ["fields"] * 4
