@@ -213,7 +213,8 @@ class TestTree:
         and three more bases and index pairs, on unit squares of an even side
         at least `least`."""
         f, rec = realize_torus_tree(parse_term(base), n, m)
-        assert rec.symmetries[0].dx // 2 >= least and rec.symmetries[0].dx % 4 == 0
+        s = rec.symmetries[0].dx // 2
+        assert s >= least and s % 2 == 0
         h = hashlib.sha256(f.values.tobytes())
         h.update(rec.to_json())
         assert h.hexdigest() == digest
