@@ -136,8 +136,8 @@ def labelled_nodes(f: ScalarField) -> tuple[int, list[int], tuple[int, int]]:
         finally:
             phase[0] = 1
 
-    def keeping(rank, wraps):
-        rows, cols = kept_lines(rank, wraps)
+    def keeping(rank):
+        rows, cols = kept_lines(rank)
         kept.append((len(cols), len(rows)))
         return rows, cols
 

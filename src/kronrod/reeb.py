@@ -18,6 +18,10 @@ Regular classes have one edge above and one below and are smoothed away on
 arrays: one more `_label` call joins the slab components through them into
 chains, and each chain becomes one edge.
 
+Every grid is triangulated round the torus, each cell named by its first
+corner, and a disk is the torus that glues its frame's opposite sides, whose
+glue cells are flat at the frame's value (see `Triangulation`).
+
 A field whose cells span many cut levels is built in two passes instead:
 the first labels the slabs between a few coarse cuts, and the sweep then
 runs on virtual ranks that cut each coarse slab component only at the
@@ -66,7 +70,7 @@ from kronrod.errors import (
     ReebError,
     ShapeViolation,
 )
-from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, classify_vertices
+from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, _link, classify_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -79,63 +83,53 @@ _STAR = np.array([[-1, -1, 0, -1, 0, 0], [-1, 0, 0, -1, -1, 0], [0, 0, 0, 1, 1, 
 
 
 class Triangulation:
-    """Index arithmetic for the diagonal-split grid of a torus or disk shape.
+    """Index arithmetic for the diagonal-split grid of an (H, W) shape, swept
+    round the torus.
 
-    Triangle 2*(cy*ncx + cx) is the lower triangle of cell (cx, cy) with
-    corners (x,y), (x+1,y), (x+1,y+1); triangle 2*(...)+1 is the upper one
-    with corners (x,y), (x+1,y+1), (x,y+1).  A build reads a grid's values at
-    the corners once, through the shifted views of `cell_corners`, and the few
+    Cell p = y*W + x is named by its first corner (x,y).  Triangle 2p is its
+    lower triangle with corners (x,y), (x+1,y), (x+1,y+1); triangle 2p+1 is
+    the upper one with corners (x,y), (x+1,y+1), (x,y+1), every corner read
+    round the torus.  A disk is the torus that glues its frame's opposite
+    sides.  Its glue cells, those of its last row and column, have all four
+    corners on the constant frame: each is flat at the frame's cut value,
+    lies in no slab and only joins frame vertices into the one boundary level
+    component that they already form.  A build reads a grid's values at the
+    corners once, through the link views of `cell_corners`, and the few
     corners it needs one by one through `star`.
     """
 
-    def __init__(self, wraps: bool, height: int, width: int):
-        self.wraps, self.height, self.width = wraps, height, width
-        self.ncx = width if wraps else width - 1
-        self.ncy = height if wraps else height - 1
-        self.ntri = 2 * self.ncx * self.ncy
+    def __init__(self, height: int, width: int):
+        self.height, self.width = height, width
+        self.ntri = 2 * height * width
 
     def cell_corners(self, grid: np.ndarray) -> tuple[np.ndarray, ...]:
         """The values of an (H, W) grid at the corners (x,y), (x+1,y),
-        (x+1,y+1) and (x,y+1) of every cell (cx, cy), as (ncy, ncx) views: of
-        the grid with its first row and column appended on a torus, of the
-        grid itself on a disk."""
-        if self.wraps:
-            h, w = grid.shape
-            ext = np.empty((h + 1, w + 1), dtype=grid.dtype)
-            ext[:h, :w], ext[h, :w] = grid, grid[0]
-            ext[:, w] = ext[:, 0]
-            grid = ext
-        return grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
+        (x+1,y+1) and (x,y+1) of every cell, as (H, W) arrays: the grid and
+        its E, NE and N link views (see `fields._link`)."""
+        return (grid, *_link(grid)[:3])
 
     def star(self, points: np.ndarray) -> np.ndarray:
         """The triangles around each of the grid vertices `points`, as a
         (len(points), 6) array: the lower triangles of the cells to the lower
         left, to the left and at the vertex, then the upper ones of the cells
-        to the lower left, below and at it; ntri where a disk has no such
-        cell."""
+        to the lower left, below and at it."""
         w, h = self.width, self.height
         y, x = np.divmod(points, w)
         dx, dy, up = _STAR
-        cx, cy = x[:, None] + dx, y[:, None] + dy
-        cx[cx < 0], cy[cy < 0] = w - 1, h - 1  # the offsets are -1 or 0
-        star = 2 * (cy * self.ncx + cx) + up
-        if not self.wraps:  # a disk's cells stop one short of the grid
-            star[(cx == self.ncx) | (cy == self.ncy)] = self.ntri
-        return star
+        return 2 * ((y[:, None] + dy) % h * w + (x[:, None] + dx) % w) + up
 
 
 def _cell_permutation(tri: Triangulation, point_map: tuple) -> np.ndarray:
     """Triangle-level map of a point map (see `records.moves`), read as each
     grid point's flat image and rigid piece (-1 where fixed): a cell whose
-    four corners lie in one piece moves with them; every other cell stays put."""
-    shape = tri.height, tri.width
-    image, piece = np.arange(tri.height * tri.width), np.full(tri.height * tri.width, -1)
+    four corners lie in one piece moves to the cell named by its first
+    corner's image; every other cell stays put."""
+    n = tri.height * tri.width
+    image, piece = np.arange(n), np.full(n, -1)
     image[point_map[0]], piece[point_map[0]] = point_map[1:]
-    p00, p10, p11, p01 = tri.cell_corners(piece.reshape(shape))
+    p00, p10, p11, p01 = tri.cell_corners(piece.reshape(tri.height, tri.width))
     rigid = (p00 >= 0) & (p10 == p00) & (p11 == p00) & (p01 == p00)
-    ty, tx = np.divmod(tri.cell_corners(image.reshape(shape))[0], tri.width)
-    cells = np.arange(tri.ncx * tri.ncy).reshape(tri.ncy, tri.ncx)
-    target = np.where(rigid, ty * tri.ncx + tx, cells).ravel()
+    target = np.where(rigid.ravel(), image, np.arange(n))
     perm = np.empty(tri.ntri, dtype=np.int64)
     perm[0::2] = 2 * target
     perm[1::2] = 2 * target + 1
@@ -217,7 +211,7 @@ class ReebGraph:
         field: Optional[ScalarField] = None,
     ):
         self.vertices, self.edges, self.field = vertices, edges, field
-        self.tri = None if field is None else Triangulation(field.wraps, field.height, field.width)
+        self.tri = None if field is None else Triangulation(field.height, field.width)
         self.incidence: list[list[int]] = [[] for _ in vertices]
         for e in edges:
             for x in (e.u, e.v):
@@ -350,11 +344,12 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     slabs n_lo..n_hi of its own nodes.  The top and left grid edges become
     join segments (lower triangle, owner of the upper one's node, lo, hi),
     split where it changes, but for those that meet no slab."""
+    h, w = tri.height, tri.width
     r00, r10, r11, r01 = tri.cell_corners(rank)
     lo, hi = np.minimum(r00, r11), np.maximum(r00, r11)  # on the diagonal
-    t_hi = np.empty((tri.ncy, tri.ncx, 2), dtype=np.int32)
+    t_hi = np.empty((h, w, 2), dtype=np.int32)
     t_hi[..., 0], t_hi[..., 1] = np.maximum(hi, r10), np.maximum(hi, r01)
-    span = np.empty((5, tri.ncy, tri.ncx, 2), dtype=np.int32)
+    span = np.empty((5, h, w, 2), dtype=np.int32)
     low, up = span[..., 0], span[..., 1]  # the rows of the lower and the upper triangles
     low[0], up[0] = np.minimum(lo, r10), np.minimum(lo, r01)
     low[1], low[2], up[1], up[2] = 1, 0, (lo + 1) >> 1, hi >> 1
@@ -362,18 +357,16 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     under = up[3] < up[1]  # the upper triangle's own slabs lie below the diagonal's
     up[3], up[4] = np.where(under, up[3], up[2] + 1), np.where(under, up[1] - 1, up[4])
 
-    # the lower triangles of each cell and of the cells above and left of it, round a torus
-    lower = 2 * np.arange(tri.ncx * tri.ncy, dtype=np.int32).reshape(tri.ncy, tri.ncx)
-    across = np.array([(lower + 2 * tri.ncx) % tri.ntri, lower - 2])
-    across[1, :, 0] += 2 * tri.ncx
+    # the lower triangles of each cell and of the cells above and left of it
+    lower = 2 * np.arange(h * w, dtype=np.int32).reshape(h, w)
+    across = np.array([(lower + 2 * w) % tri.ntri, lower - 2])
+    across[1, :, 0] += 2 * w
     # by top or left edge, then by the diagonal's slabs or the upper triangle's own
-    segs = np.empty((4, 2, 2, tri.ncy, tri.ncx), dtype=np.int32)
+    segs = np.empty((4, 2, 2, h, w), dtype=np.int32)
     segs[0], segs[1, :, 0], segs[1, :, 1] = across[:, None], lower, lower + 1
     for i, (p, q) in enumerate(((r01, r11), (r00, r01))):
         np.maximum((np.minimum(p, q) + 1) >> 1, up[1:4:2], out=segs[2, i])
         np.minimum(np.maximum(p, q) >> 1, up[2:5:2], out=segs[3, i])
-    if not tri.wraps:  # no cell lies above a disk's top row or left of its left column
-        segs[3, 0, :, -1] = segs[3, 1, :, :, 0] = 0
 
     segs = segs.reshape(4, -1)
     segs = segs.compress(segs[2] <= segs[3], axis=1)
@@ -434,7 +427,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     around it, whose bottom (at a minimum) or top (at a maximum) is then the
     extremum's value; a batch gives each by its index in `points`.
     """
-    ntri, ncx, w, i32 = tri.ntri, tri.ncx, tri.width, np.int32
+    ntri, i32 = tri.ntri, np.int32
     K = (int(rank.max()) + 1) >> 1
     t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, rank)
     rank = rank.ravel()
@@ -445,22 +438,20 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     vindex[verts] = np.arange(len(verts))
     # (triangle, level, vertex index) for every triangle around a vertex at a
     # cut level, by level: every triangle that meets a level at a corner
-    star = tri.star(verts)
-    on = star < ntri
-    att_t, att_v = star[on], on.nonzero()[0]
+    att_t, att_v = tri.star(verts).ravel(), np.arange(len(verts)).repeat(6)
     att_j = vlev[att_v]
     # the end through which triangle t meets level j: the top of slab j, the
     # bottom of slab j+1, or for a flat triangle the vertex at its first corner
     att_lower = t_lo[att_t] < 2 * att_j + 1
     att_cross = att_lower | (t_hi[att_t] > 2 * att_j + 1)
     att_k = att_j + 1 - att_lower
-    att_flat = vindex[(att_t >> 1) + (w - ncx) * ((att_t >> 1) // ncx)]  # at the cell's (x,y)
+    att_flat = vindex[att_t >> 1]  # at the cell's first corner
 
     # the extrema inside slabs by slab, with the smallest triangle around each
     order = rank[points].argsort(kind="stable")
     points = points[order]
     pk, pt = rank[points] >> 1, tri.star(points).min(axis=1)
-    del rank, t_hi, vindex, star, on  # read by the set-up only
+    del rank, t_hi, vindex  # read by the set-up only
 
     def on_diag(t: np.ndarray, k) -> np.ndarray:  # whether t takes its lower one's node in slab k
         return (d_lo[t] <= k) & (k <= d_hi[t])
@@ -603,14 +594,13 @@ def _virtual_ranks(
     root = _label(len(node_t), *joins)
     del node_t, joins, segs, n_lo, n_hi
     # the component of each grid vertex strictly inside a coarse slab, read
-    # off the lower triangle of its own cell: a disk's frame is a coarse cut
+    # off the lower triangle of its own cell
     inside = ((crank & 1) == 0).nonzero()[0]
     k = crank[inside] >> 1
-    y, x = np.divmod(inside, tri.width)
-    t = 2 * (y * tri.ncx + x)
+    t = 2 * inside
     comp = np.full(nv, -1, dtype=np.int64)
     comp[inside] = root[base[t - ((d_lo[t] <= k) & (k <= d_hi[t]))] + k]
-    del base, t, d_lo, d_hi, x, y
+    del base, t, d_lo, d_hi
     # own(X) as rows of counts: under[row[X], j] own values of X below fine cut j
     fine = rank.ravel() >> 1
     saddles = saddles[(crank[saddles] & 1) == 0]
@@ -643,20 +633,18 @@ def _levels_crossed(rank: np.ndarray) -> float:
     return sum(s / rank.size for s in steps) / 2
 
 
-def _kept_lines(rank: np.ndarray, wraps: bool) -> tuple[np.ndarray, np.ndarray]:
+def _kept_lines(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows and the columns of a rank grid that the sweep keeps, as
-    ascending line indices: line 0, every line whose ranks differ from the
-    next line's (round a torus), and on a disk its last cell line and its
-    frame.  Line 0 stays so that every dropped line's cells have a smaller
-    neighbour across the ramp (see the module docstring).  A torus axis that
-    would keep fewer than 3 lines keeps them all: its cells would meet
+    ascending line indices: line 0 and every line whose ranks differ from the
+    next line's, round the torus, so a disk drops its last frame line, which
+    equals its first.  Line 0 stays so that every dropped line's cells have a
+    smaller neighbour across the ramp (see the module docstring).  An axis
+    that would keep fewer than 3 lines keeps them all: its cells would meet
     themselves or one neighbour twice across the wrap."""
     kept = []
     for r in (rank, rank.T):
         keep = np.append((r[:-1] != r[1:]).any(axis=1), (r[-1] != r[0]).any())
         keep[0] = True
-        if not wraps:
-            keep[-2:] = True
         lines = keep.nonzero()[0]
         kept.append(lines if len(lines) >= 3 else np.arange(len(keep)))
     return kept[0], kept[1]
@@ -667,7 +655,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     where its cells span many cut levels (see TWO_PASS_LEVELS), sweeping the
     grid with its repeated rank lines dropped (see `_kept_lines`)."""
     crits = classify_vertices(f)
-    tri = Triangulation(f.wraps, f.height, f.width)
+    tri = Triangulation(f.height, f.width)
 
     crits_at: dict[int, list[CriticalPoint]] = {}  # grid vertex -> its critical points
     for c in crits:
@@ -688,8 +676,8 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     rank = _ranks(f, cuts)
     if 2 * (len(cuts) - 1) >= TWO_PASS_LEVELS and _levels_crossed(rank) >= TWO_PASS_LEVELS:
         coarse = np.isin(cuts, [*extremes, *sorted(saddles)[COARSE_STRIDE - 1 :: COARSE_STRIDE]])
-        sites = np.array([c.y * f.width + c.x for c in crits if c.kind is CritKind.SADDLE])
-        rank = _virtual_ranks(tri, rank, coarse, sites)
+        sites = [c.y * f.width + c.x for c in crits if c.kind is CritKind.SADDLE]
+        rank = _virtual_ranks(tri, rank, coarse, np.array(sites, dtype=np.int64))
     sites = np.array(list(crits_at), dtype=np.int64)
     inside = sites[(rank.ravel()[sites] & 1) == 0]
     y, x = np.divmod(inside, f.width)
@@ -699,9 +687,9 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     at = at[rank.ravel()[at].argsort(kind="stable")]  # the marked ones at levels, by (level, y, x)
 
     # -- sweep the grid with repeated lines dropped (see `_kept_lines`): a
-    # grid vertex goes to the next kept line, round a torus
-    rows, cols = _kept_lines(rank, f.wraps)
-    sweep = Triangulation(f.wraps, len(rows), len(cols))
+    # grid vertex goes to the next kept line, round the torus
+    rows, cols = _kept_lines(rank)
+    sweep = Triangulation(len(rows), len(cols))
     rank = rank[np.ix_(rows, cols)]
     ry = rows.searchsorted(np.arange(f.height)) % len(rows)
     cx = cols.searchsorted(np.arange(f.width)) % len(cols)
@@ -717,7 +705,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     least, u, comp_t, top_g, top_c, ext_i, ext_g = map(np.concatenate, zip(*parts))
     # swept cell c is the field's cells[c], and the one past the last (holding
     # the sweep's ntri, an empty class's least) the field's one past its last
-    cells = np.append(rows[: sweep.ncy, None] * tri.ncx + cols[: sweep.ncx], tri.ntri >> 1)
+    cells = np.append(rows[:, None] * f.width + cols, tri.ntri >> 1)
     least, comp_t = (2 * cells[t >> 1] + (t & 1) for t in (least, comp_t))
     cls = vcls[sweep_at]
     n_cls, n_pre = len(least), len(u)

@@ -1,6 +1,7 @@
 """Oracles for `kronrod.reeb.build_reeb`, and the random fields they run on.
 
-`random_torus_field` draws seeded trigonometric sums on a torus grid, made
+`random_torus_field` draws seeded trigonometric sums on a torus grid, and
+`random_disk_field` on a disk's interior inside a constant frame, made
 PL-Morse by the library's tie repair.  `level_set_components` labels the
 components of one level set by a flood fill over `triangle_corners`, and
 `reeb_level_oracle` compares their number at random regular values with the
@@ -15,7 +16,8 @@ either side.  Each slab component's witness is its smallest triangle, and an
 edge merged from several keeps the least of theirs: the smallest triangle
 of the edge.  Edges are ordered by (lo, witness).  Node order, edge order,
 witness triangles and the smoothing are then those `build_reeb` promises,
-so the two graphs must have equal digests.
+so the two graphs must have equal digests, a disk's witnesses read as the
+library's ids of its cells (see `triangle_corners`).
 
 Components come from a plain union-find, which shares no code with the
 library's labeller, and shared grid edges from the triangles' corners, as
@@ -65,14 +67,43 @@ def random_torus_field(seed: int, size: int = 16) -> ScalarField:
             continue
 
 
+def random_disk_field(seed: int, size: int = 16, freq: int = 2, below: bool = False) -> ScalarField:
+    """Seeded trigonometric sum, with frequencies up to `freq` on each axis,
+    over a disk's interior, scaled into [1, 2] inside a frame at 0, negated
+    when `below` (the collar then lies below the frame), and tie-repaired to
+    PL-Morse.  Draws are retried as in `random_torus_field`."""
+    attempt, n = seed, size - 2
+    xs = np.arange(n) * (2 * np.pi / n)
+    X, Y = np.meshgrid(xs, xs)
+    while True:
+        rng = np.random.default_rng([attempt, size, freq])
+        inner = np.zeros((n, n))
+        for kx in range(freq + 1):
+            for ky in range(freq + 1):
+                if kx or ky:
+                    amp = rng.normal() / (1 + kx + ky)
+                    inner += amp * np.cos(kx * X + ky * Y + rng.uniform(0, 2 * np.pi))
+        vals = np.pad(1 + (inner - inner.min()) / np.ptp(inner), 1)
+        try:
+            vals = fix_ties(-vals if below else vals, "disk")
+            f = ScalarField("disk", vals)
+            classify_vertices(f)
+            return f
+        except (DegenerateVertex, InvalidField):
+            attempt += 7919
+            continue
+
+
 def triangle_corners(f: ScalarField) -> list[tuple[int, int, int]]:
     """Grid corners (y*width + x) of every triangle, by triangle id.
 
-    Triangles are numbered as in `reeb.Triangulation`: 2*(cy*ncx + cx) is
-    the lower triangle of cell (cx, cy), with corners (x,y), (x+1,y),
-    (x+1,y+1), and the next id is the upper one, with corners (x,y),
-    (x+1,y+1), (x,y+1).  Worked out here, so the oracle shares no adjacency
-    code with `build_reeb`.
+    2*(cy*ncx + cx) is the lower triangle of cell (cx, cy), with corners
+    (x,y), (x+1,y), (x+1,y+1), and the next id is the upper one, with corners
+    (x,y), (x+1,y+1), (x,y+1).  A torus has a cell at every grid vertex, and
+    its ids are those of `reeb.Triangulation`.  A disk's cells stop one short
+    of its frame (ncx = width - 1), where the library sweeps the disk as the
+    torus that glues its frame and names cell (cx, cy) cy*width + cx.  Worked
+    out here, so the oracle shares no adjacency code with `build_reeb`.
     """
     w, h = f.width, f.height
     ncx = w if f.wraps else w - 1

@@ -10,10 +10,12 @@ full value-preserving group, and per vertex its value (mapped), its
 critical points by kind (minima and maxima swapped under negation) and its
 degree.  The benchmark's `place` relies on the first four.
 
-A roll and negation act on a construction record too: a roll shifts its
-slot and rect-cycle rectangles and leaves its translations alone, and
-negation swaps its designed minima and maxima.  A corpus member so
-transformed verifies as the member does.
+A roll, the transpose and negation act on a construction record too: a
+roll shifts its slot and rect-cycle rectangles and leaves its translations
+alone, the transpose swaps x and y in every rectangle, translation and the
+grid's size, and negation swaps its designed minima and maxima.  A corpus
+member so transformed verifies as the member does, and so does a disk
+realization under the relations that keep the frame in place.
 """
 
 import json
@@ -31,7 +33,7 @@ from kronrod.reeb import build_reeb, classify_shape
 from kronrod.terms import parse_term
 from kronrod.verify import verify_realization
 
-from test_reeb import checked_fields
+from test_reeb import checked_fields, converse_bases
 
 KINDS = (CritKind.MINIMUM, CritKind.SADDLE, CritKind.MAXIMUM)
 
@@ -93,28 +95,35 @@ def test_relation_keeps_the_graph(relation):
     assert checked == (40 if relation == "roll" else 42)
 
 
-# name -> (roll as (dy, dx), whether it negates)
+# name -> (roll as (dy, dx), whether it transposes, whether it negates)
 RECORD_RELATIONS = {
-    "roll": ((3, 5), False),
-    "negation": ((0, 0), True),
-    "roll-negation": ((7, 11), True),
+    "roll": ((3, 5), False, False),
+    "negation": ((0, 0), False, True),
+    "roll-negation": ((7, 11), False, True),
+    "transpose": ((0, 0), True, False),
 }
 
 
-def transformed(f, rec, roll, negate):
-    """A realization rolled by `roll` and then negated when `negate`, field
-    and record alike."""
+def transformed(f, rec, roll, transpose, negate):
+    """A realization rolled by `roll`, then transposed when `transpose` and
+    negated when `negate`, field and record alike."""
     (dy, dx), doc = roll, json.loads(rec.to_json())
 
-    def shift(r):
-        return [(r[0] + dx) % f.width, (r[1] + dy) % f.height, *r[2:]]
+    def move(r):
+        x, y, w, h = (r[0] + dx) % f.width, (r[1] + dy) % f.height, *r[2:]
+        return [y, x, h, w] if transpose else [x, y, w, h]
 
     for slot in doc["slots"]:
-        slot["rect"] = shift(slot["rect"])
+        slot["rect"] = move(slot["rect"])
     for sym in doc["symmetries"]:
         if sym["kind"] == "rect_cycle":
-            sym["rects"] = [shift(r) for r in sym["rects"]]
+            sym["rects"] = [move(r) for r in sym["rects"]]
+        elif transpose:
+            sym["dx"], sym["dy"] = sym["dy"], sym["dx"]
     values = np.roll(f.values, roll, axis=(0, 1))
+    if transpose:
+        values = values.T
+        doc["width"], doc["height"] = doc["height"], doc["width"]
     if negate:
         values = -values
         doc["designed_counts"].reverse()
@@ -130,8 +139,14 @@ def verdict(report):
 
 @pytest.mark.parametrize("relation", list(RECORD_RELATIONS))
 def test_relation_on_the_record_keeps_the_verdict(relation):
-    roll, negate = RECORD_RELATIONS[relation]
-    for m in corpus_grid():
-        f, rec = realize_member(m)
+    """The 26 corpus members, and the 16 disk realizations of the converse
+    sweep under the relations that do not roll."""
+    roll, transpose, negate = RECORD_RELATIONS[relation]
+    cases = [(m.label, *realize_member(m)) for m in corpus_grid()]
+    if roll == (0, 0):
+        cases += [(f"disk-{b}", *realize_disk(parse_term(b))) for b in converse_bases()]
+    for label, f, rec in cases:
         want = verdict(verify_realization(f, rec))
-        assert verdict(verify_realization(*transformed(f, rec, roll, negate))) == want, m.label
+        got = verify_realization(*transformed(f, rec, roll, transpose, negate))
+        assert verdict(got) == want, label
+    assert len(cases) == (26 if roll != (0, 0) else 42)

@@ -42,6 +42,7 @@ from reeb_oracle import (
     build_reeb_per_level,
     corner_table,
     level_set_components,
+    random_disk_field,
     random_torus_field,
     spans,
     triangle_corners,
@@ -106,15 +107,35 @@ def complement_components(g, vid):
     return flood_fill(f, free)
 
 
-def graph_digest(g):
-    """SHA-256 over ids, values, boundary flags, crits, intervals and witnesses."""
+def graph_digest(g, ids=None):
+    """SHA-256 over ids, values, boundary flags, crits, intervals and
+    witnesses, each witness read as `ids[witness]` when `ids` is given."""
     h = hashlib.sha256()
     for v in g.vertices:
         crits = [(c.x, c.y, c.kind.value, float(c.value)) for c in v.crits]
         h.update(repr((v.id, float(v.value), bool(v.boundary), crits)).encode())
     for e in g.edges:
-        h.update(repr((e.id, e.u, e.v, float(e.lo), float(e.hi), int(e.witness))).encode())
+        witness = int(e.witness if ids is None else ids[e.witness])
+        h.update(repr((e.id, e.u, e.v, float(e.lo), float(e.hi), witness)).encode())
     return h.hexdigest()
+
+
+def glued(f):
+    """The library's id of each of the oracle's triangles of `f`.
+
+    The oracle's triangles 2c and 2c+1 have their cell's first corner first,
+    and the library names a cell by that corner, y*W + x.  So the ids agree
+    on a torus.  A disk's oracle cells stop one short of its frame, and its
+    cell (x, y) is the library's y*W + x, which keeps their order."""
+    corners = corner_table(f)
+    return 2 * corners[:, 0] + np.arange(len(corners)) % 2
+
+
+def glue_triangles(f):
+    """The library's triangles that no oracle triangle of `f` maps to: none
+    on a torus, and on a disk those of the glue cells, its last row and
+    column, which cross the join of its frame's opposite sides."""
+    return np.setdiff1d(np.arange(2 * f.values.size), glued(f))
 
 
 class TestBuildReeb:
@@ -320,25 +341,28 @@ class TestLabel:
 
 
 def record_sweeps(f, monkeypatch):
-    """The field that each `_sweep` call of `build_reeb(f)` sweeps, `f` with
-    its repeated rank lines dropped (its values on the lines `_kept_lines`
-    keeps), its cut values (as a list) and its extrema inside slabs; the cut
-    values are read off the grid vertices of odd rank, which a one-pass
-    build puts at its cuts."""
+    """The field that each `_sweep` call of `build_reeb(f)`, made in one
+    pass, sweeps, `f` with its repeated rank lines dropped (its values on
+    the lines `_kept_lines` keeps), its cut values (as a list) and its
+    extrema inside slabs; the cut values are read off the grid vertices of
+    odd rank, which a one-pass build puts at its cuts.  The swept field is a
+    torus, as `_sweep` labels every grid round the torus: a disk's sweep has
+    dropped its last frame row and column, which equal its first."""
     calls, kept = [], []
     kept_lines = kronrod.reeb._kept_lines
 
-    def keeping(rank, wraps):
-        kept.append(kept_lines(rank, wraps))
+    def keeping(rank):
+        kept.append(kept_lines(rank))
         return kept[-1]
 
     def recording(tri, rank, points):
         values = f.values[np.ix_(*kept[-1])]
         cuts = sorted(set(values[(rank & 1) == 1].tolist()))
-        calls.append((ScalarField(f.kind, values, validate=False), cuts, points))
+        calls.append((ScalarField("torus", values, validate=False), cuts, points))
         return _sweep(tri, rank, points)
 
     with monkeypatch.context() as mp:  # `recording` reads this `f` only
+        passes(mp)
         mp.setattr(kronrod.reeb, "_kept_lines", keeping)
         mp.setattr(kronrod.reeb, "_sweep", recording)
         build_reeb(f)
@@ -355,10 +379,12 @@ def check_sweep(f, cuts, points):
     components whose bottom or top end it is, and every triangle around its
     grid vertices.  Each extremum inside a slab is given once, by its index
     in `points`, with the component that holds the triangles around it, and
-    the empty ends are exactly one end of each of those components.
+    the empty ends are exactly one end of each of those components.  The
+    flood fills run on the oracle's triangles, whose ids the sweep's are
+    compared with through `glued`.
     """
-    tri = Triangulation(f.wraps, f.height, f.width)
-    sp, corners = spans(f), corner_table(f)
+    tri = Triangulation(f.height, f.width)
+    sp, corners, ids = spans(f), corner_table(f), glued(f)
     comp_slab: list[int] = []
     comp_t: list[int] = []
     ends: list[tuple[int, int, int]] = []  # (class, component, level)
@@ -387,8 +413,8 @@ def check_sweep(f, cuts, points):
         sel = (sp.tri_max > cuts[k - 1]) & (sp.tri_min < cuts[k])
         joins = (sp.edge_max > cuts[k - 1]) & (sp.edge_min < cuts[k])
         comps = flood_fill(f, sel, joins)
-        assert [t for t, j in zip(comp_t, comp_slab) if j == k] == [m[0] for m in comps]
-        members.update(((k, m[0]), m) for m in comps)
+        assert [t for t, j in zip(comp_t, comp_slab) if j == k] == [ids[m[0]] for m in comps]
+        members.update(((k, ids[m[0]]), m) for m in comps)
     classes: list[set[int]] = [set() for _ in class_level]
     for c, g, j in ends:
         m = members[comp_slab[g], comp_t[g]]
@@ -396,7 +422,7 @@ def check_sweep(f, cuts, points):
     for p, c in vertex_class.items():
         classes[c].update(np.flatnonzero((corners == p).any(axis=1)).tolist())
     assert class_level == sorted(class_level)
-    assert class_least == [min(m, default=tri.ntri) for m in classes]
+    assert class_least == [min(ids[list(m)], default=tri.ntri) for m in classes]
     for j, c in enumerate(cuts):
         level = [sorted(m) for m, k in zip(classes, class_level) if k == j and m]
         assert level == level_set_components(f, c)
@@ -423,6 +449,15 @@ def bench_field(side):
     return kronrod.fields.ScalarField("torus", values)
 
 
+def converse_bases():
+    """The 16 disk-class base terms of `scripts/converse_sweep.py`."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "converse_sweep.py"
+    spec = importlib.util.spec_from_file_location("converse_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep.BASES
+
+
 ORACLE_FIELDS = {
     **{m.label: (lambda m=m: realize_member(m)[0]) for m in corpus_grid()},
     **{
@@ -445,8 +480,18 @@ ORACLE_FIELDS = {
         "torus",
         np.roll(realize_torus_tree(parse_term("wr(1,2)"), 1, 1)[0].values, (30, 32), axis=(0, 1)),
     ),
-    "disk-wr(1,3)": lambda: realize_disk(parse_term("wr(1,3)"))[0],
-    "disk-prod(wr(1,2),wr(1,3))": lambda: realize_disk(parse_term("prod(wr(1,2),wr(1,3))"))[0],
+    # the disk realizations of the converse sweep, and seeded disks with
+    # their collar above or below the frame; the last takes two passes
+    **{f"disk-{b}": (lambda b=b: realize_disk(parse_term(b))[0]) for b in converse_bases()},
+    **{
+        f"random-disk-{s}-{n}{'-below' * below}": (
+            lambda s=s, n=n, below=below: random_disk_field(s, n, below=below)
+        )
+        for s in range(3)
+        for n in (12, 20)
+        for below in (False, True)
+    },
+    "random-disk-1-48": lambda: random_disk_field(1, 48, freq=6),
     "bench-32": lambda: bench_field(32),
     "bench-64": lambda: bench_field(64),
     # constructions beyond the corpus, whose sweeps run on grids with
@@ -475,10 +520,11 @@ def test_cuts_at_saddles_boundaries_and_extremes(name, monkeypatch):
 
 def record_batches(f, monkeypatch):
     """The field, cuts and points of the sweep that `build_reeb(f)` makes
-    (see `record_sweeps`), and per batch its slabs (first, last) and the
-    node count of its first `_label` call, the one that labels its slab
-    components."""
+    in one pass (see `record_sweeps`), and per batch its slabs (first, last)
+    and the node count of its first `_label` call, the one that labels its
+    slab components."""
     counts, batches = [], []
+    passes(monkeypatch)
 
     def label(n, a, b):
         counts.append(n)
@@ -568,26 +614,27 @@ def test_torus_column_of_run_heads():
 
 
 @pytest.mark.parametrize(
-    "wraps, pattern, kept",
+    "pattern, kept",
     [
-        (True, "aabbbc", [0, 1, 4, 5]),  # line 0, and the last line of each run
-        (True, "abbcaa", [0, 2, 3]),  # lines 4 and 5 equal line 0 round the torus
-        (False, "abbcaa", [0, 2, 3, 4, 5]),  # a disk's last cell line and its frame
-        (True, "abbb", [0, 1, 2, 3]),  # two lines would be left
-        (True, "aaaa", [0, 1, 2, 3]),
+        ("aabbbc", [0, 1, 4, 5]),  # line 0, and the last line of each run
+        ("abbcaa", [0, 2, 3]),  # lines 4 and 5 equal line 0 round the torus
+        ("abbb", [0, 1, 2, 3]),  # two lines would be left
+        ("aaaa", [0, 1, 2, 3]),
     ],
+    # the ids the rows had when a row also said whether its axis wraps
+    ids=["True-aabbbc-kept0", "True-abbcaa-kept1", "True-abbb-kept3", "True-aaaa-kept4"],
 )
-def test_kept_lines(wraps, pattern, kept):
-    """`_kept_lines` keeps line 0, the last line of each run of lines with
-    equal ranks, compared round a torus, and a disk's last two lines, and
-    keeps every line of a torus axis that would keep fewer than 3; rows and
-    columns alike, each whatever the other axis holds."""
+def test_kept_lines(pattern, kept):
+    """`_kept_lines` keeps line 0 and the last line of each run of lines
+    with equal ranks, compared round the torus, and keeps every line of an
+    axis that would keep fewer than 3; rows and columns alike, each whatever
+    the other axis holds."""
     rows = np.array([ord(c) for c in pattern])
     cols = np.arange(8)  # no two columns equal
     rank = (2 * (100 * rows[:, None] + cols)).astype(np.int32)
-    r, c = _kept_lines(rank, wraps)
+    r, c = _kept_lines(rank)
     assert (r.tolist(), c.tolist()) == (kept, list(range(8)))
-    r, c = _kept_lines(rank.T.copy(), wraps)
+    r, c = _kept_lines(rank.T.copy())
     assert (r.tolist(), c.tolist()) == (list(range(8)), kept)
 
 
@@ -598,8 +645,8 @@ def test_kept_grid_points(monkeypatch):
     sizes = []
     kept_lines = kronrod.reeb._kept_lines
 
-    def spy(rank, wraps):
-        rows, cols = kept_lines(rank, wraps)
+    def spy(rank):
+        rows, cols = kept_lines(rank)
         sizes.append((len(rows) * len(cols), rank.size))
         return rows, cols
 
@@ -667,16 +714,30 @@ def test_build_cuts_at_the_values_of_a_grid_scan(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def per_level_digest(name):
-    """The digest of the per-level builder's graph of an oracle field."""
-    return graph_digest(build_reeb_per_level(ORACLE_FIELDS[name]()))
+    """The digest of the per-level builder's graph of an oracle field, its
+    witnesses read as the library's triangles (see `glued`)."""
+    f = ORACLE_FIELDS[name]()
+    return graph_digest(build_reeb_per_level(f), glued(f))
 
 
 @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
 def test_matches_per_level_builder(name):
     """The sweep gives the graph of the per-level builder it replaced, with
     the same ids, values, crits, intervals and witnesses, the smallest
-    triangle of each edge."""
-    assert graph_digest(build_reeb(ORACLE_FIELDS[name]())) == per_level_digest(name)
+    triangle of each edge; on a disk, swept as the torus that glues its
+    frame, no witness is a glue triangle."""
+    f = ORACLE_FIELDS[name]()
+    g = build_reeb(f)
+    assert graph_digest(g) == per_level_digest(name)
+    assert not np.isin([e.witness for e in g.edges], glue_triangles(f)).any()
+
+
+def test_a_disk_takes_two_passes(monkeypatch):
+    """The module's rule sends the 48 x 48 seeded disk to two passes, so the
+    per-level comparison covers a disk swept on virtual ranks."""
+    calls = spy_two_passes(monkeypatch)
+    build_reeb(ORACLE_FIELDS["random-disk-1-48"]())
+    assert calls == [1]
 
 
 def spy_two_passes(monkeypatch):
@@ -807,7 +868,9 @@ class TestPinnedGraphs:
     where edges came to be named and ordered by their witnesses in the
     sweep's slabs.  The witness is now again the edge's smallest triangle,
     which moved four witnesses of `random-3-24` and none of the
-    constructions'; any change to them shows here."""
+    constructions'.  Sweeping a disk as the torus that glues its frame
+    renamed the cells off its row 0, which hold none of the witnesses of
+    `disk-wr(1,3)`.  Any change to them shows here."""
 
     DIGESTS = {
         "tree-wr(1,2)-1-2": "13bb14b1f6a47d32dc3cb51dc9678a54f6daff6a713c4e7b990373dcf7cbaa4f",
@@ -1017,36 +1080,47 @@ class TestCellCorners:
     def test_views_match_the_corpus_corners(self, kind, shape):
         """`Triangulation.cell_corners` of the vertex-id grid against
         `reeb_oracle.triangle_corners`, which works out the corners (x,y),
-        (x+1,y+1) and the third one by itself.  Grids with w != h at the
-        minimum side pin the appended wrap row and column."""
+        (x+1,y+1) and the third one by itself, read through `glued`.  Grids
+        with w != h at the minimum side pin the wrap row and column.  Every
+        triangle of a disk's H + W - 1 glue cells, the cells that no oracle
+        cell maps to, has all its corners on the frame."""
         f = ScalarField(kind, np.zeros(shape), validate=False)
-        tri = Triangulation(f.wraps, *shape)
+        tri = Triangulation(*shape)
         ids = np.arange(f.values.size).reshape(shape)
         v00, v10, v11, v01 = (v.ravel().tolist() for v in tri.cell_corners(ids))
         got = [t for c in zip(v00, v10, v11, v01) for t in ((c[0], c[2], c[1]), (c[0], c[2], c[3]))]
-        assert got == triangle_corners(f)
+        assert [got[t] for t in glued(f)] == triangle_corners(f)
+        glue, frame = glue_triangles(f), np.flatnonzero(f.boundary_mask())
+        assert len(glue) == (0 if f.wraps else 2 * (sum(shape) - 1))
+        assert np.isin([got[t] for t in glue], frame).all()
 
     @pytest.mark.parametrize("kind", ["torus", "disk"])
     @pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
     def test_star_matches_the_corpus_corners(self, kind, shape):
         """`Triangulation.star` of every grid point, in a random order and the
         disk's frame included, against the triangles whose
-        `reeb_oracle.triangle_corners` hold the point, in the order its docstring
-        gives: the lower triangles that have it as their corner (x+1,y+1),
-        (x+1,y) and (x,y), then the upper ones that have it as (x+1,y+1),
-        (x,y+1) and (x,y), and ntri where a disk has none.  A triangle is an
-        upper one when its third corner lies off its first corner's row."""
+        `reeb_oracle.triangle_corners` hold the point, read through `glued`,
+        in the order its docstring gives: the lower triangles that have it as
+        their corner (x+1,y+1), (x+1,y) and (x,y), then the upper ones that
+        have it as (x+1,y+1), (x,y+1) and (x,y).  A triangle is an upper one
+        when its third corner lies off its first corner's row.  Where a
+        disk's oracle has no such triangle, the point is on the frame and the
+        star holds a glue triangle."""
         f = ScalarField(kind, np.zeros(shape), validate=False)
         h, w = shape
-        tri = Triangulation(f.wraps, h, w)
+        tri = Triangulation(h, w)
         at = {}
-        for t, corners in enumerate(triangle_corners(f)):
+        for t, corners in zip(glued(f).tolist(), triangle_corners(f)):
             upper = corners[2] // w != corners[0] // w
             at.update(((p, upper, i), t) for i, p in enumerate(corners))
         points = np.random.default_rng(w).permutation(w * h)
         order = [(up, i) for up in (False, True) for i in (1, 2, 0)]
-        want = [[at.get((p, up, i), tri.ntri) for up, i in order] for p in points]
-        assert tri.star(points).tolist() == want
+        want = np.array([[at.get((p, up, i), -1) for up, i in order] for p in points])
+        got = tri.star(points)
+        own = want >= 0
+        assert (got[own] == want[own]).all()
+        assert np.isin(got[~own], glue_triangles(f)).all()
+        assert f.boundary_mask().ravel()[points[(~own).any(axis=1)]].all()
 
     def test_build_reads_the_cell_corners_once(self, monkeypatch):
         """A build reads the grid it sweeps at the cell corners in one
@@ -1094,9 +1168,10 @@ class TestSlabRoots:
         swept in several batches and every corpus member with a parallel
         pair, against the oracle's union-find over the triangles and shared
         grid edges whose value spans meet the open interval, worked out with
-        `_pieces`, `_ranks` and `_label` barred.  Every other triangle is its
-        own root, and each edge of a parallel pair is one component, rooted
-        at its witness."""
+        `_pieces`, `_ranks` and `_label` barred and read through `glued`.
+        Every other triangle is its own root, a disk's glue triangles among
+        them, and each edge of a parallel pair is one component, rooted at its
+        witness."""
         f = ORACLE_FIELDS[name]()
         g = build_reeb(f)
         cuts = cut_values(f)
@@ -1104,7 +1179,7 @@ class TestSlabRoots:
         if g.parallel:
             pair = [g.edges[e] for e in g.parallel]
             intervals.append((pair[0].lo, pair[0].hi))
-        sp, want = spans(g.field), []
+        sp, ids, want = spans(g.field), glued(f), []
 
         def barred(*args):
             raise AssertionError("the oracle called the library's slab rule")
@@ -1117,10 +1192,12 @@ class TestSlabRoots:
                     sp, (sp.tri_max > a) & (sp.tri_min < b), (sp.edge_max > a) & (sp.edge_min < b)
                 )
                 root, inside = np.arange(g.tri.ntri), comp_of >= 0
-                root[inside] = np.array([m[0] for m in members])[comp_of[inside]]
+                root[ids[inside]] = ids[np.array([m[0] for m in members])[comp_of[inside]]]
                 want.append(root)
+        glue = glue_triangles(f)
         for (a, b), root in zip(intervals, want):
             assert g.slab_roots(a, b).tolist() == root.tolist(), (a, b)
+            assert (g.slab_roots(a, b)[glue] == glue).all(), (a, b)
         if g.parallel:
             root = want[-1]
             assert [root[e.witness] for e in pair] == [e.witness for e in pair]
