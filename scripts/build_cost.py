@@ -253,23 +253,25 @@ def main() -> None:
         sweep(args.side or SWEEP_SIDES, args.stride or [reeb.COARSE_STRIDE], args.reps)
         return
     measured = list(fields())
-    graphs = [reeb.build_reeb(f) for _, _, f in measured]
+    for _, _, f in measured:  # every timed build reads the critical points kept on its field
+        classify_vertices(f)
     times = best_times([f for _, _, f in measured], args.reps)
     fit = []
-    for (group, label, f), g, (classify, seconds) in zip(measured, graphs, times):
+    for (group, label, f), (classify, seconds) in zip(measured, times):
+        ntri = 2 * f.values.size
         passes, (coarse, swept), (kept_w, kept_h) = labelled_nodes(f)
         saddles, levels = rule_inputs(f)
         print(
             f"{group:8s} {label:32s} grid {f.width:3d}x{f.height:<3d} "
             f"kept {kept_w:3d}x{kept_h:<3d} "
-            f"triangles {g.tri.ntri:6d}  saddle values {saddles:4d}  "
+            f"triangles {ntri:6d}  saddle values {saddles:4d}  "
             f"levels per cell {levels:6.2f}  "
             f"passes {passes}  nodes {coarse:6d} + {swept:6d} "
-            f"({(coarse + swept) / g.tri.ntri:5.2f} per triangle)  "
+            f"({(coarse + swept) / ntri:5.2f} per triangle)  "
             f"classify {classify * 1e3:7.3f} ms  build {seconds * 1e3:8.3f} ms"
         )
         if group != "fields":
-            fit.append((g.tri.ntri, seconds))
+            fit.append((ntri, seconds))
     floor, slope = theil_sen(*np.array(fit).T)
     print(
         f"Theil-Sen fit over {len(fit)} constructed fields: "

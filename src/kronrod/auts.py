@@ -20,8 +20,6 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from kronrod.errors import AutOverflow, IncompleteRecord, NotAnAutomorphism
 from kronrod.permgroups import PermGroup, group_order
 from kronrod.records import ConstructionRecord, SymmetrySpec, moves
@@ -150,9 +148,7 @@ def induced_graph_aut(g: ReebGraph, sym: SymmetrySpec) -> GraphAut:
     classify_shape(g)
     point_map = moves(g.field, sym)
     _, carrier, points = g.push_tables()
-    image = np.arange(g.field.values.size)
-    image[point_map[0]] = point_map[1]
-    hits = map(carrier.get, image[points].tolist())  # the critical points', vertex by vertex
+    hits = map(carrier.get, point_map[0][points].tolist())  # the critical points', vertex by vertex
 
     vperm = []
     for v in g.vertices:

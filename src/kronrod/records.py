@@ -177,12 +177,12 @@ def _rect_points(f: ScalarField, r: Rect) -> np.ndarray:
     return (r.y0 % h + np.arange(r.h))[:, None] % h * w + (r.x0 % w + np.arange(r.w)) % w
 
 
-def moves(f: ScalarField, sym: SymmetrySpec) -> tuple:
-    """Where a symmetry sends the grid points it moves: their flat indices
-    ``y * width + x`` (``slice(None)``, all of them, for a translation), their
-    images, and the piece that moves each rigidly (the rectangle's index in a
-    cycle, 0 for a translation).  NotAnAutomorphism unless the map is a
-    bijection of the grid: a translation of a torus, or a cycle of equal,
+def moves(f: ScalarField, sym: SymmetrySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Where a symmetry sends each grid point, as two int32 arrays over the
+    flat indices ``y * width + x``: each point's image, and the piece that
+    moves it rigidly (0 everywhere for a translation; in a cycle the
+    rectangle's index, -1 outside them).  NotAnAutomorphism unless the map is
+    a bijection of the grid: a translation of a torus, or a cycle of equal,
     pairwise disjoint rectangles that `_rect_points` reads; each goes onto the
     next, so together they are their own image.  Made once per field and
     symmetry and kept on the field; a symmetry whose map raises keeps nothing.
@@ -194,14 +194,14 @@ def moves(f: ScalarField, sym: SymmetrySpec) -> tuple:
     return f._maps[sym]
 
 
-def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple:
+def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple[np.ndarray, np.ndarray]:
     w, h = f.width, f.height
     if isinstance(sym, GridTranslation):
         if not f.wraps:
             raise NotAnAutomorphism("grid translation on a non-torus field")
         xs = (np.arange(w, dtype=np.int32) + sym.dx % w) % w  # int32: kept on the field
         ys = (np.arange(h, dtype=np.int32) + sym.dy % h) % h
-        return slice(None), (ys[:, None] * w + xs).ravel(), 0
+        return (ys[:, None] * w + xs).ravel(), np.zeros(h * w, dtype=np.int32)
     rects = sym.rects
     if not rects or any((r.w, r.h) != (rects[0].w, rects[0].h) for r in rects):
         raise NotAnAutomorphism("rect cycle with mismatched or empty rectangles")
@@ -213,8 +213,10 @@ def _point_map(f: ScalarField, sym: SymmetrySpec) -> tuple:
 
     if not all(apart(a, b) for a, b in combinations(rects, 2)):
         raise NotAnAutomorphism("point map of the symmetry is not a bijection")
-    dst = np.concatenate([src[1:], src[:1]])
-    return src.ravel(), dst.ravel(), np.repeat(np.arange(len(rects)), rw * rh)
+    image, piece = np.arange(h * w, dtype=np.int32), np.full(h * w, -1, dtype=np.int32)
+    image[src] = np.concatenate([src[1:], src[:1]])
+    piece[src] = np.arange(len(rects))[:, None, None]
+    return image, piece
 
 
 def check_record_against_field(rec: ConstructionRecord, f: ScalarField) -> None:
@@ -237,6 +239,5 @@ def check_record_against_field(rec: ConstructionRecord, f: ScalarField) -> None:
         if not all(np.array_equal(ref, x) for x in rest):
             raise InvalidField(f"slots of orbit {orbit} are not value-congruent")
     for sym in rec.symmetries:
-        src, dst, _ = moves(f, sym)
-        if not np.array_equal(flat.take(dst), flat[src]):
+        if not np.array_equal(flat.take(moves(f, sym)[0]), flat):
             raise InvalidField(f"field is not invariant under {sym}")

@@ -20,7 +20,7 @@ chains, and each chain becomes one edge.
 
 Every grid is triangulated round the torus, each cell named by its first
 corner, and a disk is the torus that glues its frame's opposite sides, whose
-glue cells are flat at the frame's value (see `Triangulation`).
+glue cells are flat at the frame's value (see `_pieces`).
 
 A field whose cells span many cut levels is built in two passes instead:
 the first labels the slabs between a few coarse cuts, and the sweep then
@@ -78,59 +78,32 @@ from kronrod.fields import TORUS, CriticalPoint, CritKind, ScalarField, _link, c
 # ---------------------------------------------------------------------------
 
 
-# the cells (dx, dy) and triangles (upper) around a grid vertex, for `Triangulation.star`
+# the cells (dx, dy) and triangles (upper) around a grid vertex, for `_star`
 _STAR = np.array([[-1, -1, 0, -1, 0, 0], [-1, 0, 0, -1, -1, 0], [0, 0, 0, 1, 1, 1]])
 
 
-class Triangulation:
-    """Index arithmetic for the diagonal-split grid of an (H, W) shape, swept
-    round the torus.
-
-    Cell p = y*W + x is named by its first corner (x,y).  Triangle 2p is its
-    lower triangle with corners (x,y), (x+1,y), (x+1,y+1); triangle 2p+1 is
-    the upper one with corners (x,y), (x+1,y+1), (x,y+1), every corner read
-    round the torus.  A disk is the torus that glues its frame's opposite
-    sides.  Its glue cells, those of its last row and column, have all four
-    corners on the constant frame: each is flat at the frame's cut value,
-    lies in no slab and only joins frame vertices into the one boundary level
-    component that they already form.  A build reads a grid's values at the
-    corners once, through the link views of `cell_corners`, and the few
-    corners it needs one by one through `star`.
-    """
-
-    def __init__(self, height: int, width: int):
-        self.height, self.width = height, width
-        self.ntri = 2 * height * width
-
-    def cell_corners(self, grid: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The values of an (H, W) grid at the corners (x,y), (x+1,y),
-        (x+1,y+1) and (x,y+1) of every cell, as (H, W) arrays: the grid and
-        its E, NE and N link views (see `fields._link`)."""
-        return (grid, *_link(grid)[:3])
-
-    def star(self, points: np.ndarray) -> np.ndarray:
-        """The triangles around each of the grid vertices `points`, as a
-        (len(points), 6) array: the lower triangles of the cells to the lower
-        left, to the left and at the vertex, then the upper ones of the cells
-        to the lower left, below and at it."""
-        w, h = self.width, self.height
-        y, x = np.divmod(points, w)
-        dx, dy, up = _STAR
-        return 2 * ((y[:, None] + dy) % h * w + (x[:, None] + dx) % w) + up
+def _star(shape: tuple[int, int], points: np.ndarray) -> np.ndarray:
+    """The triangles (see `_pieces`) around each of the grid vertices `points`
+    of an (H, W) grid, as a (len(points), 6) array: the lower triangles of the
+    cells to the lower left, to the left and at the vertex, then the upper ones
+    of the cells to the lower left, below and at it."""
+    h, w = shape
+    y, x = np.divmod(points, w)
+    dx, dy, up = _STAR
+    return 2 * ((y[:, None] + dy) % h * w + (x[:, None] + dx) % w) + up
 
 
-def _cell_permutation(tri: Triangulation, point_map: tuple) -> np.ndarray:
-    """Triangle-level map of a point map (see `records.moves`), read as each
-    grid point's flat image and rigid piece (-1 where fixed): a cell whose
-    four corners lie in one piece moves to the cell named by its first
-    corner's image; every other cell stays put."""
-    n = tri.height * tri.width
-    image, piece = np.arange(n), np.full(n, -1)
-    image[point_map[0]], piece[point_map[0]] = point_map[1:]
-    p00, p10, p11, p01 = tri.cell_corners(piece.reshape(tri.height, tri.width))
+def _cell_permutation(shape: tuple[int, int], point_map: tuple) -> np.ndarray:
+    """Triangle-level map of a point map (see `records.moves`), each grid
+    point's flat image and rigid piece (-1 where fixed): a cell whose four
+    corners lie in one piece moves to the cell named by its first corner's
+    image; every other cell stays put."""
+    image, piece = point_map
+    p00 = piece.reshape(shape)
+    p10, p11, p01 = _link(p00)[:3]
     rigid = (p00 >= 0) & (p10 == p00) & (p11 == p00) & (p01 == p00)
-    target = np.where(rigid.ravel(), image, np.arange(n))
-    perm = np.empty(tri.ntri, dtype=np.int64)
+    target = np.where(rigid.ravel(), image, np.arange(image.size))
+    perm = np.empty(2 * image.size, dtype=np.int64)
     perm[0::2] = 2 * target
     perm[1::2] = 2 * target + 1
     return perm
@@ -198,11 +171,10 @@ class ShapeReport(NamedTuple):
 
 
 class ReebGraph:
-    """Kronrod-Reeb graph with its field (None on a graph made from parts)
-    and that field's triangulation, settled when it is made: the edge ends
-    at each vertex (`incidence`), the leaf peel (`peeled`, `left`, see
-    `_peel`), the shape report (`shape`, see `_walk`) and the edges of a
-    circuit of length two (`parallel`)."""
+    """Kronrod-Reeb graph with its field (None on a graph made from parts),
+    settled when it is made: the edge ends at each vertex (`incidence`), the
+    leaf peel (`peeled`, `left`, see `_peel`), the shape report (`shape`, see
+    `_walk`) and the edges of a circuit of length two (`parallel`)."""
 
     def __init__(
         self,
@@ -211,7 +183,6 @@ class ReebGraph:
         field: Optional[ScalarField] = None,
     ):
         self.vertices, self.edges, self.field = vertices, edges, field
-        self.tri = None if field is None else Triangulation(field.height, field.width)
         self.incidence: list[list[int]] = [[] for _ in vertices]
         for e in edges:
             for x in (e.u, e.v):
@@ -263,7 +234,7 @@ class ReebGraph:
         pair = self.parallel
         if pair and eperm[pair[0]] in pair:
             root = self.slab_roots(self.edges[pair[0]].lo, self.edges[pair[0]].hi)
-            perm = _cell_permutation(self.tri, point_map)
+            perm = _cell_permutation(self.field.values.shape, point_map)
             for e in pair:
                 mapped = root[perm[root == root[self.edges[e].witness]]]
                 hits = [d for d in pair if (mapped == root[self.edges[d].witness]).all()]
@@ -280,10 +251,10 @@ class ReebGraph:
         per interval and kept."""
         if (lo, hi) not in self._slabs:
             rank = _ranks(self.field, np.array([lo, hi]))
-            t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(self.tri, rank)
-            base = np.zeros(self.tri.ntri, dtype=np.int32)
+            t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(rank)
+            base = np.zeros(2 * rank.size, dtype=np.int32)
             node_t, _, _, joins = _slab_nodes(1, 1, n_lo, n_hi, segs, base)
-            root = np.arange(self.tri.ntri)
+            root = np.arange(2 * rank.size)
             t = ((t_lo <= 2) & (2 <= t_hi)).nonzero()[0]
             on_diag = (d_lo[t] <= 1) & (1 <= d_hi[t])
             root[t] = node_t[_label(len(node_t), *joins)][base[t - on_diag] + 1]
@@ -334,9 +305,20 @@ def _ranks(f: ScalarField, cuts: np.ndarray) -> np.ndarray:
     return (2 * above - (cuts[above - 1] == f.values)).astype(np.int32)
 
 
-def _pieces(tri: Triangulation, rank: np.ndarray):
+def _pieces(rank: np.ndarray):
     """The one slab rule, for `_sweep` and `ReebGraph.slab_roots`, from one
-    `cell_corners` pass over the grid of vertex ranks (see `_ranks`).
+    pass over the corners of the cells of an (H, W) grid of vertex ranks (see
+    `_ranks`): the grid and its E, NE and N link views (see `fields._link`).
+
+    The grid is triangulated round the torus.  Cell p = y*W + x is named by
+    its first corner (x,y).  Triangle 2p is its lower triangle with corners
+    (x,y), (x+1,y), (x+1,y+1); triangle 2p+1 is the upper one with corners
+    (x,y), (x+1,y+1), (x,y+1), every corner read round the torus.  A disk is
+    the torus that glues its frame's opposite sides.  Its glue cells, those of
+    its last row and column, have all four corners on the constant frame:
+    each is flat at the frame's cut value, lies in no slab and only joins
+    frame vertices into the one boundary level component that they already
+    form.
 
     Every cell has one node per (cell piece, slab) pair.  Per triangle: its
     rank span t_lo..t_hi, its cell's diagonal's slabs d_lo..d_hi, where an
@@ -344,8 +326,8 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
     slabs n_lo..n_hi of its own nodes.  The top and left grid edges become
     join segments (lower triangle, owner of the upper one's node, lo, hi),
     split where it changes, but for those that meet no slab."""
-    h, w = tri.height, tri.width
-    r00, r10, r11, r01 = tri.cell_corners(rank)
+    h, w = rank.shape
+    r00, (r10, r11, r01) = rank, _link(rank)[:3]
     lo, hi = np.minimum(r00, r11), np.maximum(r00, r11)  # on the diagonal
     t_hi = np.empty((h, w, 2), dtype=np.int32)
     t_hi[..., 0], t_hi[..., 1] = np.maximum(hi, r10), np.maximum(hi, r01)
@@ -359,7 +341,7 @@ def _pieces(tri: Triangulation, rank: np.ndarray):
 
     # the lower triangles of each cell and of the cells above and left of it
     lower = 2 * np.arange(h * w, dtype=np.int32).reshape(h, w)
-    across = np.array([(lower + 2 * w) % tri.ntri, lower - 2])
+    across = np.array([(lower + 2 * w) % (2 * h * w), lower - 2])
     across[1, :, 0] += 2 * w
     # by top or left edge, then by the diagonal's slabs or the upper triangle's own
     segs = np.empty((4, 2, 2, h, w), dtype=np.int32)
@@ -401,7 +383,7 @@ def _slab_nodes(k0: int, k1: int, n_lo, n_hi, segs, base: np.ndarray):
     return node_t, node_k, start, joins
 
 
-def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator[_Batch]:
+def _sweep(rank: np.ndarray, points: np.ndarray) -> Iterator[_Batch]:
     """Label slab components in batches, and group their ends into level classes.
 
     `rank` is an (H, W) grid of vertex ranks over K cut levels, 2j+1 at level
@@ -427,9 +409,10 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     around it, whose bottom (at a minimum) or top (at a maximum) is then the
     extremum's value; a batch gives each by its index in `points`.
     """
-    ntri, i32 = tri.ntri, np.int32
+    ntri, i32 = 2 * rank.size, np.int32
     K = (int(rank.max()) + 1) >> 1
-    t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, rank)
+    t_hi, (t_lo, d_lo, d_hi, n_lo, n_hi), segs = _pieces(rank)
+    shape = rank.shape
     rank = rank.ravel()
     verts = (rank & 1).nonzero()[0]
     verts = verts[rank[verts].argsort(kind="stable")]  # grid vertices at cut levels
@@ -438,7 +421,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     vindex[verts] = np.arange(len(verts))
     # (triangle, level, vertex index) for every triangle around a vertex at a
     # cut level, by level: every triangle that meets a level at a corner
-    att_t, att_v = tri.star(verts).ravel(), np.arange(len(verts)).repeat(6)
+    att_t, att_v = _star(shape, verts).ravel(), np.arange(len(verts)).repeat(6)
     att_j = vlev[att_v]
     # the end through which triangle t meets level j: the top of slab j, the
     # bottom of slab j+1, or for a flat triangle the vertex at its first corner
@@ -450,7 +433,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     # the extrema inside slabs by slab, with the smallest triangle around each
     order = rank[points].argsort(kind="stable")
     points = points[order]
-    pk, pt = rank[points] >> 1, tri.star(points).min(axis=1)
+    pk, pt = rank[points] >> 1, _star(shape, points).min(axis=1)
     del rank, t_hi, vindex  # read by the set-up only
 
     def on_diag(t: np.ndarray, k) -> np.ndarray:  # whether t takes its lower one's node in slab k
@@ -563,9 +546,7 @@ def _sweep(tri: Triangulation, rank: np.ndarray, points: np.ndarray) -> Iterator
     yield from (settle(k0, k1) for k0, k1 in bounds)
 
 
-def _virtual_ranks(
-    tri: Triangulation, rank: np.ndarray, coarse: np.ndarray, saddles: np.ndarray
-) -> np.ndarray:
+def _virtual_ranks(rank: np.ndarray, coarse: np.ndarray, saddles: np.ndarray) -> np.ndarray:
     """Ranks for a sweep that cuts each component of a coarse slab only at the
     values of the saddles inside it.
 
@@ -588,8 +569,8 @@ def _virtual_ranks(
     table = np.zeros(2 * K + 1, dtype=np.int32)
     table[1::2], table[2::2] = 2 * below - coarse, 2 * below
     crank = table[rank].ravel()
-    _, (_, d_lo, d_hi, n_lo, n_hi), segs = _pieces(tri, crank.reshape(rank.shape))
-    base = np.zeros(tri.ntri, dtype=np.int32)
+    _, (_, d_lo, d_hi, n_lo, n_hi), segs = _pieces(crank.reshape(rank.shape))
+    base = np.zeros(2 * nv, dtype=np.int32)
     node_t, _, _, joins = _slab_nodes(1, int(below[-1]) - 1, n_lo, n_hi, segs, base)
     root = _label(len(node_t), *joins)
     del node_t, joins, segs, n_lo, n_hi
@@ -655,41 +636,35 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     where its cells span many cut levels (see TWO_PASS_LEVELS), sweeping the
     grid with its repeated rank lines dropped (see `_kept_lines`)."""
     crits = classify_vertices(f)
-    tri = Triangulation(f.height, f.width)
-
-    crits_at: dict[int, list[CriticalPoint]] = {}  # grid vertex -> its critical points
-    for c in crits:
-        crits_at.setdefault(c.y * f.width + c.x, []).append(c)
-    # the boundary curve as (constant value, a grid vertex on it): the disk's frame
-    boundary = [] if f.kind == TORUS else [(float(f.values[0, 0]), 0)]
-    if not crits and not boundary:
+    vals = f.values.ravel()
+    ntri = 2 * vals.size
+    crits_at = {c.y * f.width + c.x: [c] for c in crits}  # at most one per grid vertex
+    frame = [] if f.kind == TORUS else [0]  # the boundary curve, by a grid vertex on it
+    if not crits and not frame:
         raise InvalidField("field has no critical points and no boundary")
-    on_boundary = {p for _, p in boundary}
     # cut at saddles, boundary curves and the extremes of the field (off the
     # frame, extremes are extrema), or in two passes at the coarse cuts first;
     # every other extremum lies inside a slab
-    vals = f.values.ravel()
     saddles = {c.value for c in crits if c.kind is CritKind.SADDLE}
-    ends = [*(v for v, _ in boundary), *(c.value for c in crits[:1] + crits[-1:])]
-    extremes = {*(v for v, _ in boundary), min(ends), max(ends)}
+    ends = [*vals[frame], *(c.value for c in crits[:1] + crits[-1:])]
+    extremes = {*vals[frame], min(ends), max(ends)}
     cuts = np.array(sorted(saddles | extremes))
     rank = _ranks(f, cuts)
     if 2 * (len(cuts) - 1) >= TWO_PASS_LEVELS and _levels_crossed(rank) >= TWO_PASS_LEVELS:
         coarse = np.isin(cuts, [*extremes, *sorted(saddles)[COARSE_STRIDE - 1 :: COARSE_STRIDE]])
         sites = [c.y * f.width + c.x for c in crits if c.kind is CritKind.SADDLE]
-        rank = _virtual_ranks(tri, rank, coarse, np.array(sites, dtype=np.int64))
+        rank = _virtual_ranks(rank, coarse, np.array(sites, dtype=np.int64))
     sites = np.array(list(crits_at), dtype=np.int64)
     inside = sites[(rank.ravel()[sites] & 1) == 0]
     y, x = np.divmod(inside, f.width)
     maximum = vals[y * f.width + (x + 1) % f.width] < vals[inside]  # all neighbours on one side
-    at = np.array(sorted({*crits_at, *on_boundary}), dtype=np.int64)
+    at = np.array(sorted({*crits_at, *frame}), dtype=np.int64)
     at = at[(rank.ravel()[at] & 1) == 1]
     at = at[rank.ravel()[at].argsort(kind="stable")]  # the marked ones at levels, by (level, y, x)
 
     # -- sweep the grid with repeated lines dropped (see `_kept_lines`): a
     # grid vertex goes to the next kept line, round the torus
     rows, cols = _kept_lines(rank)
-    sweep = Triangulation(len(rows), len(cols))
     rank = rank[np.ix_(rows, cols)]
     ry = rows.searchsorted(np.arange(f.height)) % len(rows)
     cx = cols.searchsorted(np.arange(f.width)) % len(cols)
@@ -699,13 +674,13 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     # pre-edges, in the sweep's order.  Only classes with critical points or a
     # boundary curve are marked and survive the smoothing.
     parts, vcls = [], np.empty(rank.size, dtype=np.int64)
-    for b in _sweep(sweep, rank, sweep_inside):
+    for b in _sweep(rank, sweep_inside):
         vcls[b.vertices[0]] = b.vertices[1]
         parts.append((b.least, b.bottom, b.comp_t, *b.tops, *b.extrema))
     least, u, comp_t, top_g, top_c, ext_i, ext_g = map(np.concatenate, zip(*parts))
     # swept cell c is the field's cells[c], and the one past the last (holding
     # the sweep's ntri, an empty class's least) the field's one past its last
-    cells = np.append(rows[:, None] * f.width + cols, tri.ntri >> 1)
+    cells = np.append(rows[:, None] * f.width + cols, vals.size)
     least, comp_t = (2 * cells[t >> 1] + (t & 1) for t in (least, comp_t))
     cls = vcls[sweep_at]
     n_cls, n_pre = len(least), len(u)
@@ -717,7 +692,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     ext_p = inside[ext_i]
     ends = np.where(maximum[ext_i], v[ext_g], u[ext_g])
     hung = np.bincount(ends, minlength=n_cls)
-    bad = (hung != (least == tri.ntri)).nonzero()[0]
+    bad = (hung != (least == ntri)).nonzero()[0]
     if len(bad):
         n = int(hung[bad[0]])
         if n > 1:
@@ -728,7 +703,8 @@ def build_reeb(f: ScalarField) -> ReebGraph:
             else "empty component end without an extremum"
         )
     value = np.empty(n_cls)  # read at marked classes only
-    value[cls], value[ends], least[ends] = vals[at], vals[ext_p], tri.star(ext_p).min(axis=1)
+    value[cls], value[ends] = vals[at], vals[ext_p]
+    least[ends] = _star(f.values.shape, ext_p).min(axis=1)
     marked = np.zeros(n_cls, dtype=bool)
     marked[cls] = marked[ends] = True
 
@@ -754,7 +730,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     # through a vertex at lo.  So (lo, witness) orders them.
     hi_pre = marked[v].nonzero()[0]
     lo_pre = chain[hi_pre]
-    least_t = np.full(n_pre, tri.ntri, dtype=comp_t.dtype)
+    least_t = np.full(n_pre, ntri, dtype=comp_t.dtype)
     np.minimum.at(least_t, chain, comp_t)
     order = np.lexsort((least_t[lo_pre], value[u[lo_pre]]))
     lo, hi, witness = u[lo_pre[order]], v[hi_pre[order]], least_t[lo_pre[order]]
@@ -764,7 +740,7 @@ def build_reeb(f: ScalarField) -> ReebGraph:
     # marked grid vertices come in (level, y, x) order, so each class's crits do too
     for p, c in zip(np.concatenate([at, ext_p]).tolist(), np.concatenate([cls, ends]).tolist()):
         crits_of.setdefault(c, []).extend(crits_at.get(p, []))
-        if p in on_boundary:
+        if p in frame:
             on_curve.add(c)
     # vertices by (value, smallest triangle meeting the level component)
     kept = marked.nonzero()[0]

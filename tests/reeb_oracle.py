@@ -100,7 +100,7 @@ def triangle_corners(f: ScalarField) -> list[tuple[int, int, int]]:
     2*(cy*ncx + cx) is the lower triangle of cell (cx, cy), with corners
     (x,y), (x+1,y), (x+1,y+1), and the next id is the upper one, with corners
     (x,y), (x+1,y+1), (x,y+1).  A torus has a cell at every grid vertex, and
-    its ids are those of `reeb.Triangulation`.  A disk's cells stop one short
+    its ids are those that `reeb._pieces` numbers.  A disk's cells stop one short
     of its frame (ncx = width - 1), where the library sweeps the disk as the
     torus that glues its frame and names cell (cx, cy) cy*width + cx.  Worked
     out here, so the oracle shares no adjacency code with `build_reeb`.

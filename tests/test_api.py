@@ -54,8 +54,8 @@ def test_library_reads_no_environment_variable():
 
 def test_oracles_take_only_public_library_names():
     """The oracles stay independent of the code they check: they read no
-    corpus code, no private library name and not the library's
-    triangulation, only the public types and entry points whose results
+    corpus code and no private library name, the triangulation's `_star` and
+    `_link` among them, only the public types and entry points whose results
     they judge."""
     found = []
     for name in ("reeb_oracle.py", "aut_oracle.py"):
@@ -71,7 +71,6 @@ def test_oracles_take_only_public_library_names():
                 for path in imported
                 if path.startswith("kronrod.corpus")
                 or path.rpartition(".")[2].startswith("_")
-                or path.endswith(".Triangulation")
             ]
     assert not found
 

@@ -360,9 +360,7 @@ class TestInducedAuts:
         assert first == again == [induced_graph_aut(build_reeb(f), s) for s in rec.symmetries]
         w = f.width
         for s, aut in zip(rec.symmetries, first):
-            src, dst, _ = moves(f, s)
-            image = np.arange(f.values.size)
-            image[src] = dst
+            image, _ = moves(f, s)
             for v in g.vertices:
                 if v.crits:
                     p = image[v.crits[0].y * w + v.crits[0].x]

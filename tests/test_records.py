@@ -269,7 +269,9 @@ def plain_image(f, sym):
 
 def test_moves_matches_the_plain_image_on_the_corpus():
     """On every symmetry of the corpus records, `moves` gives the image
-    worked out point by point, which is a bijection of the grid keeping f."""
+    worked out point by point, which is a bijection of the grid keeping f,
+    and each point's piece: 0 everywhere for a translation, and for a rect
+    cycle the rectangle's index on its points and -1 elsewhere."""
     for member in corpus_grid():
         f, rec = realize_member(member)
         w, h = f.width, f.height
@@ -277,13 +279,16 @@ def test_moves_matches_the_plain_image_on_the_corpus():
             image = plain_image(f, sym)
             assert sorted(image.values()) == sorted(image), (member.label, sym)
             assert all(f.values[y, x] == f.values[image[x, y][1], image[x, y][0]] for x, y in image)
-            src, dst, piece = moves(f, sym)
-            got = np.arange(w * h)
-            got[src] = dst
+            got, piece = moves(f, sym)
+            assert got.shape == piece.shape == (w * h,)
             want = [x + y * w for x, y in (image[p % w, p // w] for p in range(w * h))]
             assert got.tolist() == want
+            assert sorted(got.tolist()) == list(range(w * h))
             if isinstance(sym, RectCycle):
-                r = sym.rects
-                assert piece.tolist() == [k for k in range(len(r)) for _ in range(r[k].w * r[k].h)]
+                want = np.full((h, w), -1)
+                for k, r in enumerate(sym.rects):
+                    ys, xs = np.arange(r.y0, r.y0 + r.h) % h, np.arange(r.x0, r.x0 + r.w) % w
+                    want[np.ix_(ys, xs)] = k
+                assert piece.tolist() == want.ravel().tolist()
             else:
-                assert piece == 0
+                assert (piece == 0).all()

@@ -16,16 +16,23 @@ import kronrod
 from kronrod.construct import realize_disk, realize_torus_circuit, realize_torus_tree
 from kronrod.corpus import corpus_grid, realize_member
 from kronrod.errors import NotATree, ReebError, ShapeViolation
-from kronrod.fields import CritKind, ScalarField, classify_vertices, fix_ties, morse_counts
+from kronrod.fields import (
+    CritKind,
+    ScalarField,
+    _link,
+    classify_vertices,
+    fix_ties,
+    morse_counts,
+)
 from kronrod.reeb import (
     ReebEdge,
     ReebGraph,
     ReebVertex,
-    Triangulation,
     _kept_lines,
     _label,
     _levels_crossed,
     _ranks,
+    _star,
     _sweep,
     build_reeb,
     classify_shape,
@@ -102,7 +109,7 @@ def complement_components(g, vid):
     meets = (sp.tri_min <= v.value) & (sp.tri_max >= v.value)
     joins = (sp.edge_min <= v.value) & (sp.edge_max >= v.value)
     [level] = flood_fill(f, meets, joins, at_crit)
-    free = np.ones(g.tri.ntri, dtype=bool)
+    free = np.ones(2 * g.field.values.size, dtype=bool)
     free[level] = False
     return flood_fill(f, free)
 
@@ -193,8 +200,8 @@ class TestBuildReeb:
         component) rows, with the first left out or each given twice."""
         f = random_torus_field(0)
 
-        def sweep(tri, rank, points):
-            for b in _sweep(tri, rank, points):
+        def sweep(rank, points):
+            for b in _sweep(rank, points):
                 yield b._replace(extrema=change(b.extrema))
 
         monkeypatch.setattr(kronrod.reeb, "_sweep", sweep)
@@ -216,7 +223,7 @@ class TestBuildReeb:
             for e in g.edges:
                 joins = (sp.edge_max > e.lo) & (sp.edge_min < e.hi)
                 pairs = zip(sp.adj_a[joins].tolist(), sp.adj_b[joins].tolist())
-                root = union_find_roots(g.tri.ntri, pairs)
+                root = union_find_roots(2 * g.field.values.size, pairs)
                 assert sp.tri_max[e.witness] > e.lo and sp.tri_min[e.witness] < e.hi
                 assert root[e.witness] == e.witness
             if n == 1:
@@ -355,11 +362,11 @@ def record_sweeps(f, monkeypatch):
         kept.append(kept_lines(rank))
         return kept[-1]
 
-    def recording(tri, rank, points):
+    def recording(rank, points):
         values = f.values[np.ix_(*kept[-1])]
         cuts = sorted(set(values[(rank & 1) == 1].tolist()))
         calls.append((ScalarField("torus", values, validate=False), cuts, points))
-        return _sweep(tri, rank, points)
+        return _sweep(rank, points)
 
     with monkeypatch.context() as mp:  # `recording` reads this `f` only
         passes(mp)
@@ -383,7 +390,6 @@ def check_sweep(f, cuts, points):
     flood fills run on the oracle's triangles, whose ids the sweep's are
     compared with through `glued`.
     """
-    tri = Triangulation(f.height, f.width)
     sp, corners, ids = spans(f), corner_table(f), glued(f)
     comp_slab: list[int] = []
     comp_t: list[int] = []
@@ -394,7 +400,7 @@ def check_sweep(f, cuts, points):
     class_least: list[int] = []
     vertex_class: dict[int, int] = {}
     extrema: list[tuple[int, int]] = []  # (index in points, component)
-    for b in _sweep(tri, _ranks(f, np.array(cuts)), points):
+    for b in _sweep(_ranks(f, np.array(cuts)), points):
         first = len(comp_slab)
         comp_slab += b.comp_slab.tolist()
         comp_t += b.comp_t.tolist()
@@ -422,7 +428,7 @@ def check_sweep(f, cuts, points):
     for p, c in vertex_class.items():
         classes[c].update(np.flatnonzero((corners == p).any(axis=1)).tolist())
     assert class_level == sorted(class_level)
-    assert class_least == [min(ids[list(m)], default=tri.ntri) for m in classes]
+    assert class_least == [min(ids[list(m)], default=2 * f.values.size) for m in classes]
     for j, c in enumerate(cuts):
         level = [sorted(m) for m, k in zip(classes, class_level) if k == j and m]
         assert level == level_set_components(f, c)
@@ -530,8 +536,8 @@ def record_batches(f, monkeypatch):
         counts.append(n)
         return _label(n, a, b)
 
-    def sweep(tri, rank, points):
-        for b in _sweep(tri, rank, points):
+    def sweep(rank, points):
+        for b in _sweep(rank, points):
             batches.append((int(b.comp_slab.min()), int(b.comp_slab.max()), counts[0]))
             counts.clear()
             yield b
@@ -1012,7 +1018,7 @@ class TestSpecialVertex:
             f, _ = realize_member(member)
             g = build_reeb(f)
             h = ReebGraph(g.vertices, g.edges)
-            assert h.tri is None
+            assert h.field is None
             assert find_special_vertex(h, f) == find_special_vertex(g, f), member.label
 
     def test_random_fields_have_no_genus_one_vertex(self):
@@ -1078,16 +1084,15 @@ class TestCellCorners:
     @pytest.mark.parametrize("kind", ["torus", "disk"])
     @pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
     def test_views_match_the_corpus_corners(self, kind, shape):
-        """`Triangulation.cell_corners` of the vertex-id grid against
-        `reeb_oracle.triangle_corners`, which works out the corners (x,y),
-        (x+1,y+1) and the third one by itself, read through `glued`.  Grids
-        with w != h at the minimum side pin the wrap row and column.  Every
-        triangle of a disk's H + W - 1 glue cells, the cells that no oracle
-        cell maps to, has all its corners on the frame."""
+        """`_pieces`' corner views `(grid, *_link(grid)[:3])` of the vertex-id
+        grid against `reeb_oracle.triangle_corners`, which works out the
+        corners (x,y), (x+1,y+1) and the third one by itself, read through
+        `glued`.  Grids with w != h at the minimum side pin the wrap row and
+        column.  Every triangle of a disk's H + W - 1 glue cells, the cells
+        that no oracle cell maps to, has all its corners on the frame."""
         f = ScalarField(kind, np.zeros(shape), validate=False)
-        tri = Triangulation(*shape)
         ids = np.arange(f.values.size).reshape(shape)
-        v00, v10, v11, v01 = (v.ravel().tolist() for v in tri.cell_corners(ids))
+        v00, v10, v11, v01 = (v.ravel().tolist() for v in (ids, *_link(ids)[:3]))
         got = [t for c in zip(v00, v10, v11, v01) for t in ((c[0], c[2], c[1]), (c[0], c[2], c[3]))]
         assert [got[t] for t in glued(f)] == triangle_corners(f)
         glue, frame = glue_triangles(f), np.flatnonzero(f.boundary_mask())
@@ -1097,7 +1102,7 @@ class TestCellCorners:
     @pytest.mark.parametrize("kind", ["torus", "disk"])
     @pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
     def test_star_matches_the_corpus_corners(self, kind, shape):
-        """`Triangulation.star` of every grid point, in a random order and the
+        """`_star` of every grid point, in a random order and the
         disk's frame included, against the triangles whose
         `reeb_oracle.triangle_corners` hold the point, read through `glued`,
         in the order its docstring gives: the lower triangles that have it as
@@ -1108,7 +1113,6 @@ class TestCellCorners:
         star holds a glue triangle."""
         f = ScalarField(kind, np.zeros(shape), validate=False)
         h, w = shape
-        tri = Triangulation(h, w)
         at = {}
         for t, corners in zip(glued(f).tolist(), triangle_corners(f)):
             upper = corners[2] // w != corners[0] // w
@@ -1116,7 +1120,7 @@ class TestCellCorners:
         points = np.random.default_rng(w).permutation(w * h)
         order = [(up, i) for up in (False, True) for i in (1, 2, 0)]
         want = np.array([[at.get((p, up, i), -1) for up, i in order] for p in points])
-        got = tri.star(points)
+        got = _star(shape, points)
         own = want >= 0
         assert (got[own] == want[own]).all()
         assert np.isin(got[~own], glue_triangles(f)).all()
@@ -1124,21 +1128,21 @@ class TestCellCorners:
 
     def test_build_reads_the_cell_corners_once(self, monkeypatch):
         """A build reads the grid it sweeps at the cell corners in one
-        `cell_corners` pass, on a torus, on a disk, whose repeated rank lines
-        are dropped first, and on a field swept in several batches."""
+        `_link` pass, on a torus, on a disk, whose repeated rank lines are
+        dropped first, and on a field swept in several batches."""
         calls = []
-        cell_corners = Triangulation.cell_corners
+        link = kronrod.reeb._link
 
-        def counting(tri, grid):
+        def counting(grid):
             calls.append(grid.shape)
-            return cell_corners(tri, grid)
+            return link(grid)
 
         shapes = {}
         for name in ("random-3-16", "disk-wr(1,3)", "bench-64"):
             f = ORACLE_FIELDS[name]()
             with monkeypatch.context() as mp:
                 [(g, *_)] = record_sweeps(f, mp)
-                mp.setattr(Triangulation, "cell_corners", counting)
+                mp.setattr(kronrod.reeb, "_link", counting)
                 calls.clear()
                 build_reeb(f)
             assert calls == [g.values.shape], name
@@ -1191,7 +1195,7 @@ class TestSlabRoots:
                 comp_of, members = _components(
                     sp, (sp.tri_max > a) & (sp.tri_min < b), (sp.edge_max > a) & (sp.edge_min < b)
                 )
-                root, inside = np.arange(g.tri.ntri), comp_of >= 0
+                root, inside = np.arange(2 * g.field.values.size), comp_of >= 0
                 root[ids[inside]] = ids[np.array([m[0] for m in members])[comp_of[inside]]]
                 want.append(root)
         glue = glue_triangles(f)

@@ -276,7 +276,7 @@ def test_a_verify_computes_each_grid_fact_once(monkeypatch):
 
     def point_map(f, sym):
         out = moves(f, sym)
-        maps.setdefault(sym, []).append(out[1])
+        maps.setdefault(sym, []).append(out[0])
         return out
 
     monkeypatch.setattr(fields, "_link", link_pass)
